@@ -74,7 +74,7 @@ def test_distributed_parity_with_retry(tmp_path):
     ref_dir = str(tmp_path / "reference")
     start = time.perf_counter()
     with CampaignStoreWriter(ref_dir, PLAN.platform, PLAN.n_steps) as sink:
-        get_executor(None, None).run(PLAN, sink=sink)
+        get_executor(None).run(PLAN, sink=sink)
     _report("single-box store write", time.perf_counter() - start)
 
     ranges = partition_ranges(N_TRACES, 2)

@@ -4,21 +4,22 @@ Benchmarks the ``repro.search`` hazard hunter on the ``ci`` grid scale
 (2 patients, the 3x stride-21 campaign as the baseline) and asserts the
 acceptance bar for the subsystem: the search must find at least
 ``EFFICIENCY_FLOOR`` (3x) more hazards per simulation than the paper's
-fixed fault-injection grid, per patient and overall, on the batched
-vector path.  A determinism test pins bit-identical findings across
-executor shapes, mirroring the parity suites.
+fixed fault-injection grid, per patient and overall, on the lock-step
+engine.  A determinism test pins bit-identical findings across executor
+shapes, mirroring the parity suites.
 
 Run:  pytest benchmarks/bench_search.py --benchmark-only -s
 """
 
 import pytest
 
+import repro.parallel
 from repro.experiments import ExperimentConfig
 from repro.experiments.data import platform_data
 from repro.experiments.search import run_search, search_vs_grid
 from repro.search import CrossEntropySearch
 
-CONFIG = ExperimentConfig.preset("ci", batch_size=32)
+CONFIG = ExperimentConfig.preset("ci")
 
 #: acceptance bar: hazards-per-simulation ratio search / grid
 EFFICIENCY_FLOOR = 3.0
@@ -35,12 +36,11 @@ def _grid_rate(config, patient_id=None):
 
 @pytest.mark.benchmark(group="search")
 def test_search_ci_vector(benchmark):
-    """Wall time of one full CE search budget on the batched path."""
+    """Wall time of one full CE search budget on the lock-step engine."""
     search = CrossEntropySearch(platform=CONFIG.platform,
                                 patient_id=CONFIG.patients[0],
                                 n_steps=CONFIG.n_steps,
-                                population=32, iterations=6,
-                                batch_size=32)
+                                population=32, iterations=6)
     result = benchmark(search.run, 0)
     assert result.n_hazardous >= 1
 
@@ -69,14 +69,15 @@ def test_search_experiment_overall_ratio():
     assert overall[-1] >= EFFICIENCY_FLOOR
 
 
-def test_search_deterministic_across_executors():
+def test_search_deterministic_across_executors(monkeypatch):
     """Same seed, different executor shapes: identical findings."""
     kwargs = dict(platform=CONFIG.platform, patient_id=CONFIG.patients[0],
                   n_steps=CONFIG.n_steps, population=16, iterations=2)
-    reference = CrossEntropySearch(batch_size=1, **kwargs).run(seed=3)
-    for workers, batch_size in ((1, 32), (2, 8)):
-        other = CrossEntropySearch(workers=workers, batch_size=batch_size,
-                                   **kwargs).run(seed=3)
+    monkeypatch.setattr(repro.parallel, "LOCKSTEP_WIDTH", 1)
+    reference = CrossEntropySearch(**kwargs).run(seed=3)
+    for workers, width in ((1, 32), (2, 8)):
+        monkeypatch.setattr(repro.parallel, "LOCKSTEP_WIDTH", width)
+        other = CrossEntropySearch(workers=workers, **kwargs).run(seed=3)
         assert [f.label for f in other.findings] == \
             [f.label for f in reference.findings]
         assert other.n_simulations == reference.n_simulations

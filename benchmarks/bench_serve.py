@@ -41,11 +41,10 @@ _CACHE = {}
 def _traces_and_monitors():
     if not _CACHE:
         traces = run_campaign(CONFIG.platform, CONFIG.patients, SCENARIOS,
-                              n_steps=CONFIG.n_steps, batch_size=32)
+                              n_steps=CONFIG.n_steps)
         _CACHE["traces"] = traces
         _CACHE["monitors"] = {
-            "CAWT": cawt_monitor(learn_thresholds(traces,
-                                                  batch_size=32).thresholds),
+            "CAWT": cawt_monitor(learn_thresholds(traces).thresholds),
             "CAWOT": cawot_monitor(),
             "DT": train_dt_monitor(traces),
         }

@@ -1,15 +1,15 @@
-"""Serial vs lock-step vectorized campaign throughput (traces/sec).
+"""Single-run reference loop vs lock-step campaign throughput (traces/sec).
 
 Runs the ``ci``-scale fault-injection grid (2 patients x 42 scenarios)
-through the scalar loop and through the vectorized engine at several batch
-widths, reporting traces/sec for each.  A final test asserts that the
-vectorized trace stream is element-wise identical to the serial one and —
-the acceptance bar for the engine — at least 3x faster at batch_size=32.
+through the single-run ``make_loop(...).run`` reference and through the
+lock-step engine at several ``LOCKSTEP_WIDTH`` values, reporting
+traces/sec for each.  A final test asserts that the engine's trace stream
+(at the default width) is element-wise identical to the reference one and
+— the acceptance bar for the engine — at least 3x faster.
 
 Measured on the CI container (see docs/vectorized_engine.md for the
-current numbers): the vectorized engine is ~7-8x the scalar loop on
-glucosym and ~10x with a 2-worker pool stacked on top, because each pool
-chunk becomes one lock-step batch and the speedups multiply.
+current numbers); a 2-worker pool stacks on top, because each pool chunk
+becomes a sequence of lock-step batches and the speedups multiply.
 
 Run:  pytest benchmarks/bench_vector_campaign.py --benchmark-only -s
 """
@@ -20,31 +20,32 @@ import time
 import numpy as np
 import pytest
 
+import repro.parallel
+from conftest import reference_campaign
 from repro.experiments import ExperimentConfig
 from repro.fi import CampaignConfig, generate_campaign
-from repro.patients import make_patient
-from repro.simulation import controller_profile, run_campaign
+from repro.simulation import run_campaign, warm_profiles
 
 CONFIG = ExperimentConfig.preset("ci")
 SCENARIOS = generate_campaign(CampaignConfig(stride=CONFIG.stride))
 N_TRACES = len(CONFIG.patients) * len(SCENARIOS)
 
 
-def _warm_profiles():
-    for pid in CONFIG.patients:
-        controller_profile(make_patient(CONFIG.platform, pid))
-
-
-def _run(batch_size, workers=1):
+def _run(workers=1):
     return run_campaign(CONFIG.platform, CONFIG.patients, SCENARIOS,
-                        n_steps=CONFIG.n_steps, workers=workers,
-                        batch_size=batch_size)
+                        n_steps=CONFIG.n_steps, workers=workers)
 
 
-def _timed(batch_size, workers=1):
+def _timed(fn, *args):
+    warm_profiles(CONFIG.platform, CONFIG.patients)
     start = time.perf_counter()
-    traces = _run(batch_size, workers)
+    traces = fn(*args)
     return traces, time.perf_counter() - start
+
+
+def _reference():
+    return reference_campaign(CONFIG.platform, CONFIG.patients, SCENARIOS,
+                              CONFIG.n_steps)
 
 
 def _report(name, elapsed):
@@ -52,28 +53,9 @@ def _report(name, elapsed):
           f"({N_TRACES / elapsed:.1f} traces/sec)")
 
 
-@pytest.mark.parametrize("batch_size", [1, 8, 32, 84])
-def test_vector_throughput(benchmark, batch_size):
-    _warm_profiles()
-    traces = benchmark.pedantic(_run, args=(batch_size,), rounds=1,
-                                iterations=1)
-    assert len(traces) == N_TRACES
-    if benchmark.stats is not None:  # absent under --benchmark-disable
-        _report(f"batch_size={batch_size}", benchmark.stats.stats.mean)
-
-
-def test_vector_parity_and_speedup():
-    """batch_size=32 output is element-wise identical to serial and at
-    least 3x faster (the engine's acceptance bar)."""
-    _warm_profiles()
-    serial, t_serial = _timed(1)
-    vector, t_vector = _timed(32)
-    _report("serial", t_serial)
-    _report("batch_size=32", t_vector)
-    print(f"speedup: {t_serial / t_vector:.2f}x")
-
-    assert len(serial) == len(vector) == N_TRACES
-    for s, v in zip(serial, vector):
+def _assert_identical(reference, traces):
+    assert len(reference) == len(traces) == N_TRACES
+    for s, v in zip(reference, traces):
         assert (s.platform, s.patient_id, s.label, s.fault) == \
                (v.platform, v.patient_id, v.label, v.fault)
         for f in dataclasses.fields(s):
@@ -81,18 +63,35 @@ def test_vector_parity_and_speedup():
             if isinstance(value, np.ndarray):
                 assert np.array_equal(value, getattr(v, f.name)), f.name
 
-    assert t_serial / t_vector >= 3.0, (
-        f"expected >=3x vectorized speedup, got {t_serial / t_vector:.2f}x")
+
+@pytest.mark.parametrize("width", [1, 8, 16, 32, 84])
+def test_vector_throughput(benchmark, monkeypatch, width):
+    monkeypatch.setattr(repro.parallel, "LOCKSTEP_WIDTH", width)
+    warm_profiles(CONFIG.platform, CONFIG.patients)
+    traces = benchmark.pedantic(_run, rounds=1, iterations=1)
+    assert len(traces) == N_TRACES
+    if benchmark.stats is not None:  # absent under --benchmark-disable
+        _report(f"width={width}", benchmark.stats.stats.mean)
+
+
+def test_vector_parity_and_speedup():
+    """The engine's output is element-wise identical to the reference loop
+    and at least 3x faster (the engine's acceptance bar)."""
+    reference, t_reference = _timed(_reference)
+    vector, t_vector = _timed(_run)
+    _report("reference", t_reference)
+    _report(f"width={repro.parallel.LOCKSTEP_WIDTH}", t_vector)
+    print(f"speedup: {t_reference / t_vector:.2f}x")
+
+    _assert_identical(reference, vector)
+    assert t_reference / t_vector >= 3.0, (
+        f"expected >=3x lock-step speedup, got "
+        f"{t_reference / t_vector:.2f}x")
 
 
 def test_vector_stacks_with_workers():
-    """Vectorized batches inside pool chunks: still identical traces."""
-    _warm_profiles()
-    serial, _ = _timed(1)
-    combo, t_combo = _timed(16, workers=2)
-    _report("2 workers x batch 16", t_combo)
-    for s, v in zip(serial, combo):
-        for f in dataclasses.fields(s):
-            value = getattr(s, f.name)
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(value, getattr(v, f.name)), f.name
+    """Lock-step batches inside pool chunks: still identical traces."""
+    reference, _ = _timed(_reference)
+    combo, t_combo = _timed(_run, 2)
+    _report("2 workers", t_combo)
+    _assert_identical(reference, combo)

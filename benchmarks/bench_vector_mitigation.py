@@ -1,14 +1,14 @@
-"""Scalar vs lock-step batched *mitigated* closed-loop throughput.
+"""Single-run reference vs lock-step *mitigated* closed-loop throughput.
 
 Runs the ``ci``-scale campaign (2 patients x 42 scenarios x 150 cycles)
 with the CAWOT monitor wired to a mitigator — the paper's Table VII
-configuration — through the scalar :class:`ClosedLoop` and through the
-vectorized engine at several widths, for both benchmarked strategy
-families (:class:`FixedMitigator`, Algorithm 1's fixed dose, and the
-KnowSafe-style :class:`PredictiveMitigator`).  A final test asserts that
-the batched traces are element-wise identical to the scalar run and — the
-acceptance bar for the mitigated batch path — at least 3x faster at
-batch_size=32.
+configuration — through the single-run ``make_loop(...).run`` reference
+and through the lock-step engine at several ``LOCKSTEP_WIDTH`` values,
+for both benchmarked strategy families (:class:`FixedMitigator`,
+Algorithm 1's fixed dose, and the KnowSafe-style
+:class:`PredictiveMitigator`).  A final test asserts that the batched
+traces are element-wise identical to the reference run and — the
+acceptance bar for the mitigated batch path — at least 3x faster.
 
 Run:  pytest benchmarks/bench_vector_mitigation.py --benchmark-only -s
 """
@@ -18,6 +18,8 @@ import time
 import numpy as np
 import pytest
 
+import repro.parallel
+from conftest import reference_campaign
 from repro.core import FixedMitigator, PredictiveMitigator, cawot_monitor
 from repro.experiments import ExperimentConfig
 from repro.fi import CampaignConfig, generate_campaign
@@ -34,24 +36,26 @@ def _monitor_factory(pid):
     return cawot_monitor()
 
 
-def _run(mitigator, batch_size, workers=1):
+def _run(mitigator, workers=1):
     return run_campaign(CONFIG.platform, CONFIG.patients, SCENARIOS,
                         monitor_factory=_monitor_factory,
                         mitigator=mitigator, n_steps=CONFIG.n_steps,
-                        workers=workers, batch_size=batch_size)
+                        workers=workers)
 
 
-def _timed(mitigator, batch_size, workers=1):
+def _timed(fn, *args):
     warm_profiles(CONFIG.platform, CONFIG.patients)
     start = time.perf_counter()
-    traces = _run(mitigator, batch_size, workers=workers)
+    traces = fn(*args)
     return traces, time.perf_counter() - start
 
 
-def _scalar_reference():
-    if "scalar" not in _CACHE:
-        _CACHE["scalar"] = _timed(FixedMitigator(), 1)
-    return _CACHE["scalar"]
+def _reference():
+    if "reference" not in _CACHE:
+        _CACHE["reference"] = _timed(
+            reference_campaign, CONFIG.platform, CONFIG.patients, SCENARIOS,
+            CONFIG.n_steps, _monitor_factory, FixedMitigator())
+    return _CACHE["reference"]
 
 
 def _report(name, elapsed):
@@ -59,53 +63,54 @@ def _report(name, elapsed):
           f"in {elapsed:.2f}s ({N_SIMS / elapsed:.1f} sims/sec)")
 
 
-@pytest.mark.parametrize("batch_size", [1, 8, 32, 84])
-def test_mitigated_campaign_throughput(benchmark, batch_size):
+@pytest.mark.parametrize("width", [1, 8, 16, 32, 84])
+def test_mitigated_campaign_throughput(benchmark, monkeypatch, width):
+    monkeypatch.setattr(repro.parallel, "LOCKSTEP_WIDTH", width)
     warm_profiles(CONFIG.platform, CONFIG.patients)
     traces = benchmark.pedantic(
-        _run, args=(FixedMitigator(), batch_size), rounds=1, iterations=1)
+        _run, args=(FixedMitigator(),), rounds=1, iterations=1)
     assert len(traces) == N_SIMS
     if benchmark.stats is not None:  # absent under --benchmark-disable
-        _report(f"batch_size={batch_size}", benchmark.stats.stats.mean)
+        _report(f"width={width}", benchmark.stats.stats.mean)
 
 
 @pytest.mark.parametrize("family", [FixedMitigator, PredictiveMitigator])
 def test_both_families_batched(benchmark, family):
-    """The second strategy family rides the same harness at full width."""
+    """The second strategy family rides the same harness."""
     warm_profiles(CONFIG.platform, CONFIG.patients)
     traces = benchmark.pedantic(
-        _run, args=(family(), 32), rounds=1, iterations=1)
+        _run, args=(family(),), rounds=1, iterations=1)
     assert len(traces) == N_SIMS
     if benchmark.stats is not None:
-        _report(f"{family.__name__} batch_size=32", benchmark.stats.stats.mean)
+        _report(family.__name__, benchmark.stats.stats.mean)
 
 
 def test_mitigation_parity_and_speedup():
-    """batch_size=32 mitigated traces are element-wise identical to the
-    scalar loop and at least 3x faster (the path's acceptance bar)."""
-    serial, t_serial = _scalar_reference()
-    batched, t_batched = _timed(FixedMitigator(), 32)
-    _report("scalar", t_serial)
-    _report("batch_size=32", t_batched)
-    print(f"speedup: {t_serial / t_batched:.2f}x")
+    """Lock-step mitigated traces are element-wise identical to the
+    reference loop and at least 3x faster (the path's acceptance bar)."""
+    reference, t_reference = _reference()
+    batched, t_batched = _timed(_run, FixedMitigator())
+    _report("reference", t_reference)
+    _report(f"width={repro.parallel.LOCKSTEP_WIDTH}", t_batched)
+    print(f"speedup: {t_reference / t_batched:.2f}x")
 
     assert len(batched) == N_SIMS
-    for s, v in zip(serial, batched):
+    for s, v in zip(reference, batched):
         for name in ("true_bg", "cgm", "iob", "final_rate", "final_bolus",
                      "delivered_rate", "delivered_bolus", "alert",
                      "alert_hazard", "mitigated"):
             assert np.array_equal(getattr(s, name), getattr(v, name)), name
 
-    assert t_serial / t_batched >= 3.0, (
+    assert t_reference / t_batched >= 3.0, (
         f"expected >=3x batched mitigation speedup, got "
-        f"{t_serial / t_batched:.2f}x")
+        f"{t_reference / t_batched:.2f}x")
 
 
 def test_mitigation_stacks_with_workers():
     """Mitigated batches inside pool chunks: still identical traces."""
-    serial, _ = _scalar_reference()
-    combo, t_combo = _timed(FixedMitigator(), 16, workers=2)
-    _report("2 workers x batch 16", t_combo)
-    for s, v in zip(serial, combo):
+    reference, _ = _reference()
+    combo, t_combo = _timed(_run, FixedMitigator(), 2)
+    _report("2 workers", t_combo)
+    for s, v in zip(reference, combo):
         assert np.array_equal(s.mitigated, v.mitigated)
         assert np.array_equal(s.true_bg, v.true_bg)

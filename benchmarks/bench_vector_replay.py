@@ -1,12 +1,12 @@
-"""Scalar vs lock-step batched monitor replay throughput.
+"""Single-trace reference vs lock-step monitor replay throughput.
 
 Replays the Table V monitor set (CAWT, CAWOT, Guideline, MPC) plus a
 trained DT over the ``ci``-scale campaign (2 patients x 42 scenarios x
-150 cycles) through the scalar per-cycle loop and through the batched
-``observe_batch`` path at several widths.  A final test asserts that the
-batched alert streams are element-wise identical to the scalar replay
-and — the acceptance bar for the batched replay path — at least 3x
-faster at batch_size=32.
+150 cycles) through the per-cycle ``replay_monitor`` reference and
+through the batched ``observe_batch`` path at several ``LOCKSTEP_WIDTH``
+values.  A final test asserts that the batched alert streams are
+element-wise identical to the reference replay and — the acceptance bar
+for the batched replay path — at least 3x faster.
 
 Run:  pytest benchmarks/bench_vector_replay.py --benchmark-only -s
 """
@@ -16,12 +16,13 @@ import time
 import numpy as np
 import pytest
 
+import repro.parallel
 from repro.baselines import GuidelineMonitor, MPCMonitor
 from repro.core import cawot_monitor, cawt_monitor, learn_thresholds
 from repro.experiments import ExperimentConfig
 from repro.fi import CampaignConfig, generate_campaign
 from repro.ml import train_dt_monitor
-from repro.simulation import replay_campaign, run_campaign
+from repro.simulation import replay_campaign, replay_monitor, run_campaign
 
 CONFIG = ExperimentConfig.preset("ci")
 SCENARIOS = generate_campaign(CampaignConfig(stride=CONFIG.stride))
@@ -33,11 +34,10 @@ _CACHE = {}
 def _traces_and_monitors():
     if not _CACHE:
         traces = run_campaign(CONFIG.platform, CONFIG.patients, SCENARIOS,
-                              n_steps=CONFIG.n_steps, batch_size=32)
+                              n_steps=CONFIG.n_steps)
         _CACHE["traces"] = traces
         _CACHE["monitors"] = {
-            "CAWT": cawt_monitor(learn_thresholds(traces,
-                                                  batch_size=32).thresholds),
+            "CAWT": cawt_monitor(learn_thresholds(traces).thresholds),
             "CAWOT": cawot_monitor(),
             "Guideline": GuidelineMonitor(),
             "MPC": MPCMonitor(horizon_steps=CONFIG.mpc_horizon),
@@ -46,11 +46,15 @@ def _traces_and_monitors():
     return _CACHE["traces"], _CACHE["monitors"]
 
 
-def _timed(batch_size, workers=1):
+def _reference_replay(monitors, traces):
+    return {name: [replay_monitor(monitor, trace)[0] for trace in traces]
+            for name, monitor in monitors.items()}
+
+
+def _timed(replay, **kwargs):
     traces, monitors = _traces_and_monitors()
     start = time.perf_counter()
-    alerts = replay_campaign(monitors, traces, workers=workers,
-                             batch_size=batch_size)
+    alerts = replay(monitors, traces, **kwargs)
     return alerts, time.perf_counter() - start
 
 
@@ -59,41 +63,41 @@ def _report(name, elapsed):
           f"({N_TRACES / elapsed:.1f} traces/sec/monitor-set)")
 
 
-@pytest.mark.parametrize("batch_size", [1, 8, 32, 84])
-def test_replay_throughput(benchmark, batch_size):
+@pytest.mark.parametrize("width", [1, 8, 16, 32, 84])
+def test_replay_throughput(benchmark, monkeypatch, width):
     traces, monitors = _traces_and_monitors()
-    alerts = benchmark.pedantic(
-        replay_campaign, args=(monitors, traces),
-        kwargs={"batch_size": batch_size}, rounds=1, iterations=1)
+    monkeypatch.setattr(repro.parallel, "LOCKSTEP_WIDTH", width)
+    alerts = benchmark.pedantic(replay_campaign, args=(monitors, traces),
+                                rounds=1, iterations=1)
     assert all(len(alerts[name]) == N_TRACES for name in monitors)
     if benchmark.stats is not None:  # absent under --benchmark-disable
-        _report(f"batch_size={batch_size}", benchmark.stats.stats.mean)
+        _report(f"width={width}", benchmark.stats.stats.mean)
 
 
 def test_replay_parity_and_speedup():
-    """batch_size=32 alert streams are element-wise identical to the
-    scalar replay and at least 3x faster (the path's acceptance bar)."""
-    serial, t_serial = _timed(1)
-    batched, t_batched = _timed(32)
-    _report("scalar", t_serial)
-    _report("batch_size=32", t_batched)
-    print(f"speedup: {t_serial / t_batched:.2f}x")
+    """Lock-step alert streams are element-wise identical to the reference
+    replay and at least 3x faster (the path's acceptance bar)."""
+    reference, t_reference = _timed(_reference_replay)
+    batched, t_batched = _timed(replay_campaign)
+    _report("reference", t_reference)
+    _report(f"width={repro.parallel.LOCKSTEP_WIDTH}", t_batched)
+    print(f"speedup: {t_reference / t_batched:.2f}x")
 
-    for name in serial:
+    for name in reference:
         assert len(batched[name]) == N_TRACES
-        for a, b in zip(serial[name], batched[name]):
+        for a, b in zip(reference[name], batched[name]):
             assert np.array_equal(a, b), name
 
-    assert t_serial / t_batched >= 3.0, (
+    assert t_reference / t_batched >= 3.0, (
         f"expected >=3x batched replay speedup, got "
-        f"{t_serial / t_batched:.2f}x")
+        f"{t_reference / t_batched:.2f}x")
 
 
 def test_replay_stacks_with_workers():
     """Batched replay inside pool chunks: still identical alert streams."""
-    serial, _ = _timed(1)
-    combo, t_combo = _timed(16, workers=2)
-    _report("2 workers x batch 16", t_combo)
-    for name in serial:
+    reference, _ = _timed(_reference_replay)
+    combo, t_combo = _timed(replay_campaign, workers=2)
+    _report("2 workers", t_combo)
+    for name in reference:
         assert all(np.array_equal(a, b)
-                   for a, b in zip(serial[name], combo[name]))
+                   for a, b in zip(reference[name], combo[name]))

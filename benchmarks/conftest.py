@@ -15,6 +15,8 @@ import os
 import pytest
 
 from repro.experiments import ExperimentConfig
+from repro.fi import FaultInjector
+from repro.simulation import Scenario, make_loop
 
 SCALE = os.environ.get("REPRO_SCALE", "smoke")
 
@@ -33,3 +35,22 @@ def show(result) -> None:
     """Print a reproduced table (visible with ``-s``)."""
     print()
     print(result.text())
+
+
+def reference_campaign(platform, patients, scenarios, n_steps,
+                       monitor_factory=None, mitigator=None):
+    """The grid through the single-run ``make_loop(...).run``, one loop per
+    patient — the reference the lock-step engine is timed and checked
+    against (traces in ``run_campaign`` order)."""
+    traces = []
+    for pid in patients:
+        loop = make_loop(platform, pid, mitigator=mitigator,
+                         monitor=monitor_factory(pid) if monitor_factory
+                         else None)
+        for scenario in scenarios:
+            loop.injector = (FaultInjector(scenario.fault)
+                             if scenario.fault is not None else None)
+            traces.append(loop.run(Scenario(
+                init_glucose=scenario.init_glucose, n_steps=n_steps,
+                label=scenario.label)))
+    return traces

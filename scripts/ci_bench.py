@@ -5,15 +5,19 @@ Runs a small *fixed* benchmark configuration — the ``ci``-scale grids behind
 ``bench_vector_replay.py``, ``bench_vector_mitigation.py``,
 ``bench_serve.py`` and ``benchmarks/bench_table6_ml.py`` — and writes
 ``BENCH_<sha>.json`` with
-per-benchmark wall time (plus the serial-vs-vector simulation, replay and
-mitigation speedups) and the process peak RSS.  The measurements are then
+per-benchmark wall time (plus the lock-step simulation, replay and
+mitigation speedups over their single-run references) and the process
+peak RSS.  The ``*_reference`` entries time the kept single-run APIs
+(``make_loop(...).run`` per scenario, ``replay_monitor`` per trace); the
+``*_vector`` entries time the library's only execution path, the
+lock-step engine at ``LOCKSTEP_WIDTH``.  The measurements are then
 compared against the committed ``benchmarks/BENCH_baseline.json``: any
 benchmark more than ``TOLERANCE`` (25%) slower than its baseline, or peak
-RSS more than 25% above it, fails the job.  The batched replay and
+RSS more than 25% above it, fails the job.  The simulation, replay and
 mitigation entries additionally enforce absolute floors:
-``replay_vector`` must be at least ``REPLAY_SPEEDUP_FLOOR`` (3x) faster
-than the scalar replay, and ``mitigation_vector`` at least
-``MITIGATION_SPEEDUP_FLOOR`` (3x) faster than the scalar mitigated loop,
+``campaign_vector``, ``replay_vector`` and ``mitigation_vector`` must be
+at least ``CAMPAIGN_SPEEDUP_FLOOR``, ``REPLAY_SPEEDUP_FLOOR`` and
+``MITIGATION_SPEEDUP_FLOOR`` (3x each) faster than their references,
 whatever the baseline says.  The ``search`` entry (the cross-entropy
 scenario search of ``repro.search``) is gated the same way: timed
 against the baseline and floored at ``SEARCH_EFFICIENCY_FLOOR`` (3x)
@@ -53,11 +57,12 @@ from repro.core import (FixedMitigator, cawot_monitor, cawt_monitor,
 from repro.experiments import ExperimentConfig
 from repro.experiments.data import platform_data
 from repro.experiments.table6 import run_table6
-from repro.fi import CampaignConfig, generate_campaign
+from repro.fi import CampaignConfig, FaultInjector, generate_campaign
 from repro.ml import train_dt_monitor
 from repro.search import CrossEntropySearch
 from repro.serve import MonitorService, run_load
-from repro.simulation import replay_campaign, run_campaign, warm_profiles
+from repro.simulation import (Scenario, make_loop, replay_campaign,
+                              replay_monitor, run_campaign, warm_profiles)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks", "BENCH_baseline.json")
@@ -71,6 +76,10 @@ TOLERANCE = 0.25
 #: hold; their real guard is the speedup floor below
 JITTER_SLACK_SECONDS = 0.25
 
+#: absolute floor for the lock-step campaign speedup over the single-run
+#: reference loop (the engine's acceptance bar)
+CAMPAIGN_SPEEDUP_FLOOR = 3.0
+
 #: absolute floor for the batched-replay speedup (the path's acceptance
 #: bar, enforced independently of the committed baseline)
 REPLAY_SPEEDUP_FLOOR = 3.0
@@ -78,6 +87,13 @@ REPLAY_SPEEDUP_FLOOR = 3.0
 #: absolute floor for the batched mitigated-campaign speedup (Table VII
 #: closed loop: monitor + mitigator in the lock-step engine)
 MITIGATION_SPEEDUP_FLOOR = 3.0
+
+#: ``*_vector`` entry -> (its reference entry, speedup floor)
+SPEEDUP_FLOORS = {
+    "campaign_vector": ("campaign_reference", CAMPAIGN_SPEEDUP_FLOOR),
+    "replay_vector": ("replay_reference", REPLAY_SPEEDUP_FLOOR),
+    "mitigation_vector": ("mitigation_reference", MITIGATION_SPEEDUP_FLOOR),
+}
 
 #: absolute floor for the scenario search's discovery efficiency:
 #: hazards-per-simulation must beat the fixed grid's by at least this
@@ -121,6 +137,24 @@ def peak_rss_mb() -> float:
     return peak / 1024.0
 
 
+def reference_campaign(config, scenarios, monitor_factory=None,
+                       mitigator=None) -> list:
+    """The grid through the single-run ``make_loop(...).run``, one loop per
+    patient (traces in ``run_campaign`` order)."""
+    traces = []
+    for pid in config.patients:
+        loop = make_loop(config.platform, pid, mitigator=mitigator,
+                         monitor=monitor_factory(pid) if monitor_factory
+                         else None)
+        for scenario in scenarios:
+            loop.injector = (FaultInjector(scenario.fault)
+                             if scenario.fault is not None else None)
+            traces.append(loop.run(Scenario(
+                init_glucose=scenario.init_glucose, n_steps=config.n_steps,
+                label=scenario.label)))
+    return traces
+
+
 def run_benchmarks() -> dict:
     """The fixed ``ci``-scale benchmark set, warmed and in a fixed order."""
     config = ExperimentConfig.preset("ci")
@@ -137,60 +171,53 @@ def run_benchmarks() -> dict:
         print(f"  {name}: {results[name]['seconds']}s", flush=True)
         return out
 
+    def speedup(vector):
+        reference = SPEEDUP_FLOORS[vector][0]
+        ratio = round(results[reference]["seconds"]
+                      / max(results[vector]["seconds"], 1e-9), 2)
+        results[vector]["speedup_vs_reference"] = ratio
+        print(f"  {reference} / {vector} speedup: {ratio}x", flush=True)
+
     n = len(config.patients) * len(scenarios)
     print(f"ci grid: {n} simulations", flush=True)
-    timed("campaign_serial",
-          lambda: run_campaign(config.platform, config.patients, scenarios,
-                               n_steps=config.n_steps))
-    timed("campaign_workers2",
-          lambda: run_campaign(config.platform, config.patients, scenarios,
-                               n_steps=config.n_steps, workers=2))
+    timed("campaign_reference",
+          lambda: reference_campaign(config, scenarios))
     traces = timed(
         "campaign_vector",
         lambda: run_campaign(config.platform, config.patients, scenarios,
-                             n_steps=config.n_steps, batch_size=32))
-    vector_speedup = round(results["campaign_serial"]["seconds"]
-                           / max(results["campaign_vector"]["seconds"], 1e-9), 2)
-    results["campaign_vector"]["speedup_vs_serial"] = vector_speedup
-    print(f"  serial/vector speedup: {vector_speedup}x", flush=True)
+                             n_steps=config.n_steps))
+    speedup("campaign_vector")
+    timed("campaign_workers2",
+          lambda: run_campaign(config.platform, config.patients, scenarios,
+                               n_steps=config.n_steps, workers=2))
 
     # batched monitor replay over the campaign just simulated: the Table V
-    # monitor set plus a trained DT, scalar loop vs observe_batch path
+    # monitor set plus a trained DT, per-cycle reference vs observe_batch
     monitors = {
-        "CAWT": cawt_monitor(learn_thresholds(traces,
-                                              batch_size=32).thresholds),
+        "CAWT": cawt_monitor(learn_thresholds(traces).thresholds),
         "CAWOT": cawot_monitor(),
         "Guideline": GuidelineMonitor(),
         "MPC": MPCMonitor(horizon_steps=config.mpc_horizon),
         "DT": train_dt_monitor(traces),
     }
-    timed("replay_serial", lambda: replay_campaign(monitors, traces))
-    timed("replay_vector",
-          lambda: replay_campaign(monitors, traces, batch_size=32))
-    replay_speedup = round(results["replay_serial"]["seconds"]
-                           / max(results["replay_vector"]["seconds"], 1e-9), 2)
-    results["replay_vector"]["speedup_vs_serial"] = replay_speedup
-    print(f"  serial/vector replay speedup: {replay_speedup}x", flush=True)
+    timed("replay_reference",
+          lambda: [replay_monitor(monitor, trace)
+                   for monitor in monitors.values() for trace in traces])
+    timed("replay_vector", lambda: replay_campaign(monitors, traces))
+    speedup("replay_vector")
 
     # mitigated closed loop (Table VII configuration): CAWOT monitor wired
-    # to the fixed Algorithm 1 strategy, scalar loop vs lock-step batches
+    # to the fixed Algorithm 1 strategy, reference loop vs lock-step
     mitigation_kwargs = dict(monitor_factory=lambda pid: cawot_monitor(),
-                             mitigator=FixedMitigator(),
-                             n_steps=config.n_steps)
-    timed("mitigation_serial",
-          lambda: run_campaign(config.platform, config.patients, scenarios,
-                               **mitigation_kwargs))
+                             mitigator=FixedMitigator())
+    timed("mitigation_reference",
+          lambda: reference_campaign(config, scenarios, **mitigation_kwargs))
     timed("mitigation_vector",
           lambda: run_campaign(config.platform, config.patients, scenarios,
-                               batch_size=32, **mitigation_kwargs))
-    mitigation_speedup = round(
-        results["mitigation_serial"]["seconds"]
-        / max(results["mitigation_vector"]["seconds"], 1e-9), 2)
-    results["mitigation_vector"]["speedup_vs_serial"] = mitigation_speedup
-    print(f"  serial/vector mitigation speedup: {mitigation_speedup}x",
-          flush=True)
+                               n_steps=config.n_steps, **mitigation_kwargs))
+    speedup("mitigation_vector")
 
-    # cross-entropy scenario search (repro.search) on the batched path:
+    # cross-entropy scenario search (repro.search) on the lock-step engine:
     # gate both its wall time and its discovery efficiency against the
     # grid campaign measured above
     def run_searches():
@@ -199,8 +226,7 @@ def run_benchmarks() -> dict:
             search = CrossEntropySearch(platform=config.platform,
                                         patient_id=pid,
                                         n_steps=config.n_steps,
-                                        population=32, iterations=6,
-                                        batch_size=32)
+                                        population=32, iterations=6)
             found.append(search.run(seed=i))
         return found
 
@@ -302,22 +328,15 @@ def check_against_baseline(results: dict, peak_mb: float,
             f"peak RSS {peak_mb:.1f} MB exceeds baseline "
             f"{baseline['peak_rss_mb']} MB by more than {tolerance:.0%} "
             f"(allowed {allowed_rss:.1f} MB)")
-    # absolute floor, independent of the committed baseline: batched
-    # replay must stay >= REPLAY_SPEEDUP_FLOOR x over the scalar loop
-    replay = results.get("replay_vector", {})
-    speedup = replay.get("speedup_vs_serial")
-    if speedup is not None and speedup < REPLAY_SPEEDUP_FLOOR:
-        regressions.append(
-            f"replay_vector speedup {speedup}x is below the "
-            f"{REPLAY_SPEEDUP_FLOOR}x floor — the batched replay path "
-            "has degenerated to (or below) scalar throughput")
-    mitigation = results.get("mitigation_vector", {})
-    speedup = mitigation.get("speedup_vs_serial")
-    if speedup is not None and speedup < MITIGATION_SPEEDUP_FLOOR:
-        regressions.append(
-            f"mitigation_vector speedup {speedup}x is below the "
-            f"{MITIGATION_SPEEDUP_FLOOR}x floor — the batched mitigated "
-            "closed loop has degenerated to (or below) scalar throughput")
+    # absolute floors, independent of the committed baseline: each
+    # lock-step path must stay that many times faster than its reference
+    for name, (reference, floor) in SPEEDUP_FLOORS.items():
+        speedup = results.get(name, {}).get("speedup_vs_reference")
+        if speedup is not None and speedup < floor:
+            regressions.append(
+                f"{name} speedup {speedup}x over {reference} is below the "
+                f"{floor}x floor — the lock-step path has degenerated to "
+                "(or below) single-run throughput")
     ratio = results.get("search", {}).get("hazard_ratio_vs_grid")
     if ratio is not None and ratio < SEARCH_EFFICIENCY_FLOOR:
         regressions.append(

@@ -93,7 +93,7 @@ def _resolve_dotted(path: str) -> None:
     """Import the longest module prefix of *path*, then getattr the rest.
 
     Raises on failure — a dotted reference is valid when it names a
-    module (``repro.simulation.vector_replay``) or an attribute reached
+    module (``repro.simulation.replay``) or an attribute reached
     through one (``repro.simulation.features.ContextBatch``).
     """
     parts = path.split(".")

@@ -1,11 +1,11 @@
-"""CI smoke check: parallel execution, the vectorized engine, the on-disk
-store, the training fan-out and batched monitor replay must all be exact.
+"""CI smoke check: parallel execution, the on-disk store, the training
+fan-out and batched monitor replay must all be exact at any worker count.
 
-Runs the ``ci``-scale fault-injection grid through the serial executor,
-through a 2-worker process pool and through the lock-step vectorized
-engine (``batch_size=4``), asserting that all three trace streams are
-element-wise identical (every array channel, every metadata field).  This
-is the determinism guarantee the parallel and vector engines are built on.  The same
+Runs the ``ci``-scale fault-injection grid through the serial executor
+and through a 2-worker process pool (both on the lock-step engine),
+asserting that the two trace streams are element-wise identical (every
+array channel, every metadata field).  This is the determinism guarantee
+the parallel executors are built on.  The same
 traces are then streamed through a :class:`CampaignStoreWriter` into a
 temporary on-disk dataset, lazily reopened as a :class:`TraceDataset` and
 compared element-wise again (plus a plan-fingerprint check), so the
@@ -14,27 +14,26 @@ The DT/MLP/LSTM :class:`TrainingJob` grid is trained serially and
 through the worker pool and the resulting monitors are compared parameter
 by parameter — the training-parity contract of ``repro.ml.training``.
 Every monitor kind (CAWT, CAWOT, Guideline, MPC and the trained
-DT/MLP/LSTM) is then replayed over the campaign scalar and through the
-batched ``observe_batch`` path at batch sizes {7, 32} x workers {1, 2},
-asserting element-wise identical alert streams — the exact-parity
-contract of ``repro.simulation.vector_replay``.  The same campaign is then pushed
-through the online :class:`MonitorService` as a live tick stream
-(``repro.serve.replay_log``) twice, and both served runs must reproduce
-the offline ``replay_campaign`` alert streams element-wise at offline
-batch sizes {1, 8} — the serving parity contract.  A crash-recovery
+DT/MLP/LSTM) is then replayed over the campaign through the per-cycle
+``replay_monitor`` reference and through the batched ``observe_batch``
+path at workers {1, 2}, asserting element-wise identical alert streams —
+the exact-parity contract of ``repro.simulation.replay``.  The same
+campaign is then pushed through the online :class:`MonitorService` as a
+live tick stream (``repro.serve.replay_log``) twice, and both served runs
+must reproduce the reference alert streams element-wise — the serving
+parity contract.  A crash-recovery
 smoke then kills a journaled service (``persist_dir``) at two mid-run
 tick boundaries and recovers it from snapshot + write-ahead journal
 (``repro.serve.chaos``): the stitched alert stream must be element-wise
 identical to the uninterrupted run — the crash-safety parity contract of
 ``repro.serve.persist``.  Then the *mitigated*
 closed loop (CAWOT monitor wired to the fixed Algorithm 1 strategy, the
-Table VII configuration) is swept across batch sizes {1, 8} x workers
-{1, 2} and every combination must reproduce the scalar mitigated run
-element-wise — the live lock-step monitor/mitigator path of
+Table VII configuration) runs serially and on the worker pool, and both
+must agree element-wise — the live lock-step monitor/mitigator path of
 ``repro.simulation.vector``.  A tiny cross-entropy scenario-search
 budget (``repro.search``) must find at least one hazard on the ``ci``
-preset and return a seed-deterministic ``SearchResult`` across executor
-shapes.  Last, the same grid is run as a 2-host distributed campaign
+preset and return a seed-deterministic ``SearchResult`` across worker
+counts.  Last, the same grid is run as a 2-host distributed campaign
 (``repro.distributed``: subprocess range workers, one hard-killed
 mid-range and retried) and the merged dataset must be byte-identical to
 the single-box reference — manifest fingerprint, manifest bytes and
@@ -64,7 +63,7 @@ from repro.serve.chaos import (crash_recovery_run, drive, fleet_ticks,
                                results_equal)
 from repro.simulation import (CampaignStoreWriter, TraceDataset,
                               plan_campaign, plan_fingerprint,
-                              replay_campaign, run_campaign)
+                              replay_campaign, replay_monitor, run_campaign)
 
 
 def traces_identical(a, b) -> bool:
@@ -113,24 +112,6 @@ def main() -> int:
               f"({serial[mismatches[0]].label})")
         return 1
     print(f"OK: all {n_expected} traces element-wise identical")
-
-    # lock-step vectorized engine: batch_size must be invisible in the
-    # output too (the parity contract of repro.simulation.vector)
-    start = time.perf_counter()
-    vector = run_campaign(config.platform, config.patients, scenarios,
-                          n_steps=config.n_steps, batch_size=4)
-    t_vector = time.perf_counter() - start
-    print(f"batch_size=4: {t_vector:.2f}s "
-          f"({n_expected / t_vector:.1f} traces/sec, "
-          f"{t_serial / t_vector:.2f}x)")
-    mismatches = [i for i, (s, v) in enumerate(zip(serial, vector))
-                  if not traces_identical(s, v)]
-    if len(vector) != n_expected or mismatches:
-        first = f"; first at index {mismatches[0]}" if mismatches else ""
-        print(f"FAIL: {len(mismatches)} trace(s) differ between serial and "
-              f"vectorized execution{first}")
-        return 1
-    print("OK: vectorized engine element-wise identical to serial")
 
     # dataset-store roundtrip: write -> manifest -> lazy reopen -> compare
     plan = plan_campaign(config.platform, config.patients, scenarios,
@@ -187,12 +168,12 @@ def main() -> int:
           f"({', '.join(t.name for t in trained_serial)}) element-wise "
           "identical at any worker count")
 
-    # batched replay parity: every monitor kind, scalar vs observe_batch,
-    # across batch sizes and worker counts (LSTM exercises the column-loop
-    # fallback; a trace subset keeps its per-cycle cost bounded)
+    # batched replay parity: every monitor kind, the per-cycle reference
+    # vs observe_batch, across worker counts (LSTM exercises the
+    # column-loop fallback; a trace subset keeps its per-cycle cost
+    # bounded)
     monitors = {
-        "CAWT": cawt_monitor(learn_thresholds(serial,
-                                              batch_size=32).thresholds),
+        "CAWT": cawt_monitor(learn_thresholds(serial).thresholds),
         "CAWOT": cawot_monitor(),
         "Guideline": GuidelineMonitor(),
         "MPC": MPCMonitor(horizon_steps=config.mpc_horizon),
@@ -201,60 +182,52 @@ def main() -> int:
     replay_traces = {name: (serial[:12] if name == "LSTM" else serial)
                      for name in monitors}
     start = time.perf_counter()
-    ref = {name: replay_campaign({name: monitor}, replay_traces[name])[name]
+    ref = {name: [replay_monitor(monitor, trace)[0]
+                  for trace in replay_traces[name]]
            for name, monitor in monitors.items()}
-    t_scalar = time.perf_counter() - start
+    t_reference = time.perf_counter() - start
     start = time.perf_counter()
-    for batch_size in (7, 32):
-        for replay_workers in (1, workers):
-            for name, monitor in monitors.items():
-                batched = replay_campaign(
-                    {name: monitor}, replay_traces[name],
-                    workers=replay_workers, batch_size=batch_size)[name]
-                bad = [i for i, (a, b) in enumerate(zip(ref[name], batched))
-                       if not np.array_equal(a, b)]
-                if len(batched) != len(ref[name]) or bad:
-                    print(f"FAIL: batched replay of {name} diverges from "
-                          f"scalar at batch_size={batch_size}, "
-                          f"workers={replay_workers} "
-                          f"({len(bad)} trace(s), first at "
-                          f"{bad[0] if bad else '?'})")
-                    return 1
+    for replay_workers in (1, workers):
+        for name, monitor in monitors.items():
+            batched = replay_campaign({name: monitor}, replay_traces[name],
+                                      workers=replay_workers)[name]
+            bad = [i for i, (a, b) in enumerate(zip(ref[name], batched))
+                   if not np.array_equal(a, b)]
+            if len(batched) != len(ref[name]) or bad:
+                print(f"FAIL: batched replay of {name} diverges from the "
+                      f"reference at workers={replay_workers} "
+                      f"({len(bad)} trace(s), first at "
+                      f"{bad[0] if bad else '?'})")
+                return 1
     t_batched = time.perf_counter() - start
     print(f"OK: batched replay of {len(monitors)} monitor kinds "
-          f"({', '.join(monitors)}) element-wise identical to scalar at "
-          f"batch sizes 7/32 x workers 1/{workers} "
-          f"(scalar {t_scalar:.2f}s, 4 batched sweeps {t_batched:.2f}s)")
+          f"({', '.join(monitors)}) element-wise identical to the "
+          f"per-cycle reference at workers 1/{workers} "
+          f"(reference {t_reference:.2f}s, 2 batched sweeps "
+          f"{t_batched:.2f}s)")
 
     # serving parity: replay the recorded campaign through the online
     # MonitorService as a live tick stream, twice, and compare against
-    # the offline replay at batch sizes 1 and 8 — every monitor kind,
-    # stateful ones included (per-user clones inside the service)
-    offline_refs = {1: ref}
-    offline_refs[8] = {
-        name: replay_campaign({name: monitor}, replay_traces[name],
-                              batch_size=8)[name]
-        for name, monitor in monitors.items()}
+    # the reference replay — every monitor kind, stateful ones included
+    # (per-user clones inside the service)
     fast = {name: m for name, m in monitors.items() if name != "LSTM"}
     start = time.perf_counter()
     for service_run in (1, 2):
         served = replay_log(fast, serial)
         served.update(replay_log({"LSTM": monitors["LSTM"]}, serial[:12]))
-        for offline_batch, offline in offline_refs.items():
-            for name in monitors:
-                bad = [i for i, (a, b) in enumerate(zip(offline[name],
-                                                        served[name]))
-                       if not np.array_equal(a, b)]
-                if len(served[name]) != len(offline[name]) or bad:
-                    print(f"FAIL: served alert stream of {name} diverges "
-                          f"from offline replay (batch_size={offline_batch}, "
-                          f"service run {service_run}, {len(bad)} trace(s), "
-                          f"first at {bad[0] if bad else '?'})")
-                    return 1
+        for name in monitors:
+            bad = [i for i, (a, b) in enumerate(zip(ref[name], served[name]))
+                   if not np.array_equal(a, b)]
+            if len(served[name]) != len(ref[name]) or bad:
+                print(f"FAIL: served alert stream of {name} diverges "
+                      f"from the reference replay (service run "
+                      f"{service_run}, {len(bad)} trace(s), first at "
+                      f"{bad[0] if bad else '?'})")
+                return 1
     t_serve = time.perf_counter() - start
-    print(f"OK: online service reproduces offline replay of "
+    print(f"OK: online service reproduces the reference replay of "
           f"{len(monitors)} monitor kinds element-wise "
-          f"(2 service runs x offline batch sizes 1/8, {t_serve:.2f}s)")
+          f"(2 service runs, {t_serve:.2f}s)")
 
     # crash-recovery smoke: kill a journaled service at mid-run tick
     # boundaries, recover from snapshot + write-ahead journal, and the
@@ -280,71 +253,66 @@ def main() -> int:
           f"to an element-wise identical stream "
           f"(100 users x 8 ticks, {t_chaos:.2f}s)")
 
-    # mitigated-batch parity: the live Table VII closed loop (monitor +
-    # mitigator inside the lock-step engine) across batch x worker combos
+    # mitigated parity: the live Table VII closed loop (monitor +
+    # mitigator inside the lock-step engine), serial vs the worker pool
     mitigation_kwargs = dict(monitor_factory=lambda pid: cawot_monitor(),
                              mitigator=FixedMitigator(),
                              n_steps=config.n_steps)
     start = time.perf_counter()
     mitigated_ref = run_campaign(config.platform, config.patients, scenarios,
                                  **mitigation_kwargs)
-    t_mit_scalar = time.perf_counter() - start
+    t_mit_serial = time.perf_counter() - start
     n_fired = sum(bool(trace.mitigated.any()) for trace in mitigated_ref)
     if n_fired == 0:
         print("FAIL: mitigated reference campaign never fired the "
-              "mitigator — the parity sweep would be vacuous")
+              "mitigator — the parity check would be vacuous")
         return 1
     start = time.perf_counter()
-    for batch_size in (1, 8):
-        for mit_workers in (1, workers):
-            combo = run_campaign(config.platform, config.patients, scenarios,
-                                 workers=mit_workers, batch_size=batch_size,
-                                 **mitigation_kwargs)
-            bad = [i for i, (s, v) in enumerate(zip(mitigated_ref, combo))
-                   if not traces_identical(s, v)]
-            if len(combo) != n_expected or bad:
-                print(f"FAIL: mitigated campaign diverges from scalar at "
-                      f"batch_size={batch_size}, workers={mit_workers} "
-                      f"({len(bad)} trace(s), first at "
-                      f"{bad[0] if bad else '?'})")
-                return 1
-    t_mit_sweep = time.perf_counter() - start
+    combo = run_campaign(config.platform, config.patients, scenarios,
+                         workers=workers, **mitigation_kwargs)
+    t_mit_parallel = time.perf_counter() - start
+    bad = [i for i, (s, v) in enumerate(zip(mitigated_ref, combo))
+           if not traces_identical(s, v)]
+    if len(combo) != n_expected or bad:
+        print(f"FAIL: mitigated campaign diverges from serial at "
+              f"workers={workers} ({len(bad)} trace(s), first at "
+              f"{bad[0] if bad else '?'})")
+        return 1
     print(f"OK: mitigated closed loop (CAWOT + FixedMitigator, "
           f"{n_fired}/{n_expected} traces corrected) element-wise identical "
-          f"at batch sizes 1/8 x workers 1/{workers} "
-          f"(scalar {t_mit_scalar:.2f}s, 4 sweeps {t_mit_sweep:.2f}s)")
+          f"at workers 1/{workers} "
+          f"(serial {t_mit_serial:.2f}s, {workers} workers "
+          f"{t_mit_parallel:.2f}s)")
 
     # scenario-search smoke: a tiny cross-entropy budget must still find a
     # hazard on the ci preset, and the SearchResult must be seed-
-    # deterministic across executor shapes (the repro.search contract)
-    def run_search(search_workers, batch_size):
+    # deterministic across worker counts (the repro.search contract)
+    def run_search(search_workers):
         return CrossEntropySearch(
             platform=config.platform, patient_id=config.patients[0],
             n_steps=config.n_steps, population=16, iterations=2,
-            workers=search_workers, batch_size=batch_size).run(seed=0)
+            workers=search_workers).run(seed=0)
 
     start = time.perf_counter()
-    search_ref = run_search(1, 1)
+    search_ref = run_search(1)
     t_search = time.perf_counter() - start
     if search_ref.n_hazardous < 1:
         print(f"FAIL: scenario search found no hazard in "
               f"{search_ref.n_simulations} simulations "
               f"({search_ref.summary()})")
         return 1
-    for search_workers, batch_size in ((1, 16), (workers, 8)):
-        other = run_search(search_workers, batch_size)
-        findings_match = (
-            [f.label for f in other.findings]
-            == [f.label for f in search_ref.findings]
-            and [s.elite_indices for s in other.iterations]
-            == [s.elite_indices for s in search_ref.iterations])
-        if not findings_match or other.n_simulations != search_ref.n_simulations:
-            print(f"FAIL: scenario search diverges from the scalar run at "
-                  f"batch_size={batch_size}, workers={search_workers}")
-            return 1
+    other = run_search(workers)
+    findings_match = (
+        [f.label for f in other.findings]
+        == [f.label for f in search_ref.findings]
+        and [s.elite_indices for s in other.iterations]
+        == [s.elite_indices for s in search_ref.iterations])
+    if not findings_match or other.n_simulations != search_ref.n_simulations:
+        print(f"FAIL: scenario search diverges from the serial run at "
+              f"workers={workers}")
+        return 1
     print(f"OK: scenario search ({search_ref.summary()}) seed-deterministic "
-          f"at batch sizes 1/8/16 x workers 1/{workers} "
-          f"(scalar {t_search:.2f}s)")
+          f"at workers 1/{workers} (serial {t_search:.2f}s)")
 
     # distributed smoke: the same ci grid through 2 subprocess range
     # workers, with one worker hard-killed mid-range and retried — the

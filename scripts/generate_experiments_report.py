@@ -1,11 +1,12 @@
-"""Regenerate the numbers recorded in EXPERIMENTS.md.
+"""Print every reproduced table and figure as one markdown report.
 
 Usage: python scripts/generate_experiments_report.py [scale] [output]
 
-Runs every experiment on both platforms at the given scale (default
-``small``) and writes the collected tables to the output file (default
-stdout).  ``full`` reproduces the paper's 882 x 10 x 2 campaign and takes
-hours; ``small`` keeps the structure at laptop scale.
+Runs Fig. 3 plus every experiment on both platforms at the given scale
+(default ``small``) and writes the collected tables, each followed by its
+wall time, to the output file (default stdout).  ``full`` reproduces the
+paper's 882 x 10 x 2 campaign and takes hours; ``small`` keeps the
+structure at laptop scale.
 """
 
 import sys

@@ -43,8 +43,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ..parallel import (fork_map_chunks, iter_equal_length_groups,
-                        resolve_batch_size, resolve_workers, shard_indices)
-from .rules import APSRule, BG_TARGET, IOB_RATE_EPS, aps_rules, rate_mask
+                        resolve_workers, shard_indices)
+from .rules import APSRule, BG_TARGET, aps_rules
 
 __all__ = ["LOSSES", "tmee_loss", "telex_loss", "mse_loss", "mae_loss",
            "RuleSamples", "mine_rule_samples", "learn_thresholds",
@@ -135,50 +135,8 @@ class RuleSamples:
         return len(self.safe_values)
 
 
-def _context_mask_arrays(rule: APSRule, bg: np.ndarray, bg_rate: np.ndarray,
-                         iob_rate: np.ndarray, action: np.ndarray,
-                         bg_target: float) -> np.ndarray:
-    """Rule context (minus the learnable predicate) over aligned context
-    arrays — 1-D for one trace, ``(n_steps, B)`` for a lock-step stack.
-    The single mask implementation behind both mining paths, so batching
-    cannot drift from the serial semantics (shared
-    :func:`~repro.core.rules.rate_mask` sign constraints included)."""
-    mask = np.ones(bg.shape, dtype=bool)
-    if rule.bg_side == "above":
-        mask &= bg > bg_target
-    elif rule.bg_side == "below":
-        mask &= bg < bg_target
-    mask &= rate_mask(bg_rate, rule.bg_rate, 0.0)
-    mask &= rate_mask(iob_rate, rule.iob_rate, IOB_RATE_EPS)
-    if rule.required:
-        mask &= action != int(rule.action)
-    else:
-        mask &= action == int(rule.action)
-    return mask
-
-
-def _context_mask(trace, rule: APSRule, bg_target: float) -> np.ndarray:
-    """Vectorized rule context (minus the learnable predicate) over a trace."""
-    bg = trace.cgm
-    bg_rate = np.zeros_like(bg)
-    bg_rate[1:] = np.diff(bg) / trace.dt
-    return _context_mask_arrays(rule, bg, bg_rate, trace.iob_rate,
-                                trace.action, bg_target)
-
-
 #: default mining window: the hour before hazard occurrence (12 cycles)
 MINING_WINDOW = 12
-
-
-def _trace_stat(trace, rule: APSRule, bg_target: float, start: int,
-                stop: int) -> Optional[float]:
-    """The per-trace robustness statistic over cycles ``[start, stop)``."""
-    mask = _context_mask(trace, rule, bg_target)[start:stop]
-    if not mask.any():
-        return None
-    mu = trace.iob if rule.mu_channel == "IOB" else trace.cgm
-    eligible = mu[start:stop][mask]
-    return float(eligible.min() if rule.direction == "lt" else eligible.max())
 
 
 def _trace_spans(trace, window: Optional[int]
@@ -208,7 +166,9 @@ def _trace_spans(trace, window: Optional[int]
 
 def _column_stat(mask: np.ndarray, mu: np.ndarray, column: int, start: int,
                  stop: int, direction: str) -> Optional[float]:
-    """:func:`_trace_stat` over one column of a lock-step stack."""
+    """The robustness statistic of one stacked trace over cycles
+    ``[start, stop)``: the min (``lt``) or max (``gt``) of ``mu`` where the
+    rule context holds, or None where it never does."""
     eligible_mask = mask[start:stop, column]
     if not eligible_mask.any():
         return None
@@ -221,12 +181,11 @@ def _mine_group(group: List, rules: Sequence[APSRule], bg_target: float,
                 safe_stats: Dict[int, List[float]]) -> None:
     """Mine one equal-length trace group as a lock-step stack.
 
-    Each rule's context mask is evaluated once over the ``(n_steps, B)``
-    channel matrices (through the same :func:`_context_mask_arrays` the
-    serial path uses) instead of once per trace; the per-trace statistics
-    are then reduced column-wise over the per-trace mining windows.
-    Masks are pure comparisons and the statistics pick existing elements,
-    so the mined values are element-wise identical to the serial loop.
+    Each rule's :meth:`~repro.core.rules.APSRule.context_mask` is evaluated
+    once over the ``(n_steps, B)`` channel matrices; the per-trace
+    statistics are then reduced column-wise over the per-trace mining
+    windows.  Masks are pure comparisons and the statistics pick existing
+    elements, so the mined values do not depend on how traces are grouped.
     """
     bg = np.stack([trace.cgm for trace in group], axis=1)
     bg_rate = np.zeros_like(bg)
@@ -237,8 +196,7 @@ def _mine_group(group: List, rules: Sequence[APSRule], bg_target: float,
     action = np.stack([trace.action for trace in group], axis=1)
     spans = [_trace_spans(trace, window) for trace in group]
     for rule in rules:
-        mask = _context_mask_arrays(rule, bg, bg_rate, iob_rate, action,
-                                    bg_target)
+        mask = rule.context_mask(bg, bg_rate, iob_rate, action, bg_target)
         mu = iob if rule.mu_channel == "IOB" else bg
         for column, (hazard_span, safe_stop) in enumerate(spans):
             if hazard_span is not None and hazard_span[2] == rule.hazard:
@@ -254,38 +212,21 @@ def _mine_group(group: List, rules: Sequence[APSRule], bg_target: float,
 
 
 def _mine_chunk(traces: Iterable, rules: Sequence[APSRule], bg_target: float,
-                window: Optional[int], batch_size: int = 1
+                window: Optional[int]
                 ) -> Tuple[Dict[int, List[float]], Dict[int, List[float]]]:
     """Mine one contiguous slice of the trace stream (see mine_rule_samples).
 
     The single place mining happens — the serial path hands it the whole
-    stream, the parallel path one chunk per worker, and ``batch_size > 1``
-    stacks consecutive equal-length traces into lock-step groups — so
-    worker count and batch size can only change wall-clock time, never
-    the mined statistics.
+    stream, the parallel path one chunk per worker — stacking consecutive
+    equal-length traces into lock-step groups of at most
+    :data:`~repro.parallel.LOCKSTEP_WIDTH`, so worker count and width can
+    only change wall-clock time, never the mined statistics.
     """
     hazard_stats: Dict[int, List[float]] = {rule.index: [] for rule in rules}
     safe_stats: Dict[int, List[float]] = {rule.index: [] for rule in rules}
-    if batch_size > 1:
-        for group in iter_equal_length_groups(traces, batch_size):
-            _mine_group(group, rules, bg_target, window, hazard_stats,
-                        safe_stats)
-        return hazard_stats, safe_stats
-    for trace in traces:
-        hazard_span, safe_stop = _trace_spans(trace, window)
-        if hazard_span is not None:
-            start, stop, first_type = hazard_span
-            for rule in rules:
-                if first_type != rule.hazard:
-                    continue
-                stat = _trace_stat(trace, rule, bg_target, start, stop)
-                if stat is not None:
-                    hazard_stats[rule.index].append(stat)
-        if safe_stop > 0:
-            for rule in rules:
-                stat = _trace_stat(trace, rule, bg_target, 0, safe_stop)
-                if stat is not None:
-                    safe_stats[rule.index].append(stat)
+    for group in iter_equal_length_groups(traces):
+        _mine_group(group, rules, bg_target, window, hazard_stats,
+                    safe_stats)
     return hazard_stats, safe_stats
 
 
@@ -293,7 +234,6 @@ def mine_rule_samples(traces: Iterable, rules: Optional[Sequence[APSRule]] = Non
                       bg_target: float = BG_TARGET,
                       window: Optional[int] = MINING_WINDOW,
                       workers: Optional[int] = None,
-                      batch_size: Optional[int] = None,
                       chunks_per_worker: int = 4) -> List[RuleSamples]:
     """Extract per-rule, per-trace robustness statistics (see RuleSamples).
 
@@ -308,11 +248,10 @@ def mine_rule_samples(traces: Iterable, rules: Optional[Sequence[APSRule]] = Non
     (:mod:`repro.parallel`); per-chunk statistics are concatenated in
     chunk order, so the result is element-wise identical to the serial
     path.  Lazy sequences (``TraceDataset``) are chunked by index, so each
-    worker only loads its own shards.  ``batch_size > 1`` (None:
-    ``REPRO_BATCH_SIZE`` env) additionally stacks consecutive equal-length
-    traces and evaluates each rule's context mask over the whole
-    ``(n_steps, B)`` stack at once — again element-wise identical, and
-    composing with *workers* inside each chunk.
+    worker only loads its own shards.  Inside each chunk, consecutive
+    equal-length traces stack into lock-step groups and each rule's
+    context mask is evaluated over the whole ``(n_steps, B)`` stack at
+    once — element-wise identical to mining trace by trace.
     """
     rules = list(rules) if rules is not None else list(aps_rules())
     if window is not None and window < 1:
@@ -321,10 +260,9 @@ def mine_rule_samples(traces: Iterable, rules: Optional[Sequence[APSRule]] = Non
         raise ValueError(
             f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
     workers = resolve_workers(workers)
-    batch_size = resolve_batch_size(batch_size)
     if workers <= 1:
         hazard_stats, safe_stats = _mine_chunk(traces, rules, bg_target,
-                                               window, batch_size)
+                                               window)
     else:
         if not hasattr(traces, "__getitem__"):
             traces = list(traces)
@@ -332,7 +270,7 @@ def mine_rule_samples(traces: Iterable, rules: Optional[Sequence[APSRule]] = Non
 
         def mine_chunk(index_range):
             return _mine_chunk((traces[i] for i in index_range), rules,
-                               bg_target, window, batch_size)
+                               bg_target, window)
 
         hazard_stats = {rule.index: [] for rule in rules}
         safe_stats = {rule.index: [] for rule in rules}
@@ -449,8 +387,7 @@ def learn_thresholds(traces: Iterable, loss: str = "tmee",
                      enforce_coverage: bool = True,
                      coverage_quantile: float = 1.0,
                      window: Optional[int] = MINING_WINDOW,
-                     workers: Optional[int] = None,
-                     batch_size: Optional[int] = None) -> LearningResult:
+                     workers: Optional[int] = None) -> LearningResult:
     """Learn all rule thresholds from (hazardous) training traces.
 
     Parameters
@@ -471,11 +408,6 @@ def learn_thresholds(traces: Iterable, loss: str = "tmee",
         Fan robustness-sample mining out over a forked process pool
         (None: ``REPRO_WORKERS`` env, or 1).  The learned thresholds are
         byte-identical for every worker count.
-    batch_size:
-        Lock-step mining width (None: ``REPRO_BATCH_SIZE`` env, or 1):
-        rule contexts are evaluated over stacked trace groups instead of
-        trace by trace (see :func:`mine_rule_samples`).  Byte-identical
-        thresholds for every batch size; composes with *workers*.
 
     Rules with no mined samples keep their CAWOT defaults.  Non-hazardous
     training traces bound each threshold from the false-positive side.
@@ -486,8 +418,7 @@ def learn_thresholds(traces: Iterable, loss: str = "tmee",
         raise ValueError(
             f"coverage_quantile must be in (0, 1], got {coverage_quantile}")
     mined = mine_rule_samples(traces, rules=rules, bg_target=bg_target,
-                              window=window, workers=workers,
-                              batch_size=batch_size)
+                              window=window, workers=workers)
     result = LearningResult()
     for samples in mined:
         fit = _fit_one(samples, loss, enforce_coverage, coverage_quantile)
@@ -504,8 +435,7 @@ def learn_fold_thresholds(traces: Sequence, folds: int,
                           enforce_coverage: bool = True,
                           coverage_quantile: float = 1.0,
                           window: Optional[int] = MINING_WINDOW,
-                          workers: Optional[int] = None,
-                          batch_size: Optional[int] = None
+                          workers: Optional[int] = None
                           ) -> List[LearningResult]:
     """Cross-validated threshold learning: one fit per held-out fold.
 
@@ -520,9 +450,7 @@ def learn_fold_thresholds(traces: Sequence, folds: int,
     path of Tables VI/VIII and Fig. 9.
 
     Lazy trace sequences (``TraceDataset``) are indexed per fold, so a
-    worker only loads the shards its folds touch.  ``batch_size`` rides
-    into each fold's :func:`learn_thresholds` mining (lock-step stacked
-    rule contexts), byte-identical at any width.
+    worker only loads the shards its folds touch.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -530,7 +458,6 @@ def learn_fold_thresholds(traces: Sequence, folds: int,
         traces = list(traces)
     fault_free = list(fault_free)
     workers = resolve_workers(workers)
-    batch_size = resolve_batch_size(batch_size)
 
     def fold_train(fold):
         # lazy: indexed loads keep a TraceDataset's bounded LRU window
@@ -545,8 +472,7 @@ def learn_fold_thresholds(traces: Sequence, folds: int,
             fold_train(fold), loss=loss, rules=rules,
             bg_target=bg_target, enforce_coverage=enforce_coverage,
             coverage_quantile=coverage_quantile, window=window,
-            workers=1,  # no nested pools: folds are the parallel axis
-            batch_size=batch_size)
+            workers=1)  # no nested pools: folds are the parallel axis
             for fold in fold_range]
 
     results: List[LearningResult] = []

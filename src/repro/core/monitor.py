@@ -13,7 +13,7 @@ thresholds learned from data (:mod:`repro.core.learning`) it is the paper's
 
 Monitors additionally expose a *batched* evaluation path
 (:meth:`SafetyMonitor.observe_batch`) used by offline replay
-(:mod:`repro.simulation.vector_replay`) and — for monitors that declare
+(:mod:`repro.simulation.replay`) and — for monitors that declare
 themselves :attr:`~SafetyMonitor.stateless` — by the live lock-step
 simulation engine (:mod:`repro.simulation.vector`), one single-cycle
 batch per tick: a whole stack of context streams is evaluated column-wise

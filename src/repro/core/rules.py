@@ -21,10 +21,13 @@ rule  context  =>  consequence                                       hazard
 12    BG<BGT & BG'<0 & IOB'>=0 & IOB>b11 => !u4                       H1
 ====  =============================================================  ======
 
-Rules are evaluated two ways, guaranteed equivalent by tests:
+Rules are evaluated three ways, guaranteed equivalent by tests:
 
 - :meth:`APSRule.violated` — fast pointwise check on a
   :class:`~repro.core.context.ContextVector` (the runtime monitor path);
+- :meth:`APSRule.context_mask` / :meth:`APSRule.violated_mask` — the
+  same rule over columnar context arrays (batched replay, the lock-step
+  engine and threshold mining);
 - :meth:`APSRule.formula` / the :class:`~repro.core.scs.UCASEntry` — full
   STL objects for offline checking and threshold learning.
 """
@@ -129,33 +132,46 @@ class APSRule:
             return ctx.action != self.action
         return ctx.action == self.action
 
+    def context_mask(self, bg: np.ndarray, bg_rate: np.ndarray,
+                     iob_rate: np.ndarray, action: np.ndarray,
+                     bg_target: float = BG_TARGET) -> np.ndarray:
+        """The rule context without the learnable predicate, columnar.
+
+        All inputs share one shape — one trace's cycles, or an
+        ``(n_steps, B)`` lock-step stack (*action* holds the integer
+        :class:`~repro.controllers.ControlAction` codes).  True where the
+        BG side, both rate signs and the action clause hold; the one
+        columnar Table I context behind :meth:`violated_mask` and
+        threshold mining.
+        """
+        mask = rate_mask(bg_rate, self.bg_rate, 0.0)
+        mask &= rate_mask(iob_rate, self.iob_rate, IOB_RATE_EPS)
+        if self.bg_side == "above":
+            mask &= bg > bg_target
+        elif self.bg_side == "below":
+            mask &= bg < bg_target
+        if self.required:
+            mask &= action != int(self.action)
+        else:
+            mask &= action == int(self.action)
+        return mask
+
     def violated_mask(self, bg: np.ndarray, bg_rate: np.ndarray,
                       iob: np.ndarray, iob_rate: np.ndarray,
                       action: np.ndarray, threshold: float,
                       bg_target: float = BG_TARGET) -> np.ndarray:
         """Vectorized :meth:`violated` over aligned context arrays.
 
-        All inputs share one shape (*action* holds the integer
-        :class:`~repro.controllers.ControlAction` codes); the returned
-        boolean mask is element-wise identical to calling
+        :meth:`context_mask` and the thresholded ``mu`` predicate; the
+        returned boolean mask is element-wise identical to calling
         :meth:`violated` per entry — the predicates are pure comparisons,
         so there is no rounding to diverge.
         """
-        mask = np.ones(np.shape(bg), dtype=bool)
-        if self.bg_side == "above":
-            mask &= bg > bg_target
-        elif self.bg_side == "below":
-            mask &= bg < bg_target
-        mask &= rate_mask(bg_rate, self.bg_rate, 0.0)
-        mask &= rate_mask(iob_rate, self.iob_rate, IOB_RATE_EPS)
         mu = iob if self.mu_channel == "IOB" else bg
-        mask &= (mu < threshold) if self.direction == "lt" \
+        holds = (mu < threshold) if self.direction == "lt" \
             else (mu > threshold)
-        if self.required:
-            mask &= action != int(self.action)
-        else:
-            mask &= action == int(self.action)
-        return mask
+        return self.context_mask(bg, bg_rate, iob_rate, action,
+                                 bg_target) & holds
 
     # ------------------------------------------------------------------
     # STL view
@@ -188,10 +204,10 @@ class APSRule:
 def rate_mask(values: np.ndarray, constraint: Optional[str],
               eps: float) -> np.ndarray:
     """Vectorized :func:`_rate_ok`: the sign-constraint mask over an array
-    of rate values (shared by the batched monitor, sample mining and
-    threshold learning so the constraint has exactly one reading)."""
+    of rate values (a fresh array, so callers may update it in place)."""
+    values = np.asarray(values)
     if constraint is None:
-        return np.ones(np.shape(values), dtype=bool)
+        return np.ones(values.shape, dtype=bool)
     if constraint == "pos":
         return values > eps
     if constraint == "neg":

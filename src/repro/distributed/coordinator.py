@@ -64,7 +64,6 @@ class WorkerSpec:
     out_dir: str
     shard_format: str = "npz"
     workers: Optional[int] = None
-    batch_size: Optional[int] = None
 
     @property
     def range_key(self) -> Tuple[int, int]:
@@ -79,8 +78,6 @@ class WorkerSpec:
                 "--out", self.out_dir, "--shard-format", self.shard_format]
         if self.workers is not None:
             argv += ["--workers", str(self.workers)]
-        if self.batch_size is not None:
-            argv += ["--batch-size", str(self.batch_size)]
         return argv
 
 
@@ -242,8 +239,7 @@ def run_distributed_campaign(plan: CampaignPlan, out_dir: str,
                              max_inflight: Optional[int] = None,
                              work_dir: Optional[str] = None,
                              keep_work: bool = False,
-                             worker_processes: Optional[int] = None,
-                             worker_batch_size: Optional[int] = None
+                             worker_processes: Optional[int] = None
                              ) -> DistributedCampaignResult:
     """Execute *plan* across *n_hosts* range workers into *out_dir*.
 
@@ -255,8 +251,8 @@ def run_distributed_campaign(plan: CampaignPlan, out_dir: str,
     *timeout_s* is the per-attempt straggler budget (``None``: wait
     forever), *max_retries* the extra attempts per range before a
     :class:`WorkerError`, *max_inflight* caps concurrent workers
-    (default *n_hosts*), and *worker_processes* / *worker_batch_size*
-    set each worker's local fan-out.  The scratch *work_dir* (default
+    (default *n_hosts*), and *worker_processes* sets each worker's local
+    fan-out.  The scratch *work_dir* (default
     ``<out_dir>.work``) holds the serialized plan, per-attempt partial
     directories and worker logs; it is removed after a successful merge
     unless *keep_work* is set.
@@ -316,8 +312,7 @@ def run_distributed_campaign(plan: CampaignPlan, out_dir: str,
                     start=start, stop=stop, attempt=attempt,
                     plan_path=plan_path,
                     out_dir=_attempt_dir(work_dir, start, stop, attempt),
-                    shard_format=shard_format, workers=worker_processes,
-                    batch_size=worker_batch_size)
+                    shard_format=shard_format, workers=worker_processes)
                 handle = launcher.launch(spec)
                 deadline = (time.monotonic() + timeout_s
                             if timeout_s is not None else None)

@@ -11,8 +11,8 @@ wall time, traces/sec, peak RSS).
 The contract that makes the coordinator's retry path safe:
 
 - **Deterministic** — the shards and entries a range produces depend only
-  on ``(plan, start, stop, shard_format)``; worker count, batch size,
-  host and attempt number never change them (the executor parity
+  on ``(plan, start, stop, shard_format)``; worker count, host and
+  attempt number never change them (the executor parity
   contract, one level up).  Re-running a range after a crash or
   straggler timeout therefore reproduces the identical partial result.
 - **Atomic** — the partial manifest is written via write-then-rename
@@ -112,15 +112,14 @@ class _RangeSink(TraceSink):
 
 def write_partial(plan: CampaignPlan, start: int, stop: int, directory: str,
                   shard_format: str = "npz",
-                  workers: Optional[int] = None,
-                  batch_size: Optional[int] = None) -> dict:
+                  workers: Optional[int] = None) -> dict:
     """Execute runs ``[start, stop)`` of *plan* into *directory*.
 
     Writes the range's shards (global plan-index names) and finalises
     ``partial_manifest.json``; returns the partial-manifest document.
-    *workers* and *batch_size* are the worker's **local** fan-out knobs
-    (a beefy host can run its range over its own pool) — by the executor
-    parity contract they never change the produced traces.
+    *workers* is the worker's **local** fan-out knob (a beefy host can
+    run its range over its own pool) — by the executor parity contract it
+    never changes the produced traces.
 
     Raises :class:`DistributedCampaignError` on an invalid range or a
     directory that already holds a partial result (retries must use a
@@ -152,7 +151,7 @@ def write_partial(plan: CampaignPlan, start: int, stop: int, directory: str,
             "the remains of a crashed attempt; use a fresh attempt "
             "directory") from exc
     started = time.perf_counter()
-    get_executor(workers, batch_size).run(sub_plan, sink=sink)
+    get_executor(workers).run(sub_plan, sink=sink)
     wall_s = time.perf_counter() - started
     doc = {"format": PARTIAL_FORMAT_VERSION,
            "schema_version": SCHEMA_VERSION,
@@ -187,8 +186,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=sorted(_SHARD_SINKS))
     parser.add_argument("--workers", type=int, default=None,
                         help="local process-pool width for this range")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="local lock-step vectorization width")
     args = parser.parse_args(argv)
 
     sleep_s = os.environ.get(SLEEP_SECONDS_ENV)
@@ -200,8 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         plan = load_plan(args.plan)
         doc = write_partial(plan, args.start, args.stop, args.out,
                             shard_format=args.shard_format,
-                            workers=args.workers,
-                            batch_size=args.batch_size)
+                            workers=args.workers)
     except DistributedCampaignError as exc:
         print(f"worker failed: {exc}", file=sys.stderr)
         return 2

@@ -51,17 +51,6 @@ class ExperimentConfig:
         training jobs (:func:`~repro.ml.run_training_jobs`); 1 = serial.
         Results are element-wise identical for every worker count, so
         this is excluded from :meth:`cache_key`.
-    batch_size:
-        Lock-step vectorization width; 1 = the scalar loops.  Batches
-        campaign and fault-free simulation — including the monitored and
-        mitigated Table VII closed loop
-        (:mod:`repro.simulation.vector`) — offline monitor replay for
-        Tables V/VI and Fig. 9 (:mod:`repro.simulation.vector_replay`)
-        and the rule-context mining behind CAWT threshold learning
-        (:func:`~repro.core.learning.mine_rule_samples`).  Every batched
-        path is element-wise identical to its scalar loop for every
-        batch size, so this too is excluded from :meth:`cache_key`.
-        Composes multiplicatively with ``workers``.
     dataset_dir:
         When set, campaign and fault-free traces are streamed into an
         on-disk dataset under this root (one subdirectory per
@@ -87,7 +76,6 @@ class ExperimentConfig:
     ml_epochs: int = 12
     seed: int = 0
     workers: int = 1
-    batch_size: int = 1
     dataset_dir: Optional[str] = None
 
     def __post_init__(self):
@@ -95,9 +83,6 @@ class ExperimentConfig:
             raise ValueError("invalid experiment configuration")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}")
 
     @property
     def scenarios_per_patient(self) -> int:
@@ -119,7 +104,7 @@ class ExperimentConfig:
 
     @classmethod
     def preset(cls, name: str, platform: str = "glucosym",
-               workers: int = 1, batch_size: int = 1) -> "ExperimentConfig":
+               workers: int = 1) -> "ExperimentConfig":
         """Build a named preset for one platform."""
         if name not in PRESETS:
             raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
@@ -128,7 +113,7 @@ class ExperimentConfig:
         patients = tuple(cohort[:spec["n_patients"]])
         return cls(platform=platform, patients=patients, stride=spec["stride"],
                    folds=spec["folds"], ml_epochs=spec["ml_epochs"],
-                   workers=workers, batch_size=batch_size)
+                   workers=workers)
 
 
 #: preset name -> scale parameters.  ``ci`` is the continuous-integration

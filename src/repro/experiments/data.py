@@ -119,15 +119,13 @@ def _store_backed_data(config: ExperimentConfig) -> PlatformData:
         os.path.join(root, "campaign"), campaign_plan, config.folds,
         lambda sink: run_campaign(config.platform, config.patients,
                                   scenarios, n_steps=config.n_steps,
-                                  workers=config.workers,
-                                  batch_size=config.batch_size, sink=sink))
+                                  workers=config.workers, sink=sink))
     fault_free = _ensure_store(
         os.path.join(root, "fault_free"), ff_plan, config.folds,
         lambda sink: run_fault_free(config.platform, config.patients,
                                     INITIAL_GLUCOSE_VALUES,
                                     n_steps=config.n_steps,
-                                    workers=config.workers,
-                                    batch_size=config.batch_size, sink=sink))
+                                    workers=config.workers, sink=sink))
     return PlatformData(
         config=config, traces=traces, fault_free=fault_free,
         by_patient={pid: traces.by_patient(pid) for pid in config.patients},
@@ -138,12 +136,10 @@ def _store_backed_data(config: ExperimentConfig) -> PlatformData:
 def _in_memory_data(config: ExperimentConfig) -> PlatformData:
     campaign = generate_campaign(CampaignConfig(stride=config.stride))
     traces = run_campaign(config.platform, config.patients, campaign,
-                          n_steps=config.n_steps, workers=config.workers,
-                          batch_size=config.batch_size)
+                          n_steps=config.n_steps, workers=config.workers)
     fault_free = run_fault_free(config.platform, config.patients,
                                 INITIAL_GLUCOSE_VALUES, n_steps=config.n_steps,
-                                workers=config.workers,
-                                batch_size=config.batch_size)
+                                workers=config.workers)
     return PlatformData(
         config=config, traces=traces, fault_free=fault_free,
         by_patient=_group_by_patient(traces, config.patients),
@@ -193,14 +189,12 @@ def cawt_cv_replay(data: PlatformData,
         # sample mining inside each fit — fan out across the pool
         fold_results = learn_fold_thresholds(
             patient_traces, config.folds, fault_free=ff, loss=loss,
-            window=config.mining_window, workers=config.workers,
-            batch_size=config.batch_size)
+            window=config.mining_window, workers=config.workers)
         for fold, result in enumerate(fold_results):
             _, test = kfold_split(patient_traces, config.folds, fold)
             monitor = cawt_monitor(result.thresholds)
             alerts.extend(replay_many(monitor, test,
-                                      workers=config.workers,
-                                      batch_size=config.batch_size))
+                                      workers=config.workers))
             eval_traces.extend(test)
     return eval_traces, alerts
 
@@ -211,7 +205,7 @@ def cawt_full_thresholds(data: PlatformData, pid: str,
     result = learn_thresholds(
         list(data.by_patient[pid]) + list(data.fault_free_by_patient[pid]),
         loss=loss, window=data.config.mining_window,
-        workers=data.config.workers, batch_size=data.config.batch_size)
+        workers=data.config.workers)
     return result.thresholds
 
 

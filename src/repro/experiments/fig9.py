@@ -10,8 +10,6 @@ unstable spread and a slightly lower early-detection rate.
 threshold fits (:func:`~repro.core.learn_fold_thresholds` inside
 ``cawt_cv_replay``), the DT/MLP/LSTM training jobs behind ``ml_monitors``,
 and all monitor replay — each element-wise identical to its serial path.
-``config.batch_size`` batches the replay and mining in lock step on top
-(:mod:`repro.simulation.vector_replay`), with the same guarantee.
 """
 
 from __future__ import annotations
@@ -48,14 +46,12 @@ def run_fig9(config: ExperimentConfig) -> ExperimentResult:
     add_row("CAWT", eval_traces, alerts)
     baselines = baseline_monitors(config)
     baseline_alerts = replay_campaign(baselines, data.traces,
-                                      workers=config.workers,
-                                      batch_size=config.batch_size)
+                                      workers=config.workers)
     for name in baselines:
         add_row(name, data.traces, baseline_alerts[name])
     _, test = train_test_split(data)
     ml = ml_monitors(data)
-    ml_alerts = replay_campaign(ml, test, workers=config.workers,
-                                batch_size=config.batch_size)
+    ml_alerts = replay_campaign(ml, test, workers=config.workers)
     for name in ml:
         add_row(name, test, ml_alerts[name])
 

@@ -42,8 +42,7 @@ def search_vs_grid(config: ExperimentConfig, patient_id: str,
                                 n_steps=config.n_steps,
                                 population=SEARCH_POPULATION,
                                 iterations=SEARCH_ITERATIONS,
-                                workers=config.workers,
-                                batch_size=config.batch_size)
+                                workers=config.workers)
     return search.run(seed=seed * len(patients) + patients.index(patient_id))
 
 

@@ -5,10 +5,9 @@ context-aware monitor with learned thresholds against Guideline, MPC and
 CAWOT, on one platform.  CAWT uses patient-specific thresholds under k-fold
 cross-validation (Section V-B).
 
-All monitor replay and threshold mining here scale with
-``config.workers`` (forked pool) and ``config.batch_size`` (lock-step
-batches, :mod:`repro.simulation.vector_replay`) — both wall-clock knobs
-with element-wise identical results.
+All monitor replay and threshold mining here run in lock-step batches
+(:mod:`repro.simulation.replay`) and scale with ``config.workers`` (forked
+pool) — a wall-clock knob with element-wise identical results.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ def run_table5(config: ExperimentConfig) -> ExperimentResult:
     hazard_pct = 100.0 * data.hazard_fraction
     monitors = baseline_monitors(config)
     alert_map = replay_campaign(monitors, data.traces,
-                                workers=config.workers,
-                                batch_size=config.batch_size)
+                                workers=config.workers)
     for name in monitors:
         cm = traces_confusion(data.traces, alert_map[name],
                               delta=config.tolerance)

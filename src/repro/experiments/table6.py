@@ -9,10 +9,8 @@ Every stage scales with ``config.workers``: the ML fits run as a
 :func:`~repro.ml.run_training_jobs` fan-out (via
 :func:`~repro.experiments.data.ml_monitors`), replay over the shared
 forked pool, and CAWT threshold learning parallelises its sample mining —
-all with element-wise identical results to the serial path.
-``config.batch_size`` additionally batches the replay and the rule-context
-mining in lock step (:mod:`repro.simulation.vector_replay`), composing
-with the worker pool and again element-wise identical.
+all with element-wise identical results to the serial path.  Replay and
+rule-context mining run in lock-step batches inside each worker.
 """
 
 from __future__ import annotations
@@ -57,8 +55,7 @@ def run_table6(config: ExperimentConfig) -> ExperimentResult:
         result.rows.append((name,) + cm.as_row() + sm.as_row())
 
     ml = ml_monitors(data)
-    ml_alerts = replay_campaign(ml, test, workers=config.workers,
-                                batch_size=config.batch_size)
+    ml_alerts = replay_campaign(ml, test, workers=config.workers)
     for name in ml:
         add_row(name, test, ml_alerts[name])
 
@@ -70,11 +67,9 @@ def run_table6(config: ExperimentConfig) -> ExperimentResult:
         test_p = [t for t in test if t.patient_id == pid]
         thresholds = learn_thresholds(
             train_p + list(data.fault_free_by_patient[pid]),
-            window=config.mining_window, workers=config.workers,
-            batch_size=config.batch_size).thresholds
+            window=config.mining_window, workers=config.workers).thresholds
         alerts.extend(replay_many(cawt_monitor(thresholds), test_p,
-                                  workers=config.workers,
-                                  batch_size=config.batch_size))
+                                  workers=config.workers))
         eval_traces.extend(test_p)
     add_row("CAWT", eval_traces, alerts)
 

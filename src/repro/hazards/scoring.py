@@ -25,7 +25,7 @@ risk indices the paper thresholds:
 
 Scores are pure functions of the trace, so they inherit the engines'
 bit-determinism: the same scenario scores identically at any
-``workers=``/``batch_size=``.
+``workers=`` and lock-step width.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Minimal layer zoo needed for the paper's MLP baseline monitor: dense
 (fully-connected) layers, ReLU, and inverted dropout.  Each layer exposes
 ``forward``/``backward`` plus its parameter and gradient arrays for the
-optimizer.
+optimizer.  Only a ``training=True`` forward keeps what ``backward`` needs;
+an inference forward drops it, so a fitted model (and every per-user
+clone of it) carries parameters, not activations.
 """
 
 from __future__ import annotations
@@ -13,6 +15,15 @@ from typing import List, Optional
 import numpy as np
 
 __all__ = ["Layer", "Dense", "ReLU", "Dropout"]
+
+
+def _require_training_forward(state, layer: "Layer"):
+    """*state* cached by the last forward, or a RuntimeError when that
+    forward was an inference one (it caches nothing to differentiate)."""
+    if state is None:
+        raise RuntimeError(f"{type(layer).__name__}.backward needs a "
+                           "preceding forward(..., training=True)")
+    return state
 
 
 class Layer:
@@ -48,11 +59,12 @@ class Dense(Layer):
         self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
+        self._x = x if training else None
         return x @ self.W + self.b
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        self.gW[...] = self._x.T @ grad
+        x = _require_training_forward(self._x, self)
+        self.gW[...] = x.T @ grad
         self.gb[...] = grad.sum(axis=0)
         return grad @ self.W.T
 
@@ -70,11 +82,12 @@ class ReLU(Layer):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if training else None
+        return x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._mask
+        return grad * _require_training_forward(self._mask, self)
 
 
 class Dropout(Layer):

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .layers import Layer
+from .layers import Layer, _require_training_forward
 
 __all__ = ["LSTMLayer"]
 
@@ -26,7 +26,8 @@ class LSTMLayer(Layer):
 
     ``forward`` maps ``(n, T, in_dim)`` to ``(n, T, hidden)``; ``backward``
     accepts the gradient of the full hidden sequence (callers that only use
-    the last step pass zeros elsewhere).
+    the last step pass zeros elsewhere).  Only a ``training=True`` forward
+    keeps the per-step activations BPTT needs.
     """
 
     def __init__(self, in_dim: int, hidden: int,
@@ -53,7 +54,7 @@ class LSTMLayer(Layer):
         h = np.zeros((n, H))
         c = np.zeros((n, H))
         h_seq = np.zeros((n, T, H))
-        caches = []
+        caches = [] if training else None
         for t in range(T):
             gates = x[:, t, :] @ self.Wx + h @ self.Wh + self.b
             i = _sigmoid(gates[:, 0 * H:1 * H])
@@ -63,14 +64,16 @@ class LSTMLayer(Layer):
             c_next = f * c + i * g
             tanh_c = np.tanh(c_next)
             h_next = o * tanh_c
-            caches.append((x[:, t, :], h, c, i, f, g, o, c_next, tanh_c))
+            if training:
+                caches.append((x[:, t, :], h, c, i, f, g, o, c_next,
+                               tanh_c))
             h, c = h_next, c_next
             h_seq[:, t, :] = h
-        self._cache = (caches, x.shape)
+        self._cache = (caches, x.shape) if training else None
         return h_seq
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        caches, x_shape = self._cache
+        caches, x_shape = _require_training_forward(self._cache, self)
         n, T, _ = x_shape
         H = self.hidden
         self.gWx[...] = 0.0

@@ -26,8 +26,8 @@ from typing import (Any, Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 __all__ = ["shard_indices", "partition_ranges", "ranges_defect",
-           "fork_map_chunks", "resolve_workers", "resolve_batch_size",
-           "iter_equal_length_groups"]
+           "fork_map_chunks", "resolve_workers", "LOCKSTEP_WIDTH",
+           "lockstep_width", "iter_equal_length_groups"]
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -39,35 +39,42 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def resolve_batch_size(batch_size: Optional[int]) -> int:
-    """Normalise a ``batch_size=`` argument (None: ``REPRO_BATCH_SIZE`` env,
-    or 1 = scalar execution).  Shared by the simulation engine, monitor
-    replay and robustness-sample mining so one knob means one thing."""
-    if batch_size is None:
-        batch_size = int(os.environ.get("REPRO_BATCH_SIZE", "1"))
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return batch_size
+#: Lock-step width: how many simulation runs, replayed traces or mined
+#: traces advance together as one ``(n_steps, B)`` batch.  Every batched
+#: path reads it at call time, so tests can monkeypatch it; no public
+#: function, config field, CLI flag or environment variable sets it.  The
+#: paths are element-wise identical to their single-run references at any
+#: width, so it trades only speed against the memory one batch holds: 24
+#: keeps a streamed campaign's resident batch to a few MB while taking
+#: most of the per-call speedup (wider batches grow both together).
+LOCKSTEP_WIDTH = 24
 
 
-def iter_equal_length_groups(items: Any, batch_size: int) -> Iterator[list]:
-    """Group a stream into consecutive equal-``len()`` batches.
+def lockstep_width() -> int:
+    """The current :data:`LOCKSTEP_WIDTH` (validated)."""
+    width = LOCKSTEP_WIDTH
+    if width < 1:
+        raise ValueError(f"LOCKSTEP_WIDTH must be >= 1, got {width}")
+    return width
+
+
+def iter_equal_length_groups(items: Any) -> Iterator[list]:
+    """Group a stream into consecutive equal-``len()`` lock-step batches.
 
     The shared grouping rule of every lock-step batched path (monitor
-    replay, robustness-sample mining): groups hold at most *batch_size*
-    items and never mix lengths — a length change closes the current
-    group — so concatenating the groups always reproduces the input
-    order and every group stacks into one rectangular batch.  Streaming:
-    at most one group is resident at a time.  Living here (below both
-    :mod:`repro.core` and :mod:`repro.simulation`) keeps the
-    parity-critical boundary rule in exactly one place.
+    replay, robustness-sample mining): groups hold at most
+    :data:`LOCKSTEP_WIDTH` items and never mix lengths — a length change
+    closes the current group — so concatenating the groups always
+    reproduces the input order and every group stacks into one
+    rectangular batch.  Streaming: at most one group is resident at a
+    time.  Living here (below both :mod:`repro.core` and
+    :mod:`repro.simulation`) keeps the parity-critical boundary rule in
+    exactly one place.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    size = lockstep_width()
     group: list = []
     for item in items:
-        if group and (len(group) >= batch_size
-                      or len(item) != len(group[0])):
+        if group and (len(group) >= size or len(item) != len(group[0])):
             yield group
             group = []
         group.append(item)

@@ -6,9 +6,8 @@ this repo's substrate):
 1. sample a population of scenarios from the current :class:`Proposal`
    (seeded, per-iteration child seeds);
 2. simulate the whole population as lock-step vector batches through the
-   existing campaign executor — the same ``workers=`` x ``batch_size=``
-   machinery every other workload uses, with the same bit-exact parity
-   contract;
+   existing campaign executor — the same ``workers=`` machinery every
+   other workload uses, with the same bit-exact parity contract;
 3. score every trace with the continuous hazard-proximity objective
    (:func:`repro.hazards.scoring.score_trace`);
 4. refit the proposal toward the elite fraction and repeat until the
@@ -21,9 +20,9 @@ A :class:`SearchResult` is a pure function of ``(search configuration,
 seed)``.  All randomness lives in the driver: iteration *i* draws from
 ``default_rng(SeedSequence(seed).spawn(...)[i])``, simulation is the
 engines' bit-exact replay, scoring is arithmetic on traces.  Worker count
-and batch size therefore change wall-clock only — the regression suite
-pins identical results (elite sets, proposal trajectory, traces) across
-``batch_size`` x ``workers`` combinations.
+and lock-step width therefore change wall-clock only — the regression
+suite pins identical results (elite sets, proposal trajectory, traces)
+across width x ``workers`` combinations.
 """
 
 from __future__ import annotations
@@ -139,10 +138,10 @@ class CrossEntropySearch:
     objective:
         Trace-scoring function; defaults to
         :func:`repro.hazards.scoring.score_trace`.
-    workers, batch_size:
-        Executor knobs, resolved exactly like every campaign run
-        (``REPRO_WORKERS`` / ``REPRO_BATCH_SIZE`` env fallbacks); results
-        are bit-identical for every combination.
+    workers:
+        Executor pool size, resolved exactly like every campaign run
+        (``REPRO_WORKERS`` env fallback); results are bit-identical for
+        every worker count.
     keep_traces:
         Attach the full :class:`SimulationTrace` to each finding (the
         determinism suite uses this; large searches should leave it off).
@@ -163,7 +162,6 @@ class CrossEntropySearch:
     objective: Callable[[SimulationTrace], HazardScore] = field(
         default=score_trace)
     workers: Optional[int] = None
-    batch_size: Optional[int] = None
     keep_traces: bool = False
 
     def __post_init__(self):
@@ -203,7 +201,7 @@ class CrossEntropySearch:
         """Execute the search; deterministic in *seed* alone."""
         space = self.space
         proposal = Proposal.uniform(space.n_families, space.n_dims)
-        executor = get_executor(self.workers, self.batch_size)
+        executor = get_executor(self.workers)
         # one child seed per potential iteration, spawned up front so the
         # iteration count at which an early exit fires cannot change the
         # streams of the iterations that did run

@@ -11,8 +11,8 @@ AP-controller risk search).
 Everything here is driven by an externally supplied
 :class:`numpy.random.Generator`, so the *caller* owns determinism: the
 search loop hands each iteration a child seed spawned from the root seed,
-which is what makes results bit-identical at any ``workers=`` /
-``batch_size=``.
+which is what makes results bit-identical at any ``workers=`` and
+lock-step width.
 """
 
 from __future__ import annotations

@@ -72,7 +72,7 @@ class AlertEvent:
     escalated: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _StreamState:
     last_emit_t: float
     last_emit_hazard: int

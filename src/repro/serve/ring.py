@@ -1,8 +1,8 @@
 """Columnar per-user ring buffers for context history.
 
 The serving layer keeps, for every connected user, a bounded window of the
-most recent context rows (the :data:`~repro.simulation.features.
-FEATURE_NAMES` layout plus the time stamp and the raw action code).  One
+most recent context rows (the time stamp, the raw action code and the
+continuous :data:`~repro.simulation.features.FEATURE_NAMES` channels).  One
 naive deque per user would turn every tick into ``B`` Python appends; this
 module instead holds *all* users in one ``(capacity, width, n_slots)``
 array, so a tick appends one row for every active user in a single fancy-
@@ -29,8 +29,8 @@ class ContextRing:
     capacity:
         Rows retained per slot (older rows are overwritten).
     width:
-        Row width (the serving layer uses ``2 + len(FEATURE_NAMES)``:
-        time stamp, action code, then the feature row).
+        Row width (the serving layer uses 8: time stamp, action code,
+        then the six continuous context channels).
     n_slots:
         Initial slot count; :meth:`ensure_slots` grows on demand
         (geometrically, so connecting users is amortised O(1)).

@@ -25,7 +25,7 @@ feeding a recorded campaign through :func:`replay_log` (one trace = one
 user, via :func:`~repro.simulation.store.iter_trace_ticks`) produces raw
 alert streams **element-wise identical** to offline
 :func:`~repro.simulation.replay.replay_campaign` — the assertion CI's
-serving smoke makes at multiple batch sizes.  Dedup/escalation
+serving smoke makes.  Dedup/escalation
 (:mod:`repro.serve.alerts`) is strictly downstream of the raw streams and
 never part of the parity surface.
 
@@ -81,8 +81,13 @@ __all__ = ["TickBatch", "TickResult", "RejectedTick", "MonitorService",
 #: ring-buffer context rows retained per user (2 hours at 5-minute cadence)
 DEFAULT_WINDOW_TICKS = 24
 
-#: ring row layout: time stamp, action code, then the feature row
-_RING_WIDTH = 2 + len(FEATURE_NAMES)
+#: continuous context channels (BG, BG', IOB, IOB', rate, bolus): the
+#: feature row without its one-hot action columns, which the action code
+#: column already determines
+_RING_CHANNELS = FEATURE_NAMES.index("u1")
+
+#: ring row layout: time stamp, action code, then the continuous channels
+_RING_WIDTH = 2 + _RING_CHANNELS
 
 #: every reason a row can be quarantined with (``RejectedTick.reason``)
 REJECT_REASONS = ("bad-time", "bad-glucose", "bad-channel",
@@ -551,7 +556,7 @@ class MonitorService:
 
         rows = np.concatenate(
             [batch.t, np.asarray(kept_action).reshape(1, -1).astype(float),
-             batch.features[0]], axis=0)
+             batch.features[0, :_RING_CHANNELS]], axis=0)
         self._ring.append(rows, kept_slots)
         self._last_cgm[kept_slots] = kept_cgm
         self._seen[kept_slots] = True

@@ -3,9 +3,10 @@
 The paper evaluates two platforms (Fig. 5a): OpenAPS + Glucosym and
 Basal-Bolus + UVA-Padova T1DS2013.  :func:`make_loop` builds the matched
 patient/controller pair for a cohort member (controller profile derived from
-the patient's steady-state basal via the 1800 rule), and :func:`run_campaign`
-executes a fault-injection campaign over one or more patients — serially by
-default, or fanned out over a process pool via the executors in
+the patient's steady-state basal via the 1800 rule) — the single-run
+reference loop — and :func:`run_campaign` executes a fault-injection campaign
+over one or more patients through the lock-step engine, serially by default
+or fanned out over a process pool via the executors in
 :mod:`repro.simulation.executor`.
 """
 
@@ -96,10 +97,17 @@ def run_campaign(platform: str, patient_ids: Sequence[str],
                  mitigator: Optional[Mitigator] = None,
                  n_steps: int = 150,
                  workers: Optional[int] = None,
-                 batch_size: Optional[int] = None,
                  executor: Optional[CampaignExecutor] = None,
                  sink: Optional[TraceSink] = None) -> Optional[List[SimulationTrace]]:
     """Run every injection scenario against every patient.
+
+    Runs advance through the lock-step engine
+    (:mod:`repro.simulation.vector`) in batches of
+    :data:`~repro.parallel.LOCKSTEP_WIDTH`, with traces element-wise
+    identical to driving each scenario through :func:`make_loop`'s
+    single-run loop.  Monitored and mitigated campaigns batch too —
+    monitors evaluate column-wise each tick and mitigators correct the
+    alerted rows in place (see ``docs/mitigation.md``).
 
     Parameters
     ----------
@@ -111,19 +119,11 @@ def run_campaign(platform: str, patient_ids: Sequence[str],
     workers:
         Process-pool size; 1 (the default, also via ``REPRO_WORKERS``)
         runs serially in-process.  Trace order and content are identical
-        for every worker count.
-    batch_size:
-        Lock-step vectorization width (default 1, also via
-        ``REPRO_BATCH_SIZE``): runs are simulated ``batch_size`` at a
-        time by :mod:`repro.simulation.vector` with element-wise
-        identical traces.  Monitored and mitigated campaigns batch too —
-        monitors evaluate column-wise each tick and mitigators correct
-        the alerted rows in place (see ``docs/mitigation.md``).  Composes
-        with *workers* — each pool chunk becomes a sequence of vectorized
-        batches.
+        for every worker count; each pool chunk becomes a sequence of
+        lock-step batches.
     executor:
         Explicit :class:`~repro.simulation.executor.CampaignExecutor`
-        (overrides *workers* and *batch_size*).
+        (overrides *workers*).
     sink:
         Optional :class:`~repro.simulation.executor.TraceSink`; when given,
         traces are streamed to it in (patient, scenario) order and ``None``
@@ -135,7 +135,7 @@ def run_campaign(platform: str, patient_ids: Sequence[str],
     streaming to *sink*.
     """
     plan = plan_campaign(platform, patient_ids, scenarios, n_steps=n_steps)
-    executor = executor or get_executor(workers, batch_size)
+    executor = executor or get_executor(workers)
     return executor.run(plan, monitor_factory=monitor_factory,
                         mitigator=mitigator, sink=sink)
 
@@ -145,7 +145,6 @@ def run_fault_free(platform: str, patient_ids: Sequence[str],
                    monitor_factory: Optional[Callable[[str], SafetyMonitor]] = None,
                    n_steps: int = 150,
                    workers: Optional[int] = None,
-                   batch_size: Optional[int] = None,
                    executor: Optional[CampaignExecutor] = None,
                    cache: Optional[BaselineCache] = BASELINE_CACHE,
                    sink: Optional[TraceSink] = None) -> Optional[List[SimulationTrace]]:
@@ -164,7 +163,7 @@ def run_fault_free(platform: str, patient_ids: Sequence[str],
     """
     plan = plan_fault_free(platform, patient_ids, init_glucose_values,
                            n_steps=n_steps)
-    executor = executor or get_executor(workers, batch_size)
+    executor = executor or get_executor(workers)
     if monitor_factory is not None or cache is None:
         return executor.run(plan, monitor_factory=monitor_factory, sink=sink)
 

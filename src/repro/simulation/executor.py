@@ -42,11 +42,10 @@ import numpy as np
 
 from ..core.mitigation import Mitigator
 from ..core.monitor import SafetyMonitor
-from ..fi import FaultInjector, FaultSpec, InjectionScenario
-from ..parallel import (fork_map_chunks, resolve_batch_size, resolve_workers,
+from ..fi import FaultSpec, InjectionScenario
+from ..parallel import (fork_map_chunks, lockstep_width, resolve_workers,
                         shard_indices)
 from ..patients import Meal
-from .scenario import Scenario
 from .trace import SimulationTrace, trace_to_arrays, trace_to_struct
 
 __all__ = [
@@ -54,7 +53,7 @@ __all__ = [
     "shard_plan", "ProfileCache", "BaselineCache", "PROFILE_CACHE",
     "BASELINE_CACHE", "TraceSink", "ListSink", "CountingSink",
     "NpzDirectorySink", "NpyDirectorySink", "CampaignExecutor", "SerialExecutor",
-    "ParallelExecutor", "get_executor", "resolve_batch_size",
+    "ParallelExecutor", "get_executor",
 ]
 
 MonitorFactory = Callable[[str], SafetyMonitor]
@@ -71,7 +70,7 @@ class SimRun:
     ``meals`` carries scheduled carbohydrate disturbances (empty for the
     paper's meal-free grid); sampled scenario populations — the rare-event
     search in :mod:`repro.search` — plan meal scenarios through the same
-    executor path, so both the scalar and lock-step engines consume them.
+    executor path as the paper's grid.
     """
 
     patient_id: str
@@ -363,42 +362,22 @@ class NpyDirectorySink(NpzDirectorySink):
 
 def _run_chunk(plan: CampaignPlan, runs: Sequence[SimRun],
                monitor_factory: Optional[MonitorFactory],
-               mitigator: Optional[Mitigator],
-               batch_size: int = 1) -> List[SimulationTrace]:
+               mitigator: Optional[Mitigator]) -> List[SimulationTrace]:
     """Execute a contiguous slice of the plan.
 
     This is the *only* place simulations happen — serial executor, parallel
     workers and cache-warming all call it, which is what guarantees that
-    worker count cannot change the simulated dynamics.  With
-    ``batch_size > 1`` the slice runs through the lock-step vectorized
-    engine (:mod:`repro.simulation.vector`) — monitored and mitigated runs
-    included, with per-tick column-wise monitor evaluation and row-wise
-    command correction — whose traces are element-wise identical to the
-    scalar loop below (see ``docs/mitigation.md`` for the contract).
+    worker count cannot change the simulated dynamics.  The slice runs
+    through the lock-step engine (:mod:`repro.simulation.vector`) in
+    batches of :data:`~repro.parallel.LOCKSTEP_WIDTH` rows — monitored and
+    mitigated runs included, with per-tick column-wise monitor evaluation
+    and row-wise command correction — whose traces are element-wise
+    identical to the single-run :class:`~repro.simulation.loop.ClosedLoop`
+    (see ``docs/mitigation.md`` for the contract).
     """
-    from .batch import make_loop  # deferred: batch imports this module too
-
-    if batch_size > 1:
-        from .vector import run_vector_chunk
-        return run_vector_chunk(plan, runs, batch_size,
-                                monitor_factory=monitor_factory,
-                                mitigator=mitigator)
-
-    traces: List[SimulationTrace] = []
-    loop = None
-    current_pid: Optional[str] = None
-    for run in runs:
-        if loop is None or run.patient_id != current_pid:
-            monitor = monitor_factory(run.patient_id) if monitor_factory else None
-            loop = make_loop(plan.platform, run.patient_id, monitor=monitor,
-                             mitigator=mitigator, target=plan.target)
-            current_pid = run.patient_id
-        loop.injector = (FaultInjector(run.fault)
-                         if run.fault is not None else None)
-        sim = Scenario(init_glucose=run.init_glucose, n_steps=plan.n_steps,
-                       dt=plan.dt, label=run.label, meals=run.meals)
-        traces.append(loop.run(sim))
-    return traces
+    from .vector import run_vector_chunk  # deferred: vector imports us too
+    return run_vector_chunk(plan, runs, monitor_factory=monitor_factory,
+                            mitigator=mitigator)
 
 
 # ----------------------------------------------------------------------
@@ -440,24 +419,19 @@ class CampaignExecutor(abc.ABC):
 
 
 class SerialExecutor(CampaignExecutor):
-    """Single-process reference executor (the original semantics).
+    """Single-process executor.
 
-    The whole plan is one chunk, so — exactly like the historical serial
-    loop — the monitor factory is invoked once per patient and one
-    :class:`~repro.simulation.loop.ClosedLoop` is reused across a patient's
-    scenarios.  ``batch_size > 1`` runs the plan — monitored and mitigated
-    plans included — through the vectorized engine in batches of that many
-    rows (identical traces).
+    Runs the plan in order, one lock-step batch of
+    :data:`~repro.parallel.LOCKSTEP_WIDTH` rows at a time, and yields each
+    batch as its own chunk — so a sink-backed campaign holds one batch,
+    never the whole plan.
     """
 
-    def __init__(self, batch_size: int = 1):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.batch_size = batch_size
-
     def map_chunks(self, plan, monitor_factory, mitigator):
-        yield _run_chunk(plan, plan.runs, monitor_factory, mitigator,
-                         batch_size=self.batch_size)
+        width = lockstep_width()
+        for lo in range(0, len(plan.runs), width):
+            yield _run_chunk(plan, plan.runs[lo:lo + width],
+                             monitor_factory, mitigator)
 
 
 class ParallelExecutor(CampaignExecutor):
@@ -475,11 +449,10 @@ class ParallelExecutor(CampaignExecutor):
         Forced multiprocessing start method.  Only ``"fork"`` supports
         unpicklable monitor factories; on platforms without fork the
         executor degrades to in-process serial execution with a warning.
-    batch_size:
-        With ``batch_size > 1`` each worker runs its chunk — monitored
-        and mitigated runs included — through the vectorized engine in
-        lock-step batches of that many rows, so the pool speedup and the
-        SIMD speedup multiply.
+
+    Each worker runs its chunk through the lock-step engine in batches of
+    :data:`~repro.parallel.LOCKSTEP_WIDTH` rows, so the pool speedup and
+    the SIMD speedup multiply.
 
     Chunk results are collected strictly in submission order from a
     bounded window of in-flight tasks, so the trace stream is element-wise
@@ -489,19 +462,15 @@ class ParallelExecutor(CampaignExecutor):
 
     def __init__(self, workers: Optional[int] = None,
                  chunks_per_worker: int = 4,
-                 start_method: str = "fork",
-                 batch_size: int = 1):
+                 start_method: str = "fork"):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunks_per_worker < 1:
             raise ValueError(
                 f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.workers = workers or (os.cpu_count() or 1)
         self.chunks_per_worker = chunks_per_worker
         self.start_method = start_method
-        self.batch_size = batch_size
 
     def map_chunks(self, plan, monitor_factory, mitigator):
         if (self.workers <= 1 or len(plan) <= 1
@@ -512,27 +481,23 @@ class ParallelExecutor(CampaignExecutor):
                     f"start method {self.start_method!r} unavailable; "
                     "falling back to serial execution", RuntimeWarning,
                     stacklevel=3)
-            yield _run_chunk(plan, plan.runs, monitor_factory, mitigator,
-                             batch_size=self.batch_size)
+            yield from SerialExecutor().map_chunks(plan, monitor_factory,
+                                                   mitigator)
             return
 
         chunks = shard_plan(plan, self.workers * self.chunks_per_worker)
 
         def run_chunk(runs):
-            return _run_chunk(plan, runs, monitor_factory, mitigator,
-                              batch_size=self.batch_size)
+            return _run_chunk(plan, runs, monitor_factory, mitigator)
 
         yield from fork_map_chunks(run_chunk, chunks, self.workers,
                                    start_method=self.start_method)
 
 
-def get_executor(workers: Optional[int] = None,
-                 batch_size: Optional[int] = None) -> CampaignExecutor:
-    """Executor for *workers* processes and vectorized batches of
-    *batch_size* runs (None: ``REPRO_WORKERS`` / ``REPRO_BATCH_SIZE`` env,
-    defaulting to serial scalar execution)."""
+def get_executor(workers: Optional[int] = None) -> CampaignExecutor:
+    """Executor for *workers* processes (None: ``REPRO_WORKERS`` env,
+    defaulting to serial execution)."""
     workers = resolve_workers(workers)
-    batch_size = resolve_batch_size(batch_size)
     if workers == 1:
-        return SerialExecutor(batch_size=batch_size)
-    return ParallelExecutor(workers=workers, batch_size=batch_size)
+        return SerialExecutor()
+    return ParallelExecutor(workers=workers)

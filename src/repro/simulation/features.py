@@ -1,7 +1,7 @@
 """Canonical per-cycle context reconstruction from recorded traces.
 
-Offline monitor replay (:mod:`repro.simulation.replay`), its batched
-sibling (:mod:`repro.simulation.vector_replay`) and ML dataset
+Offline monitor replay (:mod:`repro.simulation.replay`), the live
+lock-step engine (:mod:`repro.simulation.vector`) and ML dataset
 construction (:mod:`repro.ml.datasets`) all rebuild the monitor's view of
 a trace: clean CGM, its finite-difference rate, loop-side IOB bookkeeping
 and the post-fault-injection command, plus the one-hot control action.
@@ -95,8 +95,8 @@ class ContextBatch:
     def from_traces(cls, traces: Sequence) -> "ContextBatch":
         """Stack equal-length traces into one batch (column order = input
         order).  Raises ``ValueError`` on an empty or ragged input — the
-        batching iterator of :mod:`repro.simulation.vector_replay` groups
-        a heterogeneous stream into valid batches."""
+        batched replay of :mod:`repro.simulation.replay` groups a
+        heterogeneous stream into valid batches."""
         traces = list(traces)
         if not traces:
             raise ValueError("cannot build a ContextBatch from zero traces")

@@ -14,8 +14,9 @@ stream and the *post-fault* command (it wraps the controller), and fault
 injection perturbs only the controller's view/outputs — never the plant or
 the ground-truth labels.
 
-This loop is also the parity *reference* for the lock-step vectorized
-engine (:mod:`repro.simulation.vector`): every batched path — plain,
+This loop is the single-run API (``make_loop(...).run``) and the parity
+*reference* for the lock-step engine (:mod:`repro.simulation.vector`),
+which every campaign executor runs: every batched path — plain,
 monitored and mitigated alike — must reproduce this file's per-cycle
 arithmetic element-wise, so any semantic change here must be transcribed
 there (the parity test suites enforce it).

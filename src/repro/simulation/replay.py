@@ -6,18 +6,43 @@ needs to be *simulated once*; every candidate monitor can then be evaluated
 by replaying the recorded context stream through it.  This is what makes the
 paper's many-monitor comparisons (Tables V, VI, Fig. 9) tractable.
 
-:func:`replay_campaign` scales that replay the same two ways the campaign
-executor scales simulation: the trace list is cut into deterministic index
-chunks and fanned out over the forked-pool protocol of
-:mod:`repro.parallel` (``workers=``), and within each chunk the traces can
-be stacked into lock-step context batches evaluated column-wise through
-:meth:`~repro.core.monitor.SafetyMonitor.observe_batch`
-(``batch_size=``, see :mod:`repro.simulation.vector_replay`).  Both knobs
-are wall-clock knobs only: every monitor is reset per trace, so the alert
-streams are element-wise identical for any ``workers``/``batch_size``
-combination.  Any trace sequence works, in particular the lazy
-:class:`~repro.simulation.store.TraceDataset`, in which case each worker
-loads only its own shards.
+Replay is lock-step: stored or streamed traces are stacked into
+``(n_steps, B)`` context batches
+(:class:`~repro.simulation.features.ContextBatch`) of at most
+:data:`~repro.parallel.LOCKSTEP_WIDTH` traces, and every monitor is
+evaluated column-wise through
+:meth:`~repro.core.monitor.SafetyMonitor.observe_batch`.
+:func:`replay_campaign` additionally cuts the trace list into
+deterministic index chunks fanned out over the forked-pool protocol of
+:mod:`repro.parallel` (``workers=``).
+
+The contract is **exact parity** with the single-trace reference
+:func:`replay_monitor`: for any worker count and width, the alert streams
+are element-wise identical to feeding each trace's context stream through
+``observe`` cycle by cycle.  Three rules deliver it:
+
+- the context values come from the *same*
+  :func:`~repro.simulation.features.context_matrix` rows the reference
+  stream yields (there is one context builder; :func:`iter_contexts` is
+  its ``B=1`` column view);
+- vectorized ``observe_batch`` implementations (context-aware rules,
+  DT/MLP, Guideline, MPC) transcribe the scalar arithmetic with identical
+  operation order — comparisons and size-invariant ufuncs only — while
+  whole-matrix BLAS calls, whose rounding depends on batch shape, are
+  deliberately avoided (the MLP classifies per row for exactly this
+  reason);
+- everything else (the LSTM's sliding-window state, any user-defined
+  monitor) falls back to the base class's per-column loop over
+  ``observe``, which *is* the reference definition.
+
+Batches are greedy groups of consecutive equal-length traces, so a
+heterogeneous stream (campaign plus fault-free runs of a different
+``n_steps``) batches as far as its layout allows; batch boundaries cannot
+affect the verdicts (columns are independent, every monitor is reset per
+trace).  Memory stays bounded by the batch: one :class:`ContextBatch` is
+resident at a time, so lazy :class:`~repro.simulation.store.TraceDataset`
+streams keep their bounded-memory guarantee, and with ``workers > 1``
+each worker loads only its own shards.
 """
 
 from __future__ import annotations
@@ -27,12 +52,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.monitor import SafetyMonitor
-from ..parallel import (fork_map_chunks, resolve_batch_size, resolve_workers,
-                        shard_indices)
+from ..parallel import (fork_map_chunks, iter_equal_length_groups,
+                        resolve_workers, shard_indices)
 from .features import ContextBatch
 from .trace import SimulationTrace
 
 __all__ = ["replay_monitor", "replay_many", "replay_campaign",
+           "replay_chunk_batched", "replay_monitor_batched",
            "iter_contexts"]
 
 
@@ -41,17 +67,18 @@ def iter_contexts(trace: SimulationTrace):
 
     Reconstructs exactly what the closed loop fed the monitor: the ``B=1``
     column of the shared
-    :class:`~repro.simulation.features.ContextBatch` — replay, batched
-    replay and ML dataset construction therefore agree cycle-for-cycle by
-    construction.
+    :class:`~repro.simulation.features.ContextBatch` — replay, the
+    single-trace reference and ML dataset construction therefore agree
+    cycle-for-cycle by construction.
     """
     yield from ContextBatch.from_traces([trace]).iter_column(0)
 
 
 def replay_monitor(monitor: SafetyMonitor,
                    trace: SimulationTrace) -> Tuple[np.ndarray, np.ndarray]:
-    """Replay one trace through *monitor*.
+    """Replay one trace through *monitor*, one ``observe`` call per cycle.
 
+    The single-trace reference every batched replay path is held to.
     Returns ``(alerts, hazards)``: boolean alert flags and the predicted
     hazard-type codes (0 when silent) per cycle.  The monitor is reset first.
     """
@@ -66,37 +93,84 @@ def replay_monitor(monitor: SafetyMonitor,
     return alerts, hazards
 
 
-def _replay_alerts(monitor: SafetyMonitor, contexts) -> np.ndarray:
-    """Alert flags of *monitor* (reset first) over a realised context list."""
-    monitor.reset()
-    alerts = np.zeros(len(contexts), dtype=bool)
-    for t, ctx in enumerate(contexts):
-        alerts[t] = monitor.observe(ctx).alert
-    return alerts
+def _observe_checked(monitor: SafetyMonitor, name: str,
+                     batch: ContextBatch) -> Tuple[np.ndarray, np.ndarray]:
+    """Run ``observe_batch`` and validate the verdict-matrix shapes, so a
+    miswritten override fails loudly instead of silently misaligning the
+    per-trace alert streams."""
+    alerts, hazards = monitor.observe_batch(batch)
+    if np.shape(alerts) != batch.shape or np.shape(hazards) != batch.shape:
+        raise ValueError(
+            f"monitor {name!r} returned verdict matrices of shape "
+            f"{np.shape(alerts)}/{np.shape(hazards)} for a context batch "
+            f"of shape {batch.shape}")
+    return alerts, hazards
+
+
+def _iter_context_batches(traces: Iterable[SimulationTrace]):
+    for group in iter_equal_length_groups(traces):
+        yield ContextBatch.from_traces(group)
+
+
+def replay_chunk_batched(monitors: Mapping[str, SafetyMonitor],
+                         traces: Iterable[SimulationTrace]
+                         ) -> Dict[str, List[np.ndarray]]:
+    """Replay *monitors* over a trace stream in lock-step batches.
+
+    The chunk runner behind :func:`replay_campaign` — the serial path hands
+    it the whole stream, the parallel path one index chunk per task.
+    Returns ``name -> per-trace boolean alert arrays`` aligned with the
+    input stream.
+    """
+    named = dict(monitors)
+    out: Dict[str, List[np.ndarray]] = {name: [] for name in named}
+    for batch in _iter_context_batches(traces):
+        for name, monitor in named.items():
+            alerts, _ = _observe_checked(monitor, name, batch)
+            out[name].extend(np.ascontiguousarray(alerts[:, b])
+                             for b in range(alerts.shape[1]))
+    return out
+
+
+def replay_monitor_batched(monitor: SafetyMonitor,
+                           traces: Iterable[SimulationTrace]
+                           ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Lock-step :func:`replay_monitor` over many traces.
+
+    Returns one ``(alerts, hazards)`` pair per trace — boolean alert
+    flags and integer hazard-type codes (0 when silent) — element-wise
+    identical to replaying each trace through ``replay_monitor``.
+    """
+    results: List[Tuple[np.ndarray, np.ndarray]] = []
+    for batch in _iter_context_batches(traces):
+        alerts, hazards = _observe_checked(monitor, monitor.name, batch)
+        results.extend(
+            (np.ascontiguousarray(alerts[:, b]),
+             np.ascontiguousarray(hazards[:, b]))
+            for b in range(alerts.shape[1]))
+    return results
 
 
 def replay_campaign(monitors: Mapping[str, SafetyMonitor],
                     traces: Iterable[SimulationTrace],
                     workers: Optional[int] = None,
-                    batch_size: Optional[int] = None,
                     chunks_per_worker: int = 4
                     ) -> Dict[str, List[np.ndarray]]:
-    """Replay a named set of monitors over recorded traces, in parallel.
+    """Replay a named set of monitors over recorded traces.
 
     Parameters
     ----------
     monitors:
         ``name -> monitor`` mapping; every monitor sees every trace (reset
         before each one, exactly like :func:`replay_monitor`).  The
-        context stream of each trace is reconstructed once and shared by
-        all monitors.
+        context batch of each trace group is built once and shared by all
+        monitors.
     traces:
         Any iterable of traces.  Serially, plain iterables (generators
-        included) are streamed one trace (one batch, with
-        ``batch_size > 1``) at a time; with ``workers > 1`` a sequence is
-        required for index chunking — ideally a lazy
-        :class:`~repro.simulation.store.TraceDataset`, so each worker
-        loads only its own shards (non-sequence iterables are
+        included) are streamed one lock-step batch at a time; with
+        ``workers > 1`` a sequence is required for index chunking —
+        ideally a lazy :class:`~repro.simulation.store.TraceDataset`, so
+        each worker loads only its own shards (non-sequence iterables are
         materialised first).
     workers:
         Process count (None: ``REPRO_WORKERS`` env, or 1).  Monitors and
@@ -104,17 +178,6 @@ def replay_campaign(monitors: Mapping[str, SafetyMonitor],
         models and lazy datasets work unchanged; only the boolean alert
         arrays travel back.  Output is element-wise identical to
         ``workers=1`` for every worker count.
-    batch_size:
-        Lock-step replay width (None: ``REPRO_BATCH_SIZE`` env, or 1 =
-        the scalar per-cycle loop).  Traces are stacked into
-        ``(n_steps, B)`` context batches and every monitor is evaluated
-        column-wise via
-        :meth:`~repro.core.monitor.SafetyMonitor.observe_batch` (see
-        :mod:`repro.simulation.vector_replay`); the alert streams are
-        element-wise identical to the scalar path for every batch size,
-        and the knob composes multiplicatively with *workers* — each pool
-        chunk becomes a sequence of lock-step batches, exactly like the
-        simulation engine.
 
     Returns ``name -> list of per-trace boolean alert arrays``, aligned
     with *traces*.
@@ -124,39 +187,20 @@ def replay_campaign(monitors: Mapping[str, SafetyMonitor],
             f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
     named = dict(monitors)
     workers = resolve_workers(workers)
-    batch_size = resolve_batch_size(batch_size)
-    out: Dict[str, List[np.ndarray]] = {name: [] for name in named}
     if not named:
-        return out
-    if batch_size > 1:
-        from .vector_replay import replay_chunk_batched
-        if workers <= 1:
-            return replay_chunk_batched(named, traces, batch_size)
+        return {}
     if workers <= 1:
-        # stream: one trace resident at a time, whatever the iterable
-        for trace in traces:
-            contexts = list(iter_contexts(trace))
-            for name, monitor in named.items():
-                out[name].append(_replay_alerts(monitor, contexts))
-        return out
+        return replay_chunk_batched(named, traces)
 
     if not hasattr(traces, "__getitem__"):
         traces = list(traces)
-    n = len(traces)
-    if n == 0:
+    out: Dict[str, List[np.ndarray]] = {name: [] for name in named}
+    if len(traces) == 0:
         return out
-    chunks = shard_indices(n, workers * chunks_per_worker)
+    chunks = shard_indices(len(traces), workers * chunks_per_worker)
 
     def replay_chunk(index_range):
-        if batch_size > 1:
-            return replay_chunk_batched(
-                named, (traces[i] for i in index_range), batch_size)
-        result = {name: [] for name in named}
-        for i in index_range:
-            contexts = list(iter_contexts(traces[i]))
-            for name, monitor in named.items():
-                result[name].append(_replay_alerts(monitor, contexts))
-        return result
+        return replay_chunk_batched(named, (traces[i] for i in index_range))
 
     for chunk_result in fork_map_chunks(replay_chunk, chunks, workers):
         for name, alerts in chunk_result.items():
@@ -166,10 +210,9 @@ def replay_campaign(monitors: Mapping[str, SafetyMonitor],
 
 def replay_many(monitor: SafetyMonitor,
                 traces: Iterable[SimulationTrace],
-                workers: Optional[int] = None,
-                batch_size: Optional[int] = None) -> List[np.ndarray]:
-    """Alert sequences of *monitor* over a list of traces (``workers`` and
-    ``batch_size`` as for :func:`replay_campaign` — both are wall-clock
-    knobs with element-wise identical output)."""
-    return replay_campaign({"monitor": monitor}, traces, workers=workers,
-                           batch_size=batch_size)["monitor"]
+                workers: Optional[int] = None) -> List[np.ndarray]:
+    """Alert sequences of *monitor* over a list of traces (``workers`` as
+    for :func:`replay_campaign`, a wall-clock knob with element-wise
+    identical output)."""
+    return replay_campaign({"monitor": monitor}, traces,
+                           workers=workers)["monitor"]

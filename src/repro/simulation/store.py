@@ -332,8 +332,8 @@ class TraceDataset(SequenceABC):
     passes.  All views created by :meth:`subset` / :meth:`by_patient` /
     :meth:`fold_split` share the parent's cache and :class:`DatasetStats`.
     Downstream ``workers=`` consumers chunk a dataset by index (each
-    forked worker loads only its own shards) and ``batch_size=``
-    consumers stack one group of traces at a time, so both knobs keep the
+    forked worker loads only its own shards) and the lock-step consumers
+    (replay, mining) stack one group of traces at a time, so both keep the
     bounded-memory guarantee and return element-wise identical results to
     a serial in-memory pass.
 

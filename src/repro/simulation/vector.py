@@ -1,8 +1,9 @@
 """Lock-step vectorized batch simulation engine.
 
-The scalar :class:`~repro.simulation.loop.ClosedLoop` advances one run at a
-time: a Python step loop around length-1 numpy work.  This module simulates a
-whole *batch* of campaign runs simultaneously as matrices — the ``(S, B)``
+The single-run reference :class:`~repro.simulation.loop.ClosedLoop` advances
+one run at a time: a Python step loop around length-1 numpy work.  This
+module — the engine every campaign executor runs — simulates a whole
+*batch* of campaign runs simultaneously as matrices — the ``(S, B)``
 ODE state advanced by one batched RK4 (the shared kernels of
 :mod:`repro.patients.kernels`), per-row parameter vectors so mixed patients
 batch together, vectorized controller decisions (``np.where`` over the
@@ -10,9 +11,10 @@ branch structure of OpenAPS / Basal-Bolus), vectorized fault-injection
 masks, IOB via a precomputed activity-curve table, and columnar trace
 assembly that fills ``(n_steps, B)`` channel matrices directly.
 
-The engine's contract is **exact parity**: for any batch composition, batch
-size and worker count, the traces are element-wise identical to running
-each scenario through the scalar loop.  Three design rules deliver that:
+The engine's contract is **exact parity**: for any batch composition,
+:data:`~repro.parallel.LOCKSTEP_WIDTH` and worker count, the traces are
+element-wise identical to running each scenario through the scalar loop.
+Three design rules deliver that:
 
 - the patient dynamics are the *same* kernel functions the scalar models
   call at ``B=1`` (see :mod:`repro.patients.kernels`);
@@ -60,6 +62,7 @@ from ..patients.kernels import (IVPColumns, T1DColumns, ivp_init_state,
 from ..patients.kernels import GP as _GP, GS as _GS, QSTO1 as _QSTO1
 from ..patients.pump import InsulinPump
 from ..patients.sensor import CGM_RANGE
+from ..parallel import lockstep_width
 from .executor import MonitorFactory, PROFILE_CACHE, SimRun
 from .features import ContextBatch
 from .trace import TRACE_ARRAY_FIELDS, TRACE_COLUMN_DTYPES, SimulationTrace
@@ -334,10 +337,10 @@ def _classify(rate: np.ndarray, bolus: np.ndarray,
 class _MonitorBatch:
     """Column-wise monitor evaluation, one live control cycle at a time.
 
-    Mirrors the scalar chunk runner's monitor lifecycle: the factory is
-    invoked once per distinct patient in the batch (the factory contract —
-    already required by the parallel executor, whose workers re-invoke it
-    per chunk — is that repeated calls return equivalent monitors).  Rows
+    The factory is invoked once per distinct patient in the batch (the
+    factory contract is that repeated calls return equivalent monitors, so
+    callers should keep it cheap — learn thresholds or train models
+    before the campaign, not inside the factory).  Rows
     whose monitor declares itself
     :attr:`~repro.core.monitor.SafetyMonitor.stateless` are grouped by
     monitor instance and evaluated in one single-cycle ``observe_batch``
@@ -755,8 +758,8 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
         raise ValueError(
             "lock-step batching requires every controller to use the "
             "default insulin activity curve (the closed loop's "
-            "monitor-side IOB curve); run these scenarios with "
-            "batch_size=1 instead")
+            "monitor-side IOB curve); run these scenarios one at a time "
+            "through make_loop(...).run instead")
     frac_tab, act_tab, band_start = _iob_tables(curve, n_steps, dt)
     need_activity = controller_kind == "openaps"
     faults = _FaultBatch(runs)
@@ -895,20 +898,22 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
     return traces
 
 
-def run_vector_chunk(plan, runs: Sequence[SimRun], batch_size: int,
+def run_vector_chunk(plan, runs: Sequence[SimRun],
                      monitor_factory: Optional[MonitorFactory] = None,
                      mitigator: Optional[Mitigator] = None
                      ) -> List[SimulationTrace]:
-    """Execute a contiguous plan slice as consecutive lock-step batches.
+    """Execute a contiguous plan slice as consecutive lock-step batches of
+    :data:`~repro.parallel.LOCKSTEP_WIDTH` rows.
 
-    The last batch is ragged when ``batch_size`` does not divide the slice;
+    The last batch is ragged when the width does not divide the slice;
     batch boundaries cannot affect the traces (each row is independent —
     monitor state lives per column and mitigators reset per run), so any
-    ``batch_size`` yields the identical stream.
+    width yields the identical stream.
     """
+    width = lockstep_width()
     traces: List[SimulationTrace] = []
-    for lo in range(0, len(runs), batch_size):
-        traces.extend(run_batch(plan.platform, runs[lo:lo + batch_size],
+    for lo in range(0, len(runs), width):
+        traces.extend(run_batch(plan.platform, runs[lo:lo + width],
                                 plan.n_steps, dt=plan.dt,
                                 target=plan.target,
                                 monitor_factory=monitor_factory,

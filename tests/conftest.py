@@ -17,13 +17,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.simulation import run_campaign, run_fault_free
+import repro.parallel
+from repro.fi import FaultInjector
+from repro.simulation import Scenario, make_loop, run_campaign, run_fault_free
 
 # grid constants live in tests/tiny_grid.py (a uniquely-named module —
 # `conftest` is ambiguous once subdirectories carry their own); re-exported
 # here so fixture users keep one import point
 from tiny_grid import (TINY_CAMPAIGN_CONFIG, TINY_PATIENT,  # noqa: F401
                        TINY_PLATFORM, tiny_campaign_scenarios)
+
+#: the lock-step widths every parity suite sweeps: single-row batches, a
+#: width that leaves ragged batches, and one wider than most test plans
+LOCKSTEP_WIDTHS = (1, 7, 32)
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +62,42 @@ def _assert_traces_equal(a, b):
 def assert_traces_equal():
     """The canonical trace-equality assertion used by every parity suite."""
     return _assert_traces_equal
+
+
+@pytest.fixture
+def set_lockstep_width(monkeypatch):
+    """``set_lockstep_width(w)`` sets :data:`repro.parallel.LOCKSTEP_WIDTH`
+    for the rest of the test (restored afterwards)."""
+    def set_width(width):
+        monkeypatch.setattr(repro.parallel, "LOCKSTEP_WIDTH", width)
+    return set_width
+
+
+def _reference_traces(plan, monitor_factory=None, mitigator=None):
+    """Every plan cell through the single-run ``make_loop(...).run``.
+
+    One loop per run of consecutive same-patient cells, its monitor from
+    the factory; ``ClosedLoop.run`` resets the monitor and the shared
+    mitigator at the start of every run.
+    """
+    traces = []
+    loop, current = None, None
+    for run in plan.runs:
+        if loop is None or run.patient_id != current:
+            monitor = monitor_factory(run.patient_id) if monitor_factory \
+                else None
+            loop = make_loop(plan.platform, run.patient_id, monitor=monitor,
+                             mitigator=mitigator, target=plan.target)
+            current = run.patient_id
+        loop.injector = (FaultInjector(run.fault) if run.fault is not None
+                         else None)
+        traces.append(loop.run(Scenario(
+            init_glucose=run.init_glucose, n_steps=plan.n_steps, dt=plan.dt,
+            label=run.label, meals=run.meals)))
+    return traces
+
+
+@pytest.fixture(scope="session")
+def reference_traces():
+    """The single-run reference every executor parity test compares to."""
+    return _reference_traces

@@ -46,7 +46,7 @@ def reference_store(plan, tmp_path_factory):
     directory = str(tmp_path_factory.mktemp("reference") / "store")
     with CampaignStoreWriter(directory, plan.platform, plan.n_steps,
                              folds=FOLDS) as writer:
-        get_executor(None, None).run(plan, sink=writer)
+        get_executor(None).run(plan, sink=writer)
     return directory
 
 

@@ -15,7 +15,9 @@ from repro.distributed import (DistributedCampaignError, FlakyLauncher,
                                LocalLauncher, SSHLauncher, WorkerError,
                                WorkerSpec, run_distributed_campaign)
 from repro.parallel import partition_ranges
+from repro.simulation import SerialExecutor, TraceDataset
 from repro.simulation.store import plan_fingerprint
+from tests.conftest import LOCKSTEP_WIDTHS
 
 FOLDS = 2
 
@@ -43,13 +45,23 @@ class TestCleanRuns:
         assert not os.path.exists(out + ".work")
 
     def test_host_count_is_a_wall_clock_knob(self, plan, tmp_path,
-                                             reference_manifest_bytes):
-        """n_hosts never changes the dataset — the parity contract, one
-        level up from workers=/batch_size=."""
+                                             reference_manifest_bytes,
+                                             set_lockstep_width,
+                                             assert_traces_equal):
+        """n_hosts never changes the dataset, and neither does the
+        lock-step width — the parity contract, one level up from
+        workers= and LOCKSTEP_WIDTH."""
         for n_hosts in (1, 3):
             out = str(tmp_path / f"out{n_hosts}")
             run_distributed_campaign(plan, out, n_hosts=n_hosts, folds=FOLDS)
             _assert_byte_identical(out, reference_manifest_bytes)
+        merged = TraceDataset.open(out)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            fresh = SerialExecutor().run(plan)
+            assert len(fresh) == len(merged)
+            for stored, trace in zip(merged, fresh):
+                assert_traces_equal(stored, trace)
 
     def test_keep_work_preserves_partials(self, plan, tmp_path):
         out = str(tmp_path / "out")
@@ -138,13 +150,15 @@ class TestChaos:
 class TestLaunchers:
     def test_worker_argv_roundtrip(self):
         spec = WorkerSpec(start=3, stop=9, attempt=1, plan_path="/w/plan.json",
-                          out_dir="/w/r/attempt1", workers=2, batch_size=8)
+                          out_dir="/w/r/attempt1", workers=2)
         argv = spec.worker_argv()
         assert argv[:2] == ["-m", "repro.distributed.worker"]
         for flag, value in (("--plan", "/w/plan.json"), ("--start", "3"),
                             ("--stop", "9"), ("--out", "/w/r/attempt1"),
-                            ("--workers", "2"), ("--batch-size", "8")):
+                            ("--workers", "2")):
             assert value == argv[argv.index(flag) + 1]
+        # the lock-step width is not a worker knob
+        assert not any("batch" in arg for arg in argv)
 
     def test_local_launcher_env_overlay(self):
         launcher = LocalLauncher(env={"REPRO_DIST_SLEEP_SECONDS": "1"})

@@ -290,7 +290,7 @@ class TestWorkerParity:
 class TestSearchExperiment:
     def test_rows_and_ratio(self, cfg):
         from repro.experiments import run_search
-        result = run_search(dataclasses.replace(cfg, batch_size=32))
+        result = run_search(cfg)
         assert [r[0] for r in result.rows] == list(cfg.patients) + ["ALL"]
         for row in result.rows:
             pid, g_sims, g_haz, g_rate, s_sims, s_haz, s_rate, ratio = row
@@ -305,8 +305,7 @@ class TestSearchExperiment:
 
     def test_deterministic_rows(self, cfg):
         from repro.experiments import run_search
-        fast = dataclasses.replace(cfg, batch_size=32)
-        assert run_search(fast).rows == run_search(fast).rows
+        assert run_search(cfg).rows == run_search(cfg).rows
 
 
 class TestDiscussion:

@@ -1,5 +1,7 @@
 """Tests for dataset builders and the ML monitor wrappers."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from repro.ml import (
     point_labels,
     trace_features,
     train_dt_monitor,
+    train_lstm_monitor,
 )
+from repro.simulation import replay_monitor
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +156,26 @@ class TestMonitors:
         monitor.observe(ctx)
         monitor.reset()
         assert len(monitor._buffer) == 0
+
+
+class TestInferenceMemory:
+    def test_trained_lstm_clone_is_small_and_replays_identically(
+            self, small_traces):
+        """A fitted model keeps no training activations, so a per-user
+        clone pickles to its parameters (a few hundred KB per LSTM layer)
+        and still replays exactly like the trained original."""
+        monitor = train_lstm_monitor(small_traces, max_epochs=2)
+        clone = monitor.clone()
+        payload = pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(payload) < 4 * 1024 * 1024
+        restored = pickle.loads(payload)
+        for trace in small_traces[:4]:
+            alerts, hazards = replay_monitor(monitor, trace)
+            for copy in (clone, restored):
+                copy_alerts, copy_hazards = replay_monitor(copy, trace)
+                assert np.array_equal(copy_alerts, alerts)
+                assert np.array_equal(copy_hazards, hazards)
+        # inference leaves nothing behind either
+        assert len(pickle.dumps(monitor.clone(),
+                                protocol=pickle.HIGHEST_PROTOCOL)) \
+            < 4 * 1024 * 1024

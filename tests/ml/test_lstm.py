@@ -27,7 +27,7 @@ class TestLSTMLayer:
         def loss():
             return np.sum(layer.forward(x) * upstream)
 
-        layer.forward(x)
+        layer.forward(x, training=True)
         layer.backward(upstream)
         h = 1e-6
         for param, grad, idx in [
@@ -49,7 +49,7 @@ class TestLSTMLayer:
         layer = LSTMLayer(2, 3, rng=rng)
         x = rng.normal(size=(1, 3, 2))
         upstream = rng.normal(size=(1, 3, 3))
-        layer.forward(x)
+        layer.forward(x, training=True)
         grad_x = layer.backward(upstream)
         h = 1e-6
         x2 = x.copy()
@@ -59,6 +59,15 @@ class TestLSTMLayer:
         minus = np.sum(layer.forward(x2) * upstream)
         numeric = (plus - minus) / (2 * h)
         assert grad_x[0, 1, 0] == pytest.approx(numeric, rel=1e-4)
+
+    def test_backward_after_inference_forward_raises(self):
+        layer = LSTMLayer(2, 3, rng=np.random.default_rng(0))
+        x = np.zeros((1, 4, 2))
+        with pytest.raises(RuntimeError, match="training=True"):
+            layer.backward(np.zeros_like(layer.forward(x)))
+        layer.forward(x, training=True)
+        layer.forward(x)  # an inference forward drops the BPTT cache
+        assert layer._cache is None
 
     def test_forget_bias_initialised_to_one(self):
         layer = LSTMLayer(2, 4)

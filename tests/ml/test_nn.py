@@ -25,7 +25,7 @@ class TestLayers:
         rng = np.random.default_rng(0)
         layer = Dense(3, 2, rng=rng)
         x = rng.normal(size=(4, 3))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         upstream = rng.normal(size=out.shape)
         grad_x = layer.backward(upstream)
         h = 1e-6
@@ -50,9 +50,20 @@ class TestLayers:
     def test_relu(self):
         layer = ReLU()
         x = np.array([[-1.0, 2.0]])
-        np.testing.assert_array_equal(layer.forward(x), [[0.0, 2.0]])
+        np.testing.assert_array_equal(layer.forward(x, training=True),
+                                      [[0.0, 2.0]])
         np.testing.assert_array_equal(layer.backward(np.ones((1, 2))),
                                       [[0.0, 1.0]])
+
+    def test_backward_after_inference_forward_raises(self):
+        """Only a training forward keeps backward state."""
+        x = np.ones((2, 3))
+        for layer in (Dense(3, 2, rng=np.random.default_rng(0)), ReLU()):
+            out = layer.forward(x, training=True)
+            layer.backward(np.ones_like(out))
+            out = layer.forward(x)
+            with pytest.raises(RuntimeError, match="training=True"):
+                layer.backward(np.ones_like(out))
 
     def test_dropout_off_at_inference(self):
         layer = Dropout(0.5, rng=np.random.default_rng(0))

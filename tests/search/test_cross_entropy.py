@@ -3,14 +3,15 @@
 The determinism suite is the search-layer counterpart of the executor
 parity tests: one reference run, then identical ``SearchResult`` contents
 (elite sets, proposal trajectory, findings, element-wise identical
-traces) for every ``batch_size`` x ``workers`` combination.
+traces) for every ``LOCKSTEP_WIDTH`` x ``workers`` combination.
 """
 
 import numpy as np
 import pytest
 
+import repro.parallel
 from repro.search import CrossEntropySearch, ScenarioSpace
-from tests.conftest import _assert_traces_equal
+from tests.conftest import LOCKSTEP_WIDTHS, _assert_traces_equal
 
 #: small-but-real search budget shared by this module's fixtures
 N_STEPS = 60
@@ -29,8 +30,11 @@ def _search(**overrides):
 
 @pytest.fixture(scope="module")
 def reference_result():
-    """The serial scalar-path run every other configuration must match."""
-    return _search(workers=1, batch_size=1).run(seed=SEED)
+    """The serial one-row-batch run every other configuration must
+    match."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.parallel, "LOCKSTEP_WIDTH", 1)
+        return _search(workers=1).run(seed=SEED)
 
 
 def _assert_results_identical(a, b):
@@ -58,20 +62,23 @@ def _assert_results_identical(a, b):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("batch_size", [1, 8, 32])
+    # 8 divides the population exactly; the shared widths leave ragged
+    # final batches
+    @pytest.mark.parametrize("width", sorted(LOCKSTEP_WIDTHS + (8,)))
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bit_identical_across_executors(self, reference_result,
-                                            workers, batch_size):
-        result = _search(workers=workers,
-                         batch_size=batch_size).run(seed=SEED)
+                                            workers, width,
+                                            set_lockstep_width):
+        set_lockstep_width(width)
+        result = _search(workers=workers).run(seed=SEED)
         _assert_results_identical(reference_result, result)
 
     def test_same_seed_same_result(self, reference_result):
-        again = _search(workers=1, batch_size=1).run(seed=SEED)
+        again = _search(workers=1).run(seed=SEED)
         _assert_results_identical(reference_result, again)
 
     def test_different_seed_different_population(self, reference_result):
-        other = _search(workers=1, batch_size=32).run(seed=SEED + 1)
+        other = _search(workers=1).run(seed=SEED + 1)
         ref_labels = {f.label for f in reference_result.findings}
         other_labels = {f.label for f in other.findings}
         assert ref_labels != other_labels
@@ -96,8 +103,7 @@ class TestSearchBehaviour:
             f.score.score for f in reference_result.findings)
 
     def test_traces_dropped_by_default(self):
-        result = _search(keep_traces=False, batch_size=32,
-                         iterations=1).run(seed=SEED)
+        result = _search(keep_traces=False, iterations=1).run(seed=SEED)
         assert all(f.trace is None for f in result.findings)
 
     def test_summary_mentions_counts_and_stop_reason(self, reference_result):
@@ -106,14 +112,13 @@ class TestSearchBehaviour:
         assert reference_result.stop_reason in text
 
     def test_target_hazards_stops_early(self):
-        result = _search(batch_size=32, iterations=6,
-                         target_hazards=1).run(seed=SEED)
+        result = _search(iterations=6, target_hazards=1).run(seed=SEED)
         assert result.stop_reason == "hazard target reached"
         assert result.n_hazardous >= 1
         assert len(result.iterations) < 6
 
     def test_simulation_budget_caps_total(self):
-        result = _search(batch_size=32, iterations=6,
+        result = _search(iterations=6,
                          max_simulations=POPULATION + 4).run(seed=SEED)
         assert result.stop_reason == "simulation budget"
         assert result.n_simulations <= POPULATION + 4

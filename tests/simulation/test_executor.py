@@ -23,6 +23,7 @@ from repro.simulation import (
     ProfileCache,
     SerialExecutor,
     SimRun,
+    TraceSink,
     get_executor,
     plan_campaign,
     plan_fault_free,
@@ -30,6 +31,7 @@ from repro.simulation import (
     run_fault_free,
     shard_plan,
 )
+from tests.conftest import LOCKSTEP_WIDTHS
 
 
 def small_campaign(n=6):
@@ -144,14 +146,18 @@ class TestRunMeals:
         # carbs raise glucose relative to the meal-free run
         assert early.true_bg[10:].max() > base.true_bg[10:].max()
 
-    def test_meal_parity_across_executors(self, assert_traces_equal):
+    def test_meal_parity_across_executors(self, assert_traces_equal,
+                                          reference_traces,
+                                          set_lockstep_width):
         plan = self.meal_plan()
-        scalar = SerialExecutor(batch_size=1).run(plan)
-        vector = SerialExecutor(batch_size=8).run(plan)
-        parallel = ParallelExecutor(workers=2, batch_size=2).run(plan)
-        for s, v, p in zip(scalar, vector, parallel):
-            assert_traces_equal(s, v)
-            assert_traces_equal(s, p)
+        reference = reference_traces(plan)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            serial = SerialExecutor().run(plan)
+            parallel = ParallelExecutor(workers=2).run(plan)
+            for s, v, p in zip(reference, serial, parallel):
+                assert_traces_equal(s, v)
+                assert_traces_equal(s, p)
 
 
 class TestSinks:
@@ -191,6 +197,35 @@ class TestSinks:
                      sink=NpzDirectorySink(str(tmp_path)))
         with pytest.raises(FileExistsError, match="intermix"):
             NpzDirectorySink(str(tmp_path))
+
+    def test_serial_sink_streams_one_batch_at_a_time(self, monkeypatch,
+                                                     set_lockstep_width):
+        """With a sink, SerialExecutor simulates LOCKSTEP_WIDTH rows at a
+        time and hands each batch over before simulating the next, in plan
+        order — a streamed campaign holds one batch, not the plan."""
+        import repro.simulation.vector as vector
+        batches = []
+        run_batch = vector.run_batch
+
+        def counting_run_batch(platform, runs, *args, **kwargs):
+            batches.append(len(runs))
+            return run_batch(platform, runs, *args, **kwargs)
+
+        monkeypatch.setattr(vector, "run_batch", counting_run_batch)
+        written = []
+
+        class SpySink(TraceSink):
+            def write(self, trace):
+                written.append((len(batches), trace.patient_id, trace.label))
+
+        plan = plan_campaign("glucosym", ["A", "B"], small_campaign(6),
+                             n_steps=20)
+        set_lockstep_width(5)
+        SerialExecutor().run(plan, sink=SpySink())
+        assert batches == [5, 5, 2]
+        assert [n for n, _, _ in written] == [1] * 5 + [2] * 5 + [3] * 2
+        assert [(pid, label) for _, pid, label in written] == [
+            (run.patient_id, run.label) for run in plan.runs]
 
     def test_slow_sink_parallel_order_preserved(self, assert_traces_equal):
         """A consumer slower than the workers still sees plan order (the

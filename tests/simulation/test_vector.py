@@ -1,8 +1,8 @@
 """Tests for the lock-step vectorized simulation engine.
 
-The acceptance property is exact parity: for any batch composition, batch
-size and worker count, the vectorized engine must produce traces
-element-wise identical to the scalar closed loop (the shared
+The acceptance property is exact parity: for any batch composition,
+``LOCKSTEP_WIDTH`` and worker count, the engine must produce traces
+element-wise identical to the single-run closed loop (the shared
 ``assert_traces_equal`` fixture asserts every array channel and all
 metadata).
 """
@@ -14,11 +14,12 @@ from repro.controllers.iob import InsulinActivityCurve, IOBCalculator
 from repro.fi import (CampaignConfig, FaultKind, FaultSpec, FaultTarget,
                       generate_campaign)
 from repro.patients import Meal
-from repro.simulation import (ParallelExecutor, Scenario, SerialExecutor,
-                              get_executor, make_loop, plan_campaign,
-                              plan_fault_free, run_batch, run_campaign,
-                              run_fault_free)
+from repro.simulation import (CampaignPlan, ParallelExecutor, Scenario,
+                              SerialExecutor, get_executor, make_loop,
+                              plan_campaign, plan_fault_free, run_batch,
+                              run_campaign, run_fault_free)
 from repro.simulation.executor import SimRun
+from tests.conftest import LOCKSTEP_WIDTHS
 
 
 def small_campaign(n=8):
@@ -42,79 +43,97 @@ def scalar_reference(platform, runs, n_steps, meals=()):
 
 
 class TestCampaignParity:
-    """run_campaign(batch_size=...) must be invisible in the output."""
+    """The lock-step width must be invisible in the output: executor
+    traces equal the single-run ``make_loop(...).run`` at every width."""
 
     @pytest.mark.parametrize("platform,patients", [
         ("glucosym", ["A", "B"]),
         ("t1ds2013", ["P01", "P02"]),
     ])
     def test_serial_vs_vector_both_platforms(self, platform, patients,
-                                             assert_traces_equal):
+                                             assert_traces_equal,
+                                             reference_traces,
+                                             set_lockstep_width):
         scenarios = small_campaign(6)
-        serial = run_campaign(platform, patients, scenarios, n_steps=30)
-        vector = run_campaign(platform, patients, scenarios, n_steps=30,
-                              batch_size=8)
-        assert len(serial) == len(vector) == 12
-        for s, v in zip(serial, vector):
-            assert_traces_equal(s, v)
-
-    def test_any_batch_size_identical(self, assert_traces_equal):
-        scenarios = small_campaign(7)  # deliberately awkward sizes
-        reference = run_campaign("glucosym", ["A"], scenarios, n_steps=25)
-        for batch_size in (2, 3, 7, 50):  # ragged, exact, oversized
-            vector = run_campaign("glucosym", ["A"], scenarios, n_steps=25,
-                                  batch_size=batch_size)
+        reference = reference_traces(plan_campaign(platform, patients,
+                                                   scenarios, n_steps=30))
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            vector = run_campaign(platform, patients, scenarios, n_steps=30)
+            assert len(reference) == len(vector) == 12
             for s, v in zip(reference, vector):
                 assert_traces_equal(s, v)
 
-    def test_batch_times_workers(self, assert_traces_equal):
-        """batch_size and workers compose without changing one bit."""
+    def test_any_batch_size_identical(self, assert_traces_equal,
+                                      reference_traces, set_lockstep_width):
+        scenarios = small_campaign(7)  # deliberately awkward sizes
+        reference = reference_traces(plan_campaign("glucosym", ["A"],
+                                                   scenarios, n_steps=25))
+        for width in (2, 3, 7, 50):  # ragged, exact, oversized
+            set_lockstep_width(width)
+            vector = run_campaign("glucosym", ["A"], scenarios, n_steps=25)
+            for s, v in zip(reference, vector):
+                assert_traces_equal(s, v)
+
+    def test_batch_times_workers(self, assert_traces_equal, reference_traces,
+                                 set_lockstep_width):
+        """The width and workers compose without changing one bit."""
         scenarios = small_campaign(8)
         plan = plan_campaign("glucosym", ["A", "B"], scenarios, n_steps=25)
-        reference = SerialExecutor().run(plan)
-        combo = ParallelExecutor(workers=2, chunks_per_worker=2,
-                                 batch_size=3).run(plan)
-        assert len(combo) == len(reference)
-        for s, v in zip(reference, combo):
-            assert_traces_equal(s, v)
+        reference = reference_traces(plan)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            combo = ParallelExecutor(workers=2, chunks_per_worker=2).run(plan)
+            assert len(combo) == len(reference)
+            for s, v in zip(reference, combo):
+                assert_traces_equal(s, v)
 
-    def test_non_default_dt_threads_through_plan(self, assert_traces_equal):
-        """CampaignPlan.dt reaches both the scalar and vector chunk paths."""
+    def test_non_default_dt_threads_through_plan(self, assert_traces_equal,
+                                                 reference_traces):
+        """CampaignPlan.dt reaches both the reference loop and the engine."""
         scenarios = small_campaign(3)
         plan = plan_campaign("glucosym", ["A"], scenarios, n_steps=25,
                              dt=10.0)
-        scalar = SerialExecutor().run(plan)
-        vector = SerialExecutor(batch_size=4).run(plan)
-        assert scalar[0].dt == vector[0].dt == 10.0
-        for s, v in zip(scalar, vector):
+        reference = reference_traces(plan)
+        vector = SerialExecutor().run(plan)
+        assert reference[0].dt == vector[0].dt == 10.0
+        for s, v in zip(reference, vector):
             assert_traces_equal(s, v)
 
-    def test_fault_free_vectorized(self, assert_traces_equal):
-        serial = run_fault_free("glucosym", ["A", "B"], (90.0, 120.0, 180.0),
-                                n_steps=30, cache=None)
-        vector = run_fault_free("glucosym", ["A", "B"], (90.0, 120.0, 180.0),
-                                n_steps=30, cache=None, batch_size=4)
-        for s, v in zip(serial, vector):
-            assert_traces_equal(s, v)
+    def test_fault_free_vectorized(self, assert_traces_equal,
+                                   reference_traces, set_lockstep_width):
+        reference = reference_traces(plan_fault_free(
+            "glucosym", ["A", "B"], (90.0, 120.0, 180.0), n_steps=30))
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            vector = run_fault_free("glucosym", ["A", "B"],
+                                    (90.0, 120.0, 180.0), n_steps=30,
+                                    cache=None)
+            for s, v in zip(reference, vector):
+                assert_traces_equal(s, v)
 
-    def test_monitored_campaign_batches_exactly(self, assert_traces_equal):
-        """Monitored runs batch through the vector engine (no scalar
-        fallback since the mitigation vectorization): the batched traces
-        equal the scalar monitored run in every field, and the dynamics
-        match the monitor-less ones (a monitor alone never perturbs)."""
+    def test_monitored_campaign_batches_exactly(self, assert_traces_equal,
+                                                reference_traces,
+                                                set_lockstep_width):
+        """Monitored runs batch through the lock-step engine: the batched
+        traces equal the single-run monitored loop in every field, and the
+        dynamics match the monitor-less ones (a monitor alone never
+        perturbs)."""
         from repro.core import cawot_monitor
         scenarios = small_campaign(2)
-        serial = run_campaign("glucosym", ["A"], scenarios, n_steps=25,
-                              monitor_factory=lambda pid: cawot_monitor())
-        monitored = run_campaign("glucosym", ["A"], scenarios, n_steps=25,
-                                 monitor_factory=lambda pid: cawot_monitor(),
-                                 batch_size=8)
-        plain = run_campaign("glucosym", ["A"], scenarios, n_steps=25,
-                             batch_size=8)
-        for s, m, p in zip(serial, monitored, plain):
-            assert_traces_equal(s, m)
-            assert np.array_equal(m.true_bg, p.true_bg)
-            assert m.alert.dtype == np.bool_
+        factory = lambda pid: cawot_monitor()  # noqa: E731
+        reference = reference_traces(
+            plan_campaign("glucosym", ["A"], scenarios, n_steps=25),
+            monitor_factory=factory)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            monitored = run_campaign("glucosym", ["A"], scenarios,
+                                     n_steps=25, monitor_factory=factory)
+            plain = run_campaign("glucosym", ["A"], scenarios, n_steps=25)
+            for s, m, p in zip(reference, monitored, plain):
+                assert_traces_equal(s, m)
+                assert np.array_equal(m.true_bg, p.true_bg)
+                assert m.alert.dtype == np.bool_
 
 
 class TestFaultKindCoverage:
@@ -131,7 +150,7 @@ class TestFaultKindCoverage:
 
     @pytest.mark.parametrize("start,duration", [(0, 10), (5, 8), (20, 30)])
     def test_all_kinds_all_targets(self, start, duration,
-                                   assert_traces_equal):
+                                   assert_traces_equal, set_lockstep_width):
         grid = []
         for kind in FaultKind:
             for target in FaultTarget:
@@ -140,10 +159,13 @@ class TestFaultKindCoverage:
                 grid.append((kind, target, value))
         runs = self._runs(grid, start, duration)
         reference = scalar_reference("glucosym", runs, 30)
-        vector = run_batch("glucosym", runs, n_steps=30)
-        assert len(vector) == len(FaultKind) * len(FaultTarget)
-        for s, v in zip(reference, vector):
-            assert_traces_equal(s, v)
+        plan = CampaignPlan(platform="glucosym", runs=tuple(runs), n_steps=30)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            vector = SerialExecutor().run(plan)
+            assert len(vector) == len(FaultKind) * len(FaultTarget)
+            for s, v in zip(reference, vector):
+                assert_traces_equal(s, v)
 
     def test_bolus_faults_on_basal_bolus_platform(self, assert_traces_equal):
         """BOLUS-target faults only matter where boluses exist (t1ds2013)."""
@@ -191,9 +213,9 @@ class TestBatchComposition:
         assert run_batch("glucosym", [], n_steps=25) == []
 
     def test_empty_scenario_list_campaign(self):
-        assert run_campaign("glucosym", ["A"], [], batch_size=8) == []
+        assert run_campaign("glucosym", ["A"], []) == []
         plan = plan_fault_free("glucosym", [], (), n_steps=25)
-        assert SerialExecutor(batch_size=4).run(plan) == []
+        assert SerialExecutor().run(plan) == []
 
     def test_unknown_platform_rejected(self):
         with pytest.raises(KeyError):
@@ -234,34 +256,48 @@ class TestBatchComposition:
 
 
 class TestExecutorKnobs:
-    def test_get_executor_batch_size(self):
-        executor = get_executor(1, 16)
-        assert isinstance(executor, SerialExecutor)
-        assert executor.batch_size == 16
-        executor = get_executor(4, 16)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.batch_size == 16
+    def test_get_executor_batch_size(self, set_lockstep_width):
+        """Executors batch at LOCKSTEP_WIDTH, read at call time; no
+        executor takes a width of its own."""
+        assert isinstance(get_executor(1), SerialExecutor)
+        assert isinstance(get_executor(4), ParallelExecutor)
+        with pytest.raises(TypeError):
+            get_executor(1, 16)
+        with pytest.raises(TypeError):
+            SerialExecutor(batch_size=16)
+        plan = plan_fault_free("glucosym", ["A"], (90.0, 120.0, 150.0),
+                               n_steps=10)
+        executor = SerialExecutor()
+        set_lockstep_width(2)
+        assert [len(c) for c in executor.map_chunks(plan, None, None)] \
+            == [2, 1]
+        set_lockstep_width(16)
+        assert [len(c) for c in executor.map_chunks(plan, None, None)] \
+            == [3]
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "9")
-        assert get_executor(1).batch_size == 9
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        executor = get_executor()
+        assert isinstance(executor, ParallelExecutor)
+        assert executor.workers == 3
+        monkeypatch.delenv("REPRO_WORKERS")
+        assert isinstance(get_executor(), SerialExecutor)
 
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            get_executor(1, 0)
-        with pytest.raises(ValueError):
-            SerialExecutor(batch_size=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(workers=2, batch_size=-1)
+    def test_invalid_batch_size(self, set_lockstep_width):
+        plan = plan_fault_free("glucosym", ["A"], (120.0,), n_steps=10)
+        set_lockstep_width(0)
+        with pytest.raises(ValueError, match="LOCKSTEP_WIDTH"):
+            SerialExecutor().run(plan)
+        with pytest.raises(ValueError, match="LOCKSTEP_WIDTH"):
+            run_campaign("glucosym", ["A"], small_campaign(1), n_steps=10)
 
-    def test_experiment_config_carries_batch_size(self):
+    def test_experiment_config_has_no_width_knob(self):
         from repro.experiments import ExperimentConfig
-        config = ExperimentConfig.preset("smoke", batch_size=32)
-        assert config.batch_size == 32
-        # parity-invariant knobs must not change the simulation cache key
-        assert config.cache_key() == ExperimentConfig.preset("smoke").cache_key()
-        with pytest.raises(ValueError):
-            ExperimentConfig(batch_size=0)
+        with pytest.raises(TypeError):
+            ExperimentConfig.preset("smoke", batch_size=32)
+        with pytest.raises(TypeError):
+            ExperimentConfig(batch_size=32)
+        assert not hasattr(ExperimentConfig.preset("smoke"), "batch_size")
 
 
 class TestVectorizedIOB:

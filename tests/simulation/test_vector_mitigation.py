@@ -1,11 +1,11 @@
 """Parity and edge-case tests for lock-step mitigated closed-loop runs.
 
 The acceptance property mirrors the plain vector suite: a mitigated
-campaign with any ``batch_size`` must be element-wise bit-identical to the
-scalar :class:`~repro.simulation.loop.ClosedLoop` — for both mitigator
-families, on both patient platforms, across every fault kind — including
-the feedback the correction injects into later cycles (IOB, glucose, the
-controller's own state).
+campaign at any ``LOCKSTEP_WIDTH`` must be element-wise bit-identical to
+the single-run :class:`~repro.simulation.loop.ClosedLoop` — for all three
+mitigator families, on both patient platforms, across every fault kind —
+including the feedback the correction injects into later cycles (IOB,
+glucose, the controller's own state).
 """
 
 import numpy as np
@@ -16,17 +16,21 @@ from repro.controllers import ControlAction
 from repro.core import (FixedMitigator, Mitigator, MonitorVerdict, NO_ALERT,
                         PredictiveMitigator, ProportionalMitigator,
                         SafetyMonitor, cawot_monitor)
-from repro.fi import (CampaignConfig, FaultInjector, FaultKind, FaultSpec,
-                      FaultTarget, generate_campaign)
+from repro.fi import (CampaignConfig, FaultKind, FaultSpec, FaultTarget,
+                      generate_campaign)
 from repro.hazards import HazardType
-from repro.simulation import Scenario, make_loop, run_batch, run_campaign
+from repro.simulation import (CampaignPlan, SerialExecutor, plan_campaign,
+                              run_batch, run_campaign)
 from repro.simulation.executor import SimRun
 from repro.simulation.features import ContextBatch
+from tests.conftest import LOCKSTEP_WIDTHS
 
 
 # the two benchmarked strategy families: Algorithm 1 (fixed H2 dose) and
 # the KnowSafe-style rule+prediction strategy
 FAMILIES = [FixedMitigator, PredictiveMitigator]
+#: every built-in family, for the acceptance grid
+ALL_FAMILIES = FAMILIES + [ProportionalMitigator]
 
 
 def small_campaign(n=6):
@@ -36,21 +40,25 @@ def small_campaign(n=6):
     return scenarios[:n]
 
 
-def scalar_reference(platform, runs, n_steps, monitor_factory, mitigator):
-    """The scalar chunk-runner semantics: one loop per patient, monitor
-    from the factory, the shared mitigator reset per run."""
-    traces = []
-    loops = {}
-    for run in runs:
-        if run.patient_id not in loops:
-            loops[run.patient_id] = make_loop(
-                platform, run.patient_id,
-                monitor=monitor_factory(run.patient_id), mitigator=mitigator)
-        loop = loops[run.patient_id]
-        loop.injector = FaultInjector(run.fault) if run.fault else None
-        traces.append(loop.run(Scenario(init_glucose=run.init_glucose,
-                                        n_steps=n_steps, label=run.label)))
-    return traces
+@pytest.fixture
+def parity(reference_traces, set_lockstep_width, assert_traces_equal):
+    """``parity(platform, patients, scenarios, n_steps=..., **kwargs)``
+    asserts run_campaign equals the single-run reference at every width
+    and returns the reference traces."""
+    def check(platform, patients, scenarios, n_steps, widths=LOCKSTEP_WIDTHS,
+              workers=None, **kwargs):
+        reference = reference_traces(
+            plan_campaign(platform, patients, scenarios, n_steps=n_steps),
+            **kwargs)
+        for width in widths:
+            set_lockstep_width(width)
+            vector = run_campaign(platform, patients, scenarios,
+                                  n_steps=n_steps, workers=workers, **kwargs)
+            assert len(vector) == len(reference)
+            for s, v in zip(reference, vector):
+                assert_traces_equal(s, v)
+        return reference
+    return check
 
 
 class CountingMitigator(Mitigator):
@@ -100,27 +108,25 @@ class TestMitigatedCampaignParity:
     ])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_both_platforms_both_families(self, platform, patients, family,
-                                          assert_traces_equal):
-        scenarios = small_campaign(6)
-        kwargs = dict(monitor_factory=lambda pid: cawot_monitor(),
-                      mitigator=family(), n_steps=30)
-        serial = run_campaign(platform, patients, scenarios, **kwargs)
-        vector = run_campaign(platform, patients, scenarios, batch_size=8,
-                              **kwargs)
-        assert len(serial) == len(vector) == 12
-        assert any(t.mitigated.any() for t in serial)
-        for s, v in zip(serial, vector):
-            assert_traces_equal(s, v)
+                                          parity):
+        reference = parity(platform, patients, small_campaign(6),
+                           monitor_factory=lambda pid: cawot_monitor(),
+                           mitigator=family(), n_steps=30)
+        assert len(reference) == 12
+        assert any(t.mitigated.any() for t in reference)
 
     @pytest.mark.parametrize("platform,pid,init", [
         ("glucosym", "A", 170.0),
         ("t1ds2013", "P01", 190.0),
     ])
-    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("family", ALL_FAMILIES + [None])
     def test_all_fault_kinds_all_targets(self, platform, pid, init, family,
-                                         assert_traces_equal):
-        """Every manipulation type on every target, mitigated, stays
-        exact — the mitigation acceptance grid."""
+                                         assert_traces_equal,
+                                         reference_traces,
+                                         set_lockstep_width):
+        """Every manipulation type on every target, monitored (family
+        None) or mitigated, stays exact at every width — the mitigation
+        acceptance grid."""
         runs = []
         for kind in FaultKind:
             for target in FaultTarget:
@@ -130,94 +136,72 @@ class TestMitigatedCampaignParity:
                                   duration_steps=12, value=value)
                 runs.append(SimRun(patient_id=pid, init_glucose=init,
                                    label=fault.label, fault=fault))
-        factory = lambda _pid: cawot_monitor()
-        mitigator = family()
-        reference = scalar_reference(platform, runs, 30, factory, mitigator)
-        vector = run_batch(platform, runs, n_steps=30,
-                           monitor_factory=factory, mitigator=mitigator)
-        assert len(vector) == len(FaultKind) * len(FaultTarget)
-        assert any(t.mitigated.any() for t in reference)
-        for s, v in zip(reference, vector):
-            assert_traces_equal(s, v)
-
-    def test_proportional_family_and_ragged_batches(self,
-                                                    assert_traces_equal):
-        scenarios = small_campaign(7)
-        kwargs = dict(monitor_factory=lambda pid: cawot_monitor(),
-                      mitigator=ProportionalMitigator(), n_steps=30)
-        reference = run_campaign("glucosym", ["A"], scenarios, **kwargs)
-        for batch_size in (2, 3, 7, 50):
-            vector = run_campaign("glucosym", ["A"], scenarios,
-                                  batch_size=batch_size, **kwargs)
+        plan = CampaignPlan(platform=platform, runs=tuple(runs), n_steps=30)
+        factory = lambda _pid: cawot_monitor()  # noqa: E731
+        mitigator = family() if family is not None else None
+        reference = reference_traces(plan, monitor_factory=factory,
+                                     mitigator=mitigator)
+        assert any(t.alert.any() for t in reference)
+        assert any(t.mitigated.any() for t in reference) \
+            == (mitigator is not None)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            vector = SerialExecutor().run(plan, monitor_factory=factory,
+                                          mitigator=mitigator)
+            assert len(vector) == len(FaultKind) * len(FaultTarget)
             for s, v in zip(reference, vector):
                 assert_traces_equal(s, v)
 
-    def test_batch_times_workers(self, assert_traces_equal):
-        """workers and batch_size compose on mitigated campaigns too."""
-        scenarios = small_campaign(6)
-        kwargs = dict(monitor_factory=lambda pid: cawot_monitor(),
-                      mitigator=FixedMitigator(), n_steps=25)
-        reference = run_campaign("glucosym", ["A", "B"], scenarios, **kwargs)
-        combo = run_campaign("glucosym", ["A", "B"], scenarios, workers=2,
-                             batch_size=3, **kwargs)
-        assert len(combo) == len(reference)
-        for s, v in zip(reference, combo):
-            assert_traces_equal(s, v)
+    def test_proportional_family_and_ragged_batches(self, parity):
+        parity("glucosym", ["A"], small_campaign(7),
+               widths=(2, 3, 7, 50),
+               monitor_factory=lambda pid: cawot_monitor(),
+               mitigator=ProportionalMitigator(), n_steps=30)
 
-    def test_stateful_monitor_rows_clone_exactly(self, assert_traces_equal):
+    def test_batch_times_workers(self, parity):
+        """workers and the width compose on mitigated campaigns too."""
+        parity("glucosym", ["A", "B"], small_campaign(6), workers=2,
+               monitor_factory=lambda pid: cawot_monitor(),
+               mitigator=FixedMitigator(), n_steps=25)
+
+    def test_stateful_monitor_rows_clone_exactly(self, parity):
         """Stateful monitors (no vectorized tick path) drive per-row
         clones; excursion timers must not leak across rows."""
-        scenarios = small_campaign(5)
-        kwargs = dict(monitor_factory=lambda pid: GuidelineMonitor(),
-                      mitigator=FixedMitigator(), n_steps=35)
-        serial = run_campaign("glucosym", ["A", "B"], scenarios, **kwargs)
-        vector = run_campaign("glucosym", ["A", "B"], scenarios,
-                              batch_size=4, **kwargs)
-        assert any(t.mitigated.any() for t in serial)
-        for s, v in zip(serial, vector):
-            assert_traces_equal(s, v)
+        reference = parity("glucosym", ["A", "B"], small_campaign(5),
+                           monitor_factory=lambda pid: GuidelineMonitor(),
+                           mitigator=FixedMitigator(), n_steps=35)
+        assert any(t.mitigated.any() for t in reference)
 
-    def test_monitor_without_mitigator(self, assert_traces_equal):
+    def test_monitor_without_mitigator(self, parity):
         """Alert channels are recorded and the command passes through."""
-        scenarios = small_campaign(4)
-        kwargs = dict(monitor_factory=lambda pid: cawot_monitor(), n_steps=30)
-        serial = run_campaign("glucosym", ["A"], scenarios, **kwargs)
-        vector = run_campaign("glucosym", ["A"], scenarios, batch_size=4,
-                              **kwargs)
-        assert any(t.alert.any() for t in serial)
-        assert not any(t.mitigated.any() for t in serial)
-        for s, v in zip(serial, vector):
-            assert_traces_equal(s, v)
-            assert np.array_equal(v.final_rate, v.cmd_rate)
+        reference = parity("glucosym", ["A"], small_campaign(4),
+                           monitor_factory=lambda pid: cawot_monitor(),
+                           n_steps=30)
+        assert any(t.alert.any() for t in reference)
+        assert not any(t.mitigated.any() for t in reference)
+        for t in reference:
+            assert np.array_equal(t.final_rate, t.cmd_rate)
 
     def test_mitigator_without_monitor_never_fires(self, assert_traces_equal):
-        """The scalar loop's NO_ALERT semantics: no monitor, no correction."""
+        """The reference loop's NO_ALERT semantics: no monitor, no
+        correction."""
         scenarios = small_campaign(3)
-        plain = run_campaign("glucosym", ["A"], scenarios, n_steps=25,
-                             batch_size=4)
+        plain = run_campaign("glucosym", ["A"], scenarios, n_steps=25)
         with_mit = run_campaign("glucosym", ["A"], scenarios, n_steps=25,
-                                batch_size=4, mitigator=FixedMitigator())
+                                mitigator=FixedMitigator())
         for s, v in zip(plain, with_mit):
             assert_traces_equal(s, v)
 
 
 class TestMitigatorEdgeCases:
-    def test_custom_mitigator_column_loop_fallback(self, assert_traces_equal):
+    def test_custom_mitigator_column_loop_fallback(self, parity):
         """A strategy without correct_mask runs per-row scalar clones —
-        bit-identical to the scalar loop (mirrors the custom-monitor
+        bit-identical to the reference loop (mirrors the custom-monitor
         fallback test of the replay suite)."""
-        scenarios = small_campaign(6)
-        factory = lambda pid: cawot_monitor()
-        serial = run_campaign("glucosym", ["A", "B"], scenarios, n_steps=30,
-                              monitor_factory=factory,
-                              mitigator=CountingMitigator(budget=3))
-        vector = run_campaign("glucosym", ["A", "B"], scenarios, n_steps=30,
-                              monitor_factory=factory,
-                              mitigator=CountingMitigator(budget=3),
-                              batch_size=8)
-        assert any(t.mitigated.any() for t in serial)
-        for s, v in zip(serial, vector):
-            assert_traces_equal(s, v)
+        reference = parity("glucosym", ["A", "B"], small_campaign(6),
+                           monitor_factory=lambda pid: cawot_monitor(),
+                           mitigator=CountingMitigator(budget=3), n_steps=30)
+        assert any(t.mitigated.any() for t in reference)
 
     def test_stateful_reset_isolation_across_batched_scenarios(self):
         """Identical scenarios batched together must mitigate identically:
@@ -231,19 +215,13 @@ class TestMitigatorEdgeCases:
         assert counts == [counts[0]] * 5  # no cross-row leakage
         assert 0 < counts[0] <= 2  # the budget held per row
 
-    def test_custom_stateful_monitor_with_mitigation(self,
-                                                     assert_traces_equal):
+    def test_custom_stateful_monitor_with_mitigation(self, parity):
         """Custom monitor (column clones) + built-in mitigator (columnar
         correct_mask) compose exactly."""
-        scenarios = small_campaign(4)
-        kwargs = dict(monitor_factory=lambda pid: RisingStreakMonitor(),
-                      mitigator=FixedMitigator(), n_steps=35)
-        serial = run_campaign("glucosym", ["A"], scenarios, **kwargs)
-        vector = run_campaign("glucosym", ["A"], scenarios, batch_size=4,
-                              **kwargs)
-        assert any(t.mitigated.any() for t in serial)
-        for s, v in zip(serial, vector):
-            assert_traces_equal(s, v)
+        reference = parity("glucosym", ["A"], small_campaign(4),
+                           monitor_factory=lambda pid: RisingStreakMonitor(),
+                           mitigator=FixedMitigator(), n_steps=35)
+        assert any(t.mitigated.any() for t in reference)
 
     def test_proportional_bounds(self):
         """0 <= rate <= max_rate always; H1 and non-alert rows exact."""

@@ -1,35 +1,81 @@
-"""Parity suite for batched (lock-step) monitor replay and titration.
+"""Parity suite for lock-step monitor replay, mining and titration.
 
-The contract under test is the one the vector simulation engine set:
-``batch_size`` (like ``workers``) is a wall-clock knob, never a semantics
-knob.  Batched replay must be element-wise identical to the scalar
-``replay_campaign`` loop for every monitor kind — the vectorized
+The contract under test is the one the lock-step simulation engine set:
+``LOCKSTEP_WIDTH`` (like ``workers``) changes wall-clock time, never
+semantics.  Replay must be element-wise identical to the single-trace
+reference ``replay_monitor`` for every monitor kind — the vectorized
 overrides (CAWT/CAWOT rules, DT, MLP, Guideline, MPC) and the column-loop
-fallback (LSTM, user-defined monitors) alike — across batch sizes and
-worker counts, and the batched fault-free titration must reproduce the
-scalar ``empirical_isf`` bit for bit.
+fallback (LSTM, user-defined monitors) alike — across widths and worker
+counts; mined robustness samples must equal the per-trace miner below;
+and the batched fault-free titration must reproduce the scalar
+``empirical_isf`` bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+import repro.parallel
 from repro.baselines import GuidelineMonitor, MPCMonitor
-from repro.core import (cawot_monitor, cawt_monitor, learn_thresholds,
-                        mine_rule_samples)
+from repro.core import (aps_rules, cawot_monitor, cawt_monitor,
+                        learn_thresholds, mine_rule_samples)
+from repro.core.learning import MINING_WINDOW, _trace_spans
 from repro.core.monitor import MonitorVerdict, NO_ALERT, SafetyMonitor
+from repro.core.rules import BG_TARGET
 from repro.hazards import HazardType
 from repro.ml import train_dt_monitor, train_lstm_monitor, train_mlp_monitor
 from repro.ml.datasets import trace_features
+from repro.parallel import iter_equal_length_groups
 from repro.simulation import (ContextBatch, PROFILE_CACHE, controller_profile,
-                              iter_contexts, iter_trace_batches,
-                              replay_campaign, replay_monitor,
+                              iter_contexts, replay_campaign, replay_monitor,
                               replay_monitor_batched, titrate_isf_batch,
                               warm_profiles)
 from repro.simulation.batch import empirical_isf
 from repro.patients import make_patient, patient_ids
+from tests.conftest import LOCKSTEP_WIDTHS
 
-BATCH_SIZES = (1, 7, 32)
 WORKER_COUNTS = (1, 2)
+
+
+def reference_alerts(monitor, traces):
+    """Per-trace alert flags from the single-trace reference replay."""
+    return [replay_monitor(monitor, trace)[0] for trace in traces]
+
+
+def per_trace_mine(traces, rules=None, bg_target=BG_TARGET,
+                   window=MINING_WINDOW):
+    """The per-trace miner: the oracle for lock-step mining.
+
+    Walks each trace's context stream cycle by cycle through the scalar
+    Table I semantics (:meth:`APSRule.violated` with the learnable
+    predicate switched off by an infinite threshold) and reduces the
+    eligible ``mu`` values over the trace's mining windows.  Returns
+    ``rule index -> (hazard stats, safe stats)``.
+    """
+    rules = list(rules) if rules is not None else list(aps_rules())
+    out = {rule.index: ([], []) for rule in rules}
+    for trace in traces:
+        contexts = list(iter_contexts(trace))
+        hazard_span, safe_stop = _trace_spans(trace, window)
+        for rule in rules:
+            open_threshold = math.inf if rule.direction == "lt" \
+                else -math.inf
+            mask = np.array([rule.violated(ctx, open_threshold, bg_target)
+                             for ctx in contexts])
+            mu = trace.iob if rule.mu_channel == "IOB" else trace.cgm
+            spans = []
+            if hazard_span is not None and hazard_span[2] == rule.hazard:
+                spans.append((0, hazard_span[0], hazard_span[1]))
+            if safe_stop > 0:
+                spans.append((1, 0, safe_stop))
+            for side, start, stop in spans:
+                eligible = mu[start:stop][mask[start:stop]]
+                if len(eligible):
+                    out[rule.index][side].append(float(
+                        eligible.min() if rule.direction == "lt"
+                        else eligible.max()))
+    return out
 
 
 class RisingStreakMonitor(SafetyMonitor):
@@ -75,37 +121,40 @@ def lstm_monitor(tiny_campaign_traces):
 
 class TestBatchedReplayParity:
     def test_all_monitor_kinds_all_batch_sizes_and_workers(
-            self, fast_monitors, tiny_campaign_traces):
-        serial = replay_campaign(fast_monitors, tiny_campaign_traces)
-        for batch_size in BATCH_SIZES:
+            self, fast_monitors, tiny_campaign_traces, set_lockstep_width):
+        reference = {name: reference_alerts(monitor, tiny_campaign_traces)
+                     for name, monitor in fast_monitors.items()}
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
             for workers in WORKER_COUNTS:
                 batched = replay_campaign(fast_monitors, tiny_campaign_traces,
-                                          workers=workers,
-                                          batch_size=batch_size)
+                                          workers=workers)
                 for name in fast_monitors:
                     assert len(batched[name]) == len(tiny_campaign_traces)
-                    for a, b in zip(serial[name], batched[name]):
-                        assert np.array_equal(a, b), (name, batch_size,
-                                                      workers)
+                    for a, b in zip(reference[name], batched[name]):
+                        assert np.array_equal(a, b), (name, width, workers)
 
-    def test_lstm_fallback_parity(self, lstm_monitor, tiny_campaign_traces):
+    def test_lstm_fallback_parity(self, lstm_monitor, tiny_campaign_traces,
+                                  set_lockstep_width):
         # the LSTM is stateful over sliding windows and uses the base
         # class's column-loop fallback; a trace subset keeps this fast
         traces = list(tiny_campaign_traces[:10])
-        serial = replay_campaign({"LSTM": lstm_monitor}, traces)["LSTM"]
-        for batch_size in BATCH_SIZES:
+        reference = reference_alerts(lstm_monitor, traces)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
             for workers in WORKER_COUNTS:
                 batched = replay_campaign({"LSTM": lstm_monitor}, traces,
-                                          workers=workers,
-                                          batch_size=batch_size)["LSTM"]
+                                          workers=workers)["LSTM"]
                 assert all(np.array_equal(a, b)
-                           for a, b in zip(serial, batched))
+                           for a, b in zip(reference, batched))
 
     def test_hazard_codes_match_scalar_replay(self, fast_monitors,
-                                              tiny_campaign_traces):
+                                              tiny_campaign_traces,
+                                              set_lockstep_width):
         traces = list(tiny_campaign_traces[:12])
+        set_lockstep_width(7)
         for name, monitor in fast_monitors.items():
-            batched = replay_monitor_batched(monitor, traces, batch_size=7)
+            batched = replay_monitor_batched(monitor, traces)
             assert len(batched) == len(traces)
             for trace, (alerts, hazards) in zip(traces, batched):
                 ref_alerts, ref_hazards = replay_monitor(monitor, trace)
@@ -114,50 +163,59 @@ class TestBatchedReplayParity:
 
     def test_mixed_length_stream_batches(self, fast_monitors,
                                          tiny_campaign_traces,
-                                         tiny_fault_free_traces):
+                                         tiny_fault_free_traces,
+                                         set_lockstep_width):
         # campaign (150 steps) and fault-free (60 steps) traces interleave
         # into length-homogeneous groups without reordering the stream
         mixed = (list(tiny_campaign_traces[:5]) + list(tiny_fault_free_traces)
                  + list(tiny_campaign_traces[5:9]))
-        serial = replay_campaign(fast_monitors, mixed)
-        batched = replay_campaign(fast_monitors, mixed, batch_size=4)
-        for name in fast_monitors:
-            for a, b in zip(serial[name], batched[name]):
+        set_lockstep_width(4)
+        batched = replay_campaign(fast_monitors, mixed)
+        for name, monitor in fast_monitors.items():
+            for a, b in zip(reference_alerts(monitor, mixed), batched[name]):
                 assert np.array_equal(a, b), name
 
-    def test_custom_monitor_fallback(self, tiny_campaign_traces):
+    def test_custom_monitor_fallback(self, tiny_campaign_traces,
+                                     set_lockstep_width):
         monitor = RisingStreakMonitor()
-        serial = replay_campaign({"custom": monitor}, tiny_campaign_traces)
-        for batch_size in (7, 32):
+        reference = reference_alerts(monitor, tiny_campaign_traces)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
             batched = replay_campaign({"custom": monitor},
-                                      tiny_campaign_traces,
-                                      batch_size=batch_size)
+                                      tiny_campaign_traces)
             assert all(np.array_equal(a, b) for a, b in
-                       zip(serial["custom"], batched["custom"]))
+                       zip(reference, batched["custom"]))
 
     def test_generator_input_streams(self, fast_monitors,
                                      tiny_campaign_traces):
-        serial = replay_campaign(fast_monitors, tiny_campaign_traces)
-        batched = replay_campaign(fast_monitors, iter(tiny_campaign_traces),
-                                  batch_size=16)
-        for name in fast_monitors:
+        batched = replay_campaign(fast_monitors, iter(tiny_campaign_traces))
+        for name, monitor in fast_monitors.items():
+            reference = reference_alerts(monitor, tiny_campaign_traces)
             assert all(np.array_equal(a, b) for a, b in
-                       zip(serial[name], batched[name]))
+                       zip(reference, batched[name]))
 
     def test_env_batch_size(self, monkeypatch, tiny_campaign_traces):
-        monitor = cawot_monitor()
-        serial = replay_campaign({"m": monitor}, tiny_campaign_traces)
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "16")
-        from_env = replay_campaign({"m": monitor}, tiny_campaign_traces)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(serial["m"], from_env["m"]))
+        """The retired ``REPRO_BATCH_SIZE`` variable changes nothing:
+        replay stacks LOCKSTEP_WIDTH traces whatever the environment
+        says."""
+        widths = []
+
+        class WidthSpy(RisingStreakMonitor):
+            def observe_batch(self, batch):
+                widths.append(batch.shape[1])
+                return super().observe_batch(batch)
+
+        monkeypatch.setenv("REPRO_BATCH_SIZE", "1")
+        replay_campaign({"m": WidthSpy()}, tiny_campaign_traces)
+        assert max(widths) == repro.parallel.LOCKSTEP_WIDTH
+        assert sum(widths) == len(tiny_campaign_traces)
 
 
 class TestEdgeCases:
     def test_empty_trace_stream(self, fast_monitors):
-        out = replay_campaign(fast_monitors, [], batch_size=32)
+        out = replay_campaign(fast_monitors, [])
         assert out == {name: [] for name in fast_monitors}
-        assert replay_monitor_batched(cawot_monitor(), [], batch_size=8) == []
+        assert replay_monitor_batched(cawot_monitor(), []) == []
 
     def test_single_column_batch(self, tiny_campaign_traces):
         trace = tiny_campaign_traces[0]
@@ -177,12 +235,15 @@ class TestEdgeCases:
             ContextBatch.from_traces([tiny_campaign_traces[0],
                                       tiny_fault_free_traces[0]])
 
-    def test_invalid_batch_size(self, tiny_campaign_traces):
-        with pytest.raises(ValueError, match="batch_size"):
-            replay_campaign({"m": cawot_monitor()}, tiny_campaign_traces,
-                            batch_size=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            list(iter_trace_batches(tiny_campaign_traces, 0))
+    def test_invalid_batch_size(self, tiny_campaign_traces,
+                                set_lockstep_width):
+        set_lockstep_width(0)
+        with pytest.raises(ValueError, match="LOCKSTEP_WIDTH"):
+            list(iter_equal_length_groups(tiny_campaign_traces))
+        with pytest.raises(ValueError, match="LOCKSTEP_WIDTH"):
+            replay_campaign({"m": cawot_monitor()}, tiny_campaign_traces)
+        with pytest.raises(ValueError, match="LOCKSTEP_WIDTH"):
+            mine_rule_samples(tiny_campaign_traces)
 
     def test_misshapen_observe_batch_fails_loudly(self,
                                                   tiny_campaign_traces):
@@ -194,14 +255,15 @@ class TestEdgeCases:
                 return np.zeros((1, 1), dtype=bool), np.zeros((1, 1), int)
 
         with pytest.raises(ValueError, match="verdict matrices"):
-            replay_campaign({"broken": Broken()}, tiny_campaign_traces,
-                            batch_size=8)
+            replay_campaign({"broken": Broken()}, tiny_campaign_traces)
 
-    def test_iter_trace_batches_grouping(self, tiny_campaign_traces,
-                                         tiny_fault_free_traces):
+    def test_equal_length_grouping(self, tiny_campaign_traces,
+                                   tiny_fault_free_traces,
+                                   set_lockstep_width):
         mixed = (list(tiny_campaign_traces[:3]) + list(tiny_fault_free_traces)
                  + list(tiny_campaign_traces[3:8]))
-        groups = list(iter_trace_batches(mixed, 2))
+        set_lockstep_width(2)
+        groups = list(iter_equal_length_groups(mixed))
         flat = [trace for group in groups for trace in group]
         assert [id(t) for t in flat] == [id(t) for t in mixed]
         for group in groups:
@@ -232,26 +294,30 @@ class TestContextBatch:
 
 class TestBatchedMining:
     def test_mined_samples_identical(self, tiny_campaign_traces,
-                                     tiny_fault_free_traces):
+                                     tiny_fault_free_traces,
+                                     set_lockstep_width):
         # mixed lengths exercise the group-boundary path
         traces = list(tiny_campaign_traces) + list(tiny_fault_free_traces)
-        serial = mine_rule_samples(traces)
-        for batch_size in (7, 32):
-            batched = mine_rule_samples(traces, batch_size=batch_size)
-            for a, b in zip(serial, batched):
-                assert a.rule.index == b.rule.index
-                assert np.array_equal(a.values, b.values)
-                assert np.array_equal(a.safe_values, b.safe_values)
+        oracle = per_trace_mine(traces)
+        assert any(len(hazard) for hazard, _ in oracle.values())
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            for samples in mine_rule_samples(traces):
+                hazard, safe = oracle[samples.rule.index]
+                assert np.array_equal(samples.values, hazard), width
+                assert np.array_equal(samples.safe_values, safe), width
 
     def test_thresholds_byte_identical_with_batch_and_workers(
-            self, tiny_campaign_traces, tiny_fault_free_traces):
+            self, tiny_campaign_traces, tiny_fault_free_traces,
+            set_lockstep_width):
         traces = list(tiny_campaign_traces) + list(tiny_fault_free_traces)
-        serial = learn_thresholds(traces)
-        for batch_size in (7, 32):
+        set_lockstep_width(1)
+        reference = learn_thresholds(traces)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
             for workers in WORKER_COUNTS:
-                batched = learn_thresholds(traces, batch_size=batch_size,
-                                           workers=workers)
-                assert batched.thresholds == serial.thresholds
+                batched = learn_thresholds(traces, workers=workers)
+                assert batched.thresholds == reference.thresholds
 
 
 class TestBatchedTitration:
