@@ -9,13 +9,12 @@ Three drift classes this catches on every push:
    pure-anchor links are skipped; a ``path#anchor`` link is checked for
    the file part.
 2. **Stale module references** — every backticked ``repro.*`` dotted
-   path mentioned in ``docs/architecture.md`` (the system map) and
-   ``docs/mitigation.md`` (the mitigation contract) must resolve: the
-   longest importable module prefix is imported and any remaining
-   components (a class, function or attribute, e.g.
+   path mentioned in any ``docs/*.md`` page must resolve: the longest
+   importable module prefix is imported and any remaining components (a
+   class, function or attribute, e.g.
    ``repro.simulation.features.ContextBatch``) are resolved with
    ``getattr``.  Renaming or deleting a module or public name without
-   updating the map fails the job, which is what keeps the map
+   updating the docs fails the job, which is what keeps them
    trustworthy.
 3. **Stale fallback claims** — since the mitigation vectorization,
    monitored and mitigated campaigns batch through the lock-step engine
@@ -33,16 +32,6 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: docs whose backticked ``repro.*`` dotted references must resolve
-#: (doc path, is_required) — a required doc failing to exist is itself drift
-MAPPED_DOCS = (
-    (os.path.join("docs", "architecture.md"), True),
-    (os.path.join("docs", "mitigation.md"), True),
-    (os.path.join("docs", "scenario_search.md"), True),
-    (os.path.join("docs", "monitor_service.md"), True),
-    (os.path.join("docs", "distributed_campaigns.md"), True),
-)
-
 #: markdown inline links [text](target); images share the syntax
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: backticked dotted module paths under the repro package
@@ -57,15 +46,20 @@ _STALE_FALLBACK = re.compile(r"falls?\s+back\s+to\s+the\s+scalar", re.I)
 _STALE_EXEMPT = {"CHANGES.md", "ISSUE.md"}
 
 
+def doc_pages():
+    """Every ``docs/*.md`` page, sorted."""
+    docs = os.path.join(REPO_ROOT, "docs")
+    if not os.path.isdir(docs):
+        return []
+    return [os.path.join(docs, name) for name in sorted(os.listdir(docs))
+            if name.endswith(".md")]
+
+
 def markdown_files():
     for name in sorted(os.listdir(REPO_ROOT)):
         if name.endswith(".md"):
             yield os.path.join(REPO_ROOT, name)
-    docs = os.path.join(REPO_ROOT, "docs")
-    if os.path.isdir(docs):
-        for name in sorted(os.listdir(docs)):
-            if name.endswith(".md"):
-                yield os.path.join(docs, name)
+    yield from doc_pages()
 
 
 def check_links() -> list:
@@ -110,24 +104,19 @@ def _resolve_dotted(path: str) -> None:
     raise last_error if last_error is not None else ImportError(path)
 
 
-def check_architecture_modules() -> list:
+def check_module_references() -> list:
     """Return resolution failures for every dotted `repro.*` path named by
-    the mapped docs (the architecture map and the mitigation contract)."""
+    a ``docs/*.md`` page."""
+    pages = doc_pages()
+    if not pages:
+        return ["docs/ has no markdown pages — the module-reference drift "
+                "check has nothing to verify"]
     problems = []
     n_total = 0
-    for rel, required in MAPPED_DOCS:
-        path = os.path.join(REPO_ROOT, rel)
-        if not os.path.exists(path):
-            if required:
-                problems.append(f"{rel} is missing — it is a required docs "
-                                "artifact")
-            continue
+    for path in pages:
+        rel = os.path.relpath(path, REPO_ROOT)
         with open(path, encoding="utf-8") as fh:
             references = sorted(set(_MODULE.findall(fh.read())))
-        if not references:
-            problems.append(f"{rel} names no `repro.*` modules — the "
-                            "module-import drift check has nothing to verify")
-            continue
         n_total += len(references)
         for reference in references:
             try:
@@ -135,10 +124,10 @@ def check_architecture_modules() -> list:
             except Exception as exc:  # import/getattr or anything raised
                 problems.append(f"{rel} references {reference!r} "
                                 f"which does not resolve: {exc}")
-    print(f"mapped docs: {n_total} dotted references resolve cleanly"
-          if not problems else
-          f"mapped docs: {len(problems)} problem(s) across "
-          f"{n_total} dotted references")
+    print(f"docs: {n_total} dotted references across {len(pages)} pages "
+          "resolve cleanly" if not problems else
+          f"docs: {len(problems)} problem(s) across {n_total} dotted "
+          f"references in {len(pages)} pages")
     return problems
 
 
@@ -180,7 +169,7 @@ def main() -> int:
     problems = check_links()
     print(f"markdown links: scanned {n_files} files, "
           f"{len(problems)} broken link(s)")
-    problems += check_architecture_modules()
+    problems += check_module_references()
     problems += check_stale_fallback_claims()
     if problems:
         print("\nFAIL: documentation drift detected:")

@@ -76,8 +76,3 @@ class ContextVector:
         for act in ControlAction:
             values[act.channel] = 1.0 if act == self.action else 0.0
         return values
-
-    def features(self) -> tuple:
-        """Numeric feature vector (used by the ML baseline monitors)."""
-        return (self.bg, self.bg_rate, self.iob, self.iob_rate,
-                self.rate, self.bolus, float(int(self.action)))

@@ -5,8 +5,11 @@ from hazardous traces generated by fault injection ("adversarial training").
 For each rule we mine *robustness samples*: the value of the thresholded
 context variable ``mu`` (IOB, or BG for rule 10) at every pre-hazard cycle of
 a matching-hazard trace where the rest of the rule context held and the
-unsafe action was issued.  The paper's Eq. 3 then asks for the tightest
-threshold that keeps the UCAS formula satisfied on all those samples::
+unsafe action was issued — the rule's STL violation body
+(:meth:`repro.core.rules.APSRule.violation_body`) with its threshold
+opened, evaluated over lock-step trace stacks.  The paper's Eq. 3 then asks
+for the tightest threshold that keeps the UCAS formula satisfied on all
+those samples::
 
     minimize   sum_H loss(r)     subject to   r = +-(mu - beta) >= 0
 
@@ -36,14 +39,17 @@ BG thresholds (mg/dL).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
 
+from ..controllers import ControlAction
 from ..parallel import (fork_map_chunks, iter_equal_length_groups,
                         resolve_workers, shard_indices)
+from ..stl import Trace, satisfaction
 from .rules import APSRule, BG_TARGET, aps_rules
 
 __all__ = ["LOSSES", "tmee_loss", "telex_loss", "mse_loss", "mae_loss",
@@ -181,8 +187,10 @@ def _mine_group(group: List, rules: Sequence[APSRule], bg_target: float,
                 safe_stats: Dict[int, List[float]]) -> None:
     """Mine one equal-length trace group as a lock-step stack.
 
-    Each rule's :meth:`~repro.core.rules.APSRule.context_mask` is evaluated
-    once over the ``(n_steps, B)`` channel matrices; the per-trace
+    The group becomes one ``(n_steps, B)`` STL trace of the rule context
+    channels.  Each rule's :meth:`~repro.core.rules.APSRule.violation_body`
+    is evaluated once over it with the rule's threshold opened to
+    ``+-inf`` (the rule context and action clause alone); the per-trace
     statistics are then reduced column-wise over the per-trace mining
     windows.  Masks are pure comparisons and the statistics pick existing
     elements, so the mined values do not depend on how traces are grouped.
@@ -191,13 +199,19 @@ def _mine_group(group: List, rules: Sequence[APSRule], bg_target: float,
     bg_rate = np.zeros_like(bg)
     bg_rate[1:] = np.diff(bg, axis=0) / np.array(
         [float(trace.dt) for trace in group])
-    iob = np.stack([trace.iob for trace in group], axis=1)
-    iob_rate = np.stack([trace.iob_rate for trace in group], axis=1)
     action = np.stack([trace.action for trace in group], axis=1)
+    channels = {"BG": bg, "BG'": bg_rate,
+                "IOB": np.stack([trace.iob for trace in group], axis=1),
+                "IOB'": np.stack([trace.iob_rate for trace in group], axis=1)}
+    for act in ControlAction:
+        channels[act.channel] = (action == int(act)).astype(float)
+    stack = Trace(channels, dt=float(group[0].dt))
     spans = [_trace_spans(trace, window) for trace in group]
     for rule in rules:
-        mask = rule.context_mask(bg, bg_rate, iob_rate, action, bg_target)
-        mu = iob if rule.mu_channel == "IOB" else bg
+        open_threshold = math.inf if rule.direction == "lt" else -math.inf
+        mask = satisfaction(rule.violation_body(bg_target), stack,
+                            {rule.param: open_threshold})
+        mu = stack[rule.mu_channel]
         for column, (hazard_span, safe_stop) in enumerate(spans):
             if hazard_span is not None and hazard_span[2] == rule.hazard:
                 stat = _column_stat(mask, mu, column, hazard_span[0],
@@ -249,8 +263,8 @@ def mine_rule_samples(traces: Iterable, rules: Optional[Sequence[APSRule]] = Non
     chunk order, so the result is element-wise identical to the serial
     path.  Lazy sequences (``TraceDataset``) are chunked by index, so each
     worker only loads its own shards.  Inside each chunk, consecutive
-    equal-length traces stack into lock-step groups and each rule's
-    context mask is evaluated over the whole ``(n_steps, B)`` stack at
+    equal-length traces stack into lock-step groups and each rule's STL
+    violation body is evaluated over the whole ``(n_steps, B)`` stack at
     once — element-wise identical to mining trace by trace.
     """
     rules = list(rules) if rules is not None else list(aps_rules())

@@ -10,6 +10,10 @@ which hazard it predicts.
 The context-aware monitor evaluates the 12 Table I rules each cycle.  With
 thresholds learned from data (:mod:`repro.core.learning`) it is the paper's
 **CAWT** monitor; with the clinical defaults it is the **CAWOT** baseline.
+Its per-cycle :meth:`ContextAwareMonitor.observe` walks the scalar rule
+reference (:meth:`repro.core.rules.APSRule.violated`); its batched path
+evaluates the rules' STL formulas
+(:meth:`repro.core.rules.APSRule.violation_body`).
 
 Monitors additionally expose a *batched* evaluation path
 (:meth:`SafetyMonitor.observe_batch`) used by offline replay
@@ -33,6 +37,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hazards import HazardType
+from ..stl import satisfaction
 from .context import ContextVector
 from .rules import APSRule, BG_TARGET, aps_rules, default_thresholds
 
@@ -150,8 +155,9 @@ class SafetyMonitor(abc.ABC):
             equal-length context streams stacked time-major, exposing
             ``shape == (n_steps, B)``, the ``(n_steps, B)`` channel
             matrices ``bg``/``bg_rate``/``iob``/``iob_rate``/``rate``/
-            ``bolus``/``action``/``t``, and per-column access
-            (``iter_column``, ``column_features``).
+            ``bolus``/``action``/``t``, the whole batch as one STL trace
+            (``to_stl_trace``), and per-column access (``iter_column``,
+            ``column_features``).
 
         Returns
         -------
@@ -236,20 +242,20 @@ class ContextAwareMonitor(SafetyMonitor):
     def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized rule evaluation over a whole context batch.
 
-        Each Table I rule becomes one :meth:`~repro.core.rules.APSRule.
-        violated_mask` call over the ``(n_steps, B)`` channel matrices;
-        the predicted hazard comes from the first triggered rule in rule
+        Each rule's STL :meth:`~repro.core.rules.APSRule.violation_body`
+        (built from this monitor's ``bg_target``) is evaluated through
+        :mod:`repro.stl.semantics` over the batch's ``(n_steps, B)``
+        trace, with the monitor's thresholds as the environment; the
+        predicted hazard comes from the first triggered rule in rule
         order, exactly like :meth:`observe`.  Pure comparisons — no
         rounding — so the verdicts match the scalar loop bit for bit.
         """
-        bg, bg_rate = batch.bg, batch.bg_rate
-        iob, iob_rate, action = batch.iob, batch.iob_rate, batch.action
+        trace = batch.to_stl_trace()
         alerts = np.zeros(batch.shape, dtype=bool)
         hazards = np.zeros(batch.shape, dtype=int)
         for rule in self.rules:
-            mask = rule.violated_mask(bg, bg_rate, iob, iob_rate, action,
-                                      self.thresholds[rule.param],
-                                      self.bg_target)
+            mask = satisfaction(rule.violation_body(self.bg_target), trace,
+                                self.thresholds)
             # first triggered rule determines the predicted hazard (the
             # scalar loop's `if hazard is None` in rule order)
             hazards = np.where(mask & ~alerts, int(rule.hazard), hazards)

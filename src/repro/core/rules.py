@@ -21,23 +21,25 @@ rule  context  =>  consequence                                       hazard
 12    BG<BGT & BG'<0 & IOB'>=0 & IOB>b11 => !u4                       H1
 ====  =============================================================  ======
 
-Rules are evaluated three ways, guaranteed equivalent by tests:
+Each rule has two encodings, kept equivalent by tests:
 
-- :meth:`APSRule.violated` — fast pointwise check on a
-  :class:`~repro.core.context.ContextVector` (the runtime monitor path);
-- :meth:`APSRule.context_mask` / :meth:`APSRule.violated_mask` — the
-  same rule over columnar context arrays (batched replay, the lock-step
-  engine and threshold mining);
-- :meth:`APSRule.formula` / the :class:`~repro.core.scs.UCASEntry` — full
-  STL objects for offline checking and threshold learning.
+- :meth:`repro.core.rules.APSRule.violated` — the scalar per-cycle check on
+  a :class:`~repro.core.context.ContextVector`, the reference the single-run
+  closed loop and :func:`~repro.simulation.replay.replay_monitor` use;
+- :meth:`repro.core.rules.APSRule.formula` and its pointwise
+  :meth:`repro.core.rules.APSRule.violation_body` — the rule as STL, the
+  only columnar encoding: the batched CAWT/CAWOT monitor
+  (:meth:`repro.core.monitor.ContextAwareMonitor.observe_batch`) and
+  threshold mining (:func:`repro.core.learning.mine_rule_samples`)
+  evaluate it over ``(n_steps, B)`` traces through
+  :mod:`repro.stl.semantics`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
-
-import numpy as np
 
 from ..controllers import ControlAction
 from ..hazards import HazardType
@@ -46,7 +48,7 @@ from .context import ContextVector
 from .scs import SafetyContextSpec, UCASEntry
 
 __all__ = ["APSRule", "aps_rules", "aps_scs", "default_thresholds",
-           "rate_mask", "BG_TARGET", "IOB_RATE_EPS"]
+           "BG_TARGET", "IOB_RATE_EPS"]
 
 #: the paper's BGT (BG target value) in mg/dL
 BG_TARGET = 120.0
@@ -104,7 +106,7 @@ class APSRule:
     default: float
 
     # ------------------------------------------------------------------
-    # fast pointwise evaluation (runtime monitor path)
+    # scalar per-cycle reference
     # ------------------------------------------------------------------
     def context_holds(self, ctx: ContextVector, threshold: float,
                       bg_target: float = BG_TARGET) -> bool:
@@ -131,47 +133,6 @@ class APSRule:
         if self.required:
             return ctx.action != self.action
         return ctx.action == self.action
-
-    def context_mask(self, bg: np.ndarray, bg_rate: np.ndarray,
-                     iob_rate: np.ndarray, action: np.ndarray,
-                     bg_target: float = BG_TARGET) -> np.ndarray:
-        """The rule context without the learnable predicate, columnar.
-
-        All inputs share one shape — one trace's cycles, or an
-        ``(n_steps, B)`` lock-step stack (*action* holds the integer
-        :class:`~repro.controllers.ControlAction` codes).  True where the
-        BG side, both rate signs and the action clause hold; the one
-        columnar Table I context behind :meth:`violated_mask` and
-        threshold mining.
-        """
-        mask = rate_mask(bg_rate, self.bg_rate, 0.0)
-        mask &= rate_mask(iob_rate, self.iob_rate, IOB_RATE_EPS)
-        if self.bg_side == "above":
-            mask &= bg > bg_target
-        elif self.bg_side == "below":
-            mask &= bg < bg_target
-        if self.required:
-            mask &= action != int(self.action)
-        else:
-            mask &= action == int(self.action)
-        return mask
-
-    def violated_mask(self, bg: np.ndarray, bg_rate: np.ndarray,
-                      iob: np.ndarray, iob_rate: np.ndarray,
-                      action: np.ndarray, threshold: float,
-                      bg_target: float = BG_TARGET) -> np.ndarray:
-        """Vectorized :meth:`violated` over aligned context arrays.
-
-        :meth:`context_mask` and the thresholded ``mu`` predicate; the
-        returned boolean mask is element-wise identical to calling
-        :meth:`violated` per entry — the predicates are pure comparisons,
-        so there is no rounding to diverge.
-        """
-        mu = iob if self.mu_channel == "IOB" else bg
-        holds = (mu < threshold) if self.direction == "lt" \
-            else (mu > threshold)
-        return self.context_mask(bg, bg_rate, iob_rate, action,
-                                 bg_target) & holds
 
     # ------------------------------------------------------------------
     # STL view
@@ -200,25 +161,14 @@ class APSRule:
         """The full Eq. 1 formula ``G[t0,te](context -> consequence)``."""
         return self.ucas_entry(bg_target).to_stl(t0, te)
 
-
-def rate_mask(values: np.ndarray, constraint: Optional[str],
-              eps: float) -> np.ndarray:
-    """Vectorized :func:`_rate_ok`: the sign-constraint mask over an array
-    of rate values (a fresh array, so callers may update it in place)."""
-    values = np.asarray(values)
-    if constraint is None:
-        return np.ones(values.shape, dtype=bool)
-    if constraint == "pos":
-        return values > eps
-    if constraint == "neg":
-        return values < -eps
-    if constraint == "zero":
-        return (values >= -eps) & (values <= eps)
-    if constraint == "nonpos":
-        return values <= eps
-    if constraint == "nonneg":
-        return values >= -eps
-    raise ValueError(f"unknown rate constraint {constraint!r}")
+    @functools.lru_cache(maxsize=256)
+    def violation_body(self, bg_target: float = BG_TARGET) -> Formula:
+        """The pointwise violation condition ``context & u`` (``& !u`` for
+        rule 10): true exactly where :meth:`violated` is, with the
+        threshold bound through the evaluation environment under
+        :attr:`param`.  Built once per ``(rule, bg_target)`` and shared —
+        the batched monitor evaluates it every control cycle."""
+        return self.ucas_entry(bg_target).violation_body()
 
 
 def _rate_ok(value: float, constraint: Optional[str], eps: float) -> bool:

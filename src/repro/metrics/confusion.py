@@ -154,9 +154,12 @@ def tolerance_confusion(pred, truth, delta: int = DEFAULT_TOLERANCE,
 def traces_confusion(traces: Iterable, alerts: Iterable[np.ndarray],
                      delta: int = DEFAULT_TOLERANCE,
                      lookback: Optional[int] = None) -> ConfusionCounts:
-    """Aggregate tolerance-window counts over (trace, alert-sequence) pairs."""
+    """Aggregate tolerance-window counts over (trace, alert-sequence) pairs.
+
+    Raises ``ValueError`` when *traces* and *alerts* differ in count.
+    """
     total = ConfusionCounts()
-    for trace, pred in zip(traces, alerts):
+    for trace, pred in zip(traces, alerts, strict=True):
         total = total + tolerance_confusion(pred, trace.hazard_label.hazardous,
                                             delta=delta, lookback=lookback)
     return total

@@ -27,9 +27,12 @@ __all__ = ["simulation_confusion"]
 
 def simulation_confusion(traces: Iterable,
                          alerts: Iterable[np.ndarray]) -> ConfusionCounts:
-    """Two-region simulation-level confusion over (trace, alerts) pairs."""
+    """Two-region simulation-level confusion over (trace, alerts) pairs.
+
+    Raises ``ValueError`` when *traces* and *alerts* differ in count.
+    """
     counts = ConfusionCounts()
-    for trace, pred in zip(traces, alerts):
+    for trace, pred in zip(traces, alerts, strict=True):
         pred = np.asarray(pred).astype(bool)
         if len(pred) != len(trace):
             raise ValueError(

@@ -79,13 +79,14 @@ def reaction_stats(traces: Sequence, alerts: Sequence[np.ndarray],
     """Reaction time (th - td, minutes) across hazardous traces.
 
     Undetected hazards contribute no reaction-time sample but lower the
-    early-detection rate.
+    early-detection rate.  Raises ``ValueError`` when *traces* and
+    *alerts* differ in count.
     """
     samples: List[float] = []
     n_hazardous = 0
     n_early = 0
     n_detected = 0
-    for trace, pred in zip(traces, alerts):
+    for trace, pred in zip(traces, alerts, strict=True):
         if not trace.hazardous:
             continue
         n_hazardous += 1

@@ -24,10 +24,12 @@ import numpy as np
 
 from ..controllers import ControlAction
 from ..core.context import ContextVector
+from ..stl import Trace
 
 __all__ = ["FEATURE_NAMES", "context_matrix", "context_row", "ContextBatch"]
 
-#: feature layout shared by replay, training data and runtime monitors
+#: feature layout shared by replay, training data and runtime monitors;
+#: the names are the STL channel names the Table I rule formulas read
 FEATURE_NAMES: Tuple[str, ...] = ("BG", "BG'", "IOB", "IOB'", "rate", "bolus",
                                   "u1", "u2", "u3", "u4")
 
@@ -201,6 +203,16 @@ class ContextBatch:
     @property
     def bolus(self) -> np.ndarray:
         return self.features[:, 5, :]
+
+    def to_stl_trace(self) -> Trace:
+        """The batch as one ``(n_steps, B)`` STL trace, a channel per
+        :data:`FEATURE_NAMES` entry (views, no copy) — the input of the
+        rules' columnar STL evaluation.  Temporal windows convert with
+        the first column's period; pointwise formulas, such as the
+        Table I rule bodies, do not read it."""
+        return Trace(dict(zip(FEATURE_NAMES,
+                              self.features.transpose(1, 0, 2))),
+                     dt=float(self.dt[0]))
 
     def column_features(self, b: int) -> np.ndarray:
         """Contiguous ``(n_steps, len(FEATURE_NAMES))`` feature matrix of

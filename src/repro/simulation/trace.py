@@ -15,10 +15,10 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..controllers import ControlAction
 from ..fi import FaultKind, FaultSpec, FaultTarget
 from ..hazards import HazardLabel, label_hazards
 from ..stl import Trace
+from .features import FEATURE_NAMES, context_matrix
 
 __all__ = ["SimulationTrace", "TraceRecorder", "TRACE_ARRAY_FIELDS",
            "TRACE_COLUMN_DTYPES", "trace_to_arrays", "trace_from_arrays",
@@ -109,18 +109,12 @@ class SimulationTrace:
         return (self.hazard_label.first_hazard - self.first_alert) * self.dt
 
     def to_stl_trace(self) -> Trace:
-        """Monitor-view STL trace: BG, BG', IOB, IOB', u1..u4, rate, bolus."""
-        channels = {
-            "BG": self.cgm,
-            "IOB": self.iob,
-            "IOB'": self.iob_rate,
-            "rate": self.cmd_rate,
-            "bolus": self.cmd_bolus,
-        }
-        for act in ControlAction:
-            channels[act.channel] = (self.action == int(act)).astype(float)
-        trace = Trace(channels, dt=self.dt)
-        return trace.with_derivative("BG")
+        """Monitor-view STL trace: the
+        :func:`~repro.simulation.features.context_matrix` columns (BG, BG',
+        IOB, IOB', rate, bolus, u1..u4) under
+        :data:`~repro.simulation.features.FEATURE_NAMES`."""
+        return Trace(dict(zip(FEATURE_NAMES, context_matrix(self).T)),
+                     dt=self.dt)
 
     def summary(self) -> str:
         haz = "hazardous" if self.hazardous else "safe"

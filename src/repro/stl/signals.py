@@ -5,9 +5,13 @@ named, equally-long, uniformly-sampled channels.  Time is measured in the same
 unit as the trace's ``dt`` (minutes throughout this repository, matching the
 paper's 5-minute APS control cycle).
 
-Channels are numpy float arrays.  Boolean facts (e.g. "the controller issued
-control action ``u1`` at this step") are encoded as 0.0/1.0 channels and
-interpreted by boolean predicates in :mod:`repro.stl.ast`.
+Channels are numpy float arrays with a leading time axis.  Any trailing
+axes are a batch shape shared by every channel: an ``(n_steps, B)`` trace is
+``B`` equal-length signals evaluated in lock step, and every operation of
+:mod:`repro.stl.semantics` treats its columns independently.  Boolean facts
+(e.g. "the controller issued control action ``u1`` at this step") are
+encoded as 0.0/1.0 channels and interpreted by boolean predicates in
+:mod:`repro.stl.ast`.
 """
 
 from __future__ import annotations
@@ -25,13 +29,16 @@ class Trace:
     Parameters
     ----------
     channels:
-        Mapping of channel name to 1-D array-like of samples.  All channels
-        must have the same length.
+        Mapping of channel name to array-like of samples, time along axis 0.
+        All channels must share one shape: ``(n_steps,)``, or
+        ``(n_steps, *batch)`` for a lock-step stack of signals.
     dt:
         Sampling period (minutes).  Defaults to the paper's 5-minute APS
         control cycle.
     t0:
         Time stamp of the first sample (minutes).
+
+    ``shape`` is the common channel shape; ``len(trace)`` is its time axis.
     """
 
     def __init__(self, channels: Mapping[str, Iterable[float]], dt: float = 5.0,
@@ -41,26 +48,27 @@ class Trace:
         self._channels: Dict[str, np.ndarray] = {}
         self.dt = float(dt)
         self.t0 = float(t0)
-        length = None
+        shape = None
         for name, values in channels.items():
             arr = np.asarray(values, dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"channel {name!r} must be 1-D, got shape {arr.shape}")
-            if length is None:
-                length = arr.shape[0]
-            elif arr.shape[0] != length:
+            if arr.ndim == 0:
+                raise ValueError(f"channel {name!r} needs a time axis, got a scalar")
+            if shape is None:
+                shape = arr.shape
+            elif arr.shape != shape:
                 raise ValueError(
-                    f"channel {name!r} has length {arr.shape[0]}, expected {length}")
+                    f"channel {name!r} has shape {arr.shape}, expected {shape} "
+                    "(one length and batch shape for every channel)")
             self._channels[name] = arr
-        if length is None:
+        if shape is None:
             raise ValueError("a Trace needs at least one channel")
-        self._length = length
+        self.shape = shape
 
     # ------------------------------------------------------------------
     # basic container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._length
+        return self.shape[0]
 
     def __contains__(self, name: str) -> bool:
         return name in self._channels
@@ -76,12 +84,12 @@ class Trace:
     @property
     def times(self) -> np.ndarray:
         """Sample time stamps in minutes."""
-        return self.t0 + self.dt * np.arange(self._length)
+        return self.t0 + self.dt * np.arange(len(self))
 
     @property
     def duration(self) -> float:
         """Total covered time span in minutes (0 for a single sample)."""
-        return self.dt * max(self._length - 1, 0)
+        return self.dt * max(len(self) - 1, 0)
 
     def channel(self, name: str) -> np.ndarray:
         """Return the samples of channel *name* (read-only view)."""
@@ -108,22 +116,22 @@ class Trace:
         """Return a new trace with the per-minute backward difference of *name*.
 
         The paper's context transformations include the rates of change BG'
-        and IOB' (Section IV-B).  The first sample's derivative is defined as
-        0 (no history yet), matching an online monitor that has seen a single
-        sample.
+        and IOB' (Section IV-B).  The difference runs along the time axis;
+        the first sample's derivative is defined as 0 (no history yet),
+        matching an online monitor that has seen a single sample.
         """
         out = out or name + "'"
         values = self.channel(name)
         deriv = np.zeros_like(values)
         if len(values) > 1:
-            deriv[1:] = np.diff(values) / self.dt
+            deriv[1:] = np.diff(values, axis=0) / self.dt
         return self.with_channel(out, deriv)
 
     def slice(self, start: int, stop: int | None = None) -> "Trace":
         """Return the sub-trace of sample indices ``[start, stop)``."""
-        stop = self._length if stop is None else stop
-        if not (0 <= start <= stop <= self._length):
-            raise IndexError(f"invalid slice [{start}, {stop}) for length {self._length}")
+        stop = len(self) if stop is None else stop
+        if not (0 <= start <= stop <= len(self)):
+            raise IndexError(f"invalid slice [{start}, {stop}) for length {len(self)}")
         sub = {name: arr[start:stop] for name, arr in self._channels.items()}
         return Trace(sub, dt=self.dt, t0=self.t0 + start * self.dt)
 
@@ -146,5 +154,5 @@ class Trace:
         return dict(self._channels)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Trace(channels={list(self._channels)}, n={self._length}, "
+        return (f"Trace(channels={list(self._channels)}, shape={self.shape}, "
                 f"dt={self.dt}, t0={self.t0})")

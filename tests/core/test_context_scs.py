@@ -28,12 +28,6 @@ class TestContextVector:
         assert values["u3"] == 1.0
         assert sum(values[f"u{i}"] for i in range(1, 5)) == 1.0
 
-    def test_features_vector(self):
-        features = ctx().features()
-        assert len(features) == 7
-        assert features[0] == 150.0
-        assert features[-1] == float(int(ControlAction.KEEP))
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             ctx().bg = 1.0

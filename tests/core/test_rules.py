@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.controllers import ControlAction
-from repro.core import ContextVector, aps_rules, aps_scs, default_thresholds
-from repro.core.rules import IOB_RATE_EPS
+from repro.core import (ContextAwareMonitor, ContextVector, aps_rules, aps_scs,
+                        default_thresholds)
+from repro.core.rules import BG_TARGET, IOB_RATE_EPS
 from repro.hazards import HazardType
+from repro.simulation import ContextBatch
 from repro.stl import Trace, satisfaction
 
 
@@ -160,6 +162,46 @@ class TestSTLEquivalence:
                               bolus=0.0, action=ControlAction(actions[t]))
             assert rule.violated(c, threshold) == (not stl_ok[t]), (
                 f"rule {index} mismatch at sample {t}")
+
+
+class TestBatchedBoundaryParity:
+    """The batched monitor evaluates the rules' STL bodies; on every
+    boundary of Table I (BG = BGT, BG' = 0, IOB' at and around the
+    +-IOB_RATE_EPS band edges, mu = threshold) its verdicts must equal
+    the scalar :meth:`APSRule.violated` for each rule alone."""
+
+    THRESHOLDS = {rule.param: 70.0 if rule.mu_channel == "BG" else 2.0
+                  for rule in aps_rules()}
+
+    @staticmethod
+    def grid():
+        eps = IOB_RATE_EPS
+        axes = np.meshgrid(
+            [BG_TARGET - 1.0, BG_TARGET, BG_TARGET + 1.0, 69.0, 70.0, 71.0],
+            [-1.0, 0.0, 1.0],
+            [1.5, 2.0, 2.5],
+            [0.0, eps, -eps, 2 * eps, -2 * eps],
+            [int(act) for act in ControlAction], indexing="ij")
+        return [axis.ravel() for axis in axes]
+
+    @pytest.mark.parametrize("index", sorted(RULES))
+    def test_observe_batch_matches_scalar_on_boundaries(self, index):
+        rule = RULES[index]
+        bg, bg_rate, iob, iob_rate, action = self.grid()
+        batch = ContextBatch.from_tick(
+            t=0.0, bg=bg, bg_rate=bg_rate, iob=iob, iob_rate=iob_rate,
+            rate=np.ones_like(bg), bolus=np.zeros_like(bg), action=action,
+            dt=5.0)
+        monitor = ContextAwareMonitor(thresholds=self.THRESHOLDS,
+                                      rules=(rule,))
+        alerts, hazards = monitor.observe_batch(batch)
+        threshold = self.THRESHOLDS[rule.param]
+        scalar = [rule.violated(next(batch.iter_column(b)), threshold)
+                  for b in range(len(bg))]
+        assert any(scalar) and not all(scalar)
+        np.testing.assert_array_equal(alerts[0], scalar)
+        np.testing.assert_array_equal(hazards[0],
+                                      np.where(scalar, int(rule.hazard), 0))
 
 
 class TestSCS:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import ConfusionCounts, tolerance_confusion
+from repro.metrics import ConfusionCounts, tolerance_confusion, traces_confusion
+from tests.simulation.test_scenario_trace import build_trace
 
 
 def seq(*indices, n=30):
@@ -96,6 +97,11 @@ class TestToleranceWindow:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             tolerance_confusion(seq(), seq(n=10), delta=6)
+
+    def test_traces_alerts_count_mismatch(self):
+        trace = build_trace(n=30, alerts={5})
+        with pytest.raises(ValueError):
+            traces_confusion([trace, trace], [trace.alert])
 
     def test_negative_delta(self):
         with pytest.raises(ValueError):

@@ -52,6 +52,11 @@ class TestSimulationLevel:
         with pytest.raises(ValueError):
             simulation_confusion([trace], [np.zeros(5, dtype=bool)])
 
+    def test_count_mismatch(self):
+        trace = build_trace(n=30, hazard_bg=HYPO_BG, fault=FAULT)
+        with pytest.raises(ValueError):
+            simulation_confusion([trace, trace], [trace.alert])
+
 
 class TestTiming:
     def test_hazard_coverage(self):
@@ -91,6 +96,11 @@ class TestTiming:
         assert stats.n_hazardous == 1
         assert stats.n_detected == 0
         assert stats.early_detection_rate == 0.0
+
+    def test_reaction_stats_count_mismatch(self):
+        trace = build_trace(n=30, alerts={5}, hazard_bg=HYPO_BG, fault=FAULT)
+        with pytest.raises(ValueError):
+            reaction_stats([trace, trace], [trace.alert])
 
 
 class TestMitigationOutcome:

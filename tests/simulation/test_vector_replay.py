@@ -18,8 +18,8 @@ import pytest
 
 import repro.parallel
 from repro.baselines import GuidelineMonitor, MPCMonitor
-from repro.core import (aps_rules, cawot_monitor, cawt_monitor,
-                        learn_thresholds, mine_rule_samples)
+from repro.core import (ContextAwareMonitor, aps_rules, cawot_monitor,
+                        cawt_monitor, learn_thresholds, mine_rule_samples)
 from repro.core.learning import MINING_WINDOW, _trace_spans
 from repro.core.monitor import MonitorVerdict, NO_ALERT, SafetyMonitor
 from repro.core.rules import BG_TARGET
@@ -157,6 +157,22 @@ class TestBatchedReplayParity:
             batched = replay_monitor_batched(monitor, traces)
             assert len(batched) == len(traces)
             for trace, (alerts, hazards) in zip(traces, batched):
+                ref_alerts, ref_hazards = replay_monitor(monitor, trace)
+                assert np.array_equal(alerts, ref_alerts), name
+                assert np.array_equal(hazards, ref_hazards), name
+
+    def test_non_default_bgt_and_rule_subset(self, tiny_campaign_traces,
+                                             set_lockstep_width):
+        # both shape the STL rule bodies the batched monitor evaluates
+        rule10 = next(rule for rule in aps_rules() if rule.index == 10)
+        monitors = {"BGT140": ContextAwareMonitor(bg_target=140.0),
+                    "rule10": ContextAwareMonitor(rules=(rule10,))}
+        set_lockstep_width(7)
+        for name, monitor in monitors.items():
+            batched = replay_monitor_batched(monitor, tiny_campaign_traces)
+            assert any(alerts.any() for alerts, _ in batched), name
+            for trace, (alerts, hazards) in zip(tiny_campaign_traces,
+                                                batched, strict=True):
                 ref_alerts, ref_hazards = replay_monitor(monitor, trace)
                 assert np.array_equal(alerts, ref_alerts), name
                 assert np.array_equal(hazards, ref_hazards), name
@@ -306,6 +322,18 @@ class TestBatchedMining:
                 hazard, safe = oracle[samples.rule.index]
                 assert np.array_equal(samples.values, hazard), width
                 assert np.array_equal(samples.safe_values, safe), width
+
+    def test_mined_samples_identical_at_non_default_bgt(
+            self, tiny_campaign_traces, tiny_fault_free_traces,
+            set_lockstep_width):
+        traces = list(tiny_campaign_traces) + list(tiny_fault_free_traces)
+        oracle = per_trace_mine(traces, bg_target=140.0)
+        assert oracle != per_trace_mine(traces)
+        set_lockstep_width(7)
+        for samples in mine_rule_samples(traces, bg_target=140.0):
+            hazard, safe = oracle[samples.rule.index]
+            assert np.array_equal(samples.values, hazard)
+            assert np.array_equal(samples.safe_values, safe)
 
     def test_thresholds_byte_identical_with_batch_and_workers(
             self, tiny_campaign_traces, tiny_fault_free_traces,

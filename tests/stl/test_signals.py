@@ -29,9 +29,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="dt"):
             Trace({"a": [1.0]}, dt=0.0)
 
-    def test_multidimensional_channel_rejected(self):
-        with pytest.raises(ValueError, match="1-D"):
-            Trace({"a": np.zeros((2, 2))})
+    def test_batched_channels_share_one_shape(self):
+        tr = Trace({"a": np.zeros((3, 2)), "b": np.ones((3, 2))})
+        assert len(tr) == 3 and tr.shape == (3, 2)
+        with pytest.raises(ValueError, match="shape"):
+            Trace({"a": np.zeros((3, 2)), "b": np.zeros((3, 4))})
+        with pytest.raises(ValueError, match="shape"):
+            Trace({"a": np.zeros((3, 2)), "b": np.zeros(3)})
+        with pytest.raises(ValueError, match="time axis"):
+            Trace({"a": 1.0})
 
     def test_missing_channel_raises_keyerror_with_names(self):
         tr = make_trace(BG=[100.0])
