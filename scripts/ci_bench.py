@@ -18,7 +18,11 @@ mitigation entries additionally enforce absolute floors:
 ``campaign_vector``, ``replay_vector`` and ``mitigation_vector`` must be
 at least ``CAMPAIGN_SPEEDUP_FLOOR``, ``REPLAY_SPEEDUP_FLOOR`` and
 ``MITIGATION_SPEEDUP_FLOOR`` (3x each) faster than their references,
-whatever the baseline says.  The ``search`` entry (the cross-entropy
+whatever the baseline says.  ``replay_nn_vector`` (the ci-scale trained
+MLP + LSTM, classified in stacked row-exact forwards) is floored at
+``NN_REPLAY_SPEEDUP_FLOOR`` (2x) over ``replay_nn_reference``; a BLAS that
+fails the row-exactness probe of ``repro.ml.nn.model`` runs one row per
+forward and trips it.  The ``search`` entry (the cross-entropy
 scenario search of ``repro.search``) is gated the same way: timed
 against the baseline and floored at ``SEARCH_EFFICIENCY_FLOOR`` (3x)
 hazards-found-per-simulation relative to the fixed grid.  The ``serve``
@@ -55,7 +59,7 @@ from repro.baselines import GuidelineMonitor, MPCMonitor
 from repro.core import (FixedMitigator, cawot_monitor, cawt_monitor,
                         learn_thresholds)
 from repro.experiments import ExperimentConfig
-from repro.experiments.data import platform_data
+from repro.experiments.data import ml_monitors, platform_data
 from repro.experiments.table6 import run_table6
 from repro.fi import CampaignConfig, FaultInjector, generate_campaign
 from repro.ml import train_dt_monitor
@@ -88,11 +92,16 @@ REPLAY_SPEEDUP_FLOOR = 3.0
 #: closed loop: monitor + mitigator in the lock-step engine)
 MITIGATION_SPEEDUP_FLOOR = 3.0
 
+#: absolute floor for the batched MLP + LSTM replay speedup (stacked
+#: row-exact forwards over per-cycle ``observe`` calls)
+NN_REPLAY_SPEEDUP_FLOOR = 2.0
+
 #: ``*_vector`` entry -> (its reference entry, speedup floor)
 SPEEDUP_FLOORS = {
     "campaign_vector": ("campaign_reference", CAMPAIGN_SPEEDUP_FLOOR),
     "replay_vector": ("replay_reference", REPLAY_SPEEDUP_FLOOR),
     "mitigation_vector": ("mitigation_reference", MITIGATION_SPEEDUP_FLOOR),
+    "replay_nn_vector": ("replay_nn_reference", NN_REPLAY_SPEEDUP_FLOOR),
 }
 
 #: absolute floor for the scenario search's discovery efficiency:
@@ -294,8 +303,18 @@ def run_benchmarks() -> dict:
     # warm the shared experiment cache so the table6 number measures the
     # monitors (ML training jobs, threshold learning, replay) — the stage
     # this repo's training layer parallelises — not re-simulation
-    platform_data(config)
+    data = platform_data(config)
     timed("table6_ml", lambda: run_table6(config))
+
+    # batched NN replay: the ci-scale MLP + LSTM table6 just trained
+    # (memoised), per-cycle reference vs stacked row-exact forwards
+    trained = ml_monitors(data)
+    nn = {name: trained[name] for name in ("MLP", "LSTM")}
+    timed("replay_nn_reference",
+          lambda: [replay_monitor(monitor, trace)
+                   for monitor in nn.values() for trace in traces])
+    timed("replay_nn_vector", lambda: replay_campaign(nn, traces))
+    speedup("replay_nn_vector")
     return results
 
 

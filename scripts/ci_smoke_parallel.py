@@ -169,9 +169,9 @@ def main() -> int:
           "identical at any worker count")
 
     # batched replay parity: every monitor kind, the per-cycle reference
-    # vs observe_batch, across worker counts (LSTM exercises the
-    # column-loop fallback; a trace subset keeps its per-cycle cost
-    # bounded)
+    # vs observe_batch, across worker counts (the LSTM classifies every
+    # sliding window in stacked row-exact forwards; a trace subset keeps
+    # its per-cycle reference, and its per-user serving below, bounded)
     monitors = {
         "CAWT": cawt_monitor(learn_thresholds(serial).thresholds),
         "CAWOT": cawot_monitor(),

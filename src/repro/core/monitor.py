@@ -172,10 +172,12 @@ class SafetyMonitor(abc.ABC):
         element-wise identical for any batch composition.  This default
         implementation *is* that definition (a per-column scalar loop),
         which keeps user-defined monitors correct with zero work;
-        vectorized overrides (context-aware rules, DT/MLP, Guideline,
-        MPC) must preserve it bit for bit, and stateful overrides must
-        carry their state as per-column vectors rather than scalar
-        attributes.  The monitor's own scalar state is left reset.
+        vectorized overrides (context-aware rules, DT/MLP/LSTM,
+        Guideline, MPC) must preserve it bit for bit, and stateful
+        overrides must derive each column's state from that column alone
+        (per-column vectors, or the LSTM's per-column windows) rather
+        than through scalar attributes.  The monitor's own scalar state
+        is left reset.
         """
         n_steps, n_cols = batch.shape
         alerts = np.zeros((n_steps, n_cols), dtype=bool)

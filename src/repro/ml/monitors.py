@@ -9,22 +9,23 @@ needed by the mitigation algorithm is then inferred from the glucose context
 (below target -> H1, above -> H2).  The multi-class variants predict the
 type directly (the Section VI-1 comparison).
 
-Batched replay: the point monitors override
-:meth:`~repro.core.monitor.SafetyMonitor.observe_batch` to classify whole
-context columns at once — the DT through its vectorized flat-tree
-``predict`` (exact comparisons, batch-size invariant), the MLP through
-per-row ``predict`` calls (BLAS matmuls round differently per batch
-shape, so the scalar call pattern is kept) with the context assembly and
-hazard inference vectorized.  The LSTM is stateful over sliding windows
-and keeps the base-class column-loop fallback.
+Batched replay: every monitor here overrides
+:meth:`~repro.core.monitor.SafetyMonitor.observe_batch` to classify a
+whole context batch at once, with hazard inference as array arithmetic.
+The DT runs its vectorized flat-tree ``predict`` (exact comparisons,
+batch-size invariant).  The MLP classifies every cycle, and the LSTM
+every k-cycle sliding window, through the row-exact
+:meth:`~repro.ml.nn.model._BaseClassifier.predict_rows`, whose logits
+are bit-identical to the one-row ``predict`` that ``observe`` makes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.context import ContextVector
 from ..core.monitor import MonitorVerdict, NO_ALERT, SafetyMonitor
@@ -42,6 +43,17 @@ def _infer_hazard(prediction: int, bg: float, bg_target: float,
     if multiclass:
         return HazardType(prediction)
     return HazardType.H1 if bg < bg_target else HazardType.H2
+
+
+def _verdicts(prediction: np.ndarray, bg: np.ndarray, bg_target: float,
+              multiclass: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_infer_hazard` over a prediction matrix: ``(alerts,
+    hazards)`` with hazard code 0 where the prediction is safe."""
+    alerts = prediction != 0
+    if multiclass:
+        return alerts, np.where(alerts, prediction, 0)
+    h1, h2 = int(HazardType.H1), int(HazardType.H2)
+    return alerts, np.where(alerts, np.where(bg < bg_target, h1, h2), 0)
 
 
 class _PointMonitor(SafetyMonitor):
@@ -69,26 +81,21 @@ class _PointMonitor(SafetyMonitor):
                               triggered=(self.name.lower(),))
 
     def _predict_rows(self, features: np.ndarray) -> np.ndarray:
-        """Per-row class predictions for an ``(n_rows, D)`` feature stack.
+        """Per-row class predictions for an ``(n_rows, D)`` feature stack,
+        each bit-identical to the one-row ``predict`` of :meth:`observe`.
 
-        Default: one ``predict`` call per row — the exact call pattern of
-        :meth:`observe`, so any model is bit-identical to the scalar path
-        by construction (a whole-matrix BLAS matmul is *not*: its
-        rounding depends on the batch shape).  Models whose ``predict``
-        is batch-size invariant override with a single call.  Rows are
+        Default: the model's row-exact ``predict_rows`` (see
+        :meth:`~repro.ml.nn.model._BaseClassifier.predict_rows` for why a
+        whole-matrix forward would not be bit-stable).  Rows are
         independent, so callers may stack any number of columns into one
         matrix without changing a single prediction.
         """
-        out = np.empty(len(features), dtype=int)
-        for i in range(len(features)):
-            out[i] = int(self.model.predict(features[i:i + 1])[0])
-        return out
+        return self.model.predict_rows(features).astype(int, copy=False)
 
     def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`observe` over a context batch: every column's
         feature matrix stacked into one row-major call to
-        :meth:`_predict_rows` (column b occupies row block b, the same
-        per-row evaluations as a column loop in the same order — rows are
+        :meth:`_predict_rows` (column b occupies row block b; rows are
         independent, so wide live batches like the online service's
         ``(1, n_users)`` tick cost one call, not ``n_users`` Python
         iterations), hazard inference as array arithmetic."""
@@ -96,14 +103,8 @@ class _PointMonitor(SafetyMonitor):
         stacked = np.ascontiguousarray(
             np.moveaxis(batch.features, 2, 0)).reshape(n_steps * n_cols, -1)
         prediction = self._predict_rows(stacked).reshape(n_cols, n_steps).T
-        alerts = prediction != 0
-        h1, h2 = int(HazardType.H1), int(HazardType.H2)
-        if self.multiclass:
-            hazards = np.where(alerts, prediction, 0)
-        else:
-            hazards = np.where(
-                alerts, np.where(batch.bg < self.bg_target, h1, h2), 0)
-        return alerts, hazards
+        return _verdicts(prediction, batch.bg, self.bg_target,
+                         self.multiclass)
 
 
 class DTMonitor(_PointMonitor):
@@ -121,11 +122,6 @@ class MLPMonitor(_PointMonitor):
     def __init__(self, model: MLPClassifier, multiclass: bool = False,
                  bg_target: float = 120.0):
         super().__init__(model, "MLP", multiclass, bg_target)
-
-    def _predict_rows(self, features: np.ndarray) -> np.ndarray:
-        # row-wise matmuls with the batch-invariant work hoisted out (see
-        # MLPClassifier.predict_rows for why whole-matrix BLAS is unsafe)
-        return self.model.predict_rows(features).astype(int, copy=False)
 
 
 class LSTMMonitor(SafetyMonitor):
@@ -156,6 +152,39 @@ class LSTMMonitor(SafetyMonitor):
         hazard = _infer_hazard(prediction, ctx.bg, self.bg_target,
                                self.multiclass)
         return MonitorVerdict(alert=True, hazard=hazard, triggered=("lstm",))
+
+    def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`observe` over a context batch.
+
+        Every k-cycle window of every column (the window ending at cycle
+        ``t`` is what :meth:`observe` classifies at ``t``) is gathered
+        with ``sliding_window_view`` and classified in one row-exact
+        :meth:`~repro.ml.nn.model._BaseClassifier.predict_rows` call.
+        The first ``k - 1`` cycles of each column stay silent, as in
+        :meth:`observe`, and the scalar buffer is left reset.
+        """
+        self.reset()
+        n_steps, n_cols = batch.shape
+        prediction = np.zeros(batch.shape, dtype=np.intp)
+        if n_steps >= self.k:
+            # (n_windows, D, B, k) -> (B, n_windows, k, D): column-major
+            # rows, each window time-ordered like the scalar buffer
+            windows = sliding_window_view(batch.features, self.k, axis=0)
+            rows = windows.transpose(2, 0, 3, 1).reshape(
+                -1, self.k, batch.features.shape[1])
+            prediction[self.k - 1:] = self.model.predict_rows(
+                rows).reshape(n_cols, -1).T
+        return _verdicts(prediction, batch.bg, self.bg_target,
+                         self.multiclass)
+
+    def export_runtime(self) -> Dict[str, object]:
+        """The k-window only; the model is shared, not per-user state."""
+        return {"_buffer": list(self._buffer)}
+
+    def restore_runtime(self, state: Dict[str, object]) -> None:
+        """Install :meth:`export_runtime` output.  Also accepts the full
+        instance dict older snapshots carry, taking only its window."""
+        self._buffer = deque(state["_buffer"], maxlen=self.k)
 
 
 # ----------------------------------------------------------------------

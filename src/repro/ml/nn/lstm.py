@@ -24,10 +24,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class LSTMLayer(Layer):
     """Batched LSTM over full sequences.
 
-    ``forward`` maps ``(n, T, in_dim)`` to ``(n, T, hidden)``; ``backward``
-    accepts the gradient of the full hidden sequence (callers that only use
-    the last step pass zeros elsewhere).  Only a ``training=True`` forward
-    keeps the per-step activations BPTT needs.
+    ``forward`` maps ``(..., T, in_dim)`` to ``(..., T, hidden)``: an
+    ``(n, T, in_dim)`` minibatch in training, or the ``(n, 1, T, in_dim)``
+    stack of single windows row-exact inference feeds it (see
+    :meth:`~repro.ml.nn.model._BaseClassifier.predict_rows`).
+    ``backward`` accepts the gradient of the full ``(n, T, hidden)`` hidden
+    sequence (callers that only use the last step pass zeros elsewhere).
+    Only a ``training=True`` forward keeps the per-step activations BPTT
+    needs.
     """
 
     def __init__(self, in_dim: int, hidden: int,
@@ -47,20 +51,21 @@ class LSTMLayer(Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 3:
-            raise ValueError(f"LSTM input must be (n, T, d), got shape {x.shape}")
-        n, T, _ = x.shape
+        if x.ndim < 3:
+            raise ValueError(
+                f"LSTM input must be (..., T, d), got shape {x.shape}")
+        *lead, T, _ = x.shape
         H = self.hidden
-        h = np.zeros((n, H))
-        c = np.zeros((n, H))
-        h_seq = np.zeros((n, T, H))
+        h = np.zeros((*lead, H))
+        c = np.zeros((*lead, H))
+        h_seq = np.zeros((*lead, T, H))
         caches = [] if training else None
         for t in range(T):
-            gates = x[:, t, :] @ self.Wx + h @ self.Wh + self.b
-            i = _sigmoid(gates[:, 0 * H:1 * H])
-            f = _sigmoid(gates[:, 1 * H:2 * H])
-            g = np.tanh(gates[:, 2 * H:3 * H])
-            o = _sigmoid(gates[:, 3 * H:4 * H])
+            gates = x[..., t, :] @ self.Wx + h @ self.Wh + self.b
+            i = _sigmoid(gates[..., 0 * H:1 * H])
+            f = _sigmoid(gates[..., 1 * H:2 * H])
+            g = np.tanh(gates[..., 2 * H:3 * H])
+            o = _sigmoid(gates[..., 3 * H:4 * H])
             c_next = f * c + i * g
             tanh_c = np.tanh(c_next)
             h_next = o * tanh_c
@@ -68,7 +73,7 @@ class LSTMLayer(Layer):
                 caches.append((x[:, t, :], h, c, i, f, g, o, c_next,
                                tanh_c))
             h, c = h_next, c_next
-            h_seq[:, t, :] = h
+            h_seq[..., t, :] = h
         self._cache = (caches, x.shape) if training else None
         return h_seq
 

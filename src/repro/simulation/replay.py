@@ -26,14 +26,15 @@ are element-wise identical to feeding each trace's context stream through
   stream yields (there is one context builder; :func:`iter_contexts` is
   its ``B=1`` column view);
 - vectorized ``observe_batch`` implementations (context-aware rules,
-  DT/MLP, Guideline, MPC) transcribe the scalar arithmetic with identical
-  operation order — comparisons and size-invariant ufuncs only — while
-  whole-matrix BLAS calls, whose rounding depends on batch shape, are
-  deliberately avoided (the MLP classifies per row for exactly this
-  reason);
-- everything else (the LSTM's sliding-window state, any user-defined
-  monitor) falls back to the base class's per-column loop over
-  ``observe``, which *is* the reference definition.
+  DT/MLP/LSTM, Guideline, MPC) transcribe the scalar arithmetic with
+  identical operation order — comparisons and size-invariant ufuncs
+  only — while whole-matrix BLAS calls, whose rounding depends on batch
+  shape, are deliberately avoided (the MLP classifies every cycle, and
+  the LSTM every sliding window, in stacked single-row forwards that
+  make the same BLAS gemv call per row as the scalar ``predict``);
+- any other monitor (user-defined ones) runs the base class's
+  per-column loop over ``observe``, which *is* the reference
+  definition.
 
 Batches are greedy groups of consecutive equal-length traces, so a
 heterogeneous stream (campaign plus fault-free runs of a different

@@ -5,6 +5,9 @@ import pytest
 
 from repro.baselines import GuidelineMonitor, MPCMonitor
 from repro.core import cawot_monitor, cawt_monitor
+from repro.ml import build_window_dataset
+from repro.ml.monitors import LSTMMonitor
+from repro.ml.nn import LSTMClassifier
 from repro.serve import (JournalCorruptError, MonitorService,
                          SnapshotError)
 from repro.serve.chaos import (corrupt_journal_middle, corrupt_snapshot,
@@ -16,12 +19,31 @@ N_USERS = 200
 N_TICKS = 12
 
 
-def _monitors():
-    # one vectorized stateless monitor + one stateful (per-user clones
-    # with a cross-cycle excursion timer): the two restore paths
-    return {"CAWT": cawt_monitor({"beta1": 75.0}),
-            "CAWOT": cawot_monitor(),
-            "Guideline": GuidelineMonitor()}
+@pytest.fixture(scope="module")
+def lstm(tiny_campaign_traces):
+    """A small LSTM that alerts on this fleet.  The fleet's BG walks stay
+    in the normal range, where campaign-trained monitors are silent, so
+    it learns to flag windows ending above 130 mg/dL.  The small stack
+    keeps 200 per-user clones cheap; recovery must restore each user's
+    k-window."""
+    X, _ = build_window_dataset(tiny_campaign_traces, k=6)
+    y = (X[:, -1, 0] > 130.0).astype(int)
+    model = LSTMClassifier(hidden=(16, 8), lr=1e-2, max_epochs=10,
+                           seed=0).fit(X, y)
+    return LSTMMonitor(model, k=6)
+
+
+@pytest.fixture(scope="module")
+def fleet(lstm):
+    """``fleet()`` builds the fleet's monitors: vectorized stateless ones
+    plus two stateful kinds (per-user clones with a cross-cycle
+    excursion timer, and with a k-cycle window) -- both restore paths."""
+    def monitors():
+        return {"CAWT": cawt_monitor({"beta1": 75.0}),
+                "CAWOT": cawot_monitor(),
+                "Guideline": GuidelineMonitor(),
+                "LSTM": lstm}
+    return monitors
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +52,11 @@ def ticks():
 
 
 @pytest.fixture(scope="module")
-def reference(ticks):
-    return drive(MonitorService(_monitors()), ticks)
+def reference(ticks, fleet):
+    results = drive(MonitorService(fleet()), ticks)
+    # the LSTM must have something to get wrong after a restore
+    assert any(result.alerts["LSTM"].any() for result in results)
+    return results
 
 
 class TestKillAtEveryTickBoundary:
@@ -39,19 +64,21 @@ class TestKillAtEveryTickBoundary:
     tick boundary recovers to an element-wise identical stream."""
 
     @pytest.mark.parametrize("kill_after", list(range(1, N_TICKS)))
-    def test_recovery_parity(self, tmp_path, ticks, reference, kill_after):
+    def test_recovery_parity(self, fleet, tmp_path, ticks, reference,
+                             kill_after):
         results, recovered = crash_recovery_run(
-            _monitors(), ticks, str(tmp_path / "state"),
+            fleet(), ticks, str(tmp_path / "state"),
             kill_after=kill_after, snapshot_every=4)
         equal, why = results_equal(reference, results)
         assert equal, f"kill after tick {kill_after}: {why}"
         assert recovered.recovery_report is not None
         assert recovered.recovery_report.torn_tail_bytes == 0
 
-    def test_membership_churn_replays(self, tmp_path, ticks, reference):
+    def test_membership_churn_replays(self, fleet, tmp_path, ticks,
+                                      reference):
         """Explicit connects and a mid-run disconnect ride the journal."""
         results, recovered = crash_recovery_run(
-            _monitors(), ticks, str(tmp_path / "state"), kill_after=7,
+            fleet(), ticks, str(tmp_path / "state"), kill_after=7,
             connect_first=("spectator-1", "spectator-2"),
             disconnect_at=(3, "spectator-1"))
         # spectators never tick, so the ticking fleet's stream is
@@ -70,10 +97,11 @@ class TestKillAtEveryTickBoundary:
         equal, why = results_equal(reference, results)
         assert equal, why
 
-    def test_second_generation_crash(self, tmp_path, ticks, reference):
+    def test_second_generation_crash(self, fleet, tmp_path, ticks,
+                                     reference):
         """Crash, recover, snapshot, crash again: recovery composes."""
         directory = str(tmp_path / "state")
-        service = MonitorService(_monitors(), persist_dir=directory)
+        service = MonitorService(fleet(), persist_dir=directory)
         results = [service.process(tick) for tick in ticks[:4]]
         del service  # first kill
         survivor = MonitorService.recover(directory)
@@ -90,12 +118,12 @@ class TestKillAtEveryTickBoundary:
 
 class TestTornWrites:
     def test_torn_tail_discards_only_the_unacknowledged_tick(
-            self, tmp_path, ticks, reference):
+            self, fleet, tmp_path, ticks, reference):
         """Cut the final record mid-write: recovery reports the torn
         tail, resumes one tick earlier, and re-feeding from there is
         again element-wise identical."""
         directory = str(tmp_path / "state")
-        service = MonitorService(_monitors(), persist_dir=directory)
+        service = MonitorService(fleet(), persist_dir=directory)
         kill_after = 6
         results = [service.process(tick) for tick in ticks[:kill_after]]
         del service
@@ -111,9 +139,9 @@ class TestTornWrites:
         equal, why = results_equal(reference, results)
         assert equal, why
 
-    def test_mid_journal_corruption_is_loud(self, tmp_path, ticks):
+    def test_mid_journal_corruption_is_loud(self, fleet, tmp_path, ticks):
         directory = str(tmp_path / "state")
-        service = MonitorService(_monitors(), persist_dir=directory)
+        service = MonitorService(fleet(), persist_dir=directory)
         for tick in ticks[:5]:
             service.process(tick)
         del service
@@ -123,9 +151,9 @@ class TestTornWrites:
 
 
 class TestSnapshotFaults:
-    def test_corrupted_snapshot_is_loud(self, tmp_path, ticks):
+    def test_corrupted_snapshot_is_loud(self, fleet, tmp_path, ticks):
         directory = str(tmp_path / "state")
-        service = MonitorService(_monitors(), persist_dir=directory)
+        service = MonitorService(fleet(), persist_dir=directory)
         for tick in ticks[:4]:
             service.process(tick)
         service.snapshot()
@@ -135,10 +163,10 @@ class TestSnapshotFaults:
         with pytest.raises(SnapshotError, match="checksum"):
             MonitorService.recover(directory)
 
-    def test_half_written_snapshot_is_ignored(self, tmp_path, ticks,
+    def test_half_written_snapshot_is_ignored(self, fleet, tmp_path, ticks,
                                               reference):
         directory = str(tmp_path / "state")
-        service = MonitorService(_monitors(), persist_dir=directory)
+        service = MonitorService(fleet(), persist_dir=directory)
         kill_after = 5
         results = [service.process(tick) for tick in ticks[:kill_after]]
         del service
@@ -151,13 +179,13 @@ class TestSnapshotFaults:
 
 
 class TestClockSkew:
-    def test_backwards_fleet_clock_quarantines_and_recovers(self):
+    def test_backwards_fleet_clock_quarantines_and_recovers(self, fleet):
         """A gateway clock stepping back must neither crash the service
         nor double-apply ticks: skewed ticks quarantine as stale and the
         stream resumes once the clock passes its high-water mark."""
         base = fleet_ticks(20, N_TICKS, seed=7)
         skewed = skewed_ticks(base, skew_at=5, skew_minutes=20.0)
-        service = MonitorService(_monitors())
+        service = MonitorService(fleet())
         results = drive(service, skewed)
         # ticks 5..8 land at/behind the high-water mark (t=20): stale
         for i in range(5, 9):
@@ -170,14 +198,14 @@ class TestClockSkew:
             assert results[i].rejected == []
         assert service.rejected_by_reason == {"stale-timestamp": 80}
 
-    def test_skew_survives_crash_recovery(self, tmp_path):
+    def test_skew_survives_crash_recovery(self, fleet, tmp_path):
         """Quarantine decisions are deterministic, so a skewed stream
         recovers bit-exact like any other."""
         base = fleet_ticks(20, N_TICKS, seed=7)
         skewed = skewed_ticks(base, skew_at=5, skew_minutes=20.0)
-        reference = drive(MonitorService(_monitors()), skewed)
+        reference = drive(MonitorService(fleet()), skewed)
         results, _ = crash_recovery_run(
-            _monitors(), skewed, str(tmp_path / "state"), kill_after=7,
+            fleet(), skewed, str(tmp_path / "state"), kill_after=7,
             snapshot_every=3)
         equal, why = results_equal(reference, results)
         assert equal, why

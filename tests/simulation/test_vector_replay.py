@@ -4,9 +4,9 @@ The contract under test is the one the lock-step simulation engine set:
 ``LOCKSTEP_WIDTH`` (like ``workers``) changes wall-clock time, never
 semantics.  Replay must be element-wise identical to the single-trace
 reference ``replay_monitor`` for every monitor kind — the vectorized
-overrides (CAWT/CAWOT rules, DT, MLP, Guideline, MPC) and the column-loop
-fallback (LSTM, user-defined monitors) alike — across widths and worker
-counts; mined robustness samples must equal the per-trace miner below;
+overrides (CAWT/CAWOT rules, DT, MLP, LSTM, Guideline, MPC) and the
+base-class column loop (user-defined monitors) alike — across widths and
+worker counts; mined robustness samples must equal the per-trace miner below;
 and the batched fault-free titration must reproduce the scalar
 ``empirical_isf`` bit for bit.
 """
@@ -115,8 +115,16 @@ def fast_monitors(tiny_campaign_traces):
 
 
 @pytest.fixture(scope="module")
-def lstm_monitor(tiny_campaign_traces):
-    return train_lstm_monitor(tiny_campaign_traces, max_epochs=2)
+def nn_monitors(tiny_campaign_traces):
+    """The batched-NN kinds: binary and multi-class LSTM, and the
+    multi-class MLP (the binary MLP is in ``fast_monitors``)."""
+    return {
+        "LSTM": train_lstm_monitor(tiny_campaign_traces, max_epochs=2),
+        "LSTMmc": train_lstm_monitor(tiny_campaign_traces, max_epochs=2,
+                                     multiclass=True),
+        "MLPmc": train_mlp_monitor(tiny_campaign_traces, max_epochs=3,
+                                   multiclass=True),
+    }
 
 
 class TestBatchedReplayParity:
@@ -134,19 +142,37 @@ class TestBatchedReplayParity:
                     for a, b in zip(reference[name], batched[name]):
                         assert np.array_equal(a, b), (name, width, workers)
 
-    def test_lstm_fallback_parity(self, lstm_monitor, tiny_campaign_traces,
-                                  set_lockstep_width):
-        # the LSTM is stateful over sliding windows and uses the base
-        # class's column-loop fallback; a trace subset keeps this fast
+    def test_batched_lstm_parity(self, nn_monitors, tiny_campaign_traces,
+                                 set_lockstep_width):
+        # every sliding window of a batch classified in stacked row-exact
+        # forwards, against the per-cycle observe reference: alerts at
+        # every width x workers, hazard codes at every width, binary and
+        # multi-class heads; a trace subset keeps this fast
         traces = list(tiny_campaign_traces[:10])
-        reference = reference_alerts(lstm_monitor, traces)
+        reference = {name: [replay_monitor(monitor, trace)
+                            for trace in traces]
+                     for name, monitor in nn_monitors.items()}
+        assert any(alerts.any() for alerts, _ in reference["LSTM"])
+        assert any((hazards == int(HazardType.H1)).any()
+                   for _, hazards in reference["LSTMmc"])
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
             for workers in WORKER_COUNTS:
-                batched = replay_campaign({"LSTM": lstm_monitor}, traces,
-                                          workers=workers)["LSTM"]
-                assert all(np.array_equal(a, b)
-                           for a, b in zip(reference, batched))
+                batched = replay_campaign(nn_monitors, traces,
+                                          workers=workers)
+                for name in nn_monitors:
+                    assert len(batched[name]) == len(traces)
+                    for (alerts, _), got in zip(reference[name],
+                                                batched[name]):
+                        assert np.array_equal(alerts, got), (name, width,
+                                                             workers)
+            for name, monitor in nn_monitors.items():
+                batched = replay_monitor_batched(monitor, traces)
+                for (alerts, hazards), (got_alerts, got_hazards) in zip(
+                        reference[name], batched, strict=True):
+                    assert np.array_equal(alerts, got_alerts), (name, width)
+                    assert np.array_equal(hazards, got_hazards), (name,
+                                                                  width)
 
     def test_hazard_codes_match_scalar_replay(self, fast_monitors,
                                               tiny_campaign_traces,
