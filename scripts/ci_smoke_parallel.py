@@ -18,11 +18,12 @@ DT/MLP/LSTM) is then replayed over the campaign through the per-cycle
 ``replay_monitor`` reference and through the batched ``observe_batch``
 path at workers {1, 2}, asserting element-wise identical alert streams —
 the exact-parity contract of ``repro.simulation.replay``.  The same
-campaign is then pushed through the online :class:`MonitorService` as a
-live tick stream (``repro.serve.replay_log``) twice, and both served runs
-must reproduce the reference alert streams element-wise — the serving
-parity contract.  A crash-recovery
-smoke then kills a journaled service (``persist_dir``) at two mid-run
+campaign is then pushed through one online :class:`MonitorService`
+holding every kind as a live tick stream (``repro.serve.replay_log``)
+twice, and both served runs must reproduce the batched offline replay
+element-wise — the serving parity contract.  A crash-recovery
+smoke then kills a journaled service (``persist_dir``; CAWT, CAWOT,
+Guideline, MPC and LSTM over 100 synthetic users) at two mid-run
 tick boundaries and recovers it from snapshot + write-ahead journal
 (``repro.serve.chaos``): the stitched alert stream must be element-wise
 identical to the uninterrupted run — the crash-safety parity contract of
@@ -171,7 +172,7 @@ def main() -> int:
     # batched replay parity: every monitor kind, the per-cycle reference
     # vs observe_batch, across worker counts (the LSTM classifies every
     # sliding window in stacked row-exact forwards; a trace subset keeps
-    # its per-cycle reference, and its per-user serving below, bounded)
+    # its per-cycle reference bounded)
     monitors = {
         "CAWT": cawt_monitor(learn_thresholds(serial).thresholds),
         "CAWOT": cawot_monitor(),
@@ -179,21 +180,24 @@ def main() -> int:
         "MPC": MPCMonitor(horizon_steps=config.mpc_horizon),
     }
     monitors.update({t.name: t.monitor for t in trained_serial})
-    replay_traces = {name: (serial[:12] if name == "LSTM" else serial)
-                     for name in monitors}
     start = time.perf_counter()
-    ref = {name: [replay_monitor(monitor, trace)[0]
-                  for trace in replay_traces[name]]
+    ref = {name: [replay_monitor(monitor, trace)[0] for trace
+                  in (serial[:12] if name == "LSTM" else serial)]
            for name, monitor in monitors.items()}
     t_reference = time.perf_counter() - start
     start = time.perf_counter()
+    offline = {}
     for replay_workers in (1, workers):
         for name, monitor in monitors.items():
-            batched = replay_campaign({name: monitor}, replay_traces[name],
+            batched = replay_campaign({name: monitor}, serial,
                                       workers=replay_workers)[name]
-            bad = [i for i, (a, b) in enumerate(zip(ref[name], batched))
+            # the per-cycle reference where there is one, else the
+            # first sweep
+            expected = (ref[name] + offline.setdefault(name, batched)[
+                len(ref[name]):])
+            bad = [i for i, (a, b) in enumerate(zip(expected, batched))
                    if not np.array_equal(a, b)]
-            if len(batched) != len(ref[name]) or bad:
+            if len(batched) != len(serial) or bad:
                 print(f"FAIL: batched replay of {name} diverges from the "
                       f"reference at workers={replay_workers} "
                       f"({len(bad)} trace(s), first at "
@@ -206,34 +210,33 @@ def main() -> int:
           f"(reference {t_reference:.2f}s, 2 batched sweeps "
           f"{t_batched:.2f}s)")
 
-    # serving parity: replay the recorded campaign through the online
-    # MonitorService as a live tick stream, twice, and compare against
-    # the reference replay — every monitor kind, stateful ones included
-    # (per-user clones inside the service)
-    fast = {name: m for name, m in monitors.items() if name != "LSTM"}
+    # serving parity: replay the recorded campaign through one online
+    # MonitorService holding every monitor kind as a live tick stream,
+    # twice, and compare against the batched offline replay just checked
+    # against the per-cycle reference
     start = time.perf_counter()
     for service_run in (1, 2):
-        served = replay_log(fast, serial)
-        served.update(replay_log({"LSTM": monitors["LSTM"]}, serial[:12]))
+        served = replay_log(monitors, serial)
         for name in monitors:
-            bad = [i for i, (a, b) in enumerate(zip(ref[name], served[name]))
+            bad = [i for i, (a, b) in enumerate(zip(offline[name],
+                                                    served[name]))
                    if not np.array_equal(a, b)]
-            if len(served[name]) != len(ref[name]) or bad:
+            if len(served[name]) != len(serial) or bad:
                 print(f"FAIL: served alert stream of {name} diverges "
-                      f"from the reference replay (service run "
+                      f"from the offline replay (service run "
                       f"{service_run}, {len(bad)} trace(s), first at "
                       f"{bad[0] if bad else '?'})")
                 return 1
     t_serve = time.perf_counter() - start
-    print(f"OK: online service reproduces the reference replay of "
+    print(f"OK: online service reproduces the offline replay of "
           f"{len(monitors)} monitor kinds element-wise "
           f"(2 service runs, {t_serve:.2f}s)")
 
     # crash-recovery smoke: kill a journaled service at mid-run tick
     # boundaries, recover from snapshot + write-ahead journal, and the
     # stitched stream must match the uninterrupted run element-wise
-    chaos_monitors = {name: monitors[name]
-                      for name in ("CAWT", "CAWOT", "Guideline")}
+    chaos_monitors = {name: monitors[name] for name in
+                      ("CAWT", "CAWOT", "Guideline", "MPC", "LSTM")}
     chaos_ticks = fleet_ticks(100, 8, seed=3)
     start = time.perf_counter()
     uninterrupted = drive(MonitorService(chaos_monitors), chaos_ticks)

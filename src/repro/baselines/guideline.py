@@ -25,7 +25,8 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from ..core.context import ContextVector
-from ..core.monitor import MonitorVerdict, NO_ALERT, SafetyMonitor
+from ..core.monitor import (MonitorState, MonitorVerdict, NO_ALERT,
+                            SafetyMonitor)
 from ..hazards import HazardType
 
 __all__ = ["GuidelineMonitor"]
@@ -128,21 +129,30 @@ class GuidelineMonitor(SafetyMonitor):
                                   triggered=tuple(triggered))
         return NO_ALERT
 
-    def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
+    def init_state(self, n_cols: int) -> MonitorState:
+        """The phi3/phi4 excursion start times per column (NaN = unset,
+        the scalar ``None``)."""
+        return {"below_since": np.full(n_cols, np.nan),
+                "above_since": np.full(n_cols, np.nan)}
+
+    def observe_batch(self, batch, state: Optional[MonitorState] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`observe` over a context batch.
 
-        One time loop; the ``_below_since``/``_above_since`` timers become
-        ``(B,)`` vectors (NaN = unset).  The hazard precedence replays the
-        scalar ``hazard or ...`` chain: phi1 first, then phi2/phi3/phi4
-        only where no earlier rule already set a type.  The monitor's own
-        scalar timers are not touched.
+        One time loop over the ``(B,)`` excursion timers of *state*.  The
+        hazard precedence replays the scalar ``hazard or ...`` chain:
+        phi1 first, then phi2/phi3/phi4 only where no earlier rule
+        already set a type.  The monitor's own scalar timers are not
+        touched.
         """
         n_steps, n_cols = batch.shape
         alerts = np.zeros((n_steps, n_cols), dtype=bool)
         hazards = np.zeros((n_steps, n_cols), dtype=int)
         h1, h2 = int(HazardType.H1), int(HazardType.H2)
-        below_since = np.full(n_cols, np.nan)
-        above_since = np.full(n_cols, np.nan)
+        if state is None:
+            state = self.init_state(n_cols)
+        below_since = state["below_since"]
+        above_since = state["above_since"]
         for step in range(n_steps):
             bg = batch.bg[step]
             t = batch.t[step]
@@ -172,4 +182,6 @@ class GuidelineMonitor(SafetyMonitor):
             alerts[step] = (phi1_low | phi1_high | phi2_fall | phi2_rise
                             | phi3 | phi4)
             hazards[step] = hazard
+        state["below_since"][:] = below_since
+        state["above_since"][:] = above_since
         return alerts, hazards

@@ -29,11 +29,19 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.context import ContextVector
-from ..core.monitor import MonitorVerdict, NO_ALERT, SafetyMonitor
+from ..core.monitor import (MonitorState, MonitorVerdict, NO_ALERT,
+                            SafetyMonitor)
 from ..hazards import HazardType
 from ..patients.base import UU_PER_UNIT
 
 __all__ = ["MPCMonitor"]
+
+#: up to this many horizon rollouts (a live tick of the lock-step engine
+#: or a small fleet) run through the scalar :meth:`MPCMonitor._integrate`
+#: on Python floats: a rollout step costs numpy ~20 calls whatever the
+#: width, which Python floats undercut below about 24 rollouts (measured
+#: on the ci-scale MPC-mitigated campaign, 2-vCPU Xeon)
+SCALAR_ROLLOUTS = 24
 
 
 class MPCMonitor(SafetyMonitor):
@@ -145,32 +153,46 @@ class MPCMonitor(SafetyMonitor):
             bg = np.where(bg_next < 1.0, 1.0, bg_next)
         return isc, ip, ieff, bg
 
-    def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
+    def init_state(self, n_cols: int) -> MonitorState:
+        """The insulin chain per column, NaN until the column's first
+        cycle (the scalar ``_ieff is None``)."""
+        return {name: np.full(n_cols, np.nan)
+                for name in ("isc", "ip", "ieff")}
+
+    def observe_batch(self, batch, state: Optional[MonitorState] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`observe` over a context batch, in two passes.
 
-        Every column starts from the freshly-reset state (chain
-        initialised at the first observed BG of that column), exactly as
-        offline replay resets the monitor per trace.  The one-cycle state
+        Columns whose chain is still unset (NaN) start at the steady
+        state of the batch's first BG reading, as the scalar
+        :meth:`observe` does on its first cycle.  The one-cycle state
         advance is inherently sequential, so pass one walks the time axis
-        recording per-cycle state snapshots; the expensive horizon
-        *predictions* are independent across cycles, so pass two rolls
-        them all forward at once over flattened ``(n_steps * B,)``
-        vectors — elementwise arithmetic, hence bit-identical to
-        predicting cycle by cycle.  The monitor's own scalar state is not
-        touched.
+        recording per-cycle state snapshots and leaves the advanced chain
+        in *state*; the expensive horizon *predictions* are independent
+        across cycles, so pass two rolls them all forward at once over
+        flattened ``(n_steps * B,)`` vectors — elementwise arithmetic,
+        hence bit-identical to predicting cycle by cycle (a few rollouts
+        run through the scalar :meth:`_integrate` itself).  The monitor's
+        own scalar state is not touched.
         """
         n_steps, n_cols = batch.shape
         alerts = np.zeros((n_steps, n_cols), dtype=bool)
         hazards = np.zeros((n_steps, n_cols), dtype=int)
         if n_steps == 0:
             return alerts, hazards
-        # per-column steady-state initialisation at the first reading
+        if state is None:
+            state = self.init_state(n_cols)
+        # steady-state initialisation at the first reading, for the
+        # columns on their first cycle
         bg0 = batch.bg[0]
         bg0_floor = np.where(bg0 < 1.0, 1.0, bg0)
-        ieff = self.egp / bg0_floor - self.gezi
-        ieff = np.where(ieff < 0.0, 0.0, ieff)
-        ip = ieff / self.si
-        isc = ip.copy()
+        ieff0 = self.egp / bg0_floor - self.gezi
+        ieff0 = np.where(ieff0 < 0.0, 0.0, ieff0)
+        ip0 = ieff0 / self.si
+        fresh = np.isnan(state["ieff"])
+        isc = np.where(fresh, ip0, state["isc"])
+        ip = np.where(fresh, ip0, state["ip"])
+        ieff = np.where(fresh, ieff0, state["ieff"])
         insulin_uu_min = (batch.rate / 60.0
                           + batch.bolus / self.dt) * UU_PER_UNIT
         # pass one: advance the insulin chain cycle by cycle, snapshotting
@@ -182,11 +204,17 @@ class MPCMonitor(SafetyMonitor):
             isc_at[step], ip_at[step], ieff_at[step] = isc, ip, ieff
             isc, ip, ieff, _ = self._integrate_columns(
                 isc, ip, ieff, batch.bg[step], insulin_uu_min[step], self.dt)
+        state["isc"][:], state["ip"][:], state["ieff"][:] = isc, ip, ieff
         # pass two: all (cycle, column) horizon rollouts in one flat batch
-        _, _, _, predicted = self._integrate_columns(
-            isc_at.ravel(), ip_at.ravel(), ieff_at.ravel(),
-            np.ascontiguousarray(batch.bg).ravel(), insulin_uu_min.ravel(),
-            self.horizon_steps * self.dt)
+        flat = (isc_at.ravel(), ip_at.ravel(), ieff_at.ravel(),
+                np.ascontiguousarray(batch.bg).ravel(), insulin_uu_min.ravel())
+        horizon = self.horizon_steps * self.dt
+        if flat[0].size > SCALAR_ROLLOUTS:
+            predicted = self._integrate_columns(*flat, horizon)[3]
+        else:
+            predicted = np.array([
+                self._integrate(*rollout, horizon)[3]
+                for rollout in zip(*(values.tolist() for values in flat))])
         predicted = predicted.reshape(n_steps, n_cols)
         low = predicted < self.bg_low
         high = predicted > self.bg_high

@@ -15,16 +15,17 @@ reference (:meth:`repro.core.rules.APSRule.violated`); its batched path
 evaluates the rules' STL formulas
 (:meth:`repro.core.rules.APSRule.violation_body`).
 
-Monitors additionally expose a *batched* evaluation path
-(:meth:`SafetyMonitor.observe_batch`) used by offline replay
-(:mod:`repro.simulation.replay`) and — for monitors that declare
-themselves :attr:`~SafetyMonitor.stateless` — by the live lock-step
-simulation engine (:mod:`repro.simulation.vector`), one single-cycle
-batch per tick: a whole stack of context streams is evaluated column-wise
-in lock step, with verdicts element-wise identical to calling
-:meth:`~SafetyMonitor.observe` cycle by cycle.  The base class provides a
-column-loop fallback so every custom monitor keeps working unchanged;
-monitors whose arithmetic vectorizes exactly override it.
+Monitors additionally expose one resumable *batched* step
+(:meth:`SafetyMonitor.observe_batch`): a stack of context streams is
+evaluated column-wise in lock step, each column continuing from its
+column of an explicit state (:meth:`SafetyMonitor.init_state`), with
+verdicts element-wise identical to calling
+:meth:`~SafetyMonitor.observe` cycle by cycle.  Offline replay
+(:mod:`repro.simulation.replay`) calls it once per batch from a fresh
+state; the lock-step engine (:mod:`repro.simulation.vector`) and the
+online service (:mod:`repro.serve`) once per tick, carrying the state.
+The base class falls back to a column loop over per-column clones, so
+every custom monitor keeps working unchanged.
 """
 
 from __future__ import annotations
@@ -41,8 +42,12 @@ from ..stl import satisfaction
 from .context import ContextVector
 from .rules import APSRule, BG_TARGET, aps_rules, default_thresholds
 
-__all__ = ["MonitorVerdict", "SafetyMonitor", "ContextAwareMonitor",
-           "cawt_monitor", "cawot_monitor", "NO_ALERT"]
+__all__ = ["MonitorVerdict", "MonitorState", "SafetyMonitor",
+           "ContextAwareMonitor", "cawt_monitor", "cawot_monitor",
+           "NO_ALERT"]
+
+#: per-column monitor state: named arrays whose last axis is the column
+MonitorState = Dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -77,17 +82,6 @@ class SafetyMonitor(abc.ABC):
 
     name: str = "monitor"
 
-    #: True when :meth:`observe` is a pure function of its context — no
-    #: cross-cycle state, so ``observe_batch`` on a single-cycle ``(1, B)``
-    #: batch equals ``B`` independent scalar calls.  The lock-step
-    #: simulation engine (:mod:`repro.simulation.vector`) uses this to
-    #: evaluate the monitor column-wise each live tick; stateful monitors
-    #: (Guideline, MPC, LSTM, anything with a meaningful :meth:`reset`)
-    #: must leave it False and are driven through per-row scalar clones
-    #: instead.  Subclasses of a stateless monitor that *add* state must
-    #: set it back to False.
-    stateless: bool = False
-
     @abc.abstractmethod
     def observe(self, ctx: ContextVector) -> MonitorVerdict:
         """Evaluate one control cycle."""
@@ -98,14 +92,9 @@ class SafetyMonitor(abc.ABC):
     def clone(self) -> "SafetyMonitor":
         """An independent reset copy of this monitor.
 
-        The canonical way to give a stateful monitor its own per-row /
-        per-user state: both the lock-step simulation engine
-        (:mod:`repro.simulation.vector`) and the online serving layer
-        (:mod:`repro.serve`) call this once per column or connected user.
         The default — a :func:`copy.deepcopy` followed by :meth:`reset` —
-        is exactly the scalar loop's run-start semantics; monitors whose
-        state is expensive to copy may override with something cheaper as
-        long as the clone is observationally a fresh instance.
+        is exactly the scalar loop's run-start semantics; the default
+        :meth:`init_state` holds one clone per column.
         """
         clone = copy.deepcopy(self)
         clone.reset()
@@ -123,30 +112,25 @@ class SafetyMonitor(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support registry state export")
 
-    def export_runtime(self) -> Dict[str, object]:
-        """The monitor's *runtime* (cross-cycle) state, picklable.
+    def init_state(self, n_cols: int) -> MonitorState:
+        """Fresh cross-cycle state for *n_cols* independent columns.
 
-        Distinct from :meth:`export_state`, which captures construction
-        parameters: this captures what :meth:`observe` has accumulated so
-        far — an excursion timer, an LSTM hidden state — so the serving
-        layer's crash-recovery snapshots (:mod:`repro.serve.persist`) can
-        restore a per-user clone mid-stream and keep its subsequent
-        verdicts element-wise identical to an uninterrupted run.
-
-        The default captures the full instance ``__dict__`` (correct for
-        any monitor whose state lives in instance attributes, which is
-        all of the in-tree kinds); monitors carrying unpicklable or
-        oversized attributes may override with something narrower, paired
-        with :meth:`restore_runtime`.
+        Arrays whose last axis is the column, so callers can gather and
+        scatter any column subset (``value[..., cols]``) and snapshot
+        them; ``{}`` without cross-cycle state.  The model is never part
+        of it: one monitor instance serves every column.  This default
+        holds one :meth:`clone` per column, correct for any monitor whose
+        state lives in instance attributes; vectorized monitors override
+        it together with :meth:`observe_batch`.
         """
-        return dict(self.__dict__)
+        clones = np.empty(n_cols, dtype=object)
+        for b in range(n_cols):
+            clones[b] = self.clone()
+        return {"clones": clones}
 
-    def restore_runtime(self, state: Dict[str, object]) -> None:
-        """Install :meth:`export_runtime` output on a fresh clone."""
-        self.__dict__.update(state)
-
-    def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate a lock-step stack of recorded context streams.
+    def observe_batch(self, batch, state: Optional[MonitorState] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """Evaluate a lock-step stack of context streams.
 
         Parameters
         ----------
@@ -158,6 +142,10 @@ class SafetyMonitor(abc.ABC):
             ``bolus``/``action``/``t``, the whole batch as one STL trace
             (``to_stl_trace``), and per-column access (``iter_column``,
             ``column_features``).
+        state:
+            The columns' cross-cycle state from :meth:`init_state`
+            (``B`` columns), advanced in place past the batch's cycles.
+            ``None`` starts every column fresh and discards the result.
 
         Returns
         -------
@@ -167,29 +155,32 @@ class SafetyMonitor(abc.ABC):
         names are not materialised on this path).
 
         **Contract**: every column is evaluated as if the monitor had
-        been freshly :meth:`reset` and fed the column's cycles through
-        :meth:`observe` one by one — so batched and scalar replay are
-        element-wise identical for any batch composition.  This default
-        implementation *is* that definition (a per-column scalar loop),
-        which keeps user-defined monitors correct with zero work;
+        been :meth:`reset`, fed the cycles that built the column's state
+        through :meth:`observe`, and then this batch's cycles one by
+        one — so batched and scalar replay are element-wise identical for
+        any batch composition, and a stream split at any cycle and
+        resumed through one state gives the one-shot verdicts.  This
+        default implementation *is* that definition (a per-column scalar
+        loop), which keeps user-defined monitors correct with zero work;
         vectorized overrides (context-aware rules, DT/MLP/LSTM,
-        Guideline, MPC) must preserve it bit for bit, and stateful
-        overrides must derive each column's state from that column alone
-        (per-column vectors, or the LSTM's per-column windows) rather
-        than through scalar attributes.  The monitor's own scalar state
-        is left reset.
+        Guideline, MPC) must preserve it bit for bit, keeping each
+        column's state in its own column.  The monitor's own scalar
+        state is never read; without a *state* it is left reset.
         """
         n_steps, n_cols = batch.shape
         alerts = np.zeros((n_steps, n_cols), dtype=bool)
         hazards = np.zeros((n_steps, n_cols), dtype=int)
         for b in range(n_cols):
-            self.reset()
+            monitor = self if state is None else state["clones"][b]
+            if state is None:
+                self.reset()
             for t, ctx in enumerate(batch.iter_column(b)):
-                verdict = self.observe(ctx)
+                verdict = monitor.observe(ctx)
                 alerts[t, b] = verdict.alert
                 hazards[t, b] = (0 if verdict.hazard is None
                                  else int(verdict.hazard))
-        self.reset()
+        if state is None:
+            self.reset()
         return alerts, hazards
 
 
@@ -207,9 +198,6 @@ class ContextAwareMonitor(SafetyMonitor):
     rules:
         Rule subset to monitor (defaults to all 12).
     """
-
-    #: pure rule comparisons per cycle — no cross-cycle state
-    stateless = True
 
     def __init__(self, thresholds: Optional[Dict[str, float]] = None,
                  bg_target: float = BG_TARGET,
@@ -241,7 +229,12 @@ class ContextAwareMonitor(SafetyMonitor):
                                   triggered=tuple(triggered))
         return NO_ALERT
 
-    def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
+    def init_state(self, n_cols: int) -> MonitorState:
+        """Pure rule comparisons per cycle: no cross-cycle state."""
+        return {}
+
+    def observe_batch(self, batch, state: Optional[MonitorState] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized rule evaluation over a whole context batch.
 
         Each rule's STL :meth:`~repro.core.rules.APSRule.violation_body`

@@ -9,7 +9,7 @@ needed by the mitigation algorithm is then inferred from the glucose context
 (below target -> H1, above -> H2).  The multi-class variants predict the
 type directly (the Section VI-1 comparison).
 
-Batched replay: every monitor here overrides
+Batched evaluation: every monitor here overrides
 :meth:`~repro.core.monitor.SafetyMonitor.observe_batch` to classify a
 whole context batch at once, with hazard inference as array arithmetic.
 The DT runs its vectorized flat-tree ``predict`` (exact comparisons,
@@ -17,20 +17,23 @@ batch-size invariant).  The MLP classifies every cycle, and the LSTM
 every k-cycle sliding window, through the row-exact
 :meth:`~repro.ml.nn.model._BaseClassifier.predict_rows`, whose logits
 are bit-identical to the one-row ``predict`` that ``observe`` makes.
+The LSTM's only per-column state is its last ``k - 1`` feature rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.context import ContextVector
-from ..core.monitor import MonitorVerdict, NO_ALERT, SafetyMonitor
+from ..core.monitor import (MonitorState, MonitorVerdict, NO_ALERT,
+                            SafetyMonitor)
 from ..hazards import HazardType
-from .datasets import build_point_dataset, build_window_dataset, context_features
+from .datasets import (FEATURE_NAMES, build_point_dataset,
+                       build_window_dataset, context_features)
 from .nn import LSTMClassifier, MLPClassifier
 from .tree import DecisionTreeClassifier
 
@@ -58,10 +61,6 @@ def _verdicts(prediction: np.ndarray, bg: np.ndarray, bg_target: float,
 
 class _PointMonitor(SafetyMonitor):
     """Monitor over single-cycle features (DT and MLP)."""
-
-    #: single-cycle classifiers carry no cross-cycle state, so the live
-    #: lock-step engine may evaluate them per tick via observe_batch
-    stateless = True
 
     def __init__(self, model, name: str, multiclass: bool = False,
                  bg_target: float = 120.0):
@@ -92,16 +91,21 @@ class _PointMonitor(SafetyMonitor):
         """
         return self.model.predict_rows(features).astype(int, copy=False)
 
-    def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
+    def init_state(self, n_cols: int) -> MonitorState:
+        """Single-cycle classifiers: no cross-cycle state."""
+        return {}
+
+    def observe_batch(self, batch, state: Optional[MonitorState] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`observe` over a context batch: every column's
         feature matrix stacked into one row-major call to
         :meth:`_predict_rows` (column b occupies row block b; rows are
         independent, so wide live batches like the online service's
         ``(1, n_users)`` tick cost one call, not ``n_users`` Python
         iterations), hazard inference as array arithmetic."""
-        n_steps, n_cols = batch.shape
+        n_steps, n_d, n_cols = batch.features.shape
         stacked = np.ascontiguousarray(
-            np.moveaxis(batch.features, 2, 0)).reshape(n_steps * n_cols, -1)
+            np.moveaxis(batch.features, 2, 0)).reshape(n_steps * n_cols, n_d)
         prediction = self._predict_rows(stacked).reshape(n_cols, n_steps).T
         return _verdicts(prediction, batch.bg, self.bg_target,
                          self.multiclass)
@@ -153,38 +157,45 @@ class LSTMMonitor(SafetyMonitor):
                                self.multiclass)
         return MonitorVerdict(alert=True, hazard=hazard, triggered=("lstm",))
 
-    def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
+    def init_state(self, n_cols: int) -> MonitorState:
+        """Each column's last ``k - 1`` feature rows, time-major like
+        ``ContextBatch.features``, and how many of them are filled (the
+        scalar ``_buffer`` minus the cycle that completes a window)."""
+        return {"window": np.zeros((self.k - 1, len(FEATURE_NAMES), n_cols)),
+                "filled": np.zeros(n_cols, dtype=np.intp)}
+
+    def observe_batch(self, batch, state: Optional[MonitorState] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`observe` over a context batch.
 
-        Every k-cycle window of every column (the window ending at cycle
-        ``t`` is what :meth:`observe` classifies at ``t``) is gathered
-        with ``sliding_window_view`` and classified in one row-exact
+        Every k-cycle window of each column's history (its *state* rows,
+        then the batch) that ends in the batch and is full (the window
+        ending at cycle ``t`` is what :meth:`observe` classifies at
+        ``t``) is gathered with ``sliding_window_view`` and classified
+        in one row-exact
         :meth:`~repro.ml.nn.model._BaseClassifier.predict_rows` call.
-        The first ``k - 1`` cycles of each column stay silent, as in
+        Cycles before a column has seen ``k`` stay silent, as in
         :meth:`observe`, and the scalar buffer is left reset.
         """
         self.reset()
         n_steps, n_cols = batch.shape
+        if state is None:
+            state = self.init_state(n_cols)
         prediction = np.zeros(batch.shape, dtype=np.intp)
-        if n_steps >= self.k:
-            # (n_windows, D, B, k) -> (B, n_windows, k, D): column-major
-            # rows, each window time-ordered like the scalar buffer
-            windows = sliding_window_view(batch.features, self.k, axis=0)
-            rows = windows.transpose(2, 0, 3, 1).reshape(
-                -1, self.k, batch.features.shape[1])
-            prediction[self.k - 1:] = self.model.predict_rows(
-                rows).reshape(n_cols, -1).T
+        if n_steps:
+            history = np.concatenate([state["window"], batch.features])
+            # (n_steps, D, B, k) -> (n_steps, B, k, D): each window
+            # time-ordered like the scalar buffer
+            windows = sliding_window_view(history, self.k, axis=0).transpose(
+                0, 2, 3, 1)
+            full = (state["filled"]
+                    + np.arange(1, n_steps + 1)[:, None]) >= self.k
+            prediction[full] = self.model.predict_rows(windows[full])
+            state["window"][:] = history[n_steps:]
+            state["filled"][:] = np.minimum(state["filled"] + n_steps,
+                                            self.k - 1)
         return _verdicts(prediction, batch.bg, self.bg_target,
                          self.multiclass)
-
-    def export_runtime(self) -> Dict[str, object]:
-        """The k-window only; the model is shared, not per-user state."""
-        return {"_buffer": list(self._buffer)}
-
-    def restore_runtime(self, state: Dict[str, object]) -> None:
-        """Install :meth:`export_runtime` output.  Also accepts the full
-        instance dict older snapshots carry, taking only its window."""
-        self._buffer = deque(state["_buffer"], maxlen=self.k)
 
 
 # ----------------------------------------------------------------------

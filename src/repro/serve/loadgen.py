@@ -106,7 +106,7 @@ def run_load(service: MonitorService, n_users: int, n_ticks: int,
     """Drive *service* with a synthetic fleet and measure throughput.
 
     ``warmup_ticks`` extra untimed cycles run first (slot allocation,
-    ring growth and clone creation all happen on first sight of the
+    ring growth and monitor state set-up all happen on first sight of the
     fleet and should not pollute the steady-state numbers).
     """
     if n_ticks < 1:

@@ -1,7 +1,7 @@
 """Crash-safe persistence for the online monitor service.
 
 A monitor service that forgets its per-user context windows, alert dedup
-timers and stateful monitor clones on restart silently stops protecting
+timers and monitor state on restart silently stops protecting
 every user on the box until their windows refill.  This module gives
 :class:`~repro.serve.service.MonitorService` the two classic
 write-ahead-logging primitives that make restarts invisible:
@@ -16,8 +16,8 @@ write-ahead-logging primitives that make restarts invisible:
   truncating the wrong file) is never silently absorbed: it raises
   :class:`JournalCorruptError`.
 - **atomic snapshots** (:func:`write_snapshot` / :func:`read_snapshot`):
-  the full service state (ring arrays, slot map, alert streams, stateful
-  per-user monitor runtime blobs, tick/degraded-mode counters) written
+  the full service state (ring arrays, slot map, alert streams, per-slot
+  monitor state arrays, tick/degraded-mode counters) written
   to a temporary file, fsync'd, then :func:`os.replace`-d into place —
   a snapshot either exists completely or not at all.  Half-written or
   corrupted snapshot files raise :class:`SnapshotError` on load.
@@ -437,18 +437,6 @@ class RecoveryReport:
                 if self.torn_tail_bytes else "")
         return (f"recovered from {source} + {self.ticks_replayed} journaled "
                 f"tick(s) across {self.segments_replayed} segment(s){tail}")
-
-
-# pickled-ndarray helpers used by the service snapshot ------------------
-
-def dumps_state(obj: object) -> bytes:
-    """Canonical state-blob serialization (used by the monitor
-    runtime-state hooks and the snapshot payload)."""
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def loads_state(blob: bytes) -> object:
-    return pickle.loads(blob)
 
 
 def payload_size(state: object) -> int:

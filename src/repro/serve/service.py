@@ -8,13 +8,13 @@ lock-step simulation engine already drives ``observe_batch`` with, so one
 process scales to 10^5+ users per tick instead of B Python loops.
 
 Monitor lifecycle mirrors :class:`repro.simulation.vector._MonitorBatch`:
-
-- **stateless** monitors (CAWT/CAWOT, DT, MLP) live once in the registry,
-  shared read-only, and see the whole fleet in one ``observe_batch`` call
-  per tick;
-- **stateful** monitors (Guideline, MPC, LSTM, custom) are
-  :meth:`~repro.core.monitor.SafetyMonitor.clone`-d per connected user at
-  connect time and driven through scalar ``observe``.
+every registry monitor lives once, shared read-only, and sees the whole
+ticking fleet in one ``observe_batch`` call per tick.  What belongs to a
+user — a Guideline excursion timer, the MPC insulin chain, an LSTM's
+k-cycle window — is a column of the monitor's per-slot state arrays
+(:meth:`~repro.core.monitor.SafetyMonitor.init_state`), installed fresh
+at connect time, gathered by slot for the tick's users and scattered back
+after the call.
 
 **Parity contract.**  The service computes each user's BG rate from
 consecutive ticks — ``(cgm - previous_cgm) / dt``, zero on the user's
@@ -45,7 +45,7 @@ doubles as the idempotency guard that makes at-least-once tick delivery
 (tick, explicit connect/disconnect) is appended to a CRC-framed, fsync'd
 write-ahead journal *before* it mutates in-memory state, and
 :meth:`MonitorService.snapshot` atomically checkpoints the full service
-state (ring, slot map, alert streams, stateful clone runtimes, counters)
+state (ring, slot map, alert streams, monitor state arrays, counters)
 and rotates the journal.  :meth:`MonitorService.recover` restores
 snapshot + journal replay to a state whose subsequent alert stream is
 element-wise identical to a run that never crashed — mechanics and
@@ -62,7 +62,7 @@ from typing import (Deque, Dict, Hashable, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from ..core.monitor import SafetyMonitor
+from ..core.monitor import MonitorState, SafetyMonitor
 from ..simulation.features import ContextBatch, FEATURE_NAMES
 from ..simulation.store import iter_trace_ticks
 from .alerts import AlertEvent, AlertManager, DEFAULT_DEDUP_WINDOW_MINUTES
@@ -72,7 +72,7 @@ from .persist import (CONFIG_NAME, REGISTRY_DIRNAME, JournalCorruptError,
                       list_snapshots, read_config, read_journal,
                       read_snapshot, segment_path, snapshot_path,
                       write_config, write_snapshot)
-from .registry import MonitorRegistry
+from .registry import MonitorRegistry, RegistryError
 from .ring import ContextRing
 
 __all__ = ["TickBatch", "TickResult", "RejectedTick", "MonitorService",
@@ -231,10 +231,6 @@ class MonitorService:
         self.window = int(window)
         self.auto_connect = bool(auto_connect)
         self.health_window = int(health_window)
-        self._stateless = [(name, monitor) for name, monitor
-                           in monitors.items() if monitor.stateless]
-        self._stateful = [(name, monitor) for name, monitor
-                          in monitors.items() if not monitor.stateless]
         self.alert_manager = AlertManager(window=dedup_window,
                                           escalate_after=escalate_after)
         self._ring = ContextRing(self.window, _RING_WIDTH)
@@ -244,9 +240,9 @@ class MonitorService:
         self._seen = np.zeros(0, dtype=bool)
         #: wall-clock of each slot's last applied tick (idempotency guard)
         self._last_t = np.full(0, -np.inf)
-        #: per-stateful-monitor, per-slot clone (None on free slots)
-        self._clones: Dict[str, List[Optional[SafetyMonitor]]] = {
-            name: [] for name, _ in self._stateful}
+        #: per-monitor state arrays, one column per slot
+        self._state: Dict[str, MonitorState] = {
+            name: monitor.init_state(0) for name, monitor in monitors.items()}
         self._ticks_processed = 0
         # degraded-mode bookkeeping
         self.dead_letters: Deque[RejectedTick] = deque(
@@ -296,8 +292,8 @@ class MonitorService:
         return self.alert_manager.clock_skew_events
 
     def connect(self, user_id: Hashable) -> None:
-        """Register a user (idempotent); allocates its slot and per-user
-        stateful monitor clones."""
+        """Register a user (idempotent); allocates its slot and fresh
+        monitor state columns."""
         if user_id in self._slots:
             return
         self._journal_record("connect", user_id)
@@ -313,18 +309,20 @@ class MonitorService:
             slot = len(self._slots) + len(self._free)
             self._ring.ensure_slots(slot + 1)
             self._grow_state(self._ring.n_slots)
+        for name, monitor in self.registry.items():
+            for key, fresh in monitor.init_state(1).items():
+                self._state[name][key][..., slot] = fresh[..., 0]
         self._slots[user_id] = slot
         self._last_cgm[slot] = 0.0
         self._seen[slot] = False
         self._last_t[slot] = -np.inf
-        for name, monitor in self._stateful:
-            self._clones[name][slot] = monitor.clone()
         self._cached_ids = None
 
     def disconnect(self, user_id: Hashable) -> None:
-        """Drop a user: frees and scrubs its slot, clones and alert
-        streams — a later user recycling the slot can never inherit a
-        stale context window or dedup timer."""
+        """Drop a user: frees and scrubs its slot and alert streams — a
+        later user recycling the slot can never inherit a stale context
+        window or dedup timer (monitor state is installed fresh at
+        connect)."""
         if user_id not in self._slots:
             raise KeyError(f"unknown user {user_id!r}")
         self._journal_record("disconnect", user_id)
@@ -342,8 +340,6 @@ class MonitorService:
         self._last_cgm[slot] = 0.0
         self._seen[slot] = False
         self._last_t[slot] = -np.inf
-        for clones in self._clones.values():
-            clones[slot] = None
         self.alert_manager.drop_user(user_id)
         self._cached_ids = None
 
@@ -356,9 +352,12 @@ class MonitorService:
         seen[:len(self._seen)] = self._seen
         last_t = np.full(n, -np.inf)
         last_t[:len(self._last_t)] = self._last_t
+        for name, monitor in self.registry.items():
+            fresh = monitor.init_state(n - len(self._seen))
+            self._state[name] = {
+                key: np.concatenate([column, fresh[key]], axis=-1)
+                for key, column in self._state[name].items()}
         self._last_cgm, self._seen, self._last_t = last_cgm, seen, last_t
-        for clones in self._clones.values():
-            clones.extend([None] * (n - len(clones)))
 
     # ------------------------------------------------------------------
     # degraded-mode validation helpers
@@ -418,10 +417,8 @@ class MonitorService:
                       rejected: List[RejectedTick]) -> TickResult:
         """Finish a tick none of whose rows survived validation."""
         n = len(tick.user_ids)
-        alerts = {name: np.zeros(n, dtype=bool)
-                  for name, _ in (*self._stateless, *self._stateful)}
-        hazards = {name: np.zeros(n, dtype=int)
-                   for name, _ in (*self._stateless, *self._stateful)}
+        alerts = {name: np.zeros(n, dtype=bool) for name in self.registry}
+        hazards = {name: np.zeros(n, dtype=int) for name in self.registry}
         self._ticks_processed += 1
         self._recent_rejects.append(True)
         self._maybe_snapshot()
@@ -535,24 +532,17 @@ class MonitorService:
 
         alerts: Dict[str, np.ndarray] = {}
         hazards: Dict[str, np.ndarray] = {}
-        for name, monitor in self._stateless:
-            monitor_alerts, monitor_hazards = monitor.observe_batch(batch)
+        for name, monitor in self.registry.items():
+            # gather the ticking slots' state columns, advance, scatter
+            state = self._state[name]
+            columns = {key: column[..., kept_slots]
+                       for key, column in state.items()}
+            monitor_alerts, monitor_hazards = monitor.observe_batch(
+                batch, state=columns)
+            for key, column in columns.items():
+                state[key][..., kept_slots] = column
             alerts[name] = monitor_alerts[0]
             hazards[name] = monitor_hazards[0]
-        if self._stateful:
-            n_cols = batch.shape[1]
-            contexts = [next(batch.iter_column(b)) for b in range(n_cols)]
-            for name, _ in self._stateful:
-                clones = self._clones[name]
-                monitor_alerts = np.zeros(n_cols, dtype=bool)
-                monitor_hazards = np.zeros(n_cols, dtype=int)
-                for b, slot in enumerate(kept_slots):
-                    verdict = clones[slot].observe(contexts[b])
-                    if verdict.alert:
-                        monitor_alerts[b] = True
-                        monitor_hazards[b] = int(verdict.hazard)
-                alerts[name] = monitor_alerts
-                hazards[name] = monitor_hazards
 
         rows = np.concatenate(
             [batch.t, np.asarray(kept_action).reshape(1, -1).astype(float),
@@ -625,9 +615,10 @@ class MonitorService:
         registry_saved = True
         try:
             self.registry.save(os.path.join(directory, REGISTRY_DIRNAME))
-        except Exception:
+        except (RegistryError, NotImplementedError):
             # a registry carrying unsupported monitor kinds cannot be
-            # auto-persisted; recover() will require monitors= instead
+            # auto-persisted; recover() will require monitors= instead.
+            # Anything else (a full disk) is a real failure and raises.
             registry_saved = False
         write_config(directory, {
             "dt": self.dt, "window": self.window,
@@ -677,10 +668,6 @@ class MonitorService:
             self.snapshot()
 
     def _export_snapshot_state(self) -> Dict[str, object]:
-        clones = {
-            name: [None if clone is None else clone.export_runtime()
-                   for clone in clone_list]
-            for name, clone_list in self._clones.items()}
         return {
             "ring": self._ring.export_state(),
             "slots": dict(self._slots),
@@ -688,7 +675,7 @@ class MonitorService:
             "last_cgm": self._last_cgm.copy(),
             "seen": self._seen.copy(),
             "last_t": self._last_t.copy(),
-            "clones": clones,
+            "monitor_state": self._state,
             "alert_manager": self.alert_manager,
             "ticks_processed": self._ticks_processed,
             "rejected_total": self.rejected_total,
@@ -699,28 +686,25 @@ class MonitorService:
 
     def _install_snapshot(self, state: Dict[str, object]) -> None:
         try:
+            if "clones" in state:  # per-user clone blobs: an older build
+                raise PersistenceError("snapshot layout predates this build")
             self._ring.restore_state(state["ring"])
             self._slots = dict(state["slots"])
             self._free = list(state["free"])
             self._last_cgm = np.array(state["last_cgm"], dtype=float)
             self._seen = np.array(state["seen"], dtype=bool)
             self._last_t = np.array(state["last_t"], dtype=float)
-            clone_blobs = state["clones"]
-            clones: Dict[str, List[Optional[SafetyMonitor]]] = {}
-            for name, monitor in self._stateful:
-                if name not in clone_blobs:
-                    raise KeyError(f"no clone state for stateful monitor "
-                                   f"{name!r}")
-                restored: List[Optional[SafetyMonitor]] = []
-                for blob in clone_blobs[name]:
-                    if blob is None:
-                        restored.append(None)
-                    else:
-                        clone = monitor.clone()
-                        clone.restore_runtime(blob)
-                        restored.append(clone)
-                clones[name] = restored
-            self._clones = clones
+            self._state = {}
+            for name, monitor in self.registry.items():
+                # the per-slot layout init_state gives, or a typed refusal
+                layout = {key: (col.dtype, col.shape[:-1] + self._seen.shape)
+                          for key, col in monitor.init_state(0).items()}
+                saved = state["monitor_state"][name]
+                if {key: (col.dtype, col.shape)
+                        for key, col in saved.items()} != layout:
+                    raise ValueError(f"{name} state is not the layout "
+                                     f"{layout}")
+                self._state[name] = dict(saved)
             self.alert_manager = state["alert_manager"]
             self._ticks_processed = int(state["ticks_processed"])
             self.rejected_total = int(state["rejected_total"])

@@ -27,9 +27,9 @@ Three design rules deliver that:
 
 Monitored and mitigated runs (the paper's Table VII closed loop,
 Algorithm 1) batch too: each tick the engine assembles the live cycle as a
-single-cycle ``(1, B)`` context batch, evaluates monitors column-wise —
-stateless ones through one ``observe_batch`` call per tick, stateful or
-custom ones through per-row scalar clones — and lets the mitigator rewrite
+single-cycle ``(1, B)`` context batch, evaluates each monitor through one
+``observe_batch`` call per tick that continues its rows' per-column
+state — and lets the mitigator rewrite
 the commanded ``(rate, bolus)`` vectors on the alerted rows through its
 columnar :meth:`~repro.core.mitigation.Mitigator.correct_mask` path (with
 a per-row scalar fallback for custom strategies).  Alerts feed back into
@@ -50,7 +50,7 @@ import numpy as np
 from ..controllers.base import ACTION_TOLERANCE
 from ..controllers.iob import InsulinActivityCurve
 from ..core.mitigation import Mitigator
-from ..core.monitor import MonitorVerdict, SafetyMonitor
+from ..core.monitor import MonitorState, MonitorVerdict, SafetyMonitor
 from ..fi.faults import FaultKind, FaultTarget, VARIABLE_RANGES
 from ..hazards import HazardType
 from ..patients import IVPPatient, Meal, make_patient
@@ -340,61 +340,42 @@ class _MonitorBatch:
     The factory is invoked once per distinct patient in the batch (the
     factory contract is that repeated calls return equivalent monitors, so
     callers should keep it cheap — learn thresholds or train models
-    before the campaign, not inside the factory).  Rows
-    whose monitor declares itself
-    :attr:`~repro.core.monitor.SafetyMonitor.stateless` are grouped by
-    monitor instance and evaluated in one single-cycle ``observe_batch``
-    call per tick — exact, because a stateless verdict is a pure function
-    of the context and the vectorized overrides are bit-identical to
-    ``observe`` per the batching contract.  Every other row (Guideline,
-    MPC, LSTM, custom monitors) drives its own ``reset`` deep copy through
-    the scalar ``observe`` — which *is* the scalar definition, so state
-    never leaks across rows and parity holds for any monitor.
+    before the campaign, not inside the factory).  Rows are grouped by
+    monitor instance, and each group keeps the per-column state of its
+    rows (:meth:`~repro.core.monitor.SafetyMonitor.init_state`, fresh at
+    run start like the scalar loop's reset).  Every tick each group makes
+    one single-cycle ``observe_batch`` call that advances that state,
+    which is exact by the resume contract: a column's verdicts equal
+    feeding its cycles through ``observe`` one by one.
     """
 
     def __init__(self, runs: Sequence[SimRun],
                  monitor_factory: MonitorFactory):
         per_patient: Dict[str, SafetyMonitor] = {}
-        for run in runs:
+        grouped: Dict[int, Tuple[SafetyMonitor, List[int]]] = {}
+        for b, run in enumerate(runs):
             if run.patient_id not in per_patient:
                 per_patient[run.patient_id] = monitor_factory(run.patient_id)
-        grouped: Dict[int, Tuple[SafetyMonitor, List[int]]] = {}
-        self.columns: List[Tuple[int, SafetyMonitor]] = []
-        for b, run in enumerate(runs):
             monitor = per_patient[run.patient_id]
-            if monitor.stateless:
-                grouped.setdefault(id(monitor), (monitor, []))[1].append(b)
-            else:
-                # SafetyMonitor.clone() is the scalar loop's run-start
-                # reset-deepcopy, shared with the serving layer
-                self.columns.append((b, monitor.clone()))
-        self.groups: List[Tuple[SafetyMonitor, np.ndarray]] = []
-        for monitor, rows in grouped.values():
-            monitor.reset()
-            self.groups.append((monitor, np.asarray(rows, dtype=np.intp)))
+            grouped.setdefault(id(monitor), (monitor, []))[1].append(b)
+        self.groups: List[Tuple[SafetyMonitor, np.ndarray, MonitorState]] = [
+            (monitor, np.asarray(rows, dtype=np.intp),
+             monitor.init_state(len(rows)))
+            for monitor, rows in grouped.values()]
 
-    def observe(self, tick: ContextBatch
-                ) -> Tuple[np.ndarray, np.ndarray, Dict[int, MonitorVerdict]]:
-        """Evaluate one cycle; returns ``(alerts, hazards, verdicts)`` —
-        ``(B,)`` flags/hazard codes plus the real ``MonitorVerdict`` of
-        every alerted scalar-path row (vectorized rows do not materialise
-        per-rule ``triggered`` names)."""
+    def observe(self, tick: ContextBatch) -> Tuple[np.ndarray, np.ndarray]:
+        """Evaluate one cycle; returns the ``(B,)`` alert flags and
+        hazard codes."""
         n_rows = tick.shape[1]
         alerts = np.zeros(n_rows, dtype=bool)
         hazards = np.zeros(n_rows, dtype=np.int_)
-        verdicts: Dict[int, MonitorVerdict] = {}
-        for monitor, rows in self.groups:
+        for monitor, rows, state in self.groups:
             sub = tick if len(rows) == n_rows else tick.take_columns(rows)
-            group_alerts, group_hazards = monitor.observe_batch(sub)
+            group_alerts, group_hazards = monitor.observe_batch(sub,
+                                                                state=state)
             alerts[rows] = group_alerts[0]
             hazards[rows] = group_hazards[0]
-        for b, monitor in self.columns:
-            verdict = monitor.observe(next(tick.iter_column(b)))
-            if verdict.alert:
-                alerts[b] = True
-                hazards[b] = int(verdict.hazard)
-                verdicts[b] = verdict
-        return alerts, hazards, verdicts
+        return alerts, hazards
 
 
 class _MitigatorBatch:
@@ -426,9 +407,8 @@ class _MitigatorBatch:
                 self.rows.append(clone)
 
     def correct(self, alerts: np.ndarray, hazards: np.ndarray,
-                verdicts: Dict[int, MonitorVerdict], tick: ContextBatch,
-                cmd_rate: np.ndarray, cmd_bolus: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
+                tick: ContextBatch, cmd_rate: np.ndarray,
+                cmd_bolus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if self.columnar:
             corrected = self.mitigator.correct_mask(alerts, hazards, tick)
             if corrected is None:
@@ -442,15 +422,11 @@ class _MitigatorBatch:
         rate = cmd_rate.copy()
         bolus = cmd_bolus.copy()
         for b in np.flatnonzero(alerts):
-            b = int(b)
-            verdict = verdicts.get(b)
-            if verdict is None:
-                # vectorized-monitor rows: rebuild the verdict from the
-                # codes (per-rule `triggered` names are not materialised
-                # on the columnar path — custom mitigators must not
-                # depend on them under batching)
-                verdict = MonitorVerdict(alert=True,
-                                         hazard=HazardType(int(hazards[b])))
+            # the verdict is rebuilt from the codes: per-rule `triggered`
+            # names are not materialised by observe_batch, so custom
+            # mitigators must not depend on them under batching
+            verdict = MonitorVerdict(alert=True,
+                                     hazard=HazardType(int(hazards[b])))
             ctx = next(tick.iter_column(b))
             rate[b], bolus[b] = self.rows[b].correct(verdict, ctx)
         return rate, bolus
@@ -831,10 +807,10 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
                        else (cgm - prev_cgm) / dt)
             tick = ContextBatch.from_tick(t, cgm, bg_rate, iob, iob_rate,
                                           cmd_rate, cmd_bolus, action, dt)
-            alerts, hazards, verdicts = monitors.observe(tick)
+            alerts, hazards = monitors.observe(tick)
             if mitigators is not None and alerts.any():
                 final_rate, final_bolus = mitigators.correct(
-                    alerts, hazards, verdicts, tick, cmd_rate, cmd_bolus)
+                    alerts, hazards, tick, cmd_rate, cmd_bolus)
                 mitigated = alerts & ((final_rate != cmd_rate)
                                       | (final_bolus != cmd_bolus))
         clamped = np.minimum(np.maximum(final_rate, 0.0), pump.max_basal)

@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 
 import repro.parallel
+from repro.baselines import GuidelineMonitor, MPCMonitor
+from repro.core import cawot_monitor, cawt_monitor
 from repro.fi import FaultInjector
+from repro.ml import (build_window_dataset, train_dt_monitor,
+                      train_mlp_monitor)
+from repro.ml.monitors import LSTMMonitor
+from repro.ml.nn import LSTMClassifier
 from repro.simulation import Scenario, make_loop, run_campaign, run_fault_free
 
 # grid constants live in tests/tiny_grid.py (a uniquely-named module —
@@ -43,6 +49,29 @@ def tiny_campaign_traces():
 def tiny_fault_free_traces():
     """One 60-step fault-free reference run for the shared patient."""
     return run_fault_free(TINY_PLATFORM, [TINY_PATIENT], (120.0,), n_steps=60)
+
+
+@pytest.fixture(scope="session")
+def all_monitor_kinds(tiny_campaign_traces):
+    """One small instance of each of the seven in-tree monitor kinds.
+
+    The ML models are trained on the shared campaign with small stacks.
+    The LSTM (k = 6) learns to flag windows ending above 130 mg/dL, so it
+    alerts on campaign traces and on synthetic fleets alike.  Shared
+    across the session: use the monitors, never mutate them.
+    """
+    traces = tiny_campaign_traces[:16]
+    X, _ = build_window_dataset(traces, k=6)
+    lstm = LSTMClassifier(hidden=(16, 8), lr=1e-2, max_epochs=10,
+                          seed=0).fit(X, (X[:, -1, 0] > 130.0).astype(int))
+    return {"CAWT": cawt_monitor({"beta1": 75.0}),
+            "CAWOT": cawot_monitor(),
+            "Guideline": GuidelineMonitor(),
+            "MPC": MPCMonitor(),
+            "DT": train_dt_monitor(traces, max_depth=4),
+            "MLP": train_mlp_monitor(traces, seed=0, max_epochs=2,
+                                     hidden=(16, 8)),
+            "LSTM": LSTMMonitor(lstm, k=6)}
 
 
 def _assert_traces_equal(a, b):

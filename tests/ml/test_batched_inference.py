@@ -5,11 +5,9 @@ which must be bit-identical to one forward per row -- the call the scalar
 ``observe`` path makes -- for any row count and input alignment, on this
 BLAS build and, through the guard, on any other.  The batched LSTM
 monitor built on it must match the base-class column loop (the reference
-definition of ``observe_batch``) on every window edge case, and carry
-only its k-window in crash-recovery snapshots.
+definition of ``observe_batch``) on every window edge case, and resume
+its k-window from a crash-recovery snapshot.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +17,9 @@ from repro.core.monitor import SafetyMonitor
 from repro.ml import train_lstm_monitor
 from repro.ml.monitors import LSTMMonitor
 from repro.ml.nn import LSTMClassifier, MLPClassifier
-from repro.simulation import ContextBatch, iter_contexts, replay_monitor
+from repro.serve import MonitorService, TickBatch
+from repro.simulation import (ContextBatch, iter_contexts, iter_trace_ticks,
+                              replay_monitor)
 
 ROW_COUNTS = (1, 2, 7, 31, 32, 33, 70)
 #: element offsets into a flat buffer: rows start off the allocation's
@@ -168,33 +168,28 @@ class TestBatchedLSTMWindows:
 
 
 class TestLSTMRuntimeState:
-    def test_snapshot_carries_the_window_not_the_model(
-            self, lstm_monitor, tiny_campaign_traces):
+    @pytest.mark.parametrize("cut", (4, 10))  # window filling, and full
+    def test_snapshot_recover_resumes_the_window(
+            self, lstm_monitor, tiny_campaign_traces, tmp_path, cut):
         trace = next(trace for trace in tiny_campaign_traces
                      if replay_monitor(lstm_monitor, trace)[0].any())
-        contexts = list(iter_contexts(trace))
-        uninterrupted = lstm_monitor.clone()
-        expected = [uninterrupted.observe(ctx) for ctx in contexts]
-
-        # cut with the window still filling, and with it full
-        for cut in (4, 10):
-            clone = lstm_monitor.clone()
-            for ctx in contexts[:cut]:
-                clone.observe(ctx)
-            blob = pickle.dumps(clone.export_runtime(),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            assert len(blob) < 2048
-            # the full instance dict is what snapshots written before the
-            # narrow export carry: both must resume bit-exact
-            old_blob = pickle.dumps(dict(clone.__dict__),
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-            for payload in (blob, old_blob):
-                restored = lstm_monitor.clone()
-                restored.restore_runtime(pickle.loads(payload))
-                assert restored._buffer.maxlen == restored.k
-                assert len(restored._buffer) == min(cut, restored.k)
-                assert all(np.array_equal(a, b) for a, b in
-                           zip(restored._buffer, clone._buffer))
-                resumed = [restored.observe(ctx) for ctx in contexts[cut:]]
-                assert resumed == expected[cut:]
-                assert any(verdict.alert for verdict in resumed)
+        expected, _ = replay_monitor(lstm_monitor, trace)
+        ticks = [TickBatch(t=tick.t, user_ids=("u",), cgm=tick.cgm,
+                           iob=tick.iob, iob_rate=tick.iob_rate,
+                           rate=tick.rate, bolus=tick.bolus,
+                           action=tick.action)
+                 for tick in iter_trace_ticks([trace])]
+        directory = str(tmp_path / "state")
+        service = MonitorService({"LSTM": lstm_monitor},
+                                 persist_dir=directory, fsync=False)
+        served = [service.process(tick).alerts["LSTM"][0]
+                  for tick in ticks[:cut]]
+        service.snapshot()
+        service.close()
+        recovered = MonitorService.recover(directory, fsync=False)
+        # the window came back from the snapshot, not a journal replay
+        assert recovered.recovery_report.ticks_replayed == 0
+        served += [recovered.process(tick).alerts["LSTM"][0]
+                   for tick in ticks[cut:]]
+        np.testing.assert_array_equal(served, expected)
+        assert expected[cut:].any()

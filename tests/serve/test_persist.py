@@ -1,5 +1,6 @@
 """Persistence primitives: journal framing, atomic snapshots, recovery."""
 
+import errno
 import os
 import pickle
 import struct
@@ -9,15 +10,22 @@ import numpy as np
 import pytest
 
 from repro.baselines import GuidelineMonitor
-from repro.core import cawot_monitor, cawt_monitor
+from repro.core import ContextAwareMonitor, cawot_monitor, cawt_monitor
 from repro.core.monitor import NO_ALERT, SafetyMonitor
+from repro.core.rules import aps_rules
+from repro.ml.monitors import LSTMMonitor
 from repro.serve import (JournalCorruptError, MonitorService,
                          PersistenceError, SnapshotError, TickBatch,
                          TickJournal, replay_log)
-from repro.serve.persist import (list_segments, list_snapshots, read_journal,
-                                 read_snapshot, segment_path, snapshot_path,
-                                 write_snapshot)
+from repro.serve.persist import (list_segments, list_snapshots, read_config,
+                                 read_journal, read_snapshot, segment_path,
+                                 snapshot_path, write_snapshot)
 from repro.simulation import iter_trace_ticks, replay_campaign
+
+
+class CustomMonitor(SafetyMonitor):
+    def observe(self, ctx):
+        return NO_ALERT
 
 
 def _monitors():
@@ -242,15 +250,63 @@ class TestServicePersistence:
         assert len(recovered.dead_letters) == 2
         assert recovered.health == "DEGRADED"
 
-    def test_non_serializable_registry_requires_monitors(self, tmp_path):
-        class Custom(SafetyMonitor):
-            stateless = True
+    def test_registry_save_io_error_raises(self, tmp_path, monkeypatch,
+                                           all_monitor_kinds):
+        """A full disk while saving the registry is a real failure, not
+        an unsupported monitor kind to record and move past."""
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-            def observe(self, ctx):
-                return NO_ALERT
+        monkeypatch.setattr(np, "savez", full_disk)
+        with pytest.raises(OSError) as info:
+            MonitorService({"DT": all_monitor_kinds["DT"]},
+                           persist_dir=str(tmp_path / "state"))
+        assert info.value.errno == errno.ENOSPC
 
+    @pytest.mark.parametrize("monitor", [
+        CustomMonitor(),
+        ContextAwareMonitor(rules=aps_rules()[:3])],
+        ids=["custom-kind", "rule-subset"])
+    def test_unsupported_kind_records_registry_unsaved(self, tmp_path,
+                                                       monitor):
         directory = str(tmp_path / "state")
-        monitors = {"custom": Custom()}
+        MonitorService({"m": monitor}, persist_dir=directory).close()
+        assert read_config(directory)["registry_saved"] is False
+
+    def test_clone_blob_snapshot_refused(self, tmp_path):
+        """Snapshots holding per-user monitor clones (the layout before
+        monitor state became per-slot arrays) are refused, typed."""
+        directory = str(tmp_path / "state")
+        service = MonitorService(_monitors(), persist_dir=directory)
+        service.process(_tick(0.0, ("a",), [60.0]))
+        path = service.snapshot()
+        service.close()
+        state = read_snapshot(path)
+        del state["monitor_state"]
+        state["clones"] = {"Guideline": [
+            {"_below_since": 0.0, "_above_since": None}]
+            + [None] * (len(state["seen"]) - 1)}
+        write_snapshot(path, state)
+        with pytest.raises(PersistenceError, match="predates"):
+            MonitorService.recover(directory)
+
+    def test_monitor_state_layout_mismatch_refused(self, tmp_path,
+                                                   all_monitor_kinds):
+        """Recovering with a monitor whose state layout differs from the
+        snapshot's (an LSTM with another window) is refused, typed."""
+        lstm = all_monitor_kinds["LSTM"]
+        directory = str(tmp_path / "state")
+        service = MonitorService({"LSTM": lstm}, persist_dir=directory)
+        service.process(_tick(0.0, ("a",), [120.0]))
+        service.snapshot()
+        service.close()
+        with pytest.raises(PersistenceError, match="layout"):
+            MonitorService.recover(directory, monitors={
+                "LSTM": LSTMMonitor(lstm.model, k=lstm.k - 2)})
+
+    def test_non_serializable_registry_requires_monitors(self, tmp_path):
+        directory = str(tmp_path / "state")
+        monitors = {"custom": CustomMonitor()}
         service = MonitorService(monitors, persist_dir=directory)
         service.process(_tick(0.0, ("a",), [120.0]))
         service.close()

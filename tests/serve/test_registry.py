@@ -80,9 +80,16 @@ class TestRoundTrip:
             for a, b in zip(before[name], after[name]):
                 np.testing.assert_array_equal(a, b)
 
-    def test_statelessness_survives(self, registry, reloaded):
+    def test_state_layout_survives(self, registry, reloaded):
+        """A reloaded monitor keeps the per-column state layout that
+        service snapshots are checked against."""
         for name in registry.names:
-            assert reloaded[name].stateless == registry[name].stateless
+            before = registry[name].init_state(3)
+            after = reloaded[name].init_state(3)
+            assert before.keys() == after.keys()
+            for key in before:
+                assert after[key].shape == before[key].shape
+                assert after[key].dtype == before[key].dtype
 
 
 class TestErrors:

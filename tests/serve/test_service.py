@@ -1,5 +1,7 @@
 """MonitorService: offline parity, fleet membership, context windows."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from repro.baselines import GuidelineMonitor
 from repro.core import cawot_monitor, cawt_monitor
 from repro.serve import (MonitorService, MonitorRegistry, TickBatch,
                          replay_log)
+from repro.serve.chaos import fleet_ticks
+from repro.serve.persist import read_snapshot
 from repro.simulation import (ContextBatch, iter_trace_ticks,
                               replay_campaign)
 
@@ -30,9 +34,9 @@ class TestReplayParity:
     """The tentpole contract: served streams == offline replay_campaign."""
 
     def test_raw_alert_streams_identical_to_offline(
-            self, tiny_campaign_traces):
+            self, tiny_campaign_traces, all_monitor_kinds):
         traces = tiny_campaign_traces[:12]
-        monitors = _monitors()
+        monitors = all_monitor_kinds
         offline = replay_campaign(monitors, traces)
         served = replay_log(monitors, traces)
         assert set(served) == set(offline)
@@ -135,6 +139,43 @@ class TestPerUserState:
         # after 15+ minutes below lambda_10, phi3 fires for "low" only
         assert result.alerts["Guideline"][0]
         assert not result.alerts["Guideline"][1]
+
+    def test_snapshotted_state_per_user_ceiling(self, all_monitor_kinds,
+                                                tmp_path):
+        """Per user the service holds only the monitors' state columns:
+        at most 2 KB for every kind (an LSTM at k = 6 keeps its last
+        five feature rows), never a model copy."""
+        n_users = 100
+        service = MonitorService(all_monitor_kinds, fsync=False,
+                                 persist_dir=str(tmp_path / "state"))
+        for tick in fleet_ticks(n_users, 3, seed=0):
+            service.process(tick)
+        saved = read_snapshot(service.snapshot())["monitor_state"]
+        service.close()
+        for name in all_monitor_kinds:
+            per_user = len(pickle.dumps(
+                saved[name], protocol=pickle.HIGHEST_PROTOCOL)) / n_users
+            assert per_user <= 2048, f"{name}: {per_user:.0f} B per user"
+
+    def test_recycled_slot_starts_with_fresh_monitor_state(
+            self, all_monitor_kinds):
+        """A user recycling a slot sees what a first user would: no
+        inherited excursion timer, insulin chain or LSTM window."""
+        bgs = [60.0, 140.0, 200.0, 210.0, 220.0, 230.0, 240.0]
+        service = MonitorService(all_monitor_kinds)
+        for step, bg in enumerate(bgs):
+            service.process(_tick(5.0 * step, ("a",), [bg]))
+        service.disconnect("a")
+        fresh = MonitorService(all_monitor_kinds)
+        for step, bg in enumerate(bgs[::-1]):
+            t = 5.0 * (len(bgs) + step)
+            recycled = service.process(_tick(t, ("b",), [bg]))
+            expected = fresh.process(_tick(t, ("b",), [bg]))
+            for name in all_monitor_kinds:
+                np.testing.assert_array_equal(recycled.alerts[name],
+                                              expected.alerts[name], name)
+                np.testing.assert_array_equal(recycled.hazards[name],
+                                              expected.hazards[name], name)
 
     def test_registry_monitors_stay_unmutated(self):
         registry = MonitorRegistry({"Guideline": GuidelineMonitor()})

@@ -24,6 +24,7 @@ from repro.simulation import (CampaignPlan, SerialExecutor, plan_campaign,
 from repro.simulation.executor import SimRun
 from repro.simulation.features import ContextBatch
 from tests.conftest import LOCKSTEP_WIDTHS
+from tiny_grid import tiny_campaign_scenarios
 
 
 # the two benchmarked strategy families: Algorithm 1 (fixed H2 dose) and
@@ -171,6 +172,24 @@ class TestMitigatedCampaignParity:
                            monitor_factory=lambda pid: GuidelineMonitor(),
                            mitigator=FixedMitigator(), n_steps=35)
         assert any(t.mitigated.any() for t in reference)
+
+    @pytest.mark.parametrize("kind", ("MPC", "LSTM"))
+    @pytest.mark.parametrize("family", [FixedMitigator, None])
+    def test_mpc_and_lstm_monitored_and_mitigated(self, parity,
+                                                  all_monitor_kinds, kind,
+                                                  family):
+        """The two kinds with the richest per-row state (an insulin chain,
+        a k-cycle window) drive the live loop exactly."""
+        monitor = all_monitor_kinds[kind]
+        mitigator = family() if family is not None else None
+        # starts at 120 and 200 mg/dL: MPC's prediction leaves the range
+        reference = parity("glucosym", ["A", "B"],
+                           tiny_campaign_scenarios()[:6],
+                           monitor_factory=lambda pid: monitor,
+                           mitigator=mitigator, n_steps=35)
+        assert any(t.alert.any() for t in reference)
+        assert any(t.mitigated.any() for t in reference) \
+            == (mitigator is not None)
 
     def test_monitor_without_mitigator(self, parity):
         """Alert channels are recorded and the command passes through."""
