@@ -22,8 +22,9 @@ from repro.experiments import ExperimentConfig
 from repro.fi import CampaignConfig, generate_campaign
 from repro.parallel import partition_ranges
 from repro.patients import make_patient
-from repro.simulation import (CampaignStoreWriter, controller_profile,
-                              get_executor, plan_campaign, plan_fingerprint)
+from repro.simulation import (CampaignExecutor, CampaignStoreWriter,
+                              controller_profile, plan_campaign,
+                              plan_fingerprint)
 
 CONFIG = ExperimentConfig.preset("ci")
 SCENARIOS = generate_campaign(CampaignConfig(stride=CONFIG.stride))
@@ -74,7 +75,7 @@ def test_distributed_parity_with_retry(tmp_path):
     ref_dir = str(tmp_path / "reference")
     start = time.perf_counter()
     with CampaignStoreWriter(ref_dir, PLAN.platform, PLAN.n_steps) as sink:
-        get_executor(None).run(PLAN, sink=sink)
+        CampaignExecutor().run(PLAN, sink=sink)
     _report("single-box store write", time.perf_counter() - start)
 
     ranges = partition_ranges(N_TRACES, 2)

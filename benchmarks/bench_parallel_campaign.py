@@ -1,7 +1,7 @@
 """Serial vs parallel campaign execution throughput (traces/sec).
 
 Runs the ``ci``-scale fault-injection grid (2 patients x 42 scenarios)
-through the serial executor and through process pools of 2 and 4 workers,
+in-process and through process pools of 2 and 4 workers,
 reporting traces/sec for each.  A final test asserts that the parallel
 trace stream is element-wise identical to the serial one, and — on
 machines with at least 4 cores — that 4 workers deliver at least a 2.5x

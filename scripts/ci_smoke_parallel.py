@@ -1,11 +1,11 @@
 """CI smoke check: parallel execution, the on-disk store, the training
 fan-out and batched monitor replay must all be exact at any worker count.
 
-Runs the ``ci``-scale fault-injection grid through the serial executor
-and through a 2-worker process pool (both on the lock-step engine),
+Runs the ``ci``-scale fault-injection grid in-process and through a
+2-worker process pool (the same lock-step batches either way),
 asserting that the two trace streams are element-wise identical (every
 array channel, every metadata field).  This is the determinism guarantee
-the parallel executors are built on.  The same
+the campaign executor is built on.  The same
 traces are then streamed through a :class:`CampaignStoreWriter` into a
 temporary on-disk dataset, lazily reopened as a :class:`TraceDataset` and
 compared element-wise again (plus a plan-fingerprint check), so the

@@ -6,7 +6,7 @@ Public API map
 - :mod:`repro.stl` — bounded-time STL engine (AST, semantics, parser);
 - :mod:`repro.patients` — IVP (Glucosym) and Dalla Man S2013 (UVA-Padova)
   virtual patients, CGM sensor, insulin pump;
-- :mod:`repro.controllers` — OpenAPS (oref0) port, Basal-Bolus, PID, IOB;
+- :mod:`repro.controllers` — OpenAPS (oref0) port, Basal-Bolus, IOB;
 - :mod:`repro.simulation` — closed loop, scenarios, traces, campaign runner,
   offline monitor replay;
 - :mod:`repro.fi` — fault models (Table II), injector, 882-scenario campaign;

@@ -1,4 +1,4 @@
-"""APS controllers: oref0-style OpenAPS port, Basal-Bolus protocol, PID.
+"""APS controllers: oref0-style OpenAPS port and Basal-Bolus protocol.
 
 All controllers share the :class:`~repro.controllers.base.Controller`
 interface and classify their raw commands into the paper's four control
@@ -9,7 +9,6 @@ from .base import ControlAction, Controller, ControllerDecision, classify_action
 from .basal_bolus import BasalBolusController
 from .iob import InsulinActivityCurve, IOBCalculator
 from .openaps import OpenAPSController
-from .pid import PIDController
 
 __all__ = [
     "ControlAction",
@@ -20,5 +19,4 @@ __all__ = [
     "InsulinActivityCurve",
     "IOBCalculator",
     "OpenAPSController",
-    "PIDController",
 ]

@@ -47,8 +47,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ..controllers import ControlAction
-from ..parallel import (fork_map_chunks, iter_equal_length_groups,
-                        resolve_workers, shard_indices)
+from ..parallel import iter_equal_length_groups, lockstep_width, map_chunks
 from ..stl import Trace, satisfaction
 from .rules import APSRule, BG_TARGET, aps_rules
 
@@ -228,13 +227,13 @@ def _mine_group(group: List, rules: Sequence[APSRule], bg_target: float,
 def _mine_chunk(traces: Iterable, rules: Sequence[APSRule], bg_target: float,
                 window: Optional[int]
                 ) -> Tuple[Dict[int, List[float]], Dict[int, List[float]]]:
-    """Mine one contiguous slice of the trace stream (see mine_rule_samples).
+    """Mine one chunk of the trace stream (see mine_rule_samples).
 
-    The single place mining happens — the serial path hands it the whole
-    stream, the parallel path one chunk per worker — stacking consecutive
-    equal-length traces into lock-step groups of at most
-    :data:`~repro.parallel.LOCKSTEP_WIDTH`, so worker count and width can
-    only change wall-clock time, never the mined statistics.
+    The single place mining happens, one chunk of
+    :data:`~repro.parallel.LOCKSTEP_WIDTH` traces at a time, stacking
+    consecutive equal-length traces into lock-step groups, so worker
+    count and width can only change wall-clock time, never the mined
+    statistics.
     """
     hazard_stats: Dict[int, List[float]] = {rule.index: [] for rule in rules}
     safe_stats: Dict[int, List[float]] = {rule.index: [] for rule in rules}
@@ -247,8 +246,7 @@ def _mine_chunk(traces: Iterable, rules: Sequence[APSRule], bg_target: float,
 def mine_rule_samples(traces: Iterable, rules: Optional[Sequence[APSRule]] = None,
                       bg_target: float = BG_TARGET,
                       window: Optional[int] = MINING_WINDOW,
-                      workers: Optional[int] = None,
-                      chunks_per_worker: int = 4) -> List[RuleSamples]:
+                      workers: Optional[int] = None) -> List[RuleSamples]:
     """Extract per-rule, per-trace robustness statistics (see RuleSamples).
 
     Hazardous traces contribute to rules matching their hazard type, over
@@ -257,43 +255,33 @@ def mine_rule_samples(traces: Iterable, rules: Optional[Sequence[APSRule]] = Non
     traces contribute safe-side statistics over their full duration.  Pass
     ``window=None`` to mine the whole pre-hazard prefix (ablation use).
 
-    With ``workers > 1`` the trace sequence is cut into deterministic
-    contiguous chunks and mined over the shared forked-pool protocol
-    (:mod:`repro.parallel`); per-chunk statistics are concatenated in
-    chunk order, so the result is element-wise identical to the serial
-    path.  Lazy sequences (``TraceDataset``) are chunked by index, so each
-    worker only loads its own shards.  Inside each chunk, consecutive
-    equal-length traces stack into lock-step groups and each rule's STL
-    violation body is evaluated over the whole ``(n_steps, B)`` stack at
-    once — element-wise identical to mining trace by trace.
+    The trace stream is cut into chunks of
+    :data:`~repro.parallel.LOCKSTEP_WIDTH` traces by
+    :func:`~repro.parallel.map_chunks` — the same chunks in-process and,
+    with ``workers > 1``, on a forked pool — and per-chunk statistics are
+    concatenated in chunk order, so the result is element-wise identical
+    for every worker count.  Lazy sequences (``TraceDataset``) are
+    chunked by index, so each worker only loads its own shards.  Inside
+    each chunk, consecutive equal-length traces stack into lock-step
+    groups and each rule's STL violation body is evaluated over the whole
+    ``(n_steps, B)`` stack at once — element-wise identical to mining
+    trace by trace.
     """
     rules = list(rules) if rules is not None else list(aps_rules())
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1 cycle, got {window}")
-    if chunks_per_worker < 1:
-        raise ValueError(
-            f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
-    workers = resolve_workers(workers)
-    if workers <= 1:
-        hazard_stats, safe_stats = _mine_chunk(traces, rules, bg_target,
-                                               window)
-    else:
-        if not hasattr(traces, "__getitem__"):
-            traces = list(traces)
-        chunks = shard_indices(len(traces), workers * chunks_per_worker)
 
-        def mine_chunk(index_range):
-            return _mine_chunk((traces[i] for i in index_range), rules,
-                               bg_target, window)
+    def mine_chunk(chunk):
+        return _mine_chunk(chunk, rules, bg_target, window)
 
-        hazard_stats = {rule.index: [] for rule in rules}
-        safe_stats = {rule.index: [] for rule in rules}
-        for chunk_hazard, chunk_safe in fork_map_chunks(mine_chunk, chunks,
-                                                        workers):
-            for index, values in chunk_hazard.items():
-                hazard_stats[index].extend(values)
-            for index, values in chunk_safe.items():
-                safe_stats[index].extend(values)
+    hazard_stats: Dict[int, List[float]] = {rule.index: [] for rule in rules}
+    safe_stats: Dict[int, List[float]] = {rule.index: [] for rule in rules}
+    for chunk_hazard, chunk_safe in map_chunks(mine_chunk, traces,
+                                               lockstep_width(), workers):
+        for index, values in chunk_hazard.items():
+            hazard_stats[index].extend(values)
+        for index, values in chunk_safe.items():
+            safe_stats[index].extend(values)
     return [RuleSamples(rule=rule,
                         values=np.asarray(hazard_stats[rule.index]),
                         safe_values=np.asarray(safe_stats[rule.index]))
@@ -456,12 +444,12 @@ def learn_fold_thresholds(traces: Sequence, folds: int,
     Fold ``f`` learns from the round-robin *training* side of the
     ``f``-th split (every trace whose index satisfies ``i % folds != f``,
     exactly :func:`~repro.simulation.batch.kfold_split`) plus all of
-    *fault_free*.  The per-fold fits share no state, so they fan out over
-    the forked-pool chunk protocol: ``workers > 1`` distributes whole
-    folds across processes — each fold's mining runs serially inside its
-    worker — and collects the :class:`LearningResult` list in fold order,
-    element-wise identical to the serial loop.  This is the k-fold hot
-    path of Tables VI/VIII and Fig. 9.
+    *fault_free*.  The per-fold fits share no state, so they fan out one
+    fold per chunk over :func:`~repro.parallel.map_chunks`: ``workers > 1``
+    distributes whole folds across processes — each fold's mining runs
+    in-process inside its worker — and collects the :class:`LearningResult`
+    list in fold order, element-wise identical to the serial loop.  This
+    is the k-fold hot path of Tables VI/VIII and Fig. 9.
 
     Lazy trace sequences (``TraceDataset``) are indexed per fold, so a
     worker only loads the shards its folds touch.
@@ -471,7 +459,6 @@ def learn_fold_thresholds(traces: Sequence, folds: int,
     if not hasattr(traces, "__getitem__"):
         traces = list(traces)
     fault_free = list(fault_free)
-    workers = resolve_workers(workers)
 
     def fold_train(fold):
         # lazy: indexed loads keep a TraceDataset's bounded LRU window
@@ -481,16 +468,12 @@ def learn_fold_thresholds(traces: Sequence, folds: int,
                 yield traces[i]
         yield from fault_free
 
-    def fit_folds(fold_range) -> List[LearningResult]:
-        return [learn_thresholds(
+    def fit_fold(chunk) -> LearningResult:
+        (fold,) = chunk
+        return learn_thresholds(
             fold_train(fold), loss=loss, rules=rules,
             bg_target=bg_target, enforce_coverage=enforce_coverage,
             coverage_quantile=coverage_quantile, window=window,
             workers=1)  # no nested pools: folds are the parallel axis
-            for fold in fold_range]
 
-    results: List[LearningResult] = []
-    for chunk in fork_map_chunks(fit_folds, shard_indices(folds, folds),
-                                 workers):
-        results.extend(chunk)
-    return results
+    return list(map_chunks(fit_fold, range(folds), 1, workers))

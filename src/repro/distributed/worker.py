@@ -42,8 +42,9 @@ import sys
 import time
 from typing import List, Optional
 
-from ..simulation.executor import (CampaignPlan, NpyDirectorySink,
-                                   NpzDirectorySink, TraceSink, get_executor)
+from ..simulation.executor import (CampaignExecutor, CampaignPlan,
+                                   NpyDirectorySink, NpzDirectorySink,
+                                   TraceSink)
 from ..simulation.store import SCHEMA_VERSION, plan_fingerprint, trace_entry
 from ..simulation.trace import SimulationTrace
 from .errors import DistributedCampaignError
@@ -151,7 +152,7 @@ def write_partial(plan: CampaignPlan, start: int, stop: int, directory: str,
             "the remains of a crashed attempt; use a fresh attempt "
             "directory") from exc
     started = time.perf_counter()
-    get_executor(workers).run(sub_plan, sink=sink)
+    CampaignExecutor(workers).run(sub_plan, sink=sink)
     wall_s = time.perf_counter() - started
     doc = {"format": PARTIAL_FORMAT_VERSION,
            "schema_version": SCHEMA_VERSION,

@@ -64,10 +64,6 @@ class FaultTarget(enum.Enum):
     def is_input(self) -> bool:
         return self is FaultTarget.GLUCOSE
 
-    @property
-    def is_internal(self) -> bool:
-        return self is FaultTarget.IOB
-
 
 #: acceptable ranges per target, used by MAX/MIN and for clamping the result
 #: of ADD/SUB/SCALE — the paper's FI perturbs "within the acceptable range".

@@ -9,11 +9,11 @@ a binary flag.
 
 Both builders scale two ways, independently:
 
-- ``workers=``: the trace sequence is cut into deterministic contiguous
-  chunks and feature/label extraction fans out over the shared forked-pool
-  protocol (:mod:`repro.parallel`); per-chunk blocks are concatenated in
-  chunk order, so the stacked ``(X, y)`` is element-wise identical to the
-  serial path for every worker count.
+- ``workers=``: the trace stream is cut into chunks of
+  :data:`~repro.parallel.LOCKSTEP_WIDTH` traces by
+  :func:`~repro.parallel.map_chunks` — the same chunks in-process and on a
+  forked pool — and per-chunk blocks are concatenated in chunk order, so
+  the stacked ``(X, y)`` is element-wise identical for every worker count.
 - ``mmap_dir=``: instead of stacking in RAM, blocks are streamed into
   ``X.npy`` / ``y.npy`` under the directory (via
   :class:`~repro.ml.memmap.NpyStreamWriter`) and reopened with
@@ -31,7 +31,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..parallel import fork_map_chunks, resolve_workers, shard_indices
+from ..parallel import lockstep_width, map_chunks
 from ..simulation.features import FEATURE_NAMES, context_matrix, context_row
 from .memmap import (MemmapDatasetError, NpyStreamWriter, open_memmap_array,
                      meta_path, read_meta, write_meta)
@@ -82,24 +82,21 @@ def point_labels(trace, multiclass: bool = False) -> np.ndarray:
 # per-chunk extraction kernels
 # ----------------------------------------------------------------------
 #
-# These are the only places features and labels are stacked — the serial
-# path hands them the whole trace stream, the parallel path one contiguous
-# chunk per task and the mmap path streams their blocks to disk — so
-# worker count and backing store can change wall-clock time and residency,
-# never a single matrix element.
+# These are the only places features and labels are stacked, one chunk of
+# traces at a time — in-process, in a forked worker or streamed to disk by
+# the mmap path — so worker count and backing store can change wall-clock
+# time and residency, never a single matrix element.  Each returns the
+# chunk's ``(X, y)`` block, or None when the chunk yields no rows.
 
-def _point_chunk(traces: Iterable,
-                 multiclass: bool) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    xs: List[np.ndarray] = []
-    ys: List[np.ndarray] = []
-    for trace in traces:
-        xs.append(trace_features(trace))
-        ys.append(point_labels(trace, multiclass=multiclass))
-    return xs, ys
+def _point_block(traces: List, multiclass: bool
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    return (np.concatenate([trace_features(trace) for trace in traces]),
+            np.concatenate([point_labels(trace, multiclass=multiclass)
+                            for trace in traces]))
 
 
-def _window_chunk(traces: Iterable, k: int, multiclass: bool
-                  ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+def _window_block(traces: List, k: int, multiclass: bool
+                  ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     xs: List[np.ndarray] = []
     ys: List[np.ndarray] = []
     for trace in traces:
@@ -111,40 +108,24 @@ def _window_chunk(traces: Iterable, k: int, multiclass: bool
             features, (k, features.shape[1])).squeeze(axis=1)
         xs.append(windows.copy())
         ys.append(labels[k - 1:])
-    return xs, ys
+    if not xs:
+        return None
+    return np.concatenate(xs), np.concatenate(ys)
 
 
-def _iter_blocks(traces, workers: int, extract):
-    """Yield per-chunk ``(x_blocks, y_blocks)`` in deterministic order."""
-    workers = resolve_workers(workers)
-    if workers <= 1:
-        yield extract(traces)
-        return
-    if not hasattr(traces, "__getitem__"):
-        traces = list(traces)
-    chunks = shard_indices(len(traces), workers * 4)
-
-    def extract_chunk(index_range):
-        # concatenate inside the worker so only two arrays travel back
-        xs, ys = extract(traces[i] for i in index_range)
-        if not xs:
-            return None
-        return np.concatenate(xs), np.concatenate(ys)
-
-    for result in fork_map_chunks(extract_chunk, chunks, workers):
-        if result is not None:
-            yield [result[0]], [result[1]]
+def _iter_blocks(traces, workers: Optional[int], extract):
+    """Yield the non-empty per-chunk ``(X, y)`` blocks in chunk order."""
+    for block in map_chunks(extract, traces, lockstep_width(), workers):
+        if block is not None:
+            yield block
 
 
 def _stack_blocks(blocks, empty_message: str) -> Tuple[np.ndarray, np.ndarray]:
-    xs: List[np.ndarray] = []
-    ys: List[np.ndarray] = []
-    for x_blocks, y_blocks in blocks:
-        xs.extend(x_blocks)
-        ys.extend(y_blocks)
-    if not xs:
+    blocks = list(blocks)
+    if not blocks:
         raise ValueError(empty_message)
-    return np.concatenate(xs), np.concatenate(ys)
+    return (np.concatenate([x for x, _ in blocks]),
+            np.concatenate([y for _, y in blocks]))
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +169,7 @@ def _reopen(directory: str, request: dict,
     return X, y
 
 
-def _materialize(traces, directory: str, workers: int, extract,
+def _materialize(traces, directory: str, workers: Optional[int], extract,
                  request: dict, row_shape: Tuple[int, ...],
                  empty_message: str) -> Tuple[np.ndarray, np.ndarray]:
     """Stream blocks into ``<directory>/{X,y}.npy`` and reopen mapped.
@@ -212,11 +193,9 @@ def _materialize(traces, directory: str, workers: int, extract,
                          row_shape) as x_writer, \
             NpyStreamWriter(os.path.join(directory, "y.npy"), (),
                             dtype=np.int64) as y_writer:
-        for x_blocks, y_blocks in _iter_blocks(traces, workers, extract):
-            for block in x_blocks:
-                x_writer.append(block)
-            for block in y_blocks:
-                y_writer.append(block)
+        for x_block, y_block in _iter_blocks(traces, workers, extract):
+            x_writer.append(x_block)
+            y_writer.append(y_block)
         if x_writer.n_rows == 0:
             raise ValueError(empty_message)
         n_rows = x_writer.n_rows
@@ -246,7 +225,7 @@ def build_point_dataset(traces: Iterable, multiclass: bool = False,
     rejected, but two same-sized selections are indistinguishable.
     """
     def extract(chunk):
-        return _point_chunk(chunk, multiclass)
+        return _point_block(chunk, multiclass)
 
     if mmap_dir is not None:
         return _materialize(
@@ -274,7 +253,7 @@ def build_window_dataset(traces: Iterable, k: int = 6,
         raise ValueError(f"window k must be >= 1, got {k}")
 
     def extract(chunk):
-        return _window_chunk(chunk, k, multiclass)
+        return _window_block(chunk, k, multiclass)
 
     empty = "no traces long enough for the window size"
     if mmap_dir is not None:

@@ -3,9 +3,9 @@
 The paper's Table VI/VIII results come from training *many independent*
 classifiers: one per model kind, per cross-validation fold, per patient,
 per head type.  Each fit is serial, but the fits themselves share nothing —
-exactly the shape the forked-pool chunk protocol of :mod:`repro.parallel`
-already scales campaign simulation and monitor replay with.  This module
-closes that last serial hot path:
+exactly the shape :func:`repro.parallel.map_chunks` scales campaign
+simulation and monitor replay with.  This module fans the fits out the
+same way, one fit per chunk:
 
 - :class:`TrainingJob` names one fit — model kind x fold x patient x
   hyperparameters — as a frozen value object.  Its training data selection
@@ -17,8 +17,8 @@ closes that last serial hot path:
 - :func:`run_training_jobs` materialises each job's dataset once in the
   parent — optionally memory-mapped under ``mmap_root`` (see
   :mod:`repro.ml.memmap`), in which case forked workers share the physical
-  pages — and fans the fits out in deterministic chunks.  Jobs that need
-  the same dataset (DT and MLP over the same split) share one
+  pages — and fans the fits out one job per chunk.  Jobs that need the
+  same dataset (DT and MLP over the same split) share one
   materialisation.
 - :func:`monitor_state` flattens any trained monitor into a canonical list
   of arrays, so "these two training runs produced the same monitor" is an
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.monitor import SafetyMonitor
-from ..parallel import fork_map_chunks, resolve_workers, shard_indices
+from ..parallel import map_chunks
 from ..simulation.store import TraceDataset, TraceDatasetView
 from .datasets import build_point_dataset, build_window_dataset
 from .monitors import DTMonitor, LSTMMonitor, MLPMonitor
@@ -237,9 +237,9 @@ def train_job(job: TrainingJob, X: np.ndarray, y: np.ndarray
 
 def run_training_jobs(jobs: Sequence[TrainingJob], traces: Sequence,
                       workers: Optional[int] = None,
-                      mmap_root: Optional[str] = None,
-                      chunks_per_worker: int = 1) -> List[TrainedMonitor]:
-    """Train every job, fanned out over the forked-pool protocol.
+                      mmap_root: Optional[str] = None
+                      ) -> List[TrainedMonitor]:
+    """Train every job, one job per :func:`~repro.parallel.map_chunks` chunk.
 
     Parameters
     ----------
@@ -268,12 +268,6 @@ def run_training_jobs(jobs: Sequence[TrainingJob], traces: Sequence,
     and seed derive from the job alone (:meth:`TrainingJob.job_seed`).
     """
     jobs = list(jobs)
-    if chunks_per_worker < 1:
-        raise ValueError(
-            f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
-    if not jobs:
-        return []
-    workers = resolve_workers(workers)
     datasets: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
     for job in jobs:
         key = job.dataset_key()
@@ -281,15 +275,11 @@ def run_training_jobs(jobs: Sequence[TrainingJob], traces: Sequence,
             datasets[key] = job_dataset(job, traces, mmap_root=mmap_root,
                                         workers=workers)
 
-    def train_chunk(index_range) -> List[TrainedMonitor]:
-        return [train_job(jobs[i], *datasets[jobs[i].dataset_key()])
-                for i in index_range]
+    def train_one(chunk) -> TrainedMonitor:
+        (job,) = chunk
+        return train_job(job, *datasets[job.dataset_key()])
 
-    results: List[TrainedMonitor] = []
-    chunks = shard_indices(len(jobs), workers * chunks_per_worker)
-    for chunk in fork_map_chunks(train_chunk, chunks, workers):
-        results.extend(chunk)
-    return results
+    return list(map_chunks(train_one, jobs, 1, workers))
 
 
 def monitor_state(monitor: SafetyMonitor) -> List[np.ndarray]:

@@ -1,14 +1,15 @@
-"""Generic forked-pool chunk protocol.
+"""The one fan-out rule: fixed-size chunks, in-process or in a forked pool.
 
-PR 1 built the parallel campaign executor around one idea: cut a
-deterministic work list into contiguous chunks, fork a ``multiprocessing``
-pool so unpicklable state (monitor factories, trained models, lazy
-datasets) is *inherited* rather than serialised, and collect chunk results
-strictly in submission order from a bounded in-flight window.  This module
-hoists that machinery out of :mod:`repro.simulation.executor` so every
-fan-out in the code base — campaign simulation, monitor replay, robustness
--sample mining — shares the exact same protocol and therefore the exact
-same guarantee: worker count changes wall-clock time, never output.
+Every ``workers=`` consumer in the code base — campaign simulation,
+monitor replay, robustness-sample mining, ML dataset extraction, model
+training and per-fold threshold learning — runs through
+:func:`map_chunks`.  It cuts a deterministic work list into consecutive
+chunks of a fixed size, which are the same chunks at every worker count,
+and either runs them in-process or fans them over a forked
+``multiprocessing`` pool, where unpicklable state (monitor factories,
+trained models, lazy datasets) is *inherited* rather than serialised.
+Results come back strictly in chunk order, so worker count changes
+wall-clock time, never output.
 
 It sits below both :mod:`repro.core` and :mod:`repro.simulation` and
 imports neither, so either layer can parallelise without cycles.
@@ -23,17 +24,25 @@ import threading
 import warnings
 from collections import deque
 from typing import (Any, Callable, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+                    Tuple)
 
 __all__ = ["shard_indices", "partition_ranges", "ranges_defect",
-           "fork_map_chunks", "resolve_workers", "LOCKSTEP_WIDTH",
+           "map_chunks", "resolve_workers", "LOCKSTEP_WIDTH",
            "lockstep_width", "iter_equal_length_groups"]
 
 
 def resolve_workers(workers: Optional[int]) -> int:
     """Normalise a ``workers=`` argument (None: ``REPRO_WORKERS`` env, or 1)."""
     if workers is None:
-        workers = int(os.environ.get("REPRO_WORKERS", "1"))
+        raw = os.environ.get("REPRO_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = None
+        if workers is None or workers < 1:
+            raise ValueError(
+                f"REPRO_WORKERS must be an integer >= 1, got {raw!r}")
+        return workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
@@ -154,55 +163,63 @@ _FORK_STATE: Optional[tuple] = None
 _FORK_STATE_LOCK = threading.Lock()
 
 
-def _fork_worker(chunk_index: int):
-    fn, chunks = _FORK_STATE
-    return fn(chunks[chunk_index])
+def _fork_worker(start: int):
+    fn, items, size = _FORK_STATE
+    return fn([items[i] for i in range(start, min(start + size, len(items)))])
 
 
-def fork_map_chunks(fn: Callable[[Any], Any], chunks: Sequence[Any],
-                    workers: int, start_method: str = "fork"
-                    ) -> Iterator[Any]:
-    """Yield ``fn(chunk)`` for every chunk, strictly in chunk order.
+def map_chunks(fn: Callable[[list], Any], items: Iterable[Any], size: int,
+               workers: Optional[int] = None) -> Iterator[Any]:
+    """Yield ``fn(chunk)`` for consecutive chunks of *size* items, in order.
 
-    With ``workers > 1`` and a platform that supports *start_method*, the
-    chunks are fanned out over a forked pool; *fn* and the chunks are
-    inherited by the workers (never pickled) while each **result** must be
-    picklable.  Results are collected from a bounded window of in-flight
-    tasks — at most ``2 * workers`` finished-but-unread chunks sit in the
-    parent — so a slow consumer cannot make memory pile up and the yielded
-    stream is element-wise identical to the serial loop.
+    A chunk is a list of the next *size* items (only the last may be
+    shorter), and the chunks are the same at every worker count — serial
+    and pool runs execute identical work by construction.
+
+    In-process (*workers* resolves to 1 through :func:`resolve_workers`)
+    any iterable is streamed one chunk at a time.  With ``workers > 1``
+    the chunks run on a forked pool: *items* is indexed — other iterables
+    are materialised first — so each worker builds its own chunk (a lazy
+    :class:`~repro.simulation.store.TraceDataset` loads only that chunk's
+    shards), and *fn* and *items* are inherited, never pickled; each
+    **result** must pickle.  Results are read strictly in chunk order from
+    a window of at most ``2 * workers`` in-flight chunks, so a slow
+    consumer cannot pile up memory in the parent.  Without the fork start
+    method the chunks run in-process with a :class:`RuntimeWarning`.
     """
-    chunks = list(chunks)
-    if workers <= 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            yield fn(chunk)
-        return
-    if start_method not in multiprocessing.get_all_start_methods():
-        warnings.warn(
-            f"start method {start_method!r} unavailable; falling back to "
-            "serial execution", RuntimeWarning, stacklevel=3)
-        for chunk in chunks:
+    if size < 1:
+        raise ValueError(f"chunk size must be >= 1, got {size}")
+    workers = resolve_workers(workers)
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        warnings.warn("start method 'fork' unavailable; falling back to "
+                      "serial execution", RuntimeWarning, stacklevel=2)
+        workers = 1
+    if workers > 1 and not hasattr(items, "__getitem__"):
+        items = list(items)
+    if workers <= 1 or len(items) <= size:
+        iterator = iter(items)
+        while chunk := list(itertools.islice(iterator, size)):
             yield fn(chunk)
         return
 
     global _FORK_STATE
-    ctx = multiprocessing.get_context(start_method)
+    starts = range(0, len(items), size)
+    ctx = multiprocessing.get_context("fork")
     # fork pools spawn their workers eagerly in the constructor, so the
     # shared state only needs to exist across the assign-then-fork window
     with _FORK_STATE_LOCK:
-        _FORK_STATE = (fn, chunks)
+        _FORK_STATE = (fn, items, size)
         try:
-            pool = ctx.Pool(processes=min(workers, len(chunks)))
+            pool = ctx.Pool(processes=min(workers, len(starts)))
         finally:
             _FORK_STATE = None
     with pool:
-        window = 2 * workers
         pending: deque = deque()
-        indices = iter(range(len(chunks)))
-        for i in itertools.islice(indices, window):
-            pending.append(pool.apply_async(_fork_worker, (i,)))
+        queued = iter(starts)
+        for start in itertools.islice(queued, 2 * workers):
+            pending.append(pool.apply_async(_fork_worker, (start,)))
         while pending:
             result = pending.popleft().get()
-            for i in itertools.islice(indices, 1):
-                pending.append(pool.apply_async(_fork_worker, (i,)))
+            for start in itertools.islice(queued, 1):
+                pending.append(pool.apply_async(_fork_worker, (start,)))
             yield result

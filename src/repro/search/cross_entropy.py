@@ -34,7 +34,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hazards import HazardScore, score_trace
-from ..simulation import CampaignPlan, get_executor
+from ..simulation import CampaignExecutor, CampaignPlan
 from ..simulation.trace import SimulationTrace
 from .proposal import Proposal
 from .space import ScenarioSample, ScenarioSpace
@@ -190,8 +190,8 @@ class CrossEntropySearch:
                 f"target_hazards must be >= 1, got {self.target_hazards}")
 
     # ------------------------------------------------------------------
-    def _simulate(self, samples: Sequence[ScenarioSample], executor
-                  ) -> List[SimulationTrace]:
+    def _simulate(self, samples: Sequence[ScenarioSample],
+                  executor: CampaignExecutor) -> List[SimulationTrace]:
         runs = tuple(s.to_run(self.patient_id) for s in samples)
         plan = CampaignPlan(platform=self.platform, runs=runs,
                             n_steps=self.n_steps, dt=self.dt)
@@ -201,7 +201,7 @@ class CrossEntropySearch:
         """Execute the search; deterministic in *seed* alone."""
         space = self.space
         proposal = Proposal.uniform(space.n_families, space.n_dims)
-        executor = get_executor(self.workers)
+        executor = CampaignExecutor(self.workers)
         # one child seed per potential iteration, spawned up front so the
         # iteration count at which an early exit fires cannot change the
         # streams of the iterations that did run

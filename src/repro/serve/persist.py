@@ -38,13 +38,12 @@ retry is quarantined instead of double-counted.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import pickle
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -437,21 +436,3 @@ class RecoveryReport:
                 if self.torn_tail_bytes else "")
         return (f"recovered from {source} + {self.ticks_replayed} journaled "
                 f"tick(s) across {self.segments_replayed} segment(s){tail}")
-
-
-def payload_size(state: object) -> int:
-    """Serialized size of a state object (diagnostics/benchmarks)."""
-    buffer = io.BytesIO()
-    pickle.dump(state, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    return buffer.tell()
-
-
-@dataclass
-class PersistenceStats:
-    """Counters a persisted service keeps about its own durability work."""
-
-    records_journaled: int = 0
-    snapshots_written: int = 0
-    last_snapshot_ticks: int = -1
-    journal_bytes: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)

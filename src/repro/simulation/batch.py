@@ -5,9 +5,9 @@ Basal-Bolus + UVA-Padova T1DS2013.  :func:`make_loop` builds the matched
 patient/controller pair for a cohort member (controller profile derived from
 the patient's steady-state basal via the 1800 rule) — the single-run
 reference loop — and :func:`run_campaign` executes a fault-injection campaign
-over one or more patients through the lock-step engine, serially by default
-or fanned out over a process pool via the executors in
-:mod:`repro.simulation.executor`.
+over one or more patients through the lock-step engine, in-process by default
+or fanned out over a process pool by
+:class:`~repro.simulation.executor.CampaignExecutor`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..fi import FaultInjector, InjectionScenario
 from ..patients import PatientModel, make_patient
 from .executor import (BASELINE_CACHE, PROFILE_CACHE, BaselineCache,
                        CampaignExecutor, CampaignPlan, TraceSink,
-                       get_executor, plan_campaign, plan_fault_free)
+                       plan_campaign, plan_fault_free)
 from .loop import ClosedLoop
 from .trace import SimulationTrace
 
@@ -97,7 +97,6 @@ def run_campaign(platform: str, patient_ids: Sequence[str],
                  mitigator: Optional[Mitigator] = None,
                  n_steps: int = 150,
                  workers: Optional[int] = None,
-                 executor: Optional[CampaignExecutor] = None,
                  sink: Optional[TraceSink] = None) -> Optional[List[SimulationTrace]]:
     """Run every injection scenario against every patient.
 
@@ -118,12 +117,8 @@ def run_campaign(platform: str, patient_ids: Sequence[str],
         Shared mitigation strategy (only active when a monitor alerts).
     workers:
         Process-pool size; 1 (the default, also via ``REPRO_WORKERS``)
-        runs serially in-process.  Trace order and content are identical
-        for every worker count; each pool chunk becomes a sequence of
-        lock-step batches.
-    executor:
-        Explicit :class:`~repro.simulation.executor.CampaignExecutor`
-        (overrides *workers*).
+        runs in-process.  Every worker count runs the same lock-step
+        batches, so trace order and content are identical.
     sink:
         Optional :class:`~repro.simulation.executor.TraceSink`; when given,
         traces are streamed to it in (patient, scenario) order and ``None``
@@ -135,9 +130,8 @@ def run_campaign(platform: str, patient_ids: Sequence[str],
     streaming to *sink*.
     """
     plan = plan_campaign(platform, patient_ids, scenarios, n_steps=n_steps)
-    executor = executor or get_executor(workers)
-    return executor.run(plan, monitor_factory=monitor_factory,
-                        mitigator=mitigator, sink=sink)
+    return CampaignExecutor(workers).run(plan, monitor_factory=monitor_factory,
+                                         mitigator=mitigator, sink=sink)
 
 
 def run_fault_free(platform: str, patient_ids: Sequence[str],
@@ -145,7 +139,6 @@ def run_fault_free(platform: str, patient_ids: Sequence[str],
                    monitor_factory: Optional[Callable[[str], SafetyMonitor]] = None,
                    n_steps: int = 150,
                    workers: Optional[int] = None,
-                   executor: Optional[CampaignExecutor] = None,
                    cache: Optional[BaselineCache] = BASELINE_CACHE,
                    sink: Optional[TraceSink] = None) -> Optional[List[SimulationTrace]]:
     """Fault-free reference runs over the same initial-glucose grid.
@@ -157,13 +150,13 @@ def run_fault_free(platform: str, patient_ids: Sequence[str],
     never cached because the monitor's alerts are part of the trace.
 
     Note that an enabled cache retains every baseline trace by design, so
-    bounded-memory streaming (*sink* with O(chunk) residency) requires
+    bounded-memory streaming (*sink* with O(batch) residency) requires
     ``cache=None``; with caching on, the sink still receives the traces
     in plan order but memory is O(grid) either way.
     """
     plan = plan_fault_free(platform, patient_ids, init_glucose_values,
                            n_steps=n_steps)
-    executor = executor or get_executor(workers)
+    executor = CampaignExecutor(workers)
     if monitor_factory is not None or cache is None:
         return executor.run(plan, monitor_factory=monitor_factory, sink=sink)
 

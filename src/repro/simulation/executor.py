@@ -1,59 +1,51 @@
-"""Parallel campaign execution engine.
+"""Campaign execution engine.
 
 The paper's evaluation grid is 882 fault injections per patient across a
 20-patient, two-platform cohort (Section V-B) — embarrassingly parallel
-work that the original ``run_campaign`` executed serially in one process.
-This module supplies the machinery to fan that grid out over a worker pool
-while keeping the output *byte-identical* to the serial loop:
+work.  This module runs that grid in-process or fanned out over a worker
+pool while keeping the output *byte-identical* at every worker count:
 
 - :func:`plan_campaign` / :func:`plan_fault_free` normalise a campaign into
   an immutable :class:`CampaignPlan` — a flat, patient-major tuple of
   :class:`SimRun` cells;
-- :func:`shard_plan` cuts the plan into deterministic contiguous chunks;
-- :class:`SerialExecutor` and :class:`ParallelExecutor` share the
-  :class:`CampaignExecutor` interface.  The parallel executor forks a
-  ``multiprocessing`` pool (fork start method, so unpicklable monitor
-  factories are inherited, not serialised) and merges chunk results in
-  stable (patient, scenario) order;
+- :class:`CampaignExecutor` cuts the plan into lock-step batches of
+  :data:`~repro.parallel.LOCKSTEP_WIDTH` runs and simulates each through
+  :func:`~repro.simulation.vector.run_batch`, in-process or on a forked
+  pool (:func:`~repro.parallel.map_chunks`, so unpicklable monitor
+  factories are inherited, not serialised), in stable plan order;
 - :class:`ProfileCache` and :class:`BaselineCache` hold the expensive
   shared artifacts (titrated controller profiles, fault-free reference
   traces) in explicit, lock-guarded objects that forked workers warm
   independently;
-- :class:`TraceSink` and friends stream traces out of memory so
-  million-trace campaigns never hold every :class:`SimulationTrace` at
+- :class:`TraceSink` and its directory sinks stream traces out of memory
+  so million-trace campaigns never hold every :class:`SimulationTrace` at
   once.
 
-Every execution path funnels through the same per-chunk runner, so worker
-count never changes the simulated dynamics — only the wall-clock time.
+The batches are the same at every worker count, so worker count never
+changes the simulated dynamics — only the wall-clock time.
 """
 
 from __future__ import annotations
 
 import abc
-import multiprocessing
 import os
 import threading
-import warnings
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.mitigation import Mitigator
 from ..core.monitor import SafetyMonitor
 from ..fi import FaultSpec, InjectionScenario
-from ..parallel import (fork_map_chunks, lockstep_width, resolve_workers,
-                        shard_indices)
+from ..parallel import lockstep_width, map_chunks, resolve_workers
 from ..patients import Meal
 from .trace import SimulationTrace, trace_to_arrays, trace_to_struct
 
 __all__ = [
     "SimRun", "CampaignPlan", "plan_campaign", "plan_fault_free",
-    "shard_plan", "ProfileCache", "BaselineCache", "PROFILE_CACHE",
-    "BASELINE_CACHE", "TraceSink", "ListSink", "CountingSink",
-    "NpzDirectorySink", "NpyDirectorySink", "CampaignExecutor", "SerialExecutor",
-    "ParallelExecutor", "get_executor",
+    "ProfileCache", "BaselineCache", "PROFILE_CACHE", "BASELINE_CACHE",
+    "TraceSink", "NpzDirectorySink", "NpyDirectorySink", "CampaignExecutor",
 ]
 
 MonitorFactory = Callable[[str], SafetyMonitor]
@@ -123,18 +115,6 @@ def plan_fault_free(platform: str, patient_ids: Sequence[str],
                         label=f"fault-free/bg{bg:g}", fault=None)
                  for pid in patient_ids for bg in init_glucose_values)
     return CampaignPlan(platform=platform, runs=runs, n_steps=n_steps, dt=dt)
-
-
-def shard_plan(plan: CampaignPlan,
-               n_chunks: int) -> List[Tuple[SimRun, ...]]:
-    """Cut ``plan.runs`` into at most *n_chunks* contiguous chunks.
-
-    Chunk boundaries depend only on ``(len(plan), n_chunks)``, so sharding
-    is deterministic, and concatenating the chunks always reproduces the
-    original run order.  Chunk sizes differ by at most one.
-    """
-    return [plan.runs[r.start:r.stop]
-            for r in shard_indices(len(plan.runs), n_chunks)]
 
 
 # ----------------------------------------------------------------------
@@ -239,11 +219,12 @@ BASELINE_CACHE = BaselineCache()
 class TraceSink(abc.ABC):
     """Consumer of a stable-ordered trace stream.
 
-    Executors call :meth:`write` once per completed run, in exact plan
-    order.  The *caller* owns the sink's lifecycle — use it as a context
-    manager (or call :meth:`close`) so one sink can absorb several
-    campaigns before flushing.  Sinks let arbitrarily large campaigns run
-    in bounded memory: the executor drops each chunk after handing it over.
+    :class:`CampaignExecutor` calls :meth:`write` once per completed run,
+    in exact plan order.  The *caller* owns the sink's lifecycle — use it
+    as a context manager (or call :meth:`close`) so one sink can absorb
+    several campaigns before flushing.  Sinks let arbitrarily large
+    campaigns run in bounded memory: the executor drops each batch after
+    handing it over.
     """
 
     @abc.abstractmethod
@@ -258,34 +239,6 @@ class TraceSink(abc.ABC):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class ListSink(TraceSink):
-    """Accumulate traces in memory (the classic return-a-list behaviour)."""
-
-    def __init__(self):
-        self.traces: List[SimulationTrace] = []
-
-    def write(self, trace: SimulationTrace) -> None:
-        self.traces.append(trace)
-
-
-class CountingSink(TraceSink):
-    """Keep only aggregate statistics — O(1) memory for any campaign size."""
-
-    def __init__(self):
-        self.n_traces = 0
-        self.n_hazardous = 0
-        self.n_alerting = 0
-
-    def write(self, trace: SimulationTrace) -> None:
-        self.n_traces += 1
-        self.n_hazardous += int(trace.hazardous)
-        self.n_alerting += int(bool(trace.alert.any()))
-
-    @property
-    def hazard_fraction(self) -> float:
-        return self.n_hazardous / self.n_traces if self.n_traces else 0.0
 
 
 class NpzDirectorySink(TraceSink):
@@ -357,42 +310,27 @@ class NpyDirectorySink(NpzDirectorySink):
 
 
 # ----------------------------------------------------------------------
-# the shared chunk runner
+# the executor
 # ----------------------------------------------------------------------
 
-def _run_chunk(plan: CampaignPlan, runs: Sequence[SimRun],
-               monitor_factory: Optional[MonitorFactory],
-               mitigator: Optional[Mitigator]) -> List[SimulationTrace]:
-    """Execute a contiguous slice of the plan.
+class CampaignExecutor:
+    """Executes a :class:`CampaignPlan`, preserving plan order exactly.
 
-    This is the *only* place simulations happen — serial executor, parallel
-    workers and cache-warming all call it, which is what guarantees that
-    worker count cannot change the simulated dynamics.  The slice runs
-    through the lock-step engine (:mod:`repro.simulation.vector`) in
-    batches of :data:`~repro.parallel.LOCKSTEP_WIDTH` rows — monitored and
-    mitigated runs included, with per-tick column-wise monitor evaluation
-    and row-wise command correction — whose traces are element-wise
-    identical to the single-run :class:`~repro.simulation.loop.ClosedLoop`
-    (see ``docs/mitigation.md`` for the contract).
+    The plan runs as consecutive lock-step batches of
+    :data:`~repro.parallel.LOCKSTEP_WIDTH` runs, one
+    :func:`~repro.simulation.vector.run_batch` call per batch — monitored
+    and mitigated runs included, with per-tick column-wise monitor
+    evaluation and row-wise command correction — whose traces are
+    element-wise identical to the single-run
+    :class:`~repro.simulation.loop.ClosedLoop` (see ``docs/mitigation.md``
+    for the contract).  *workers* (None: ``REPRO_WORKERS`` env, or 1) only
+    decides whether the batches run in-process or on a forked pool
+    (:func:`~repro.parallel.map_chunks`); the batches, and so the traces,
+    are the same for every worker count.
     """
-    from .vector import run_vector_chunk  # deferred: vector imports us too
-    return run_vector_chunk(plan, runs, monitor_factory=monitor_factory,
-                            mitigator=mitigator)
 
-
-# ----------------------------------------------------------------------
-# executors
-# ----------------------------------------------------------------------
-
-class CampaignExecutor(abc.ABC):
-    """Executes a :class:`CampaignPlan`, preserving plan order exactly."""
-
-    @abc.abstractmethod
-    def map_chunks(self, plan: CampaignPlan,
-                   monitor_factory: Optional[MonitorFactory],
-                   mitigator: Optional[Mitigator]
-                   ) -> Iterable[List[SimulationTrace]]:
-        """Yield per-chunk trace lists, in plan order."""
+    def __init__(self, workers: Optional[int] = None):
+        self.workers = resolve_workers(workers)
 
     def run(self, plan: CampaignPlan,
             monitor_factory: Optional[MonitorFactory] = None,
@@ -402,102 +340,23 @@ class CampaignExecutor(abc.ABC):
         """Execute the plan.
 
         Without a sink, returns the full trace list in plan order.  With a
-        sink, each trace is streamed to ``sink.write`` as its chunk
-        completes (still in plan order), memory stays bounded by the chunk
-        size, and ``None`` is returned.
+        sink, each trace is streamed to ``sink.write`` as its batch
+        completes (still in plan order), memory stays bounded by the
+        batches in flight, and ``None`` is returned.
         """
+        from . import vector  # deferred: vector imports us too
+
+        def run_chunk(runs: Sequence[SimRun]) -> List[SimulationTrace]:
+            return vector.run_batch(plan.platform, runs, plan.n_steps,
+                                    dt=plan.dt, target=plan.target,
+                                    monitor_factory=monitor_factory,
+                                    mitigator=mitigator)
+
+        batches = map_chunks(run_chunk, plan.runs, lockstep_width(),
+                             self.workers)
         if sink is None:
-            collected: List[SimulationTrace] = []
-            for chunk_traces in self.map_chunks(plan, monitor_factory,
-                                                mitigator):
-                collected.extend(chunk_traces)
-            return collected
-        for chunk_traces in self.map_chunks(plan, monitor_factory, mitigator):
-            for trace in chunk_traces:
+            return [trace for batch in batches for trace in batch]
+        for batch in batches:
+            for trace in batch:
                 sink.write(trace)
         return None
-
-
-class SerialExecutor(CampaignExecutor):
-    """Single-process executor.
-
-    Runs the plan in order, one lock-step batch of
-    :data:`~repro.parallel.LOCKSTEP_WIDTH` rows at a time, and yields each
-    batch as its own chunk — so a sink-backed campaign holds one batch,
-    never the whole plan.
-    """
-
-    def map_chunks(self, plan, monitor_factory, mitigator):
-        width = lockstep_width()
-        for lo in range(0, len(plan.runs), width):
-            yield _run_chunk(plan, plan.runs[lo:lo + width],
-                             monitor_factory, mitigator)
-
-
-class ParallelExecutor(CampaignExecutor):
-    """Fan the plan out over a forked ``multiprocessing`` pool.
-
-    Parameters
-    ----------
-    workers:
-        Pool size (defaults to the machine's CPU count).
-    chunks_per_worker:
-        Oversharding factor: the plan is cut into
-        ``workers * chunks_per_worker`` chunks so stragglers (patients
-        whose profile titration is cold, long fault durations) re-balance.
-    start_method:
-        Forced multiprocessing start method.  Only ``"fork"`` supports
-        unpicklable monitor factories; on platforms without fork the
-        executor degrades to in-process serial execution with a warning.
-
-    Each worker runs its chunk through the lock-step engine in batches of
-    :data:`~repro.parallel.LOCKSTEP_WIDTH` rows, so the pool speedup and
-    the SIMD speedup multiply.
-
-    Chunk results are collected strictly in submission order from a
-    bounded window of in-flight tasks, so the trace stream is element-wise
-    identical to :class:`SerialExecutor`'s and parent-side memory stays
-    proportional to ``workers``, not campaign size.
-    """
-
-    def __init__(self, workers: Optional[int] = None,
-                 chunks_per_worker: int = 4,
-                 start_method: str = "fork"):
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunks_per_worker < 1:
-            raise ValueError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
-        self.workers = workers or (os.cpu_count() or 1)
-        self.chunks_per_worker = chunks_per_worker
-        self.start_method = start_method
-
-    def map_chunks(self, plan, monitor_factory, mitigator):
-        if (self.workers <= 1 or len(plan) <= 1
-                or self.start_method not in
-                multiprocessing.get_all_start_methods()):
-            if self.start_method not in multiprocessing.get_all_start_methods():
-                warnings.warn(
-                    f"start method {self.start_method!r} unavailable; "
-                    "falling back to serial execution", RuntimeWarning,
-                    stacklevel=3)
-            yield from SerialExecutor().map_chunks(plan, monitor_factory,
-                                                   mitigator)
-            return
-
-        chunks = shard_plan(plan, self.workers * self.chunks_per_worker)
-
-        def run_chunk(runs):
-            return _run_chunk(plan, runs, monitor_factory, mitigator)
-
-        yield from fork_map_chunks(run_chunk, chunks, self.workers,
-                                   start_method=self.start_method)
-
-
-def get_executor(workers: Optional[int] = None) -> CampaignExecutor:
-    """Executor for *workers* processes (None: ``REPRO_WORKERS`` env,
-    defaulting to serial execution)."""
-    workers = resolve_workers(workers)
-    if workers == 1:
-        return SerialExecutor()
-    return ParallelExecutor(workers=workers)

@@ -12,9 +12,10 @@ Replay is lock-step: stored or streamed traces are stacked into
 :data:`~repro.parallel.LOCKSTEP_WIDTH` traces, and every monitor is
 evaluated column-wise through
 :meth:`~repro.core.monitor.SafetyMonitor.observe_batch`.
-:func:`replay_campaign` additionally cuts the trace list into
-deterministic index chunks fanned out over the forked-pool protocol of
-:mod:`repro.parallel` (``workers=``).
+:func:`replay_campaign` cuts the trace stream into chunks of
+:data:`~repro.parallel.LOCKSTEP_WIDTH` traces with
+:func:`~repro.parallel.map_chunks`, the same chunks in-process and on a
+forked pool (``workers=``).
 
 The contract is **exact parity** with the single-trace reference
 :func:`replay_monitor`: for any worker count and width, the alert streams
@@ -36,14 +37,15 @@ are element-wise identical to feeding each trace's context stream through
   per-column loop over ``observe``, which *is* the reference
   definition.
 
-Batches are greedy groups of consecutive equal-length traces, so a
-heterogeneous stream (campaign plus fault-free runs of a different
-``n_steps``) batches as far as its layout allows; batch boundaries cannot
-affect the verdicts (columns are independent, every monitor is reset per
-trace).  Memory stays bounded by the batch: one :class:`ContextBatch` is
-resident at a time, so lazy :class:`~repro.simulation.store.TraceDataset`
-streams keep their bounded-memory guarantee, and with ``workers > 1``
-each worker loads only its own shards.
+Within a chunk, batches are greedy groups of consecutive equal-length
+traces, so a heterogeneous stream (campaign plus fault-free runs of a
+different ``n_steps``) batches as far as its layout allows; batch
+boundaries cannot affect the verdicts (columns are independent, every
+monitor is reset per trace).  Memory stays bounded by the chunk: one
+chunk of traces and its :class:`ContextBatch` are resident at a time, so
+lazy :class:`~repro.simulation.store.TraceDataset` streams keep their
+bounded-memory guarantee, and with ``workers > 1`` each worker loads
+only its own chunks' shards.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.monitor import SafetyMonitor
-from ..parallel import (fork_map_chunks, iter_equal_length_groups,
-                        resolve_workers, shard_indices)
+from ..parallel import iter_equal_length_groups, lockstep_width, map_chunks
 from .features import ContextBatch
 from .trace import SimulationTrace
 
@@ -118,9 +119,8 @@ def replay_chunk_batched(monitors: Mapping[str, SafetyMonitor],
                          ) -> Dict[str, List[np.ndarray]]:
     """Replay *monitors* over a trace stream in lock-step batches.
 
-    The chunk runner behind :func:`replay_campaign` — the serial path hands
-    it the whole stream, the parallel path one index chunk per task.
-    Returns ``name -> per-trace boolean alert arrays`` aligned with the
+    The chunk runner behind :func:`replay_campaign`, which hands it one
+    chunk at a time.  Returns ``name -> per-trace boolean alert arrays`` aligned with the
     input stream.
     """
     named = dict(monitors)
@@ -154,8 +154,7 @@ def replay_monitor_batched(monitor: SafetyMonitor,
 
 def replay_campaign(monitors: Mapping[str, SafetyMonitor],
                     traces: Iterable[SimulationTrace],
-                    workers: Optional[int] = None,
-                    chunks_per_worker: int = 4
+                    workers: Optional[int] = None
                     ) -> Dict[str, List[np.ndarray]]:
     """Replay a named set of monitors over recorded traces.
 
@@ -167,11 +166,11 @@ def replay_campaign(monitors: Mapping[str, SafetyMonitor],
         context batch of each trace group is built once and shared by all
         monitors.
     traces:
-        Any iterable of traces.  Serially, plain iterables (generators
-        included) are streamed one lock-step batch at a time; with
-        ``workers > 1`` a sequence is required for index chunking —
-        ideally a lazy :class:`~repro.simulation.store.TraceDataset`, so
-        each worker loads only its own shards (non-sequence iterables are
+        Any iterable of traces.  In-process, plain iterables (generators
+        included) are streamed one chunk at a time; with ``workers > 1``
+        the chunks are built by index — ideally from a lazy
+        :class:`~repro.simulation.store.TraceDataset`, so each worker
+        loads only its own shards (non-sequence iterables are
         materialised first).
     workers:
         Process count (None: ``REPRO_WORKERS`` env, or 1).  Monitors and
@@ -183,27 +182,16 @@ def replay_campaign(monitors: Mapping[str, SafetyMonitor],
     Returns ``name -> list of per-trace boolean alert arrays``, aligned
     with *traces*.
     """
-    if chunks_per_worker < 1:
-        raise ValueError(
-            f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
     named = dict(monitors)
-    workers = resolve_workers(workers)
     if not named:
         return {}
-    if workers <= 1:
-        return replay_chunk_batched(named, traces)
 
-    if not hasattr(traces, "__getitem__"):
-        traces = list(traces)
+    def replay_chunk(chunk):
+        return replay_chunk_batched(named, chunk)
+
     out: Dict[str, List[np.ndarray]] = {name: [] for name in named}
-    if len(traces) == 0:
-        return out
-    chunks = shard_indices(len(traces), workers * chunks_per_worker)
-
-    def replay_chunk(index_range):
-        return replay_chunk_batched(named, (traces[i] for i in index_range))
-
-    for chunk_result in fork_map_chunks(replay_chunk, chunks, workers):
+    for chunk_result in map_chunks(replay_chunk, traces, lockstep_width(),
+                                   workers):
         for name, alerts in chunk_result.items():
             out[name].extend(alerts)
     return out

@@ -2,7 +2,7 @@
 
 The single-run reference :class:`~repro.simulation.loop.ClosedLoop` advances
 one run at a time: a Python step loop around length-1 numpy work.  This
-module — the engine every campaign executor runs — simulates a whole
+module — the engine the campaign executor runs — simulates a whole
 *batch* of campaign runs simultaneously as matrices — the ``(S, B)``
 ODE state advanced by one batched RK4 (the shared kernels of
 :mod:`repro.patients.kernels`), per-row parameter vectors so mixed patients
@@ -62,13 +62,11 @@ from ..patients.kernels import (IVPColumns, T1DColumns, ivp_init_state,
 from ..patients.kernels import GP as _GP, GS as _GS, QSTO1 as _QSTO1
 from ..patients.pump import InsulinPump
 from ..patients.sensor import CGM_RANGE
-from ..parallel import lockstep_width
 from .executor import MonitorFactory, PROFILE_CACHE, SimRun
 from .features import ContextBatch
 from .trace import TRACE_ARRAY_FIELDS, TRACE_COLUMN_DTYPES, SimulationTrace
 
-__all__ = ["run_batch", "run_vector_chunk", "titrate_isf_batch",
-           "warm_profiles"]
+__all__ = ["run_batch", "titrate_isf_batch", "warm_profiles"]
 
 
 # ----------------------------------------------------------------------
@@ -871,27 +869,4 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
             platform=platform, patient_id=trace_ids[run.patient_id],
             label=run.label, dt=dt, fault=run.fault, t=t_column.copy(),
             **arrays))
-    return traces
-
-
-def run_vector_chunk(plan, runs: Sequence[SimRun],
-                     monitor_factory: Optional[MonitorFactory] = None,
-                     mitigator: Optional[Mitigator] = None
-                     ) -> List[SimulationTrace]:
-    """Execute a contiguous plan slice as consecutive lock-step batches of
-    :data:`~repro.parallel.LOCKSTEP_WIDTH` rows.
-
-    The last batch is ragged when the width does not divide the slice;
-    batch boundaries cannot affect the traces (each row is independent —
-    monitor state lives per column and mitigators reset per run), so any
-    width yields the identical stream.
-    """
-    width = lockstep_width()
-    traces: List[SimulationTrace] = []
-    for lo in range(0, len(runs), width):
-        traces.extend(run_batch(plan.platform, runs[lo:lo + width],
-                                plan.n_steps, dt=plan.dt,
-                                target=plan.target,
-                                monitor_factory=monitor_factory,
-                                mitigator=mitigator))
     return traces

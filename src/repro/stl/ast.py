@@ -22,7 +22,6 @@ is supplied at evaluation time, or the formula can be specialised once with
 
 from __future__ import annotations
 
-import math
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -363,8 +362,3 @@ def all_params(formula: Formula) -> Dict[str, Optional[float]]:
             out[node.threshold.name] = node.threshold.default
         stack.extend(node.children)
     return out
-
-
-def is_finite_threshold(value: float) -> bool:
-    """True when *value* is a usable concrete threshold."""
-    return isinstance(value, (int, float)) and math.isfinite(value)

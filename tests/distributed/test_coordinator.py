@@ -15,7 +15,7 @@ from repro.distributed import (DistributedCampaignError, FlakyLauncher,
                                LocalLauncher, SSHLauncher, WorkerError,
                                WorkerSpec, run_distributed_campaign)
 from repro.parallel import partition_ranges
-from repro.simulation import SerialExecutor, TraceDataset
+from repro.simulation import CampaignExecutor, TraceDataset
 from repro.simulation.store import plan_fingerprint
 from tests.conftest import LOCKSTEP_WIDTHS
 
@@ -58,7 +58,7 @@ class TestCleanRuns:
         merged = TraceDataset.open(out)
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
-            fresh = SerialExecutor().run(plan)
+            fresh = CampaignExecutor(1).run(plan)
             assert len(fresh) == len(merged)
             for stored, trace in zip(merged, fresh):
                 assert_traces_equal(stored, trace)

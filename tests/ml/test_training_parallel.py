@@ -159,12 +159,6 @@ class TestRunTrainingJobs:
     def test_empty_job_list(self, tiny_campaign_traces):
         assert run_training_jobs([], tiny_campaign_traces) == []
 
-    def test_invalid_chunks_per_worker(self, small_jobs,
-                                       tiny_campaign_traces):
-        with pytest.raises(ValueError, match="chunks_per_worker"):
-            run_training_jobs(small_jobs, tiny_campaign_traces,
-                              chunks_per_worker=0)
-
     def test_monitors_replay_cleanly(self, serial_results,
                                      tiny_campaign_traces):
         from repro.simulation import replay_monitor

@@ -13,23 +13,19 @@ from repro.core.mitigation import Mitigator
 from repro.core.monitor import MonitorVerdict, NO_ALERT, SafetyMonitor
 from repro.fi import CampaignConfig, generate_campaign
 from repro.hazards import HazardType
+from repro.parallel import map_chunks
 from repro.simulation import (
     BaselineCache,
+    CampaignExecutor,
     CampaignPlan,
-    CountingSink,
-    ListSink,
     NpzDirectorySink,
-    ParallelExecutor,
     ProfileCache,
-    SerialExecutor,
     SimRun,
     TraceSink,
-    get_executor,
     plan_campaign,
     plan_fault_free,
     run_campaign,
     run_fault_free,
-    shard_plan,
 )
 from tests.conftest import LOCKSTEP_WIDTHS
 
@@ -60,69 +56,77 @@ class TestPlanning:
 
 
 class TestSharding:
+    """A plan is cut into consecutive fixed-size chunks of runs — the
+    executor's lock-step batches — by ``map_chunks``."""
+
     def plan(self, n):
         runs = tuple(SimRun(patient_id="A", init_glucose=120.0,
                             label=f"r{i}") for i in range(n))
         return CampaignPlan(platform="glucosym", runs=runs, n_steps=20)
 
+    @staticmethod
+    def chunks(plan, size, workers=1):
+        return list(map_chunks(tuple, plan.runs, size, workers))
+
     def test_chunks_concatenate_to_plan(self):
         plan = self.plan(17)
-        for n_chunks in (1, 2, 3, 5, 17, 40):
-            chunks = shard_plan(plan, n_chunks)
+        for size in (1, 2, 3, 5, 17, 40):
+            chunks = self.chunks(plan, size)
             flat = [r for chunk in chunks for r in chunk]
             assert tuple(flat) == plan.runs
 
-    def test_chunk_sizes_balanced(self):
-        chunks = shard_plan(self.plan(10), 3)
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == 10
-
     def test_deterministic(self):
         plan = self.plan(23)
-        assert shard_plan(plan, 4) == shard_plan(plan, 4)
+        assert self.chunks(plan, 4) == self.chunks(plan, 4) \
+            == self.chunks(plan, 4, workers=2)
 
     def test_never_more_chunks_than_runs(self):
-        assert len(shard_plan(self.plan(3), 16)) == 3
+        assert len(self.chunks(self.plan(3), 1)) == 3
+        assert len(self.chunks(self.plan(3), 16)) == 1
 
     def test_invalid_chunk_count(self):
-        with pytest.raises(ValueError):
-            shard_plan(self.plan(3), 0)
+        with pytest.raises(ValueError, match="chunk size"):
+            self.chunks(self.plan(3), 0)
 
 
 class TestParity:
     """The acceptance property: worker count never changes the traces."""
 
-    def test_serial_vs_parallel_identical(self, assert_traces_equal):
+    def test_serial_vs_parallel_identical(self, assert_traces_equal,
+                                          set_lockstep_width):
         scenarios = small_campaign()
         plan = plan_campaign("glucosym", ["A", "B"], scenarios, n_steps=25)
-        serial = SerialExecutor().run(plan)
-        parallel = ParallelExecutor(workers=2).run(plan)
-        assert len(serial) == len(parallel) == len(plan)
-        for s, p in zip(serial, parallel):
-            assert_traces_equal(s, p)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            serial = CampaignExecutor(1).run(plan)
+            parallel = CampaignExecutor(2).run(plan)
+            assert len(serial) == len(parallel) == len(plan)
+            for s, p in zip(serial, parallel):
+                assert_traces_equal(s, p)
 
-    def test_worker_count_invariance(self, assert_traces_equal):
+    def test_worker_count_invariance(self, assert_traces_equal,
+                                     set_lockstep_width):
         scenarios = small_campaign(4)
         plan = plan_campaign("glucosym", ["A"], scenarios, n_steps=25)
-        two = ParallelExecutor(workers=2, chunks_per_worker=1).run(plan)
-        three = ParallelExecutor(workers=3, chunks_per_worker=2).run(plan)
+        set_lockstep_width(1)
+        two = CampaignExecutor(2).run(plan)
+        three = CampaignExecutor(3).run(plan)
         for a, b in zip(two, three):
             assert_traces_equal(a, b)
 
-    def test_run_campaign_workers_kwarg(self, assert_traces_equal):
+    def test_run_campaign_workers_kwarg(self, assert_traces_equal,
+                                        set_lockstep_width):
         scenarios = small_campaign(4)
+        set_lockstep_width(2)
         serial = run_campaign("glucosym", ["A"], scenarios, n_steps=25)
         parallel = run_campaign("glucosym", ["A"], scenarios, n_steps=25,
                                 workers=2)
         for s, p in zip(serial, parallel):
             assert_traces_equal(s, p)
 
-    def test_get_executor(self):
-        assert isinstance(get_executor(1), SerialExecutor)
-        assert isinstance(get_executor(4), ParallelExecutor)
+    def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            get_executor(0)
+            CampaignExecutor(0)
 
 
 class TestRunMeals:
@@ -140,7 +144,7 @@ class TestRunMeals:
         return CampaignPlan(platform="glucosym", runs=runs, n_steps=40)
 
     def test_meals_affect_the_trace(self):
-        traces = SerialExecutor().run(self.meal_plan())
+        traces = CampaignExecutor(1).run(self.meal_plan())
         base, early, _ = traces
         assert not np.array_equal(base.true_bg, early.true_bg)
         # carbs raise glucose relative to the meal-free run
@@ -153,11 +157,21 @@ class TestRunMeals:
         reference = reference_traces(plan)
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
-            serial = SerialExecutor().run(plan)
-            parallel = ParallelExecutor(workers=2).run(plan)
+            serial = CampaignExecutor(1).run(plan)
+            parallel = CampaignExecutor(2).run(plan)
             for s, v, p in zip(reference, serial, parallel):
                 assert_traces_equal(s, v)
                 assert_traces_equal(s, p)
+
+
+class ListSink(TraceSink):
+    """Collect the streamed traces in a list."""
+
+    def __init__(self):
+        self.traces = []
+
+    def write(self, trace):
+        self.traces.append(trace)
 
 
 class TestSinks:
@@ -172,13 +186,21 @@ class TestSinks:
         for a, b in zip(traces, sink.traces):
             assert_traces_equal(a, b)
 
-    def test_counting_sink(self):
+    def test_counting_sink(self, set_lockstep_width):
+        """A sink that keeps only counts sees every trace of a pool run."""
+        class CountingSink(TraceSink):
+            n_traces = n_hazardous = 0
+
+            def write(self, trace):
+                self.n_traces += 1
+                self.n_hazardous += int(trace.hazardous)
+
         sink = CountingSink()
+        set_lockstep_width(1)
         run_campaign("glucosym", ["A"], small_campaign(3), n_steps=20,
                      sink=sink, workers=2)
         assert sink.n_traces == 3
         assert 0 <= sink.n_hazardous <= 3
-        assert 0.0 <= sink.hazard_fraction <= 1.0
 
     def test_npz_directory_sink(self, tmp_path):
         scenarios = small_campaign(2)
@@ -200,9 +222,10 @@ class TestSinks:
 
     def test_serial_sink_streams_one_batch_at_a_time(self, monkeypatch,
                                                      set_lockstep_width):
-        """With a sink, SerialExecutor simulates LOCKSTEP_WIDTH rows at a
-        time and hands each batch over before simulating the next, in plan
-        order — a streamed campaign holds one batch, not the plan."""
+        """With a sink, the in-process executor simulates LOCKSTEP_WIDTH
+        rows at a time and hands each batch over before simulating the
+        next, in plan order — a streamed campaign holds one batch, not the
+        plan."""
         import repro.simulation.vector as vector
         batches = []
         run_batch = vector.run_batch
@@ -221,13 +244,44 @@ class TestSinks:
         plan = plan_campaign("glucosym", ["A", "B"], small_campaign(6),
                              n_steps=20)
         set_lockstep_width(5)
-        SerialExecutor().run(plan, sink=SpySink())
+        CampaignExecutor(1).run(plan, sink=SpySink())
         assert batches == [5, 5, 2]
         assert [n for n, _, _ in written] == [1] * 5 + [2] * 5 + [3] * 2
         assert [(pid, label) for _, pid, label in written] == [
             (run.patient_id, run.label) for run in plan.runs]
 
-    def test_slow_sink_parallel_order_preserved(self, assert_traces_equal):
+    def test_pool_simulates_the_serial_batches(self, monkeypatch, tmp_path,
+                                               set_lockstep_width):
+        """At workers=2 the forked children simulate exactly the serial
+        batches [5, 5, 2] of the test above (recorded through a file: the
+        children cannot append to a list in the parent)."""
+        import os
+
+        import repro.simulation.vector as vector
+        log = tmp_path / "batches.txt"
+        run_batch = vector.run_batch
+
+        def logging_run_batch(platform, runs, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {plan.runs.index(runs[0])} "
+                         f"{len(runs)}\n")
+            return run_batch(platform, runs, *args, **kwargs)
+
+        monkeypatch.setattr(vector, "run_batch", logging_run_batch)
+        plan = plan_campaign("glucosym", ["A", "B"], small_campaign(6),
+                             n_steps=20)
+        set_lockstep_width(5)
+        traces = CampaignExecutor(2).run(plan)
+        records = [tuple(map(int, line.split()))
+                   for line in log.read_text().splitlines()]
+        assert os.getpid() not in {pid for pid, _, _ in records}
+        assert sorted((start, size) for _, start, size in records) \
+            == [(0, 5), (5, 5), (10, 2)]
+        assert [(t.patient_id, t.label) for t in traces] == [
+            (run.patient_id, run.label) for run in plan.runs]
+
+    def test_slow_sink_parallel_order_preserved(self, assert_traces_equal,
+                                                set_lockstep_width):
         """A consumer slower than the workers still sees plan order (the
         bounded in-flight window collects chunks in submission order)."""
         import time
@@ -240,9 +294,9 @@ class TestSinks:
         scenarios = small_campaign(6)
         expected = run_campaign("glucosym", ["A"], scenarios, n_steps=20)
         sink = SlowSink()
+        set_lockstep_width(2)
         run_campaign("glucosym", ["A"], scenarios, n_steps=20,
-                     sink=sink, executor=ParallelExecutor(
-                         workers=2, chunks_per_worker=3))
+                     sink=sink, workers=2)
         assert [t.label for t in sink.traces] == [t.label for t in expected]
         for a, b in zip(expected, sink.traces):
             assert_traces_equal(a, b)

@@ -13,9 +13,10 @@ from repro.baselines import GuidelineMonitor
 from repro.core import (cawot_monitor, cawt_monitor, learn_thresholds,
                         mine_rule_samples)
 from repro.ml import context_features, trace_features
-from repro.parallel import fork_map_chunks, resolve_workers, shard_indices
-from repro.simulation import (iter_contexts, replay_campaign, replay_many,
-                              replay_monitor)
+from repro.parallel import map_chunks, resolve_workers, shard_indices
+from repro.simulation import (CampaignStoreWriter, TraceDataset,
+                              iter_contexts, replay_campaign, replay_many,
+                              replay_monitor, run_fault_free)
 
 WORKER_COUNTS = (2, 4)
 
@@ -63,11 +64,6 @@ class TestReplayCampaignParity:
                                                  "Guideline": []}
         assert replay_campaign({}, []) == {}
 
-    def test_invalid_chunks_per_worker(self, monitors, tiny_campaign_traces):
-        with pytest.raises(ValueError, match="chunks_per_worker"):
-            replay_campaign(monitors, tiny_campaign_traces,
-                            chunks_per_worker=0)
-
 
 class TestLearnThresholdsParity:
     def test_mined_samples_identical(self, tiny_campaign_traces):
@@ -108,7 +104,8 @@ class TestLearnThresholdsParity:
 
 
 class TestForkMapChunks:
-    """The shared pool protocol itself."""
+    """The one fan-out rule itself: ``map_chunks`` in-process and on the
+    forked pool."""
 
     def test_shard_indices_reassemble(self):
         for n, k in ((0, 3), (1, 4), (17, 4), (10, 100)):
@@ -123,13 +120,44 @@ class TestForkMapChunks:
             shard_indices(5, 0)
 
     def test_results_in_chunk_order(self):
-        chunks = shard_indices(20, 7)
-        serial = [sum(c) for c in chunks]
-        parallel = list(fork_map_chunks(sum, chunks, workers=3))
+        serial = [sum(range(lo, min(lo + 3, 20))) for lo in range(0, 20, 3)]
+        parallel = list(map_chunks(sum, range(20), 3, workers=3))
         assert parallel == serial
 
     def test_serial_fallback_single_chunk(self):
-        assert list(fork_map_chunks(sum, [range(5)], workers=8)) == [10]
+        assert list(map_chunks(sum, range(5), 5, workers=8)) == [10]
+
+    @pytest.fixture(scope="class")
+    def dataset_84(self, tmp_path_factory):
+        """An 84-trace lazy store (short fault-free runs)."""
+        directory = str(tmp_path_factory.mktemp("store84"))
+        with CampaignStoreWriter(directory, "glucosym", 3) as writer:
+            run_fault_free("glucosym", ["A", "B"],
+                           [100.0 + i for i in range(42)], n_steps=3,
+                           cache=None, sink=writer)
+        return directory
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_contract(self, workers, dataset_84):
+        """The same fixed-size chunks at every worker count, over a list,
+        a generator and a lazy TraceDataset; with the pool, each worker
+        loads its own chunk's shards and the parent loads none."""
+        expected = [24, 24, 24, 12]
+        assert list(map_chunks(len, list(range(84)), 24, workers)) \
+            == expected
+        assert list(map_chunks(len, (i for i in range(84)), 24, workers)) \
+            == expected
+        dataset = TraceDataset.open(dataset_84)
+        assert list(map_chunks(len, dataset, 24, workers)) == expected
+        assert dataset.stats.n_loads == (84 if workers == 1 else 0)
+
+    def test_fork_unavailable_falls_back_in_process(self, monkeypatch):
+        import multiprocessing
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        with pytest.warns(RuntimeWarning, match="fork"):
+            result = list(map_chunks(sum, range(20), 3, workers=2))
+        assert result == list(map_chunks(sum, range(20), 3, workers=1))
 
     def test_resolve_workers(self, monkeypatch):
         assert resolve_workers(3) == 3
@@ -139,6 +167,11 @@ class TestForkMapChunks:
         assert resolve_workers(None) == 5
         with pytest.raises(ValueError):
             resolve_workers(0)
+        for bad in ("", "two", "0"):
+            monkeypatch.setenv("REPRO_WORKERS", bad)
+            with pytest.raises(ValueError,
+                               match=f"REPRO_WORKERS.*{bad!r}"):
+                resolve_workers(None)
 
 
 class TestSharedContextReconstruction:

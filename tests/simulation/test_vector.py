@@ -14,10 +14,9 @@ from repro.controllers.iob import InsulinActivityCurve, IOBCalculator
 from repro.fi import (CampaignConfig, FaultKind, FaultSpec, FaultTarget,
                       generate_campaign)
 from repro.patients import Meal
-from repro.simulation import (CampaignPlan, ParallelExecutor, Scenario,
-                              SerialExecutor, get_executor, make_loop,
-                              plan_campaign, plan_fault_free, run_batch,
-                              run_campaign, run_fault_free)
+from repro.simulation import (CampaignExecutor, CampaignPlan, Scenario,
+                              make_loop, plan_campaign, plan_fault_free,
+                              run_batch, run_campaign, run_fault_free)
 from repro.simulation.executor import SimRun
 from tests.conftest import LOCKSTEP_WIDTHS
 
@@ -83,7 +82,7 @@ class TestCampaignParity:
         reference = reference_traces(plan)
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
-            combo = ParallelExecutor(workers=2, chunks_per_worker=2).run(plan)
+            combo = CampaignExecutor(2).run(plan)
             assert len(combo) == len(reference)
             for s, v in zip(reference, combo):
                 assert_traces_equal(s, v)
@@ -95,7 +94,7 @@ class TestCampaignParity:
         plan = plan_campaign("glucosym", ["A"], scenarios, n_steps=25,
                              dt=10.0)
         reference = reference_traces(plan)
-        vector = SerialExecutor().run(plan)
+        vector = CampaignExecutor(1).run(plan)
         assert reference[0].dt == vector[0].dt == 10.0
         for s, v in zip(reference, vector):
             assert_traces_equal(s, v)
@@ -162,7 +161,7 @@ class TestFaultKindCoverage:
         plan = CampaignPlan(platform="glucosym", runs=tuple(runs), n_steps=30)
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
-            vector = SerialExecutor().run(plan)
+            vector = CampaignExecutor(1).run(plan)
             assert len(vector) == len(FaultKind) * len(FaultTarget)
             for s, v in zip(reference, vector):
                 assert_traces_equal(s, v)
@@ -215,7 +214,7 @@ class TestBatchComposition:
     def test_empty_scenario_list_campaign(self):
         assert run_campaign("glucosym", ["A"], []) == []
         plan = plan_fault_free("glucosym", [], (), n_steps=25)
-        assert SerialExecutor().run(plan) == []
+        assert CampaignExecutor(1).run(plan) == []
 
     def test_unknown_platform_rejected(self):
         with pytest.raises(KeyError):
@@ -256,38 +255,17 @@ class TestBatchComposition:
 
 
 class TestExecutorKnobs:
-    def test_get_executor_batch_size(self, set_lockstep_width):
-        """Executors batch at LOCKSTEP_WIDTH, read at call time; no
-        executor takes a width of its own."""
-        assert isinstance(get_executor(1), SerialExecutor)
-        assert isinstance(get_executor(4), ParallelExecutor)
-        with pytest.raises(TypeError):
-            get_executor(1, 16)
-        with pytest.raises(TypeError):
-            SerialExecutor(batch_size=16)
-        plan = plan_fault_free("glucosym", ["A"], (90.0, 120.0, 150.0),
-                               n_steps=10)
-        executor = SerialExecutor()
-        set_lockstep_width(2)
-        assert [len(c) for c in executor.map_chunks(plan, None, None)] \
-            == [2, 1]
-        set_lockstep_width(16)
-        assert [len(c) for c in executor.map_chunks(plan, None, None)] \
-            == [3]
-
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        executor = get_executor()
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.workers == 3
+        assert CampaignExecutor().workers == 3
         monkeypatch.delenv("REPRO_WORKERS")
-        assert isinstance(get_executor(), SerialExecutor)
+        assert CampaignExecutor().workers == 1
 
     def test_invalid_batch_size(self, set_lockstep_width):
         plan = plan_fault_free("glucosym", ["A"], (120.0,), n_steps=10)
         set_lockstep_width(0)
         with pytest.raises(ValueError, match="LOCKSTEP_WIDTH"):
-            SerialExecutor().run(plan)
+            CampaignExecutor(1).run(plan)
         with pytest.raises(ValueError, match="LOCKSTEP_WIDTH"):
             run_campaign("glucosym", ["A"], small_campaign(1), n_steps=10)
 

@@ -19,7 +19,7 @@ from repro.core import (FixedMitigator, Mitigator, MonitorVerdict, NO_ALERT,
 from repro.fi import (CampaignConfig, FaultKind, FaultSpec, FaultTarget,
                       generate_campaign)
 from repro.hazards import HazardType
-from repro.simulation import (CampaignPlan, SerialExecutor, plan_campaign,
+from repro.simulation import (CampaignExecutor, CampaignPlan, plan_campaign,
                               run_batch, run_campaign)
 from repro.simulation.executor import SimRun
 from repro.simulation.features import ContextBatch
@@ -147,7 +147,7 @@ class TestMitigatedCampaignParity:
             == (mitigator is not None)
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
-            vector = SerialExecutor().run(plan, monitor_factory=factory,
+            vector = CampaignExecutor(1).run(plan, monitor_factory=factory,
                                           mitigator=mitigator)
             assert len(vector) == len(FaultKind) * len(FaultTarget)
             for s, v in zip(reference, vector):
