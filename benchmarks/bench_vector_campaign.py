@@ -9,7 +9,7 @@ traces/sec for each.  A final test asserts that the engine's trace stream
 
 Measured on the CI container (see docs/vectorized_engine.md for the
 current numbers); a 2-worker pool stacks on top, because each pool chunk
-becomes a sequence of lock-step batches and the speedups multiply.
+is exactly one lock-step batch, the same batch a serial run takes.
 
 Run:  pytest benchmarks/bench_vector_campaign.py --benchmark-only -s
 """

@@ -3,8 +3,9 @@ fan-out and batched monitor replay must all be exact at any worker count.
 
 Runs the ``ci``-scale fault-injection grid in-process and through a
 2-worker process pool (the same lock-step batches either way),
-asserting that the two trace streams are element-wise identical (every
-array channel, every metadata field).  This is the determinism guarantee
+asserting that the two trace streams are identical (every array
+channel byte for byte, with its dtype and shape, and every metadata
+field).  This is the determinism guarantee
 the campaign executor is built on.  The same
 traces are then streamed through a :class:`CampaignStoreWriter` into a
 temporary on-disk dataset, lazily reopened as a :class:`TraceDataset` and
@@ -71,10 +72,16 @@ def traces_identical(a, b) -> bool:
     if (a.platform, a.patient_id, a.label, a.dt, a.fault) != \
        (b.platform, b.patient_id, b.label, b.dt, b.fault):
         return False
+    # np.array_equal plus raw bytes: array_equal alone lets -0.0 pass
+    # for +0.0
     for f in dataclasses.fields(a):
-        value = getattr(a, f.name)
-        if isinstance(value, np.ndarray) and \
-                not np.array_equal(value, getattr(b, f.name)):
+        value, other = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(value, np.ndarray) and not (
+                np.array_equal(value, other)
+                and isinstance(other, np.ndarray)
+                and value.dtype == other.dtype
+                and value.shape == other.shape
+                and value.tobytes() == other.tobytes()):
             return False
     return True
 

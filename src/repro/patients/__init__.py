@@ -12,7 +12,7 @@ Both models' dynamics are implemented once, as batched column kernels in
 over those kernels, bit-identical to the vectorized campaign engine.
 """
 
-from .base import Meal, PatientModel, rk4_step
+from .base import Meal, PatientModel
 from .cohort import COHORTS, all_patients, make_patient, patient_ids
 from .ivp import GLUCOSYM_COHORT, IVPParams, IVPPatient, glucosym_patient
 from .kernels import IVPColumns, T1DColumns
@@ -23,7 +23,6 @@ from .t1d import T1DS2013_COHORT, T1DParams, T1DPatient, t1d_patient
 __all__ = [
     "Meal",
     "PatientModel",
-    "rk4_step",
     "COHORTS",
     "all_patients",
     "make_patient",

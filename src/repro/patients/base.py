@@ -4,8 +4,9 @@ Both glucose simulators in this repository (the Kanderian identifiable-
 virtual-patient model behind Glucosym, :mod:`repro.patients.ivp`, and the
 Dalla Man UVA/Padova S2013 model, :mod:`repro.patients.t1d`) are continuous
 ODE systems driven by two inputs: subcutaneous insulin delivery and meal
-carbohydrates.  This module provides the shared interface and the fixed-step
-RK4 integrator used to advance them.
+carbohydrates.  This module provides the shared interface; the fixed-step
+RK4 integration lives with the batched kernels in
+:mod:`repro.patients.kernels`.
 
 Units
 -----
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
-__all__ = ["Meal", "PatientModel", "rk4_step", "UU_PER_UNIT", "PMOL_PER_UNIT"]
+__all__ = ["Meal", "PatientModel", "UU_PER_UNIT", "PMOL_PER_UNIT"]
 
 #: micro-units of insulin per pump unit
 UU_PER_UNIT = 1.0e6
@@ -52,16 +53,6 @@ class Meal:
     def __post_init__(self):
         if self.carbs < 0:
             raise ValueError(f"meal carbs must be >= 0, got {self.carbs}")
-
-
-def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
-             x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta-4 step of ``x' = f(t, x)``."""
-    k1 = f(t, x)
-    k2 = f(t + dt / 2.0, x + dt / 2.0 * k1)
-    k3 = f(t + dt / 2.0, x + dt / 2.0 * k2)
-    k4 = f(t + dt, x + dt * k3)
-    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class PatientModel(abc.ABC):

@@ -10,14 +10,25 @@ classes in :mod:`repro.patients.ivp` and :mod:`repro.patients.t1d` are thin
 what makes scalar and batched simulation element-wise identical *by
 construction*: there is only one implementation of the dynamics.
 
-Two numerical rules keep that exact:
+Three numerical rules keep that exact:
 
 - only size-invariant NumPy ufuncs are used (``+ - * /``, ``maximum``,
   ``sqrt``, ``log``, ``tanh``, ``power`` — per-element results do not depend
   on the batch width), never reductions across the batch axis;
 - anything precomputed (parameter products, ``log(Gb)**r2``) is computed
   once in the column container and shared by both paths, so both consume
-  the identical floating-point value.
+  the identical floating-point value;
+- terms that do not depend on the state are computed once per RK4 step:
+  the infusion term and the gastric-emptying inputs (``tanh`` is skipped
+  outright while no row has had a meal), while derived parameter columns
+  (``-(kd + ka1)``, ``f * kabs``, negated rate constants, ...) live in the
+  container.  Each stage writes its derivative rows with ``out=`` into one
+  ``(n_states, B)`` buffer; every rewrite keeps the operation order of the
+  equations (``-a * g + c`` becomes ``c - a * g``, which IEEE 754 defines
+  as the same addition), so no bit changes.
+
+The public ``*_derivatives`` and ``t1d_gastric_emptying`` functions are
+thin wrappers over the per-stage functions the RK4 steps call.
 """
 
 from __future__ import annotations
@@ -43,6 +54,29 @@ def _column(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _rk4(stage, x: np.ndarray, dt: float) -> np.ndarray:
+    """Classical RK4 over a ``(n_states, B)`` state, three buffers deep.
+
+    ``stage(i, xs, out)`` writes the derivative at state *xs* into *out*
+    for stage ``i`` (times ``t``, ``t + dt/2``, ``t + dt/2``, ``t + dt``).
+    The result is ``x + dt/6 * (k1 + 2 k2 + 2 k3 + k4)`` summed in that
+    order, bit for bit.
+    """
+    acc, k, xs = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    h2 = dt / 2.0
+    stage(0, x, acc)
+    np.add(x, np.multiply(acc, h2, out=xs), out=xs)
+    stage(1, xs, k)
+    np.add(x, np.multiply(k, h2, out=xs), out=xs)
+    acc += np.multiply(k, 2.0, out=k)
+    stage(2, xs, k)
+    np.add(x, np.multiply(k, dt, out=xs), out=xs)
+    acc += np.multiply(k, 2.0, out=k)
+    stage(3, xs, k)
+    acc += k
+    return np.add(x, np.multiply(acc, dt / 6.0, out=acc), out=acc)
+
+
 # ======================================================================
 # IVP (Kanderian) model — state [I_sc, I_p, I_eff, G], shape (4, B)
 # ======================================================================
@@ -62,6 +96,7 @@ class IVPColumns:
     # precomputed products, shared verbatim by scalar and batch paths
     tau1_CI: np.ndarray
     p2_SI: np.ndarray
+    neg_p2: np.ndarray
 
     @classmethod
     def from_params(cls, params: Sequence) -> "IVPColumns":
@@ -69,7 +104,7 @@ class IVPColumns:
                 for name in ("SI", "GEZI", "EGP", "CI", "tau1", "tau2",
                              "p2", "BW")}
         return cls(tau1_CI=cols["tau1"] * cols["CI"],
-                   p2_SI=cols["p2"] * cols["SI"], **cols)
+                   p2_SI=cols["p2"] * cols["SI"], neg_p2=-cols["p2"], **cols)
 
     def __len__(self) -> int:
         return len(self.SI)
@@ -93,18 +128,29 @@ def ivp_init_state(cols: IVPColumns, init_glucose) -> np.ndarray:
                      init_glucose * np.ones_like(i_sc)])
 
 
+def _ivp_stage(cols: IVPColumns, infusion, x: np.ndarray,
+               ra: Optional[np.ndarray], out: np.ndarray) -> None:
+    """Write the state derivative into *out*; *infusion* is the step's
+    ``insulin / (tau1 * CI)`` term, *ra* the meal rate of appearance
+    (mg/dL/min), None when no row has an active meal."""
+    i_sc, i_p, i_eff, g = x
+    d_isc, d_ip, d_ieff, d_g = out
+    np.subtract(infusion, i_sc / cols.tau1, out=d_isc)
+    np.divide(i_sc - i_p, cols.tau2, out=d_ip)
+    np.add(cols.neg_p2 * i_eff, cols.p2_SI * i_p, out=d_ieff)
+    # EGP - a*G is -(a)*G + EGP: IEEE defines both as one addition
+    np.subtract(cols.EGP, (cols.GEZI + np.maximum(i_eff, 0.0)) * g, out=d_g)
+    if ra is not None:
+        d_g += ra
+
+
 def ivp_derivatives(cols: IVPColumns, x: np.ndarray, insulin_uu_min,
                     ra: Optional[np.ndarray] = None) -> np.ndarray:
     """State derivative; *ra* is the meal rate of appearance (mg/dL/min),
     omitted entirely when no row has an active meal."""
-    i_sc, i_p, i_eff, g = x[0], x[1], x[2], x[3]
-    d_isc = insulin_uu_min / cols.tau1_CI - i_sc / cols.tau1
-    d_ip = (i_sc - i_p) / cols.tau2
-    d_ieff = -cols.p2 * i_eff + cols.p2_SI * i_p
-    d_g = -(cols.GEZI + np.maximum(i_eff, 0.0)) * g + cols.EGP
-    if ra is not None:
-        d_g = d_g + ra
-    return np.stack([d_isc, d_ip, d_ieff, d_g])
+    out = np.empty(np.shape(x))
+    _ivp_stage(cols, insulin_uu_min / cols.tau1_CI, x, ra, out)
+    return out
 
 
 def ivp_rk4_advance(cols: IVPColumns, x: np.ndarray, dt: float,
@@ -117,15 +163,14 @@ def ivp_rk4_advance(cols: IVPColumns, x: np.ndarray, dt: float,
     ``ra_stages`` holds the meal rate of appearance at the three RK4 stage
     times ``t``, ``t + dt/2`` and ``t + dt`` (None when meal-free).
     """
+    infusion = insulin_uu_min / cols.tau1_CI
     ra0, ra_mid, ra1 = ra_stages if ra_stages is not None else (None,) * 3
-    k1 = ivp_derivatives(cols, x, insulin_uu_min, ra0)
-    k2 = ivp_derivatives(cols, x + dt / 2.0 * k1, insulin_uu_min, ra_mid)
-    k3 = ivp_derivatives(cols, x + dt / 2.0 * k2, insulin_uu_min, ra_mid)
-    k4 = ivp_derivatives(cols, x + dt * k3, insulin_uu_min, ra1)
-    xn = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ra = (ra0, ra_mid, ra_mid, ra1)
+    xn = _rk4(lambda i, xs, out: _ivp_stage(cols, infusion, xs, ra[i], out),
+              x, dt)
     # concentrations cannot go negative; glucose gets a numerical floor
     np.maximum(xn, 0.0, out=xn)
-    xn[3] = np.maximum(xn[3], GLUCOSE_FLOOR)
+    np.maximum(xn[3], GLUCOSE_FLOOR, out=xn[3])
     return xn
 
 
@@ -185,12 +230,30 @@ class T1DColumns:
     Gth: np.ndarray
     #: precomputed ``log(Gb) ** r2`` (one value, consumed by both paths)
     log_gb_pow: np.ndarray
+    #: derived columns every derivative call would otherwise re-derive
+    neg_kd_ka1: np.ndarray   # -(kd + ka1)
+    neg_m1_m3: np.ndarray    # -(m1 + m3)
+    neg_m2_m4: np.ndarray    # -(m2 + m4)
+    half_krange: np.ndarray  # (kmax - kmin) / 2
+    f_kabs: np.ndarray       # f * kabs
+    neg_kgri: np.ndarray
+    neg_ki: np.ndarray
+    neg_p2u: np.ndarray
+    neg_ksc: np.ndarray
+    gp_floor: np.ndarray     # GLUCOSE_FLOOR * VG
 
     @classmethod
     def from_params(cls, params: Sequence) -> "T1DColumns":
-        cols = {name: _column([getattr(p, name) for p in params])
-                for name in _T1D_FIELDS}
-        return cls(log_gb_pow=np.log(cols["Gb"]) ** cols["r2"], **cols)
+        c = {name: _column([getattr(p, name) for p in params])
+             for name in _T1D_FIELDS}
+        return cls(log_gb_pow=np.log(c["Gb"]) ** c["r2"],
+                   neg_kd_ka1=-(c["kd"] + c["ka1"]),
+                   neg_m1_m3=-(c["m1"] + c["m3"]),
+                   neg_m2_m4=-(c["m2"] + c["m4"]),
+                   half_krange=(c["kmax"] - c["kmin"]) / 2.0,
+                   f_kabs=c["f"] * c["kabs"], neg_kgri=-c["kgri"],
+                   neg_ki=-c["ki"], neg_p2u=-c["p2u"], neg_ksc=-c["ksc"],
+                   gp_floor=GLUCOSE_FLOOR * c["VG"], **c)
 
     def __len__(self) -> int:
         return len(self.BW)
@@ -204,80 +267,111 @@ def t1d_risk(cols: T1DColumns, glucose) -> np.ndarray:
     return np.where(glucose >= cols.Gb, 0.0, 10.0 * diff * diff)
 
 
+def _t1d_gastric_inputs(cols: T1DColumns, last_meal_mg: np.ndarray):
+    """The state-free part of ``kempt``: the pre-meal mask, ``[α; β]`` and
+    ``[b·D; d·D]`` for the last meal's carbs ``D`` (1 pre-meal)."""
+    d_mg = np.where(last_meal_mg > 0.0, last_meal_mg, 1.0)
+    two_d = 2.0 * d_mg
+    rates = 5.0 / np.stack([two_d * (1.0 - cols.b), two_d * cols.d])
+    centres = np.stack([cols.b * d_mg, cols.d * d_mg])
+    return last_meal_mg <= 0.0, rates, centres
+
+
+def _t1d_kempt(cols: T1DColumns, gastric, qsto) -> np.ndarray:
+    fasting, rates, centres = gastric
+    tanhs = np.tanh(rates * (qsto - centres))
+    kempt = cols.kmin + cols.half_krange * (tanhs[0] - tanhs[1] + 2.0)
+    return np.where(fasting, cols.kmax, kempt)
+
+
 def t1d_gastric_emptying(cols: T1DColumns, qsto, last_meal_mg) -> np.ndarray:
     """Nonlinear gastric emptying rate ``kempt(Qsto)``; ``kmax`` pre-meal."""
-    qsto = _column(qsto)
+    return _t1d_kempt(cols, _t1d_gastric_inputs(cols, _column(last_meal_mg)),
+                      _column(qsto))
+
+
+def _t1d_step_inputs(cols: T1DColumns, insulin_uu_min, last_meal_mg,
+                     basal_insulin):
+    """The terms of one RK4 step that do not depend on the state: the
+    infusion rate, the gastric-emptying inputs (None when no row has had a
+    meal, so ``kempt`` is ``kmax`` everywhere) and the insulin reference."""
+    iir = insulin_uu_min * (PMOL_PER_UNIT / UU_PER_UNIT) / cols.BW
     last_meal_mg = _column(last_meal_mg)
-    d_mg = np.where(last_meal_mg > 0.0, last_meal_mg, 1.0)
-    alpha = 5.0 / (2.0 * d_mg * (1.0 - cols.b))
-    beta = 5.0 / (2.0 * d_mg * cols.d)
-    kempt = cols.kmin + (cols.kmax - cols.kmin) / 2.0 * (
-        np.tanh(alpha * (qsto - cols.b * d_mg))
-        - np.tanh(beta * (qsto - cols.d * d_mg)) + 2.0)
-    return np.where(last_meal_mg <= 0.0, cols.kmax, kempt)
+    gastric = (None if (last_meal_mg <= 0.0).all()
+               else _t1d_gastric_inputs(cols, last_meal_mg))
+    return iir, gastric, basal_insulin
+
+
+def _t1d_stage(cols: T1DColumns, inputs, x: np.ndarray,
+               out: np.ndarray) -> None:
+    """Write the S2013 state derivative at *x* into *out* (``(13, B)``)."""
+    gp, gt, ip, il, i1, i_d, xa, isc1, isc2, gs, qsto1, qsto2, qgut = x
+    (d_gp, d_gt, d_ip, d_il, d_i1, d_id, d_xa, d_isc1, d_isc2, d_gs,
+     d_qsto1, d_qsto2, d_qgut) = out
+    iir, gastric, basal_insulin = inputs
+    glucose = gp / cols.VG
+
+    # gastro-intestinal tract
+    kempt = (cols.kmax if gastric is None
+             else _t1d_kempt(cols, gastric, qsto1 + qsto2))
+    emptied = kempt * qsto2
+    np.multiply(cols.neg_kgri, qsto1, out=d_qsto1)
+    np.subtract(cols.kgri * qsto1, emptied, out=d_qsto2)
+    np.subtract(emptied, cols.kabs * qgut, out=d_qgut)
+    ra = cols.f_kabs * qgut / cols.BW
+
+    # insulin kinetics (subcutaneous -> plasma/liver)
+    np.add(cols.neg_kd_ka1 * isc1, iir, out=d_isc1)
+    absorbed2 = cols.ka2 * isc2
+    np.subtract(cols.kd * isc1, absorbed2, out=d_isc2)
+    rai = cols.ka1 * isc1 + absorbed2
+    np.add(cols.neg_m1_m3 * il, cols.m2 * ip, out=d_il)
+    np.add(cols.neg_m2_m4 * ip + cols.m1 * il, rai, out=d_ip)
+    insulin = ip / cols.VI  # pmol/L
+
+    # delayed insulin signal and remote insulin action
+    np.multiply(cols.neg_ki, i1 - insulin, out=d_i1)
+    np.multiply(cols.neg_ki, i_d - i1, out=d_id)
+    np.add(cols.neg_p2u * xa, cols.p2u * (insulin - basal_insulin), out=d_xa)
+
+    # glucose kinetics
+    egp = np.maximum(cols.kp1 - cols.kp2 * gp - cols.kp3 * i_d, 0.0)
+    excretion = cols.ke1 * np.maximum(gp - cols.ke2, 0.0)
+    vm = cols.Vm0 + cols.Vmx * xa * (1.0 + cols.r1 * t1d_risk(cols, glucose))
+    uid = np.maximum(vm, 0.0) * gt / (cols.Km0 + gt)
+    to_tissue = cols.k1 * gp
+    to_plasma = cols.k2 * gt
+    np.add(egp + ra - cols.Fsnc - excretion - to_tissue, to_plasma, out=d_gp)
+    # k1 Gp - uid is -uid + k1 Gp: IEEE defines both as one addition
+    np.subtract(to_tissue - uid, to_plasma, out=d_gt)
+
+    # subcutaneous (CGM) glucose
+    np.multiply(cols.neg_ksc, gs - glucose, out=d_gs)
 
 
 def t1d_derivatives(cols: T1DColumns, x: np.ndarray, insulin_uu_min,
                     last_meal_mg, basal_insulin) -> np.ndarray:
     """S2013 state derivative over a ``(13, B)`` state matrix."""
-    glucose = x[GP] / cols.VG
-
-    # gastro-intestinal tract
-    qsto = x[QSTO1] + x[QSTO2]
-    kempt = t1d_gastric_emptying(cols, qsto, last_meal_mg)
-    d_qsto1 = -cols.kgri * x[QSTO1]
-    d_qsto2 = cols.kgri * x[QSTO1] - kempt * x[QSTO2]
-    d_qgut = kempt * x[QSTO2] - cols.kabs * x[QGUT]
-    ra = cols.f * cols.kabs * x[QGUT] / cols.BW
-
-    # insulin kinetics (subcutaneous -> plasma/liver)
-    iir = insulin_uu_min * (PMOL_PER_UNIT / UU_PER_UNIT) / cols.BW
-    d_isc1 = -(cols.kd + cols.ka1) * x[ISC1] + iir
-    d_isc2 = cols.kd * x[ISC1] - cols.ka2 * x[ISC2]
-    rai = cols.ka1 * x[ISC1] + cols.ka2 * x[ISC2]
-    d_il = -(cols.m1 + cols.m3) * x[IL] + cols.m2 * x[IP]
-    d_ip = -(cols.m2 + cols.m4) * x[IP] + cols.m1 * x[IL] + rai
-    insulin = x[IP] / cols.VI  # pmol/L
-
-    # delayed insulin signal and remote insulin action
-    d_i1 = -cols.ki * (x[I1] - insulin)
-    d_id = -cols.ki * (x[ID] - x[I1])
-    d_xa = -cols.p2u * x[XA] + cols.p2u * (insulin - basal_insulin)
-
-    # glucose kinetics
-    egp = np.maximum(cols.kp1 - cols.kp2 * x[GP] - cols.kp3 * x[ID], 0.0)
-    excretion = cols.ke1 * np.maximum(x[GP] - cols.ke2, 0.0)
-    vm = cols.Vm0 + cols.Vmx * x[XA] * (1.0 + cols.r1 * t1d_risk(cols, glucose))
-    uid = np.maximum(vm, 0.0) * x[GT] / (cols.Km0 + x[GT])
-    d_gp = egp + ra - cols.Fsnc - excretion - cols.k1 * x[GP] + cols.k2 * x[GT]
-    d_gt = -uid + cols.k1 * x[GP] - cols.k2 * x[GT]
-
-    # subcutaneous (CGM) glucose
-    d_gs = -cols.ksc * (x[GS] - glucose)
-    return np.stack([d_gp, d_gt, d_ip, d_il, d_i1, d_id, d_xa, d_isc1,
-                     d_isc2, d_gs, d_qsto1, d_qsto2, d_qgut])
+    out = np.empty(np.shape(x))
+    _t1d_stage(cols, _t1d_step_inputs(cols, insulin_uu_min, last_meal_mg,
+                                      basal_insulin), x, out)
+    return out
 
 
 def t1d_rk4_advance(cols: T1DColumns, x: np.ndarray, dt: float,
                     insulin_uu_min, last_meal_mg,
                     basal_insulin) -> np.ndarray:
     """One clamped RK4 step of the S2013 system over a ``(13, B)`` state."""
-    def f(xs):
-        return t1d_derivatives(cols, xs, insulin_uu_min, last_meal_mg,
-                               basal_insulin)
-
-    k1 = f(x)
-    k2 = f(x + dt / 2.0 * k1)
-    k3 = f(x + dt / 2.0 * k2)
-    k4 = f(x + dt * k3)
-    xn = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    inputs = _t1d_step_inputs(cols, insulin_uu_min, last_meal_mg,
+                              basal_insulin)
+    xn = _rk4(lambda i, xs, out: _t1d_stage(cols, inputs, xs, out), x, dt)
     # all states are physical quantities except the remote insulin action X,
     # a deviation from basal that is legitimately negative
     x_action = xn[XA].copy()
     np.maximum(xn, 0.0, out=xn)
     xn[XA] = x_action
-    xn[GP] = np.maximum(xn[GP], GLUCOSE_FLOOR * cols.VG)
-    xn[GS] = np.maximum(xn[GS], GLUCOSE_FLOOR)
+    np.maximum(xn[GP], cols.gp_floor, out=xn[GP])
+    np.maximum(xn[GS], GLUCOSE_FLOOR, out=xn[GS])
     return xn
 
 

@@ -19,8 +19,10 @@ Three design rules deliver that:
 - the patient dynamics are the *same* kernel functions the scalar models
   call at ``B=1`` (see :mod:`repro.patients.kernels`);
 - the IOB/activity tables are precomputed *through the scalar curve
-  methods* (one evaluation per (step, delivery-step) lag, cached), so the
-  per-step accumulation replays the scalar calculator's sums term for term;
+  methods* (one evaluation per (step, delivery-step) lag, cached), and
+  each step's band of deliveries is summed with ``np.add.accumulate``
+  (never ``np.sum``), so the accumulation replays the scalar calculator's
+  sums term for term, in order;
 - every controller/fault/pump expression transcribes the scalar branch
   arithmetic with the identical operation order, selecting branches with
   ``np.where`` (elementwise ufuncs round identically at any batch width).
@@ -116,6 +118,21 @@ def _iob_tables(curve: InsulinActivityCurve, n_steps: int, dt: float):
         _IOB_TABLE_CACHE.pop(next(iter(_IOB_TABLE_CACHE)))
     _IOB_TABLE_CACHE[key] = (frac, act, band_start)
     return frac, act, band_start
+
+
+def _band_sum(band: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_i band[i] * weights[i]`` over the ``(n_terms, B)`` delivery
+    band, added left to right from ``0.0`` like the scalar calculator.
+
+    ``np.add.accumulate`` adds in row order at every width; ``np.sum`` and
+    ``np.add.reduce`` may not (at ``B=1`` they switch to pairwise
+    summation).  The final ``+ 0.0`` maps an all-``-0.0`` band to the
+    loop's ``+0.0`` and changes no other value.
+    """
+    if len(band) == 0:
+        return np.zeros(band.shape[1])
+    terms = band * weights[:len(band), None]
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 
 # ----------------------------------------------------------------------
@@ -773,15 +790,9 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
 
         # IOB / activity at t: the scalar calculators' per-delivery sums,
         # replayed in delivery order from the precomputed decay tables
-        iob = np.zeros(B)
-        activity = np.zeros(B) if need_activity else None
-        frac_row, act_row = frac_tab[step], act_tab[step]
-        first = band_start[step]
-        for i in range(step - first):
-            u = units[first + i]
-            iob += u * frac_row[i]
-            if need_activity:
-                activity += u * act_row[i]
+        band = units[band_start[step]:step]
+        iob = _band_sum(band, frac_tab[step])
+        activity = _band_sum(band, act_tab[step]) if need_activity else None
 
         iob_ctrl = faults.corrupt_iob(iob, step)
         if need_activity:

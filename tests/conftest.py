@@ -75,7 +75,13 @@ def all_monitor_kinds(tiny_campaign_traces):
 
 
 def _assert_traces_equal(a, b):
-    """Element-wise equality of two SimulationTraces (every field)."""
+    """Bitwise equality of two SimulationTraces (every field).
+
+    Arrays must be ``np.array_equal`` and match in dtype, shape and raw
+    bytes: ``np.array_equal`` alone treats ``-0.0`` and ``+0.0`` as equal,
+    which would hide exactly the sign flip a reordered or in-place rewrite
+    of the engine can introduce.
+    """
     assert a.platform == b.platform
     assert a.patient_id == b.patient_id
     assert a.label == b.label
@@ -85,6 +91,10 @@ def _assert_traces_equal(a, b):
         v1, v2 = getattr(a, f.name), getattr(b, f.name)
         if isinstance(v1, np.ndarray):
             assert np.array_equal(v1, v2), f"field {f.name} differs"
+            assert isinstance(v2, np.ndarray), f"field {f.name} differs"
+            assert v1.dtype == v2.dtype, f"field {f.name} dtype differs"
+            assert v1.shape == v2.shape, f"field {f.name} shape differs"
+            assert v1.tobytes() == v2.tobytes(), f"field {f.name} differs"
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ element-wise identical to the single-run closed loop (the shared
 metadata).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.simulation import (CampaignExecutor, CampaignPlan, Scenario,
                               make_loop, plan_campaign, plan_fault_free,
                               run_batch, run_campaign, run_fault_free)
 from repro.simulation.executor import SimRun
+from repro.simulation.vector import _iob_tables
 from tests.conftest import LOCKSTEP_WIDTHS
 
 
@@ -60,6 +63,33 @@ class TestCampaignParity:
             set_lockstep_width(width)
             vector = run_campaign(platform, patients, scenarios, n_steps=30)
             assert len(reference) == len(vector) == 12
+            for s, v in zip(reference, vector):
+                assert_traces_equal(s, v)
+
+    @pytest.mark.parametrize("platform,patients", [
+        ("glucosym", ["A", "B"]),
+        ("t1ds2013", ["P01", "P02"]),
+    ])
+    def test_parity_past_the_dia_band(self, platform, patients,
+                                      assert_traces_equal, reference_traces,
+                                      set_lockstep_width):
+        """75 cycles: deliveries start leaving the 300-minute IOB band
+        after cycle 60, so the engine's band sums with ``band_start > 0``
+        meet the scalar calculator too.  Every other run eats, so batches
+        mix fed and fasting rows."""
+        n_steps = 75
+        assert _iob_tables(InsulinActivityCurve(), n_steps, 5.0)[2][-1] > 0
+        plan = plan_campaign(platform, patients, small_campaign(4),
+                             n_steps=n_steps)
+        meals = (Meal(time=40.0, carbs=45.0),)
+        plan = dataclasses.replace(plan, runs=tuple(
+            dataclasses.replace(run, meals=meals) if i % 2 else run
+            for i, run in enumerate(plan.runs)))
+        reference = reference_traces(plan)
+        for width in LOCKSTEP_WIDTHS:
+            set_lockstep_width(width)
+            vector = CampaignExecutor(1).run(plan)
+            assert len(reference) == len(vector) == 8
             for s, v in zip(reference, vector):
                 assert_traces_equal(s, v)
 
