@@ -162,8 +162,13 @@ class IOBCalculator:
 
     def iob(self, t: float) -> float:
         """Insulin on board (U) at time *t* minutes."""
-        return sum(u * self.curve.iob_fraction(t - tm)
-                   for tm, u in self._deliveries if tm <= t)
+        # added left to right from 0, the order the lock-step engine's band
+        # sum replays; builtin sum compensates rounding from Python 3.12 on
+        total = 0
+        for tm, u in self._deliveries:
+            if tm <= t:
+                total += u * self.curve.iob_fraction(t - tm)
+        return total
 
     def iob_at(self, times: np.ndarray) -> np.ndarray:
         """Vectorized IOB over an array of query *times* (minutes).
@@ -181,8 +186,11 @@ class IOBCalculator:
 
     def activity(self, t: float) -> float:
         """Total insulin activity (U/min) at time *t*."""
-        return sum(u * self.curve.activity(t - tm)
-                   for tm, u in self._deliveries if tm <= t)
+        total = 0  # summed in the same order as iob()
+        for tm, u in self._deliveries:
+            if tm <= t:
+                total += u * self.curve.activity(t - tm)
+        return total
 
     def iob_rate(self, t: float) -> float:
         """dIOB/dt (U/min) at *t*: decay only, i.e. minus the activity."""

@@ -62,7 +62,6 @@ class WorkerSpec:
     attempt: int
     plan_path: str
     out_dir: str
-    shard_format: str = "npz"
     workers: Optional[int] = None
 
     @property
@@ -75,7 +74,7 @@ class WorkerSpec:
         argv = ["-m", "repro.distributed.worker",
                 "--plan", self.plan_path,
                 "--start", str(self.start), "--stop", str(self.stop),
-                "--out", self.out_dir, "--shard-format", self.shard_format]
+                "--out", self.out_dir]
         if self.workers is not None:
             argv += ["--workers", str(self.workers)]
         return argv
@@ -231,7 +230,6 @@ def _valid_partial_dir(directory: str) -> bool:
 def run_distributed_campaign(plan: CampaignPlan, out_dir: str,
                              n_hosts: int = 2,
                              launcher: Optional[LocalLauncher] = None,
-                             shard_format: str = "npz",
                              folds: Optional[int] = None,
                              timeout_s: Optional[float] = None,
                              max_retries: int = 2,
@@ -243,9 +241,10 @@ def run_distributed_campaign(plan: CampaignPlan, out_dir: str,
                              ) -> DistributedCampaignResult:
     """Execute *plan* across *n_hosts* range workers into *out_dir*.
 
-    The merged dataset at *out_dir* is byte-identical to a single-box
-    ``run_campaign(plan, out_dir, folds=folds, shard_format=shard_format)``
-    regardless of *n_hosts*, the launcher, stragglers or retries.
+    The merged dataset at *out_dir* is byte-identical to the single-box
+    store a ``CampaignStoreWriter(out_dir, plan.platform, plan.n_steps,
+    folds=folds)`` fed by ``CampaignExecutor().run(plan, sink=...)``
+    writes, regardless of *n_hosts*, the launcher, stragglers or retries.
 
     Parameters beyond the store-facing ones are wall-clock knobs:
     *timeout_s* is the per-attempt straggler budget (``None``: wait
@@ -312,7 +311,7 @@ def run_distributed_campaign(plan: CampaignPlan, out_dir: str,
                     start=start, stop=stop, attempt=attempt,
                     plan_path=plan_path,
                     out_dir=_attempt_dir(work_dir, start, stop, attempt),
-                    shard_format=shard_format, workers=worker_processes)
+                    workers=worker_processes)
                 handle = launcher.launch(spec)
                 deadline = (time.monotonic() + timeout_s
                             if timeout_s is not None else None)

@@ -17,9 +17,10 @@ The validation matrix (every row a typed
 
 ==========================  ===========================================
 missing/unreadable partial  corrupted or truncated ``partial_manifest``
-format/schema skew          partial written by another code version
-identity disagreement       platform / n_steps / dt / shard_format /
-                            n_runs differ across partials
+format/schema skew          partial written by another code version,
+                            or naming a shard format other than npz
+identity disagreement       platform / n_steps / dt / n_runs differ
+                            across partials
 fingerprint mismatch        a partial belongs to a different plan, or
                             the merged entries do not hash to the plan
 entry/range mismatch        entry count or shard names disagree with
@@ -46,13 +47,13 @@ import shutil
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..parallel import ranges_defect
-from ..simulation.store import (SCHEMA_VERSION, CampaignStoreError,
+from ..simulation.store import (SCHEMA_VERSION, SHARD_FORMAT,
+                                CampaignStoreError, NpzDirectorySink,
                                 TraceDataset, _entry_cell, assign_folds,
                                 campaign_fingerprint, manifest_path,
                                 write_manifest)
 from .errors import MergeManifestError
-from .worker import (PARTIAL_FORMAT_VERSION, _SHARD_SINKS,
-                     partial_manifest_path)
+from .worker import PARTIAL_FORMAT_VERSION, partial_manifest_path
 
 __all__ = ["load_partial", "merge_manifests", "merged_dataset"]
 
@@ -63,8 +64,7 @@ _REQUIRED_KEYS = ("format", "schema_version", "plan_fingerprint", "platform",
 
 #: the partial-manifest fields that must agree across every partial of one
 #: campaign (the merged dataset's identity)
-_IDENTITY_KEYS = ("plan_fingerprint", "platform", "n_steps", "dt", "n_runs",
-                  "shard_format")
+_IDENTITY_KEYS = ("plan_fingerprint", "platform", "n_steps", "dt", "n_runs")
 
 
 def load_partial(directory: str) -> dict:
@@ -72,7 +72,8 @@ def load_partial(directory: str) -> dict:
 
     Raises :class:`MergeManifestError` for every way a partial can be
     unusable on its own: missing, unreadable, truncated (torn JSON),
-    format- or schema-version skew, missing keys, an ill-formed range,
+    format- or schema-version skew, a shard format other than npz,
+    missing keys, an ill-formed range,
     an entry count that disagrees with the range, or shard filenames
     that do not match the range's global indices.
     """
@@ -103,10 +104,11 @@ def load_partial(directory: str) -> dict:
             f"schema-version skew: partial at {path} was written for "
             f"store schema {doc['schema_version']!r}, this merger builds "
             f"schema {SCHEMA_VERSION} datasets")
-    if doc["shard_format"] not in _SHARD_SINKS:
+    if doc["shard_format"] != SHARD_FORMAT:
         raise MergeManifestError(
-            f"partial manifest at {path} uses unknown shard format "
-            f"{doc['shard_format']!r}")
+            f"partial manifest at {path} uses shard format "
+            f"{doc['shard_format']!r}; this merger supports "
+            f"{SHARD_FORMAT!r}")
     start, stop, n_runs = doc["start"], doc["stop"], doc["n_runs"]
     if not 0 <= start < stop <= n_runs:
         raise MergeManifestError(
@@ -117,9 +119,8 @@ def load_partial(directory: str) -> dict:
         raise MergeManifestError(
             f"partial manifest at {path} covers range [{start}, {stop}) "
             f"but carries {len(entries)} entries (interrupted or edited)")
-    sink = _SHARD_SINKS[doc["shard_format"]]
     for offset, entry in enumerate(entries):
-        expected = sink.shard_name(start + offset)
+        expected = NpzDirectorySink.shard_name(start + offset)
         if entry.get("file") != expected:
             raise MergeManifestError(
                 f"partial manifest at {path}: entry {offset} names shard "
@@ -257,8 +258,7 @@ def merge_manifests(partial_dirs: Sequence[str], out_dir: str,
             except OSError:
                 shutil.copy2(src, dst)
     return write_manifest(out_dir, partials[0]["platform"],
-                          partials[0]["n_steps"], folds,
-                          partials[0]["shard_format"], entries)
+                          partials[0]["n_steps"], folds, entries)
 
 
 def merged_dataset(out_dir: str, **open_kwargs) -> TraceDataset:

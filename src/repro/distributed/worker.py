@@ -2,8 +2,8 @@
 
 One worker executes one half-open run range ``[start, stop)`` of a shared
 :class:`~repro.simulation.executor.CampaignPlan` and leaves behind a
-*partial dataset*: shard files named by **global** plan index (so partial
-directories merge into one dataset without renaming) plus a
+*partial dataset*: the store's npz shards, named by **global** plan index
+(so partial directories merge into one dataset without renaming), plus a
 ``partial_manifest.json`` recording the range, the plan fingerprint, the
 per-trace manifest entries and ``BENCH``-style execution stats (host,
 wall time, traces/sec, peak RSS).
@@ -11,10 +11,10 @@ wall time, traces/sec, peak RSS).
 The contract that makes the coordinator's retry path safe:
 
 - **Deterministic** — the shards and entries a range produces depend only
-  on ``(plan, start, stop, shard_format)``; worker count, host and
-  attempt number never change them (the executor parity
-  contract, one level up).  Re-running a range after a crash or
-  straggler timeout therefore reproduces the identical partial result.
+  on ``(plan, start, stop)``; worker count, host and attempt number never
+  change them (the executor parity contract, one level up).  Re-running a
+  range after a crash or straggler timeout therefore reproduces the
+  identical partial result.
 - **Atomic** — the partial manifest is written via write-then-rename
   *after* every shard, so a killed worker can never leave a directory
   that passes for a completed range; the coordinator treats a missing or
@@ -42,10 +42,9 @@ import sys
 import time
 from typing import List, Optional
 
-from ..simulation.executor import (CampaignExecutor, CampaignPlan,
-                                   NpyDirectorySink, NpzDirectorySink,
-                                   TraceSink)
-from ..simulation.store import SCHEMA_VERSION, plan_fingerprint, trace_entry
+from ..simulation.executor import CampaignExecutor, CampaignPlan
+from ..simulation.store import (SCHEMA_VERSION, SHARD_FORMAT,
+                                NpzDirectorySink, plan_fingerprint)
 from ..simulation.trace import SimulationTrace
 from .errors import DistributedCampaignError
 
@@ -67,9 +66,6 @@ SLEEP_SECONDS_ENV = "REPRO_DIST_SLEEP_SECONDS"
 #: exit code of an injected crash — distinct from argparse/validation (2)
 CRASH_EXIT_CODE = 17
 
-#: shard_format -> directory sink (mirrors the store's writer table)
-_SHARD_SINKS = {"npz": NpzDirectorySink, "npy": NpyDirectorySink}
-
 
 def partial_manifest_path(directory: str) -> str:
     return os.path.join(directory, PARTIAL_MANIFEST_NAME)
@@ -84,35 +80,29 @@ def _peak_rss_mb() -> float:
     return peak / 1024.0
 
 
-class _RangeSink(TraceSink):
+class _RangeSink(NpzDirectorySink):
     """Stream a range's traces to globally-numbered shards + entries.
 
-    Wraps the shard directory sink with ``index_offset=start`` and
-    records one fold-unassigned manifest entry per trace.  Honors the
+    The store's shard sink at ``index_offset=start``, honoring the
     crash-injection hook after each shard so a chaos kill lands exactly
     mid-range, between one shard and the next.
     """
 
-    def __init__(self, directory: str, start: int, shard_format: str):
-        self._sink = _SHARD_SINKS[shard_format](directory,
-                                                index_offset=start)
-        self.entries: List[dict] = []
+    def __init__(self, directory: str, start: int):
+        super().__init__(directory, index_offset=start)
         crash_after = os.environ.get(CRASH_AFTER_SHARDS_ENV)
         self._crash_after = int(crash_after) if crash_after else None
 
     def write(self, trace: SimulationTrace) -> None:
-        index = self._sink.index_offset + self._sink.n_written
-        self._sink.write(trace)
-        self.entries.append(trace_entry(trace, self._sink.shard_name(index)))
+        super().write(trace)
         if (self._crash_after is not None
-                and self._sink.n_written >= self._crash_after):
+                and self.n_written >= self._crash_after):
             # the in-process stand-in for `kill -9`: no cleanup, no
             # manifest — exactly what a dead host leaves behind
             os._exit(CRASH_EXIT_CODE)
 
 
 def write_partial(plan: CampaignPlan, start: int, stop: int, directory: str,
-                  shard_format: str = "npz",
                   workers: Optional[int] = None) -> dict:
     """Execute runs ``[start, stop)`` of *plan* into *directory*.
 
@@ -132,10 +122,6 @@ def write_partial(plan: CampaignPlan, start: int, stop: int, directory: str,
         raise DistributedCampaignError(
             f"range [{start}, {stop}) is not a well-formed slice of the "
             f"{len(plan.runs)}-run plan")
-    if shard_format not in _SHARD_SINKS:
-        raise DistributedCampaignError(
-            f"unknown shard_format {shard_format!r}; available: "
-            f"{sorted(_SHARD_SINKS)}")
     if os.path.exists(partial_manifest_path(directory)):
         raise DistributedCampaignError(
             f"{directory} already holds a partial manifest; a retry must "
@@ -145,7 +131,7 @@ def write_partial(plan: CampaignPlan, start: int, stop: int, directory: str,
                             n_steps=plan.n_steps, target=plan.target,
                             dt=plan.dt)
     try:
-        sink = _RangeSink(directory, start, shard_format)
+        sink = _RangeSink(directory, start)
     except FileExistsError as exc:
         raise DistributedCampaignError(
             f"{directory} holds trace shards but no partial manifest — "
@@ -159,7 +145,7 @@ def write_partial(plan: CampaignPlan, start: int, stop: int, directory: str,
            "plan_fingerprint": plan_fingerprint(plan),
            "platform": plan.platform, "n_steps": plan.n_steps,
            "dt": plan.dt, "n_runs": len(plan.runs),
-           "shard_format": shard_format, "start": start, "stop": stop,
+           "shard_format": SHARD_FORMAT, "start": start, "stop": stop,
            "entries": sink.entries,
            "stats": {"host": socket.gethostname(), "pid": os.getpid(),
                      "wall_s": round(wall_s, 4),
@@ -183,8 +169,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--stop", type=int, required=True)
     parser.add_argument("--out", required=True,
                         help="fresh directory for shards + partial manifest")
-    parser.add_argument("--shard-format", default="npz",
-                        choices=sorted(_SHARD_SINKS))
     parser.add_argument("--workers", type=int, default=None,
                         help="local process-pool width for this range")
     args = parser.parse_args(argv)
@@ -197,7 +181,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         plan = load_plan(args.plan)
         doc = write_partial(plan, args.start, args.stop, args.out,
-                            shard_format=args.shard_format,
                             workers=args.workers)
     except DistributedCampaignError as exc:
         print(f"worker failed: {exc}", file=sys.stderr)

@@ -17,9 +17,10 @@ pool while keeping the output *byte-identical* at every worker count:
   shared artifacts (titrated controller profiles, fault-free reference
   traces) in explicit, lock-guarded objects that forked workers warm
   independently;
-- :class:`TraceSink` and its directory sinks stream traces out of memory
-  so million-trace campaigns never hold every :class:`SimulationTrace` at
-  once.
+- :class:`TraceSink` streams traces out of memory so million-trace
+  campaigns never hold every :class:`SimulationTrace` at once (the
+  campaign store's :class:`~repro.simulation.store.NpzDirectorySink`
+  writes them to disk).
 
 The batches are the same at every worker count, so worker count never
 changes the simulated dynamics — only the wall-clock time.
@@ -28,24 +29,21 @@ changes the simulated dynamics — only the wall-clock time.
 from __future__ import annotations
 
 import abc
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..core.mitigation import Mitigator
 from ..core.monitor import SafetyMonitor
 from ..fi import FaultSpec, InjectionScenario
 from ..parallel import lockstep_width, map_chunks, resolve_workers
 from ..patients import Meal
-from .trace import SimulationTrace, trace_to_arrays, trace_to_struct
+from .trace import SimulationTrace
 
 __all__ = [
     "SimRun", "CampaignPlan", "plan_campaign", "plan_fault_free",
     "ProfileCache", "BaselineCache", "PROFILE_CACHE", "BASELINE_CACHE",
-    "TraceSink", "NpzDirectorySink", "NpyDirectorySink", "CampaignExecutor",
+    "TraceSink", "CampaignExecutor",
 ]
 
 MonitorFactory = Callable[[str], SafetyMonitor]
@@ -239,74 +237,6 @@ class TraceSink(abc.ABC):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class NpzDirectorySink(TraceSink):
-    """Stream each trace to ``<directory>/trace_<index>.npz``.
-
-    Each shard is a self-describing
-    :func:`~repro.simulation.trace.trace_to_arrays` payload: array channels
-    stored as-is, identity metadata (platform, patient, label, dt and the
-    fault spec fields) riding along as 0-d object-free entries.  Pair with
-    a manifest via :class:`repro.simulation.store.CampaignStoreWriter` to
-    get a reopenable on-disk dataset.
-    """
-
-    #: shard filename extension (subclasses override)
-    suffix = "npz"
-
-    def __init__(self, directory: str, index_offset: int = 0):
-        if index_offset < 0:
-            raise ValueError(
-                f"index_offset must be >= 0, got {index_offset}")
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        stale = [name for name in os.listdir(directory)
-                 if name.startswith("trace_")
-                 and name.endswith((".npz", ".npy"))]
-        if stale:
-            raise FileExistsError(
-                f"{directory} already holds {len(stale)} trace file(s); "
-                "writing would intermix two campaigns — use a fresh "
-                "directory or remove them first")
-        #: shard numbering starts here — a distributed range worker
-        #: writing runs [start, stop) of one shared plan passes
-        #: ``index_offset=start`` so its shard names are *global* plan
-        #: indices and partial directories merge without renaming
-        self.index_offset = int(index_offset)
-        self.n_written = 0
-
-    @classmethod
-    def shard_name(cls, index: int) -> str:
-        return f"trace_{index:09d}.{cls.suffix}"
-
-    def _write_shard(self, path: str, trace: SimulationTrace) -> None:
-        np.savez_compressed(path, **trace_to_arrays(trace))
-
-    def write(self, trace: SimulationTrace) -> None:
-        path = os.path.join(
-            self.directory, self.shard_name(self.index_offset + self.n_written))
-        self._write_shard(path, trace)
-        self.n_written += 1
-
-
-class NpyDirectorySink(NpzDirectorySink):
-    """Stream each trace to an *uncompressed* ``trace_<index>.npy`` shard.
-
-    The payload is the :func:`~repro.simulation.trace.trace_to_struct`
-    structured array — channels only, no identity metadata — so unlike the
-    npz shards these files are not self-describing: pair them with a
-    :class:`repro.simulation.store.CampaignStoreWriter` (which records the
-    metadata in its manifest, ``shard_format="npy"``).  The payoff is on
-    the read side: the store's lazy reader opens them with
-    ``mmap_mode="r"`` and every channel access is a zero-copy view of the
-    page cache, making replay-heavy loops immune to decompression cost.
-    """
-
-    suffix = "npy"
-
-    def _write_shard(self, path: str, trace: SimulationTrace) -> None:
-        np.save(path, trace_to_struct(trace))
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,14 @@
 The paper's evaluation simulates each fault-injection campaign *once* and
 then replays every candidate monitor, threshold learner and ML dataset
 builder over the recorded traces.  This module turns that "run once" step
-into a durable artifact:
+into a durable artifact, and is the one place that knows its on-disk
+format:
 
+- :class:`NpzDirectorySink` writes each trace to one compressed,
+  self-describing ``trace_<index>.npz`` shard and records its manifest
+  entry — the only shard format (:data:`SHARD_FORMAT`);
 - :class:`CampaignStoreWriter` streams traces (in plan order, byte-identical
-  from any executor, worker count or vectorization batch size) into
-  per-trace shards — compressed ``.npz``
-  (default) or uncompressed structured ``.npy`` for zero-copy
-  ``mmap_mode="r"`` reads (``shard_format="npy"``) — and finalises a
+  at any worker count) through that sink and finalises a
   ``manifest.json`` keyed by patient / scenario / fold, carrying a schema
   version and a campaign fingerprint;
 - :class:`TraceDataset` reopens the directory as a lazy, bounded-memory
@@ -38,15 +39,15 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..fi import FaultKind, FaultSpec, FaultTarget
-from .executor import (CampaignPlan, NpyDirectorySink, NpzDirectorySink,
-                       TraceSink)
-from .trace import SimulationTrace, trace_from_arrays, trace_from_struct
+from ..fi import FaultSpec
+from .executor import CampaignPlan, TraceSink
+from .trace import SimulationTrace, trace_from_arrays, trace_to_arrays
 
 __all__ = [
-    "SCHEMA_VERSION", "MANIFEST_NAME", "CampaignStoreError",
+    "SCHEMA_VERSION", "MANIFEST_NAME", "SHARD_FORMAT", "CampaignStoreError",
     "campaign_fingerprint", "plan_fingerprint", "trace_entry",
-    "assign_folds", "write_manifest", "CampaignStoreWriter",
+    "assign_folds", "write_manifest", "NpzDirectorySink",
+    "CampaignStoreWriter",
     "DatasetStats", "TraceDataset", "TraceDatasetView", "open_dataset",
     "manifest_path", "TraceTick", "iter_trace_ticks",
 ]
@@ -59,6 +60,11 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
+
+#: the one shard format, recorded in every manifest and partial manifest
+#: so that stores stay readable across code versions; a manifest naming
+#: any other format (such as an old uncompressed ``"npy"`` store) is refused
+SHARD_FORMAT = "npz"
 
 #: default size of the lazy reader's LRU window (traces held in memory)
 DEFAULT_CACHE_SIZE = 16
@@ -121,18 +127,6 @@ def _entry_cell(entry: Mapping) -> Cell:
     return (entry["patient_id"], entry["label"], float(entry["dt"]), fault)
 
 
-def _entry_fault(entry: Mapping) -> Optional[FaultSpec]:
-    """Rebuild the FaultSpec a manifest entry records (None if fault-free)."""
-    fault = entry.get("fault")
-    if fault is None:
-        return None
-    return FaultSpec(kind=FaultKind(fault["kind"]),
-                     target=FaultTarget(fault["target"]),
-                     start_step=int(fault["start_step"]),
-                     duration_steps=int(fault["duration_steps"]),
-                     value=float(fault["value"]))
-
-
 # ----------------------------------------------------------------------
 # manifest construction (shared by the writer and the distributed merge)
 # ----------------------------------------------------------------------
@@ -177,8 +171,7 @@ def assign_folds(entries: List[dict], folds: Optional[int]) -> List[dict]:
 
 
 def write_manifest(directory: str, platform: str, n_steps: int,
-                   folds: Optional[int], shard_format: str,
-                   entries: List[dict]) -> dict:
+                   folds: Optional[int], entries: List[dict]) -> dict:
     """Finalise a campaign manifest over *entries*, atomically.
 
     Computes the fingerprint from the entry cells and writes
@@ -194,7 +187,7 @@ def write_manifest(directory: str, platform: str, n_steps: int,
     manifest = {"schema_version": SCHEMA_VERSION,
                 "fingerprint": fingerprint, "platform": platform,
                 "n_steps": int(n_steps), "folds": folds,
-                "shard_format": shard_format,
+                "shard_format": SHARD_FORMAT,
                 "n_traces": len(entries), "traces": entries}
     tmp = manifest_path(directory) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -204,27 +197,68 @@ def write_manifest(directory: str, platform: str, n_steps: int,
 
 
 # ----------------------------------------------------------------------
-# writer
+# writers
 # ----------------------------------------------------------------------
 
-#: shard_format -> directory sink that writes it
-_SHARD_SINKS = {"npz": NpzDirectorySink, "npy": NpyDirectorySink}
+class NpzDirectorySink(TraceSink):
+    """Stream each trace to ``<directory>/trace_<index>.npz``.
+
+    Each shard is a self-describing
+    :func:`~repro.simulation.trace.trace_to_arrays` payload: array channels
+    stored as-is, identity metadata (platform, patient, label, dt and the
+    fault spec fields) riding along as 0-d object-free entries.  The sink
+    records each shard's :func:`trace_entry` in :attr:`entries`; pair it
+    with a manifest via :class:`CampaignStoreWriter` to get a reopenable
+    on-disk dataset.
+    """
+
+    def __init__(self, directory: str, index_offset: int = 0):
+        if index_offset < 0:
+            raise ValueError(
+                f"index_offset must be >= 0, got {index_offset}")
+        self.directory = directory
+        os.makedirs(directory, exist_ok=True)
+        # old uncompressed .npy shards count too: leftovers of any format
+        # beside new shards would mix two campaigns
+        stale = [name for name in os.listdir(directory)
+                 if name.startswith("trace_")
+                 and name.endswith((".npz", ".npy"))]
+        if stale:
+            raise FileExistsError(
+                f"{directory} already holds {len(stale)} trace file(s); "
+                "writing would intermix two campaigns — use a fresh "
+                "directory or remove them first")
+        #: shard numbering starts here — a distributed range worker
+        #: writing runs [start, stop) of one shared plan passes
+        #: ``index_offset=start`` so its shard names are *global* plan
+        #: indices and partial directories merge without renaming
+        self.index_offset = int(index_offset)
+        self.n_written = 0
+        #: one fold-unassigned manifest entry per written shard
+        self.entries: List[dict] = []
+
+    @staticmethod
+    def shard_name(index: int) -> str:
+        return f"trace_{index:09d}.{SHARD_FORMAT}"
+
+    def write(self, trace: SimulationTrace) -> None:
+        name = self.shard_name(self.index_offset + self.n_written)
+        np.savez_compressed(os.path.join(self.directory, name),
+                            **trace_to_arrays(trace))
+        self.n_written += 1
+        self.entries.append(trace_entry(trace, name))
 
 
-class CampaignStoreWriter(TraceSink):
+class CampaignStoreWriter(NpzDirectorySink):
     """Stream a campaign into *directory* and finalise its manifest.
 
-    Wraps a shard directory sink (which refuses directories already
-    holding trace shards) and records one manifest entry per trace.
-    ``shard_format`` selects the payload: ``"npz"`` (default) writes
-    compressed self-describing shards, ``"npy"`` writes uncompressed
-    structured arrays the reader reopens with ``mmap_mode="r"`` for
-    zero-copy channel access — larger on disk, much cheaper on hot
-    replay loops.  When
-    *folds* is given, each entry also carries the trace's round-robin
-    cross-validation fold *within its patient* — the same assignment
-    :func:`~repro.simulation.batch.kfold_split` produces on a patient's
-    trace list, so readers can reconstruct any fold without loading data.
+    The shard sink (which refuses directories already holding trace
+    shards), checking each trace against the store's platform and step
+    count.  When *folds* is given, each entry also carries the trace's
+    round-robin cross-validation fold *within its patient* — the same
+    assignment :func:`~repro.simulation.batch.kfold_split` produces on a
+    patient's trace list, so readers can reconstruct any fold without
+    loading data.
 
     Use as a context manager (or call :meth:`close`): the manifest — and
     with it the dataset's validity — only exists after a clean close.  If
@@ -235,13 +269,9 @@ class CampaignStoreWriter(TraceSink):
     """
 
     def __init__(self, directory: str, platform: str, n_steps: int,
-                 folds: Optional[int] = None, shard_format: str = "npz"):
+                 folds: Optional[int] = None):
         if folds is not None and folds < 2:
             raise ValueError(f"folds must be >= 2, got {folds}")
-        if shard_format not in _SHARD_SINKS:
-            raise ValueError(
-                f"unknown shard_format {shard_format!r}; available: "
-                f"{sorted(_SHARD_SINKS)}")
         if os.path.exists(manifest_path(directory)):
             raise CampaignStoreError(
                 f"{directory} already holds a campaign manifest; "
@@ -249,24 +279,14 @@ class CampaignStoreWriter(TraceSink):
         self.platform = platform
         self.n_steps = int(n_steps)
         self.folds = folds
-        self.shard_format = shard_format
         try:
-            self._sink = _SHARD_SINKS[shard_format](directory)
+            super().__init__(directory)
         except FileExistsError as exc:
             raise CampaignStoreError(
                 f"{directory} holds trace shards but no manifest — the "
                 "remains of an interrupted campaign write; remove the "
                 "directory and rerun") from exc
-        self._entries: List[dict] = []
         self._closed = False
-
-    @property
-    def directory(self) -> str:
-        return self._sink.directory
-
-    @property
-    def n_written(self) -> int:
-        return self._sink.n_written
 
     def write(self, trace: SimulationTrace) -> None:
         if self._closed:
@@ -278,10 +298,7 @@ class CampaignStoreWriter(TraceSink):
         if len(trace) != self.n_steps:
             raise CampaignStoreError(
                 f"trace has {len(trace)} steps, store expects {self.n_steps}")
-        index = self._sink.index_offset + self._sink.n_written
-        self._sink.write(trace)
-        self._entries.append(
-            trace_entry(trace, self._sink.shard_name(index)))
+        super().write(trace)
 
     def abort(self) -> None:
         """Discard the write: no manifest is (or can later be) produced."""
@@ -298,14 +315,39 @@ class CampaignStoreWriter(TraceSink):
         if self._closed:
             return
         write_manifest(self.directory, self.platform, self.n_steps,
-                       self.folds, self.shard_format,
-                       assign_folds(self._entries, self.folds))
+                       self.folds, assign_folds(self.entries, self.folds))
         self._closed = True
 
 
 # ----------------------------------------------------------------------
 # lazy reader
 # ----------------------------------------------------------------------
+
+#: top-level manifest keys the reader needs, and the keys of every entry
+#: (those :func:`trace_entry` writes)
+_MANIFEST_KEYS = ("fingerprint", "platform", "n_steps", "traces")
+_ENTRY_KEYS = frozenset(("file", "patient_id", "label", "dt", "fold",
+                         "fault"))
+
+
+def _manifest_defect(manifest: Mapping) -> Optional[str]:
+    """Why *manifest* is not a well-formed campaign manifest (None if it
+    is): a required key missing, or a value of the wrong JSON type."""
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        return f"missing keys {missing}"
+    if not isinstance(manifest["n_steps"], int):
+        return "'n_steps' is not an integer"
+    if not isinstance(manifest["traces"], list):
+        return "'traces' is not a list"
+    for i, entry in enumerate(manifest["traces"]):
+        if not isinstance(entry, dict):
+            return f"trace entry {i} is not an object"
+        if not _ENTRY_KEYS <= entry.keys():
+            return (f"trace entry {i} is missing keys "
+                    f"{sorted(_ENTRY_KEYS - entry.keys())}")
+    return None
+
 
 @dataclass
 class DatasetStats:
@@ -337,43 +379,55 @@ class TraceDataset(SequenceABC):
     bounded-memory guarantee and return element-wise identical results to
     a serial in-memory pass.
 
-    Opening validates the manifest eagerly (schema version, fingerprint
-    consistency); shard problems — missing files, corrupted payloads, a
-    shard whose identity disagrees with its manifest entry — surface as
-    :class:`CampaignStoreError` at first access.
+    Opening validates the manifest eagerly (structure, schema version,
+    shard format, fingerprint consistency); shard problems — missing
+    files, corrupted payloads, a shard whose identity or length disagrees
+    with its manifest entry — surface as :class:`CampaignStoreError` at
+    first access.
     """
 
     def __init__(self, directory: str, manifest: Mapping,
                  cache_size: int = DEFAULT_CACHE_SIZE):
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
+        if not isinstance(manifest, Mapping):
+            raise CampaignStoreError(
+                f"manifest at {directory} is not a JSON object")
         version = manifest.get("schema_version")
         if version != SCHEMA_VERSION:
             raise CampaignStoreError(
                 f"dataset at {directory} has schema version {version!r}; "
                 f"this reader supports {SCHEMA_VERSION}")
-        self.directory = directory
-        self.platform: str = manifest["platform"]
-        self.n_steps: int = int(manifest["n_steps"])
-        self.folds: Optional[int] = manifest.get("folds")
-        # manifests written before the npy option exist without the key
-        self.shard_format: str = manifest.get("shard_format", "npz")
-        if self.shard_format not in _SHARD_SINKS:
+        defect = _manifest_defect(manifest)
+        if defect is not None:
+            raise CampaignStoreError(
+                f"malformed manifest at {directory}: {defect}")
+        # manifests written before the format was recorded lack the key
+        shard_format = manifest.get("shard_format", SHARD_FORMAT)
+        if shard_format != SHARD_FORMAT:
             raise CampaignStoreError(
                 f"dataset at {directory} uses shard format "
-                f"{self.shard_format!r}; this reader supports "
-                f"{sorted(_SHARD_SINKS)}")
+                f"{shard_format!r}; this reader supports {SHARD_FORMAT!r}")
+        self.directory = directory
+        self.platform: str = manifest["platform"]
+        self.n_steps: int = manifest["n_steps"]
+        self.folds: Optional[int] = manifest.get("folds")
         self._entries: List[dict] = list(manifest["traces"])
-        if len(self._entries) != int(manifest.get("n_traces",
-                                                  len(self._entries))):
+        if len(self._entries) != manifest.get("n_traces",
+                                              len(self._entries)):
             raise CampaignStoreError(
                 f"manifest at {directory} lists "
                 f"{manifest.get('n_traces')} traces but carries "
                 f"{len(self._entries)} entries")
         self.fingerprint: str = manifest["fingerprint"]
-        recomputed = campaign_fingerprint(
-            self.platform, self.n_steps,
-            (_entry_cell(e) for e in self._entries))
+        try:
+            recomputed = campaign_fingerprint(
+                self.platform, self.n_steps,
+                (_entry_cell(e) for e in self._entries))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CampaignStoreError(
+                f"malformed manifest at {directory}: a trace entry's "
+                f"fault or dt does not parse ({exc!r})") from exc
         if recomputed != self.fingerprint:
             raise CampaignStoreError(
                 f"manifest fingerprint mismatch at {directory}: the trace "
@@ -425,30 +479,9 @@ class TraceDataset(SequenceABC):
 
     def _decode(self, path: str, entry: Mapping,
                 index: int) -> SimulationTrace:
-        """Decode one shard according to the manifest's shard format.
-
-        npz shards are self-describing and cross-checked against their
-        manifest entry; npy shards hold channels only (zero-copy
-        memory-mapped columns) with identity rebuilt *from* the entry, so
-        the cross-check reduces to shape/field validation.
-        """
-        if self.shard_format == "npy":
-            try:
-                payload = np.load(path, mmap_mode="r", allow_pickle=False)
-                trace = trace_from_struct(
-                    payload, platform=self.platform,
-                    patient_id=entry["patient_id"], label=entry["label"],
-                    dt=float(entry["dt"]), fault=_entry_fault(entry))
-            except (OSError, ValueError, KeyError) as exc:
-                raise CampaignStoreError(
-                    f"corrupted shard {entry['file']} (trace {index}) in "
-                    f"{self.directory}: {exc}") from exc
-            if len(trace) != self.n_steps:
-                raise CampaignStoreError(
-                    f"shard {entry['file']} holds {len(trace)} steps but "
-                    f"the manifest expects {self.n_steps} (truncated or "
-                    "overwritten)")
-            return trace
+        """Decode one self-describing npz shard and cross-check its whole
+        recorded identity — platform, step count and every manifest-entry
+        field but the fold — against the manifest."""
         try:
             with np.load(path) as payload:
                 trace = trace_from_arrays(payload)
@@ -456,13 +489,15 @@ class TraceDataset(SequenceABC):
             raise CampaignStoreError(
                 f"corrupted shard {entry['file']} (trace {index}) in "
                 f"{self.directory}: {exc}") from exc
-        if (trace.patient_id != entry["patient_id"]
-                or trace.label != entry["label"]):
+        recorded = trace_entry(trace, entry["file"])
+        if (trace.platform != self.platform or len(trace) != self.n_steps
+                or recorded != dict(entry, fold=None)):
             raise CampaignStoreError(
-                f"shard {entry['file']} holds "
-                f"{trace.patient_id}/{trace.label!r} but the manifest "
-                f"expects {entry['patient_id']}/{entry['label']!r} "
-                "(shards shuffled or overwritten)")
+                f"shard {entry['file']} holds {trace.platform}/"
+                f"{trace.patient_id}/{trace.label!r} over {len(trace)} "
+                f"steps but the manifest expects {self.platform}/"
+                f"{entry['patient_id']}/{entry['label']!r} over "
+                f"{self.n_steps} steps (shards shuffled or overwritten)")
         return trace
 
     # -- sequence protocol ----------------------------------------------

@@ -21,8 +21,7 @@ from ..stl import Trace
 from .features import FEATURE_NAMES, context_matrix
 
 __all__ = ["SimulationTrace", "TraceRecorder", "TRACE_ARRAY_FIELDS",
-           "TRACE_COLUMN_DTYPES", "trace_to_arrays", "trace_from_arrays",
-           "trace_to_struct", "trace_from_struct"]
+           "TRACE_COLUMN_DTYPES", "trace_to_arrays", "trace_from_arrays"]
 
 #: the per-step array channels of a SimulationTrace, in field order —
 #: the serialisation schema shared by NpzDirectorySink and the store
@@ -159,42 +158,6 @@ def trace_from_arrays(payload: Mapping[str, np.ndarray]) -> SimulationTrace:
                            patient_id=str(payload["patient_id"]),
                            label=str(payload["label"]),
                            dt=float(payload["dt"]), fault=fault, **arrays)
-
-
-def trace_to_struct(trace: SimulationTrace) -> np.ndarray:
-    """Pack the per-step channels into one structured array of length
-    ``n_steps`` (one named field per channel, original dtypes preserved).
-
-    This is the uncompressed shard payload of the campaign store's
-    ``shard_format="npy"``: saved with ``np.save`` it reopens under
-    ``mmap_mode="r"`` where every column access (``arr["cgm"]``) is a
-    zero-copy view of the mapped file — no zip member decompression, no
-    allocation — which is what makes hot replay loops cheap.  Identity
-    metadata does *not* ride along (a structured dtype cannot hold it
-    losslessly); it lives in the store manifest entry and is supplied back
-    through :func:`trace_from_struct`.
-    """
-    dtype = [(name, getattr(trace, name).dtype) for name in TRACE_ARRAY_FIELDS]
-    out = np.empty(len(trace), dtype=dtype)
-    for name in TRACE_ARRAY_FIELDS:
-        out[name] = getattr(trace, name)
-    return out
-
-
-def trace_from_struct(arr: np.ndarray, *, platform: str, patient_id: str,
-                      label: str, dt: float,
-                      fault: Optional[FaultSpec] = None) -> SimulationTrace:
-    """Rebuild a trace from a :func:`trace_to_struct` payload plus its
-    externally-stored identity metadata.  Columns of a memory-mapped input
-    stay memory-mapped (read-only views into the file)."""
-    names = arr.dtype.names or ()
-    missing = [name for name in TRACE_ARRAY_FIELDS if name not in names]
-    if missing:
-        raise ValueError(
-            f"structured trace payload lacks channel(s) {missing}")
-    arrays = {name: arr[name] for name in TRACE_ARRAY_FIELDS}
-    return SimulationTrace(platform=platform, patient_id=patient_id,
-                           label=label, dt=dt, fault=fault, **arrays)
 
 
 @dataclass

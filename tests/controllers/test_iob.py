@@ -117,3 +117,45 @@ class TestIOBCalculator:
     def test_invalid_offset(self):
         with pytest.raises(ValueError):
             IOBCalculator(basal_offset=-1.0)
+
+
+class TestSummationOrder:
+    """``iob`` and ``activity`` add their terms left to right from 0, the
+    order the lock-step engine's ``np.add.accumulate`` band sum replays,
+    on every Python version (builtin ``sum`` compensates rounding from
+    Python 3.12 on)."""
+
+    @staticmethod
+    def accumulated(calc, t, term):
+        terms = [u * term(t - tm) for tm, u in calc._deliveries if tm <= t]
+        return np.add.accumulate(terms)[-1]
+
+    def test_random_histories_match_accumulate_order(self):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            calc = IOBCalculator(basal_offset=rng.uniform(0.0, 1.5))
+            n_cycles = int(rng.integers(1, 80))
+            for i in range(n_cycles):
+                bolus = rng.uniform(0.0, 4.0) if rng.random() < 0.2 else 0.0
+                calc.record(rng.uniform(0.0, 3.0), bolus, t=5.0 * i,
+                            duration=5.0)
+            t = 5.0 * n_cycles
+            curve = calc.curve
+            assert calc.iob(t) == self.accumulated(calc, t,
+                                                   curve.iob_fraction)
+            assert calc.activity(t) == self.accumulated(calc, t,
+                                                        curve.activity)
+
+    def test_cancelling_terms(self):
+        calc = IOBCalculator()
+        for units in (1.0, 1e100, 1.0, -1e100):
+            calc.record(0.0, units, t=0.0, duration=5.0)
+        # at lag 0 every IOB fraction is 1: left to right gives 0.0,
+        # compensated summation 2.0
+        assert calc.iob(2.5) == 0.0
+        for lag in (0.0, 60.0):
+            t = 2.5 + lag
+            assert calc.iob(t) == self.accumulated(
+                calc, t, calc.curve.iob_fraction)
+            assert calc.activity(t) == self.accumulated(
+                calc, t, calc.curve.activity)

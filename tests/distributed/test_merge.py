@@ -124,6 +124,13 @@ class TestMergeRefusals:
         with pytest.raises(MergeManifestError, match="format version"):
             merge_manifests(partials, str(tmp_path / "out"))
 
+    def test_foreign_shard_format(self, partials, tmp_path):
+        """A partial naming another shard format (an old npy worker) is
+        refused before anything is linked."""
+        _edit_partial(partials[0], shard_format="npy")
+        with pytest.raises(MergeManifestError, match="shard format"):
+            merge_manifests(partials, str(tmp_path / "out"))
+
     def test_expect_fingerprint_mismatch(self, partials, tmp_path):
         with pytest.raises(MergeManifestError, match="fingerprint mismatch"):
             merge_manifests(partials, str(tmp_path / "out"),

@@ -88,10 +88,6 @@ class TestWritePartial:
             with pytest.raises(DistributedCampaignError, match="well-formed"):
                 write_partial(plan, start, stop, str(tmp_path / "x"))
 
-    def test_unknown_shard_format_rejected(self, plan, tmp_path):
-        with pytest.raises(DistributedCampaignError, match="shard_format"):
-            write_partial(plan, 0, 2, str(tmp_path / "x"), shard_format="hdf5")
-
     def test_refuses_occupied_attempt_dir(self, plan, tmp_path):
         write_partial(plan, 0, 2, str(tmp_path / "part"))
         with pytest.raises(DistributedCampaignError, match="fresh attempt"):

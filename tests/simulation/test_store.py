@@ -26,6 +26,7 @@ from repro.simulation import (
     plan_campaign,
     plan_fingerprint,
     replay_campaign,
+    run_campaign,
     trace_from_arrays,
     trace_to_arrays,
 )
@@ -52,103 +53,25 @@ def rewrite_manifest(directory, mutate):
         json.dump(manifest, fh)
 
 
-@pytest.fixture()
-def npy_store_dir(tmp_path, tiny_campaign_traces):
-    """The same campaign stored with uncompressed mmap-able shards."""
-    directory = str(tmp_path / "campaign-npy")
-    with CampaignStoreWriter(directory, TINY_PLATFORM,
-                             len(tiny_campaign_traces[0]),
-                             folds=4, shard_format="npy") as sink:
-        for trace in tiny_campaign_traces:
-            sink.write(trace)
-    return directory
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
 
 
-class TestNpyShards:
-    """The zero-copy uncompressed shard format (shard_format="npy")."""
-
-    def test_roundtrip_every_field(self, npy_store_dir, tiny_campaign_traces,
-                                   assert_traces_equal):
-        dataset = TraceDataset.open(npy_store_dir)
-        assert dataset.shard_format == "npy"
-        assert len(dataset) == len(tiny_campaign_traces)
-        for original, reread in zip(tiny_campaign_traces, dataset):
-            assert_traces_equal(original, reread)
-            assert original.fault == reread.fault
-            assert original.dt == reread.dt
-
-    def test_struct_roundtrip_preserves_dtypes(self, tiny_campaign_traces):
-        from repro.simulation import (TRACE_ARRAY_FIELDS, trace_from_struct,
-                                      trace_to_struct)
-        trace = tiny_campaign_traces[0]
-        rebuilt = trace_from_struct(
-            trace_to_struct(trace), platform=trace.platform,
-            patient_id=trace.patient_id, label=trace.label, dt=trace.dt,
-            fault=trace.fault)
-        for name in TRACE_ARRAY_FIELDS:
-            a, b = getattr(trace, name), getattr(rebuilt, name)
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a, b), name
-
-    def test_channels_are_zero_copy_views(self, npy_store_dir):
-        """Columns of an npy shard are read-only views of the mapped file,
-        not decompressed copies."""
-        dataset = TraceDataset.open(npy_store_dir)
-        trace = dataset[0]
-        assert not trace.cgm.flags.writeable
-        assert not trace.cgm.flags.owndata
-
-    def test_shards_are_npy_files(self, npy_store_dir):
-        names = sorted(os.listdir(npy_store_dir))
-        assert any(n.endswith(".npy") for n in names)
-        assert not any(n.endswith(".npz") for n in names)
-
-    def test_fingerprint_matches_npz_store(self, store_dir, npy_store_dir):
-        """Shard format is storage, not identity: both stores hold the
-        same campaign and must carry the same fingerprint."""
-        assert TraceDataset.open(store_dir).fingerprint == \
-            TraceDataset.open(npy_store_dir).fingerprint
-
-    def test_corrupted_npy_shard(self, npy_store_dir):
-        dataset = TraceDataset.open(npy_store_dir)
-        shard = os.path.join(npy_store_dir, dataset.entry(0)["file"])
-        with open(shard, "wb") as fh:
-            fh.write(b"garbage")
-        with pytest.raises(CampaignStoreError, match="corrupted"):
-            dataset[0]
-
-    def test_truncated_npy_shard(self, npy_store_dir):
-        dataset = TraceDataset.open(npy_store_dir)
-        shard = os.path.join(npy_store_dir, dataset.entry(1)["file"])
-        data = open(shard, "rb").read()
-        with open(shard, "wb") as fh:
-            fh.write(data[:-200])
-        with pytest.raises(CampaignStoreError, match="corrupted"):
-            dataset[1]
-
-    def test_unknown_shard_format_rejected(self, npy_store_dir):
-        rewrite_manifest(npy_store_dir,
-                         lambda m: m.update(shard_format="parquet"))
-        with pytest.raises(CampaignStoreError, match="shard format"):
-            TraceDataset.open(npy_store_dir)
-
-    def test_writer_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="shard_format"):
-            CampaignStoreWriter(str(tmp_path / "x"), TINY_PLATFORM, 150,
-                                shard_format="parquet")
-
-    def test_replay_and_learning_work_on_npy_store(self, npy_store_dir,
-                                                   tiny_campaign_traces):
-        dataset = TraceDataset.open(npy_store_dir)
-        alerts_mem = replay_campaign({"cawot": cawot_monitor()},
-                                     tiny_campaign_traces)["cawot"]
-        alerts_npy = replay_campaign({"cawot": cawot_monitor()},
-                                     dataset)["cawot"]
-        for a, b in zip(alerts_mem, alerts_npy):
-            assert np.array_equal(a, b)
-        learned_mem = learn_thresholds(tiny_campaign_traces)
-        learned_npy = learn_thresholds(dataset)
-        assert learned_mem.thresholds == learned_npy.thresholds
+#: structurally broken manifests the reader must refuse with its typed error
+MALFORMED_MANIFESTS = {
+    "list": lambda m: [m],
+    "no-traces": lambda m: _without(m, "traces"),
+    "no-platform": lambda m: _without(m, "platform"),
+    "no-fingerprint": lambda m: _without(m, "fingerprint"),
+    "traces-not-list": lambda m: dict(
+        m, traces={str(i): e for i, e in enumerate(m["traces"])}),
+    "entry-without-file": lambda m: dict(
+        m, traces=[_without(m["traces"][0], "file")] + m["traces"][1:]),
+    "entry-without-patient": lambda m: dict(
+        m, traces=[_without(m["traces"][0], "patient_id")] + m["traces"][1:]),
+    "entry-fault-without-fields": lambda m: dict(
+        m, traces=[dict(m["traces"][0], fault={})] + m["traces"][1:]),
+}
 
 
 class TestDatasetViewSubset:
@@ -402,6 +325,28 @@ class TestErrorPaths:
         with pytest.raises(CampaignStoreError, match="manifest"):
             TraceDataset.open(str(tmp_path / "nowhere"))
 
+    @pytest.mark.parametrize("malform", list(MALFORMED_MANIFESTS.values()),
+                             ids=list(MALFORMED_MANIFESTS))
+    def test_malformed_manifest(self, store_dir, malform):
+        with open(manifest_path(store_dir)) as fh:
+            manifest = json.load(fh)
+        with open(manifest_path(store_dir), "w") as fh:
+            json.dump(malform(manifest), fh)
+        with pytest.raises(CampaignStoreError, match="manifest"):
+            TraceDataset.open(store_dir)[0]
+
+    def test_unknown_shard_format_rejected(self, store_dir):
+        """An old uncompressed npy store is refused, not misread."""
+        rewrite_manifest(store_dir, lambda m: m.update(shard_format="npy"))
+        with pytest.raises(CampaignStoreError, match="shard format"):
+            TraceDataset.open(store_dir)
+
+    def test_manifest_without_shard_format_reads_as_npz(
+            self, store_dir, tiny_campaign_traces, assert_traces_equal):
+        rewrite_manifest(store_dir, lambda m: m.pop("shard_format"))
+        assert_traces_equal(TraceDataset.open(store_dir)[0],
+                            tiny_campaign_traces[0])
+
     def test_unparsable_manifest(self, store_dir):
         with open(manifest_path(store_dir), "w") as fh:
             fh.write("{not json")
@@ -440,6 +385,36 @@ class TestErrorPaths:
             fh.write(b"\x00garbage\x00" * 32)
         with pytest.raises(CampaignStoreError, match="corrupted shard"):
             dataset[4]
+
+    def test_truncated_shard(self, store_dir):
+        dataset = TraceDataset.open(store_dir)
+        shard = os.path.join(store_dir, dataset.entry(1)["file"])
+        data = open(shard, "rb").read()
+        with open(shard, "wb") as fh:
+            fh.write(data[:-200])
+        with pytest.raises(CampaignStoreError, match="corrupted"):
+            dataset[1]
+
+    def test_shard_of_another_length_detected(self, tmp_path):
+        """A shard copied in from a longer campaign over the same grid
+        matches its entry's patient and label but not the step count."""
+        scenarios = tiny_campaign_scenarios()[:2]
+        stores = {}
+        for n_steps in (30, 40):
+            stores[n_steps] = str(tmp_path / f"n{n_steps}")
+            with CampaignStoreWriter(stores[n_steps], TINY_PLATFORM,
+                                     n_steps) as sink:
+                run_campaign(TINY_PLATFORM, [TINY_PATIENT], scenarios,
+                             n_steps=n_steps, sink=sink)
+        dataset = TraceDataset.open(stores[30])
+        shard = dataset.entry(0)["file"]
+        with open(os.path.join(stores[40], shard), "rb") as fh:
+            data = fh.read()
+        with open(os.path.join(stores[30], shard), "wb") as fh:
+            fh.write(data)
+        dataset[1]  # the untouched shard still loads
+        with pytest.raises(CampaignStoreError, match="40 steps"):
+            dataset[0]
 
     def test_fold_split_requires_fold_assignments(self, tmp_path,
                                                   tiny_campaign_traces):
