@@ -1,11 +1,21 @@
-"""Shared simulation data and trained monitors, cached per configuration.
+"""Shared simulation data, trained monitors and their replayed alerts.
 
 Every experiment needs the same expensive artifacts: the fault-injection
 campaign traces (simulated once, without a monitor — monitors are passive
 and can be *replayed*, see :mod:`repro.simulation.replay`), the fault-free
 reference runs, per-patient CAWT thresholds, and the trained ML baselines.
 This module builds and memoises them so the whole table/figure suite costs
-one campaign per platform.
+one campaign per platform, one fit per ML monitor set and one replay per
+shared monitor set: the CAWOT/Guideline/MPC alerts over the campaign
+(Table V, Fig. 9) and the DT/MLP/LSTM alerts over the fold-0 test split
+(Table VI, Fig. 9, the multi-class ablation).
+
+Each memo keys on every :class:`ExperimentConfig` field its value reads.
+``workers`` is in no key and ``dataset_dir`` only in the traces' key:
+results are identical across both.  The replay memos hold read-only
+alert arrays and never materialised traces, so a store-backed campaign
+stays lazy; the ML alerts live and die with their models.
+:func:`clear_cache` drops every memo.
 
 Two backing modes, selected by ``ExperimentConfig.dataset_dir``:
 
@@ -21,9 +31,10 @@ Two backing modes, selected by ``ExperimentConfig.dataset_dir``:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -36,16 +47,28 @@ from ..ml import TrainingJob, run_training_jobs
 from ..simulation import (BASELINE_CACHE, CampaignStoreError,
                           CampaignStoreWriter, TraceDataset, kfold_split,
                           plan_campaign, plan_fault_free, plan_fingerprint,
-                          replay_many, run_campaign, run_fault_free)
+                          replay_campaign, replay_many, run_campaign,
+                          run_fault_free)
 from ..simulation.store import manifest_path
 from .config import ExperimentConfig
 
 __all__ = ["PlatformData", "platform_data", "clear_cache",
-           "cawt_cv_replay", "baseline_monitors", "ml_baseline_jobs",
-           "ml_monitors", "train_test_split"]
+           "cawt_cv_replay", "baseline_monitors", "baseline_alerts",
+           "ml_baseline_jobs", "ml_monitors", "ml_test_alerts",
+           "train_test_split"]
 
-_DATA_CACHE: Dict[tuple, "PlatformData"] = {}
-_ML_CACHE: Dict[tuple, Dict[str, SafetyMonitor]] = {}
+#: name -> one read-only alert array per replayed trace
+Alerts = Dict[str, Tuple[np.ndarray, ...]]
+
+#: (grid, dataset_dir) -> {config: its PlatformData}; one grid's configs
+#: share the traces
+_DATA_CACHE: Dict[tuple, Dict[ExperimentConfig, "PlatformData"]] = {}
+#: ML key (see :func:`_ml_key`) -> (trained monitors, their fold-0 test
+#: alerts once replayed): dropped together, so retrained models are never
+#: scored with an earlier fit's alerts
+_ML_CACHE: Dict[tuple, Tuple[Dict[str, SafetyMonitor], Alerts]] = {}
+#: (grid, mpc_horizon) -> CAWOT/Guideline/MPC alerts over the campaign
+_BASELINE_ALERTS: Dict[tuple, Alerts] = {}
 
 
 @dataclass
@@ -55,7 +78,8 @@ class PlatformData:
     ``traces`` / ``fault_free`` are in-memory lists by default, or lazy
     :class:`~repro.simulation.store.TraceDataset` sequences when the config
     carries a ``dataset_dir`` — every consumer treats them uniformly as
-    sequences in (patient, scenario) plan order.
+    sequences in (patient, scenario) plan order.  ``config`` is the
+    config it was requested with; configs of one grid share the traces.
     """
 
     config: ExperimentConfig
@@ -98,13 +122,17 @@ def _ensure_store(directory: str, plan, folds: int,
             f"(fingerprint {dataset.fingerprint[:12]}..., expected "
             f"{expected[:12]}...); point dataset_dir elsewhere or remove "
             "the stale directory")
+    _check_folds(dataset, folds)
+    return dataset
+
+
+def _check_folds(dataset: TraceDataset, folds: int) -> None:
     if dataset.folds != folds:
         raise CampaignStoreError(
-            f"dataset at {directory} was written with "
+            f"dataset at {dataset.directory} was written with "
             f"folds={dataset.folds} but the config expects folds={folds}; "
             "its recorded fold keys would describe the wrong split — use "
             "a different dataset_dir or remove the stale directory")
-    return dataset
 
 
 def _store_backed_data(config: ExperimentConfig) -> PlatformData:
@@ -147,23 +175,48 @@ def _in_memory_data(config: ExperimentConfig) -> PlatformData:
 
 
 def platform_data(config: ExperimentConfig) -> PlatformData:
-    """Simulate (or fetch cached / stored) campaign data for *config*."""
-    key = config.cache_key() + (config.dataset_dir,)
-    if key in _DATA_CACHE:
-        return _DATA_CACHE[key]
-    if config.dataset_dir:
-        data = _store_backed_data(config)
-    else:
-        data = _in_memory_data(config)
-    _DATA_CACHE[key] = data
-    return data
+    """Simulate (or fetch cached / stored) campaign data for *config*.
+
+    The traces are memoised per grid (:meth:`ExperimentConfig.cache_key`
+    and ``dataset_dir``).  The returned data carries *config* itself, so
+    the ``folds``, ``mining_window`` and ``workers`` read downstream are
+    the caller's; an equal config gets the same object back.
+    """
+    grid = config.cache_key() + (config.dataset_dir,)
+    views = _DATA_CACHE.setdefault(grid, {})
+    if config not in views:
+        if views:
+            data = dataclasses.replace(next(iter(views.values())),
+                                       config=config)
+            if config.dataset_dir:
+                _check_folds(data.traces, config.folds)
+        elif config.dataset_dir:
+            data = _store_backed_data(config)
+        else:
+            data = _in_memory_data(config)
+        views[config] = data
+    return views[config]
 
 
 def clear_cache() -> None:
-    """Drop all cached simulations and models (tests / memory control)."""
+    """Drop all cached simulations, models and replayed alerts (tests /
+    memory control)."""
     _DATA_CACHE.clear()
     _ML_CACHE.clear()
+    _BASELINE_ALERTS.clear()
     BASELINE_CACHE.clear()
+
+
+def _frozen_replay(monitors: Mapping[str, SafetyMonitor], traces: Sequence,
+                   workers: int) -> Alerts:
+    """:func:`~repro.simulation.replay_campaign`, with every alert array
+    made read-only so the stages sharing one memoised replay cannot alter
+    it."""
+    alert_map = replay_campaign(monitors, traces, workers=workers)
+    for alerts in alert_map.values():
+        for seq in alerts:
+            seq.flags.writeable = False
+    return {name: tuple(alerts) for name, alerts in alert_map.items()}
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +271,19 @@ def baseline_monitors(config: ExperimentConfig) -> Dict[str, SafetyMonitor]:
     }
 
 
+def baseline_alerts(data: PlatformData) -> Alerts:
+    """CAWOT/Guideline/MPC alerts over the whole campaign (Table V, Fig. 9).
+
+    Replayed once per grid and ``mpc_horizon``, at ``config.workers``.
+    """
+    config = data.config
+    key = config.cache_key() + (config.mpc_horizon,)
+    if key not in _BASELINE_ALERTS:
+        _BASELINE_ALERTS[key] = _frozen_replay(
+            baseline_monitors(config), data.traces, config.workers)
+    return dict(_BASELINE_ALERTS[key])
+
+
 def train_test_split(data: PlatformData) -> Tuple[Sequence, Sequence]:
     """The fold-0 split of the campaign (used for ML training).
 
@@ -249,9 +315,17 @@ def ml_baseline_jobs(config: ExperimentConfig,
     ]
 
 
+def _ml_key(config: ExperimentConfig, multiclass: bool) -> tuple:
+    """Every config field :func:`ml_baseline_jobs` and the fold-0 split
+    read, plus the head type."""
+    return config.cache_key() + (config.folds, config.seed, config.ml_epochs,
+                                 config.lstm_window, multiclass)
+
+
 def ml_monitors(data: PlatformData,
                 multiclass: bool = False) -> Dict[str, SafetyMonitor]:
-    """Trained DT/MLP/LSTM monitors (cached per config and head type).
+    """Trained DT/MLP/LSTM monitors (cached per training config and head
+    type).
 
     The three fits run as a :func:`~repro.ml.run_training_jobs` fan-out:
     ``config.workers`` processes train concurrently with element-wise
@@ -260,9 +334,9 @@ def ml_monitors(data: PlatformData,
     memory-mapped next to the campaign shards (``.../ml/``) — built once,
     page-shared by every worker and every later invocation.
     """
-    key = data.config.cache_key() + (data.config.ml_epochs, multiclass)
+    key = _ml_key(data.config, multiclass)
     if key in _ML_CACHE:
-        return _ML_CACHE[key]
+        return _ML_CACHE[key][0]
     config = data.config
     mmap_root = None
     if config.dataset_dir:
@@ -272,5 +346,17 @@ def ml_monitors(data: PlatformData,
                                 data.traces, workers=config.workers,
                                 mmap_root=mmap_root)
     monitors = {t.name: t.monitor for t in trained}
-    _ML_CACHE[key] = monitors
+    _ML_CACHE[key] = (monitors, {})
     return monitors
+
+
+def ml_test_alerts(data: PlatformData, multiclass: bool = False) -> Alerts:
+    """:func:`ml_monitors`' alerts over the fold-0 test split (Table VI,
+    Fig. 9, the multi-class ablation), replayed once per fit at
+    ``config.workers``."""
+    monitors = ml_monitors(data, multiclass)
+    alerts = _ML_CACHE[_ml_key(data.config, multiclass)][1]
+    if not alerts:
+        _, test = train_test_split(data)
+        alerts.update(_frozen_replay(monitors, test, data.config.workers))
+    return dict(alerts)

@@ -6,21 +6,22 @@ reacts about two hours early with the lowest standard deviation; Guideline
 and MPC react late and erratically; ML monitors react early but with
 unstable spread and a slightly lower early-detection rate.
 
-``config.workers`` parallelises every expensive stage here: per-fold CAWT
-threshold fits (:func:`~repro.core.learn_fold_thresholds` inside
-``cawt_cv_replay``), the DT/MLP/LSTM training jobs behind ``ml_monitors``,
-and all monitor replay — each element-wise identical to its serial path.
+Only the CAWT cross-validation (per-fold threshold fits and replay, which
+``config.workers`` parallelises) runs here.  The other monitors' alerts
+are Table V's and Table VI's, memoised by
+:func:`~repro.experiments.data.baseline_alerts` and
+:func:`~repro.experiments.data.ml_test_alerts`; run alone, Fig. 9 replays
+and trains them itself through the same memos.
 """
 
 from __future__ import annotations
 
 from ..metrics import reaction_stats
-from ..simulation import replay_campaign
 from .config import ExperimentConfig
 from .data import (
-    baseline_monitors,
+    baseline_alerts,
     cawt_cv_replay,
-    ml_monitors,
+    ml_test_alerts,
     platform_data,
     train_test_split,
 )
@@ -44,16 +45,11 @@ def run_fig9(config: ExperimentConfig) -> ExperimentResult:
 
     eval_traces, alerts = cawt_cv_replay(data)
     add_row("CAWT", eval_traces, alerts)
-    baselines = baseline_monitors(config)
-    baseline_alerts = replay_campaign(baselines, data.traces,
-                                      workers=config.workers)
-    for name in baselines:
-        add_row(name, data.traces, baseline_alerts[name])
+    for name, alerts in baseline_alerts(data).items():
+        add_row(name, data.traces, alerts)
     _, test = train_test_split(data)
-    ml = ml_monitors(data)
-    ml_alerts = replay_campaign(ml, test, workers=config.workers)
-    for name in ml:
-        add_row(name, test, ml_alerts[name])
+    for name, alerts in ml_test_alerts(data).items():
+        add_row(name, test, alerts)
 
     result.notes.append(
         "paper: CAWT detects ~2 h before the hazard with the lowest std; "

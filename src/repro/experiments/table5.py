@@ -7,15 +7,16 @@ cross-validation (Section V-B).
 
 All monitor replay and threshold mining here run in lock-step batches
 (:mod:`repro.simulation.replay`) and scale with ``config.workers`` (forked
-pool) — a wall-clock knob with element-wise identical results.
+pool) — a wall-clock knob with element-wise identical results.  The
+baselines' alerts come from :func:`~repro.experiments.data.baseline_alerts`,
+replayed once and shared with Fig. 9.
 """
 
 from __future__ import annotations
 
 from ..metrics import traces_confusion
-from ..simulation import replay_campaign
 from .config import ExperimentConfig
-from .data import baseline_monitors, cawt_cv_replay, platform_data
+from .data import baseline_alerts, cawt_cv_replay, platform_data
 from .render import ExperimentResult
 
 __all__ = ["run_table5"]
@@ -45,12 +46,8 @@ def run_table5(config: ExperimentConfig) -> ExperimentResult:
 
     n_sim = len(data.traces)
     hazard_pct = 100.0 * data.hazard_fraction
-    monitors = baseline_monitors(config)
-    alert_map = replay_campaign(monitors, data.traces,
-                                workers=config.workers)
-    for name in monitors:
-        cm = traces_confusion(data.traces, alert_map[name],
-                              delta=config.tolerance)
+    for name, alerts in baseline_alerts(data).items():
+        cm = traces_confusion(data.traces, alerts, delta=config.tolerance)
         result.rows.append((name, n_sim, hazard_pct) + cm.as_row())
 
     eval_traces, alerts = cawt_cv_replay(data)

@@ -10,16 +10,19 @@ Every stage scales with ``config.workers``: the ML fits run as a
 :func:`~repro.experiments.data.ml_monitors`), replay over the shared
 forked pool, and CAWT threshold learning parallelises its sample mining —
 all with element-wise identical results to the serial path.  Replay and
-rule-context mining run in lock-step batches inside each worker.
+rule-context mining run in lock-step batches inside each worker.  The ML
+alerts come from :func:`~repro.experiments.data.ml_test_alerts`, replayed
+once per fit and shared with Fig. 9 and the multi-class ablation; only the
+CAWT monitors are replayed here.
 """
 
 from __future__ import annotations
 
 from ..core import cawt_monitor, learn_thresholds
 from ..metrics import simulation_confusion, traces_confusion
-from ..simulation import replay_campaign, replay_many
+from ..simulation import replay_many
 from .config import ExperimentConfig
-from .data import ml_monitors, platform_data, train_test_split
+from .data import ml_test_alerts, platform_data, train_test_split
 from .render import ExperimentResult
 
 __all__ = ["run_table6"]
@@ -54,10 +57,8 @@ def run_table6(config: ExperimentConfig) -> ExperimentResult:
         sm = simulation_confusion(eval_traces, alerts)
         result.rows.append((name,) + cm.as_row() + sm.as_row())
 
-    ml = ml_monitors(data)
-    ml_alerts = replay_campaign(ml, test, workers=config.workers)
-    for name in ml:
-        add_row(name, test, ml_alerts[name])
+    for name, alerts in ml_test_alerts(data).items():
+        add_row(name, test, alerts)
 
     # CAWT trained on the same training fold (patient-specific thresholds)
     alerts = []

@@ -3,11 +3,13 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
     ExperimentConfig,
     PRESETS,
+    clear_cache,
     loss_curves,
     platform_data,
     run_adversarial_ablation,
@@ -23,11 +25,34 @@ from repro.experiments import (
     run_table7,
     run_table8,
 )
+from repro.experiments.data import baseline_alerts, ml_monitors, ml_test_alerts
 
 
 @pytest.fixture(scope="module")
 def cfg():
     return ExperimentConfig.preset("smoke")
+
+
+@pytest.fixture
+def replayed(monkeypatch):
+    """Every monitor replayed while the test runs: ``replay_campaign`` is
+    spied at each ``repro`` module's binding of it, the experiment memos'
+    included (``replay_many`` calls it too)."""
+    import sys
+
+    from repro.simulation import replay
+    original = replay.replay_campaign
+    seen = []
+
+    def spy(monitors, *args, **kwargs):
+        seen.extend(dict(monitors).values())
+        return original(monitors, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") \
+                and getattr(module, "replay_campaign", None) is original:
+            monkeypatch.setattr(module, "replay_campaign", spy)
+    return seen
 
 
 class TestConfig:
@@ -59,6 +84,14 @@ class TestData:
         first = platform_data(cfg)
         second = platform_data(cfg)
         assert first is second
+
+    def test_platform_data_carries_callers_config(self, cfg):
+        first = platform_data(cfg)
+        other = dataclasses.replace(cfg, folds=3, mining_window=6, workers=2)
+        data = platform_data(other)
+        assert data.config == other
+        assert data.traces is first.traces
+        assert platform_data(dataclasses.replace(other)) is data
 
     def test_trace_partitions(self, cfg):
         data = platform_data(cfg)
@@ -160,6 +193,14 @@ class TestDatasetStore:
         disk_cfg = dataclasses.replace(cfg, dataset_dir=str(tmp_path))
         platform_data(disk_cfg)
         data_module._DATA_CACHE.clear()
+        stale = dataclasses.replace(disk_cfg, folds=disk_cfg.folds + 1)
+        with pytest.raises(CampaignStoreError, match="folds"):
+            platform_data(stale)
+
+    def test_folds_mismatch_on_cache_hit_is_an_error(self, cfg, tmp_path):
+        from repro.simulation import CampaignStoreError
+        disk_cfg = dataclasses.replace(cfg, dataset_dir=str(tmp_path))
+        platform_data(disk_cfg)
         stale = dataclasses.replace(disk_cfg, folds=disk_cfg.folds + 1)
         with pytest.raises(CampaignStoreError, match="folds"):
             platform_data(stale)
@@ -271,20 +312,113 @@ class TestWorkerParity:
     ``workers=4`` reproduce the serial Table VI/VIII metrics exactly —
     training jobs, per-fold threshold fits and replay included."""
 
-    def test_table6_metrics_identical_across_worker_counts(self, cfg):
+    def test_table6_metrics_identical_across_worker_counts(self, cfg,
+                                                           monkeypatch):
         import repro.experiments.data as data_module
         serial = run_table6(cfg)
         # drop the trained-monitor cache so the parallel run actually
         # retrains (simulated traces stay shared — they have their own
         # parity suite)
         data_module._ML_CACHE.clear()
+        fit_workers = []
+        train = data_module.run_training_jobs
+
+        def spy(*args, **kwargs):
+            fit_workers.append(kwargs["workers"])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(data_module, "run_training_jobs", spy)
         parallel = run_table6(dataclasses.replace(cfg, workers=4))
+        assert fit_workers == [4]  # the parity below compares two fits
         _assert_rows_identical(serial.rows, parallel.rows)
 
     def test_table8_metrics_identical_across_worker_counts(self, cfg):
         serial = run_table8(cfg)
         parallel = run_table8(dataclasses.replace(cfg, workers=4))
         _assert_rows_identical(serial.rows, parallel.rows)
+
+
+class TestMemoKeys:
+    """Each experiment memo answers only for the config fields its value
+    reads, whatever ran before it in the process."""
+
+    def test_seed_gets_its_own_models(self, cfg):
+        from repro.ml.training import monitor_state
+        seed0 = ml_monitors(platform_data(cfg))["MLP"]
+        seed1 = ml_monitors(platform_data(
+            dataclasses.replace(cfg, seed=1)))["MLP"]
+        assert seed1 is not seed0
+        assert any(not np.array_equal(a, b) for a, b in
+                   zip(monitor_state(seed0), monitor_state(seed1)))
+
+    def test_lstm_window_gets_its_own_lstm(self, cfg):
+        assert ml_monitors(platform_data(cfg))["LSTM"].k == cfg.lstm_window
+        other = dataclasses.replace(cfg, lstm_window=4)
+        assert ml_monitors(platform_data(other))["LSTM"].k == 4
+
+    def test_table5_rows_do_not_depend_on_earlier_configs(self, cfg):
+        three = dataclasses.replace(cfg, folds=3)
+        clear_cache()
+        run_table5(cfg)
+        after_two = run_table5(three).text()
+        clear_cache()
+        assert run_table5(three).text() == after_two
+
+
+class TestReplayMemo:
+    """Tables V/VI replay the shared monitor sets once; Fig. 9 and the
+    multi-class ablation reuse their alerts."""
+
+    def test_fig9_replays_no_baseline_or_ml_monitor(self, cfg, replayed):
+        run_table5(cfg)
+        run_table6(cfg)
+        del replayed[:]
+        run_fig9(cfg)
+        # only the CAWT cross-validation still replays
+        assert {m.name for m in replayed} == {"CAWT"}
+
+    def test_multiclass_replays_only_its_multiclass_head(self, cfg,
+                                                         replayed):
+        clear_cache()
+        run_table6(cfg)
+        del replayed[:]
+        run_multiclass_ablation(cfg)
+        multiclass = ml_monitors(platform_data(cfg), multiclass=True)
+        assert sorted(map(id, replayed)) == sorted(
+            map(id, multiclass.values()))
+
+    def test_text_same_as_after_clear_cache(self, cfg):
+        stages = (run_table5, run_table6, run_fig9, run_multiclass_ablation)
+        in_order = [stage(cfg).text() for stage in stages]
+        for stage, text in zip(stages, in_order):
+            clear_cache()
+            assert stage(cfg).text() == text, stage.__name__
+
+    def test_memoised_alerts_are_read_only(self, cfg):
+        data = platform_data(cfg)
+        for alert_map in (baseline_alerts(data), ml_test_alerts(data)):
+            for alerts in alert_map.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    alerts[0][0] = True
+
+    def test_clear_cache_forces_fresh_replay(self, cfg, replayed):
+        first = baseline_alerts(platform_data(cfg))
+        clear_cache()
+        del replayed[:]
+        second = baseline_alerts(platform_data(cfg))
+        assert {m.name for m in replayed} == {"CAWOT", "Guideline", "MPC"}
+        assert second["MPC"][0] is not first["MPC"][0]
+
+    def test_ml_cache_clear_forces_fresh_replay(self, cfg, replayed):
+        import repro.experiments.data as data_module
+        first = ml_test_alerts(platform_data(cfg))
+        data_module._ML_CACHE.clear()
+        del replayed[:]
+        second = ml_test_alerts(platform_data(cfg))
+        retrained = ml_monitors(platform_data(cfg))
+        assert sorted(map(id, replayed)) == sorted(
+            map(id, retrained.values()))
+        assert second["LSTM"][0] is not first["LSTM"][0]
 
 
 class TestSearchExperiment:
