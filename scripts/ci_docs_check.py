@@ -9,9 +9,9 @@ Three drift classes this catches on every push:
    pure-anchor links are skipped; a ``path#anchor`` link is checked for
    the file part.
 2. **Stale module references** — every backticked ``repro.*`` dotted
-   path mentioned in any ``docs/*.md`` page must resolve: the longest
-   importable module prefix is imported and any remaining components (a
-   class, function or attribute, e.g.
+   path mentioned in ``README.md`` or any ``docs/*.md`` page must
+   resolve: the longest importable module prefix is imported and any
+   remaining components (a class, function or attribute, e.g.
    ``repro.simulation.features.ContextBatch``) are resolved with
    ``getattr``.  Renaming or deleting a module or public name without
    updating the docs fails the job, which is what keeps them
@@ -106,11 +106,12 @@ def _resolve_dotted(path: str) -> None:
 
 def check_module_references() -> list:
     """Return resolution failures for every dotted `repro.*` path named by
-    a ``docs/*.md`` page."""
+    ``README.md`` or a ``docs/*.md`` page."""
     pages = doc_pages()
     if not pages:
         return ["docs/ has no markdown pages — the module-reference drift "
                 "check has nothing to verify"]
+    pages.insert(0, os.path.join(REPO_ROOT, "README.md"))
     problems = []
     n_total = 0
     for path in pages:

@@ -35,11 +35,7 @@ must agree element-wise — the live lock-step monitor/mitigator path of
 ``repro.simulation.vector``.  A tiny cross-entropy scenario-search
 budget (``repro.search``) must find at least one hazard on the ``ci``
 preset and return a seed-deterministic ``SearchResult`` across worker
-counts.  Last, the same grid is run as a 2-host distributed campaign
-(``repro.distributed``: subprocess range workers, one hard-killed
-mid-range and retried) and the merged dataset must be byte-identical to
-the single-box reference — manifest fingerprint, manifest bytes and
-element-wise traces.
+counts.
 
 Run:  python scripts/ci_smoke_parallel.py [workers]
 """
@@ -323,51 +319,6 @@ def main() -> int:
         return 1
     print(f"OK: scenario search ({search_ref.summary()}) seed-deterministic "
           f"at workers 1/{workers} (serial {t_search:.2f}s)")
-
-    # distributed smoke: the same ci grid through 2 subprocess range
-    # workers, with one worker hard-killed mid-range and retried — the
-    # merged dataset must carry the single-box fingerprint and manifest
-    # bytes and reproduce the serial traces element-wise (the
-    # distributed parity contract of repro.distributed)
-    from repro.distributed import FlakyLauncher, run_distributed_campaign
-    from repro.parallel import partition_ranges
-    ranges = partition_ranges(len(plan.runs), 2)
-    launcher = FlakyLauncher(crash_ranges={ranges[0]: 1})
-    with tempfile.TemporaryDirectory() as root:
-        ref_dir = os.path.join(root, "reference")
-        with CampaignStoreWriter(ref_dir, config.platform, config.n_steps,
-                                 folds=config.folds) as sink:
-            for trace in serial:
-                sink.write(trace)
-        start = time.perf_counter()
-        result = run_distributed_campaign(
-            plan, os.path.join(root, "merged"), n_hosts=2, launcher=launcher,
-            folds=config.folds)
-        t_dist = time.perf_counter() - start
-        if result.retries != 1:
-            print(f"FAIL: expected exactly 1 retry of the killed range, "
-                  f"coordinator recorded {result.retries}")
-            return 1
-        ref_manifest = open(os.path.join(ref_dir, "manifest.json"),
-                            "rb").read()
-        merged_manifest = open(os.path.join(result.out_dir, "manifest.json"),
-                               "rb").read()
-        if result.manifest["fingerprint"] != plan_fingerprint(plan) \
-                or merged_manifest != ref_manifest:
-            print("FAIL: merged manifest differs from the single-box "
-                  "reference (fingerprint or bytes)")
-            return 1
-        merged = TraceDataset.open(result.out_dir, cache_size=8)
-        bad = [i for i, (s, d) in enumerate(zip(serial, merged))
-               if not traces_identical(s, d)]
-        if len(merged) != n_expected or bad:
-            print(f"FAIL: merged distributed dataset diverges from serial "
-                  f"({len(bad)} trace(s), first at "
-                  f"{bad[0] if bad else '?'})")
-            return 1
-    print(f"OK: 2-host distributed campaign (1 injected worker kill + "
-          f"retry) merged byte-identical to the single-box reference "
-          f"({t_dist:.2f}s)")
     return 0
 
 

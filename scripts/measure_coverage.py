@@ -19,10 +19,9 @@ move the figure — new subsystems, large test batteries):
    no meaningful figure.
 2. Take the printed TOTAL percentage and subtract 1–2 points of head
    room — the stdlib tracer and coverage.py disagree slightly on
-   docstring/`` if TYPE_CHECKING``-style lines, and subprocess-heavy
-   tests (forked pool workers, ``python -m`` worker entrypoints) are
-   untraced under both tools, so the CI figure jitters around this
-   one.
+   docstring/`` if TYPE_CHECKING``-style lines, and forked pool
+   workers are untraced under both tools, so the CI figure jitters
+   around this one.
 3. Set ``--cov-fail-under`` in the ``coverage`` job of
    ``.github/workflows/ci.yml`` to that floored value.  Raise the
    floor when the measured figure rises; never lower it just to make a

@@ -44,7 +44,9 @@ def stacked_rows_exact(shape: Tuple[int, ...]) -> bool:
     NumPy evaluates a stack of single-row products as one BLAS gemv per
     row, the same call a one-row product makes, so this holds on every
     build measured so far.  A seeded probe runs on the first use of each
-    shape; the verdict is kept for the process.
+    shape, which is when a fitted model of that shape enters the process
+    (:meth:`_BaseClassifier._probe_blas`); the verdict is kept for the
+    process.
     """
     rng = np.random.default_rng(0)
     W = rng.standard_normal(shape)
@@ -164,6 +166,7 @@ class _BaseClassifier:
                     break
         for p, best in zip(params, best_weights):
             p[...] = best
+        self._probe_blas()
         return self
 
     # persistence --------------------------------------------------------
@@ -209,7 +212,26 @@ class _BaseClassifier:
                     f"parameter shape mismatch: saved {value.shape}, model "
                     f"expects {target.shape}")
             target[...] = value
+        self._probe_blas()
         return self
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._probe_blas()
+
+    def _probe_blas(self) -> None:
+        """Run :func:`stacked_rows_exact` for every weight shape now.
+
+        Called wherever fitted weights enter a process (:meth:`fit`,
+        :meth:`load_params`, unpickling), so the probe's transient
+        arrays -- about 1 MB for the LSTM -- are paid while the model
+        loads, not inside the first :meth:`predict_rows` call, which in
+        a serving process is the first tick.
+        """
+        for layer in self.layers:
+            for p in layer.params:
+                if p.ndim == 2:
+                    stacked_rows_exact(p.shape)
 
     # inference ----------------------------------------------------------
     def predict_proba(self, X) -> np.ndarray:

@@ -23,11 +23,9 @@ import os
 import threading
 import warnings
 from collections import deque
-from typing import (Any, Callable, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import Any, Callable, Iterable, Iterator, Optional
 
-__all__ = ["shard_indices", "partition_ranges", "ranges_defect",
-           "map_chunks", "resolve_workers", "LOCKSTEP_WIDTH",
+__all__ = ["map_chunks", "resolve_workers", "LOCKSTEP_WIDTH",
            "lockstep_width", "iter_equal_length_groups"]
 
 
@@ -89,68 +87,6 @@ def iter_equal_length_groups(items: Any) -> Iterator[list]:
         group.append(item)
     if group:
         yield group
-
-
-def shard_indices(n: int, n_chunks: int) -> List[range]:
-    """Cut ``range(n)`` into at most *n_chunks* contiguous index ranges.
-
-    Boundaries depend only on ``(n, n_chunks)``, so sharding is
-    deterministic; concatenating the ranges always reproduces ``range(n)``
-    and chunk sizes differ by at most one.
-    """
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    n_chunks = min(n_chunks, n) or 1
-    base, extra = divmod(n, n_chunks)
-    chunks: List[range] = []
-    start = 0
-    for i in range(n_chunks):
-        size = base + (1 if i < extra else 0)
-        chunks.append(range(start, start + size))
-        start += size
-    return chunks
-
-
-def partition_ranges(n: int, n_chunks: int) -> List[Tuple[int, int]]:
-    """:func:`shard_indices` as half-open ``(start, stop)`` tuples.
-
-    The wire format of the chunk protocol: a ``(start, stop)`` pair is
-    what crosses a process or host boundary (a distributed campaign
-    worker's command line), so it must be plain data, deterministic in
-    ``(n, n_chunks)`` alone, and independent of which host executes it —
-    retrying a range on another machine re-derives the identical work
-    slice.  Empty ranges are dropped, so ``n == 0`` partitions to ``[]``.
-    """
-    return [(r.start, r.stop) for r in shard_indices(n, n_chunks)
-            if len(r)]
-
-
-def ranges_defect(ranges: Iterable[Tuple[int, int]],
-                  n: int) -> Optional[str]:
-    """Explain how *ranges* fail to tile ``range(n)``; ``None`` if they do.
-
-    The shared acceptance rule of every range-merging consumer (the
-    distributed coordinator and the manifest merge): ranges must be
-    well-formed half-open slices of ``[0, n)``, mutually disjoint, and
-    covering.  Returns a human-readable defect description — naming the
-    first overlap or gap — or ``None`` when the ranges are a perfect
-    tiling.  Exact duplicates count as overlap; deduplicate first if
-    duplicates are legitimate (idempotent re-delivery).
-    """
-    spans = sorted((int(a), int(b)) for a, b in ranges)
-    for a, b in spans:
-        if not 0 <= a < b <= n:
-            return f"range [{a}, {b}) is not a well-formed slice of [0, {n})"
-    cursor = 0
-    for a, b in spans:
-        if a < cursor:
-            return f"ranges overlap on [{a}, {min(b, cursor)})"
-        if a > cursor:
-            return f"range [{cursor}, {a}) is missing"
-        cursor = b
-    if cursor != n:
-        return f"range [{cursor}, {n}) is missing"
-    return None
 
 
 #: fork-inherited state for pool workers — set immediately before the pool

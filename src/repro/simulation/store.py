@@ -32,6 +32,7 @@ import hashlib
 import json
 import os
 import zipfile
+import zlib
 from collections import OrderedDict
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
@@ -45,8 +46,7 @@ from .trace import SimulationTrace, trace_from_arrays, trace_to_arrays
 
 __all__ = [
     "SCHEMA_VERSION", "MANIFEST_NAME", "SHARD_FORMAT", "CampaignStoreError",
-    "campaign_fingerprint", "plan_fingerprint", "trace_entry",
-    "assign_folds", "write_manifest", "NpzDirectorySink",
+    "campaign_fingerprint", "plan_fingerprint", "NpzDirectorySink",
     "CampaignStoreWriter",
     "DatasetStats", "TraceDataset", "TraceDatasetView", "open_dataset",
     "manifest_path", "TraceTick", "iter_trace_ticks",
@@ -61,9 +61,9 @@ SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
-#: the one shard format, recorded in every manifest and partial manifest
-#: so that stores stay readable across code versions; a manifest naming
-#: any other format (such as an old uncompressed ``"npy"`` store) is refused
+#: the one shard format, recorded in every manifest so that stores stay
+#: readable across code versions; a manifest naming any other format (such
+#: as an old uncompressed ``"npy"`` store) is refused
 SHARD_FORMAT = "npz"
 
 #: default size of the lazy reader's LRU window (traces held in memory)
@@ -128,16 +128,16 @@ def _entry_cell(entry: Mapping) -> Cell:
 
 
 # ----------------------------------------------------------------------
-# manifest construction (shared by the writer and the distributed merge)
+# manifest construction
 # ----------------------------------------------------------------------
 
-def trace_entry(trace: SimulationTrace, file: str) -> dict:
+def _trace_entry(trace: SimulationTrace, file: str) -> dict:
     """The manifest entry recording *trace* stored at shard *file*.
 
-    ``fold`` starts unassigned (``None``); :func:`assign_folds` fills it
+    ``fold`` starts unassigned (``None``); :func:`_assign_folds` fills it
     in over the complete, plan-ordered entry list — fold identity depends
     on a trace's position among its patient's traces, which no single
-    shard (or distributed range worker) can know in isolation.
+    shard can know in isolation.
     """
     fault = None
     if trace.fault is not None:
@@ -151,7 +151,7 @@ def trace_entry(trace: SimulationTrace, file: str) -> dict:
             "fault": fault}
 
 
-def assign_folds(entries: List[dict], folds: Optional[int]) -> List[dict]:
+def _assign_folds(entries: List[dict], folds: Optional[int]) -> List[dict]:
     """Assign per-patient round-robin cross-validation folds in place.
 
     The same assignment :func:`~repro.simulation.batch.kfold_split`
@@ -170,17 +170,13 @@ def assign_folds(entries: List[dict], folds: Optional[int]) -> List[dict]:
     return entries
 
 
-def write_manifest(directory: str, platform: str, n_steps: int,
-                   folds: Optional[int], entries: List[dict]) -> dict:
+def _write_manifest(directory: str, platform: str, n_steps: int,
+                    folds: Optional[int], entries: List[dict]) -> None:
     """Finalise a campaign manifest over *entries*, atomically.
 
     Computes the fingerprint from the entry cells and writes
     ``manifest.json`` via write-then-rename, so a torn write never yields
-    a parsable manifest.  This is the single place a manifest's JSON is
-    produced — :class:`CampaignStoreWriter` and the distributed
-    :func:`~repro.distributed.merge_manifests` both call it, which is
-    what makes a merged multi-host dataset byte-identical to a
-    single-box write.  Returns the manifest document.
+    a parsable manifest.
     """
     fingerprint = campaign_fingerprint(
         platform, int(n_steps), (_entry_cell(e) for e in entries))
@@ -193,7 +189,6 @@ def write_manifest(directory: str, platform: str, n_steps: int,
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
     os.replace(tmp, manifest_path(directory))
-    return manifest
 
 
 # ----------------------------------------------------------------------
@@ -207,15 +202,12 @@ class NpzDirectorySink(TraceSink):
     :func:`~repro.simulation.trace.trace_to_arrays` payload: array channels
     stored as-is, identity metadata (platform, patient, label, dt and the
     fault spec fields) riding along as 0-d object-free entries.  The sink
-    records each shard's :func:`trace_entry` in :attr:`entries`; pair it
+    records each shard's manifest entry in :attr:`entries`; pair it
     with a manifest via :class:`CampaignStoreWriter` to get a reopenable
     on-disk dataset.
     """
 
-    def __init__(self, directory: str, index_offset: int = 0):
-        if index_offset < 0:
-            raise ValueError(
-                f"index_offset must be >= 0, got {index_offset}")
+    def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
         # old uncompressed .npy shards count too: leftovers of any format
@@ -228,11 +220,6 @@ class NpzDirectorySink(TraceSink):
                 f"{directory} already holds {len(stale)} trace file(s); "
                 "writing would intermix two campaigns — use a fresh "
                 "directory or remove them first")
-        #: shard numbering starts here — a distributed range worker
-        #: writing runs [start, stop) of one shared plan passes
-        #: ``index_offset=start`` so its shard names are *global* plan
-        #: indices and partial directories merge without renaming
-        self.index_offset = int(index_offset)
         self.n_written = 0
         #: one fold-unassigned manifest entry per written shard
         self.entries: List[dict] = []
@@ -242,11 +229,11 @@ class NpzDirectorySink(TraceSink):
         return f"trace_{index:09d}.{SHARD_FORMAT}"
 
     def write(self, trace: SimulationTrace) -> None:
-        name = self.shard_name(self.index_offset + self.n_written)
+        name = self.shard_name(self.n_written)
         np.savez_compressed(os.path.join(self.directory, name),
                             **trace_to_arrays(trace))
         self.n_written += 1
-        self.entries.append(trace_entry(trace, name))
+        self.entries.append(_trace_entry(trace, name))
 
 
 class CampaignStoreWriter(NpzDirectorySink):
@@ -314,8 +301,8 @@ class CampaignStoreWriter(NpzDirectorySink):
     def close(self) -> None:
         if self._closed:
             return
-        write_manifest(self.directory, self.platform, self.n_steps,
-                       self.folds, assign_folds(self.entries, self.folds))
+        _write_manifest(self.directory, self.platform, self.n_steps,
+                        self.folds, _assign_folds(self.entries, self.folds))
         self._closed = True
 
 
@@ -324,7 +311,7 @@ class CampaignStoreWriter(NpzDirectorySink):
 # ----------------------------------------------------------------------
 
 #: top-level manifest keys the reader needs, and the keys of every entry
-#: (those :func:`trace_entry` writes)
+#: (those :func:`_trace_entry` writes)
 _MANIFEST_KEYS = ("fingerprint", "platform", "n_steps", "traces")
 _ENTRY_KEYS = frozenset(("file", "patient_id", "label", "dt", "fold",
                          "fault"))
@@ -332,12 +319,16 @@ _ENTRY_KEYS = frozenset(("file", "patient_id", "label", "dt", "fold",
 
 def _manifest_defect(manifest: Mapping) -> Optional[str]:
     """Why *manifest* is not a well-formed campaign manifest (None if it
-    is): a required key missing, or a value of the wrong JSON type."""
+    is): a required key missing, a value of the wrong JSON type, or fold
+    keys other than the writer's assignment."""
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         return f"missing keys {missing}"
     if not isinstance(manifest["n_steps"], int):
         return "'n_steps' is not an integer"
+    folds = manifest.get("folds")
+    if folds is not None and (not isinstance(folds, int) or folds < 2):
+        return f"'folds' is {folds!r}, not null or an integer >= 2"
     if not isinstance(manifest["traces"], list):
         return "'traces' is not a list"
     for i, entry in enumerate(manifest["traces"]):
@@ -346,6 +337,17 @@ def _manifest_defect(manifest: Mapping) -> Optional[str]:
         if not _ENTRY_KEYS <= entry.keys():
             return (f"trace entry {i} is missing keys "
                     f"{sorted(_ENTRY_KEYS - entry.keys())}")
+        if not isinstance(entry["patient_id"], str):
+            return f"trace entry {i}'s 'patient_id' is not a string"
+    # the fingerprint does not cover the fold keys, so they are checked
+    # against the writer's assignment of the entries as listed
+    assigned = _assign_folds([{"patient_id": e["patient_id"], "fold": None}
+                              for e in manifest["traces"]], folds)
+    for i, (entry, expected) in enumerate(zip(manifest["traces"], assigned)):
+        if entry["fold"] != expected["fold"]:
+            return (f"trace entry {i} records fold {entry['fold']!r}, not "
+                    "the writer's per-patient round-robin fold "
+                    f"{expected['fold']!r}")
     return None
 
 
@@ -380,10 +382,10 @@ class TraceDataset(SequenceABC):
     a serial in-memory pass.
 
     Opening validates the manifest eagerly (structure, schema version,
-    shard format, fingerprint consistency); shard problems — missing
-    files, corrupted payloads, a shard whose identity or length disagrees
-    with its manifest entry — surface as :class:`CampaignStoreError` at
-    first access.
+    shard format, fold keys, fingerprint consistency); shard problems —
+    missing files, corrupted payloads, a shard whose identity or length
+    disagrees with its manifest entry — surface as
+    :class:`CampaignStoreError` at first access.
     """
 
     def __init__(self, directory: str, manifest: Mapping,
@@ -445,10 +447,12 @@ class TraceDataset(SequenceABC):
         if not os.path.exists(path):
             raise CampaignStoreError(
                 f"no campaign manifest at {path}; was the writer closed?")
+        # ValueError covers both ways damaged bytes fail to decode:
+        # json.JSONDecodeError and UnicodeDecodeError
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CampaignStoreError(
                 f"unreadable campaign manifest at {path}: {exc}") from exc
         return cls(directory, manifest, cache_size=cache_size)
@@ -482,14 +486,20 @@ class TraceDataset(SequenceABC):
         """Decode one self-describing npz shard and cross-check its whole
         recorded identity — platform, step count and every manifest-entry
         field but the fold — against the manifest."""
+        # besides the zip, npy and key errors, damaged bytes surface as a
+        # bad deflate stream (zlib.error), a short one (EOFError), a
+        # clobbered version or method field (NotImplementedError) or
+        # flag bits (RuntimeError "File ... is encrypted")
         try:
             with np.load(path) as payload:
                 trace = trace_from_arrays(payload)
-        except (zipfile.BadZipFile, OSError, ValueError, KeyError) as exc:
+        except (zipfile.BadZipFile, zlib.error, OSError, EOFError,
+                ValueError, KeyError, NotImplementedError,
+                RuntimeError) as exc:
             raise CampaignStoreError(
                 f"corrupted shard {entry['file']} (trace {index}) in "
                 f"{self.directory}: {exc}") from exc
-        recorded = trace_entry(trace, entry["file"])
+        recorded = _trace_entry(trace, entry["file"])
         if (trace.platform != self.platform or len(trace) != self.n_steps
                 or recorded != dict(entry, fold=None)):
             raise CampaignStoreError(

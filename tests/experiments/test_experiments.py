@@ -166,6 +166,23 @@ class TestDatasetStore:
         with pytest.raises(CampaignStoreError, match="different campaign"):
             platform_data(disk_cfg)
 
+    def test_store_identical_at_any_worker_count(self, cfg, tmp_path,
+                                                 set_lockstep_width):
+        """The one-box route for a big campaign, ``dataset_dir`` with
+        ``workers=N``, writes the same files at any worker count."""
+        set_lockstep_width(2)  # several chunks, so the pool forks
+        stores = {}
+        for workers in (1, 2):
+            root = tmp_path / f"workers{workers}"
+            platform_data(dataclasses.replace(cfg, dataset_dir=str(root),
+                                              workers=workers))
+            stores[workers] = {
+                path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+        assert len(stores[1]) == 2 + len(platform_data(cfg).traces) \
+            + len(platform_data(cfg).fault_free)
+        assert stores[2] == stores[1]
+
     def test_dataset_slug_distinguishes_grids(self, cfg):
         other = dataclasses.replace(cfg, stride=cfg.stride + 1)
         assert cfg.dataset_slug() != other.dataset_slug()

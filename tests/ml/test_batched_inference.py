@@ -9,6 +9,8 @@ definition of ``observe_batch``) on every window edge case, and resume
 its k-window from a crash-recovery snapshot.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,35 @@ class TestBlasGuard:
                   (64, 3)]
         assert all(nn_model.stacked_rows_exact(shape) for shape in shapes)
         assert nn_model.stacked_rows_exact.cache_info().misses == len(shapes)
+
+    @pytest.mark.parametrize("arrival", ("fit", "load_params", "unpickle"))
+    @pytest.mark.parametrize("kind", ("mlp", "lstm"))
+    def test_probe_runs_when_weights_arrive(self, request, kind, arrival):
+        """Fitting, rebuilding or unpickling a model probes its weight
+        shapes, so its first predict_rows -- in a serving process, the
+        first tick -- allocates no probe arrays."""
+        model = request.getfixturevalue(kind)
+        cls = type(model)
+        row_shape = (N_FEATURES,) if kind == "mlp" else (WINDOW, N_FEATURES)
+        shapes = {p.shape for layer in model.layers for p in layer.params
+                  if p.ndim == 2}
+        nn_model.stacked_rows_exact.cache_clear()
+        if arrival == "fit":
+            rng = np.random.default_rng(5)
+            arrived = cls(n_classes=model.n_classes, seed=0,
+                          max_epochs=1).fit(
+                rng.standard_normal((20, *row_shape)),
+                np.arange(20) % model.n_classes)
+        elif arrival == "load_params":
+            arrived = cls(n_classes=model.n_classes).load_params(
+                row_shape, model.export_params())
+        else:
+            arrived = pickle.loads(pickle.dumps(model))
+        assert nn_model.stacked_rows_exact.cache_info().currsize == len(
+            shapes)
+        misses = nn_model.stacked_rows_exact.cache_info().misses
+        arrived.predict_rows(_misaligned(3, row_shape, 1))
+        assert nn_model.stacked_rows_exact.cache_info().misses == misses
 
     @pytest.mark.parametrize("kind", ("mlp", "lstm"))
     def test_not_exact_runs_one_row_per_forward(self, request, monkeypatch,

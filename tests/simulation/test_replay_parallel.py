@@ -13,7 +13,7 @@ from repro.baselines import GuidelineMonitor
 from repro.core import (cawot_monitor, cawt_monitor, learn_thresholds,
                         mine_rule_samples)
 from repro.ml import context_features, trace_features
-from repro.parallel import map_chunks, resolve_workers, shard_indices
+from repro.parallel import map_chunks, resolve_workers
 from repro.simulation import (CampaignStoreWriter, TraceDataset,
                               iter_contexts, replay_campaign, replay_many,
                               replay_monitor, run_fault_free)
@@ -106,18 +106,6 @@ class TestLearnThresholdsParity:
 class TestForkMapChunks:
     """The one fan-out rule itself: ``map_chunks`` in-process and on the
     forked pool."""
-
-    def test_shard_indices_reassemble(self):
-        for n, k in ((0, 3), (1, 4), (17, 4), (10, 100)):
-            chunks = shard_indices(n, k)
-            flat = [i for chunk in chunks for i in chunk]
-            assert flat == list(range(n))
-            sizes = [len(c) for c in chunks]
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_shard_indices_invalid(self):
-        with pytest.raises(ValueError):
-            shard_indices(5, 0)
 
     def test_results_in_chunk_order(self):
         serial = [sum(range(lo, min(lo + 3, 20))) for lo in range(0, 20, 3)]

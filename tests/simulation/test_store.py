@@ -3,12 +3,15 @@
 Covers the acceptance properties of the store: lossless write/read
 roundtrip of every trace field, manifest/fingerprint integrity, explicit
 errors for corrupted / missing / shuffled shards and schema mismatches,
-and the bounded-memory guarantee of the lazy reader.
+typed errors for any damaged manifest or shard bytes, the same files at
+any worker count, and the bounded-memory guarantee of the lazy reader.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -20,17 +23,21 @@ from repro.ml import build_point_dataset, build_window_dataset
 from repro.simulation import (
     CampaignStoreError,
     CampaignStoreWriter,
+    NpzDirectorySink,
     TraceDataset,
     TraceDatasetView,
+    kfold_split,
     open_dataset,
     plan_campaign,
     plan_fingerprint,
     replay_campaign,
     run_campaign,
+    run_fault_free,
     trace_from_arrays,
     trace_to_arrays,
 )
-from repro.simulation.store import manifest_path
+from repro.simulation.store import iter_trace_ticks, manifest_path
+from tests.conftest import LOCKSTEP_WIDTHS
 
 
 @pytest.fixture()
@@ -57,7 +64,19 @@ def _without(mapping, key):
     return {k: v for k, v in mapping.items() if k != key}
 
 
-#: structurally broken manifests the reader must refuse with its typed error
+def _with_first_entry(manifest, entry):
+    return dict(manifest, traces=[entry] + manifest["traces"][1:])
+
+
+def _swap_first_folds(manifest):
+    first, second = manifest["traces"][:2]
+    return dict(manifest, traces=[dict(first, fold=second["fold"]),
+                                  dict(second, fold=first["fold"])]
+                + manifest["traces"][2:])
+
+
+#: broken or edited manifests the reader must refuse with its typed error
+#: (the store under test holds one patient's traces with folds=4)
 MALFORMED_MANIFESTS = {
     "list": lambda m: [m],
     "no-traces": lambda m: _without(m, "traces"),
@@ -71,6 +90,42 @@ MALFORMED_MANIFESTS = {
         m, traces=[_without(m["traces"][0], "patient_id")] + m["traces"][1:]),
     "entry-fault-without-fields": lambda m: dict(
         m, traces=[dict(m["traces"][0], fault={})] + m["traces"][1:]),
+    "n_steps-not-int": lambda m: dict(m, n_steps=str(m["n_steps"])),
+    "n_steps-edited": lambda m: dict(m, n_steps=m["n_steps"] + 1),
+    "platform-edited": lambda m: dict(m, platform="t1ds2013"),
+    "fingerprint-edited": lambda m: dict(m, fingerprint="0" * 64),
+    "entries-reversed": lambda m: dict(m, traces=m["traces"][::-1]),
+    "entries-dropped": lambda m: dict(m, traces=m["traces"][:-1],
+                                      n_traces=m["n_traces"] - 1),
+    "entry-not-object": lambda m: _with_first_entry(m, 0),
+    "entry-without-label": lambda m: _with_first_entry(
+        m, _without(m["traces"][0], "label")),
+    "entry-without-dt": lambda m: _with_first_entry(
+        m, _without(m["traces"][0], "dt")),
+    "entry-without-fold": lambda m: _with_first_entry(
+        m, _without(m["traces"][0], "fold")),
+    "entry-without-fault": lambda m: _with_first_entry(
+        m, _without(m["traces"][0], "fault")),
+    "entry-patient-not-string": lambda m: _with_first_entry(
+        m, dict(m["traces"][0], patient_id=["B"])),
+    "entry-dt-not-number": lambda m: _with_first_entry(
+        m, dict(m["traces"][0], dt="five")),
+    "entry-fault-edited": lambda m: _with_first_entry(
+        m, dict(m["traces"][0], fault=dict(
+            m["traces"][0]["fault"],
+            value=m["traces"][0]["fault"]["value"] + 1.0))),
+    # the fingerprint does not cover the fold keys; left unchecked, these
+    # open and then break or skew fold_split
+    "folds-not-int": lambda m: dict(m, folds=str(m["folds"])),
+    "folds-below-two": lambda m: dict(m, folds=1),
+    "folds-dropped": lambda m: dict(m, folds=None),
+    "entry-fold-out-of-range": lambda m: _with_first_entry(
+        m, dict(m["traces"][0], fold=7)),
+    "entry-fold-not-int": lambda m: _with_first_entry(
+        m, dict(m["traces"][0], fold="0")),
+    "entry-fold-dropped": lambda m: _with_first_entry(
+        m, dict(m["traces"][0], fold=None)),
+    "entry-folds-swapped": _swap_first_folds,
 }
 
 
@@ -85,6 +140,22 @@ class TestDatasetViewSubset:
         assert len(sub) == 3
         for got, want_index in zip(sub, (10, 13, 15)):
             assert_traces_equal(got, tiny_campaign_traces[want_index])
+
+    def test_slices_of_dataset_and_view(self, store_dir,
+                                        tiny_campaign_traces,
+                                        assert_traces_equal):
+        """Stepped and reversed slices select what the same slice of
+        the trace list selects, on the dataset and on a view."""
+        dataset = TraceDataset.open(store_dir)
+        view = dataset[10:30]
+        for got, want in ((dataset[::7], tiny_campaign_traces[::7]),
+                          (dataset[40:30:-3], tiny_campaign_traces[40:30:-3]),
+                          (view[1:12:5], tiny_campaign_traces[10:30][1:12:5]),
+                          (view[::-4], tiny_campaign_traces[10:30][::-4])):
+            assert isinstance(got, TraceDatasetView)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert_traces_equal(a, b)
 
 
 class TestTraceSerialization:
@@ -205,6 +276,44 @@ class TestWriter:
             CampaignStoreWriter(directory, TINY_PLATFORM,
                                 len(tiny_campaign_traces[0]))
 
+    def test_close_after_abort_writes_no_manifest(self, tmp_path,
+                                                  tiny_campaign_traces):
+        directory = str(tmp_path / "aborted")
+        writer = CampaignStoreWriter(directory, TINY_PLATFORM,
+                                     len(tiny_campaign_traces[0]))
+        writer.write(tiny_campaign_traces[0])
+        writer.abort()
+        writer.close()
+        assert not os.path.exists(manifest_path(directory))
+
+    def test_sink_refuses_leftover_npy_shards(self, tmp_path):
+        """Shards of the old uncompressed format count as leftovers too:
+        writing beside them would mix two campaigns."""
+        np.save(tmp_path / "trace_000000000.npy", np.zeros(3))
+        with pytest.raises(FileExistsError, match="intermix"):
+            NpzDirectorySink(str(tmp_path))
+
+    def test_sink_records_one_entry_per_shard(self, tmp_path,
+                                              tiny_campaign_traces):
+        """A standalone sink numbers its shards in write order and
+        records each one's identity, its fold left unassigned."""
+        traces = tiny_campaign_traces[:3]
+        sink = NpzDirectorySink(str(tmp_path))
+        for trace in traces:
+            sink.write(trace)
+        assert sink.n_written == len(traces)
+        assert sorted(os.listdir(tmp_path)) == [
+            entry["file"] for entry in sink.entries]
+        for i, (trace, entry) in enumerate(zip(traces, sink.entries)):
+            assert entry == {
+                "file": f"trace_{i:09d}.npz", "patient_id": trace.patient_id,
+                "label": trace.label, "dt": trace.dt, "fold": None,
+                "fault": {"kind": trace.fault.kind.value,
+                          "target": trace.fault.target.value,
+                          "start_step": trace.fault.start_step,
+                          "duration_steps": trace.fault.duration_steps,
+                          "value": trace.fault.value}}
+
 
 class TestRoundtrip:
     """Write a campaign through the store, read it back lazily, and assert
@@ -248,6 +357,16 @@ class TestRoundtrip:
 
     def test_open_dataset_alias(self, store_dir):
         assert len(open_dataset(store_dir)) > 0
+
+    def test_entry_is_a_copy(self, store_dir):
+        """Editing a returned entry cannot alter the dataset's index."""
+        dataset = TraceDataset.open(store_dir)
+        entry = dataset.entry(0)
+        entry["fold"] = 3
+        entry["patient_id"] = "Z"
+        assert dataset.entry(0)["fold"] == 0
+        assert dataset.indices(patient_id="Z") == []
+        assert 0 in dataset.indices(fold=0)
 
     def test_feeds_ml_dataset_builders_identically(self, store_dir,
                                                    tiny_campaign_traces):
@@ -353,6 +472,36 @@ class TestErrorPaths:
         with pytest.raises(CampaignStoreError, match="unreadable"):
             TraceDataset.open(store_dir)
 
+    def test_truncated_manifest(self, store_dir):
+        with open(manifest_path(store_dir), "rb") as fh:
+            data = fh.read()
+        with open(manifest_path(store_dir), "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        with pytest.raises(CampaignStoreError, match="unreadable"):
+            TraceDataset.open(store_dir)
+
+    def test_entry_naming_another_shard(self, store_dir):
+        """The fingerprint does not cover shard file names: an entry
+        pointed at a sibling's shard is caught by the shard's recorded
+        identity when it loads."""
+        def misalign(manifest):
+            manifest["traces"][0]["file"] = manifest["traces"][1]["file"]
+        rewrite_manifest(store_dir, misalign)
+        dataset = TraceDataset.open(store_dir)
+        dataset[1]
+        with pytest.raises(CampaignStoreError, match="manifest expects"):
+            dataset[0]
+
+    def test_manifest_not_utf8(self, store_dir):
+        """One 0xff byte, which no UTF-8 text holds, in the manifest."""
+        with open(manifest_path(store_dir), "rb") as fh:
+            data = bytearray(fh.read())
+        data[len(data) // 2] = 0xff
+        with open(manifest_path(store_dir), "wb") as fh:
+            fh.write(data)
+        with pytest.raises(CampaignStoreError, match="unreadable"):
+            TraceDataset.open(store_dir)
+
     def test_schema_version_mismatch(self, store_dir):
         rewrite_manifest(store_dir,
                          lambda m: m.update(schema_version=99))
@@ -436,3 +585,220 @@ class TestErrorPaths:
         os.rename(tmp, b)
         with pytest.raises(CampaignStoreError, match="manifest expects"):
             dataset[0]
+
+
+def damaged_copies(data, kind, n, seed):
+    """*n* seeded damaged copies of *data*: one-byte substitutions,
+    truncations, or runs of random bytes overwritten in place."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        pos = int(rng.integers(len(data)))
+        if kind == "substitute":
+            byte = (data[pos] + int(rng.integers(1, 256))) % 256
+            yield data[:pos] + bytes([byte]) + data[pos + 1:]
+        elif kind == "truncate":
+            yield data[:pos]
+        else:
+            run = rng.integers(0, 256, int(rng.integers(1, 65)),
+                               dtype=np.uint8).tobytes()
+            yield (data[:pos] + run + data[pos + len(run):])[:len(data)]
+
+
+DAMAGE_KINDS = ("substitute", "truncate", "overwrite")
+#: what the sweep damages; a fault-free shard has no fault members
+DAMAGE_TARGETS = ("manifest", "shard", "fault-free-shard")
+
+
+class TestDamagedBytes:
+    """The reader is the one check a campaign on disk passes: damaged
+    bytes either touch nothing it uses, so it returns the original
+    traces bit for bit, or raise :class:`CampaignStoreError` — never
+    another exception and never a different trace."""
+
+    @pytest.fixture(scope="class")
+    def small_stores(self, tmp_path_factory):
+        """40-step stores and their traces as written: a 2-trace campaign
+        and one fault-free run."""
+        root = tmp_path_factory.mktemp("damage")
+        stores = {}
+        for kind in ("campaign", "fault_free"):
+            directory = str(root / kind)
+            with CampaignStoreWriter(directory, TINY_PLATFORM, 40) as sink:
+                if kind == "campaign":
+                    run_campaign(TINY_PLATFORM, [TINY_PATIENT],
+                                 tiny_campaign_scenarios()[:2], n_steps=40,
+                                 sink=sink)
+                else:
+                    run_fault_free(TINY_PLATFORM, [TINY_PATIENT], (120.0,),
+                                   n_steps=40, cache=None, sink=sink)
+            stores[kind] = directory, list(TraceDataset.open(directory))
+        return stores
+
+    @pytest.mark.parametrize("target", ["shard", "manifest",
+                                        "fault-free-shard"])
+    @pytest.mark.parametrize("kind", DAMAGE_KINDS)
+    def test_damage_is_harmless_or_typed(self, tmp_path, small_stores, kind,
+                                         target, assert_traces_equal):
+        original, traces = small_stores[
+            "fault_free" if target == "fault-free-shard" else "campaign"]
+        directory = str(tmp_path / "campaign")
+        shutil.copytree(original, directory)
+        # a damaged shard is read alone; a damaged manifest reads them all
+        if target == "manifest":
+            path, indices = manifest_path(directory), range(len(traces))
+        else:
+            path, indices = os.path.join(
+                directory, TraceDataset.open(directory).entry(0)["file"]), [0]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        seed = (DAMAGE_KINDS.index(kind), DAMAGE_TARGETS.index(target))
+        for damaged in damaged_copies(data, kind, 200, seed):
+            with open(path, "wb") as fh:
+                fh.write(damaged)
+            try:
+                dataset = TraceDataset.open(directory)
+                loaded = [dataset[i] for i in indices]
+            except CampaignStoreError:
+                continue
+            assert len(dataset) == len(traces)
+            for got, i in zip(loaded, indices):
+                assert_traces_equal(got, traces[i])
+
+
+#: two patients per platform, so fold keys and shard order interleave
+#: patients
+STORE_PATIENTS = {"glucosym": ["A", "B"], "t1ds2013": ["P01", "P02"]}
+
+
+def write_store(directory, platform, kind="campaign", workers=1):
+    """Write a small two-patient store of *kind*, 20 steps a trace, and
+    return its files as ``{name: bytes}``."""
+    with CampaignStoreWriter(str(directory), platform, 20, folds=2) as sink:
+        if kind == "campaign":
+            run_campaign(platform, STORE_PATIENTS[platform],
+                         tiny_campaign_scenarios()[:3], n_steps=20,
+                         workers=workers, sink=sink)
+        else:
+            run_fault_free(platform, STORE_PATIENTS[platform],
+                           (100.0, 150.0, 200.0), n_steps=20,
+                           workers=workers, cache=None, sink=sink)
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestWorkerCount:
+    """A store is a function of its plan alone: the forked pool and every
+    lock-step width write the manifest and every shard byte for byte as
+    the in-process run at the default width does."""
+
+    @pytest.mark.parametrize("platform", sorted(STORE_PATIENTS))
+    @pytest.mark.parametrize("kind", ["campaign", "fault_free"])
+    def test_bytes_at_any_worker_count(
+            self, tmp_path, set_lockstep_width, kind, platform):
+        # width 2 cuts the plan into several chunks; map_chunks runs a
+        # plan of one chunk in-process, so the pool would never fork
+        set_lockstep_width(2)
+        stores = {workers: write_store(tmp_path / f"workers{workers}",
+                                       platform, kind, workers)
+                  for workers in (1, 2, 3)}
+        assert sorted(stores[1]) == ["manifest.json"] + [
+            f"trace_{i:09d}.npz" for i in range(6)]
+        for workers in (2, 3):
+            assert sorted(stores[workers]) == sorted(stores[1])
+            for name, data in stores[1].items():
+                assert stores[workers][name] == data, (workers, name)
+
+    @pytest.mark.parametrize("width", LOCKSTEP_WIDTHS)
+    def test_bytes_at_any_lockstep_width(
+            self, tmp_path, set_lockstep_width, width):
+        reference = write_store(tmp_path / "default", TINY_PLATFORM)
+        set_lockstep_width(width)
+        assert write_store(tmp_path / f"width{width}",
+                           TINY_PLATFORM) == reference
+
+
+class TestFolds:
+    def test_fold_split_matches_kfold_split_per_patient(self, tmp_path):
+        """Each patient's traces split as ``kfold_split`` splits that
+        patient's trace list, shards interleaving two patients."""
+        write_store(tmp_path / "store", TINY_PLATFORM)
+        dataset = TraceDataset.open(str(tmp_path / "store"))
+        assert dataset.folds == 2
+        for fold in range(2):
+            split = dataset.fold_split(fold)
+            for patient in STORE_PATIENTS[TINY_PLATFORM]:
+                own = [t for t in dataset if t.patient_id == patient]
+                for view, want in zip(split, kfold_split(own, 2, fold)):
+                    assert ([t.label for t in view if t.patient_id == patient]
+                            == [t.label for t in want])
+
+
+#: SHA-256 of the manifest :func:`write_store` writes for each platform's
+#: campaign.  A manifest holds no simulated values, so these bytes move
+#: only with the manifest layout, the fingerprint or the plan grid, and
+#: stores already on disk must stay readable: a change here comes with a
+#: SCHEMA_VERSION bump.
+PINNED_MANIFEST_SHA256 = {
+    "glucosym":
+        "81f0031edb405dbc9bec9f26f18c6d4a04158e10dca0fd085e2b3d4f654be4cf",
+    "t1ds2013":
+        "26fbc0c71b95f477f3b249f987c6c79edb4eeafcd849a1831ec22ca8a3d2d412",
+}
+
+#: the shard payload: every name :func:`trace_to_arrays` writes for a
+#: faulted trace, with its dtype kind and number of dimensions
+PINNED_SHARD_SCHEMA = {
+    **{name: ("f", 1) for name in (
+        "cgm", "cmd_bolus", "cmd_rate", "ctrl_bolus", "ctrl_rate",
+        "delivered_bolus", "delivered_rate", "final_bolus", "final_rate",
+        "iob", "iob_rate", "reading", "t", "true_bg")},
+    "action": ("i", 1), "alert": ("b", 1), "alert_hazard": ("i", 1),
+    "mitigated": ("b", 1),
+    "platform": ("U", 0), "patient_id": ("U", 0), "label": ("U", 0),
+    "dt": ("f", 0), "fault_kind": ("U", 0), "fault_target": ("U", 0),
+    "fault_start": ("i", 0), "fault_duration": ("i", 0),
+    "fault_value": ("f", 0),
+}
+
+
+class TestFormatPins:
+    """The on-disk format, pinned so that a store written by one code
+    version opens under the next."""
+
+    @pytest.mark.parametrize("platform", sorted(STORE_PATIENTS))
+    def test_manifest_bytes_pinned(self, tmp_path, platform):
+        files = write_store(tmp_path / "store", platform)
+        digest = hashlib.sha256(files["manifest.json"]).hexdigest()
+        assert digest == PINNED_MANIFEST_SHA256[platform]
+
+    @pytest.mark.parametrize("platform", sorted(STORE_PATIENTS))
+    def test_shard_schema_pinned(self, tmp_path, platform):
+        write_store(tmp_path / "store", platform)
+        with np.load(tmp_path / "store" / "trace_000000000.npz") as payload:
+            schema = {name: (payload[name].dtype.kind, payload[name].ndim)
+                      for name in payload.files}
+        assert schema == PINNED_SHARD_SCHEMA
+
+
+class TestTraceTicks:
+    def test_ticks_from_store_match_ticks_from_list(self, store_dir,
+                                                    tiny_campaign_traces):
+        """A store replays as the same tick stream as its traces held in
+        memory: tick ``s`` stacks every trace's step ``s``."""
+        dataset = TraceDataset.open(store_dir, cache_size=4)
+        traces = tiny_campaign_traces[:5]
+        stored = list(iter_trace_ticks(dataset[:5]))
+        assert len(stored) == len(traces[0])
+        for tick, want in zip(stored, iter_trace_ticks(traces)):
+            assert (tick.step, tick.t) == (want.step, want.t)
+            for field in ("cgm", "iob", "iob_rate", "rate", "bolus",
+                          "action"):
+                assert np.array_equal(getattr(tick, field),
+                                      getattr(want, field)), field
+        assert np.array_equal(stored[7].cgm,
+                              [trace.cgm[7] for trace in traces])
+
+    def test_ragged_lengths_rejected(self, tiny_campaign_traces,
+                                     tiny_fault_free_traces):
+        with pytest.raises(ValueError, match="one length"):
+            list(iter_trace_ticks([tiny_campaign_traces[0],
+                                   tiny_fault_free_traces[0]]))
