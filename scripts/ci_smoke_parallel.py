@@ -10,7 +10,9 @@ the campaign executor is built on.  The same
 traces are then streamed through a :class:`CampaignStoreWriter` into a
 temporary on-disk dataset, lazily reopened as a :class:`TraceDataset` and
 compared element-wise again (plus a plan-fingerprint check), so the
-write-once/replay-many store is covered by the same every-push smoke.
+write-once/replay-many store is covered by the same every-push smoke;
+every shard must also load through ``np.load`` into the arrays the
+store's own reader returned, so shards stay plain npz any numpy reads.
 The DT/MLP/LSTM :class:`TrainingJob` grid is trained serially and
 through the worker pool and the resulting monitors are compared parameter
 by parameter — the training-parity contract of ``repro.ml.training``.
@@ -61,7 +63,8 @@ from repro.serve.chaos import (crash_recovery_run, drive, fleet_ticks,
                                results_equal)
 from repro.simulation import (CampaignStoreWriter, TraceDataset,
                               plan_campaign, plan_fingerprint,
-                              replay_campaign, replay_monitor, run_campaign)
+                              replay_campaign, replay_monitor, run_campaign,
+                              trace_to_arrays)
 
 
 def traces_identical(a, b) -> bool:
@@ -80,6 +83,13 @@ def traces_identical(a, b) -> bool:
                 and value.tobytes() == other.tobytes()):
             return False
     return True
+
+
+def arrays_identical(a, b) -> bool:
+    """Same names, and each array the same dtype, shape and bytes."""
+    return a.keys() == b.keys() and all(
+        a[name].dtype == b[name].dtype and a[name].shape == b[name].shape
+        and a[name].tobytes() == b[name].tobytes() for name in a)
 
 
 def main() -> int:
@@ -146,6 +156,26 @@ def main() -> int:
         print(f"store: write {t_write:.2f}s, lazy reread {t_read:.2f}s, "
               f"max {dataset.stats.max_resident} traces resident — "
               f"all {n_expected} roundtripped identically")
+        # np.load must read every shard into what the store's reader
+        # returned: the shards stay plain npz
+        start = time.perf_counter()
+        stored = [trace_to_arrays(trace) for trace in TraceDataset.open(root)]
+        t_store = time.perf_counter() - start
+        start = time.perf_counter()
+        loaded = []
+        for i in range(len(dataset)):
+            with np.load(os.path.join(root, dataset.entry(i)["file"])) as npz:
+                loaded.append({name: npz[name] for name in npz.files})
+        t_np_load = time.perf_counter() - start
+        bad = [i for i, (s, n) in enumerate(zip(stored, loaded))
+               if not arrays_identical(s, n)]
+        if bad:
+            print(f"FAIL: np.load reads {len(bad)} shard(s) differently "
+                  f"from the store's reader; first at index {bad[0]}")
+            return 1
+        print(f"store: decode per shard {1e3 * t_store / n_expected:.2f} ms "
+              f"(store reader), {1e3 * t_np_load / n_expected:.2f} ms "
+              f"(np.load) — all {n_expected} shards read alike")
 
     # training parity: the TrainingJob fan-out must produce element-wise
     # identical monitors (every weight, every split) at any worker count

@@ -28,9 +28,14 @@ the campaign my config describes?" is a cheap equality check.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import io
 import json
+import math
 import os
+import stat
+import struct
 import zipfile
 import zlib
 from collections import OrderedDict
@@ -307,6 +312,113 @@ class CampaignStoreWriter(NpzDirectorySink):
 
 
 # ----------------------------------------------------------------------
+# shard reader
+# ----------------------------------------------------------------------
+
+#: a zip local file header: signature, 22 bytes the central directory
+#: also holds, then the lengths of the file name and the extra field
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+#: byte offset of the header text of an npy 1.0 and 2.0 member, and the
+#: format of its length field just before it
+_NPY_HEADER_TEXT = {b"\x01\x00": (10, "<H"), b"\x02\x00": (12, "<I")}
+
+
+@functools.lru_cache(maxsize=64)
+def _npy_layout(header: bytes) -> Tuple[Tuple[int, ...], bool, np.dtype]:
+    """``(shape, fortran_order, dtype)`` of one raw npy header (magic,
+    version, length field and text), parsed as ``np.load`` parses it.
+
+    Memoised on the bytes: a store's shards repeat a few dozen distinct
+    headers, so a campaign parses each once.
+    """
+    fh = io.BytesIO(header)
+    if np.lib.format.read_magic(fh) == (1, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    else:
+        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(fh)
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be loaded without pickle")
+    return shape, fortran_order, dtype
+
+
+def _npy_array(member: bytes) -> np.ndarray:
+    """The array one npy 1.0 or 2.0 member holds, owning its bytes."""
+    if member[6:8] not in _NPY_HEADER_TEXT:
+        raise ValueError("member is not an npy 1.0 or 2.0 array")
+    text_at, length_format = _NPY_HEADER_TEXT[member[6:8]]
+    start = text_at + struct.unpack_from(length_format, member, 8)[0]
+    shape, fortran_order, dtype = _npy_layout(member[:start])
+    count = math.prod(shape)
+    if len(member) - start != count * dtype.itemsize:
+        raise ValueError(f"npy payload holds {len(member) - start} bytes, "
+                         f"not the {count} x {dtype.itemsize} of {shape} "
+                         f"{dtype}")
+    # a copy, not a view: it drops the header and stays writable, as
+    # np.load's arrays are
+    array = np.frombuffer(member, dtype, count, start).copy()
+    if fortran_order:
+        return array.reshape(shape[::-1]).transpose()
+    return array.reshape(shape)
+
+
+def _read_shard(path: str) -> Dict[str, np.ndarray]:
+    """The arrays of the npz shard at *path*, as ``np.load`` returns them.
+
+    One read of the file: the member list comes from the zip's central
+    directory, and each member is sliced from the buffer, checked against
+    its local header and the directory's size and CRC-32, inflated and
+    parsed.  Anything else raises the zip, zlib, struct or ``ValueError``
+    that says what is wrong.
+    """
+    # a FIFO or device in a shard's place would block or never end
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"{path} is not a regular file")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        members = sorted(archive.infolist(), key=lambda m: m.header_offset)
+    arrays: Dict[str, np.ndarray] = {}
+    end = 0
+    for info in members:
+        name = info.filename
+        # members may not overlap, which bounds what one shard inflates to
+        if info.header_offset < end:
+            raise zipfile.BadZipFile(f"member {name!r} overlaps another")
+        signature, name_length, extra_length = _LOCAL_HEADER.unpack_from(
+            data, info.header_offset)
+        name_at = info.header_offset + _LOCAL_HEADER.size
+        encoded = info.orig_filename.encode(
+            "utf-8" if info.flag_bits & 0x800 else "cp437")
+        if (signature != b"PK\x03\x04"
+                or data[name_at:name_at + name_length] != encoded):
+            raise zipfile.BadZipFile(
+                f"local header of member {name!r} does not match the "
+                "central directory")
+        if info.flag_bits & 0x1:
+            raise zipfile.BadZipFile(f"member {name!r} is encrypted")
+        start = name_at + name_length + extra_length
+        end = start + info.compress_size
+        raw = data[start:end]
+        if info.compress_type == zipfile.ZIP_DEFLATED:
+            member = zlib.decompress(raw, -15)
+        elif info.compress_type == zipfile.ZIP_STORED:
+            member = raw
+        else:
+            raise zipfile.BadZipFile(
+                f"member {name!r} uses compression method "
+                f"{info.compress_type}")
+        if (len(raw) != info.compress_size or len(member) != info.file_size
+                or zlib.crc32(member) != info.CRC):
+            raise zipfile.BadZipFile(
+                f"member {name!r} does not match the size and CRC-32 the "
+                "central directory records")
+        if not name.endswith(".npy"):
+            raise ValueError(f"member {name!r} is not an .npy file")
+        arrays[name[:-4]] = _npy_array(member)
+    return arrays
+
+
+# ----------------------------------------------------------------------
 # lazy reader
 # ----------------------------------------------------------------------
 
@@ -339,6 +451,12 @@ def _manifest_defect(manifest: Mapping) -> Optional[str]:
                     f"{sorted(_ENTRY_KEYS - entry.keys())}")
         if not isinstance(entry["patient_id"], str):
             return f"trace entry {i}'s 'patient_id' is not a string"
+        # nor does the fingerprint cover shard names: one naming a path
+        # would load a shard from outside the store
+        file = entry["file"]
+        if (not isinstance(file, str) or os.path.basename(file) != file
+                or file in ("", os.curdir, os.pardir)):
+            return f"trace entry {i}'s 'file' {file!r} is not a bare file name"
     # the fingerprint does not cover the fold keys, so they are checked
     # against the writer's assignment of the entries as listed
     assigned = _assign_folds([{"patient_id": e["patient_id"], "fold": None}
@@ -487,15 +605,12 @@ class TraceDataset(SequenceABC):
         recorded identity — platform, step count and every manifest-entry
         field but the fold — against the manifest."""
         # besides the zip, npy and key errors, damaged bytes surface as a
-        # bad deflate stream (zlib.error), a short one (EOFError), a
-        # clobbered version or method field (NotImplementedError) or
-        # flag bits (RuntimeError "File ... is encrypted")
+        # bad deflate stream (zlib.error), an offset past the end
+        # (struct.error) or a clobbered version field (NotImplementedError)
         try:
-            with np.load(path) as payload:
-                trace = trace_from_arrays(payload)
-        except (zipfile.BadZipFile, zlib.error, OSError, EOFError,
-                ValueError, KeyError, NotImplementedError,
-                RuntimeError) as exc:
+            trace = trace_from_arrays(_read_shard(path))
+        except (zipfile.BadZipFile, zlib.error, struct.error, OSError,
+                ValueError, KeyError, NotImplementedError) as exc:
             raise CampaignStoreError(
                 f"corrupted shard {entry['file']} (trace {index}) in "
                 f"{self.directory}: {exc}") from exc

@@ -9,21 +9,33 @@ any worker count, and the bounded-memory guarantee of the lazy reader.
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
+import struct
+import tempfile
+import threading
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tiny_grid import (TINY_PATIENT, TINY_PLATFORM,
                        tiny_campaign_scenarios)
 from repro.core import cawot_monitor, learn_thresholds, mine_rule_samples
+from repro.fi import FaultKind, FaultSpec, FaultTarget
 from repro.ml import build_point_dataset, build_window_dataset
 from repro.simulation import (
     CampaignStoreError,
     CampaignStoreWriter,
     NpzDirectorySink,
+    SimulationTrace,
+    TRACE_COLUMN_DTYPES,
     TraceDataset,
     TraceDatasetView,
     kfold_split,
@@ -36,7 +48,7 @@ from repro.simulation import (
     trace_from_arrays,
     trace_to_arrays,
 )
-from repro.simulation.store import iter_trace_ticks, manifest_path
+from repro.simulation.store import _read_shard, iter_trace_ticks, manifest_path
 from tests.conftest import LOCKSTEP_WIDTHS
 
 
@@ -126,6 +138,19 @@ MALFORMED_MANIFESTS = {
     "entry-fold-dropped": lambda m: _with_first_entry(
         m, dict(m["traces"][0], fold=None)),
     "entry-folds-swapped": _swap_first_folds,
+    # the fingerprint does not cover shard names either; left unchecked,
+    # these open and then fail untyped or load a shard from outside the
+    # store (the test runs inside the store directory, which the last two
+    # name by a relative path through its parent and by an absolute path)
+    "entry-file-not-string": lambda m: _with_first_entry(
+        m, dict(m["traces"][0], file=5)),
+    "entry-file-outside-store": lambda m: _with_first_entry(
+        m, dict(m["traces"][0], file=os.path.join(
+            os.pardir, os.path.basename(os.getcwd()),
+            m["traces"][0]["file"]))),
+    "entry-file-absolute": lambda m: _with_first_entry(
+        m, dict(m["traces"][0],
+                file=os.path.abspath(m["traces"][0]["file"]))),
 }
 
 
@@ -446,7 +471,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("malform", list(MALFORMED_MANIFESTS.values()),
                              ids=list(MALFORMED_MANIFESTS))
-    def test_malformed_manifest(self, store_dir, malform):
+    def test_malformed_manifest(self, store_dir, malform, monkeypatch):
+        monkeypatch.chdir(store_dir)
         with open(manifest_path(store_dir)) as fh:
             manifest = json.load(fh)
         with open(manifest_path(store_dir), "w") as fh:
@@ -585,6 +611,34 @@ class TestErrorPaths:
         os.rename(tmp, b)
         with pytest.raises(CampaignStoreError, match="manifest expects"):
             dataset[0]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_in_a_shards_place(self, store_dir):
+        """Opening a FIFO blocks until a writer appears, so the reader
+        refuses it before opening it."""
+        dataset = TraceDataset.open(store_dir)
+        path = os.path.join(store_dir, dataset.entry(0)["file"])
+        os.remove(path)
+        os.mkfifo(path)
+        raised = []
+
+        def load():
+            try:
+                dataset[0]
+            except Exception as exc:
+                raised.append(exc)
+
+        reader = threading.Thread(target=load, daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        if reader.is_alive():
+            # a writer end releases the blocked open before failing
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join()
+            pytest.fail("reading a FIFO in a shard's place blocked")
+        assert len(raised) == 1
+        assert isinstance(raised[0], CampaignStoreError)
+        assert "not a regular file" in str(raised[0])
 
 
 def damaged_copies(data, kind, n, seed):
@@ -777,6 +831,215 @@ class TestFormatPins:
             schema = {name: (payload[name].dtype.kind, payload[name].ndim)
                       for name in payload.files}
         assert schema == PINNED_SHARD_SCHEMA
+
+
+def np_load_arrays(path):
+    with np.load(path) as payload:
+        return {name: payload[name] for name in payload.files}
+
+
+def assert_decodes_like_np_load(path):
+    """The store's reader returns the arrays ``np.load`` returns: the
+    same names, dtypes, shapes, flags and raw bytes."""
+    got, want = _read_shard(str(path)), np_load_arrays(path)
+    assert got.keys() == want.keys()
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype, name
+        assert got[name].shape == array.shape, name
+        assert got[name].flags.writeable == array.flags.writeable, name
+        assert got[name].flags.c_contiguous == array.flags.c_contiguous, name
+        assert got[name].tobytes() == array.tobytes(), name
+
+
+def npy_bytes(array, version=None):
+    fh = io.BytesIO()
+    np.lib.format.write_array(fh, array, version=version, allow_pickle=True)
+    return fh.getvalue()
+
+
+def crafted_zip(members, **override):
+    """A deflated zip of ``{name: bytes}`` without the zip64 extras
+    ``np.savez`` forces, built field by field so that *override* can
+    set, for the first member, the central directory's ``flags``,
+    ``crc`` or inflated ``size`` (as a zip64 extra past 32 bits), the
+    compression ``method`` both headers record, the ``local_name`` its
+    local header records, or list it ``twice``."""
+    body, directory, n_entries = b"", b"", 0
+    for i, (name, data) in enumerate(members.items()):
+        fields = override if i == 0 else {}
+        deflate = zlib.compressobj(6, zlib.DEFLATED, -15)
+        raw = deflate.compress(data) + deflate.flush()
+        flags, method = fields.get("flags", 0), fields.get("method", 8)
+        crc = fields.get("crc", zlib.crc32(data))
+        size = fields.get("size", len(data))
+        extra = b""
+        if size >= 0xFFFFFFFF:
+            extra, size = struct.pack("<HHQ", 1, 8, size), 0xFFFFFFFF
+        local_name = fields.get("local_name", name).encode()
+        offset = len(body)
+        body += struct.pack(
+            "<4s5H3L2H", b"PK\x03\x04", 20, flags, method, 0, 0,
+            zlib.crc32(data), len(raw), len(data), len(local_name),
+            0) + local_name + raw
+        entry = struct.pack(
+            "<4s6H3L5H2L", b"PK\x01\x02", 20, 20, flags, method, 0, 0, crc,
+            len(raw), size, len(name), len(extra), 0, 0, 0, 0,
+            offset) + name.encode() + extra
+        copies = 2 if fields.get("twice") else 1
+        directory += entry * copies
+        n_entries += copies
+    return body + directory + struct.pack(
+        "<4s4H2LH", b"PK\x05\x06", 0, 0, n_entries, n_entries,
+        len(directory), len(body), 0)
+
+
+#: channel values where a reader that re-encodes, casts or normalises
+#: would show: NaN, both zeros, both infinities and subnormals
+EDGE_FLOATS = st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324,
+                               -2.5e-310, 1.0]) | st.floats()
+NAMES = st.text(st.characters(exclude_categories=("Cs",),
+                              exclude_characters="\x00"),
+                min_size=1, max_size=8)
+
+
+@st.composite
+def store_traces(draw):
+    """1-3 traces of one platform and length, faulted or fault-free,
+    with any channel values and non-ASCII identities."""
+    platform = draw(st.sampled_from(sorted(STORE_PATIENTS)))
+    n_steps = draw(st.integers(1, 12))
+    faults = st.none() | st.builds(
+        FaultSpec, kind=st.sampled_from(FaultKind),
+        target=st.sampled_from(FaultTarget),
+        start_step=st.integers(0, 10 ** 6),
+        duration_steps=st.integers(1, 10 ** 6),
+        value=st.floats(0.0, 1e6))
+    traces = []
+    for _ in range(draw(st.integers(1, 3))):
+        channels = {
+            name: draw(hnp.arrays(dtype, n_steps, elements=EDGE_FLOATS)
+                       if dtype.kind == "f" else hnp.arrays(dtype, n_steps))
+            for name, dtype in TRACE_COLUMN_DTYPES.items()}
+        traces.append(SimulationTrace(
+            platform=platform, patient_id=draw(NAMES), label=draw(NAMES),
+            dt=draw(st.floats(0.1, 60.0)), fault=draw(faults), **channels))
+    return traces
+
+
+class TestReaderMatchesNpLoad:
+    """The store decodes its shards without ``np.load``, into the arrays
+    ``np.load`` gives: the shards stay plain npz that any numpy reads."""
+
+    @given(store_traces())
+    @settings(max_examples=30, deadline=None)
+    def test_written_shards_decode_like_np_load(self, traces):
+        with tempfile.TemporaryDirectory() as directory:
+            with CampaignStoreWriter(directory, traces[0].platform,
+                                     len(traces[0])) as sink:
+                for trace in traces:
+                    sink.write(trace)
+            dataset = TraceDataset.open(directory)
+            for i, trace in enumerate(traces):
+                assert_decodes_like_np_load(
+                    os.path.join(directory, dataset.entry(i)["file"]))
+                got = trace_to_arrays(dataset[i])
+                for name, array in trace_to_arrays(trace).items():
+                    assert got[name].dtype == array.dtype, name
+                    assert got[name].tobytes() == array.tobytes(), name
+
+    @pytest.fixture()
+    def shard_arrays(self, store_dir):
+        return np_load_arrays(os.path.join(
+            store_dir, TraceDataset.open(store_dir).entry(0)["file"]))
+
+    @pytest.mark.parametrize("variant", ["stored", "no-zip64", "npy-2.0",
+                                         "fortran-order"])
+    def test_archive_variants_decode_like_np_load(self, tmp_path,
+                                                  shard_arrays, variant):
+        path = tmp_path / "shard.npz"
+        if variant == "fortran-order":
+            shard_arrays["grid"] = np.asfortranarray(
+                np.arange(6.0).reshape(2, 3))
+        if variant == "stored":
+            np.savez(path, **shard_arrays)
+        else:
+            version = (2, 0) if variant == "npy-2.0" else None
+            path.write_bytes(crafted_zip({
+                name + ".npy": npy_bytes(array, version)
+                for name, array in shard_arrays.items()}))
+        assert_decodes_like_np_load(path)
+
+
+#: crafted shards the reader refuses, each a valid shard whose first
+#: member, ``cgm``, is written under the name given, holding the array
+#: given (None: its own), with these central-directory or local-header
+#: fields overridden; and what the refusal says
+CRAFTED_SHARDS = {
+    "object-dtype": ("cgm.npy", np.array(["B"], dtype=object), {},
+                     "object arrays"),
+    "local-header-names-another-member": (
+        "cgm.npy", None, dict(local_name="iob.npy"), "local header"),
+    "encrypted": ("cgm.npy", None, dict(flags=0x1), "encrypted"),
+    "bzip2": ("cgm.npy", None, dict(method=zipfile.ZIP_BZIP2),
+              "compression method"),
+    "crc-mismatch": ("cgm.npy", None, dict(crc=0), "CRC-32"),
+    "size-mismatch": ("cgm.npy", None, dict(size=1), "CRC-32"),
+    "size-2**63-1": ("cgm.npy", None, dict(size=2 ** 63 - 1), "CRC-32"),
+    "name-without-npy": ("cgm", None, {}, ".npy"),
+    # overlapping members could inflate one shard far past its size
+    "members-overlap": ("cgm.npy", None, dict(twice=True), "overlaps"),
+}
+
+
+class TestCraftedShards:
+    @pytest.mark.parametrize("craft", list(CRAFTED_SHARDS.values()),
+                             ids=list(CRAFTED_SHARDS))
+    def test_crafted_member_refused(self, store_dir, craft):
+        name, array, override, says = craft
+        dataset = TraceDataset.open(store_dir)
+        path = os.path.join(store_dir, dataset.entry(0)["file"])
+        arrays = np_load_arrays(path)
+        cgm = arrays.pop("cgm")
+        members = {name: npy_bytes(cgm if array is None else array)}
+        members.update((key + ".npy", npy_bytes(value))
+                       for key, value in arrays.items())
+        with open(path, "wb") as fh:
+            fh.write(crafted_zip(members, **override))
+        with pytest.raises(CampaignStoreError, match=says):
+            dataset[0]
+
+
+#: the committed stores: one per platform, each a 20-step faulted trace of
+#: one patient (the first tiny-grid scenario) and its fault-free run from
+#: 120 mg/dL, written with folds=2 by the writer of schema version 2
+COMMITTED_STORES = os.path.join(os.path.dirname(__file__), "data")
+
+
+def arrays_digest(arrays):
+    """SHA-256 over each array's name, dtype, shape and bytes, by name."""
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        array = arrays[name]
+        h.update(f"{name}:{array.dtype.str}:{array.shape}\n".encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+class TestCommittedStores:
+    """Stores written by an earlier build, and the digests of the arrays
+    ``np.load`` read from them then: every later reader must open them
+    and return those arrays."""
+
+    @pytest.mark.parametrize("platform", sorted(STORE_PATIENTS))
+    def test_committed_store_decodes_to_recorded_digests(self, platform):
+        with open(os.path.join(COMMITTED_STORES,
+                               "store_v2_digests.json")) as fh:
+            recorded = json.load(fh)[platform]
+        dataset = TraceDataset.open(os.path.join(COMMITTED_STORES,
+                                                 "store_v2", platform))
+        assert {dataset.entry(i)["file"]: arrays_digest(
+                    trace_to_arrays(trace))
+                for i, trace in enumerate(dataset)} == recorded
 
 
 class TestTraceTicks:
