@@ -31,13 +31,15 @@ tick boundaries and recovers it from snapshot + write-ahead journal
 (``repro.serve.chaos``): the stitched alert stream must be element-wise
 identical to the uninterrupted run — the crash-safety parity contract of
 ``repro.serve.persist``.  Then the *mitigated*
-closed loop (CAWOT monitor wired to the fixed Algorithm 1 strategy, the
-Table VII configuration) runs serially and on the worker pool, and both
-must agree element-wise — the live lock-step monitor/mitigator path of
-``repro.simulation.vector``.  A tiny cross-entropy scenario-search
-budget (``repro.search``) must find at least one hazard on the ``ci``
-preset and return a seed-deterministic ``SearchResult`` across worker
-counts.
+closed loop (the CAWOT and the MPC monitor, each wired to the fixed
+Algorithm 1 strategy, Table VII's configurations) runs serially and on
+the worker pool, and both must agree element-wise — the live lock-step
+monitor/mitigator path of ``repro.simulation.vector``; the first
+patient's MPC runs must also equal the single-run ``make_loop(...).run``,
+and the smoke prints the live MPC ticks' cost per column-cycle.  A tiny
+cross-entropy scenario-search budget (``repro.search``) must find at
+least one hazard on the ``ci`` preset and return a seed-deterministic
+``SearchResult`` across worker counts.
 
 Run:  python scripts/ci_smoke_parallel.py [workers]
 """
@@ -55,14 +57,14 @@ from repro.core import (FixedMitigator, cawot_monitor, cawt_monitor,
                         learn_thresholds)
 from repro.experiments import ExperimentConfig
 from repro.experiments.data import ml_baseline_jobs
-from repro.fi import CampaignConfig, generate_campaign
+from repro.fi import CampaignConfig, FaultInjector, generate_campaign
 from repro.ml import monitor_state, run_training_jobs
 from repro.search import CrossEntropySearch
 from repro.serve import MonitorService, replay_log
 from repro.serve.chaos import (crash_recovery_run, drive, fleet_ticks,
                                results_equal)
-from repro.simulation import (CampaignStoreWriter, TraceDataset,
-                              plan_campaign, plan_fingerprint,
+from repro.simulation import (CampaignStoreWriter, Scenario, TraceDataset,
+                              make_loop, plan_campaign, plan_fingerprint,
                               replay_campaign, replay_monitor, run_campaign,
                               trace_to_arrays)
 
@@ -290,35 +292,75 @@ def main() -> int:
           f"(100 users x 8 ticks, {t_chaos:.2f}s)")
 
     # mitigated parity: the live Table VII closed loop (monitor +
-    # mitigator inside the lock-step engine), serial vs the worker pool
-    mitigation_kwargs = dict(monitor_factory=lambda pid: cawot_monitor(),
+    # mitigator inside the lock-step engine), serial vs the worker pool,
+    # for CAWOT and for MPC, whose live ticks run the Python-float kernel;
+    # the serial MPC run times those ticks, and the first patient's MPC
+    # runs must also equal the single-run loop
+    class TimedMPC(MPCMonitor):
+        """MPCMonitor summing its live ticks' seconds and column-cycles."""
+        spent = [0.0, 0]
+
+        def observe_batch(self, batch, state=None):
+            start = time.perf_counter()
+            verdicts = super().observe_batch(batch, state=state)
+            TimedMPC.spent[0] += time.perf_counter() - start
+            TimedMPC.spent[1] += batch.shape[0] * batch.shape[1]
+            return verdicts
+
+    mitigated_monitors = {
+        "CAWOT": (lambda pid: cawot_monitor(), lambda pid: cawot_monitor()),
+        "MPC": (lambda pid: TimedMPC(horizon_steps=config.mpc_horizon),
+                lambda pid: MPCMonitor(horizon_steps=config.mpc_horizon)),
+    }
+    mitigated = {}
+    for name, (serial_factory, factory) in mitigated_monitors.items():
+        start = time.perf_counter()
+        mitigated[name] = mitigated_ref = run_campaign(
+            config.platform, config.patients, scenarios,
+            monitor_factory=serial_factory, mitigator=FixedMitigator(),
+            n_steps=config.n_steps)
+        t_mit_serial = time.perf_counter() - start
+        n_fired = sum(bool(trace.mitigated.any()) for trace in mitigated_ref)
+        if n_fired == 0:
+            print(f"FAIL: mitigated {name} reference campaign never fired "
+                  "the mitigator — the parity check would be vacuous")
+            return 1
+        start = time.perf_counter()
+        combo = run_campaign(config.platform, config.patients, scenarios,
+                             monitor_factory=factory,
                              mitigator=FixedMitigator(),
-                             n_steps=config.n_steps)
-    start = time.perf_counter()
-    mitigated_ref = run_campaign(config.platform, config.patients, scenarios,
-                                 **mitigation_kwargs)
-    t_mit_serial = time.perf_counter() - start
-    n_fired = sum(bool(trace.mitigated.any()) for trace in mitigated_ref)
-    if n_fired == 0:
-        print("FAIL: mitigated reference campaign never fired the "
-              "mitigator — the parity check would be vacuous")
-        return 1
-    start = time.perf_counter()
-    combo = run_campaign(config.platform, config.patients, scenarios,
-                         workers=workers, **mitigation_kwargs)
-    t_mit_parallel = time.perf_counter() - start
-    bad = [i for i, (s, v) in enumerate(zip(mitigated_ref, combo))
-           if not traces_identical(s, v)]
-    if len(combo) != n_expected or bad:
-        print(f"FAIL: mitigated campaign diverges from serial at "
-              f"workers={workers} ({len(bad)} trace(s), first at "
-              f"{bad[0] if bad else '?'})")
-        return 1
-    print(f"OK: mitigated closed loop (CAWOT + FixedMitigator, "
-          f"{n_fired}/{n_expected} traces corrected) element-wise identical "
-          f"at workers 1/{workers} "
-          f"(serial {t_mit_serial:.2f}s, {workers} workers "
-          f"{t_mit_parallel:.2f}s)")
+                             n_steps=config.n_steps, workers=workers)
+        t_mit_parallel = time.perf_counter() - start
+        bad = [i for i, (s, v) in enumerate(zip(mitigated_ref, combo))
+               if not traces_identical(s, v)]
+        if len(combo) != n_expected or bad:
+            print(f"FAIL: mitigated {name} campaign diverges from serial at "
+                  f"workers={workers} ({len(bad)} trace(s), first at "
+                  f"{bad[0] if bad else '?'})")
+            return 1
+        print(f"OK: mitigated closed loop ({name} + FixedMitigator, "
+              f"{n_fired}/{n_expected} traces corrected) element-wise "
+              f"identical at workers 1/{workers} "
+              f"(serial {t_mit_serial:.2f}s, {workers} workers "
+              f"{t_mit_parallel:.2f}s)")
+    seconds, column_cycles = TimedMPC.spent
+    first = config.patients[0]
+    loop = make_loop(config.platform, first,
+                     monitor=MPCMonitor(horizon_steps=config.mpc_horizon),
+                     mitigator=FixedMitigator())
+    for scenario, trace in zip(scenarios, mitigated["MPC"]):
+        loop.injector = FaultInjector(scenario.fault)
+        single = loop.run(Scenario(init_glucose=scenario.init_glucose,
+                                   n_steps=config.n_steps,
+                                   label=scenario.label))
+        if not traces_identical(single, trace):
+            print(f"FAIL: mitigated MPC run {scenario.label} of patient "
+                  f"{first} differs from make_loop(...).run")
+            return 1
+    print(f"OK: {len(scenarios)} mitigated MPC runs of patient {first} "
+          f"equal make_loop(...).run; live MPC ticks cost "
+          f"{seconds / column_cycles * 1e6:.1f} us per column-cycle "
+          f"({column_cycles} column-cycles, serial)")
 
     # scenario-search smoke: a tiny cross-entropy budget must still find a
     # hazard on the ci preset, and the SearchResult must be seed-

@@ -13,17 +13,29 @@ by the *commanded* insulin (the same IVP insulin chain), parameterised with
 population-average constants — deliberately not patient-specific, which is
 exactly the weakness the paper attributes to this baseline.
 
-The batched path (:meth:`MPCMonitor.observe_batch`) carries the insulin
-chain as per-column state vectors and Euler-integrates the population
-model for a whole replay batch at once; every arithmetic step transcribes
-the scalar :meth:`MPCMonitor._integrate` expression order (the ``max``
-clamps become ``np.where`` with the exact Python-``max`` tie semantics),
-so the predictions — and therefore the verdicts — are element-wise
-identical to the scalar loop.
+Each cycle rolls the model forward ``horizon_steps * dt`` minutes at
+1-minute Euler steps under the cycle's insulin, and advances the chain by
+``dt`` minutes under the same insulin.  The chain never reads BG, so that
+advance is exactly the first ``dt`` steps of the cycle's own rollout (the
+*prefix identity*; ``dt`` is a whole number of minutes and the horizon a
+whole number of cycles): one integration per column per cycle yields both.
+The arithmetic takes three call shapes, all bit-identical:
+
+* the scalar :meth:`MPCMonitor.observe` and any batch of at most
+  :data:`SCALAR_ROLLOUTS` column-cycles (a live tick of the lock-step
+  engine or of ``MonitorService``) run the one Python-float kernel,
+  :meth:`MPCMonitor._integrate`, cycle by cycle;
+* wider batches (offline replay) run in two numpy passes: pass one
+  advances only the insulin chain cycle by cycle, recording the chain
+  each cycle predicts from; pass two rolls every ``(cycle, column)``
+  prediction forward at once over flattened vectors.  Both transcribe the
+  kernel's expression order (the clamps become ``np.where`` with the
+  exact tie semantics of Python's ``max``).
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,12 +48,16 @@ from ..patients.base import UU_PER_UNIT
 
 __all__ = ["MPCMonitor"]
 
-#: up to this many horizon rollouts (a live tick of the lock-step engine
-#: or a small fleet) run through the scalar :meth:`MPCMonitor._integrate`
-#: on Python floats: a rollout step costs numpy ~20 calls whatever the
-#: width, which Python floats undercut below about 24 rollouts (measured
-#: on the ci-scale MPC-mitigated campaign, 2-vCPU Xeon)
-SCALAR_ROLLOUTS = 24
+#: batches of up to this many column-cycles run the Python-float kernel
+#: cycle by cycle; wider ones take the two numpy passes.  A numpy rollout
+#: step costs 19 calls whatever the width: a single-cycle batch cost
+#: ~2.8–3.0 ms at 16–96 columns over the 24-cycle horizon the experiments
+#: use, against ~40–46 µs per column for the kernel (rollout and chain
+#: advance together), and ~0.8 ms against ~15–17 µs over the default
+#: 6-cycle horizon.  They broke even at ~72 and ~56 columns (medians of
+#: 15 interleaved runs, 2-vCPU Xeon).  Multi-cycle batches favour the
+#: kernel further, since pass one adds numpy calls per cycle
+SCALAR_ROLLOUTS = 64
 
 
 class MPCMonitor(SafetyMonitor):
@@ -52,10 +68,13 @@ class MPCMonitor(SafetyMonitor):
     gezi, egp, si, ci, tau1, tau2, p2:
         Bergman/IVP population constants (defaults: Kanderian means).
     horizon_steps:
-        How many 5-minute steps to roll the model forward under the
-        commanded insulin before checking the range.
+        How many control cycles to roll the model forward under the
+        commanded insulin before checking the range (an integer >= 1).
     bg_low, bg_high:
         Alarm range (the guideline normal range).
+    dt:
+        The control period, a whole number of minutes >= 1 (the model
+        integrates at 1-minute steps).
     """
 
     name = "MPC"
@@ -65,8 +84,14 @@ class MPCMonitor(SafetyMonitor):
                  tau2: float = 47.0, p2: float = 0.0106,
                  horizon_steps: int = 6, bg_low: float = 70.0,
                  bg_high: float = 180.0, dt: float = 5.0):
-        if horizon_steps < 1:
-            raise ValueError(f"horizon_steps must be >= 1, got {horizon_steps}")
+        if (not isinstance(horizon_steps, numbers.Integral)
+                or isinstance(horizon_steps, bool) or horizon_steps < 1):
+            raise ValueError("horizon_steps must be an integer >= 1, "
+                             f"got {horizon_steps!r}")
+        if (not isinstance(dt, numbers.Real) or isinstance(dt, bool)
+                or not float(dt).is_integer() or dt < 1):
+            raise ValueError(
+                f"dt must be a whole number of minutes >= 1, got {dt!r}")
         if bg_low >= bg_high:
             raise ValueError("bg_low must be below bg_high")
         self.gezi = gezi
@@ -90,19 +115,37 @@ class MPCMonitor(SafetyMonitor):
         self._ip = 0.0
         self._ieff = None
 
-    def _integrate(self, isc, ip, ieff, bg, insulin_uu_min, minutes):
-        """Euler-integrate the population model for *minutes* at 1-min steps."""
-        steps = max(int(round(minutes)), 1)
-        for _ in range(steps):
-            d_isc = insulin_uu_min / (self.tau1 * self.ci) - isc / self.tau1
-            d_ip = (isc - ip) / self.tau2
-            d_ieff = -self.p2 * ieff + self.p2 * self.si * ip
-            d_bg = -(self.gezi + max(ieff, 0.0)) * bg + self.egp
-            isc += d_isc
-            ip += d_ip
-            ieff += d_ieff
-            bg = max(bg + d_bg, 1.0)
-        return isc, ip, ieff, bg
+    def _steps(self) -> Tuple[int, int]:
+        """The 1-minute Euler steps of one cycle's chain advance and of
+        its prediction horizon."""
+        return (max(int(round(self.dt)), 1),
+                max(int(round(self.horizon_steps * self.dt)), 1))
+
+    def _integrate(self, isc, ip, ieff, bg, insulin_uu_min):
+        """Roll one column forward over the horizon on Python floats.
+
+        Returns the predicted BG and the insulin chain ``(isc, ip, ieff)``
+        after the first ``dt`` minutes, the cycle's own chain advance.
+        Each step updates BG, then ``ieff``, ``ip`` and ``isc``, each from
+        the step's old values; ``c if x < c else x`` is Python's
+        ``max(x, c)``, ties, ``-0.0`` and NaN included.
+        """
+        tau1, tau2, gezi, egp = self.tau1, self.tau2, self.gezi, self.egp
+        infusion = insulin_uu_min / (tau1 * self.ci)
+        neg_p2 = -self.p2
+        p2_si = self.p2 * self.si
+        advance, horizon = self._steps()
+        chain = ()
+        for steps in (advance, horizon - advance):
+            for _ in range(steps):
+                bg += -(gezi + (0.0 if ieff < 0.0 else ieff)) * bg + egp
+                if bg < 1.0:
+                    bg = 1.0
+                ieff += neg_p2 * ieff + p2_si * ip
+                ip += (isc - ip) / tau2
+                isc += infusion - isc / tau1
+            chain = chain or (isc, ip, ieff)
+        return bg, chain
 
     def observe(self, ctx: ContextVector) -> MonitorVerdict:
         if self._ieff is None:
@@ -113,16 +156,10 @@ class MPCMonitor(SafetyMonitor):
             self._isc, self._ip, self._ieff = ip0, ip0, ieff0
 
         insulin_uu_min = (ctx.rate / 60.0 + ctx.bolus / self.dt) * UU_PER_UNIT
-        # roll the model forward under the commanded insulin
-        isc, ip, ieff, bg = self._isc, self._ip, self._ieff, ctx.bg
-        isc, ip, ieff, bg = self._integrate(isc, ip, ieff, bg,
-                                            insulin_uu_min,
-                                            self.horizon_steps * self.dt)
-        predicted = bg
-
-        # advance the internal state by one cycle (what actually got commanded)
-        self._isc, self._ip, self._ieff, _ = self._integrate(
-            self._isc, self._ip, self._ieff, ctx.bg, insulin_uu_min, self.dt)
+        # roll the model forward under the commanded insulin; dt minutes
+        # in, the rollout's chain is the cycle's advance
+        predicted, (self._isc, self._ip, self._ieff) = self._integrate(
+            self._isc, self._ip, self._ieff, ctx.bg, insulin_uu_min)
 
         if predicted < self.bg_low:
             return MonitorVerdict(alert=True, hazard=HazardType.H1,
@@ -132,26 +169,28 @@ class MPCMonitor(SafetyMonitor):
                                   triggered=("mpc-high",))
         return NO_ALERT
 
-    def _integrate_columns(self, isc, ip, ieff, bg, insulin_uu_min, minutes):
-        """:meth:`_integrate` over ``(B,)`` state vectors.
-
-        Identical expression order; ``max(x, c)`` (Python: ``c`` only when
-        ``c > x``) becomes ``np.where(x < c, c, x)``, which preserves the
-        tie behaviour exactly.
-        """
-        steps = max(int(round(minutes)), 1)
+    def _advance_chain(self, isc, ip, ieff, infusion, steps):
+        """The kernel's insulin-chain update over column vectors, for
+        *steps* minutes at the hoisted ``insulin / (tau1 * ci)``."""
+        tau1, tau2 = self.tau1, self.tau2
+        neg_p2 = -self.p2
+        p2_si = self.p2 * self.si
         for _ in range(steps):
-            d_isc = insulin_uu_min / (self.tau1 * self.ci) - isc / self.tau1
-            d_ip = (isc - ip) / self.tau2
-            d_ieff = -self.p2 * ieff + self.p2 * self.si * ip
+            isc, ip, ieff = (isc + (infusion - isc / tau1),
+                             ip + (isc - ip) / tau2,
+                             ieff + (neg_p2 * ieff + p2_si * ip))
+        return isc, ip, ieff
+
+    def _integrate_columns(self, isc, ip, ieff, bg, infusion, steps):
+        """The kernel's BG prediction over column vectors for *steps*
+        minutes; ``max(x, c)`` becomes ``np.where(x < c, c, x)``."""
+        gezi, egp = self.gezi, self.egp
+        for _ in range(steps):
             ieff_pos = np.where(ieff < 0.0, 0.0, ieff)
-            d_bg = -(self.gezi + ieff_pos) * bg + self.egp
-            isc = isc + d_isc
-            ip = ip + d_ip
-            ieff = ieff + d_ieff
-            bg_next = bg + d_bg
+            bg_next = bg + (-(gezi + ieff_pos) * bg + egp)
             bg = np.where(bg_next < 1.0, 1.0, bg_next)
-        return isc, ip, ieff, bg
+            isc, ip, ieff = self._advance_chain(isc, ip, ieff, infusion, 1)
+        return bg
 
     def init_state(self, n_cols: int) -> MonitorState:
         """The insulin chain per column, NaN until the column's first
@@ -161,19 +200,21 @@ class MPCMonitor(SafetyMonitor):
 
     def observe_batch(self, batch, state: Optional[MonitorState] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`observe` over a context batch, in two passes.
+        """Vectorized :meth:`observe`, leaving the advanced chain in
+        *state*.
 
         Columns whose chain is still unset (NaN) start at the steady
         state of the batch's first BG reading, as the scalar
-        :meth:`observe` does on its first cycle.  The one-cycle state
-        advance is inherently sequential, so pass one walks the time axis
-        recording per-cycle state snapshots and leaves the advanced chain
-        in *state*; the expensive horizon *predictions* are independent
-        across cycles, so pass two rolls them all forward at once over
-        flattened ``(n_steps * B,)`` vectors — elementwise arithmetic,
-        hence bit-identical to predicting cycle by cycle (a few rollouts
-        run through the scalar :meth:`_integrate` itself).  The monitor's
-        own scalar state is not touched.
+        :meth:`observe` does on its first cycle.  Up to
+        :data:`SCALAR_ROLLOUTS` column-cycles run :meth:`_integrate`
+        cycle by cycle.  Wider batches take two passes: the chain advance
+        is inherently sequential, so pass one walks the time axis
+        advancing the chain alone and recording the chain each cycle
+        predicts from; the horizon *predictions* are independent across
+        cycles, so pass two rolls them all forward at once over flattened
+        ``(n_steps * B,)`` vectors — elementwise arithmetic, hence
+        bit-identical to predicting cycle by cycle.  The monitor's own
+        scalar state is not touched.
         """
         n_steps, n_cols = batch.shape
         alerts = np.zeros((n_steps, n_cols), dtype=bool)
@@ -195,27 +236,33 @@ class MPCMonitor(SafetyMonitor):
         ieff = np.where(fresh, ieff0, state["ieff"])
         insulin_uu_min = (batch.rate / 60.0
                           + batch.bolus / self.dt) * UU_PER_UNIT
-        # pass one: advance the insulin chain cycle by cycle, snapshotting
-        # the pre-advance state the scalar observe() predicts from
-        isc_at = np.empty((n_steps, n_cols))
-        ip_at = np.empty((n_steps, n_cols))
-        ieff_at = np.empty((n_steps, n_cols))
-        for step in range(n_steps):
-            isc_at[step], ip_at[step], ieff_at[step] = isc, ip, ieff
-            isc, ip, ieff, _ = self._integrate_columns(
-                isc, ip, ieff, batch.bg[step], insulin_uu_min[step], self.dt)
-        state["isc"][:], state["ip"][:], state["ieff"][:] = isc, ip, ieff
-        # pass two: all (cycle, column) horizon rollouts in one flat batch
-        flat = (isc_at.ravel(), ip_at.ravel(), ieff_at.ravel(),
-                np.ascontiguousarray(batch.bg).ravel(), insulin_uu_min.ravel())
-        horizon = self.horizon_steps * self.dt
-        if flat[0].size > SCALAR_ROLLOUTS:
-            predicted = self._integrate_columns(*flat, horizon)[3]
+        if n_steps * n_cols <= SCALAR_ROLLOUTS:
+            isc, ip, ieff = isc.tolist(), ip.tolist(), ieff.tolist()
+            predicted = np.empty((n_steps, n_cols))
+            for step, (bgs, insulins) in enumerate(zip(
+                    batch.bg.tolist(), insulin_uu_min.tolist())):
+                for col in range(n_cols):
+                    (predicted[step, col],
+                     (isc[col], ip[col], ieff[col])) = self._integrate(
+                        isc[col], ip[col], ieff[col], bgs[col], insulins[col])
         else:
-            predicted = np.array([
-                self._integrate(*rollout, horizon)[3]
-                for rollout in zip(*(values.tolist() for values in flat))])
-        predicted = predicted.reshape(n_steps, n_cols)
+            advance, horizon = self._steps()
+            infusion = insulin_uu_min / (self.tau1 * self.ci)
+            # pass one: the chain alone, snapshotting the pre-advance
+            # chain each cycle predicts from
+            isc_at = np.empty((n_steps, n_cols))
+            ip_at = np.empty((n_steps, n_cols))
+            ieff_at = np.empty((n_steps, n_cols))
+            for step in range(n_steps):
+                isc_at[step], ip_at[step], ieff_at[step] = isc, ip, ieff
+                isc, ip, ieff = self._advance_chain(
+                    isc, ip, ieff, infusion[step], advance)
+            # pass two: all (cycle, column) horizon rollouts in one batch
+            predicted = self._integrate_columns(
+                isc_at.ravel(), ip_at.ravel(), ieff_at.ravel(),
+                np.ascontiguousarray(batch.bg).ravel(), infusion.ravel(),
+                horizon).reshape(n_steps, n_cols)
+        state["isc"][:], state["ip"][:], state["ieff"][:] = isc, ip, ieff
         low = predicted < self.bg_low
         high = predicted > self.bg_high
         alerts[:] = low | high

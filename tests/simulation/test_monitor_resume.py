@@ -3,9 +3,9 @@
 Every monitor kind steps column batches from an explicit per-column state
 (``init_state``).  Splitting a stream at any cycle and feeding both parts
 through one state must reproduce the one-shot ``observe_batch`` and the
-per-cycle ``replay_monitor`` reference element for element -- the
-property the live engine and the online service rely on when they step
-one cycle per call.
+per-cycle ``replay_monitor`` reference element for element, and leave
+the same state bytes -- the property the live engine and the online
+service rely on when they step one cycle per call.
 """
 
 import dataclasses
@@ -63,6 +63,24 @@ def _one_shot(monitor, traces, batch):
     return alerts, hazards
 
 
+def _one_shot_state(monitor, batch):
+    """The state one fresh-state call over the whole batch leaves."""
+    state = monitor.init_state(batch.shape[1])
+    monitor.observe_batch(batch, state=state)
+    return state
+
+
+def _assert_same_state(state, expected, where):
+    """Every numeric state entry holds *expected*'s bytes (the base
+    class's object array of clones is covered by the verdicts)."""
+    assert state.keys() == expected.keys(), where
+    for key, value in expected.items():
+        if value.dtype.kind in "biufc":
+            assert state[key].dtype == value.dtype, (where, key)
+            assert state[key].shape == value.shape, (where, key)
+            assert state[key].tobytes() == value.tobytes(), (where, key)
+
+
 def _mid_state(kind, monitor, state):
     """Whether *state* is one of the cut points the contract must cover:
     inside the LSTM's first k-1 cycles, mid Guideline excursion, before
@@ -83,6 +101,7 @@ def test_split_at_every_cut_resumes_exactly(monitors, streams, kind):
     traces, batch = streams
     monitor = monitors[kind]
     alerts, hazards = _one_shot(monitor, traces, batch)
+    final = _one_shot_state(monitor, batch)
     mid_cuts = []
     for cut in range(N_STEPS + 1):
         state = monitor.init_state(batch.shape[1])
@@ -95,6 +114,7 @@ def test_split_at_every_cut_resumes_exactly(monitors, streams, kind):
             np.concatenate([head[0], tail[0]]), alerts, f"cut {cut}")
         np.testing.assert_array_equal(
             np.concatenate([head[1], tail[1]]), hazards, f"cut {cut}")
+        _assert_same_state(state, final, f"cut {cut}")
     assert mid_cuts
 
 
@@ -112,6 +132,8 @@ def test_cycle_by_cycle_resumes_exactly(monitors, streams, kind):
         np.concatenate([step[0] for step in steps]), alerts)
     np.testing.assert_array_equal(
         np.concatenate([step[1] for step in steps]), hazards)
+    _assert_same_state(state, _one_shot_state(monitor, batch),
+                       "cycle by cycle")
 
 
 @pytest.mark.parametrize("kind", KINDS)

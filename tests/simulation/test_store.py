@@ -477,8 +477,11 @@ class TestErrorPaths:
             manifest = json.load(fh)
         with open(manifest_path(store_dir), "w") as fh:
             json.dump(malform(manifest), fh)
-        with pytest.raises(CampaignStoreError, match="manifest"):
-            TraceDataset.open(store_dir)[0]
+        # refused at open, by a message about the manifest itself: the
+        # store path is named after this test, so it must not count
+        with pytest.raises(CampaignStoreError) as refused:
+            TraceDataset.open(store_dir)
+        assert "manifest" in str(refused.value).replace(str(store_dir), "")
 
     def test_unknown_shard_format_rejected(self, store_dir):
         """An old uncompressed npy store is refused, not misread."""
