@@ -1,11 +1,13 @@
-"""Single-run reference loop vs lock-step campaign throughput (traces/sec).
+"""Lock-step campaign throughput (traces/sec) against batches of one.
 
 Runs the ``ci``-scale fault-injection grid (2 patients x 42 scenarios)
-through the single-run ``make_loop(...).run`` reference and through the
-lock-step engine at several ``LOCKSTEP_WIDTH`` values, reporting
-traces/sec for each.  A final test asserts that the engine's trace stream
-(at the default width) is element-wise identical to the reference one and
-— the acceptance bar for the engine — at least 3x faster.
+with every run alone in a lock-step batch of one (the reference) and
+through the lock-step engine at several ``LOCKSTEP_WIDTH`` values,
+reporting traces/sec for each.  A final test asserts that the engine's
+trace stream (at the default width) is element-wise identical to the
+reference one and — the acceptance bar for the engine — at least 5.7x
+faster (the former 3x bar over the retired single-run loop, times the
+measured width-1/single-run time ratio of 1.91 on this grid).
 
 Measured on the CI container (see docs/vectorized_engine.md for the
 current numbers); a 2-worker pool stacks on top, because each pool chunk
@@ -75,8 +77,8 @@ def test_vector_throughput(benchmark, monkeypatch, width):
 
 
 def test_vector_parity_and_speedup():
-    """The engine's output is element-wise identical to the reference loop
-    and at least 3x faster (the engine's acceptance bar)."""
+    """The engine's output is element-wise identical to the width-1
+    reference and at least 5.7x faster (the engine's acceptance bar)."""
     reference, t_reference = _timed(_reference)
     vector, t_vector = _timed(_run)
     _report("reference", t_reference)
@@ -84,8 +86,8 @@ def test_vector_parity_and_speedup():
     print(f"speedup: {t_reference / t_vector:.2f}x")
 
     _assert_identical(reference, vector)
-    assert t_reference / t_vector >= 3.0, (
-        f"expected >=3x lock-step speedup, got "
+    assert t_reference / t_vector >= 5.7, (
+        f"expected >=5.7x lock-step speedup, got "
         f"{t_reference / t_vector:.2f}x")
 
 

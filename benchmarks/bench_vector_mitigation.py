@@ -1,14 +1,16 @@
-"""Single-run reference vs lock-step *mitigated* closed-loop throughput.
+"""Lock-step *mitigated* closed-loop throughput against batches of one.
 
 Runs the ``ci``-scale campaign (2 patients x 42 scenarios x 150 cycles)
 with the CAWOT monitor wired to a mitigator — the paper's Table VII
-configuration — through the single-run ``make_loop(...).run`` reference
-and through the lock-step engine at several ``LOCKSTEP_WIDTH`` values,
-for both benchmarked strategy families (:class:`FixedMitigator`,
+configuration — with every run alone in a lock-step batch of one (the
+reference) and through the lock-step engine at several ``LOCKSTEP_WIDTH``
+values, for both benchmarked strategy families (:class:`FixedMitigator`,
 Algorithm 1's fixed dose, and the KnowSafe-style
 :class:`PredictiveMitigator`).  A final test asserts that the batched
 traces are element-wise identical to the reference run and — the
-acceptance bar for the mitigated batch path — at least 3x faster.
+acceptance bar for the mitigated batch path — at least 9.4x faster (the
+former 3x bar over the retired single-run loop, times the measured
+width-1/single-run time ratio of 3.13 on this grid).
 
 Run:  pytest benchmarks/bench_vector_mitigation.py --benchmark-only -s
 """
@@ -87,7 +89,8 @@ def test_both_families_batched(benchmark, family):
 
 def test_mitigation_parity_and_speedup():
     """Lock-step mitigated traces are element-wise identical to the
-    reference loop and at least 3x faster (the path's acceptance bar)."""
+    width-1 reference and at least 9.4x faster (the path's acceptance
+    bar)."""
     reference, t_reference = _reference()
     batched, t_batched = _timed(_run, FixedMitigator())
     _report("reference", t_reference)
@@ -101,8 +104,8 @@ def test_mitigation_parity_and_speedup():
                      "alert_hazard", "mitigated"):
             assert np.array_equal(getattr(s, name), getattr(v, name)), name
 
-    assert t_reference / t_batched >= 3.0, (
-        f"expected >=3x batched mitigation speedup, got "
+    assert t_reference / t_batched >= 9.4, (
+        f"expected >=9.4x batched mitigation speedup, got "
         f"{t_reference / t_batched:.2f}x")
 
 

@@ -14,9 +14,9 @@ import os
 
 import pytest
 
+import repro.parallel
 from repro.experiments import ExperimentConfig
-from repro.fi import FaultInjector
-from repro.simulation import Scenario, make_loop
+from repro.simulation import run_campaign
 
 SCALE = os.environ.get("REPRO_SCALE", "smoke")
 
@@ -39,18 +39,14 @@ def show(result) -> None:
 
 def reference_campaign(platform, patients, scenarios, n_steps,
                        monitor_factory=None, mitigator=None):
-    """The grid through the single-run ``make_loop(...).run``, one loop per
-    patient — the reference the lock-step engine is timed and checked
-    against (traces in ``run_campaign`` order)."""
-    traces = []
-    for pid in patients:
-        loop = make_loop(platform, pid, mitigator=mitigator,
-                         monitor=monitor_factory(pid) if monitor_factory
-                         else None)
-        for scenario in scenarios:
-            loop.injector = (FaultInjector(scenario.fault)
-                             if scenario.fault is not None else None)
-            traces.append(loop.run(Scenario(
-                init_glucose=scenario.init_glucose, n_steps=n_steps,
-                label=scenario.label)))
-    return traces
+    """The grid with every run alone in a lock-step batch of one
+    (``LOCKSTEP_WIDTH = 1``) — the reference the production width is timed
+    and checked against (traces in ``run_campaign`` order)."""
+    width = repro.parallel.LOCKSTEP_WIDTH
+    repro.parallel.LOCKSTEP_WIDTH = 1
+    try:
+        return run_campaign(platform, patients, scenarios,
+                            monitor_factory=monitor_factory,
+                            mitigator=mitigator, n_steps=n_steps)
+    finally:
+        repro.parallel.LOCKSTEP_WIDTH = width

@@ -12,14 +12,14 @@ import sys
 from repro.core import FixedMitigator, cawt_monitor, learn_thresholds
 from repro.fi import (
     CampaignConfig,
-    FaultInjector,
     FaultKind,
     FaultSpec,
     FaultTarget,
+    InjectionScenario,
     generate_campaign,
 )
 from repro.metrics import render_table
-from repro.simulation import Scenario, make_loop, run_campaign, run_fault_free
+from repro.simulation import run_campaign, run_fault_free
 
 ATTACKS = (
     ("max_rate", FaultSpec(FaultKind.MAX, FaultTarget.RATE, 20, 30)),
@@ -39,18 +39,15 @@ def main():
     fault_free = run_fault_free(platform, [patient], (80.0, 120.0, 200.0))
     thresholds = learn_thresholds(traces + fault_free).thresholds
 
+    attacks = [InjectionScenario(spec, init_glucose=140.0)
+               for _, spec in ATTACKS]
+    unprotected = run_campaign(platform, [patient], attacks)
+    protected = run_campaign(platform, [patient], attacks,
+                             monitor_factory=lambda pid: cawt_monitor(
+                                 thresholds),
+                             mitigator=FixedMitigator())
     rows = []
-    for name, spec in ATTACKS:
-        plain_loop = make_loop(platform, patient)
-        plain_loop.injector = FaultInjector(spec)
-        plain = plain_loop.run(Scenario(init_glucose=140.0))
-
-        guarded_loop = make_loop(platform, patient,
-                                 monitor=cawt_monitor(thresholds),
-                                 mitigator=FixedMitigator())
-        guarded_loop.injector = FaultInjector(spec)
-        guarded = guarded_loop.run(Scenario(init_glucose=140.0))
-
+    for (name, _), plain, guarded in zip(ATTACKS, unprotected, protected):
         rows.append((
             name,
             f"{plain.true_bg.min():.0f}-{plain.true_bg.max():.0f}",

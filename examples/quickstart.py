@@ -12,8 +12,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import FixedMitigator, cawot_monitor
-from repro.fi import FaultInjector, FaultKind, FaultSpec, FaultTarget
-from repro.simulation import Scenario, make_loop
+from repro.fi import FaultKind, FaultSpec, FaultTarget, InjectionScenario
+from repro.simulation import run_campaign, run_fault_free
 
 
 def sparkline(values, lo=40.0, hi=300.0, width=75):
@@ -38,20 +38,16 @@ def describe(tag, trace):
 
 
 def main():
-    scenario = Scenario(init_glucose=120.0)
-    attack = FaultSpec(kind=FaultKind.MAX, target=FaultTarget.RATE,
-                       start_step=20, duration_steps=30)
+    attack = [InjectionScenario(
+        FaultSpec(kind=FaultKind.MAX, target=FaultTarget.RATE,
+                  start_step=20, duration_steps=30), init_glucose=120.0)]
 
-    loop = make_loop("glucosym", "B")
-    describe("fault-free", loop.run(scenario))
-
-    loop.injector = FaultInjector(attack)
-    describe("max_rate attack", loop.run(scenario))
-
-    guarded = make_loop("glucosym", "B", monitor=cawot_monitor(),
-                        mitigator=FixedMitigator())
-    guarded.injector = FaultInjector(attack)
-    describe("attack + monitor", guarded.run(scenario))
+    describe("fault-free", run_fault_free("glucosym", ["B"], (120.0,))[0])
+    describe("max_rate attack", run_campaign("glucosym", ["B"], attack)[0])
+    guarded = run_campaign("glucosym", ["B"], attack,
+                           monitor_factory=lambda pid: cawot_monitor(),
+                           mitigator=FixedMitigator())
+    describe("attack + monitor", guarded[0])
 
 
 if __name__ == "__main__":

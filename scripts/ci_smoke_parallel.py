@@ -35,8 +35,9 @@ closed loop (the CAWOT and the MPC monitor, each wired to the fixed
 Algorithm 1 strategy, Table VII's configurations) runs serially and on
 the worker pool, and both must agree element-wise — the live lock-step
 monitor/mitigator path of ``repro.simulation.vector``; the first
-patient's MPC runs must also equal the single-run ``make_loop(...).run``,
-and the smoke prints the live MPC ticks' cost per column-cycle.  A tiny
+patient's MPC runs must also be identical when each runs alone in a
+lock-step batch of one (``LOCKSTEP_WIDTH = 1``), and the smoke prints the
+live MPC ticks' cost per column-cycle.  A tiny
 cross-entropy scenario-search budget (``repro.search``) must find at
 least one hazard on the ``ci`` preset and return a seed-deterministic
 ``SearchResult`` across worker counts.
@@ -52,19 +53,20 @@ import time
 
 import numpy as np
 
+import repro.parallel
 from repro.baselines import GuidelineMonitor, MPCMonitor
 from repro.core import (FixedMitigator, cawot_monitor, cawt_monitor,
                         learn_thresholds)
 from repro.experiments import ExperimentConfig
 from repro.experiments.data import ml_baseline_jobs
-from repro.fi import CampaignConfig, FaultInjector, generate_campaign
+from repro.fi import CampaignConfig, generate_campaign
 from repro.ml import monitor_state, run_training_jobs
 from repro.search import CrossEntropySearch
 from repro.serve import MonitorService, replay_log
 from repro.serve.chaos import (crash_recovery_run, drive, fleet_ticks,
                                results_equal)
-from repro.simulation import (CampaignStoreWriter, Scenario, TraceDataset,
-                              make_loop, plan_campaign, plan_fingerprint,
+from repro.simulation import (CampaignStoreWriter, TraceDataset,
+                              plan_campaign, plan_fingerprint,
                               replay_campaign, replay_monitor, run_campaign,
                               trace_to_arrays)
 
@@ -295,7 +297,7 @@ def main() -> int:
     # mitigator inside the lock-step engine), serial vs the worker pool,
     # for CAWOT and for MPC, whose live ticks run the Python-float kernel;
     # the serial MPC run times those ticks, and the first patient's MPC
-    # runs must also equal the single-run loop
+    # runs must also be identical at LOCKSTEP_WIDTH 1
     class TimedMPC(MPCMonitor):
         """MPCMonitor summing its live ticks' seconds and column-cycles."""
         spent = [0.0, 0]
@@ -345,20 +347,23 @@ def main() -> int:
               f"{t_mit_parallel:.2f}s)")
     seconds, column_cycles = TimedMPC.spent
     first = config.patients[0]
-    loop = make_loop(config.platform, first,
-                     monitor=MPCMonitor(horizon_steps=config.mpc_horizon),
-                     mitigator=FixedMitigator())
-    for scenario, trace in zip(scenarios, mitigated["MPC"]):
-        loop.injector = FaultInjector(scenario.fault)
-        single = loop.run(Scenario(init_glucose=scenario.init_glucose,
-                                   n_steps=config.n_steps,
-                                   label=scenario.label))
+    width = repro.parallel.LOCKSTEP_WIDTH
+    repro.parallel.LOCKSTEP_WIDTH = 1
+    try:
+        alone = run_campaign(
+            config.platform, [first], scenarios,
+            monitor_factory=lambda pid: MPCMonitor(
+                horizon_steps=config.mpc_horizon),
+            mitigator=FixedMitigator(), n_steps=config.n_steps)
+    finally:
+        repro.parallel.LOCKSTEP_WIDTH = width
+    for scenario, single, trace in zip(scenarios, alone, mitigated["MPC"]):
         if not traces_identical(single, trace):
             print(f"FAIL: mitigated MPC run {scenario.label} of patient "
-                  f"{first} differs from make_loop(...).run")
+                  f"{first} differs at LOCKSTEP_WIDTH 1 from width {width}")
             return 1
-    print(f"OK: {len(scenarios)} mitigated MPC runs of patient {first} "
-          f"equal make_loop(...).run; live MPC ticks cost "
+    print(f"OK: {len(alone)} mitigated MPC runs of patient {first} "
+          f"identical at LOCKSTEP_WIDTH 1 and {width}; live MPC ticks cost "
           f"{seconds / column_cycles * 1e6:.1f} us per column-cycle "
           f"({column_cycles} column-cycles, serial)")
 

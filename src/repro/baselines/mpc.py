@@ -35,6 +35,7 @@ The arithmetic takes three call shapes, all bit-identical:
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Optional, Tuple
 
@@ -58,6 +59,10 @@ __all__ = ["MPCMonitor"]
 #: 15 interleaved runs, 2-vCPU Xeon).  Multi-cycle batches favour the
 #: kernel further, since pass one adds numpy calls per cycle
 SCALAR_ROLLOUTS = 64
+
+#: a NaN chain would read as "column not started" (NaN state), so a
+#: non-finite input is refused rather than silently restarting a column
+_NON_FINITE = "MPCMonitor needs finite bg, rate and bolus inputs"
 
 
 class MPCMonitor(SafetyMonitor):
@@ -148,6 +153,9 @@ class MPCMonitor(SafetyMonitor):
         return bg, chain
 
     def observe(self, ctx: ContextVector) -> MonitorVerdict:
+        if not (math.isfinite(ctx.bg) and math.isfinite(ctx.rate)
+                and math.isfinite(ctx.bolus)):
+            raise ValueError(_NON_FINITE)
         if self._ieff is None:
             # initialise the insulin chain at the steady state that holds the
             # first observed BG (the monitor's best population-level guess)
@@ -221,6 +229,9 @@ class MPCMonitor(SafetyMonitor):
         hazards = np.zeros((n_steps, n_cols), dtype=int)
         if n_steps == 0:
             return alerts, hazards
+        if not (np.isfinite(batch.bg).all() and np.isfinite(batch.rate).all()
+                and np.isfinite(batch.bolus).all()):
+            raise ValueError(_NON_FINITE)
         if state is None:
             state = self.init_state(n_cols)
         # steady-state initialisation at the first reading, for the

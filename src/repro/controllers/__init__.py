@@ -1,22 +1,20 @@
-"""APS controllers: oref0-style OpenAPS port and Basal-Bolus protocol.
+"""APS controllers: oref0-style OpenAPS and the Basal-Bolus protocol.
 
-All controllers share the :class:`~repro.controllers.base.Controller`
-interface and classify their raw commands into the paper's four control
-actions u1..u4 (:class:`~repro.controllers.base.ControlAction`).
+Each controller holds one patient's tuning; the lock-step engine
+(:mod:`repro.simulation.vector`) runs their control laws over whole
+batches and classifies the commands into the paper's four control actions
+u1..u4 (:class:`~repro.controllers.base.ControlAction`).
 """
 
-from .base import ControlAction, Controller, ControllerDecision, classify_action
+from .base import ControlAction, Controller
 from .basal_bolus import BasalBolusController
-from .iob import InsulinActivityCurve, IOBCalculator
+from .iob import InsulinActivityCurve
 from .openaps import OpenAPSController
 
 __all__ = [
     "ControlAction",
     "Controller",
-    "ControllerDecision",
-    "classify_action",
     "BasalBolusController",
     "InsulinActivityCurve",
-    "IOBCalculator",
     "OpenAPSController",
 ]

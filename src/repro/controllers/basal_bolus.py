@@ -5,14 +5,14 @@ UVA-Padova T1DS2013 simulator: a fixed scheduled basal rate plus periodic
 correction boluses computed with the patient's correction factor
 (``(BG - target) / ISF``), with a refractory period between corrections, a
 reduced basal below a conservative threshold and a low-glucose suspend.
+The protocol runs over whole batches in the lock-step engine
+(``_BasalBolusBatch`` in :mod:`repro.simulation.vector`); this class holds
+one patient's tuning.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .base import Controller, ControllerDecision
-from .iob import InsulinActivityCurve, IOBCalculator
+from .base import Controller
 
 __all__ = ["BasalBolusController"]
 
@@ -47,7 +47,7 @@ class BasalBolusController(Controller):
                  reduce_threshold: float = 110.0,
                  suspend_threshold: float = 80.0,
                  max_bolus: float = 3.0, dia: float = 300.0, peak: float = 75.0):
-        super().__init__("basal-bolus", basal)
+        super().__init__("basal-bolus", basal, dia=dia, peak=peak)
         if isf <= 0:
             raise ValueError(f"ISF must be positive, got {isf}")
         if not suspend_threshold < reduce_threshold < correction_threshold:
@@ -61,53 +61,3 @@ class BasalBolusController(Controller):
         self.reduce_threshold = float(reduce_threshold)
         self.suspend_threshold = float(suspend_threshold)
         self.max_bolus = float(max_bolus)
-        self._iob_calc = IOBCalculator(InsulinActivityCurve(dia=dia, peak=peak),
-                                       basal_offset=basal)
-        self._last_correction: Optional[float] = None
-        self._last_iob = 0.0
-        self._cycle = 5.0
-
-    def decide(self, glucose: float, t: float) -> ControllerDecision:
-        if glucose <= 0:
-            raise ValueError(f"glucose reading must be positive, got {glucose}")
-        iob = self._internal_iob(self._iob_calc.iob(t))
-        iob_rate = (iob - self._last_iob) / self._cycle if t > 0 else 0.0
-
-        rate = self.scheduled_basal
-        bolus = 0.0
-        if glucose < self.suspend_threshold:
-            rate = 0.0
-        elif glucose < self.reduce_threshold:
-            rate = self.scheduled_basal / 2.0
-        elif glucose > self.correction_threshold and self._correction_due(t):
-            # correct down to target, discounting insulin already on board
-            bolus = (glucose - self.target) / self.isf - iob
-            bolus = min(max(bolus, 0.0), self.max_bolus)
-            if bolus > 0:
-                self._last_correction = t
-
-        decision = ControllerDecision(
-            basal=rate,
-            bolus=bolus,
-            action=self.classify(rate, bolus),
-            glucose=glucose,
-            iob=iob,
-            iob_rate=iob_rate,
-            info={"correction_due": float(self._correction_due(t))},
-        )
-        self._last_iob = iob
-        return decision
-
-    def _correction_due(self, t: float) -> bool:
-        return (self._last_correction is None
-                or t - self._last_correction >= self.correction_interval)
-
-    def notify_delivery(self, basal_u_h: float, bolus_u: float, t: float,
-                        duration: float) -> None:
-        self._cycle = duration
-        self._iob_calc.record(basal_u_h, bolus_u, t, duration)
-
-    def reset(self) -> None:
-        self._iob_calc.reset()
-        self._last_correction = None
-        self._last_iob = 0.0

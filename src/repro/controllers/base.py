@@ -6,20 +6,20 @@ four discrete control actions (Table I of the paper)::
     u1 = decrease_insulin    u2 = increase_insulin
     u3 = stop_insulin        u4 = keep_insulin
 
-relative to the patient's scheduled basal rate.  Controllers return a
-:class:`ControllerDecision` carrying both the raw command (basal rate +
-bolus) and bookkeeping values (IOB, its rate of change) that monitors consume
-as context channels.
+relative to the patient's scheduled basal rate (within
+:data:`ACTION_TOLERANCE`; a bolus always counts as an increase).  The
+controllers here hold a patient's tuning; the lock-step engine
+(:mod:`repro.simulation.vector`) reads it into per-row columns and runs
+the control laws and the action classification over whole batches.
 """
 
 from __future__ import annotations
 
-import abc
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
 
-__all__ = ["ControlAction", "ControllerDecision", "Controller", "classify_action"]
+from .iob import InsulinActivityCurve
+
+__all__ = ["ControlAction", "Controller"]
 
 #: rate difference (U/h) below which a command counts as "keep"
 ACTION_TOLERANCE = 0.01
@@ -44,91 +44,22 @@ class ControlAction(enum.IntEnum):
         return tuple(a.channel for a in cls)
 
 
-def classify_action(rate_u_h: float, bolus_u: float, reference_u_h: float,
-                    tolerance: float = ACTION_TOLERANCE) -> ControlAction:
-    """Classify a raw command against the scheduled basal *reference*.
-
-    A bolus always counts as increasing insulin; a zero rate without bolus is
-    a stop; otherwise the rate is compared to the reference basal.
-    """
-    if bolus_u > 0:
-        return ControlAction.INCREASE
-    if rate_u_h <= tolerance:
-        return ControlAction.STOP
-    if rate_u_h < reference_u_h - tolerance:
-        return ControlAction.DECREASE
-    if rate_u_h > reference_u_h + tolerance:
-        return ControlAction.INCREASE
-    return ControlAction.KEEP
-
-
-@dataclass
-class ControllerDecision:
-    """One control-cycle output of an APS controller.
+class Controller:
+    """An APS controller's tuning for one patient.
 
     Attributes
     ----------
-    basal:
-        Commanded basal rate (U/h) for the next cycle.
-    bolus:
-        Commanded bolus (U) for this cycle.
-    action:
-        Discrete classification of the command (u1..u4).
-    glucose:
-        The glucose reading the decision was based on (mg/dL) — possibly
-        corrupted by fault injection.
-    iob:
-        Controller's insulin-on-board estimate (U) at decision time.
-    iob_rate:
-        Estimated dIOB/dt (U/min).
-    info:
-        Free-form diagnostic values (controller-specific).
+    scheduled_basal:
+        The profile basal rate (U/h): the reference of the action
+        classification and the offset of the net IOB.
+    curve:
+        The insulin activity curve behind the controller's IOB.
     """
 
-    basal: float
-    bolus: float
-    action: ControlAction
-    glucose: float
-    iob: float
-    iob_rate: float
-    info: Dict[str, float] = field(default_factory=dict)
-
-
-class Controller(abc.ABC):
-    """Abstract APS controller operating on CGM readings.
-
-    The closed loop calls :meth:`decide` once per control cycle with the CGM
-    reading; the controller updates its internal bookkeeping (delivery
-    history, IOB) via :meth:`notify_delivery` after the pump executes the
-    (possibly monitor-corrected) command.
-    """
-
-    def __init__(self, name: str, scheduled_basal: float):
+    def __init__(self, name: str, scheduled_basal: float, dia: float = 300.0,
+                 peak: float = 75.0):
         if scheduled_basal < 0:
             raise ValueError(f"scheduled basal must be >= 0, got {scheduled_basal}")
         self.name = name
         self.scheduled_basal = float(scheduled_basal)
-        #: fault-injection hook on the controller's internal IOB estimate
-        #: (set by the simulation loop; None in normal operation)
-        self.iob_tamper: "Optional[Callable[[float], float]]" = None
-
-    def _internal_iob(self, iob: float) -> float:
-        """The controller's IOB estimate, possibly corrupted by injected
-        faults on internal state (Section IV-C1 threat model)."""
-        return self.iob_tamper(iob) if self.iob_tamper is not None else iob
-
-    @abc.abstractmethod
-    def decide(self, glucose: float, t: float) -> ControllerDecision:
-        """Compute the command for the cycle starting at time *t* minutes."""
-
-    @abc.abstractmethod
-    def notify_delivery(self, basal_u_h: float, bolus_u: float, t: float,
-                        duration: float) -> None:
-        """Record what the pump actually delivered over ``[t, t+duration)``."""
-
-    @abc.abstractmethod
-    def reset(self) -> None:
-        """Clear history for a fresh simulation."""
-
-    def classify(self, rate_u_h: float, bolus_u: float = 0.0) -> ControlAction:
-        return classify_action(rate_u_h, bolus_u, self.scheduled_basal)
+        self.curve = InsulinActivityCurve(dia=dia, peak=peak)

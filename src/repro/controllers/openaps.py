@@ -18,15 +18,16 @@ This port keeps the decision structure of ``oref0/lib/determine-basal``:
   high-temp when above, with ``max_basal``/``max_iob`` safety caps.
 
 Profile-management, autosens and CGM-cleaning plumbing of the JavaScript
-implementation are out of scope (DESIGN.md §3).
+implementation are out of scope (DESIGN.md §3).  The law itself runs over
+whole batches in the lock-step engine (``_OpenAPSBatch`` in
+:mod:`repro.simulation.vector`); this class holds one patient's tuning.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .base import Controller, ControllerDecision
-from .iob import InsulinActivityCurve, IOBCalculator
+from .base import Controller
 
 __all__ = ["OpenAPSController"]
 
@@ -58,7 +59,7 @@ class OpenAPSController(Controller):
                  max_basal: Optional[float] = None, max_iob: float = 10.0,
                  suspend_threshold: float = 70.0, dia: float = 300.0,
                  peak: float = 75.0):
-        super().__init__("openaps", basal)
+        super().__init__("openaps", basal, dia=dia, peak=peak)
         if isf <= 0:
             raise ValueError(f"ISF must be positive, got {isf}")
         if target <= 0:
@@ -68,82 +69,3 @@ class OpenAPSController(Controller):
         self.max_basal = float(max_basal) if max_basal is not None else 4.0 * basal
         self.max_iob = float(max_iob)
         self.suspend_threshold = float(suspend_threshold)
-        self._iob_calc = IOBCalculator(InsulinActivityCurve(dia=dia, peak=peak),
-                                       basal_offset=basal)
-        self._last_glucose: Optional[float] = None
-        self._last_iob = 0.0
-        self._cycle = 5.0  # minutes, set from notify_delivery
-
-    # ------------------------------------------------------------------
-    # control law
-    # ------------------------------------------------------------------
-    def decide(self, glucose: float, t: float) -> ControllerDecision:
-        if glucose <= 0:
-            raise ValueError(f"glucose reading must be positive, got {glucose}")
-        iob = self._internal_iob(self._iob_calc.iob(t))
-        activity = self._iob_calc.activity(t)
-        iob_rate = (iob - self._last_iob) / self._cycle if t > 0 else 0.0
-
-        delta = 0.0 if self._last_glucose is None else glucose - self._last_glucose
-        bgi = -activity * self.isf * self._cycle
-        deviation = (30.0 / self._cycle) * (delta - bgi)
-        eventual_bg = glucose - iob * self.isf + deviation
-        naive_eventual = glucose - iob * self.isf
-
-        rate = self._temp_basal(glucose, eventual_bg, naive_eventual, iob)
-
-        decision = ControllerDecision(
-            basal=rate,
-            bolus=0.0,
-            action=self.classify(rate),
-            glucose=glucose,
-            iob=iob,
-            iob_rate=iob_rate,
-            info={
-                "eventual_bg": eventual_bg,
-                "naive_eventual_bg": naive_eventual,
-                "deviation": deviation,
-                "bgi": bgi,
-                "activity": activity,
-                "delta": delta,
-            },
-        )
-        self._last_glucose = glucose
-        self._last_iob = iob
-        return decision
-
-    def _temp_basal(self, glucose: float, eventual_bg: float,
-                    naive_eventual: float, iob: float) -> float:
-        """Core determine-basal rate selection."""
-        # low-glucose suspend: hard zero temp
-        if glucose < self.suspend_threshold:
-            return 0.0
-        if eventual_bg < self.target:
-            # low temp: remove the projected surplus over the next hour —
-            # cutting insulin is safe, so the low side reacts at full gain
-            insulin_req = (eventual_bg - self.target) / self.isf  # negative units
-            rate = self.scheduled_basal + insulin_req
-            # if both projections are very low, stop outright
-            if naive_eventual < self.suspend_threshold:
-                return 0.0
-            return max(rate, 0.0)
-        # eventual BG at/above target: spread the correction over two hours
-        # (half gain) to stay stable against the body's insulin-action lag
-        insulin_req = (eventual_bg - self.target) / self.isf  # positive units
-        if iob + insulin_req > self.max_iob:
-            insulin_req = max(self.max_iob - iob, 0.0)
-        rate = self.scheduled_basal + insulin_req * (60.0 / 120.0)
-        return min(max(rate, 0.0), self.max_basal)
-
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-    def notify_delivery(self, basal_u_h: float, bolus_u: float, t: float,
-                        duration: float) -> None:
-        self._cycle = duration
-        self._iob_calc.record(basal_u_h, bolus_u, t, duration)
-
-    def reset(self) -> None:
-        self._iob_calc.reset()
-        self._last_glucose = None
-        self._last_iob = 0.0

@@ -4,7 +4,7 @@ The monitor infers a multi-dimensional *context* from the controller's
 input-output interface: the paper's transformations
 ``mu(x_t) = (BG, dBG/dt, IOB, dIOB/dt)`` plus the commanded insulin action.
 :class:`ContextVector` is that inference for one control cycle; it is
-produced by the closed loop (:mod:`repro.simulation.loop`) and consumed by
+produced by the closed loop (:mod:`repro.simulation.vector`) and consumed by
 every monitor implementation.
 """
 

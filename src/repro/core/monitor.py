@@ -93,8 +93,8 @@ class SafetyMonitor(abc.ABC):
         """An independent reset copy of this monitor.
 
         The default — a :func:`copy.deepcopy` followed by :meth:`reset` —
-        is exactly the scalar loop's run-start semantics; the default
-        :meth:`init_state` holds one clone per column.
+        is a fresh run's starting state; the default :meth:`init_state`
+        holds one clone per column.
         """
         clone = copy.deepcopy(self)
         clone.reset()

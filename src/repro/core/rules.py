@@ -24,8 +24,8 @@ rule  context  =>  consequence                                       hazard
 Each rule has two encodings, kept equivalent by tests:
 
 - :meth:`repro.core.rules.APSRule.violated` — the scalar per-cycle check on
-  a :class:`~repro.core.context.ContextVector`, the reference the single-run
-  closed loop and :func:`~repro.simulation.replay.replay_monitor` use;
+  a :class:`~repro.core.context.ContextVector`, the reference
+  :func:`~repro.simulation.replay.replay_monitor` uses;
 - :meth:`repro.core.rules.APSRule.formula` and its pointwise
   :meth:`repro.core.rules.APSRule.violation_body` — the rule as STL, the
   only columnar encoding: the batched CAWT/CAWOT monitor

@@ -1,4 +1,5 @@
-"""Software fault-injection engine and campaign generator (Table II)."""
+"""Fault models and the campaign generator (Table II); the lock-step
+engine applies the faults (:mod:`repro.simulation.vector`)."""
 
 from .campaign import (
     CAMPAIGN_FAULTS,
@@ -8,7 +9,6 @@ from .campaign import (
     TIMING_CHOICES,
     generate_campaign,
 )
-from .engine import FaultInjector
 from .faults import (FaultKind, FaultSpec, FaultTarget, MAX_SCALE_FACTOR,
                      VARIABLE_RANGES, magnitude_bounds)
 
@@ -21,7 +21,6 @@ __all__ = [
     "InjectionScenario",
     "TIMING_CHOICES",
     "generate_campaign",
-    "FaultInjector",
     "FaultKind",
     "FaultSpec",
     "FaultTarget",

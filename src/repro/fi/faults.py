@@ -60,10 +60,6 @@ class FaultTarget(enum.Enum):
     BOLUS = "bolus"       # controller output bolus
     IOB = "iob"           # controller-internal IOB estimate (net units)
 
-    @property
-    def is_input(self) -> bool:
-        return self is FaultTarget.GLUCOSE
-
 
 #: acceptable ranges per target, used by MAX/MIN and for clamping the result
 #: of ADD/SUB/SCALE — the paper's FI perturbs "within the acceptable range".
@@ -194,30 +190,6 @@ class FaultSpec:
     def end_step(self) -> int:
         """First step after the fault window."""
         return self.start_step + self.duration_steps
-
-    def active(self, step: int) -> bool:
-        return self.start_step <= step < self.end_step
-
-    def apply(self, value: float, held: Optional[float]) -> float:
-        """Corrupt *value*; *held* is the last pre-fault value (for HOLD)."""
-        lo, hi = VARIABLE_RANGES[self.target]
-        if self.kind is FaultKind.TRUNCATE:
-            corrupted = 0.0 if not self.target.is_input else lo
-        elif self.kind is FaultKind.HOLD:
-            corrupted = value if held is None else held
-        elif self.kind is FaultKind.MAX:
-            corrupted = hi
-        elif self.kind is FaultKind.MIN:
-            corrupted = lo
-        elif self.kind is FaultKind.ADD:
-            corrupted = value + self.value
-        elif self.kind is FaultKind.SUB:
-            corrupted = value - self.value
-        elif self.kind is FaultKind.SCALE:
-            corrupted = value * self.value
-        else:  # pragma: no cover - exhaustive enum
-            raise AssertionError(f"unhandled fault kind {self.kind}")
-        return min(max(corrupted, lo), hi)
 
     @property
     def label(self) -> str:

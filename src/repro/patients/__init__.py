@@ -1,4 +1,4 @@
-"""Virtual patient models, CGM sensor and insulin pump.
+"""Virtual patient models, CGM range and insulin pump limits.
 
 Two glucose-simulator substrates (DESIGN.md §1):
 
@@ -8,8 +8,9 @@ Two glucose-simulator substrates (DESIGN.md §1):
   10-adult synthetic cohort (P01..P10).
 
 Both models' dynamics are implemented once, as batched column kernels in
-:mod:`repro.patients.kernels`; the scalar classes here are ``B=1`` views
-over those kernels, bit-identical to the vectorized campaign engine.
+:mod:`repro.patients.kernels`, which the lock-step engine
+(:mod:`repro.simulation.vector`) integrates; the patient classes here hold
+each cohort member's parameters.
 """
 
 from .base import Meal, PatientModel
@@ -17,7 +18,6 @@ from .cohort import COHORTS, all_patients, make_patient, patient_ids
 from .ivp import GLUCOSYM_COHORT, IVPParams, IVPPatient, glucosym_patient
 from .kernels import IVPColumns, T1DColumns
 from .pump import InsulinPump
-from .sensor import CGMSensor
 from .t1d import T1DS2013_COHORT, T1DParams, T1DPatient, t1d_patient
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "IVPPatient",
     "glucosym_patient",
     "InsulinPump",
-    "CGMSensor",
     "T1DS2013_COHORT",
     "T1DParams",
     "T1DPatient",

@@ -15,10 +15,9 @@ subcutaneous/plasma insulin concentrations, ``I_eff`` the insulin effect,
 ``G`` blood glucose (mg/dL) and ``RA(t)`` the meal glucose rate of
 appearance.
 
-The dynamics themselves live in :mod:`repro.patients.kernels` as batched
-column kernels; this class is the scalar (``B=1``) view the interactive
-:class:`~repro.simulation.loop.ClosedLoop` drives, guaranteed bit-identical
-to the vectorized campaign engine because both call the same kernels.
+The dynamics live in :mod:`repro.patients.kernels` as batched column
+kernels, which the lock-step engine (:mod:`repro.simulation.vector`)
+integrates; this module holds the parameters and the cohort.
 
 Substitution note (see DESIGN.md §3): Glucosym ships parameters fit to 10
 real adults; we generate a deterministic 10-patient cohort (A..J) spanning
@@ -31,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
-from .base import GLUCOSE_FLOOR, PatientModel
-from .kernels import (IVPColumns, ivp_basal_rate, ivp_derivatives,
-                      ivp_init_state)
+from .base import PatientModel
+from .kernels import IVPColumns, ivp_basal_rate
 
 __all__ = ["IVPParams", "IVPPatient", "GLUCOSYM_COHORT", "glucosym_patient",
            "meal_ra"]
@@ -53,9 +51,8 @@ def meal_ra(s: float, carbs_mg: float, v_g: float) -> float:
     """Rate of appearance (mg/dL/min) of one meal, *s* minutes after start.
 
     The gamma-shaped absorption curve ``(carbs/V_g) * s/tau^2 * exp(-s/tau)``
-    whose integral equals the total carb load.  The vectorized engine
-    precomputes its per-scenario meal timelines through this exact function,
-    so scalar and batched runs see identical appearance values.
+    whose integral equals the total carb load.  The lock-step engine
+    precomputes each run's meal timeline through this function.
     """
     return (carbs_mg / v_g) * (s / MEAL_TAU ** 2) * math.exp(-s / MEAL_TAU)
 
@@ -120,38 +117,17 @@ GLUCOSYM_COHORT: Dict[str, IVPParams] = {
 class IVPPatient(PatientModel):
     """A virtual patient governed by the IVP (Kanderian) model.
 
-    State vector: ``[I_sc, I_p, I_eff, G]`` with insulin concentrations in
-    micro-units/mL, insulin effect in 1/min and glucose in mg/dL.
+    The kernels' state is ``[I_sc, I_p, I_eff, G]``: insulin
+    concentrations in micro-units/mL, insulin effect in 1/min and glucose
+    in mg/dL.
     """
-
-    N_STATES = 4
 
     def __init__(self, params: IVPParams, name: str = "ivp",
                  target_glucose: float = 120.0):
         super().__init__(name)
         self.params = params
         self._cols = IVPColumns.from_params([params])
-        # plain-float copies (incl. the kernel's precomputed products) for
-        # the hand-inlined RK4 fast path in _advance
-        self._f = (float(self._cols.tau1[0]), float(self._cols.tau2[0]),
-                   float(self._cols.p2[0]), float(self._cols.GEZI[0]),
-                   float(self._cols.EGP[0]), float(self._cols.tau1_CI[0]),
-                   float(self._cols.p2_SI[0]))
         self.target_glucose = float(target_glucose)
-        self._state = np.zeros(self.N_STATES)
-        self._active_meals: List[Tuple[float, float]] = []  # (start time, carbs mg)
-        self.reset(target_glucose)
-
-    # ------------------------------------------------------------------
-    # PatientModel interface
-    # ------------------------------------------------------------------
-    @property
-    def state(self) -> np.ndarray:
-        return self._state.copy()
-
-    @property
-    def glucose(self) -> float:
-        return float(self._state[3])
 
     def basal_rate(self, target_glucose: float | None = None) -> float:
         """Closed-form steady-state basal in U/h for a fasting target.
@@ -163,101 +139,6 @@ class IVPPatient(PatientModel):
         if target <= 0:
             raise ValueError(f"target glucose must be positive, got {target}")
         return float(ivp_basal_rate(self._cols, np.array([float(target)]))[0])
-
-    def reset(self, init_glucose: float) -> None:
-        """Quasi-steady state at the starting glucose.
-
-        The insulin compartments are initialised to the level that *holds*
-        ``init_glucose`` — a patient resting at 200 mg/dL is high precisely
-        because insulin on board is low, and one at 80 because it is high.
-        This matches how hazard scenarios unfold physically: suspending
-        insulin from a hyperglycemic start lets glucose keep rising.
-        """
-        if init_glucose <= 0:
-            raise ValueError(f"initial glucose must be positive, got {init_glucose}")
-        self._state = ivp_init_state(
-            self._cols, np.array([float(init_glucose)]))[:, 0].copy()
-        self.t = 0.0
-        self._meals = []
-        self._active_meals = []
-        self._pending_bolus_uu = 0.0
-
-    # ------------------------------------------------------------------
-    # dynamics
-    # ------------------------------------------------------------------
-    def meal_appearance(self, t: float) -> float:
-        """Glucose rate of appearance RA(t) in mg/dL/min from active meals.
-
-        Each meal contributes the :func:`meal_ra` gamma curve, summed over
-        the meals ingested so far, in ingestion order.
-        """
-        ra = 0.0
-        v_g = self.params.glucose_volume_dl
-        for start, carbs_mg in self._active_meals:
-            s = t - start
-            if s <= 0:
-                continue
-            ra += meal_ra(s, carbs_mg, v_g)
-        return ra
-
-    def _ingest(self, carbs_g: float) -> None:
-        self._active_meals.append((self.t, carbs_g * 1000.0))
-
-    def derivatives(self, t: float, x: np.ndarray, insulin_uu_min: float) -> np.ndarray:
-        ra = None
-        if self._active_meals:
-            ra = np.array([self.meal_appearance(t)])
-        d = ivp_derivatives(self._cols, np.asarray(x, dtype=float).reshape(4, 1),
-                            float(insulin_uu_min), ra)
-        return d[:, 0]
-
-    def _advance(self, dt: float, insulin_uu_min: float) -> None:
-        # Hand-inlined plain-float transcription of kernels.ivp_rk4_advance
-        # at B=1.  The IVP derivative is free of transcendentals, so every
-        # elementary float op here rounds identically to the kernel's
-        # float64 ufuncs — bit-for-bit parity is asserted by the
-        # scalar-vs-vector test suite.  (The ~10x win over per-substep
-        # length-1 ufunc calls is what keeps the serial path fast.)
-        tau1, tau2, p2, gezi, egp, tau1_ci, p2_si = self._f
-        insulin = float(insulin_uu_min)
-        if self._active_meals:
-            t = self.t
-            ra0 = self.meal_appearance(t)
-            ra_mid = self.meal_appearance(t + dt / 2.0)
-            ra1 = self.meal_appearance(t + dt)
-        else:
-            ra0 = ra_mid = ra1 = None
-
-        def deriv(a0, a1, a2, a3, ra):
-            d0 = insulin / tau1_ci - a0 / tau1
-            d1 = (a0 - a1) / tau2
-            d2 = -p2 * a2 + p2_si * a1
-            d3 = -(gezi + max(a2, 0.0)) * a3 + egp
-            if ra is not None:
-                d3 = d3 + ra
-            return d0, d1, d2, d3
-
-        x0, x1, x2, x3 = self._state.tolist()
-        h2 = dt / 2.0
-        a0, a1, a2, a3 = deriv(x0, x1, x2, x3, ra0)
-        b0, b1, b2, b3 = deriv(x0 + h2 * a0, x1 + h2 * a1, x2 + h2 * a2,
-                               x3 + h2 * a3, ra_mid)
-        c0, c1, c2, c3 = deriv(x0 + h2 * b0, x1 + h2 * b1, x2 + h2 * b2,
-                               x3 + h2 * b3, ra_mid)
-        d0, d1, d2, d3 = deriv(x0 + dt * c0, x1 + dt * c1, x2 + dt * c2,
-                               x3 + dt * c3, ra1)
-        h6 = dt / 6.0
-        x0 = x0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-        x1 = x1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        x2 = x2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-        x3 = x3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-        # concentrations cannot go negative; glucose gets a numerical floor
-        # (ternaries, not max(): same tie/sign-of-zero results as np.maximum)
-        x0 = x0 if x0 > 0.0 else 0.0
-        x1 = x1 if x1 > 0.0 else 0.0
-        x2 = x2 if x2 > 0.0 else 0.0
-        x3 = x3 if x3 > GLUCOSE_FLOOR else GLUCOSE_FLOOR
-        self._state = np.array([x0, x1, x2, x3])
 
 
 def glucosym_patient(patient_id: str, target_glucose: float = 120.0) -> IVPPatient:

@@ -3,12 +3,10 @@
 Every arithmetic step of the IVP (Kanderian) and UVA/Padova S2013 dynamics
 lives here as a NumPy function over *column* state: the ODE state is a
 ``(n_states, B)`` matrix and every model parameter a ``(B,)`` vector, so one
-kernel call advances ``B`` independent patients in lock step.  The scalar
-classes in :mod:`repro.patients.ivp` and :mod:`repro.patients.t1d` are thin
-``B=1`` views over these same functions, and the vectorized campaign engine
-(:mod:`repro.simulation.vector`) calls them with whole batch rows — which is
-what makes scalar and batched simulation element-wise identical *by
-construction*: there is only one implementation of the dynamics.
+kernel call advances ``B`` independent patients in lock step.  The
+lock-step engine (:mod:`repro.simulation.vector`) calls them with whole
+batch rows; there is only one implementation of the dynamics, and a row's
+result never depends on the batch it shares.
 
 Three numerical rules keep that exact:
 
@@ -16,8 +14,8 @@ Three numerical rules keep that exact:
   ``sqrt``, ``log``, ``tanh``, ``power`` — per-element results do not depend
   on the batch width), never reductions across the batch axis;
 - anything precomputed (parameter products, ``log(Gb)**r2``) is computed
-  once in the column container and shared by both paths, so both consume
-  the identical floating-point value;
+  once per row in the column container, so every batch consumes the
+  identical floating-point value;
 - terms that do not depend on the state are computed once per RK4 step:
   the infusion term and the gastric-emptying inputs (``tanh`` is skipped
   outright while no row has had a meal), while derived parameter columns
@@ -26,9 +24,6 @@ Three numerical rules keep that exact:
   ``(n_states, B)`` buffer; every rewrite keeps the operation order of the
   equations (``-a * g + c`` becomes ``c - a * g``, which IEEE 754 defines
   as the same addition), so no bit changes.
-
-The public ``*_derivatives`` and ``t1d_gastric_emptying`` functions are
-thin wrappers over the per-stage functions the RK4 steps call.
 """
 
 from __future__ import annotations
@@ -41,10 +36,9 @@ import numpy as np
 from .base import GLUCOSE_FLOOR, PMOL_PER_UNIT, UU_PER_UNIT
 
 __all__ = [
-    "IVPColumns", "ivp_basal_rate", "ivp_init_state", "ivp_derivatives",
-    "ivp_rk4_advance",
-    "T1DColumns", "t1d_risk", "t1d_gastric_emptying", "t1d_derivatives",
-    "t1d_rk4_advance", "t1d_solve_basal_state", "t1d_solve_state_at",
+    "IVPColumns", "ivp_basal_rate", "ivp_init_state", "ivp_rk4_advance",
+    "T1DColumns", "t1d_risk", "t1d_rk4_advance", "t1d_solve_basal_state",
+    "t1d_solve_state_at",
     "t1d_solve_kp1", "t1d_init_state", "t1d_basal_rate",
     "T1D_STATE_NAMES",
 ]
@@ -93,7 +87,7 @@ class IVPColumns:
     tau2: np.ndarray
     p2: np.ndarray
     BW: np.ndarray
-    # precomputed products, shared verbatim by scalar and batch paths
+    # precomputed products
     tau1_CI: np.ndarray
     p2_SI: np.ndarray
     neg_p2: np.ndarray
@@ -144,15 +138,6 @@ def _ivp_stage(cols: IVPColumns, infusion, x: np.ndarray,
         d_g += ra
 
 
-def ivp_derivatives(cols: IVPColumns, x: np.ndarray, insulin_uu_min,
-                    ra: Optional[np.ndarray] = None) -> np.ndarray:
-    """State derivative; *ra* is the meal rate of appearance (mg/dL/min),
-    omitted entirely when no row has an active meal."""
-    out = np.empty(np.shape(x))
-    _ivp_stage(cols, insulin_uu_min / cols.tau1_CI, x, ra, out)
-    return out
-
-
 def ivp_rk4_advance(cols: IVPColumns, x: np.ndarray, dt: float,
                     insulin_uu_min,
                     ra_stages: Optional[Tuple[np.ndarray, np.ndarray,
@@ -178,7 +163,7 @@ def ivp_rk4_advance(cols: IVPColumns, x: np.ndarray, dt: float,
 # UVA/Padova S2013 model — 13-component state, shape (13, B)
 # ======================================================================
 
-#: state vector component order (matches repro.patients.t1d)
+#: state vector component order
 T1D_STATE_NAMES = ("Gp", "Gt", "Ip", "Il", "I1", "Id", "X", "Isc1", "Isc2",
                    "Gs", "Qsto1", "Qsto2", "Qgut")
 GP, GT, IP, IL, I1, ID, XA, ISC1, ISC2, GS, QSTO1, QSTO2, QGUT = range(13)
@@ -228,7 +213,7 @@ class T1DColumns:
     r2: np.ndarray
     Gb: np.ndarray
     Gth: np.ndarray
-    #: precomputed ``log(Gb) ** r2`` (one value, consumed by both paths)
+    #: precomputed ``log(Gb) ** r2``
     log_gb_pow: np.ndarray
     #: derived columns every derivative call would otherwise re-derive
     neg_kd_ka1: np.ndarray   # -(kd + ka1)
@@ -282,12 +267,6 @@ def _t1d_kempt(cols: T1DColumns, gastric, qsto) -> np.ndarray:
     tanhs = np.tanh(rates * (qsto - centres))
     kempt = cols.kmin + cols.half_krange * (tanhs[0] - tanhs[1] + 2.0)
     return np.where(fasting, cols.kmax, kempt)
-
-
-def t1d_gastric_emptying(cols: T1DColumns, qsto, last_meal_mg) -> np.ndarray:
-    """Nonlinear gastric emptying rate ``kempt(Qsto)``; ``kmax`` pre-meal."""
-    return _t1d_kempt(cols, _t1d_gastric_inputs(cols, _column(last_meal_mg)),
-                      _column(qsto))
 
 
 def _t1d_step_inputs(cols: T1DColumns, insulin_uu_min, last_meal_mg,
@@ -349,15 +328,6 @@ def _t1d_stage(cols: T1DColumns, inputs, x: np.ndarray,
     np.multiply(cols.neg_ksc, gs - glucose, out=d_gs)
 
 
-def t1d_derivatives(cols: T1DColumns, x: np.ndarray, insulin_uu_min,
-                    last_meal_mg, basal_insulin) -> np.ndarray:
-    """S2013 state derivative over a ``(13, B)`` state matrix."""
-    out = np.empty(np.shape(x))
-    _t1d_stage(cols, _t1d_step_inputs(cols, insulin_uu_min, last_meal_mg,
-                                      basal_insulin), x, out)
-    return out
-
-
 def t1d_rk4_advance(cols: T1DColumns, x: np.ndarray, dt: float,
                     insulin_uu_min, last_meal_mg,
                     basal_insulin) -> np.ndarray:
@@ -409,12 +379,15 @@ def t1d_solve_state_at(cols: T1DColumns, glucose, ib_ref, risk_value,
                        iterations: int = 40
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-point steady state ``(Gt, I, IIR)`` at *glucose* with the
-    remote-action reference *ib_ref* (see the scalar docstring in
-    :mod:`repro.patients.t1d`).
+    remote-action reference *ib_ref*.
 
-    Per-row convergence is frozen exactly like the scalar loop's ``break``:
-    a converged row keeps its accepted iterate while the others keep
-    relaxing, so ``B=1`` and batched solves agree bit for bit.
+    Unlike :func:`t1d_solve_basal_state` (the X = 0 anchor at the chronic
+    basal), this solves the coupled (Gt, I) fixed point with
+    X = I - ib_ref, so a run can start in quasi-steady state at any glucose
+    while keeping the chronic insulin reference; I keeps a small positive
+    floor (a high start may not be sustainable with positive insulin).
+    A converged row keeps its accepted iterate while the others keep
+    relaxing, so a row's result does not depend on its batch.
     """
     glucose = _column(glucose)
     ib_ref = _column(ib_ref)

@@ -1,9 +1,10 @@
 """Insulin pump actuator model.
 
 The pump executes the (possibly monitor-corrected) controller command.  Real
-pumps quantize basal rates, enforce a hardware maximum and support a suspend
-state; all three matter for the paper's experiments because mitigation
-(Algorithm 1) commands either zero insulin (H1) or the maximum rate (H2).
+pumps clamp commands to a hardware maximum and quantize basal rates down to
+an increment grid; both matter for the paper's experiments because
+mitigation (Algorithm 1) commands either zero insulin (H1) or the maximum
+rate (H2).  The lock-step engine applies these limits to every row.
 """
 
 from __future__ import annotations
@@ -33,52 +34,3 @@ class InsulinPump:
         self.max_basal = float(max_basal)
         self.max_bolus = float(max_bolus)
         self.increment = float(increment)
-        self.suspended = False
-        self.last_basal = 0.0
-        self.last_bolus = 0.0
-        self.total_delivered = 0.0  # units, updated by record_delivery
-
-    def quantize(self, rate: float) -> float:
-        """Round *rate* down to the pump's increment grid."""
-        steps = int(rate / self.increment + 1e-9)
-        return steps * self.increment
-
-    def command_basal(self, rate: float) -> float:
-        """Clamp, quantize and latch a basal-rate command; returns actual U/h."""
-        if self.suspended:
-            self.last_basal = 0.0
-            return 0.0
-        rate = min(max(rate, 0.0), self.max_basal)
-        actual = self.quantize(rate)
-        self.last_basal = actual
-        return actual
-
-    def command_bolus(self, units: float) -> float:
-        """Clamp a bolus command; returns actual units."""
-        if self.suspended:
-            self.last_bolus = 0.0
-            return 0.0
-        actual = min(max(units, 0.0), self.max_bolus)
-        self.last_bolus = actual
-        return actual
-
-    def suspend(self) -> None:
-        """Stop all delivery until :meth:`resume`."""
-        self.suspended = True
-        self.last_basal = 0.0
-
-    def resume(self) -> None:
-        self.suspended = False
-
-    def record_delivery(self, basal_u_h: float, bolus_u: float,
-                        duration_min: float) -> None:
-        """Account for insulin actually delivered over a control step."""
-        if duration_min < 0:
-            raise ValueError("duration must be >= 0")
-        self.total_delivered += basal_u_h * duration_min / 60.0 + bolus_u
-
-    def reset(self) -> None:
-        self.suspended = False
-        self.last_basal = 0.0
-        self.last_bolus = 0.0
-        self.total_delivered = 0.0

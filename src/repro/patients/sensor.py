@@ -1,81 +1,12 @@
-"""Continuous Glucose Monitor (CGM) sensor model.
+"""Continuous Glucose Monitor (CGM) reporting range.
 
 The paper assumes sensor data received by controller and monitor are
-fault-free (Section II, "Hazard Prediction"), so the default sensor is a
-pass-through of the patient model's sensor-compartment glucose.  For
-extension studies we also provide the standard additive error model used in
-the CGM literature (e.g. Facchinetti et al.): a slowly-varying calibration
-gain/offset plus AR(1)-correlated measurement noise.
+fault-free (Section II, "Hazard Prediction"), so the lock-step engine's
+CGM passes the patient model's sensor-compartment glucose through,
+saturated at the hardware's reporting range.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
-import numpy as np
-
-__all__ = ["CGMSensor"]
+__all__ = ["CGM_RANGE"]
 
 #: physical reporting range of common CGM hardware (mg/dL)
 CGM_RANGE = (40.0, 400.0)
-
-
-class CGMSensor:
-    """CGM with optional calibration error and AR(1) noise.
-
-    Parameters
-    ----------
-    noise_std:
-        Standard deviation of the white-noise component (mg/dL).  0 disables
-        noise entirely (the paper's setting).
-    ar_coeff:
-        AR(1) correlation of successive noise samples, in ``[0, 1)``.
-    gain, offset:
-        Multiplicative/additive calibration error.
-    seed:
-        Seed for the noise process (noise is deterministic given the seed).
-    clip:
-        When True (default), readings saturate at the physical CGM range.
-    """
-
-    def __init__(self, noise_std: float = 0.0, ar_coeff: float = 0.7,
-                 gain: float = 1.0, offset: float = 0.0,
-                 seed: Optional[int] = None, clip: bool = True):
-        if noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {noise_std}")
-        if not 0.0 <= ar_coeff < 1.0:
-            raise ValueError(f"ar_coeff must be in [0, 1), got {ar_coeff}")
-        if gain <= 0:
-            raise ValueError(f"gain must be positive, got {gain}")
-        self.noise_std = float(noise_std)
-        self.ar_coeff = float(ar_coeff)
-        self.gain = float(gain)
-        self.offset = float(offset)
-        self.clip = clip
-        self._rng = np.random.default_rng(seed)
-        self._noise_state = 0.0
-
-    @property
-    def is_ideal(self) -> bool:
-        """True when the sensor reproduces the input exactly."""
-        return self.noise_std == 0.0 and self.gain == 1.0 and self.offset == 0.0
-
-    def reset(self, seed: Optional[int] = None) -> None:
-        """Restart the noise process."""
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
-        self._noise_state = 0.0
-
-    def measure(self, true_glucose: float) -> float:
-        """One CGM reading for the given interstitial glucose (mg/dL)."""
-        if true_glucose < 0:
-            raise ValueError(f"glucose must be >= 0, got {true_glucose}")
-        reading = self.gain * true_glucose + self.offset
-        if self.noise_std > 0:
-            innovation = self._rng.normal(0.0, self.noise_std)
-            self._noise_state = (self.ar_coeff * self._noise_state
-                                 + np.sqrt(1.0 - self.ar_coeff ** 2) * innovation)
-            reading += self._noise_state
-        if self.clip:
-            reading = float(np.clip(reading, *CGM_RANGE))
-        return float(reading)

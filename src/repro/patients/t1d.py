@@ -17,9 +17,9 @@ implements that ODE system:
   the nonlinear gastric-emptying rate;
 - a subcutaneous glucose compartment read by the CGM.
 
-The equations themselves live in :mod:`repro.patients.kernels` as batched
-column kernels; this class is the scalar (``B=1``) view, bit-identical to
-the vectorized campaign engine because both call the same kernels.
+The equations live in :mod:`repro.patients.kernels` as batched column
+kernels, which the lock-step engine (:mod:`repro.simulation.vector`)
+integrates; this module holds the parameters and the cohort.
 
 Substitution note (see DESIGN.md §3): the commercial simulator's 30-patient
 parameter file is proprietary.  We synthesise a 10-adult cohort around the
@@ -35,11 +35,9 @@ from typing import Dict
 
 import numpy as np
 
-from .base import GLUCOSE_FLOOR, PatientModel, PMOL_PER_UNIT, UU_PER_UNIT
-from .kernels import (T1DColumns, t1d_basal_rate, t1d_derivatives,
-                      t1d_gastric_emptying, t1d_init_state, t1d_risk,
-                      t1d_solve_basal_state, t1d_solve_kp1,
-                      t1d_solve_state_at)
+from .base import PatientModel
+from .kernels import (T1DColumns, t1d_basal_rate, t1d_solve_basal_state,
+                      t1d_solve_kp1)
 
 __all__ = ["T1DParams", "T1DPatient", "T1DS2013_COHORT", "t1d_patient"]
 
@@ -102,10 +100,6 @@ class T1DParams:
                 raise ValueError(f"S2013 parameter {field} must be positive")
 
 
-# state vector indices
-GP, GT, IP, IL, I1, ID, XA, ISC1, ISC2, GS, QSTO1, QSTO2, QGUT = range(13)
-
-
 def _cols_of(p: T1DParams) -> T1DColumns:
     return T1DColumns.from_params([p])
 
@@ -121,24 +115,6 @@ def _solve_basal_state(p: T1DParams, glucose: float):
     return float(gt[0]), float(ib[0]), float(iirb[0])
 
 
-def _solve_state_at(p: T1DParams, glucose: float, ib_ref: float,
-                    risk_value: float, iterations: int = 40):
-    """Steady state at *glucose* with the remote-action reference *ib_ref*.
-
-    Unlike :func:`_solve_basal_state` (which defines the X = 0 anchor at the
-    patient's chronic basal), this solves the coupled (Gt, I) fixed point
-    with X = I - ib_ref, so a simulation can start in quasi-steady state at
-    any glucose while keeping the patient's chronic insulin reference.
-
-    Returns ``(Gt, I, IIR)`` with I >= a small positive floor (high starting
-    glucose may not be sustainable with positive insulin).
-    """
-    gt, insulin, iir = t1d_solve_state_at(
-        _cols_of(p), np.array([float(glucose)]), np.array([float(ib_ref)]),
-        np.array([float(risk_value)]), iterations=iterations)
-    return float(gt[0]), float(insulin[0]), float(iir[0])
-
-
 def solve_kp1(p: T1DParams, basal_insulin: float, glucose: float | None = None) -> float:
     """``kp1`` that puts the patient at steady state with *basal_insulin* pmol/L."""
     glucose_arr = None if glucose is None else np.array([float(glucose)])
@@ -147,181 +123,25 @@ def solve_kp1(p: T1DParams, basal_insulin: float, glucose: float | None = None) 
 
 
 class T1DPatient(PatientModel):
-    """A virtual T1D patient governed by the Dalla Man S2013 model."""
+    """A virtual T1D patient governed by the Dalla Man S2013 model.
 
-    N_STATES = 13
+    ``target_glucose`` anchors the chronic insulin reference ``Ib`` of the
+    remote insulin action (see :func:`~repro.patients.kernels.t1d_init_state`).
+    """
 
     def __init__(self, params: T1DParams, name: str = "t1d",
                  target_glucose: float | None = None):
         super().__init__(name)
         self.params = params
         self._cols = _cols_of(params)
-        self._log_gb_pow = float(self._cols.log_gb_pow[0])
         self.target_glucose = params.Gb if target_glucose is None else float(target_glucose)
-        self._state = np.zeros(self.N_STATES)
-        self._last_meal_mg = 0.0
-        self._basal_insulin = 0.0  # Ib, pmol/L (set by reset)
-        self.reset(self.target_glucose)
-
-    # ------------------------------------------------------------------
-    # PatientModel interface
-    # ------------------------------------------------------------------
-    @property
-    def state(self) -> np.ndarray:
-        return self._state.copy()
-
-    @property
-    def glucose(self) -> float:
-        return float(self._state[GP] / self.params.VG)
-
-    @property
-    def sensor_glucose(self) -> float:
-        """Interstitial glucose (the CGM compartment), mg/dL."""
-        return float(self._state[GS])
-
-    @property
-    def plasma_insulin(self) -> float:
-        """Plasma insulin concentration, pmol/L."""
-        return float(self._state[IP] / self.params.VI)
+        # an unsustainable anchor fails here, not in the first simulation
+        _solve_basal_state(params, self.target_glucose)
 
     def basal_rate(self, target_glucose: float | None = None) -> float:
         """Steady-state basal in U/h for a fasting target (closed form)."""
         target = self.target_glucose if target_glucose is None else target_glucose
         return float(t1d_basal_rate(self._cols, np.array([float(target)]))[0])
-
-    def reset(self, init_glucose: float) -> None:
-        """Quasi-steady state at the starting glucose.
-
-        Insulin compartments are set to the level that holds
-        ``init_glucose`` (clamped to a small positive floor when the
-        requested glucose exceeds what zero insulin can sustain), and the
-        remote-action reference ``Ib`` is re-anchored there — the patient's
-        chronic state at simulation start.  See the IVP model for the
-        rationale.
-        """
-        if init_glucose <= 0:
-            raise ValueError(f"initial glucose must be positive, got {init_glucose}")
-        state, ib_ref = t1d_init_state(self._cols,
-                                       np.array([float(init_glucose)]),
-                                       np.array([float(self.target_glucose)]))
-        self._state = state[:, 0].copy()
-        self._basal_insulin = float(ib_ref[0])
-        self._last_meal_mg = 0.0
-        self.t = 0.0
-        self._meals = []
-        self._pending_bolus_uu = 0.0
-
-    # ------------------------------------------------------------------
-    # dynamics
-    # ------------------------------------------------------------------
-    def _risk(self, glucose: float) -> float:
-        """S2013 hypoglycemia risk amplification factor (dimensionless)."""
-        return float(t1d_risk(self._cols, np.array([float(glucose)]))[0])
-
-    def _gastric_emptying(self, qsto: float) -> float:
-        return float(t1d_gastric_emptying(
-            self._cols, np.array([float(qsto)]),
-            np.array([self._last_meal_mg]))[0])
-
-    def _ingest(self, carbs_g: float) -> None:
-        carbs_mg = carbs_g * 1000.0
-        self._state[QSTO1] += carbs_mg
-        self._last_meal_mg = carbs_mg
-
-    def derivatives(self, t: float, x: np.ndarray, insulin_uu_min: float) -> np.ndarray:
-        d = t1d_derivatives(self._cols,
-                            np.asarray(x, dtype=float).reshape(13, 1),
-                            float(insulin_uu_min),
-                            np.array([self._last_meal_mg]),
-                            np.array([self._basal_insulin]))
-        return d[:, 0]
-
-    def _risk_float(self, glucose: float) -> float:
-        """Plain-float transcription of kernels.t1d_risk for the RK4 fast
-        path.  The power runs through a length-1 array because numpy's
-        *scalar* ``**`` rounds differently from the array ufunc."""
-        p = self.params
-        if glucose >= p.Gb:
-            return 0.0
-        g = glucose if glucose > p.Gth else p.Gth
-        diff = float(np.power(np.array([np.log(g)]), p.r2)[0]) \
-            - self._log_gb_pow
-        return 10.0 * diff * diff
-
-    def _deriv_float(self, x, insulin_uu_min: float):
-        """Plain-float transcription of kernels.t1d_derivatives at B=1.
-
-        Every elementary op mirrors the kernel's float64 ufuncs (the
-        transcendentals go through numpy itself), so the scalar loop stays
-        bit-identical to the vectorized engine — asserted by the
-        scalar-vs-vector parity suite.
-        """
-        p = self.params
-        glucose = x[GP] / p.VG
-
-        qsto = x[QSTO1] + x[QSTO2]
-        last = self._last_meal_mg
-        if last <= 0.0:
-            kempt = p.kmax
-        else:
-            alpha = 5.0 / (2.0 * last * (1.0 - p.b))
-            beta = 5.0 / (2.0 * last * p.d)
-            kempt = p.kmin + (p.kmax - p.kmin) / 2.0 * (
-                float(np.tanh(alpha * (qsto - p.b * last)))
-                - float(np.tanh(beta * (qsto - p.d * last))) + 2.0)
-        d_qsto1 = -p.kgri * x[QSTO1]
-        d_qsto2 = p.kgri * x[QSTO1] - kempt * x[QSTO2]
-        d_qgut = kempt * x[QSTO2] - p.kabs * x[QGUT]
-        ra = p.f * p.kabs * x[QGUT] / p.BW
-
-        iir = insulin_uu_min * (PMOL_PER_UNIT / UU_PER_UNIT) / p.BW
-        d_isc1 = -(p.kd + p.ka1) * x[ISC1] + iir
-        d_isc2 = p.kd * x[ISC1] - p.ka2 * x[ISC2]
-        rai = p.ka1 * x[ISC1] + p.ka2 * x[ISC2]
-        d_il = -(p.m1 + p.m3) * x[IL] + p.m2 * x[IP]
-        d_ip = -(p.m2 + p.m4) * x[IP] + p.m1 * x[IL] + rai
-        insulin = x[IP] / p.VI
-
-        d_i1 = -p.ki * (x[I1] - insulin)
-        d_id = -p.ki * (x[ID] - x[I1])
-        d_xa = -p.p2u * x[XA] + p.p2u * (insulin - self._basal_insulin)
-
-        egp = p.kp1 - p.kp2 * x[GP] - p.kp3 * x[ID]
-        egp = egp if egp > 0.0 else 0.0
-        over = x[GP] - p.ke2
-        excretion = p.ke1 * (over if over > 0.0 else 0.0)
-        vm = p.Vm0 + p.Vmx * x[XA] * (1.0 + p.r1 * self._risk_float(glucose))
-        uid = (vm if vm > 0.0 else 0.0) * x[GT] / (p.Km0 + x[GT])
-        d_gp = egp + ra - p.Fsnc - excretion - p.k1 * x[GP] + p.k2 * x[GT]
-        d_gt = -uid + p.k1 * x[GP] - p.k2 * x[GT]
-        d_gs = -p.ksc * (x[GS] - glucose)
-        return (d_gp, d_gt, d_ip, d_il, d_i1, d_id, d_xa, d_isc1, d_isc2,
-                d_gs, d_qsto1, d_qsto2, d_qgut)
-
-    def _advance(self, dt: float, insulin_uu_min: float) -> None:
-        # hand-inlined float RK4 over kernels.t1d_rk4_advance at B=1
-        # (see _deriv_float); ~10x over per-substep length-1 ufunc calls
-        insulin = float(insulin_uu_min)
-        x = self._state.tolist()
-        h2 = dt / 2.0
-        k1 = self._deriv_float(x, insulin)
-        k2 = self._deriv_float([xi + h2 * ki for xi, ki in zip(x, k1)],
-                               insulin)
-        k3 = self._deriv_float([xi + h2 * ki for xi, ki in zip(x, k2)],
-                               insulin)
-        k4 = self._deriv_float([xi + dt * ki for xi, ki in zip(x, k3)],
-                               insulin)
-        h6 = dt / 6.0
-        xn = [xi + h6 * (a + 2.0 * b + 2.0 * c + d)
-              for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-        # clamp like the kernel: X (the remote action) may stay negative
-        x_action = xn[XA]
-        xn = [v if v > 0.0 else 0.0 for v in xn]
-        xn[XA] = x_action
-        gp_floor = GLUCOSE_FLOOR * self.params.VG
-        xn[GP] = xn[GP] if xn[GP] > gp_floor else gp_floor
-        xn[GS] = xn[GS] if xn[GS] > GLUCOSE_FLOOR else GLUCOSE_FLOOR
-        self._state = np.array(xn)
 
 
 def _make_cohort() -> Dict[str, T1DParams]:

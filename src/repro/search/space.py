@@ -9,10 +9,9 @@ points:
 - **fault families** generalise the campaign's 14 configurations: the same
   (kind, target) pairs, but with start/duration/magnitude drawn from
   continuous bounds instead of fixed values;
-- **sensor-drift families** model persistent CGM calibration error (the
-  Facchinetti-style bias the :class:`~repro.patients.sensor.CGMSensor`
-  documents) as long-window glucose-offset faults, so they run bit-
-  identically on both the scalar and the lock-step vector engines;
+- **sensor-drift families** model persistent CGM calibration error (a
+  Facchinetti-style bias) as long-window glucose-offset faults, so they
+  run through the lock-step engine's ordinary fault masks;
 - a **meal family** covers unannounced carbohydrate disturbances (Paoletti
   et al., robust control under meal uncertainties) with no fault at all —
   and every family additionally samples an optional background meal, so

@@ -1,13 +1,12 @@
-"""Closed-loop APS simulation: the lock-step engine and its single-run
-reference loop, scenarios, traces, the campaign executor (in-process or
-on a forked pool, with the same lock-step batches at every worker count),
-on-disk campaign datasets and offline (parallel) monitor replay."""
+"""Closed-loop APS simulation: the lock-step engine, traces, the campaign
+executor (in-process or on a forked pool, with the same lock-step batches
+at every worker count), on-disk campaign datasets and offline (parallel)
+monitor replay."""
 
 from .batch import (
     controller_profile,
     kfold_split,
     make_controller,
-    make_loop,
     run_campaign,
     run_fault_free,
 )
@@ -24,11 +23,9 @@ from .executor import (
     plan_fault_free,
 )
 from .features import ContextBatch, FEATURE_NAMES, context_matrix, context_row
-from .loop import ClosedLoop
 from .replay import (iter_contexts, replay_campaign, replay_chunk_batched,
                      replay_many, replay_monitor, replay_monitor_batched)
 from .vector import run_batch, titrate_isf_batch, warm_profiles
-from .scenario import Scenario
 from .store import (
     SCHEMA_VERSION,
     CampaignStoreError,
@@ -47,7 +44,6 @@ from .trace import (
     TRACE_ARRAY_FIELDS,
     TRACE_COLUMN_DTYPES,
     SimulationTrace,
-    TraceRecorder,
     trace_from_arrays,
     trace_to_arrays,
 )
@@ -56,7 +52,6 @@ __all__ = [
     "controller_profile",
     "kfold_split",
     "make_controller",
-    "make_loop",
     "run_campaign",
     "run_fault_free",
     "BASELINE_CACHE",
@@ -78,12 +73,10 @@ __all__ = [
     "FEATURE_NAMES",
     "context_matrix",
     "context_row",
-    "ClosedLoop",
     "iter_contexts",
     "replay_campaign",
     "replay_many",
     "replay_monitor",
-    "Scenario",
     "SCHEMA_VERSION",
     "CampaignStoreError",
     "CampaignStoreWriter",
@@ -99,7 +92,6 @@ __all__ = [
     "TRACE_ARRAY_FIELDS",
     "TRACE_COLUMN_DTYPES",
     "SimulationTrace",
-    "TraceRecorder",
     "trace_from_arrays",
     "trace_to_arrays",
 ]

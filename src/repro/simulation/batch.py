@@ -1,13 +1,13 @@
 """Platform construction and campaign batch execution.
 
 The paper evaluates two platforms (Fig. 5a): OpenAPS + Glucosym and
-Basal-Bolus + UVA-Padova T1DS2013.  :func:`make_loop` builds the matched
-patient/controller pair for a cohort member (controller profile derived from
-the patient's steady-state basal via the 1800 rule) — the single-run
-reference loop — and :func:`run_campaign` executes a fault-injection campaign
-over one or more patients through the lock-step engine, in-process by default
-or fanned out over a process pool by
-:class:`~repro.simulation.executor.CampaignExecutor`.
+Basal-Bolus + UVA-Padova T1DS2013.  :func:`make_controller` builds a cohort
+member's controller (its profile: the patient's steady-state basal and an
+empirically titrated ISF), and :func:`run_campaign` executes a
+fault-injection campaign over one or more patients through the lock-step
+engine, in-process by default or fanned out over a process pool by
+:class:`~repro.simulation.executor.CampaignExecutor`.  A single run is a
+one-scenario :func:`run_campaign` or :func:`run_fault_free` call.
 """
 
 from __future__ import annotations
@@ -17,16 +17,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from ..controllers import BasalBolusController, Controller, OpenAPSController
 from ..core.mitigation import Mitigator
 from ..core.monitor import SafetyMonitor
-from ..fi import FaultInjector, InjectionScenario
-from ..patients import PatientModel, make_patient
+from ..fi import InjectionScenario
+from ..patients import PatientModel
 from .executor import (BASELINE_CACHE, PROFILE_CACHE, BaselineCache,
                        CampaignExecutor, CampaignPlan, TraceSink,
                        plan_campaign, plan_fault_free)
-from .loop import ClosedLoop
 from .trace import SimulationTrace
+from .vector import titrate_isf_batch
 
-__all__ = ["controller_profile", "make_controller", "make_loop",
-            "run_campaign", "run_fault_free", "kfold_split"]
+__all__ = ["controller_profile", "make_controller", "run_campaign",
+           "run_fault_free", "kfold_split"]
 
 #: platform -> controller factory
 _PLATFORM_CONTROLLERS = {"glucosym": "openaps", "t1ds2013": "basal-bolus"}
@@ -39,16 +39,10 @@ def empirical_isf(patient: PatientModel, target: float = 120.0,
     Clinicians titrate the insulin sensitivity factor from observed response;
     we reproduce that by resting the patient at its basal, giving a unit
     bolus and recording the maximum glucose drop over the insulin's duration
-    of action.  The patient is reset afterwards.
+    of action (one column of :func:`~repro.simulation.vector.titrate_isf_batch`).
     """
-    basal = patient.basal_rate(target)
-    patient.reset(target)
-    patient.step(basal, bolus_u=bolus_u)
-    low = patient.glucose
-    for _ in range(int(horizon_min / 5.0) - 1):
-        low = min(low, patient.step(basal))
-    patient.reset(target)
-    return max((target - low) / bolus_u, 5.0)
+    return float(titrate_isf_batch([patient], target, bolus_u,
+                                   horizon_min)[0])
 
 
 def controller_profile(patient: PatientModel,
@@ -78,19 +72,6 @@ def make_controller(platform: str, patient: PatientModel,
                    f"available: {sorted(_PLATFORM_CONTROLLERS)}")
 
 
-def make_loop(platform: str, patient_id: str,
-              monitor: Optional[SafetyMonitor] = None,
-              mitigator: Optional[Mitigator] = None,
-              injector: Optional[FaultInjector] = None,
-              target: float = 120.0) -> ClosedLoop:
-    """Assemble the full closed loop for one cohort patient."""
-    patient = make_patient(platform, patient_id, target_glucose=target)
-    controller = make_controller(platform, patient, target)
-    return ClosedLoop(patient=patient, controller=controller,
-                      platform=platform, monitor=monitor,
-                      mitigator=mitigator, injector=injector)
-
-
 def run_campaign(platform: str, patient_ids: Sequence[str],
                  scenarios: Iterable[InjectionScenario],
                  monitor_factory: Optional[Callable[[str], SafetyMonitor]] = None,
@@ -102,11 +83,11 @@ def run_campaign(platform: str, patient_ids: Sequence[str],
 
     Runs advance through the lock-step engine
     (:mod:`repro.simulation.vector`) in batches of
-    :data:`~repro.parallel.LOCKSTEP_WIDTH`, with traces element-wise
-    identical to driving each scenario through :func:`make_loop`'s
-    single-run loop.  Monitored and mitigated campaigns batch too —
-    monitors evaluate column-wise each tick and mitigators correct the
-    alerted rows in place (see ``docs/mitigation.md``).
+    :data:`~repro.parallel.LOCKSTEP_WIDTH`; a run's trace does not depend
+    on the width, on the worker count or on the other runs of its batch.
+    Monitored and mitigated campaigns batch too — monitors evaluate
+    column-wise each tick and mitigators correct the alerted rows in place
+    (see ``docs/mitigation.md``).
 
     Parameters
     ----------

@@ -29,6 +29,7 @@ changes the simulated dynamics — only the wall-clock time.
 from __future__ import annotations
 
 import abc
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -60,7 +61,8 @@ class SimRun:
     ``meals`` carries scheduled carbohydrate disturbances (empty for the
     paper's meal-free grid); sampled scenario populations — the rare-event
     search in :mod:`repro.search` — plan meal scenarios through the same
-    executor path as the paper's grid.
+    executor path as the paper's grid.  ``init_glucose`` must be finite
+    and positive (mg/dL): the patient models have no state below 0.
     """
 
     patient_id: str
@@ -68,6 +70,11 @@ class SimRun:
     label: str
     fault: Optional[FaultSpec] = None
     meals: Tuple[Meal, ...] = ()
+
+    def __post_init__(self):
+        if not (math.isfinite(self.init_glucose) and self.init_glucose > 0):
+            raise ValueError(f"init_glucose must be a finite positive "
+                             f"mg/dL value, got {self.init_glucose}")
 
 
 @dataclass(frozen=True)
@@ -250,9 +257,7 @@ class CampaignExecutor:
     :data:`~repro.parallel.LOCKSTEP_WIDTH` runs, one
     :func:`~repro.simulation.vector.run_batch` call per batch — monitored
     and mitigated runs included, with per-tick column-wise monitor
-    evaluation and row-wise command correction — whose traces are
-    element-wise identical to the single-run
-    :class:`~repro.simulation.loop.ClosedLoop` (see ``docs/mitigation.md``
+    evaluation and row-wise command correction (see ``docs/mitigation.md``
     for the contract).  *workers* (None: ``REPRO_WORKERS`` env, or 1) only
     decides whether the batches run in-process or on a forked pool
     (:func:`~repro.parallel.map_chunks`); the batches, and so the traces,

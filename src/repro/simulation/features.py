@@ -126,8 +126,7 @@ class ContextBatch:
         constructor, so the live batched loop, offline replay and ML
         training all share one feature layout (:data:`FEATURE_NAMES`).
         The channel vectors are stacked as-is — they are the exact floats
-        the scalar closed loop would place in each row's
-        :class:`~repro.core.context.ContextVector`, and
+        of each row's :class:`~repro.core.context.ContextVector`, and
         :meth:`iter_column` recovers those vectors bit for bit.
         """
         action = np.asarray(action)

@@ -9,7 +9,7 @@ from the *true* glucose — faults corrupt the controller, not the plant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -20,7 +20,7 @@ from ..hazards import HazardLabel, label_hazards
 from ..stl import Trace
 from .features import FEATURE_NAMES, context_matrix
 
-__all__ = ["SimulationTrace", "TraceRecorder", "TRACE_ARRAY_FIELDS",
+__all__ = ["SimulationTrace", "TRACE_ARRAY_FIELDS",
            "TRACE_COLUMN_DTYPES", "trace_to_arrays", "trace_from_arrays"]
 
 #: the per-step array channels of a SimulationTrace, in field order —
@@ -30,9 +30,9 @@ TRACE_ARRAY_FIELDS: Tuple[str, ...] = (
     "cmd_bolus", "action", "iob", "iob_rate", "final_rate", "final_bolus",
     "delivered_rate", "delivered_bolus", "alert", "alert_hazard", "mitigated")
 
-#: dtype of each channel — the schema both the scalar recorder and the
-#: vectorized engine's columnar assembly allocate up front (float channels
-#: are float64, discrete ones the platform default int, flags bool)
+#: dtype of each channel — the schema the lock-step engine's columnar
+#: assembly allocates up front (float channels are float64, discrete ones
+#: the platform default int, flags bool)
 TRACE_COLUMN_DTYPES: Dict[str, np.dtype] = {
     name: np.dtype(np.float64) for name in TRACE_ARRAY_FIELDS}
 TRACE_COLUMN_DTYPES["action"] = np.dtype(np.int_)
@@ -158,58 +158,3 @@ def trace_from_arrays(payload: Mapping[str, np.ndarray]) -> SimulationTrace:
                            patient_id=str(payload["patient_id"]),
                            label=str(payload["label"]),
                            dt=float(payload["dt"]), fault=fault, **arrays)
-
-
-@dataclass
-class TraceRecorder:
-    """Row-by-row builder for :class:`SimulationTrace`.
-
-    Columns are preallocated as :data:`TRACE_COLUMN_DTYPES` arrays — sized
-    exactly when the caller passes ``n_steps`` (the closed loop knows the
-    scenario length up front), grown geometrically otherwise — so appending
-    a step is eighteen indexed stores instead of a dict allocation per row.
-    """
-
-    platform: str
-    patient_id: str
-    label: str
-    dt: float
-    fault: Optional[FaultSpec] = None
-    n_steps: Optional[int] = None
-    _columns: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    _size: int = field(default=0, repr=False)
-
-    def __post_init__(self):
-        capacity = self.n_steps if self.n_steps else 64
-        self._columns = {name: np.zeros(capacity, dtype=dtype)
-                         for name, dtype in TRACE_COLUMN_DTYPES.items()}
-
-    def _grow(self) -> None:
-        for name, column in self._columns.items():
-            bigger = np.zeros(2 * len(column), dtype=column.dtype)
-            bigger[:self._size] = column[:self._size]
-            self._columns[name] = bigger
-
-    def append(self, **row) -> None:
-        if len(row) != len(TRACE_COLUMN_DTYPES):
-            missing = sorted(set(TRACE_COLUMN_DTYPES) - set(row))
-            raise ValueError(f"append requires every trace channel; "
-                             f"missing {missing}")
-        i = self._size
-        columns = self._columns
-        if i >= len(columns["t"]):
-            self._grow()
-            columns = self._columns
-        for name, value in row.items():
-            columns[name][i] = value
-        self._size = i + 1
-
-    def finish(self) -> SimulationTrace:
-        if not self._size:
-            raise ValueError("cannot finish an empty trace")
-        n = self._size
-        columns = {name: column[:n] if n < len(column) else column
-                   for name, column in self._columns.items()}
-        return SimulationTrace(platform=self.platform,
-                               patient_id=self.patient_id, label=self.label,
-                               dt=self.dt, fault=self.fault, **columns)

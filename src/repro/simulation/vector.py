@@ -1,45 +1,54 @@
-"""Lock-step vectorized batch simulation engine.
+"""Lock-step vectorized batch simulation engine: the closed loop.
 
-The single-run reference :class:`~repro.simulation.loop.ClosedLoop` advances
-one run at a time: a Python step loop around length-1 numpy work.  This
-module — the engine the campaign executor runs — simulates a whole
-*batch* of campaign runs simultaneously as matrices — the ``(S, B)``
-ODE state advanced by one batched RK4 (the shared kernels of
-:mod:`repro.patients.kernels`), per-row parameter vectors so mixed patients
-batch together, vectorized controller decisions (``np.where`` over the
-branch structure of OpenAPS / Basal-Bolus), vectorized fault-injection
-masks, IOB via a precomputed activity-curve table, and columnar trace
-assembly that fills ``(n_steps, B)`` channel matrices directly.
+This module is the one definition of the paper's closed loop (Fig. 5a)::
 
-The engine's contract is **exact parity**: for any batch composition,
-:data:`~repro.parallel.LOCKSTEP_WIDTH` and worker count, the traces are
-element-wise identical to running each scenario through the scalar loop.
-Three design rules deliver that:
+    patient --(interstitial glucose)--> CGM --> [FI on input] -->
+    controller --(rate, bolus)--> [FI on output] -->
+    monitor (context inference, UCA detection) --> [mitigation] -->
+    pump --> patient
 
-- the patient dynamics are the *same* kernel functions the scalar models
-  call at ``B=1`` (see :mod:`repro.patients.kernels`);
-- the IOB/activity tables are precomputed *through the scalar curve
-  methods* (one evaluation per (step, delivery-step) lag, cached), and
-  each step's band of deliveries is summed with ``np.add.accumulate``
-  (never ``np.sum``), so the accumulation replays the scalar calculator's
-  sums term for term, in order;
-- every controller/fault/pump expression transcribes the scalar branch
-  arithmetic with the identical operation order, selecting branches with
+The monitor taps the *fault-free* sensor stream and the *post-fault*
+command, and fault injection perturbs only the controller's view and
+outputs, never the plant or the ground-truth labels.  Every campaign,
+experiment, search and benchmark runs it; a single run is a one-scenario
+:func:`~repro.simulation.batch.run_campaign` call.
+
+It simulates a whole *batch* of runs simultaneously as matrices — the
+``(S, B)`` ODE state advanced by one batched RK4 (the kernels of
+:mod:`repro.patients.kernels`), per-row parameter vectors so mixed
+patients batch together, vectorized controller decisions (``np.where``
+over the branch structure of OpenAPS / Basal-Bolus), vectorized
+fault-injection masks, IOB via a precomputed activity-curve table, and
+columnar trace assembly that fills ``(n_steps, B)`` channel matrices
+directly.
+
+The engine's contract is **width invariance**: a run's trace is the same,
+byte for byte, whatever batch it shares, whatever
+:data:`~repro.parallel.LOCKSTEP_WIDTH` and worker count; and a golden
+fixture (``tests/simulation/data/golden_traces.json``) pins the traces
+themselves.  Three design rules deliver the invariance:
+
+- the kernels use only elementwise ufuncs, never reductions across rows;
+- the IOB/activity tables are precomputed through the curve's float
+  methods (one evaluation per (step, delivery-step) lag, cached), and each
+  step's band of deliveries is summed with ``np.add.accumulate`` (never
+  ``np.sum``), so every row adds its terms left to right, in delivery
+  order, at any width;
+- every controller/fault/pump expression selects its branches with
   ``np.where`` (elementwise ufuncs round identically at any batch width).
 
 Monitored and mitigated runs (the paper's Table VII closed loop,
 Algorithm 1) batch too: each tick the engine assembles the live cycle as a
 single-cycle ``(1, B)`` context batch, evaluates each monitor through one
 ``observe_batch`` call per tick that continues its rows' per-column
-state — and lets the mitigator rewrite
-the commanded ``(rate, bolus)`` vectors on the alerted rows through its
-columnar :meth:`~repro.core.mitigation.Mitigator.correct_mask` path (with
-a per-row scalar fallback for custom strategies).  Alerts feed back into
-the delivered insulin exactly as in the scalar loop, because the
-correction lands *before* the pump/plant stage of the same tick; the
-divergence this creates between rows is ordinary per-row data, just like
-the fault-mask HOLD registers.  See ``docs/mitigation.md`` for the full
-parity contract.
+state — and lets the mitigator rewrite the commanded ``(rate, bolus)``
+vectors on the alerted rows through its columnar
+:meth:`~repro.core.mitigation.Mitigator.correct_mask` path (with a per-row
+``correct`` fallback for custom strategies).  The correction lands
+*before* the pump/plant stage of the same tick, so alerts feed back into
+the delivered insulin; the divergence this creates between rows is
+ordinary per-row data, just like the fault-mask HOLD registers.  See
+``docs/mitigation.md`` for the full contract.
 """
 
 from __future__ import annotations
@@ -83,11 +92,12 @@ _IOB_TABLE_CACHE_MAX = 8
 
 
 def _iob_tables(curve: InsulinActivityCurve, n_steps: int, dt: float):
-    """Per-(step, delivery) decay tables, evaluated through the *scalar*
-    curve methods so every entry is bit-identical to what the scalar
-    :class:`~repro.controllers.iob.IOBCalculator` computes for that lag.
-    ``band_start[k]`` is the first delivery step still inside the DIA
-    window at step ``k`` (older terms are exactly zero and not stored)."""
+    """Per-(step, delivery) decay tables, evaluated through the curve's
+    float methods :meth:`~repro.controllers.iob.InsulinActivityCurve.iob_fraction`
+    and ``activity`` at each lag: the delivery of step ``j`` is one
+    impulse at its cycle midpoint ``j * dt + dt / 2``.  ``band_start[k]``
+    is the first delivery step still inside the DIA window at step ``k``
+    (older terms are exactly zero and not stored)."""
     key = (curve.dia, curve.peak, n_steps, dt)
     cached = _IOB_TABLE_CACHE.get(key)
     if cached is not None:
@@ -122,12 +132,12 @@ def _iob_tables(curve: InsulinActivityCurve, n_steps: int, dt: float):
 
 def _band_sum(band: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``sum_i band[i] * weights[i]`` over the ``(n_terms, B)`` delivery
-    band, added left to right from ``0.0`` like the scalar calculator.
+    band, added left to right from ``0.0`` in delivery order.
 
     ``np.add.accumulate`` adds in row order at every width; ``np.sum`` and
     ``np.add.reduce`` may not (at ``B=1`` they switch to pairwise
-    summation).  The final ``+ 0.0`` maps an all-``-0.0`` band to the
-    loop's ``+0.0`` and changes no other value.
+    summation).  The final ``+ 0.0`` maps an all-``-0.0`` band to
+    ``+0.0`` and changes no other value.
     """
     if len(band) == 0:
         return np.zeros(band.shape[1])
@@ -145,9 +155,14 @@ _KIND_CODE = {kind: code for code, kind in enumerate(FaultKind)}
 class _FaultBatch:
     """Row-wise fault state: per-row spec columns plus HOLD registers.
 
-    Mirrors :class:`repro.fi.engine.FaultInjector` exactly — including its
-    quirk that a fault targeting the controller-internal IOB *also* runs
-    the command path's bolus corruption while active."""
+    While a row's fault is active (``start_step <= step < end_step``) the
+    targeted value becomes: TRUNCATE the range floor for the glucose input,
+    else 0; HOLD the last value seen before the window (the current value
+    when the window opens at step 0); MAX/MIN the range extremes; ADD/SUB
+    the value plus/minus the magnitude; SCALE the value times it — then
+    clamped to :data:`~repro.fi.faults.VARIABLE_RANGES`.  A fault on the
+    controller-internal IOB *also* corrupts the commanded bolus while
+    active (the bolus path of the output faults)."""
 
     def __init__(self, runs: Sequence[SimRun]):
         B = len(runs)
@@ -189,7 +204,7 @@ class _FaultBatch:
 
     def _apply(self, current: np.ndarray, held: np.ndarray,
                input_floor: bool) -> np.ndarray:
-        """FaultSpec.apply over all rows (callers mask the result)."""
+        """The corrupted value of every row (callers mask the result)."""
         kc = self.kind_code
         truncated = self.lo if input_floor else np.where(self.is_glucose,
                                                          self.lo, 0.0)
@@ -249,11 +264,16 @@ class _FaultBatch:
 # ----------------------------------------------------------------------
 
 class _OpenAPSBatch:
-    """oref0 determine-basal over rows (see OpenAPSController.decide).
+    """oref0 determine-basal over rows (see :mod:`repro.controllers.openaps`).
 
-    Every tuning column is read off the *actual* per-patient controller
-    instances ``make_controller`` builds, so a changed controller default
-    can never silently diverge from the scalar path.
+    Per cycle: ``bgi = -activity * isf * cycle``; the deviation
+    extrapolates ``delta - bgi`` over 30 minutes; ``eventual = bg - iob *
+    isf + deviation``.  Below ``suspend`` the rate is 0.  Below target the
+    low temp removes the projected surplus at full gain (0 when the naive
+    projection ``bg - iob * isf`` is under ``suspend`` too); at or above
+    target the high temp adds half the required insulin, capped by
+    ``max_iob`` and ``max_basal``.  Every tuning column is read off the
+    per-patient controller instances ``make_controller`` builds.
     """
 
     def __init__(self, controllers: Sequence):
@@ -271,8 +291,8 @@ class _OpenAPSBatch:
     def decide(self, step: int, dt: float, reading: np.ndarray,
                iob: np.ndarray, activity: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
-        # the scalar controller's cycle length is its construction default
-        # until the first notify_delivery sets it to the scenario dt
+        # the first cycle projects over the controller's default 5-minute
+        # cycle; later cycles over the run's dt
         cycle = 5.0 if step == 0 else dt
         if self._last_glucose is None:
             delta = np.zeros_like(reading)
@@ -300,8 +320,13 @@ class _OpenAPSBatch:
 
 
 class _BasalBolusBatch:
-    """Basal-Bolus protocol over rows (see BasalBolusController.decide);
-    tuning columns come from the real controller instances."""
+    """Basal-Bolus protocol over rows (see
+    :mod:`repro.controllers.basal_bolus`): basal 0 below ``suspend``, half
+    basal below ``reduce_threshold``, else the scheduled basal plus, above
+    ``correction_threshold`` and at least ``correction_interval`` minutes
+    after the last one, a correction bolus ``(bg - target) / isf - iob``
+    clamped to ``[0, max_bolus]``.  Tuning columns come from the controller
+    instances."""
 
     def __init__(self, controllers: Sequence):
         def col(attr):
@@ -337,7 +362,10 @@ class _BasalBolusBatch:
 
 def _classify(rate: np.ndarray, bolus: np.ndarray,
               reference: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.controllers.classify_action` (int codes)."""
+    """:class:`~repro.controllers.ControlAction` codes of the commands
+    against the scheduled basal *reference*: a bolus is an increase, a
+    rate within ``ACTION_TOLERANCE`` of 0 a stop, then decrease / increase
+    / keep by comparison with the reference."""
     return np.where(bolus > 0.0, 2,
            np.where(rate <= ACTION_TOLERANCE, 3,
            np.where(rate < reference - ACTION_TOLERANCE, 1,
@@ -358,10 +386,10 @@ class _MonitorBatch:
     before the campaign, not inside the factory).  Rows are grouped by
     monitor instance, and each group keeps the per-column state of its
     rows (:meth:`~repro.core.monitor.SafetyMonitor.init_state`, fresh at
-    run start like the scalar loop's reset).  Every tick each group makes
-    one single-cycle ``observe_batch`` call that advances that state,
-    which is exact by the resume contract: a column's verdicts equal
-    feeding its cycles through ``observe`` one by one.
+    run start).  Every tick each group makes one single-cycle
+    ``observe_batch`` call that advances that state, which is exact by the
+    resume contract: a column's verdicts equal one ``observe_batch`` call
+    over its whole stream.
     """
 
     def __init__(self, runs: Sequence[SimRun],
@@ -400,10 +428,9 @@ class _MitigatorBatch:
     :meth:`~repro.core.mitigation.Mitigator.correct_mask` (the built-in
     families) correct all alerted rows in one vectorized call.  Everything
     else gets the column-loop fallback: one ``reset`` deep copy of the
-    mitigator per batch row — the scalar campaign's
-    reset-per-run semantics, since a fully-resetting mitigator is
-    indistinguishable from a fresh one — each driven through the scalar
-    ``correct`` for its own row's alerts only.
+    mitigator per batch row — reset per run, since a fully-resetting
+    mitigator is indistinguishable from a fresh one — each driven through
+    the per-cycle ``correct`` for its own row's alerts only.
     """
 
     def __init__(self, mitigator: Mitigator, n_rows: int):
@@ -418,7 +445,7 @@ class _MitigatorBatch:
             self.rows = []
             for _ in range(n_rows):
                 clone = copy.deepcopy(mitigator)
-                clone.reset()  # the scalar loop's run-start reset
+                clone.reset()  # the run-start reset
                 self.rows.append(clone)
 
     def correct(self, alerts: np.ndarray, hazards: np.ndarray,
@@ -507,22 +534,20 @@ class _T1DBatch:
 def titrate_isf_batch(patients: Sequence, target: float = 120.0,
                       bolus_u: float = 1.0,
                       horizon_min: float = 300.0) -> np.ndarray:
-    """Batched :func:`~repro.simulation.batch.empirical_isf` — one column
-    per patient model, advanced in lock step on the shared kernels.
+    """Titrate each patient's insulin sensitivity factor (mg/dL per U) —
+    one column per patient model, advanced in lock step on the kernels.
 
-    Titration is the dominant cold-start cost of a campaign (one 300-minute
-    unit-bolus simulation per cohort member); this runs the whole cohort's
-    rest-bolus-observe protocol as a single ``(n_states, B)`` batch.  The
-    scalar titration drives ``PatientModel.step`` whose RK4 is bit-equal to
-    these kernels at ``B=1``, and every surrounding expression (infusion
-    split, running minimum, the 5 mg/dL/U floor) transcribes the scalar
-    arithmetic elementwise — so the returned ISF values are **element-wise
-    identical** to titrating each patient serially.
+    Each column rests at *target* on its basal, takes a *bolus_u* bolus
+    over the first integration sub-step and records the lowest glucose
+    over *horizon_min* minutes of 5-minute cycles; the ISF is the drop per
+    unit, floored at 5 mg/dL/U.  Titration is the dominant cold-start cost
+    of a campaign (one 300-minute simulation per cohort member), so the
+    whole cohort runs as one ``(n_states, B)`` batch; every expression is
+    elementwise, so a column's ISF does not depend on its batch.
 
     All patients must be of one model family; S2013 patients must have
     their chronic insulin reference anchored at *target* (the
-    configuration every campaign path builds), since that is what the
-    scalar ``reset(target)`` uses.
+    configuration every campaign path builds).
     """
     patients = list(patients)
     if not patients:
@@ -541,14 +566,14 @@ def titrate_isf_batch(patients: Sequence, target: float = 120.0,
             raise ValueError(
                 f"S2013 titration anchors the insulin reference at the "
                 f"patient's target_glucose; {off_target} are not at "
-                f"{target} — titrate them with the scalar empirical_isf")
+                f"{target}")
         plant = _T1DBatch(params)
 
     n_cols = len(patients)
     basal = np.array([p.basal_rate(target) for p in patients])
     state = plant.reset(np.full(n_cols, float(target)), target)
 
-    duration = 5.0  # the scalar titration steps at the default APS cycle
+    duration = 5.0  # titration steps at the default APS cycle
     n_steps = int(horizon_min / duration)
     n_sub = max(1, int(round(duration / kind.dt_integration)))
     dt_sub = duration / n_sub
@@ -589,9 +614,9 @@ def warm_profiles(platform: str, patient_ids: Sequence[str],
                   target: float = 120.0) -> Dict[str, Dict[str, float]]:
     """Titrate a cohort's controller profiles in one lock-step batch.
 
-    Seeds the process-wide profile cache (element-wise identical to the
-    serial :func:`~repro.simulation.batch.controller_profile` titration)
-    and returns ``patient_id -> profile``.  Call before a cold campaign to
+    Seeds the process-wide profile cache (the profiles
+    :func:`~repro.simulation.batch.controller_profile` would compute one
+    patient at a time) and returns ``patient_id -> profile``.  Call before a cold campaign to
     pay the titration cost once, vectorized, instead of per patient.
     """
     from .batch import controller_profile  # deferred: batch imports us too
@@ -604,12 +629,12 @@ def warm_profiles(platform: str, patient_ids: Sequence[str],
 
 
 # ----------------------------------------------------------------------
-# meal precomputation (exact scalar replication)
+# meal precomputation
 # ----------------------------------------------------------------------
 
 def _substep_times(n_steps: int, n_sub: int, dt_sub: float) -> List[float]:
-    """Substep start times via the same float accumulation the scalar
-    ``PatientModel.step`` performs (``self.t += dt`` per substep)."""
+    """Substep start times, accumulated in float (``t += dt_sub`` per
+    substep)."""
     times, t = [], 0.0
     for _ in range(n_steps * n_sub):
         times.append(t)
@@ -621,10 +646,9 @@ def _precompute_ivp_ra(meals: Sequence[Sequence[Meal]], params,
                        ) -> Optional[np.ndarray]:
     """Per-(substep, stage, row) meal rate-of-appearance timelines.
 
-    Evaluated through the scalar :func:`repro.patients.ivp.meal_ra` at the
-    exact RK4 stage times, with meals anchored at the substep start whose
-    window contains them — precisely what the scalar patient does at run
-    time, so the resulting values are bit-identical.
+    Evaluated through :func:`repro.patients.ivp.meal_ra` at the exact RK4
+    stage times, with each meal anchored at the start of the substep whose
+    window contains it and the meals' rates summed in ingestion order.
     """
     if not any(meals_b for meals_b in meals):
         return None
@@ -654,7 +678,7 @@ def _precompute_ivp_ra(meals: Sequence[Sequence[Meal]], params,
 def _precompute_t1d_ingestion(meals: Sequence[Sequence[Meal]],
                               sub_times: List[float], dt_sub: float
                               ) -> Dict[int, List[Tuple[int, float]]]:
-    """substep index -> [(row, carbs mg)] ingestion events, in scalar order."""
+    """substep index -> [(row, carbs mg)] ingestion events, in row order."""
     events: Dict[int, List[Tuple[int, float]]] = {}
     for b, meals_b in enumerate(meals):
         for m, t0 in enumerate(sub_times):
@@ -676,16 +700,15 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
               ) -> List[SimulationTrace]:
     """Simulate every run in *runs* simultaneously, in lock step.
 
-    Returns one :class:`SimulationTrace` per run, in run order, element-wise
-    identical to driving each scenario through the scalar
-    :class:`~repro.simulation.loop.ClosedLoop` (ideal sensor, standard
-    pump — the campaign configuration).  With a *monitor_factory* the
-    engine evaluates each patient's monitor column-wise every tick and
+    Returns one :class:`SimulationTrace` per run, in run order, each
+    independent of the rest of the batch (ideal CGM clipped to
+    :data:`~repro.patients.sensor.CGM_RANGE`, standard
+    :class:`~repro.patients.pump.InsulinPump`).  With a *monitor_factory*
+    the engine evaluates each patient's monitor column-wise every tick and
     records the alert channels; with a *mitigator* too, alerted rows carry
     a corrected per-row ``(rate, bolus)`` command into the pump/plant
-    stage of the same tick (Algorithm 1), exactly like the scalar loop.
-    A mitigator without a monitor never fires — the scalar loop's
-    ``NO_ALERT`` semantics.
+    stage of the same tick (Algorithm 1).  A mitigator without a monitor
+    never fires.
 
     Meal disturbances come from each run's ``SimRun.meals`` schedule by
     default; the explicit *meals* argument (one event sequence per run)
@@ -708,12 +731,10 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
     if len(meals) != B:
         raise ValueError("meals must align with runs")
 
-    # one patient model + titrated scalar controller per distinct cohort
-    # member: the controller instances are the source of every tuning
-    # column below (profile basal/ISF and class defaults alike), so the
-    # vector engine can never drift from the scalar configuration.  The
-    # titration itself runs as one lock-step batch over the uncached
-    # members (bit-identical to the serial empirical_isf) before the
+    # one patient model + titrated controller per distinct cohort member:
+    # the controller instances are the source of every tuning column
+    # below (profile basal/ISF and class defaults alike).  The titration
+    # runs as one lock-step batch over the uncached members before the
     # controllers are built from the now-warm cache.
     patients: Dict[str, object] = {}
     for run in runs:
@@ -736,29 +757,19 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
         plant = _T1DBatch(params)
         controller = _BasalBolusBatch(row_controllers)
     basal = controller.basal  # scheduled basal: classify reference and
-    # the net-IOB delivery offset (== IOBCalculator.basal_offset)
+    # the net-IOB delivery offset
 
-    # the engine evaluates one IOB series per row and records it as the
-    # trace's monitor-side iob channel, exactly like the scalar loop — that
-    # is only the controller's own IOB when both use the same activity
-    # curve, so a controller configured away from the loop-side default
-    # curve must fail loudly rather than batch incorrectly
-    curves = {c._iob_calc.curve for c in controllers.values()}
-    curve = curves.pop() if len(curves) == 1 else None
-    if curve != InsulinActivityCurve():
-        raise ValueError(
-            "lock-step batching requires every controller to use the "
-            "default insulin activity curve (the closed loop's "
-            "monitor-side IOB curve); run these scenarios one at a time "
-            "through make_loop(...).run instead")
-    frac_tab, act_tab, band_start = _iob_tables(curve, n_steps, dt)
+    # one net-IOB series per row, from the platform controller's activity
+    # curve (one class, so one curve per batch): the controller's own IOB
+    # and the trace's monitor-side iob channel
+    frac_tab, act_tab, band_start = _iob_tables(row_controllers[0].curve,
+                                                n_steps, dt)
     need_activity = controller_kind == "openaps"
     faults = _FaultBatch(runs)
     pump = InsulinPump()
     monitors = (_MonitorBatch(runs, monitor_factory)
                 if monitor_factory is not None else None)
-    # a mitigator only ever acts on a monitor verdict (Algorithm 1); with
-    # no monitor the scalar loop keeps NO_ALERT and never corrects
+    # a mitigator only ever acts on a monitor verdict (Algorithm 1)
     mitigators = (_MitigatorBatch(mitigator, B)
                   if mitigator is not None and monitors is not None else None)
 
@@ -788,8 +799,8 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
         cgm = np.clip(plant.sensor_glucose(state), *CGM_RANGE)
         reading = faults.corrupt_reading(cgm, step)
 
-        # IOB / activity at t: the scalar calculators' per-delivery sums,
-        # replayed in delivery order from the precomputed decay tables
+        # IOB / activity at t: the per-delivery sums, in delivery order,
+        # from the precomputed decay tables
         band = units[band_start[step]:step]
         iob = _band_sum(band, frac_tab[step])
         activity = _band_sum(band, act_tab[step]) if need_activity else None

@@ -73,9 +73,8 @@ class TestPhi3Phi4:
 
 class TestFit:
     def test_fit_sets_percentiles(self):
-        from repro.simulation import make_loop, Scenario
-        traces = [make_loop("glucosym", "B").run(Scenario(init_glucose=120.0,
-                                                          n_steps=50))]
+        from repro.simulation import run_fault_free
+        traces = run_fault_free("glucosym", ["B"], (120.0,), n_steps=50)
         monitor = GuidelineMonitor().fit(traces)
         assert 100.0 < monitor.lambda_10 <= monitor.lambda_90 < 200.0
 

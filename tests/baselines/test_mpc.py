@@ -79,18 +79,21 @@ class TestPrediction:
 
 class TestClosedLoop:
     def test_detects_rate_attack_in_simulation(self):
-        from repro.fi import FaultInjector, FaultKind, FaultSpec, FaultTarget
-        from repro.simulation import make_loop, Scenario
-        loop = make_loop("glucosym", "B", monitor=MPCMonitor(horizon_steps=24))
-        loop.injector = FaultInjector(
-            FaultSpec(FaultKind.MAX, FaultTarget.RATE, 20, 24))
-        trace = loop.run(Scenario(init_glucose=120.0))
+        from repro.fi import (FaultKind, FaultSpec, FaultTarget,
+                              InjectionScenario)
+        from repro.simulation import run_campaign
+        scenario = InjectionScenario(
+            FaultSpec(FaultKind.MAX, FaultTarget.RATE, 20, 24), 120.0)
+        trace, = run_campaign(
+            "glucosym", ["B"], [scenario],
+            monitor_factory=lambda pid: MPCMonitor(horizon_steps=24))
         assert trace.alert.any()
 
     def test_mostly_silent_fault_free(self):
-        from repro.simulation import make_loop, Scenario
-        loop = make_loop("glucosym", "B", monitor=MPCMonitor(horizon_steps=24))
-        trace = loop.run(Scenario(init_glucose=120.0))
+        from repro.simulation import run_fault_free
+        trace, = run_fault_free(
+            "glucosym", ["B"], (120.0,),
+            monitor_factory=lambda pid: MPCMonitor(horizon_steps=24))
         assert trace.alert.mean() < 0.2
 
 
@@ -279,3 +282,47 @@ def test_batch_without_columns():
         random_batch(np.random.default_rng(0), 3, 0), state=state)
     assert alerts.shape == hazards.shape == (3, 0)
     assert all(value.shape == (0,) for value in state.values())
+
+
+#: BG and insulin-rate streams with a non-finite input (horizon 24)
+NON_FINITE_STREAMS = {
+    "infinite-rate": ([120.0, 120.0, 60.0, 60.0, 200.0],
+                      [1.0, math.inf, 1.0, 1.0, 1.0]),
+    "nan-first-bg": ([math.nan, 250.0, 250.0, 250.0, 250.0],
+                     [0.0] * 5),
+}
+
+
+@pytest.mark.parametrize("stream", list(NON_FINITE_STREAMS))
+class TestNonFiniteInput:
+    """A chain driven to NaN cannot be told from an unstarted column, so
+    every path refuses non-finite inputs: tick by tick, one-shot and per
+    cycle alike."""
+
+    @staticmethod
+    def ticks(stream):
+        bgs, rates = NON_FINITE_STREAMS[stream]
+        return [ContextBatch.from_tick(
+            t=5.0 * k, bg=np.array([bg]), bg_rate=np.zeros(1),
+            iob=np.zeros(1), iob_rate=np.zeros(1), rate=np.array([rate]),
+            bolus=np.zeros(1), action=np.array([int(ControlAction.KEEP)]),
+            dt=5.0) for k, (bg, rate) in enumerate(zip(bgs, rates))]
+
+    def test_tick_by_tick(self, stream):
+        monitor = MPCMonitor(horizon_steps=24)
+        state = monitor.init_state(1)
+        with pytest.raises(ValueError, match="finite"):
+            for tick in self.ticks(stream):
+                monitor.observe_batch(tick, state=state)
+
+    def test_one_shot(self, stream):
+        batch = functools.reduce(ContextBatch.append, self.ticks(stream))
+        with pytest.raises(ValueError, match="finite"):
+            MPCMonitor(horizon_steps=24).observe_batch(batch)
+
+    def test_observe(self, stream):
+        monitor = MPCMonitor(horizon_steps=24)
+        bgs, rates = NON_FINITE_STREAMS[stream]
+        with pytest.raises(ValueError, match="finite"):
+            for bg, rate in zip(bgs, rates):
+                monitor.observe(ctx(bg=bg, rate=rate))

@@ -19,13 +19,17 @@ import pytest
 
 import repro.parallel
 from repro.baselines import GuidelineMonitor, MPCMonitor
-from repro.core import cawot_monitor, cawt_monitor
-from repro.fi import FaultInjector
+from repro.core import (Mitigator, MonitorVerdict, SafetyMonitor,
+                        cawot_monitor, cawt_monitor)
+from repro.hazards import HazardType
 from repro.ml import (build_window_dataset, train_dt_monitor,
                       train_mlp_monitor)
 from repro.ml.monitors import LSTMMonitor
 from repro.ml.nn import LSTMClassifier
-from repro.simulation import Scenario, make_loop, run_campaign, run_fault_free
+from repro.fi import FaultTarget
+from repro.simulation import (CampaignExecutor, SimRun, run_batch,
+                              run_campaign, run_fault_free)
+from repro.simulation.vector import _FaultBatch
 
 # grid constants live in tests/tiny_grid.py (a uniquely-named module —
 # `conftest` is ambiguous once subdirectories carry their own); re-exported
@@ -112,31 +116,86 @@ def set_lockstep_width(monkeypatch):
     return set_width
 
 
-def _reference_traces(plan, monitor_factory=None, mitigator=None):
-    """Every plan cell through the single-run ``make_loop(...).run``.
+#: the lock-step width the package ships with (captured before any test
+#: monkeypatches it): the reference every width sweep compares against
+PRODUCTION_WIDTH = repro.parallel.LOCKSTEP_WIDTH
 
-    One loop per run of consecutive same-patient cells, its monitor from
-    the factory; ``ClosedLoop.run`` resets the monitor and the shared
-    mitigator at the start of every run.
-    """
-    traces = []
-    loop, current = None, None
-    for run in plan.runs:
-        if loop is None or run.patient_id != current:
-            monitor = monitor_factory(run.patient_id) if monitor_factory \
-                else None
-            loop = make_loop(plan.platform, run.patient_id, monitor=monitor,
-                             mitigator=mitigator, target=plan.target)
-            current = run.patient_id
-        loop.injector = (FaultInjector(run.fault) if run.fault is not None
-                         else None)
-        traces.append(loop.run(Scenario(
-            init_glucose=run.init_glucose, n_steps=plan.n_steps, dt=plan.dt,
-            label=run.label, meals=run.meals)))
-    return traces
+
+def _production_traces(plan, monitor_factory=None, mitigator=None):
+    """Every plan cell through the engine at the production width."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.parallel, "LOCKSTEP_WIDTH", PRODUCTION_WIDTH)
+        return CampaignExecutor(1).run(plan, monitor_factory=monitor_factory,
+                                       mitigator=mitigator)
 
 
 @pytest.fixture(scope="session")
-def reference_traces():
-    """The single-run reference every executor parity test compares to."""
-    return _reference_traces
+def production_traces():
+    """The production-width run every width/worker parity test compares
+    to (the traces themselves are pinned by ``test_golden.py``)."""
+    return _production_traces
+
+
+class _AlwaysAlert(SafetyMonitor):
+    """Flags every cycle (as H2), so a mitigator rewrites every command."""
+
+    name = "always"
+
+    def observe(self, ctx):
+        return MonitorVerdict(alert=True, hazard=HazardType.H2)
+
+
+class _Schedule(Mitigator):
+    """Replaces the command of cycle ``k`` by ``(rates[k], boluses[k])``."""
+
+    def __init__(self, rates, boluses, dt):
+        self.rates, self.boluses, self.dt = rates, boluses, dt
+
+    def correct(self, verdict, ctx):
+        k = int(round(ctx.t / self.dt))
+        return self.rates[k], self.boluses[k]
+
+
+def commanded_run(platform, pid, rates, boluses=None, init_glucose=120.0,
+                  dt=5.0, meals=()):
+    """One engine run whose final command of cycle ``k`` is
+    ``(rates[k], boluses[k])`` (bolus 0 by default): the plant, pump and
+    IOB stages see exactly those commands."""
+    rates = [float(r) for r in rates]
+    boluses = [0.0] * len(rates) if boluses is None \
+        else [float(b) for b in boluses]
+    trace, = run_batch(platform, [SimRun(pid, init_glucose, "commanded",
+                                         meals=tuple(meals))],
+                       n_steps=len(rates), dt=dt,
+                       monitor_factory=lambda _pid: _AlwaysAlert(),
+                       mitigator=_Schedule(rates, boluses, dt))
+    return trace
+
+
+class FaultProbe:
+    """One row of the engine's fault masks, fed plain floats a cycle at a
+    time (the engine's order: reading, then IOB, then command)."""
+
+    def __init__(self, spec):
+        self.target = spec.target
+        self.batch = _FaultBatch([SimRun("A", 120.0, "probe", spec)])
+
+    def corrupt_reading(self, value, step):
+        return float(self.batch.corrupt_reading(np.array([value]), step)[0])
+
+    def corrupt_iob(self, value, step):
+        return float(self.batch.corrupt_iob(np.array([value]), step)[0])
+
+    def corrupt_command(self, rate, bolus, step):
+        rate, bolus = self.batch.corrupt_command(np.array([rate]),
+                                                 np.array([bolus]), step)
+        return float(rate[0]), float(bolus[0])
+
+    def corrupt(self, value, step):
+        """*value* as the fault's own target variable sees it at *step*."""
+        if self.target is FaultTarget.GLUCOSE:
+            return self.corrupt_reading(value, step)
+        if self.target is FaultTarget.IOB:
+            return self.corrupt_iob(value, step)
+        rate, bolus = self.corrupt_command(value, value, step)
+        return rate if self.target is FaultTarget.RATE else bolus

@@ -1,7 +1,15 @@
-"""Tests for the control-action taxonomy (u1..u4)."""
+"""Tests for the control-action taxonomy (u1..u4) and the engine's
+classification of commands into it."""
+
+import numpy as np
+
+from repro.controllers import ControlAction
+from repro.simulation.vector import _classify
 
 
-from repro.controllers import ControlAction, classify_action
+def classify(rate, bolus, reference):
+    return ControlAction(int(_classify(np.array([rate]), np.array([bolus]),
+                                       np.array([reference]))[0]))
 
 
 class TestControlAction:
@@ -21,25 +29,25 @@ class TestControlAction:
 
 class TestClassify:
     def test_stop(self):
-        assert classify_action(0.0, 0.0, 1.0) == ControlAction.STOP
+        assert classify(0.0, 0.0, 1.0) == ControlAction.STOP
 
     def test_decrease(self):
-        assert classify_action(0.5, 0.0, 1.0) == ControlAction.DECREASE
+        assert classify(0.5, 0.0, 1.0) == ControlAction.DECREASE
 
     def test_increase(self):
-        assert classify_action(2.0, 0.0, 1.0) == ControlAction.INCREASE
+        assert classify(2.0, 0.0, 1.0) == ControlAction.INCREASE
 
     def test_keep(self):
-        assert classify_action(1.0, 0.0, 1.0) == ControlAction.KEEP
+        assert classify(1.0, 0.0, 1.0) == ControlAction.KEEP
 
     def test_keep_within_tolerance(self):
-        assert classify_action(1.005, 0.0, 1.0) == ControlAction.KEEP
+        assert classify(1.005, 0.0, 1.0) == ControlAction.KEEP
 
     def test_bolus_counts_as_increase(self):
-        assert classify_action(1.0, 0.5, 1.0) == ControlAction.INCREASE
+        assert classify(1.0, 0.5, 1.0) == ControlAction.INCREASE
 
     def test_bolus_overrides_stop(self):
-        assert classify_action(0.0, 1.0, 1.0) == ControlAction.INCREASE
+        assert classify(0.0, 1.0, 1.0) == ControlAction.INCREASE
 
     def test_tiny_rate_is_stop_not_decrease(self):
-        assert classify_action(0.005, 0.0, 1.0) == ControlAction.STOP
+        assert classify(0.005, 0.0, 1.0) == ControlAction.STOP

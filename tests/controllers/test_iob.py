@@ -1,9 +1,14 @@
-"""Tests for the insulin activity curve and IOB calculator."""
+"""Tests for the insulin activity curve and the engine's IOB."""
 
 import numpy as np
 import pytest
 
-from repro.controllers import InsulinActivityCurve, IOBCalculator
+from repro.controllers import InsulinActivityCurve, OpenAPSController
+from repro.fi import FaultKind, FaultSpec, FaultTarget
+from repro.patients import make_patient
+from repro.simulation import CampaignPlan, SimRun, run_batch
+from repro.simulation.vector import _band_sum, _iob_tables
+from tests.conftest import commanded_run
 
 
 class TestActivityCurve:
@@ -57,105 +62,115 @@ class TestActivityCurve:
             InsulinActivityCurve(dia=300, peak=0)
 
 
+def basal_b():
+    return make_patient("glucosym", "B").basal_rate(120.0)
+
+
 class TestIOBCalculator:
+    """The engine's net IOB, driven by commanded deliveries: each cycle's
+    delivery above the scheduled basal is one impulse at its midpoint."""
+
     def test_bolus_appears_in_iob(self):
-        calc = IOBCalculator()
-        calc.record(0.0, 2.0, t=0.0, duration=5.0)
-        assert calc.iob(5.0) == pytest.approx(2.0, abs=0.05)
+        trace = commanded_run("glucosym", "B", [basal_b()] * 2, [2.0, 0.0])
+        assert trace.iob[1] == pytest.approx(2.0, abs=0.05)
 
     def test_iob_decays_to_zero(self):
-        calc = IOBCalculator()
-        calc.record(0.0, 2.0, t=0.0, duration=5.0)
-        assert calc.iob(400.0) == 0.0
+        """A bolus leaves no trace in the IOB once its DIA has passed."""
+        rates = [basal_b()] * 70
+        with_bolus = commanded_run("glucosym", "B", rates, [2.0] + [0.0] * 69)
+        without = commanded_run("glucosym", "B", rates)
+        assert with_bolus.iob[1] - without.iob[1] > 1.9
+        # the bolus impulse sits at 2.5 min: lag >= 300 from cycle 61 on
+        np.testing.assert_array_equal(with_bolus.iob[61:], without.iob[61:])
 
     def test_basal_accumulates(self):
-        calc = IOBCalculator()
-        for i in range(12):  # one hour at 2 U/h
-            calc.record(2.0, 0.0, t=5.0 * i, duration=5.0)
-        # delivered 2 U over the hour; most still on board
-        assert 1.5 <= calc.iob(60.0) <= 2.0
+        # one hour at 2 U/h above basal: 2 U, most still on board
+        trace = commanded_run("glucosym", "B", [basal_b() + 2.0] * 13)
+        assert 1.5 <= trace.iob[12] <= 2.0
 
     def test_net_iob_with_basal_offset(self):
-        """At scheduled basal, net IOB stays zero."""
-        calc = IOBCalculator(basal_offset=1.0)
-        for i in range(12):
-            calc.record(1.0, 0.0, t=5.0 * i, duration=5.0)
-        assert calc.iob(60.0) == pytest.approx(0.0)
+        """At scheduled basal, net IOB stays zero (to the pump's grid)."""
+        trace = commanded_run("glucosym", "B", [basal_b()] * 13)
+        assert trace.iob[12] == pytest.approx(0.0, abs=0.05)
 
     def test_net_iob_negative_when_below_basal(self):
-        calc = IOBCalculator(basal_offset=1.0)
-        for i in range(12):
-            calc.record(0.0, 0.0, t=5.0 * i, duration=5.0)
-        assert calc.iob(60.0) < 0
+        trace = commanded_run("glucosym", "B", [0.0] * 13)
+        assert trace.iob[12] < 0
 
     def test_activity_positive_during_decay(self):
-        calc = IOBCalculator()
-        calc.record(0.0, 1.0, t=0.0, duration=5.0)
-        assert calc.activity(60.0) > 0
+        """Every delivery inside the DIA window weighs on the activity the
+        controller projects with."""
+        _, act, band_start = _iob_tables(InsulinActivityCurve(), 13, 5.0)
+        assert (act[12, :12 - band_start[12]] > 0).all()
 
     def test_iob_rate_is_minus_activity(self):
-        calc = IOBCalculator()
-        calc.record(0.0, 1.0, t=0.0, duration=5.0)
-        assert calc.iob_rate(60.0) == -calc.activity(60.0)
-
-    def test_old_deliveries_pruned(self):
-        calc = IOBCalculator()
-        calc.record(0.0, 1.0, t=0.0, duration=5.0)
-        calc.record(0.0, 0.5, t=1000.0, duration=5.0)
-        assert len(calc._deliveries) == 1
+        """The recorded IOB' of a lone bolus decays at minus its activity
+        (to the finite difference over one cycle)."""
+        rates = [basal_b()] * 40
+        with_bolus = commanded_run("glucosym", "B", rates, [1.0] + [0.0] * 39)
+        without = commanded_run("glucosym", "B", rates)
+        curve = InsulinActivityCurve()
+        for k in (12, 24, 36):
+            slope = with_bolus.iob_rate[k] - without.iob_rate[k]
+            assert slope == pytest.approx(-curve.activity(5.0 * k - 5.0),
+                                          rel=0.02)
 
     def test_reset(self):
-        calc = IOBCalculator()
-        calc.record(0.0, 3.0, t=0.0, duration=5.0)
-        calc.reset()
-        assert calc.iob(5.0) == 0.0
+        """IOB never leaks between runs: a bolus-heavy row leaves its
+        batch neighbour's IOB exactly as that run has it alone."""
+        heavy = SimRun("B", 200.0, "heavy", FaultSpec(
+            FaultKind.MAX, FaultTarget.BOLUS, 0, 6))
+        calm = SimRun("B", 120.0, "calm")
+        batch = run_batch("glucosym", [heavy, calm], n_steps=12)
+        alone = run_batch("glucosym", [calm], n_steps=12)
+        assert batch[0].iob[6] > 1.0
+        np.testing.assert_array_equal(batch[1].iob, alone[0].iob)
 
     def test_invalid_duration(self):
-        with pytest.raises(ValueError):
-            IOBCalculator().record(1.0, 0.0, t=0.0, duration=0.0)
+        """Deliveries are recorded per control cycle, which must last a
+        positive time."""
+        with pytest.raises(ValueError, match="dt"):
+            CampaignPlan(platform="glucosym", runs=(), dt=0.0)
 
     def test_invalid_offset(self):
-        with pytest.raises(ValueError):
-            IOBCalculator(basal_offset=-1.0)
+        """The net-IOB offset is the scheduled basal, never negative."""
+        with pytest.raises(ValueError, match="basal"):
+            OpenAPSController(basal=-1.0)
+
+    def test_old_deliveries_pruned(self):
+        """Deliveries past the DIA leave the band: at cycle 100 the
+        oldest term is cycle 40's (lag 297.5 min)."""
+        _, _, band_start = _iob_tables(InsulinActivityCurve(), 101, 5.0)
+        assert band_start[100] == 40
+        assert band_start[30] == 0
 
 
 class TestSummationOrder:
-    """``iob`` and ``activity`` add their terms left to right from 0, the
-    order the lock-step engine's ``np.add.accumulate`` band sum replays,
-    on every Python version (builtin ``sum`` compensates rounding from
-    Python 3.12 on)."""
+    """The engine's band sum adds each row's terms left to right from 0,
+    in delivery order, at any batch width (``np.sum`` may switch to
+    pairwise summation; builtin ``sum`` compensates from Python 3.12)."""
 
     @staticmethod
-    def accumulated(calc, t, term):
-        terms = [u * term(t - tm) for tm, u in calc._deliveries if tm <= t]
-        return np.add.accumulate(terms)[-1]
+    def left_to_right(terms):
+        total = 0.0
+        for term in terms:
+            total += term
+        return total + 0.0
 
     def test_random_histories_match_accumulate_order(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            calc = IOBCalculator(basal_offset=rng.uniform(0.0, 1.5))
-            n_cycles = int(rng.integers(1, 80))
-            for i in range(n_cycles):
-                bolus = rng.uniform(0.0, 4.0) if rng.random() < 0.2 else 0.0
-                calc.record(rng.uniform(0.0, 3.0), bolus, t=5.0 * i,
-                            duration=5.0)
-            t = 5.0 * n_cycles
-            curve = calc.curve
-            assert calc.iob(t) == self.accumulated(calc, t,
-                                                   curve.iob_fraction)
-            assert calc.activity(t) == self.accumulated(calc, t,
-                                                        curve.activity)
+            n_terms, width = int(rng.integers(1, 80)), int(rng.integers(1, 9))
+            units = rng.uniform(-0.2, 4.0, (n_terms, width))
+            weights = rng.uniform(0.0, 1.0, n_terms + 3)
+            total = _band_sum(units, weights)
+            for b in range(width):
+                expected = self.left_to_right(units[:, b] * weights[:n_terms])
+                assert total[b] == expected
+                assert _band_sum(units[:, [b]], weights)[0] == expected
 
     def test_cancelling_terms(self):
-        calc = IOBCalculator()
-        for units in (1.0, 1e100, 1.0, -1e100):
-            calc.record(0.0, units, t=0.0, duration=5.0)
-        # at lag 0 every IOB fraction is 1: left to right gives 0.0,
-        # compensated summation 2.0
-        assert calc.iob(2.5) == 0.0
-        for lag in (0.0, 60.0):
-            t = 2.5 + lag
-            assert calc.iob(t) == self.accumulated(
-                calc, t, calc.curve.iob_fraction)
-            assert calc.activity(t) == self.accumulated(
-                calc, t, calc.curve.activity)
+        band = np.array([[1.0], [1e100], [1.0], [-1e100]])
+        # every weight 1: left to right gives 0.0, compensated summation 2.0
+        assert _band_sum(band, np.ones(4))[0] == 0.0
+        assert _band_sum(band[:0], np.ones(4))[0] == 0.0

@@ -1,12 +1,13 @@
-"""Tests for the fault injector."""
+"""Tests for the engine's fault masks, one row at a time."""
 
-
-from repro.fi import FaultInjector, FaultKind, FaultSpec, FaultTarget
+from repro.fi import FaultKind, FaultSpec, FaultTarget, InjectionScenario
+from repro.simulation import run_campaign
+from tests.conftest import FaultProbe
 
 
 def injector(kind, target, start=5, dur=3, value=0.0):
-    return FaultInjector(FaultSpec(kind=kind, target=target, start_step=start,
-                                   duration_steps=dur, value=value))
+    return FaultProbe(FaultSpec(kind=kind, target=target, start_step=start,
+                                duration_steps=dur, value=value))
 
 
 class TestReadings:
@@ -30,10 +31,13 @@ class TestReadings:
         assert inj.corrupt_reading(250.0, 6) == 111.0
 
     def test_activation_recorded(self):
-        inj = injector(FaultKind.MAX, FaultTarget.GLUCOSE)
-        assert inj.activated_step is None
-        inj.corrupt_reading(120.0, 5)
-        assert inj.activated_step == 5
+        """A closed-loop run's reading departs from the clean CGM exactly
+        on the fault's start step."""
+        trace, = run_campaign("glucosym", ["B"], [InjectionScenario(
+            FaultSpec(FaultKind.MAX, FaultTarget.GLUCOSE, 5, 3), 120.0)],
+            n_steps=10)
+        changed = (trace.reading != trace.cgm).nonzero()[0]
+        assert changed.tolist() == [5, 6, 7] and trace.fault_step == 5
 
 
 class TestCommands:
@@ -67,14 +71,14 @@ class TestCommands:
 
 class TestReset:
     def test_reset_clears_held_state(self):
-        inj = injector(FaultKind.HOLD, FaultTarget.GLUCOSE)
-        inj.corrupt_reading(100.0, 4)
-        inj.corrupt_reading(200.0, 5)
-        inj.reset()
-        assert inj.activated_step is None
-        # no held value: passes through even while active
-        assert inj.corrupt_reading(222.0, 5) == 222.0
+        """Every run starts with empty HOLD registers: a window that opens
+        on the first cycle passes the value through."""
+        inj = injector(FaultKind.HOLD, FaultTarget.GLUCOSE, start=0)
+        assert inj.corrupt_reading(222.0, 0) == 222.0
+        assert inj.corrupt_reading(250.0, 1) == 250.0
 
     def test_fault_step_property(self):
-        inj = injector(FaultKind.MAX, FaultTarget.RATE, start=7)
-        assert inj.fault_step == 7
+        trace, = run_campaign("glucosym", ["B"], [InjectionScenario(
+            FaultSpec(FaultKind.MAX, FaultTarget.RATE, 7, 3), 120.0)],
+            n_steps=2)
+        assert trace.fault_step == 7

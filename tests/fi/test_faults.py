@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fi import FaultKind, FaultSpec, FaultTarget, VARIABLE_RANGES
+from tests.conftest import FaultProbe
 
 
 def spec(kind, target=FaultTarget.GLUCOSE, value=0.0, start=10, dur=6):
@@ -10,13 +11,22 @@ def spec(kind, target=FaultTarget.GLUCOSE, value=0.0, start=10, dur=6):
                      duration_steps=dur, value=value)
 
 
+def apply(f, value, held=None):
+    """The engine's corruption of *value* on the fault's first active
+    cycle, after a clean cycle that latched *held* (if any)."""
+    probe = FaultProbe(f)
+    if held is not None:
+        probe.corrupt(held, f.start_step - 1)
+    return probe.corrupt(value, f.start_step)
+
+
 class TestFaultSpec:
     def test_active_window(self):
-        f = spec(FaultKind.MAX, start=10, dur=6)
-        assert not f.active(9)
-        assert f.active(10)
-        assert f.active(15)
-        assert not f.active(16)
+        probe = FaultProbe(spec(FaultKind.MAX, start=10, dur=6))
+        assert probe.corrupt(120.0, 9) == 120.0
+        assert probe.corrupt(120.0, 10) == 400.0
+        assert probe.corrupt(120.0, 15) == 400.0
+        assert probe.corrupt(120.0, 16) == 120.0
 
     def test_end_step(self):
         assert spec(FaultKind.MAX, start=10, dur=6).end_step == 16
@@ -37,44 +47,44 @@ class TestFaultSpec:
 class TestApply:
     def test_truncate_rate_to_zero(self):
         f = spec(FaultKind.TRUNCATE, FaultTarget.RATE)
-        assert f.apply(2.0, None) == 0.0
+        assert apply(f, 2.0, None) == 0.0
 
     def test_truncate_glucose_clamps_to_range_floor(self):
         """A zeroed CGM value is clamped into the acceptable range."""
         f = spec(FaultKind.TRUNCATE, FaultTarget.GLUCOSE)
-        assert f.apply(120.0, None) == VARIABLE_RANGES[FaultTarget.GLUCOSE][0]
+        assert apply(f, 120.0, None) == VARIABLE_RANGES[FaultTarget.GLUCOSE][0]
 
     def test_hold_freezes_pre_fault_value(self):
         f = spec(FaultKind.HOLD)
-        assert f.apply(200.0, held=120.0) == 120.0
+        assert apply(f, 200.0, held=120.0) == 120.0
 
     def test_hold_without_history_passes_through(self):
         f = spec(FaultKind.HOLD)
-        assert f.apply(200.0, held=None) == 200.0
+        assert apply(f, 200.0, None) == 200.0
 
     def test_max_saturates(self):
         f = spec(FaultKind.MAX, FaultTarget.GLUCOSE)
-        assert f.apply(120.0, None) == 400.0
+        assert apply(f, 120.0, None) == 400.0
         f = spec(FaultKind.MAX, FaultTarget.RATE)
-        assert f.apply(1.0, None) == 10.0
+        assert apply(f, 1.0, None) == 10.0
 
     def test_min_saturates(self):
         f = spec(FaultKind.MIN, FaultTarget.GLUCOSE)
-        assert f.apply(120.0, None) == 40.0
+        assert apply(f, 120.0, None) == 40.0
 
     def test_add_offsets_and_clamps(self):
         f = spec(FaultKind.ADD, FaultTarget.GLUCOSE, value=75.0)
-        assert f.apply(120.0, None) == 195.0
-        assert f.apply(380.0, None) == 400.0  # clamped
+        assert apply(f, 120.0, None) == 195.0
+        assert apply(f, 380.0, None) == 400.0  # clamped
 
     def test_sub_offsets_and_clamps(self):
         f = spec(FaultKind.SUB, FaultTarget.GLUCOSE, value=75.0)
-        assert f.apply(120.0, None) == 45.0
-        assert f.apply(60.0, None) == 40.0  # clamped
+        assert apply(f, 120.0, None) == 45.0
+        assert apply(f, 60.0, None) == 40.0  # clamped
 
     def test_scale_halves(self):
         f = spec(FaultKind.SCALE, FaultTarget.RATE, value=0.5)
-        assert f.apply(2.0, None) == 1.0
+        assert apply(f, 2.0, None) == 1.0
 
     def test_result_always_in_range(self):
         for kind in FaultKind:
@@ -82,7 +92,7 @@ class TestApply:
                 f = spec(kind, target, value=0.5 if kind is FaultKind.SCALE else 75.0)
                 lo, hi = VARIABLE_RANGES[target]
                 for value in (lo, (lo + hi) / 2, hi):
-                    assert lo <= f.apply(value, held=hi) <= hi
+                    assert lo <= apply(f, value, held=hi) <= hi
 
 
 class TestLabels:

@@ -31,8 +31,9 @@ class TestRegistry:
     def test_all_patients(self):
         patients = all_patients("glucosym")
         assert len(patients) == 10
-        assert all(p.glucose == pytest.approx(120.0) for p in patients)
+        assert all(p.target_glucose == 120.0 for p in patients)
 
     def test_target_glucose_forwarded(self):
         patient = make_patient("glucosym", "A", target_glucose=140.0)
-        assert patient.glucose == pytest.approx(140.0)
+        assert patient.target_glucose == 140.0
+        assert patient.basal_rate() == patient.basal_rate(140.0)

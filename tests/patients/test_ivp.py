@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.patients import GLUCOSYM_COHORT, IVPParams, Meal, glucosym_patient
+from repro.patients import (GLUCOSYM_COHORT, IVPColumns, IVPParams, Meal,
+                            glucosym_patient)
+from repro.patients.base import UU_PER_UNIT
+from repro.patients.ivp import meal_ra
+from repro.patients.kernels import ivp_init_state, ivp_rk4_advance
+from repro.simulation import SimRun
+from tests.conftest import commanded_run
 
 
 class TestParams:
@@ -36,6 +42,22 @@ class TestParams:
         assert p.open_loop_glucose == pytest.approx(p.EGP / p.GEZI)
 
 
+def advance(pid, minutes, rate_u_h, bolus_u=0.0, init_glucose=120.0):
+    """The patient's ``(4, 1)`` kernel state after *minutes* of 1-minute
+    RK4 steps at *rate_u_h*, a bolus infused over the first minute."""
+    cols = IVPColumns.from_params([GLUCOSYM_COHORT[pid]])
+    x = ivp_init_state(cols, [init_glucose])
+    basal = rate_u_h * UU_PER_UNIT / 60.0
+    for i in range(minutes):
+        x = ivp_rk4_advance(cols, x, 1.0,
+                            basal + (bolus_u * UU_PER_UNIT if i == 0 else 0.0))
+    return x
+
+
+def glucose_after(pid, minutes, rate_u_h, **kwargs):
+    return float(advance(pid, minutes, rate_u_h, **kwargs)[3, 0])
+
+
 class TestSteadyState:
     def test_basal_rate_physiologic(self):
         for pid in GLUCOSYM_COHORT:
@@ -43,11 +65,8 @@ class TestSteadyState:
             assert 0.3 <= basal <= 4.0, f"patient {pid} basal {basal} U/h"
 
     def test_basal_holds_glucose(self):
-        patient = glucosym_patient("B")
-        basal = patient.basal_rate()
-        for _ in range(36):  # 3 hours
-            glucose = patient.step(basal)
-        assert glucose == pytest.approx(120.0, abs=0.5)
+        basal = glucosym_patient("B").basal_rate()
+        assert glucose_after("B", 180, basal) == pytest.approx(120.0, abs=0.5)
 
     def test_basal_rate_decreases_with_target(self):
         patient = glucosym_patient("B")
@@ -60,92 +79,72 @@ class TestSteadyState:
 
 class TestDynamics:
     def test_no_insulin_raises_glucose(self):
-        patient = glucosym_patient("B")
-        start = patient.glucose
-        for _ in range(36):
-            glucose = patient.step(0.0)
-        assert glucose > start + 10
+        assert glucose_after("B", 180, 0.0) > 120.0 + 10
 
     def test_overdose_lowers_glucose(self):
-        patient = glucosym_patient("B")
-        basal = patient.basal_rate()
-        for _ in range(36):
-            glucose = patient.step(5.0 * basal)
-        assert glucose < 100
+        basal = glucosym_patient("B").basal_rate()
+        assert glucose_after("B", 180, 5.0 * basal) < 100
 
     def test_glucose_rise_bounded_by_open_loop(self):
-        patient = glucosym_patient("B")
-        limit = patient.params.open_loop_glucose
-        for _ in range(400):
-            glucose = patient.step(0.0)
-        assert glucose <= limit + 1.0
+        limit = GLUCOSYM_COHORT["B"].open_loop_glucose
+        assert glucose_after("B", 2000, 0.0) <= limit + 1.0
 
     def test_meal_raises_glucose(self):
-        patient = glucosym_patient("B")
-        basal = patient.basal_rate()
-        patient.add_meal(Meal(time=10.0, carbs=40.0))
-        peak = max(patient.step(basal) for _ in range(36))
-        assert peak > 180
+        basal = glucosym_patient("B").basal_rate()
+        trace = commanded_run("glucosym", "B", [basal] * 37,
+                              meals=(Meal(time=10.0, carbs=40.0),))
+        assert trace.true_bg.max() > 180
 
     def test_meal_conservation_scale(self):
         """Total meal glucose appearance matches carbs/Vg."""
-        patient = glucosym_patient("B")
-        patient._ingest(50.0)  # 50 g
-        total = sum(patient.meal_appearance(t) for t in np.arange(0, 600, 0.5)) * 0.5
-        expected = 50.0 * 1000.0 / patient.params.glucose_volume_dl
+        v_g = GLUCOSYM_COHORT["B"].glucose_volume_dl
+        total = sum(meal_ra(s, 50.0 * 1000.0, v_g)
+                    for s in np.arange(0, 600, 0.5)) * 0.5
+        expected = 50.0 * 1000.0 / v_g
         assert total == pytest.approx(expected, rel=0.01)
 
     def test_glucose_floor_holds(self):
-        patient = glucosym_patient("J")
-        for _ in range(300):
-            glucose = patient.step(10.0)  # massive overdose
-        assert glucose >= 10.0
+        # massive overdose
+        assert glucose_after("J", 1500, 10.0) >= 10.0
 
     def test_insulin_states_nonnegative(self):
-        patient = glucosym_patient("A")
-        for _ in range(50):
-            patient.step(0.0)
-        assert (patient.state >= 0).all()
+        assert (advance("A", 250, 0.0) >= 0).all()
 
 
 class TestStepInterface:
     def test_negative_basal_rejected(self):
-        with pytest.raises(ValueError):
-            glucosym_patient("A").step(-1.0)
+        """The plant never receives negative insulin: the pump delivers a
+        negative rate command as zero."""
+        negative = commanded_run("glucosym", "A", [-1.0] * 12)
+        zero = commanded_run("glucosym", "A", [0.0] * 12)
+        assert (negative.delivered_rate == 0.0).all()
+        np.testing.assert_array_equal(negative.true_bg, zero.true_bg)
 
     def test_negative_bolus_rejected(self):
-        with pytest.raises(ValueError):
-            glucosym_patient("A").step(1.0, bolus_u=-0.5)
+        negative = commanded_run("glucosym", "A", [1.0] * 12, [-0.5] * 12)
+        zero = commanded_run("glucosym", "A", [1.0] * 12)
+        assert (negative.delivered_bolus == 0.0).all()
+        np.testing.assert_array_equal(negative.true_bg, zero.true_bg)
 
     def test_bolus_lowers_glucose_more(self):
-        p1 = glucosym_patient("B")
-        p2 = glucosym_patient("B")
-        basal = p1.basal_rate()
-        for _ in range(24):
-            g1 = p1.step(basal)
-            g2 = p2.step(basal, bolus_u=0.0)
-        assert g1 == pytest.approx(g2)
-        p3 = glucosym_patient("B")
-        p3.step(basal, bolus_u=2.0)
-        for _ in range(23):
-            g3 = p3.step(basal)
-        assert g3 < g1 - 5
+        basal = glucosym_patient("B").basal_rate()
+        g1 = glucose_after("B", 120, basal)
+        assert glucose_after("B", 120, basal, bolus_u=0.0) == g1
+        assert glucose_after("B", 120, basal, bolus_u=2.0) < g1 - 5
 
     def test_time_advances(self):
-        patient = glucosym_patient("A")
-        patient.step(1.0)
-        assert patient.t == pytest.approx(5.0)
+        trace = commanded_run("glucosym", "A", [1.0, 1.0])
+        assert trace.t[1] == pytest.approx(5.0)
 
     def test_reset_restores_time_and_glucose(self):
-        patient = glucosym_patient("A")
-        patient.step(0.0)
-        patient.reset(150.0)
-        assert patient.t == 0.0
-        assert patient.glucose == pytest.approx(150.0)
+        x = advance("A", 0, 0.0, init_glucose=150.0)
+        assert x[3, 0] == 150.0
+        # quasi-steady: the insulin that holds 150 mg/dL is on board
+        assert x[2, 0] == pytest.approx(GLUCOSYM_COHORT["A"].SI * x[1, 0])
 
     def test_reset_invalid_glucose(self):
         with pytest.raises(ValueError):
-            glucosym_patient("A").reset(-5.0)
+            SimRun("A", -5.0, "x")
 
     def test_unknown_patient_id(self):
         with pytest.raises(KeyError, match="unknown"):
@@ -155,15 +154,5 @@ class TestStepInterface:
         patient = glucosym_patient("patientA")
         assert patient.name.endswith("/A")
 
-    def test_state_returns_copy(self):
-        patient = glucosym_patient("A")
-        state = patient.state
-        state[:] = -1
-        assert (patient.state >= 0).all()
-
     def test_determinism(self):
-        p1, p2 = glucosym_patient("C"), glucosym_patient("C")
-        for _ in range(20):
-            g1 = p1.step(1.0)
-            g2 = p2.step(1.0)
-        assert g1 == g2
+        assert glucose_after("C", 100, 1.0) == glucose_after("C", 100, 1.0)

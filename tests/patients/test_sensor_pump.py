@@ -1,111 +1,59 @@
-"""Tests for the CGM sensor and insulin pump actuator models."""
+"""Tests for the engine's CGM and insulin pump stages."""
 
 import numpy as np
 import pytest
 
-from repro.patients import CGMSensor, InsulinPump
+from repro.fi import FaultKind, FaultSpec, FaultTarget, InjectionScenario
+from repro.patients import InsulinPump
+from repro.patients.sensor import CGM_RANGE
+from repro.simulation import CampaignPlan, run_campaign, run_fault_free
+from tests.conftest import commanded_run
 
 
 class TestCGMSensor:
     def test_ideal_sensor_passthrough(self):
-        sensor = CGMSensor()
-        assert sensor.is_ideal
-        assert sensor.measure(123.4) == pytest.approx(123.4)
-
-    def test_noise_is_deterministic_given_seed(self):
-        s1 = CGMSensor(noise_std=5.0, seed=7)
-        s2 = CGMSensor(noise_std=5.0, seed=7)
-        r1 = [s1.measure(120.0) for _ in range(10)]
-        r2 = [s2.measure(120.0) for _ in range(10)]
-        np.testing.assert_allclose(r1, r2)
-
-    def test_noise_changes_reading(self):
-        sensor = CGMSensor(noise_std=5.0, seed=1)
-        readings = [sensor.measure(120.0) for _ in range(20)]
-        assert np.std(readings) > 0.5
-
-    def test_ar_correlation(self):
-        """AR(1) noise with high coefficient is positively autocorrelated."""
-        sensor = CGMSensor(noise_std=5.0, ar_coeff=0.95, seed=3)
-        errors = np.array([sensor.measure(120.0) - 120.0 for _ in range(800)])
-        corr = np.corrcoef(errors[:-1], errors[1:])[0, 1]
-        assert corr > 0.6
-
-    def test_calibration_error(self):
-        sensor = CGMSensor(gain=1.1, offset=-5.0)
-        assert sensor.measure(100.0) == pytest.approx(105.0)
-        assert not sensor.is_ideal
+        """Inside its range the CGM reads the sensor compartment exactly
+        (the blood glucose, on the IVP model)."""
+        trace, = run_fault_free("glucosym", ["B"], (123.4,), n_steps=30,
+                                cache=None)
+        assert trace.cgm[0] == 123.4
+        np.testing.assert_array_equal(trace.cgm, trace.true_bg)
 
     def test_clipping_at_cgm_range(self):
-        sensor = CGMSensor()
-        assert sensor.measure(500.0) == 400.0
-        assert sensor.measure(5.0) == 40.0
-
-    def test_clip_disabled(self):
-        sensor = CGMSensor(clip=False)
-        assert sensor.measure(500.0) == 500.0
-
-    def test_reset_restarts_noise(self):
-        sensor = CGMSensor(noise_std=5.0, seed=11)
-        first = [sensor.measure(120.0) for _ in range(5)]
-        sensor.reset(seed=11)
-        second = [sensor.measure(120.0) for _ in range(5)]
-        np.testing.assert_allclose(first, second)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            CGMSensor(noise_std=-1)
-        with pytest.raises(ValueError):
-            CGMSensor(ar_coeff=1.0)
-        with pytest.raises(ValueError):
-            CGMSensor(gain=0.0)
-        with pytest.raises(ValueError):
-            CGMSensor().measure(-1.0)
+        low, high = run_campaign("glucosym", ["C"], [
+            InjectionScenario(FaultSpec(FaultKind.MAX, FaultTarget.RATE,
+                                        0, 150), 120.0),
+            InjectionScenario(FaultSpec(FaultKind.TRUNCATE, FaultTarget.RATE,
+                                        0, 150), 200.0)])
+        assert low.true_bg.min() < CGM_RANGE[0]
+        np.testing.assert_array_equal(low.cgm, np.clip(low.true_bg,
+                                                       *CGM_RANGE))
+        assert high.true_bg.max() > CGM_RANGE[1]
+        np.testing.assert_array_equal(high.cgm, np.clip(high.true_bg,
+                                                        *CGM_RANGE))
 
 
 class TestInsulinPump:
     def test_quantization(self):
-        pump = InsulinPump(increment=0.05)
-        assert pump.command_basal(1.23) == pytest.approx(1.20)
-        assert pump.command_basal(0.04) == 0.0
+        trace = commanded_run("glucosym", "B", [1.23, 0.04])
+        assert trace.delivered_rate[0] == pytest.approx(1.20)
+        assert trace.delivered_rate[1] == 0.0
 
     def test_quantize_exact_grid(self):
-        pump = InsulinPump(increment=0.05)
-        assert pump.quantize(1.05) == pytest.approx(1.05)
+        trace = commanded_run("glucosym", "B", [1.05])
+        assert trace.delivered_rate[0] == pytest.approx(1.05)
 
     def test_clamping_to_max(self):
-        pump = InsulinPump(max_basal=3.0)
-        assert pump.command_basal(99.0) == 3.0
+        trace = commanded_run("glucosym", "B", [99.0])
+        assert trace.delivered_rate[0] == InsulinPump().max_basal
 
     def test_negative_command_clamped_to_zero(self):
-        pump = InsulinPump()
-        assert pump.command_basal(-2.0) == 0.0
+        assert commanded_run("glucosym", "B", [-2.0]).delivered_rate[0] == 0.0
 
     def test_bolus_clamped(self):
-        pump = InsulinPump(max_bolus=5.0)
-        assert pump.command_bolus(7.0) == 5.0
-        assert pump.command_bolus(-1.0) == 0.0
-
-    def test_suspend_blocks_delivery(self):
-        pump = InsulinPump()
-        pump.suspend()
-        assert pump.command_basal(2.0) == 0.0
-        assert pump.command_bolus(1.0) == 0.0
-        pump.resume()
-        assert pump.command_basal(2.0) == 2.0
-
-    def test_delivery_accounting(self):
-        pump = InsulinPump()
-        pump.record_delivery(basal_u_h=2.0, bolus_u=1.0, duration_min=30.0)
-        assert pump.total_delivered == pytest.approx(2.0)
-
-    def test_reset(self):
-        pump = InsulinPump()
-        pump.suspend()
-        pump.record_delivery(1.0, 0.0, 60.0)
-        pump.reset()
-        assert not pump.suspended
-        assert pump.total_delivered == 0.0
+        trace = commanded_run("t1ds2013", "P01", [1.0, 1.0], [17.0, -1.0])
+        np.testing.assert_array_equal(trace.delivered_bolus,
+                                      [InsulinPump().max_bolus, 0.0])
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -114,5 +62,6 @@ class TestInsulinPump:
             InsulinPump(increment=0)
 
     def test_invalid_delivery_duration(self):
-        with pytest.raises(ValueError):
-            InsulinPump().record_delivery(1.0, 0.0, -5.0)
+        """Deliveries last one control cycle, which must be positive."""
+        with pytest.raises(ValueError, match="dt"):
+            CampaignPlan(platform="glucosym", runs=(), dt=-5.0)

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.patients import Meal, T1DParams, T1DS2013_COHORT, t1d_patient
+from repro.patients import (Meal, T1DColumns, T1DParams, T1DS2013_COHORT,
+                            t1d_patient)
+from repro.patients.base import UU_PER_UNIT
+from repro.patients.kernels import (GP, GS, IP, QSTO1, XA, _t1d_gastric_inputs,
+                                    _t1d_kempt, t1d_init_state,
+                                    t1d_rk4_advance, t1d_risk)
 from repro.patients.t1d import solve_kp1, _solve_basal_state
+from repro.simulation import SimRun
+from repro.simulation.vector import _T1DBatch
+from tests.conftest import commanded_run
 
 
 class TestCohort:
@@ -39,20 +47,36 @@ class TestCohort:
             t1d_patient("P99")
 
 
+def advance(pid, minutes, rate_u_h, init_glucose=120.0):
+    """The patient's ``(13, 1)`` kernel state after *minutes* of 1-minute
+    RK4 steps at *rate_u_h* (insulin reference anchored at 120 mg/dL)."""
+    cols = T1DColumns.from_params([T1DS2013_COHORT[pid]])
+    x, ib = t1d_init_state(cols, [init_glucose], [120.0])
+    for _ in range(minutes):
+        x = t1d_rk4_advance(cols, x, 1.0, rate_u_h * UU_PER_UNIT / 60.0,
+                            np.zeros(1), ib)
+    return x
+
+
+def glucose_after(pid, minutes, rate_u_h, **kwargs):
+    x = advance(pid, minutes, rate_u_h, **kwargs)
+    return float(x[GP, 0] / T1DS2013_COHORT[pid].VG)
+
+
+def cols_of(pid):
+    return T1DColumns.from_params([T1DS2013_COHORT[pid]])
+
+
 class TestSteadyState:
     def test_basal_holds_glucose(self):
-        patient = t1d_patient("P01")
-        basal = patient.basal_rate()
-        for _ in range(72):  # 6 hours
-            glucose = patient.step(basal)
-        assert glucose == pytest.approx(120.0, abs=1.0)
+        basal = t1d_patient("P01").basal_rate()
+        assert glucose_after("P01", 360, basal) == pytest.approx(120.0,
+                                                                 abs=1.0)
 
     def test_sensor_tracks_blood_glucose_at_rest(self):
-        patient = t1d_patient("P02")
-        basal = patient.basal_rate()
-        for _ in range(24):
-            patient.step(basal)
-        assert patient.sensor_glucose == pytest.approx(patient.glucose, abs=1.0)
+        x = advance("P02", 120, t1d_patient("P02").basal_rate())
+        glucose = x[GP, 0] / T1DS2013_COHORT["P02"].VG
+        assert x[GS, 0] == pytest.approx(glucose, abs=1.0)
 
     def test_unsustainable_target_rejected(self):
         patient = t1d_patient("P01")
@@ -62,105 +86,87 @@ class TestSteadyState:
 
 class TestDynamics:
     def test_insulin_suspension_raises_glucose(self):
-        patient = t1d_patient("P01")
-        for _ in range(150):  # 12.5 hours
-            glucose = patient.step(0.0)
-        assert glucose > 200
+        assert glucose_after("P01", 750, 0.0) > 200  # 12.5 hours
 
     def test_overdose_causes_hypoglycemia(self):
-        patient = t1d_patient("P01")
-        basal = patient.basal_rate()
-        for _ in range(150):
-            glucose = patient.step(5.0 * basal)
-        assert glucose < 60
+        basal = t1d_patient("P01").basal_rate()
+        assert glucose_after("P01", 750, 5.0 * basal) < 60
 
     def test_sensor_lags_blood_glucose(self):
         """Interstitial glucose lags plasma during a rapid fall."""
-        patient = t1d_patient("P01")
-        basal = patient.basal_rate()
-        patient.step(basal, bolus_u=3.0)
-        lagged = 0
-        for _ in range(24):
-            patient.step(basal)
-            if patient.sensor_glucose > patient.glucose:
-                lagged += 1
+        basal = t1d_patient("P01").basal_rate()
+        trace = commanded_run("t1ds2013", "P01", [basal] * 25,
+                              [3.0] + [0.0] * 24)
+        lagged = int((trace.cgm[1:] > trace.true_bg[1:]).sum())
         assert lagged > 12, "sensor should sit above plasma during a fall"
 
     def test_meal_raises_glucose(self):
-        patient = t1d_patient("P01")
-        basal = patient.basal_rate()
-        patient.add_meal(Meal(time=10.0, carbs=50.0))
-        peak = max(patient.step(basal) for _ in range(48))
-        assert peak > 160
+        basal = t1d_patient("P01").basal_rate()
+        trace = commanded_run("t1ds2013", "P01", [basal] * 49,
+                              meals=(Meal(time=10.0, carbs=50.0),))
+        assert trace.true_bg.max() > 160
 
     def test_remote_insulin_action_can_go_negative(self):
-        patient = t1d_patient("P01")
-        for _ in range(36):
-            patient.step(0.0)
-        assert patient.state[6] < 0  # X below basal
+        assert advance("P01", 180, 0.0)[XA, 0] < 0  # X below basal
 
     def test_glucose_floor(self):
-        patient = t1d_patient("P03")
-        for _ in range(300):
-            glucose = patient.step(8.0)
-        assert glucose >= 10.0
+        assert glucose_after("P03", 1500, 8.0) >= 10.0
 
     def test_risk_amplification_active_below_basal_glucose(self):
-        patient = t1d_patient("P01")
-        assert patient._risk(120.0) == 0.0
-        assert patient._risk(80.0) > 0.0
+        cols = cols_of("P01")
+        assert t1d_risk(cols, [120.0])[0] == 0.0
+        assert t1d_risk(cols, [80.0])[0] > 0.0
         # saturates below Gth
-        assert patient._risk(40.0) == pytest.approx(patient._risk(60.0))
+        assert t1d_risk(cols, [40.0])[0] == pytest.approx(
+            t1d_risk(cols, [60.0])[0])
 
     def test_risk_monotone_decreasing_in_glucose(self):
-        patient = t1d_patient("P01")
-        risks = [patient._risk(g) for g in (60, 80, 100, 119)]
+        risks = list(t1d_risk(cols_of("P01"), [60.0, 80.0, 100.0, 119.0]))
         assert risks == sorted(risks, reverse=True)
+
+
+def gastric_emptying(pid, qsto, last_meal_mg):
+    cols = cols_of(pid)
+    inputs = _t1d_gastric_inputs(cols, np.array([last_meal_mg]))
+    return float(_t1d_kempt(cols, inputs, np.array([qsto]))[0])
 
 
 class TestGastricEmptying:
     def test_no_meal_uses_kmax(self):
-        patient = t1d_patient("P01")
-        assert patient._gastric_emptying(0.0) == patient.params.kmax
+        assert gastric_emptying("P01", 0.0, 0.0) \
+            == T1DS2013_COHORT["P01"].kmax
 
     def test_emptying_rate_bounded(self):
-        patient = t1d_patient("P01")
-        patient._ingest(60.0)
-        p = patient.params
+        p = T1DS2013_COHORT["P01"]
         for qsto in np.linspace(0, 60000, 25):
-            k = patient._gastric_emptying(qsto)
+            k = gastric_emptying("P01", qsto, 60000.0)
             assert p.kmin - 1e-12 <= k <= p.kmax + 1e-12
 
     def test_meal_mass_enters_stomach(self):
-        patient = t1d_patient("P01")
-        patient._ingest(60.0)
-        assert patient.state[10] == pytest.approx(60000.0)  # mg
+        plant = _T1DBatch([T1DS2013_COHORT["P01"]])
+        x = plant.reset(np.array([120.0]), 120.0)
+        plant.ingest(x, [0], 60.0 * 1000.0)
+        assert x[QSTO1, 0] == pytest.approx(60000.0)  # mg
+        assert plant.last_meal_mg[0] == 60000.0
 
 
 class TestInterface:
     def test_reset_sets_glucose_and_time(self):
-        patient = t1d_patient("P05")
-        patient.step(1.0)
-        patient.reset(160.0)
-        assert patient.t == 0.0
-        assert patient.glucose == pytest.approx(160.0)
-        assert patient.sensor_glucose == pytest.approx(160.0)
+        x = advance("P05", 0, 0.0, init_glucose=160.0)
+        assert x[GP, 0] / T1DS2013_COHORT["P05"].VG == pytest.approx(160.0)
+        assert x[GS, 0] == pytest.approx(160.0)
 
     def test_invalid_reset(self):
         with pytest.raises(ValueError):
-            t1d_patient("P05").reset(0.0)
+            SimRun("P05", 0.0, "x")
 
     def test_determinism(self):
-        p1, p2 = t1d_patient("P04"), t1d_patient("P04")
-        for _ in range(20):
-            g1 = p1.step(1.0)
-            g2 = p2.step(1.0)
-        assert g1 == g2
+        assert glucose_after("P04", 100, 1.0) == glucose_after("P04", 100, 1.0)
 
     def test_nonpositive_parameter_rejected(self):
         with pytest.raises(ValueError):
             T1DParams(VG=-1.0)
 
     def test_plasma_insulin_positive_at_rest(self):
-        patient = t1d_patient("P01")
-        assert patient.plasma_insulin > 0
+        x = advance("P01", 0, 0.0)
+        assert x[IP, 0] / T1DS2013_COHORT["P01"].VI > 0

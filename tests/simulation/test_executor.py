@@ -151,10 +151,10 @@ class TestRunMeals:
         assert early.true_bg[10:].max() > base.true_bg[10:].max()
 
     def test_meal_parity_across_executors(self, assert_traces_equal,
-                                          reference_traces,
+                                          production_traces,
                                           set_lockstep_width):
         plan = self.meal_plan()
-        reference = reference_traces(plan)
+        reference = production_traces(plan)
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
             serial = CampaignExecutor(1).run(plan)

@@ -1,56 +1,67 @@
-"""Tests for Scenario validation and SimulationTrace accessors."""
+"""Tests for run-spec validation and SimulationTrace accessors."""
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.fi import FaultKind, FaultSpec, FaultTarget
+from repro.fi import FaultKind, FaultSpec, FaultTarget, InjectionScenario
 from repro.patients import Meal
-from repro.simulation import Scenario, TraceRecorder
+from repro.simulation import (TRACE_COLUMN_DTYPES, CampaignPlan,
+                              SimulationTrace, SimRun, run_campaign,
+                              run_fault_free)
 
 
 class TestScenario:
     def test_defaults_match_paper(self):
-        s = Scenario()
-        assert s.n_steps == 150
-        assert s.dt == 5.0
-        assert s.duration == 750.0
-        assert s.meals == ()
+        plan = CampaignPlan(platform="glucosym", runs=())
+        assert plan.n_steps == 150
+        assert plan.dt == 5.0
+        assert plan.n_steps * plan.dt == 750.0
+        assert SimRun("A", 120.0, "x").meals == ()
 
     def test_invalid_values(self):
         with pytest.raises(ValueError):
-            Scenario(init_glucose=0)
+            SimRun("A", 0, "x")
         with pytest.raises(ValueError):
-            Scenario(n_steps=1)
+            CampaignPlan(platform="glucosym", runs=(), n_steps=0)
         with pytest.raises(ValueError):
-            Scenario(dt=0)
+            CampaignPlan(platform="glucosym", runs=(), dt=0)
 
     def test_meals_carried(self):
-        s = Scenario(meals=(Meal(60.0, 40.0),))
-        assert s.meals[0].carbs == 40.0
+        run = SimRun("A", 120.0, "x", meals=(Meal(60.0, 40.0),))
+        assert run.meals[0].carbs == 40.0
+
+    @pytest.mark.parametrize("init", [0.0, -10.0, math.nan, math.inf])
+    @pytest.mark.parametrize("platform,pid", [("glucosym", "B"),
+                                              ("t1ds2013", "P01")])
+    def test_impossible_initial_glucose_refused(self, platform, pid, init):
+        """No patient starts at or below 0 mg/dL, or at NaN/inf: both
+        entry points refuse the run before simulating anything."""
+        with pytest.raises(ValueError, match="init_glucose"):
+            run_fault_free(platform, [pid], (init,), cache=None)
+        fault = FaultSpec(FaultKind.MAX, FaultTarget.RATE, 5, 5)
+        with pytest.raises(ValueError, match="init_glucose"):
+            run_campaign(platform, [pid], [InjectionScenario(fault, init)])
 
 
 def build_trace(n=30, alerts=(), hazard_bg=None, fault=None):
-    recorder = TraceRecorder(platform="glucosym", patient_id="A",
-                             label="test", dt=5.0, fault=fault)
-    for i in range(n):
-        bg = 120.0 if hazard_bg is None else hazard_bg[i]
-        recorder.append(
-            t=5.0 * i, true_bg=bg, cgm=bg, reading=bg,
-            ctrl_rate=1.0, ctrl_bolus=0.0, cmd_rate=1.0, cmd_bolus=0.0,
-            action=4, iob=1.0, iob_rate=0.0, final_rate=1.0, final_bolus=0.0,
-            delivered_rate=1.0, delivered_bolus=0.0,
-            alert=i in alerts, alert_hazard=1 if i in alerts else 0,
-            mitigated=False)
-    return recorder.finish()
+    columns = {name: np.zeros(n, dtype=dtype)
+               for name, dtype in TRACE_COLUMN_DTYPES.items()}
+    bg = np.full(n, 120.0) if hazard_bg is None else np.asarray(hazard_bg)
+    columns.update(t=5.0 * np.arange(n), true_bg=bg, cgm=bg, reading=bg)
+    for name in ("ctrl_rate", "cmd_rate", "iob", "final_rate",
+                 "delivered_rate"):
+        columns[name][:] = 1.0
+    columns["action"][:] = 4
+    for i in alerts:
+        columns["alert"][i] = True
+        columns["alert_hazard"][i] = 1
+    return SimulationTrace(platform="glucosym", patient_id="A", label="test",
+                           dt=5.0, fault=fault, **columns)
 
 
 class TestTraceAccessors:
-    def test_empty_recorder_rejected(self):
-        recorder = TraceRecorder(platform="glucosym", patient_id="A",
-                                 label="", dt=5.0)
-        with pytest.raises(ValueError):
-            recorder.finish()
-
     def test_first_alert(self):
         trace = build_trace(alerts={7, 9})
         assert trace.first_alert == 7

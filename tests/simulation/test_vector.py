@@ -1,10 +1,11 @@
 """Tests for the lock-step vectorized simulation engine.
 
-The acceptance property is exact parity: for any batch composition,
-``LOCKSTEP_WIDTH`` and worker count, the engine must produce traces
-element-wise identical to the single-run closed loop (the shared
-``assert_traces_equal`` fixture asserts every array channel and all
-metadata).
+The acceptance property is width invariance: for any batch composition,
+``LOCKSTEP_WIDTH`` and worker count, a run's trace is identical, byte for
+byte, to the same run at the production width and to the run alone in a
+batch of one (the shared ``assert_traces_equal`` fixture asserts every
+array channel and all metadata).  ``test_golden.py`` pins the traces
+themselves.
 """
 
 import dataclasses
@@ -12,13 +13,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.controllers.iob import InsulinActivityCurve, IOBCalculator
+from repro.controllers.iob import InsulinActivityCurve
 from repro.fi import (CampaignConfig, FaultKind, FaultSpec, FaultTarget,
                       generate_campaign)
-from repro.patients import Meal
-from repro.simulation import (CampaignExecutor, CampaignPlan, Scenario,
-                              make_loop, plan_campaign, plan_fault_free,
-                              run_batch, run_campaign, run_fault_free)
+from repro.patients import Meal, make_patient
+from repro.simulation import (CampaignExecutor, CampaignPlan, plan_campaign,
+                              plan_fault_free, run_batch, run_campaign,
+                              run_fault_free)
 from repro.simulation.executor import SimRun
 from repro.simulation.vector import _iob_tables
 from tests.conftest import LOCKSTEP_WIDTHS
@@ -31,22 +32,16 @@ def small_campaign(n=8):
     return scenarios[:n]
 
 
-def scalar_reference(platform, runs, n_steps, meals=()):
-    """Drive each run through the scalar ClosedLoop, one at a time."""
-    traces = []
-    for run in runs:
-        loop = make_loop(platform, run.patient_id)
-        from repro.fi import FaultInjector
-        loop.injector = FaultInjector(run.fault) if run.fault else None
-        traces.append(loop.run(Scenario(init_glucose=run.init_glucose,
-                                        n_steps=n_steps, label=run.label,
-                                        meals=tuple(meals))))
-    return traces
+def one_by_one(platform, runs, n_steps, meals=None):
+    """Each run alone, in a lock-step batch of one."""
+    return [run_batch(platform, [run], n_steps,
+                      meals=None if meals is None else [meals])[0]
+            for run in runs]
 
 
 class TestCampaignParity:
     """The lock-step width must be invisible in the output: executor
-    traces equal the single-run ``make_loop(...).run`` at every width."""
+    traces equal the production-width run at every width."""
 
     @pytest.mark.parametrize("platform,patients", [
         ("glucosym", ["A", "B"]),
@@ -54,10 +49,10 @@ class TestCampaignParity:
     ])
     def test_serial_vs_vector_both_platforms(self, platform, patients,
                                              assert_traces_equal,
-                                             reference_traces,
+                                             production_traces,
                                              set_lockstep_width):
         scenarios = small_campaign(6)
-        reference = reference_traces(plan_campaign(platform, patients,
+        reference = production_traces(plan_campaign(platform, patients,
                                                    scenarios, n_steps=30))
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
@@ -71,12 +66,12 @@ class TestCampaignParity:
         ("t1ds2013", ["P01", "P02"]),
     ])
     def test_parity_past_the_dia_band(self, platform, patients,
-                                      assert_traces_equal, reference_traces,
+                                      assert_traces_equal, production_traces,
                                       set_lockstep_width):
         """75 cycles: deliveries start leaving the 300-minute IOB band
         after cycle 60, so the engine's band sums with ``band_start > 0``
-        meet the scalar calculator too.  Every other run eats, so batches
-        mix fed and fasting rows."""
+        are swept too.  Every other run eats, so batches mix fed and
+        fasting rows."""
         n_steps = 75
         assert _iob_tables(InsulinActivityCurve(), n_steps, 5.0)[2][-1] > 0
         plan = plan_campaign(platform, patients, small_campaign(4),
@@ -85,7 +80,7 @@ class TestCampaignParity:
         plan = dataclasses.replace(plan, runs=tuple(
             dataclasses.replace(run, meals=meals) if i % 2 else run
             for i, run in enumerate(plan.runs)))
-        reference = reference_traces(plan)
+        reference = production_traces(plan)
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
             vector = CampaignExecutor(1).run(plan)
@@ -94,9 +89,9 @@ class TestCampaignParity:
                 assert_traces_equal(s, v)
 
     def test_any_batch_size_identical(self, assert_traces_equal,
-                                      reference_traces, set_lockstep_width):
+                                      production_traces, set_lockstep_width):
         scenarios = small_campaign(7)  # deliberately awkward sizes
-        reference = reference_traces(plan_campaign("glucosym", ["A"],
+        reference = production_traces(plan_campaign("glucosym", ["A"],
                                                    scenarios, n_steps=25))
         for width in (2, 3, 7, 50):  # ragged, exact, oversized
             set_lockstep_width(width)
@@ -104,12 +99,12 @@ class TestCampaignParity:
             for s, v in zip(reference, vector):
                 assert_traces_equal(s, v)
 
-    def test_batch_times_workers(self, assert_traces_equal, reference_traces,
+    def test_batch_times_workers(self, assert_traces_equal, production_traces,
                                  set_lockstep_width):
         """The width and workers compose without changing one bit."""
         scenarios = small_campaign(8)
         plan = plan_campaign("glucosym", ["A", "B"], scenarios, n_steps=25)
-        reference = reference_traces(plan)
+        reference = production_traces(plan)
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
             combo = CampaignExecutor(2).run(plan)
@@ -118,20 +113,20 @@ class TestCampaignParity:
                 assert_traces_equal(s, v)
 
     def test_non_default_dt_threads_through_plan(self, assert_traces_equal,
-                                                 reference_traces):
-        """CampaignPlan.dt reaches both the reference loop and the engine."""
+                                                 production_traces):
+        """CampaignPlan.dt reaches the engine at every width."""
         scenarios = small_campaign(3)
         plan = plan_campaign("glucosym", ["A"], scenarios, n_steps=25,
                              dt=10.0)
-        reference = reference_traces(plan)
-        vector = CampaignExecutor(1).run(plan)
+        reference = production_traces(plan)
+        vector = run_batch("glucosym", plan.runs[:1], n_steps=25, dt=10.0)
         assert reference[0].dt == vector[0].dt == 10.0
-        for s, v in zip(reference, vector):
-            assert_traces_equal(s, v)
+        np.testing.assert_array_equal(vector[0].t, np.arange(25) * 10.0)
+        assert_traces_equal(reference[0], vector[0])
 
     def test_fault_free_vectorized(self, assert_traces_equal,
-                                   reference_traces, set_lockstep_width):
-        reference = reference_traces(plan_fault_free(
+                                   production_traces, set_lockstep_width):
+        reference = production_traces(plan_fault_free(
             "glucosym", ["A", "B"], (90.0, 120.0, 180.0), n_steps=30))
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
@@ -142,16 +137,16 @@ class TestCampaignParity:
                 assert_traces_equal(s, v)
 
     def test_monitored_campaign_batches_exactly(self, assert_traces_equal,
-                                                reference_traces,
+                                                production_traces,
                                                 set_lockstep_width):
-        """Monitored runs batch through the lock-step engine: the batched
-        traces equal the single-run monitored loop in every field, and the
-        dynamics match the monitor-less ones (a monitor alone never
-        perturbs)."""
+        """Monitored runs batch through the lock-step engine: the traces
+        equal the production-width monitored run in every field at every
+        width, and the dynamics match the monitor-less ones (a monitor
+        alone never perturbs)."""
         from repro.core import cawot_monitor
         scenarios = small_campaign(2)
         factory = lambda pid: cawot_monitor()  # noqa: E731
-        reference = reference_traces(
+        reference = production_traces(
             plan_campaign("glucosym", ["A"], scenarios, n_steps=25),
             monitor_factory=factory)
         for width in LOCKSTEP_WIDTHS:
@@ -179,7 +174,8 @@ class TestFaultKindCoverage:
 
     @pytest.mark.parametrize("start,duration", [(0, 10), (5, 8), (20, 30)])
     def test_all_kinds_all_targets(self, start, duration,
-                                   assert_traces_equal, set_lockstep_width):
+                                   assert_traces_equal, production_traces,
+                                   set_lockstep_width):
         grid = []
         for kind in FaultKind:
             for target in FaultTarget:
@@ -187,8 +183,8 @@ class TestFaultKindCoverage:
                          FaultKind.SCALE: 0.5}.get(kind, 0.0)
                 grid.append((kind, target, value))
         runs = self._runs(grid, start, duration)
-        reference = scalar_reference("glucosym", runs, 30)
         plan = CampaignPlan(platform="glucosym", runs=tuple(runs), n_steps=30)
+        reference = production_traces(plan)
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
             vector = CampaignExecutor(1).run(plan)
@@ -208,7 +204,7 @@ class TestFaultKindCoverage:
                                        start_step=2, duration_steps=12,
                                        value=value))
                 for kind, _, value in grid]
-        reference = scalar_reference("t1ds2013", runs, 30)
+        reference = one_by_one("t1ds2013", runs, 30)
         vector = run_batch("t1ds2013", runs, n_steps=30)
         for s, v in zip(reference, vector):
             assert_traces_equal(s, v)
@@ -220,7 +216,7 @@ class TestBatchComposition:
         runs = [SimRun(patient_id=pid, init_glucose=s.init_glucose,
                        label=s.label, fault=s.fault)
                 for s in scenarios for pid in ("A", "C", "B")]
-        reference = scalar_reference("glucosym", runs, 25)
+        reference = one_by_one("glucosym", runs, 25)
         vector = run_batch("glucosym", runs, n_steps=25)
         for s, v in zip(reference, vector):
             assert_traces_equal(s, v)
@@ -233,7 +229,7 @@ class TestBatchComposition:
                    fault=fault),
             SimRun(patient_id="B", init_glucose=80.0, label="clean2"),
         ]
-        reference = scalar_reference("glucosym", runs, 25)
+        reference = one_by_one("glucosym", runs, 25)
         vector = run_batch("glucosym", runs, n_steps=25)
         for s, v in zip(reference, vector):
             assert_traces_equal(s, v)
@@ -254,13 +250,16 @@ class TestBatchComposition:
                                               ("t1ds2013", "P01")])
     def test_meals_batch_parity(self, platform, pid, assert_traces_equal):
         """Scheduled meals run through the precomputed RA / ingestion
-        timelines and still match the scalar loop exactly."""
+        timelines, and a row's meals never leak into its neighbours."""
         meals = (Meal(time=20.0, carbs=45.0), Meal(time=60.0, carbs=20.0))
         runs = [SimRun(patient_id=pid, init_glucose=120.0, label="meals"),
                 SimRun(patient_id=pid, init_glucose=160.0, label="meals2")]
-        reference = scalar_reference(platform, runs, 30, meals=meals)
-        vector = run_batch(platform, runs, n_steps=30,
-                           meals=[meals, meals])
+        fasting = SimRun(pid, 140.0, "fasting")
+        reference = (one_by_one(platform, runs, 30, meals=meals)
+                     + one_by_one(platform, [fasting], 30))
+        vector = run_batch(platform, runs + [fasting], n_steps=30,
+                           meals=[meals, meals, ()])
+        assert vector[0].true_bg.max() > vector[2].true_bg.max() + 20.0
         for s, v in zip(reference, vector):
             assert_traces_equal(s, v)
 
@@ -309,28 +308,38 @@ class TestExecutorKnobs:
 
 
 class TestVectorizedIOB:
-    """Satellite: IOBCalculator.iob_at and the cached curve constants."""
+    """The engine's IOB: the curve constants and its decay tables."""
 
     def test_constants_cached_once(self):
         curve = InsulinActivityCurve()
         assert curve._constants is curve._constants  # cached tuple identity
 
     def test_iob_at_matches_scalar(self):
-        calc = IOBCalculator(basal_offset=1.0)
-        for step in range(24):
-            calc.record(basal_u_h=1.0 + 0.25 * (step % 5), bolus_u=0.2,
-                        t=step * 5.0, duration=5.0)
-        times = np.arange(0.0, 180.0, 5.0)
-        batch = calc.iob_at(times)
-        scalar = np.array([calc.iob(t) for t in times])
-        np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-12)
+        """The recorded net IOB is each earlier cycle's net delivery (an
+        impulse at the cycle midpoint) times the curve's remaining
+        fraction, summed left to right in delivery order."""
+        fault = FaultSpec(FaultKind.ADD, FaultTarget.RATE, 5, 10, value=2.0)
+        trace, = run_batch("glucosym", [SimRun("A", 160.0, "x", fault)],
+                           n_steps=80)
+        curve = InsulinActivityCurve()
+        basal = make_patient("glucosym", "A").basal_rate(120.0)
+        units = ((trace.delivered_rate - basal) * 5.0 / 60.0
+                 + trace.delivered_bolus)
+        for k in range(80):
+            total = 0.0
+            for j in range(k):
+                lag = k * 5.0 - (j * 5.0 + 2.5)
+                if lag < curve.dia:
+                    total += units[j] * curve.iob_fraction(lag)
+            assert trace.iob[k] == total + 0.0, k
 
     def test_curve_array_methods_match_scalar(self):
+        """Every table entry is the curve's float method at its lag."""
         curve = InsulinActivityCurve()
-        minutes = np.array([-5.0, 0.0, 1.0, 74.9, 150.0, 299.9, 300.0, 400.0])
-        np.testing.assert_allclose(
-            curve.activity_at(minutes),
-            [curve.activity(m) for m in minutes], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(
-            curve.iob_fraction_at(minutes),
-            [curve.iob_fraction(m) for m in minutes], rtol=1e-12)
+        frac, act, band_start = _iob_tables(curve, 75, 5.0)
+        for k in (0, 1, 30, 60, 61, 74):
+            for i, j in enumerate(range(band_start[k], k)):
+                lag = k * 5.0 - (j * 5.0 + 2.5)
+                assert frac[k, i] == curve.iob_fraction(lag)
+                assert act[k, i] == curve.activity(lag)
+            assert not frac[k, k - band_start[k]:].any()

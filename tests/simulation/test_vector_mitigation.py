@@ -1,11 +1,11 @@
 """Parity and edge-case tests for lock-step mitigated closed-loop runs.
 
 The acceptance property mirrors the plain vector suite: a mitigated
-campaign at any ``LOCKSTEP_WIDTH`` must be element-wise bit-identical to
-the single-run :class:`~repro.simulation.loop.ClosedLoop` — for all three
-mitigator families, on both patient platforms, across every fault kind —
-including the feedback the correction injects into later cycles (IOB,
-glucose, the controller's own state).
+campaign at any ``LOCKSTEP_WIDTH`` must be bit-identical to the same
+campaign at the production width — for all three mitigator families, on
+both patient platforms, across every fault kind — including the feedback
+the correction injects into later cycles (IOB, glucose, the controller's
+own state).  ``test_golden.py`` pins the mitigated traces themselves.
 """
 
 import numpy as np
@@ -42,13 +42,13 @@ def small_campaign(n=6):
 
 
 @pytest.fixture
-def parity(reference_traces, set_lockstep_width, assert_traces_equal):
+def parity(production_traces, set_lockstep_width, assert_traces_equal):
     """``parity(platform, patients, scenarios, n_steps=..., **kwargs)``
-    asserts run_campaign equals the single-run reference at every width
-    and returns the reference traces."""
+    asserts run_campaign equals the production-width run at every width
+    and returns the production traces."""
     def check(platform, patients, scenarios, n_steps, widths=LOCKSTEP_WIDTHS,
               workers=None, **kwargs):
-        reference = reference_traces(
+        reference = production_traces(
             plan_campaign(platform, patients, scenarios, n_steps=n_steps),
             **kwargs)
         for width in widths:
@@ -123,7 +123,7 @@ class TestMitigatedCampaignParity:
     @pytest.mark.parametrize("family", ALL_FAMILIES + [None])
     def test_all_fault_kinds_all_targets(self, platform, pid, init, family,
                                          assert_traces_equal,
-                                         reference_traces,
+                                         production_traces,
                                          set_lockstep_width):
         """Every manipulation type on every target, monitored (family
         None) or mitigated, stays exact at every width — the mitigation
@@ -140,7 +140,7 @@ class TestMitigatedCampaignParity:
         plan = CampaignPlan(platform=platform, runs=tuple(runs), n_steps=30)
         factory = lambda _pid: cawot_monitor()  # noqa: E731
         mitigator = family() if family is not None else None
-        reference = reference_traces(plan, monitor_factory=factory,
+        reference = production_traces(plan, monitor_factory=factory,
                                      mitigator=mitigator)
         assert any(t.alert.any() for t in reference)
         assert any(t.mitigated.any() for t in reference) \
@@ -202,7 +202,7 @@ class TestMitigatedCampaignParity:
             assert np.array_equal(t.final_rate, t.cmd_rate)
 
     def test_mitigator_without_monitor_never_fires(self, assert_traces_equal):
-        """The reference loop's NO_ALERT semantics: no monitor, no
+        """Algorithm 1 acts on a monitor verdict only: no monitor, no
         correction."""
         scenarios = small_campaign(3)
         plain = run_campaign("glucosym", ["A"], scenarios, n_steps=25)
@@ -214,8 +214,8 @@ class TestMitigatedCampaignParity:
 
 class TestMitigatorEdgeCases:
     def test_custom_mitigator_column_loop_fallback(self, parity):
-        """A strategy without correct_mask runs per-row scalar clones —
-        bit-identical to the reference loop (mirrors the custom-monitor
+        """A strategy without correct_mask runs per-row clones through
+        ``correct`` — identical at every width (mirrors the custom-monitor
         fallback test of the replay suite)."""
         reference = parity("glucosym", ["A", "B"], small_campaign(6),
                            monitor_factory=lambda pid: cawot_monitor(),

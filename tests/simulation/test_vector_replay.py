@@ -7,8 +7,8 @@ reference ``replay_monitor`` for every monitor kind — the vectorized
 overrides (CAWT/CAWOT rules, DT, MLP, LSTM, Guideline, MPC) and the
 base-class column loop (user-defined monitors) alike — across widths and
 worker counts; mined robustness samples must equal the per-trace miner below;
-and the batched fault-free titration must reproduce the scalar
-``empirical_isf`` bit for bit.
+and the batched fault-free titration of a cohort must equal titrating each
+patient alone (``empirical_isf``) bit for bit.
 """
 
 import math
@@ -377,6 +377,7 @@ class TestBatchedMining:
 class TestBatchedTitration:
     @pytest.mark.parametrize("platform", ["glucosym", "t1ds2013"])
     def test_bit_identical_to_scalar_empirical_isf(self, platform):
+        """A cohort batch gives each patient the ISF it gets alone."""
         ids = patient_ids(platform)
         patients = [make_patient(platform, pid, target_glucose=120.0)
                     for pid in ids]

@@ -8,12 +8,11 @@ mitigate with Algorithm 1.
 import pytest
 
 from repro.core import FixedMitigator, cawt_monitor, learn_thresholds
-from repro.fi import CampaignConfig, FaultInjector, FaultKind, FaultSpec, \
-    FaultTarget, generate_campaign
+from repro.fi import CampaignConfig, FaultKind, FaultSpec, FaultTarget, \
+    InjectionScenario, generate_campaign
 from repro.hazards import HazardType
 from repro.metrics import traces_confusion
-from repro.simulation import Scenario, make_loop, replay_many, run_campaign, \
-    run_fault_free
+from repro.simulation import replay_many, run_campaign, run_fault_free
 
 
 @pytest.fixture(scope="module", params=["glucosym", "t1ds2013"])
@@ -52,19 +51,17 @@ class TestPipeline:
         """max_rate attack -> H1 hazard -> CAWT alert -> mitigation helps."""
         platform, pid, traces, fault_free = platform_setup
         thresholds = learn_thresholds(traces + fault_free).thresholds
-        spec = FaultSpec(FaultKind.MAX, FaultTarget.RATE, 20, 30)
+        attack = [InjectionScenario(
+            FaultSpec(FaultKind.MAX, FaultTarget.RATE, 20, 30), 120.0)]
 
-        plain_loop = make_loop(platform, pid)
-        plain_loop.injector = FaultInjector(spec)
-        plain = plain_loop.run(Scenario(init_glucose=120.0))
+        plain, = run_campaign(platform, [pid], attack)
         assert plain.hazardous
         assert plain.hazard_label.first_type == HazardType.H1
 
-        guarded_loop = make_loop(platform, pid,
-                                 monitor=cawt_monitor(thresholds),
-                                 mitigator=FixedMitigator())
-        guarded_loop.injector = FaultInjector(spec)
-        guarded = guarded_loop.run(Scenario(init_glucose=120.0))
+        guarded, = run_campaign(
+            platform, [pid], attack,
+            monitor_factory=lambda _pid: cawt_monitor(thresholds),
+            mitigator=FixedMitigator())
         assert guarded.alert.any()
         assert guarded.mitigated.any()
         # mitigation must raise the BG floor substantially
