@@ -23,7 +23,6 @@ from .training import (
     TrainedMonitor,
     TrainingJob,
     job_dataset,
-    job_grid,
     monitor_state,
     run_training_jobs,
     select_job_traces,
@@ -38,7 +37,6 @@ __all__ = [
     "TrainedMonitor",
     "TrainingJob",
     "job_dataset",
-    "job_grid",
     "monitor_state",
     "run_training_jobs",
     "select_job_traces",

@@ -45,8 +45,7 @@ from .nn import LSTMClassifier, MLPClassifier
 from .tree import DecisionTreeClassifier
 
 __all__ = ["TrainingJob", "TrainedMonitor", "run_training_jobs",
-           "train_job", "select_job_traces", "job_dataset", "monitor_state",
-           "job_grid"]
+           "train_job", "select_job_traces", "job_dataset", "monitor_state"]
 
 #: model kind -> (monitor display name, needs window dataset)
 _KINDS: Dict[str, Tuple[str, bool]] = {
@@ -301,12 +300,3 @@ def monitor_state(monitor: SafetyMonitor) -> List[np.ndarray]:
         state.extend(layer.params)
     return state
 
-
-def job_grid(kinds: Sequence[str], *, folds: Optional[int] = None,
-             fold_values: Sequence[Optional[int]] = (None,),
-             patient_ids: Sequence[Optional[str]] = (None,),
-             **common) -> List[TrainingJob]:
-    """Cartesian job grid: every kind x fold x patient combination."""
-    return [TrainingJob.make(kind, patient_id=pid, fold=fold, folds=folds,
-                             **common)
-            for pid in patient_ids for fold in fold_values for kind in kinds]

@@ -19,6 +19,7 @@ Units
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 __all__ = ["Meal", "PatientModel", "UU_PER_UNIT", "PMOL_PER_UNIT"]
@@ -48,8 +49,11 @@ class Meal:
     carbs: float
 
     def __post_init__(self):
-        if self.carbs < 0:
-            raise ValueError(f"meal carbs must be >= 0, got {self.carbs}")
+        if not math.isfinite(self.time):
+            raise ValueError(f"meal time must be finite, got {self.time}")
+        if not (math.isfinite(self.carbs) and self.carbs >= 0):
+            raise ValueError(
+                f"meal carbs must be finite and >= 0, got {self.carbs}")
 
 
 class PatientModel(abc.ABC):

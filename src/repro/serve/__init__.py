@@ -1,12 +1,14 @@
-"""Online monitor serving: registry, per-user context rings, tick-batched
-evaluation, alert dedup/escalation, a deterministic load generator, and
-crash safety (write-ahead journal + snapshots + bit-exact recovery).
+"""Online monitor serving: registry, tick-batched evaluation over per-user
+state columns, alert dedup/escalation, a deterministic load generator,
+and crash safety (write-ahead journal + snapshots + bit-exact recovery).
 
 The production half of the reproduction: trained monitors load once from a
 :class:`MonitorRegistry` and evaluate every connected user per tick as one
 ``ContextBatch`` column batch, with raw alert streams element-wise
 identical to offline :func:`~repro.simulation.replay.replay_campaign`
-(see :mod:`repro.serve.service` and ``docs/monitor_service.md``).
+(see :mod:`repro.serve.service` and ``docs/monitor_service.md``).  Per
+user the service holds a slot, its BG memory, its last-tick stamp, its
+alert streams and the monitors' state columns; no context history.
 Malformed rows are quarantined (:class:`RejectedTick`) instead of raising
 mid-tick, and with a ``persist_dir`` the service survives hard kills via
 :mod:`repro.serve.persist` — faults injected by :mod:`repro.serve.chaos`.
@@ -17,16 +19,13 @@ from .loadgen import LoadGenerator, LoadReport, run_load
 from .persist import (JournalCorruptError, PersistenceError, RecoveryReport,
                       SnapshotError, TickJournal)
 from .registry import MonitorRegistry, RegistryError
-from .ring import ContextRing
-from .service import (DEFAULT_WINDOW_TICKS, REJECT_REASONS, MonitorService,
-                      RejectedTick, TickBatch, TickResult, replay_log)
+from .service import (REJECT_REASONS, MonitorService, RejectedTick,
+                      TickBatch, TickResult, replay_log)
 
 __all__ = [
     "AlertEvent",
     "AlertManager",
     "DEFAULT_DEDUP_WINDOW_MINUTES",
-    "DEFAULT_WINDOW_TICKS",
-    "ContextRing",
     "JournalCorruptError",
     "LoadGenerator",
     "LoadReport",

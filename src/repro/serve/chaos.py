@@ -125,7 +125,7 @@ def results_equal(a: Sequence[TickResult], b: Sequence[TickResult],
 def crash_recovery_run(monitors, ticks: Sequence[TickBatch],
                        directory: str, kill_after: int,
                        snapshot_every: Optional[int] = None,
-                       window: int = 24, dt: float = 5.0,
+                       dt: float = 5.0,
                        connect_first: Sequence[Hashable] = (),
                        disconnect_at: Optional[Tuple[int, Hashable]] = None,
                        ) -> Tuple[List[TickResult], MonitorService]:
@@ -144,8 +144,7 @@ def crash_recovery_run(monitors, ticks: Sequence[TickBatch],
     records); ``disconnect_at=(k, uid)`` disconnects *uid* right before
     tick *k* — both exercise membership replay.
     """
-    service = MonitorService(monitors, dt=dt, window=window,
-                             persist_dir=directory,
+    service = MonitorService(monitors, dt=dt, persist_dir=directory,
                              snapshot_every=snapshot_every)
     for uid in connect_first:
         service.connect(uid)

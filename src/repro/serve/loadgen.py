@@ -105,9 +105,9 @@ def run_load(service: MonitorService, n_users: int, n_ticks: int,
              seed: int = 0, warmup_ticks: int = 1) -> LoadReport:
     """Drive *service* with a synthetic fleet and measure throughput.
 
-    ``warmup_ticks`` extra untimed cycles run first (slot allocation,
-    ring growth and monitor state set-up all happen on first sight of the
-    fleet and should not pollute the steady-state numbers).
+    ``warmup_ticks`` extra untimed cycles run first (slot allocation and
+    per-slot state growth happen on first sight of the fleet and should
+    not pollute the steady-state numbers).
     """
     if n_ticks < 1:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")

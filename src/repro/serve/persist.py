@@ -1,8 +1,8 @@
 """Crash-safe persistence for the online monitor service.
 
-A monitor service that forgets its per-user context windows, alert dedup
+A monitor service that forgets its per-user BG memory, alert dedup
 timers and monitor state on restart silently stops protecting
-every user on the box until their windows refill.  This module gives
+every user on the box until that state builds up again.  This module gives
 :class:`~repro.serve.service.MonitorService` the two classic
 write-ahead-logging primitives that make restarts invisible:
 
@@ -16,7 +16,7 @@ write-ahead-logging primitives that make restarts invisible:
   truncating the wrong file) is never silently absorbed: it raises
   :class:`JournalCorruptError`.
 - **atomic snapshots** (:func:`write_snapshot` / :func:`read_snapshot`):
-  the full service state (ring arrays, slot map, alert streams, per-slot
+  the full service state (slot map, BG memory, alert streams, per-slot
   monitor state arrays, tick/degraded-mode counters) written
   to a temporary file, fsync'd, then :func:`os.replace`-d into place —
   a snapshot either exists completely or not at all.  Half-written or

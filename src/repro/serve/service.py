@@ -41,15 +41,21 @@ rows had never been sent, and :attr:`MonitorService.health` reports
 doubles as the idempotency guard that makes at-least-once tick delivery
 (and journal redelivery after crash recovery) safe.
 
+**Per-user state.**  A user is a slot: one column of the BG memory (the
+previous reading and whether there is one), the last applied tick's time
+stamp, the alert streams and every monitor's state arrays.  Nothing else
+is kept per user; the monitors decide from the tick's context and their
+own state, so no context history is retained.
+
 **Crash safety.**  With ``persist_dir=`` set, every state-changing input
 (tick, explicit connect/disconnect) is appended to a CRC-framed, fsync'd
 write-ahead journal *before* it mutates in-memory state, and
 :meth:`MonitorService.snapshot` atomically checkpoints the full service
-state (ring, slot map, alert streams, monitor state arrays, counters)
-and rotates the journal.  :meth:`MonitorService.recover` restores
-snapshot + journal replay to a state whose subsequent alert stream is
-element-wise identical to a run that never crashed — mechanics and
-failure taxonomy in :mod:`repro.serve.persist`.
+state (slot map, BG memory, alert streams, monitor state arrays,
+counters) and rotates the journal.  :meth:`MonitorService.recover`
+restores snapshot + journal replay to a state whose subsequent alert
+stream is element-wise identical to a run that never crashed —
+mechanics and failure taxonomy in :mod:`repro.serve.persist`.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from typing import (Deque, Dict, Hashable, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from ..core.monitor import MonitorState, SafetyMonitor
-from ..simulation.features import ContextBatch, FEATURE_NAMES
+from ..simulation.features import ContextBatch
 from ..simulation.store import iter_trace_ticks
 from .alerts import AlertEvent, AlertManager, DEFAULT_DEDUP_WINDOW_MINUTES
 from .persist import (CONFIG_NAME, REGISTRY_DIRNAME, JournalCorruptError,
@@ -73,21 +79,9 @@ from .persist import (CONFIG_NAME, REGISTRY_DIRNAME, JournalCorruptError,
                       read_snapshot, segment_path, snapshot_path,
                       write_config, write_snapshot)
 from .registry import MonitorRegistry, RegistryError
-from .ring import ContextRing
 
 __all__ = ["TickBatch", "TickResult", "RejectedTick", "MonitorService",
-           "replay_log", "DEFAULT_WINDOW_TICKS", "REJECT_REASONS"]
-
-#: ring-buffer context rows retained per user (2 hours at 5-minute cadence)
-DEFAULT_WINDOW_TICKS = 24
-
-#: continuous context channels (BG, BG', IOB, IOB', rate, bolus): the
-#: feature row without its one-hot action columns, which the action code
-#: column already determines
-_RING_CHANNELS = FEATURE_NAMES.index("u1")
-
-#: ring row layout: time stamp, action code, then the continuous channels
-_RING_WIDTH = 2 + _RING_CHANNELS
+           "replay_log", "REJECT_REASONS"]
 
 #: every reason a row can be quarantined with (``RejectedTick.reason``)
 REJECT_REASONS = ("bad-time", "bad-glucose", "bad-channel",
@@ -130,8 +124,8 @@ class RejectedTick:
     ``reason`` is one of :data:`REJECT_REASONS`; ``value`` carries the
     offending number when the reason has one (the bad glucose reading,
     the stale timestamp).  Rejected rows never reach the monitors, the
-    ring, or the alert streams — the row simply didn't happen, exactly
-    as if the user had skipped the tick.
+    BG memory, or the alert streams — the row simply didn't happen,
+    exactly as if the user had skipped the tick.
     """
 
     t: float
@@ -171,8 +165,6 @@ class MonitorService:
     dt:
         Control period in minutes; every connected user ticks at this
         cadence (the paper's loops run at 5).
-    window:
-        Context-history rows retained per user in the ring buffer.
     dedup_window, escalate_after:
         Alert notification policy, see :class:`~repro.serve.alerts.
         AlertManager`.
@@ -204,7 +196,7 @@ class MonitorService:
 
     def __init__(self, monitors: Union[MonitorRegistry,
                                        Mapping[str, SafetyMonitor]],
-                 dt: float = 5.0, window: int = DEFAULT_WINDOW_TICKS,
+                 dt: float = 5.0,
                  dedup_window: float = DEFAULT_DEDUP_WINDOW_MINUTES,
                  escalate_after: Optional[int] = 24,
                  auto_connect: bool = True, dead_letter_capacity: int = 256,
@@ -213,8 +205,6 @@ class MonitorService:
                  snapshot_every: Optional[int] = None):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         if dead_letter_capacity < 1:
             raise ValueError(f"dead_letter_capacity must be >= 1, got "
                              f"{dead_letter_capacity}")
@@ -228,12 +218,10 @@ class MonitorService:
             monitors = MonitorRegistry(monitors)
         self.registry = monitors
         self.dt = float(dt)
-        self.window = int(window)
         self.auto_connect = bool(auto_connect)
         self.health_window = int(health_window)
         self.alert_manager = AlertManager(window=dedup_window,
                                           escalate_after=escalate_after)
-        self._ring = ContextRing(self.window, _RING_WIDTH)
         self._slots: Dict[Hashable, int] = {}
         self._free: List[int] = []
         self._last_cgm = np.zeros(0)
@@ -304,11 +292,9 @@ class MonitorService:
             return
         if self._free:
             slot = self._free.pop()
-            self._ring.clear_slot(slot)
         else:
-            slot = len(self._slots) + len(self._free)
-            self._ring.ensure_slots(slot + 1)
-            self._grow_state(self._ring.n_slots)
+            slot = len(self._slots)
+            self._grow_state(slot + 1)
         for name, monitor in self.registry.items():
             for key, fresh in monitor.init_state(1).items():
                 self._state[name][key][..., slot] = fresh[..., 0]
@@ -320,9 +306,8 @@ class MonitorService:
 
     def disconnect(self, user_id: Hashable) -> None:
         """Drop a user: frees and scrubs its slot and alert streams — a
-        later user recycling the slot can never inherit a stale context
-        window or dedup timer (monitor state is installed fresh at
-        connect)."""
+        later user recycling the slot can never inherit a BG memory or
+        dedup timer (monitor state is installed fresh at connect)."""
         if user_id not in self._slots:
             raise KeyError(f"unknown user {user_id!r}")
         self._journal_record("disconnect", user_id)
@@ -334,9 +319,8 @@ class MonitorService:
             raise KeyError(f"unknown user {user_id!r}")
         self._free.append(slot)
         # scrub at disconnect time (and again defensively at recycle in
-        # _connect): the ring rows, BG memory and last-tick stamp all
-        # belong to the departed user
-        self._ring.clear_slot(slot)
+        # _connect): the BG memory and last-tick stamp belong to the
+        # departed user
         self._last_cgm[slot] = 0.0
         self._seen[slot] = False
         self._last_t[slot] = -np.inf
@@ -344,16 +328,20 @@ class MonitorService:
         self._cached_ids = None
 
     def _grow_state(self, n: int) -> None:
-        if n <= len(self._seen):
+        """Grow every per-slot array to hold at least *n* slots, doubling
+        (at least 8), so connecting users is amortised O(1)."""
+        current = len(self._seen)
+        if n <= current:
             return
+        n = max(n, 2 * current, 8)
         last_cgm = np.zeros(n)
-        last_cgm[:len(self._last_cgm)] = self._last_cgm
+        last_cgm[:current] = self._last_cgm
         seen = np.zeros(n, dtype=bool)
-        seen[:len(self._seen)] = self._seen
+        seen[:current] = self._seen
         last_t = np.full(n, -np.inf)
-        last_t[:len(self._last_t)] = self._last_t
+        last_t[:current] = self._last_t
         for name, monitor in self.registry.items():
-            fresh = monitor.init_state(n - len(self._seen))
+            fresh = monitor.init_state(n - current)
             self._state[name] = {
                 key: np.concatenate([column, fresh[key]], axis=-1)
                 for key, column in self._state[name].items()}
@@ -544,10 +532,6 @@ class MonitorService:
             alerts[name] = monitor_alerts[0]
             hazards[name] = monitor_hazards[0]
 
-        rows = np.concatenate(
-            [batch.t, np.asarray(kept_action).reshape(1, -1).astype(float),
-             batch.features[0, :_RING_CHANNELS]], axis=0)
-        self._ring.append(rows, kept_slots)
         self._last_cgm[kept_slots] = kept_cgm
         self._seen[kept_slots] = True
         self._last_t[kept_slots] = tick.t
@@ -576,32 +560,6 @@ class MonitorService:
                           hazards=hazards, events=events, rejected=rejected)
 
     # ------------------------------------------------------------------
-    # per-user introspection
-    # ------------------------------------------------------------------
-    def context_window(self, user_id: Hashable) -> ContextBatch:
-        """The user's retained context history as a ``(m, 1)`` batch.
-
-        Rebuilt from the ring buffer by folding single-cycle batches
-        through :meth:`~repro.simulation.features.ContextBatch.append` —
-        the incremental form of ``from_traces``, so the rows are exactly
-        what the monitors saw.
-        """
-        slot = self._slots.get(user_id)
-        if slot is None:
-            raise KeyError(f"unknown user {user_id!r}")
-        rows = self._ring.window(slot)
-        if len(rows) == 0:
-            raise ValueError(f"user {user_id!r} has no ticks yet")
-        window: Optional[ContextBatch] = None
-        for row in rows:
-            one = ContextBatch.from_tick(
-                t=float(row[0]), bg=row[2:3], bg_rate=row[3:4],
-                iob=row[4:5], iob_rate=row[5:6], rate=row[6:7],
-                bolus=row[7:8], action=np.array([int(row[1])]), dt=self.dt)
-            window = one if window is None else window.append(one)
-        return window
-
-    # ------------------------------------------------------------------
     # crash safety: journal, snapshot, recover
     # ------------------------------------------------------------------
     def _init_persistence(self, directory: str) -> None:
@@ -621,7 +579,7 @@ class MonitorService:
             # Anything else (a full disk) is a real failure and raises.
             registry_saved = False
         write_config(directory, {
-            "dt": self.dt, "window": self.window,
+            "dt": self.dt,
             "dedup_window": self.alert_manager.window,
             "escalate_after": self.alert_manager.escalate_after,
             "auto_connect": self.auto_connect,
@@ -669,7 +627,6 @@ class MonitorService:
 
     def _export_snapshot_state(self) -> Dict[str, object]:
         return {
-            "ring": self._ring.export_state(),
             "slots": dict(self._slots),
             "free": list(self._free),
             "last_cgm": self._last_cgm.copy(),
@@ -688,7 +645,8 @@ class MonitorService:
         try:
             if "clones" in state:  # per-user clone blobs: an older build
                 raise PersistenceError("snapshot layout predates this build")
-            self._ring.restore_state(state["ring"])
+            # builds that kept a per-user context ring also saved it as
+            # "ring"; nothing reads it, so it is ignored
             self._slots = dict(state["slots"])
             self._free = list(state["free"])
             self._last_cgm = np.array(state["last_cgm"], dtype=float)
@@ -784,9 +742,10 @@ class MonitorService:
                     "registry; pass monitors= to recover()")
             monitors = MonitorRegistry.load(
                 os.path.join(directory, REGISTRY_DIRNAME))
+        # configs of builds with a context ring also hold "window", unread
         escalate = config["escalate_after"]
         service = cls(
-            monitors, dt=float(config["dt"]), window=int(config["window"]),
+            monitors, dt=float(config["dt"]),
             dedup_window=float(config["dedup_window"]),
             escalate_after=None if escalate is None else int(escalate),
             auto_connect=bool(config["auto_connect"]),
@@ -877,7 +836,7 @@ class MonitorService:
 
 
 def replay_log(monitors: Union[MonitorRegistry, Mapping[str, SafetyMonitor]],
-               traces: Sequence, window: int = DEFAULT_WINDOW_TICKS,
+               traces: Sequence,
                service: Optional[MonitorService] = None
                ) -> Dict[str, List[np.ndarray]]:
     """Feed a recorded campaign through a service, trace = user.
@@ -904,7 +863,7 @@ def replay_log(monitors: Union[MonitorRegistry, Mapping[str, SafetyMonitor]],
                          f"{sorted(dts)}")
     dt = dts.pop()
     if service is None:
-        service = MonitorService(monitors, dt=dt, window=window)
+        service = MonitorService(monitors, dt=dt)
     elif service.dt != dt:
         raise ValueError(f"service.dt={service.dt} does not match the "
                          f"traces' dt={dt}")

@@ -24,7 +24,7 @@ from .executor import (
 )
 from .features import ContextBatch, FEATURE_NAMES, context_matrix, context_row
 from .replay import (iter_contexts, replay_campaign, replay_chunk_batched,
-                     replay_many, replay_monitor, replay_monitor_batched)
+                     replay_many, replay_monitor)
 from .vector import run_batch, titrate_isf_batch, warm_profiles
 from .store import (
     SCHEMA_VERSION,
@@ -68,7 +68,6 @@ __all__ = [
     "titrate_isf_batch",
     "warm_profiles",
     "replay_chunk_batched",
-    "replay_monitor_batched",
     "ContextBatch",
     "FEATURE_NAMES",
     "context_matrix",

@@ -141,28 +141,6 @@ class ContextBatch:
                    action=action.reshape(1, n_cols),
                    dt=np.full(n_cols, float(dt)))
 
-    def append(self, other: "ContextBatch") -> "ContextBatch":
-        """Extend this batch with *other*'s cycles along the time axis.
-
-        The incremental form of :meth:`from_traces`: feeding a trace
-        tick-by-tick through :meth:`from_tick` and folding with
-        ``append`` reconstructs the exact arrays ``from_traces`` builds
-        in one shot (pure concatenation — no recomputation, so the
-        floats are identical).  This is how the serving layer
-        materialises a user's ring-buffer window as one batch.  Both
-        operands must agree on the column count and per-column ``dt``.
-        """
-        if self.shape[1] != other.shape[1]:
-            raise ValueError(
-                f"column count mismatch: {self.shape[1]} vs {other.shape[1]}")
-        if not np.array_equal(self.dt, other.dt):
-            raise ValueError("per-column dt mismatch between batches")
-        return ContextBatch(
-            t=np.concatenate([self.t, other.t], axis=0),
-            features=np.concatenate([self.features, other.features], axis=0),
-            action=np.concatenate([self.action, other.action], axis=0),
-            dt=self.dt)
-
     def take_columns(self, columns: np.ndarray) -> "ContextBatch":
         """A new batch holding the given column subset, in the given
         order — used by the live engine to route each monitor group its

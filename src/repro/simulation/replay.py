@@ -60,8 +60,7 @@ from .features import ContextBatch
 from .trace import SimulationTrace
 
 __all__ = ["replay_monitor", "replay_many", "replay_campaign",
-           "replay_chunk_batched", "replay_monitor_batched",
-           "iter_contexts"]
+           "replay_chunk_batched", "iter_contexts"]
 
 
 def iter_contexts(trace: SimulationTrace):
@@ -131,25 +130,6 @@ def replay_chunk_batched(monitors: Mapping[str, SafetyMonitor],
             out[name].extend(np.ascontiguousarray(alerts[:, b])
                              for b in range(alerts.shape[1]))
     return out
-
-
-def replay_monitor_batched(monitor: SafetyMonitor,
-                           traces: Iterable[SimulationTrace]
-                           ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Lock-step :func:`replay_monitor` over many traces.
-
-    Returns one ``(alerts, hazards)`` pair per trace — boolean alert
-    flags and integer hazard-type codes (0 when silent) — element-wise
-    identical to replaying each trace through ``replay_monitor``.
-    """
-    results: List[Tuple[np.ndarray, np.ndarray]] = []
-    for batch in _iter_context_batches(traces):
-        alerts, hazards = _observe_checked(monitor, monitor.name, batch)
-        results.extend(
-            (np.ascontiguousarray(alerts[:, b]),
-             np.ascontiguousarray(hazards[:, b]))
-            for b in range(alerts.shape[1]))
-    return results
 
 
 def replay_campaign(monitors: Mapping[str, SafetyMonitor],

@@ -54,6 +54,7 @@ ordinary per-row data, just like the fault-mask HOLD registers.  See
 from __future__ import annotations
 
 import copy
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -721,6 +722,8 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
         return []
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     controller_kind = _PLATFORM_CONTROLLERS.get(platform)
     if controller_kind is None:
         raise KeyError(f"unknown platform {platform!r}; "

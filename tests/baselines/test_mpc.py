@@ -1,6 +1,5 @@
 """Tests for the MPC (Bergman & Sherwin) baseline monitor."""
 
-import functools
 import math
 
 import numpy as np
@@ -219,6 +218,15 @@ def test_observe_stream_matches_two_call_observe(horizon_steps, dt):
     assert len(verdicts) > 1
 
 
+def stack_ticks(ticks):
+    """One batch holding the ``(1, B)`` *ticks* as consecutive cycles."""
+    return ContextBatch(
+        t=np.concatenate([tick.t for tick in ticks]),
+        features=np.concatenate([tick.features for tick in ticks]),
+        action=np.concatenate([tick.action for tick in ticks]),
+        dt=ticks[0].dt)
+
+
 def random_batch(rng, n_steps, n_cols):
     """*n_steps* cycles of *n_cols* streams, as the live tick builds them."""
     ticks = [ContextBatch.from_tick(
@@ -229,7 +237,7 @@ def random_batch(rng, n_steps, n_cols):
                        rng.uniform(0.0, 8.0, n_cols), 0.0),
         action=np.full(n_cols, int(ControlAction.KEEP)), dt=5.0)
         for step in range(n_steps)]
-    return functools.reduce(ContextBatch.append, ticks)
+    return stack_ticks(ticks)
 
 
 #: (n_steps, n_cols) on both sides of the kernel/numpy switch
@@ -316,7 +324,7 @@ class TestNonFiniteInput:
                 monitor.observe_batch(tick, state=state)
 
     def test_one_shot(self, stream):
-        batch = functools.reduce(ContextBatch.append, self.ticks(stream))
+        batch = stack_ticks(self.ticks(stream))
         with pytest.raises(ValueError, match="finite"):
             MPCMonitor(horizon_steps=24).observe_batch(batch)
 

@@ -11,7 +11,6 @@ import pytest
 from repro.ml import (
     TrainingJob,
     job_dataset,
-    job_grid,
     monitor_state,
     run_training_jobs,
     select_job_traces,
@@ -148,13 +147,6 @@ class TestRunTrainingJobs:
         states = (monitor_state(a.monitor), monitor_state(b.monitor))
         assert any(not np.array_equal(x, y) for x, y in zip(*states)) \
             or len(states[0]) != len(states[1])
-
-    def test_job_grid_cartesian(self):
-        jobs = job_grid(["mlp"], folds=3, fold_values=[0, 1, 2],
-                        patient_ids=["A", "B"], max_epochs=1)
-        assert len(jobs) == 6
-        assert {(j.patient_id, j.fold) for j in jobs} == \
-            {(p, f) for p in ("A", "B") for f in (0, 1, 2)}
 
     def test_empty_job_list(self, tiny_campaign_traces):
         assert run_training_jobs([], tiny_campaign_traces) == []

@@ -220,7 +220,7 @@ class TestServicePersistence:
     def test_config_round_trips_the_knobs(self, tmp_path):
         directory = str(tmp_path / "state")
         service = MonitorService(
-            _monitors(), dt=10.0, window=7, dedup_window=30.0,
+            _monitors(), dt=10.0, dedup_window=30.0,
             escalate_after=None, auto_connect=False,
             dead_letter_capacity=9, health_window=4,
             persist_dir=directory)
@@ -229,7 +229,6 @@ class TestServicePersistence:
         service.close()
         recovered = MonitorService.recover(directory)
         assert recovered.dt == 10.0
-        assert recovered.window == 7
         assert recovered.alert_manager.window == 30.0
         assert recovered.alert_manager.escalate_after is None
         assert recovered.auto_connect is False

@@ -1,12 +1,13 @@
-"""MonitorService: offline parity, fleet membership, context windows."""
+"""MonitorService: offline parity, fleet membership, what monitors see."""
 
+import os
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.baselines import GuidelineMonitor
-from repro.core import cawot_monitor, cawt_monitor
+from repro.core import SafetyMonitor, cawot_monitor, cawt_monitor
 from repro.serve import (MonitorService, MonitorRegistry, TickBatch,
                          replay_log)
 from repro.serve.chaos import fleet_ticks
@@ -19,6 +20,33 @@ def _monitors():
     return {"CAWT": cawt_monitor({"beta1": 75.0}),
             "CAWOT": cawot_monitor(),
             "Guideline": GuidelineMonitor()}
+
+
+class _Recorder(SafetyMonitor):
+    """Never alerts; keeps every ``(1, B)`` batch the service feeds it, in
+    the order of the tick's accepted rows."""
+
+    def __init__(self):
+        self.batches = []
+
+    def observe(self, ctx):
+        raise AssertionError("the service feeds batches only")
+
+    def init_state(self, n_cols):
+        return {}
+
+    def observe_batch(self, batch, state=None):
+        self.batches.append(batch)
+        n_cols = batch.shape[1]
+        return (np.zeros((1, n_cols), dtype=bool),
+                np.zeros((1, n_cols), dtype=int))
+
+
+def _recording_service(**kwargs):
+    """A service over :func:`_monitors` plus a :class:`_Recorder`."""
+    recorder = _Recorder()
+    return MonitorService({**_monitors(), "seen": recorder},
+                          **kwargs), recorder
 
 
 def _tick(t, user_ids, bg, **overrides):
@@ -79,51 +107,70 @@ class TestFleetMembership:
     def test_duplicate_users_in_one_tick_quarantined(self):
         # degraded-mode ingestion: the duplicated row is quarantined (the
         # first occurrence wins), never a mid-tick exception
-        service = MonitorService(_monitors())
+        service, seen = _recording_service()
         result = service.process(_tick(0.0, ("a", "a", "b"),
                                        [120.0, 125.0, 130.0]))
         assert [r.reason for r in result.rejected] == ["duplicate-user"]
         assert result.rejected[0].user_id == "a"
         assert service.n_users == 2
         assert service.health == "DEGRADED"
-        # only the first occurrence advanced user a's state
-        assert service.context_window("a").bg[0, 0] == 120.0
+        # only the first occurrence reached the monitors
+        np.testing.assert_array_equal(seen.batches[-1].bg[0], [120.0, 130.0])
+        # ... and became user a's BG memory
+        service.process(_tick(5.0, ("a",), [130.0]))
+        assert seen.batches[-1].bg_rate[0, 0] == (130.0 - 120.0) / 5.0
         for flags in result.alerts.values():
             assert flags.shape == (3,)
 
     def test_disconnect_frees_and_recycles_slots(self):
-        service = MonitorService(_monitors())
+        service, seen = _recording_service()
         service.process(_tick(0.0, ("a", "b"), [120.0, 130.0]))
         service.disconnect("a")
         assert service.n_users == 1
         with pytest.raises(KeyError):
             service.disconnect("a")
-        # the recycled slot must not leak the old user's history
+        # the recycled slot must not leak the old user's BG memory
         service.process(_tick(5.0, ("c",), [200.0]))
-        window = service.context_window("c")
-        assert window.shape == (1, 1)
-        assert window.bg[0, 0] == 200.0
-        assert window.bg_rate[0, 0] == 0.0  # fresh user: no rate yet
+        batch = seen.batches[-1]
+        assert batch.shape == (1, 1)
+        assert batch.bg[0, 0] == 200.0
+        assert batch.bg_rate[0, 0] == 0.0  # fresh user: no rate yet
+
+    def test_slot_capacity_grows_geometrically(self):
+        """Connecting users is amortised O(1): every per-slot array
+        doubles (from 8 slots) rather than growing a slot at a time."""
+        service = MonitorService(_monitors())
+        capacities = []
+        for i in range(33):
+            service.connect(f"u{i}")
+            capacities.append(len(service._seen))
+        assert capacities == [8] * 8 + [16] * 8 + [32] * 16 + [64]
+        for state in service._state.values():
+            for column in state.values():
+                assert column.shape[-1] == 64
+
+    def test_first_tick_rate_is_zero(self):
+        service, seen = _recording_service()
+        service.process(_tick(0.0, ("a", "b"), [120.0, 180.0]))
+        np.testing.assert_array_equal(seen.batches[-1].bg_rate[0], [0.0, 0.0])
 
     def test_midstream_join_gets_zero_first_rate(self):
-        service = MonitorService(_monitors())
+        service, seen = _recording_service()
         service.process(_tick(0.0, ("a",), [120.0]))
         result = service.process(_tick(5.0, ("a", "b"), [130.0, 180.0]))
-        window_a = service.context_window("a")
-        window_b = service.context_window("b")
-        assert window_a.bg_rate[1, 0] == (130.0 - 120.0) / 5.0
-        assert window_b.bg_rate[0, 0] == 0.0
+        np.testing.assert_array_equal(seen.batches[-1].bg_rate[0],
+                                      [(130.0 - 120.0) / 5.0, 0.0])
         assert result.user_ids == ("a", "b")
 
     def test_skipped_tick_rate_spans_the_gap(self):
-        service = MonitorService(_monitors())
+        service, seen = _recording_service()
         service.process(_tick(0.0, ("a", "b"), [120.0, 120.0]))
         service.process(_tick(5.0, ("a",), [125.0]))
         service.process(_tick(10.0, ("a", "b"), [125.0, 150.0]))
-        window_b = service.context_window("b")
         # b missed the middle tick: its rate is computed from its own
         # previous sample, not the fleet's
-        assert window_b.bg_rate[1, 0] == (150.0 - 120.0) / 5.0
+        np.testing.assert_array_equal(seen.batches[-1].bg_rate[0],
+                                      [0.0, (150.0 - 120.0) / 5.0])
 
 
 class TestPerUserState:
@@ -142,20 +189,32 @@ class TestPerUserState:
 
     def test_snapshotted_state_per_user_ceiling(self, all_monitor_kinds,
                                                 tmp_path):
-        """Per user the service holds only the monitors' state columns:
-        at most 2 KB for every kind (an LSTM at k = 6 keeps its last
-        five feature rows), never a model copy."""
-        n_users = 100
-        service = MonitorService(all_monitor_kinds, fsync=False,
-                                 persist_dir=str(tmp_path / "state"))
-        for tick in fleet_ticks(n_users, 3, seed=0):
-            service.process(tick)
-        saved = read_snapshot(service.snapshot())["monitor_state"]
-        service.close()
+        """Per user the service holds a slot, its BG memory, last-tick
+        stamp and seen flag, its alert streams and the monitors' state
+        columns, never a model copy or a context history.  Each kind's
+        columns take at most 2 KB per user (an LSTM at k = 6 keeps its
+        last five feature rows), and the whole snapshot grows by at most
+        1 KB per user from 128 to 256 users, where the slot capacity
+        doubles."""
+        def snapshot(n_users):
+            service = MonitorService(all_monitor_kinds, fsync=False,
+                                     persist_dir=str(tmp_path / str(n_users)))
+            for tick in fleet_ticks(n_users, 3, seed=0):
+                service.process(tick)
+            path = service.snapshot()
+            service.close()
+            return path
+
+        small, large = snapshot(128), snapshot(256)
+        saved = read_snapshot(large)
+        assert len(saved["seen"]) == 256
         for name in all_monitor_kinds:
-            per_user = len(pickle.dumps(
-                saved[name], protocol=pickle.HIGHEST_PROTOCOL)) / n_users
+            per_user = len(pickle.dumps(saved["monitor_state"][name],
+                                        protocol=pickle.HIGHEST_PROTOCOL)
+                           ) / 256
             assert per_user <= 2048, f"{name}: {per_user:.0f} B per user"
+        growth = (os.path.getsize(large) - os.path.getsize(small)) / 128
+        assert growth <= 1024, f"snapshot grows {growth:.0f} B per user"
 
     def test_recycled_slot_starts_with_fresh_monitor_state(
             self, all_monitor_kinds):
@@ -195,48 +254,35 @@ class TestPerUserState:
         assert repeat.events == []
 
 
-class TestContextWindow:
-    def test_window_matches_offline_context_matrix(
+class TestWhatMonitorsSee:
+    def test_every_tick_matches_offline_context_matrix(
             self, tiny_campaign_traces):
-        """The ring-rebuilt window is the tail of the offline batch."""
-        trace = tiny_campaign_traces[0]
-        window_ticks = 8
-        service = MonitorService(_monitors(), window=window_ticks)
-        for tick in iter_trace_ticks([trace]):
+        """Every served tick is its row of the offline batch, float for
+        float: time stamp, features, action code and period."""
+        traces = tiny_campaign_traces[:3]
+        service, seen = _recording_service()
+        user_ids = ("u0", "u1", "u2")
+        for tick in iter_trace_ticks(traces):
             service.process(TickBatch(
-                t=tick.t, user_ids=("u",), cgm=tick.cgm, iob=tick.iob,
+                t=tick.t, user_ids=user_ids, cgm=tick.cgm, iob=tick.iob,
                 iob_rate=tick.iob_rate, rate=tick.rate, bolus=tick.bolus,
                 action=tick.action))
-        window = service.context_window("u")
-        offline = ContextBatch.from_traces([trace])
-        assert window.shape == (window_ticks, 1)
-        np.testing.assert_array_equal(
-            window.features[:, :, 0], offline.features[-window_ticks:, :, 0])
-        np.testing.assert_array_equal(
-            window.t[:, 0], offline.t[-window_ticks:, 0])
-        np.testing.assert_array_equal(
-            window.action[:, 0], offline.action[-window_ticks:, 0])
-
-    def test_unknown_user_rejected(self):
-        service = MonitorService(_monitors())
-        with pytest.raises(KeyError):
-            service.context_window("ghost")
-
-    def test_no_ticks_yet_rejected(self):
-        service = MonitorService(_monitors())
-        service.connect("a")
-        with pytest.raises(ValueError, match="no ticks"):
-            service.context_window("a")
+        offline = ContextBatch.from_traces(traces)
+        assert len(seen.batches) == offline.shape[0]
+        for step, batch in enumerate(seen.batches):
+            assert batch.shape == (1, 3)
+            np.testing.assert_array_equal(batch.features[0],
+                                          offline.features[step])
+            np.testing.assert_array_equal(batch.t[0], offline.t[step])
+            np.testing.assert_array_equal(batch.action[0],
+                                          offline.action[step])
+            np.testing.assert_array_equal(batch.dt, offline.dt)
 
 
 class TestValidation:
     def test_bad_dt(self):
         with pytest.raises(ValueError, match="dt"):
             MonitorService(_monitors(), dt=0.0)
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError, match="window"):
-            MonitorService(_monitors(), window=0)
 
     def test_tick_shape_mismatch(self):
         with pytest.raises(ValueError, match="cgm"):
@@ -250,21 +296,22 @@ class TestDegradedMode:
     """Malformed rows quarantine; healthy rows are never held hostage."""
 
     def test_nan_and_negative_glucose_quarantined(self):
-        service = MonitorService(_monitors())
+        service, seen = _recording_service()
         result = service.process(_tick(0.0, ("a", "b", "c"),
                                        [np.nan, -5.0, 120.0]))
         reasons = {r.user_id: r.reason for r in result.rejected}
         assert reasons == {"a": "bad-glucose", "b": "bad-glucose"}
         assert result.rejected[1].value == -5.0
-        # the healthy row processed normally
-        assert service.context_window("c").bg[0, 0] == 120.0
-        for uid in ("a", "b"):
-            with pytest.raises(ValueError, match="no ticks"):
-                service.context_window(uid)
+        # only the healthy row reached the monitors
+        np.testing.assert_array_equal(seen.batches[-1].bg, [[120.0]])
         # rejected rows read like silent rows on the parity surface
         for flags in result.alerts.values():
             assert flags.shape == (3,)
             assert not flags[0] and not flags[1]
+        # and left no BG memory: their first accepted tick has no rate
+        service.process(_tick(5.0, ("a", "b", "c"), [100.0, 110.0, 125.0]))
+        np.testing.assert_array_equal(seen.batches[-1].bg_rate[0],
+                                      [0.0, 0.0, (125.0 - 120.0) / 5.0])
 
     def test_non_finite_channel_quarantined(self):
         service = MonitorService(_monitors())
@@ -294,17 +341,17 @@ class TestDegradedMode:
         assert service.n_users == 1
 
     def test_stale_timestamp_quarantined(self):
-        service = MonitorService(_monitors())
+        service, seen = _recording_service()
         service.process(_tick(10.0, ("a",), [120.0]))
         replayed = service.process(_tick(10.0, ("a",), [125.0]))
         assert [r.reason for r in replayed.rejected] == ["stale-timestamp"]
         older = service.process(_tick(5.0, ("a",), [125.0]))
         assert [r.reason for r in older.rejected] == ["stale-timestamp"]
-        # the redelivered ticks changed nothing
-        assert service.context_window("a").bg[-1, 0] == 120.0
+        # the redelivered ticks reached no monitor and changed nothing
+        assert len(seen.batches) == 1
         fresh = service.process(_tick(15.0, ("a",), [130.0]))
         assert fresh.rejected == []
-        assert service.context_window("a").bg_rate[-1, 0] == 2.0
+        assert seen.batches[-1].bg_rate[0, 0] == (130.0 - 120.0) / 5.0
 
     def test_health_recovers_after_quiet_window(self):
         service = MonitorService(_monitors(), health_window=3)
@@ -347,18 +394,16 @@ class TestDegradedMode:
 
 class TestReconnectScrub:
     def test_reconnecting_user_inherits_nothing(self):
-        """Regression: disconnect must scrub ring rows, BG memory and
-        alert streams so a reconnecting user starts truly fresh."""
-        service = MonitorService(_monitors())
+        """Regression: disconnect must scrub BG memory, last-tick stamp
+        and alert streams so a reconnecting user starts truly fresh."""
+        service, seen = _recording_service()
         # build up history + an emitted (now suppressed) alert stream
         for step in range(5):
             service.process(_tick(step * 5.0, ("a",), [40.0]))
         service.disconnect("a")
         # reconnect (recycles the same slot) and tick once, healthy
         result = service.process(_tick(25.0, ("a",), [120.0]))
-        window = service.context_window("a")
-        assert window.shape == (1, 1)  # no stale ring rows
-        assert window.bg_rate[0, 0] == 0.0  # first tick, not a delta
+        assert seen.batches[-1].bg_rate[0, 0] == 0.0  # first tick, no delta
         assert result.rejected == []  # last-tick stamp was scrubbed too
         # the old dedup stream is gone: a fresh alert emits immediately
         alert = service.process(_tick(30.0, ("a",), [40.0]))
@@ -366,41 +411,14 @@ class TestReconnectScrub:
         assert len(alert.events) >= 1
 
     def test_recycled_slot_scrubbed_for_new_user(self):
-        service = MonitorService(_monitors())
+        service, seen = _recording_service()
         service.process(_tick(0.0, ("old",), [40.0]))
         service.disconnect("old")
         assert service.alert_manager.n_streams == 0  # drop_user ran
-        service.connect("new")  # recycles the slot (clear_slot ran)
+        service.connect("new")  # recycles the slot
         result = service.process(_tick(5.0, ("new",), [120.0]))
-        window = service.context_window("new")
-        assert window.shape == (1, 1)
-        assert window.bg[0, 0] == 120.0
+        batch = seen.batches[-1]
+        assert batch.bg[0, 0] == 120.0
+        assert batch.bg_rate[0, 0] == 0.0
         assert result.rejected == []
 
-
-class TestContextBatchAppend:
-    def test_incremental_append_equals_from_traces(
-            self, tiny_campaign_traces):
-        traces = tiny_campaign_traces[:3]
-        whole = ContextBatch.from_traces(traces)
-        ticks = [ContextBatch(t=whole.t[s:s + 1],
-                              features=whole.features[s:s + 1],
-                              action=whole.action[s:s + 1], dt=whole.dt)
-                 for s in range(whole.shape[0])]
-        folded = ticks[0]
-        for tick in ticks[1:]:
-            folded = folded.append(tick)
-        np.testing.assert_array_equal(folded.features, whole.features)
-        np.testing.assert_array_equal(folded.t, whole.t)
-        np.testing.assert_array_equal(folded.action, whole.action)
-        np.testing.assert_array_equal(folded.dt, whole.dt)
-
-    def test_append_validates_columns_and_dt(self, tiny_campaign_traces):
-        batch = ContextBatch.from_traces(tiny_campaign_traces[:2])
-        narrow = batch.take_columns(np.array([0]))
-        with pytest.raises(ValueError, match="column count"):
-            batch.append(narrow)
-        other_dt = ContextBatch(t=batch.t, features=batch.features,
-                                action=batch.action, dt=batch.dt * 2.0)
-        with pytest.raises(ValueError, match="dt mismatch"):
-            batch.append(other_dt)

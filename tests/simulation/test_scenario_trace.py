@@ -8,8 +8,8 @@ import pytest
 from repro.fi import FaultKind, FaultSpec, FaultTarget, InjectionScenario
 from repro.patients import Meal
 from repro.simulation import (TRACE_COLUMN_DTYPES, CampaignPlan,
-                              SimulationTrace, SimRun, run_campaign,
-                              run_fault_free)
+                              SimulationTrace, SimRun, run_batch,
+                              run_campaign, run_fault_free)
 
 
 class TestScenario:
@@ -27,6 +27,15 @@ class TestScenario:
             CampaignPlan(platform="glucosym", runs=(), n_steps=0)
         with pytest.raises(ValueError):
             CampaignPlan(platform="glucosym", runs=(), dt=0)
+        # a direct engine call skips the plan's check
+        for dt in (0.0, -5.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt"):
+                run_batch("glucosym", [SimRun("B", 120.0, "x")], n_steps=5,
+                          dt=dt)
+        for time, carbs in ((10.0, -1.0), (10.0, math.nan), (10.0, math.inf),
+                            (math.nan, 40.0), (-math.inf, 40.0)):
+            with pytest.raises(ValueError, match="meal"):
+                Meal(time, carbs)
 
     def test_meals_carried(self):
         run = SimRun("A", 120.0, "x", meals=(Meal(60.0, 40.0),))

@@ -29,8 +29,7 @@ from repro.ml.datasets import trace_features
 from repro.parallel import iter_equal_length_groups
 from repro.simulation import (ContextBatch, PROFILE_CACHE, controller_profile,
                               iter_contexts, replay_campaign, replay_monitor,
-                              replay_monitor_batched, titrate_isf_batch,
-                              warm_profiles)
+                              titrate_isf_batch, warm_profiles)
 from repro.simulation.batch import empirical_isf
 from repro.patients import make_patient, patient_ids
 from tests.conftest import LOCKSTEP_WIDTHS
@@ -41,6 +40,17 @@ WORKER_COUNTS = (1, 2)
 def reference_alerts(monitor, traces):
     """Per-trace alert flags from the single-trace reference replay."""
     return [replay_monitor(monitor, trace)[0] for trace in traces]
+
+
+def observe_groups(monitor, traces):
+    """``(alerts, hazards)`` per trace from ``observe_batch`` over each
+    lock-step group's ``ContextBatch.from_traces`` stack."""
+    results = []
+    for group in iter_equal_length_groups(traces):
+        alerts, hazards = monitor.observe_batch(
+            ContextBatch.from_traces(group))
+        results.extend(zip(alerts.T, hazards.T))
+    return results
 
 
 def per_trace_mine(traces, rules=None, bg_target=BG_TARGET,
@@ -167,7 +177,7 @@ class TestBatchedReplayParity:
                         assert np.array_equal(alerts, got), (name, width,
                                                              workers)
             for name, monitor in nn_monitors.items():
-                batched = replay_monitor_batched(monitor, traces)
+                batched = observe_groups(monitor, traces)
                 for (alerts, hazards), (got_alerts, got_hazards) in zip(
                         reference[name], batched, strict=True):
                     assert np.array_equal(alerts, got_alerts), (name, width)
@@ -180,7 +190,7 @@ class TestBatchedReplayParity:
         traces = list(tiny_campaign_traces[:12])
         set_lockstep_width(7)
         for name, monitor in fast_monitors.items():
-            batched = replay_monitor_batched(monitor, traces)
+            batched = observe_groups(monitor, traces)
             assert len(batched) == len(traces)
             for trace, (alerts, hazards) in zip(traces, batched):
                 ref_alerts, ref_hazards = replay_monitor(monitor, trace)
@@ -195,7 +205,7 @@ class TestBatchedReplayParity:
                     "rule10": ContextAwareMonitor(rules=(rule10,))}
         set_lockstep_width(7)
         for name, monitor in monitors.items():
-            batched = replay_monitor_batched(monitor, tiny_campaign_traces)
+            batched = observe_groups(monitor, tiny_campaign_traces)
             assert any(alerts.any() for alerts, _ in batched), name
             for trace, (alerts, hazards) in zip(tiny_campaign_traces,
                                                 batched, strict=True):
@@ -257,7 +267,6 @@ class TestEdgeCases:
     def test_empty_trace_stream(self, fast_monitors):
         out = replay_campaign(fast_monitors, [])
         assert out == {name: [] for name in fast_monitors}
-        assert replay_monitor_batched(cawot_monitor(), []) == []
 
     def test_single_column_batch(self, tiny_campaign_traces):
         trace = tiny_campaign_traces[0]
