@@ -27,6 +27,7 @@ from repro.ml import (build_window_dataset, train_dt_monitor,
 from repro.ml.monitors import LSTMMonitor
 from repro.ml.nn import LSTMClassifier
 from repro.fi import FaultTarget
+from repro.serve.chaos import fleet_ticks
 from repro.simulation import (CampaignExecutor, SimRun, run_batch,
                               run_campaign, run_fault_free)
 from repro.simulation.vector import _FaultBatch
@@ -40,6 +41,17 @@ from tiny_grid import (TINY_CAMPAIGN_CONFIG, TINY_PATIENT,  # noqa: F401
 #: the lock-step widths every parity suite sweeps: single-row batches, a
 #: width that leaves ragged batches, and one wider than most test plans
 LOCKSTEP_WIDTHS = (1, 7, 32)
+
+
+def ramp_ticks(n_users, n_ticks, seed):
+    """The synthetic serving fleet's ticks with every user's glucose
+    climbing 30 mg/dL a tick out of hypoglycaemia (user j of n starts
+    100 j / n mg/dL higher): every kind of :func:`all_monitor_kinds`
+    alerts on it, the stateful ones on state carried across ticks."""
+    offsets = 100.0 * np.arange(n_users) / n_users
+    return [dataclasses.replace(tick, cgm=60.0 + 30.0 * step + offsets)
+            for step, tick in enumerate(fleet_ticks(n_users, n_ticks,
+                                                    seed=seed))]
 
 
 @pytest.fixture(scope="session")

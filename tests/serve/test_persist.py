@@ -20,7 +20,9 @@ from repro.serve import (JournalCorruptError, MonitorService,
 from repro.serve.persist import (list_segments, list_snapshots, read_config,
                                  read_journal, read_snapshot, segment_path,
                                  snapshot_path, write_snapshot)
+from repro.serve.chaos import results_equal
 from repro.simulation import iter_trace_ticks, replay_campaign
+from tests.conftest import ramp_ticks
 
 
 class CustomMonitor(SafetyMonitor):
@@ -235,6 +237,62 @@ class TestServicePersistence:
         assert recovered.dead_letters.maxlen == 9
         assert recovered.health_window == 4
         assert recovered.n_users == 1
+
+    def test_persisted_layout_holds_no_context_history(self, tmp_path):
+        """This build's config and snapshot keys, pinned: neither holds a
+        context window.  Changing either is a durable-format change (see
+        ``PERSIST_SCHEMA_VERSION``)."""
+        directory = str(tmp_path / "state")
+        service = MonitorService(_monitors(), persist_dir=directory,
+                                 fsync=False)
+        service.process(_tick(0.0, ("a", "b"), [120.0, 130.0]))
+        saved = read_snapshot(service.snapshot())
+        service.close()
+        assert set(read_config(directory)) == {
+            "schema", "dt", "dedup_window", "escalate_after",
+            "auto_connect", "dead_letter_capacity", "health_window",
+            "registry_saved"}
+        assert set(saved) == {
+            "slots", "free", "last_cgm", "seen", "last_t", "monitor_state",
+            "alert_manager", "ticks_processed", "rejected_total",
+            "rejected_by_reason", "dead_letters", "recent_rejects"}
+        assert saved["slots"] == {"a": 0, "b": 1}
+        for key in ("last_cgm", "seen", "last_t"):
+            assert saved[key].shape == (8,), key
+
+    def test_recovery_grows_past_the_snapshot_capacity(
+            self, tmp_path, all_monitor_kinds):
+        """Users who join after the snapshot grow the restored per-slot
+        arrays during journal replay; the recovered service then serves
+        what an uninterrupted one serves."""
+        ticks = ramp_ticks(20, 12, seed=4)
+        early = [TickBatch(t=tick.t, user_ids=tick.user_ids[:4],
+                           cgm=tick.cgm[:4], iob=tick.iob[:4],
+                           iob_rate=tick.iob_rate[:4], rate=tick.rate[:4],
+                           bolus=tick.bolus[:4], action=tick.action[:4])
+                 for tick in ticks[:3]]
+        directory = str(tmp_path / "state")
+        crashed = MonitorService(all_monitor_kinds, persist_dir=directory,
+                                 fsync=False)
+        reference = MonitorService(all_monitor_kinds)
+        for tick in early:
+            crashed.process(tick)
+            reference.process(tick)
+        crashed.snapshot()  # four users in eight slots
+        for tick in ticks[3:6]:
+            crashed.process(tick)
+            reference.process(tick)
+        del crashed  # hard kill
+        recovered = MonitorService.recover(directory, all_monitor_kinds,
+                                           fsync=False)
+        assert recovered.recovery_report.snapshot_ticks == 3
+        assert recovered.recovery_report.ticks_replayed == 3
+        assert len(recovered._seen) == 32
+        served = [recovered.process(tick) for tick in ticks[6:]]
+        expected = [reference.process(tick) for tick in ticks[6:]]
+        assert results_equal(served, expected) == (True, "")
+        assert all(any(result.alerts[name].any() for result in expected)
+                   for name in all_monitor_kinds)
 
     def test_degraded_counters_survive_recovery(self, tmp_path):
         directory = str(tmp_path / "state")

@@ -1,5 +1,6 @@
 """MonitorService: offline parity, fleet membership, what monitors see."""
 
+import dataclasses
 import os
 import pickle
 
@@ -14,6 +15,7 @@ from repro.serve.chaos import fleet_ticks
 from repro.serve.persist import read_snapshot
 from repro.simulation import (ContextBatch, iter_trace_ticks,
                               replay_campaign)
+from tests.conftest import ramp_ticks
 
 
 def _monitors():
@@ -42,11 +44,35 @@ class _Recorder(SafetyMonitor):
                 np.zeros((1, n_cols), dtype=int))
 
 
-def _recording_service(**kwargs):
-    """A service over :func:`_monitors` plus a :class:`_Recorder`."""
+def _recording_service(monitors=None, **kwargs):
+    """A service over *monitors* (default :func:`_monitors`) plus a
+    :class:`_Recorder`."""
     recorder = _Recorder()
-    return MonitorService({**_monitors(), "seen": recorder},
+    monitors = _monitors() if monitors is None else monitors
+    return MonitorService({**monitors, "seen": recorder},
                           **kwargs), recorder
+
+
+def _users(tick, columns):
+    """The rows of *tick* at *columns*, as their own tick."""
+    columns = list(columns)
+    return TickBatch(
+        t=tick.t, user_ids=tuple(tick.user_ids[j] for j in columns),
+        **{name: np.asarray(getattr(tick, name))[columns]
+           for name in ("cgm", "iob", "iob_rate", "rate", "bolus",
+                        "action")})
+
+
+def _assert_same_verdicts(got, want, columns, kinds, alerted):
+    """*got*'s verdicts at *columns* are *want*'s, kind by kind; the
+    kinds that alerted there are added to *alerted*."""
+    for name in kinds:
+        np.testing.assert_array_equal(got.alerts[name][columns],
+                                      want.alerts[name], name)
+        np.testing.assert_array_equal(got.hazards[name][columns],
+                                      want.hazards[name], name)
+        if want.alerts[name].any():
+            alerted.add(name)
 
 
 def _tick(t, user_ids, bg, **overrides):
@@ -89,7 +115,6 @@ class TestReplayParity:
         trace = tiny_campaign_traces[0]
         with pytest.raises(ValueError, match="zero traces"):
             list(iter_trace_ticks([]))
-        import dataclasses
         shifted = dataclasses.replace(trace, t=trace.t + 5.0)
         with pytest.raises(ValueError, match="time grid"):
             list(iter_trace_ticks([trace, shifted]))
@@ -148,6 +173,33 @@ class TestFleetMembership:
         for state in service._state.values():
             for column in state.values():
                 assert column.shape[-1] == 64
+
+    def test_slot_capacity_never_shrinks(self):
+        """Departed users' slots are recycled before the arrays grow, and
+        disconnecting never shrinks them."""
+        service = MonitorService(_monitors())
+        for i in range(20):
+            service.connect(f"u{i}")
+        assert len(service._seen) == 32
+        for i in range(20):
+            service.disconnect(f"u{i}")
+        assert service.n_users == 0
+        assert len(service._seen) == 32
+        for i in range(20):
+            service.connect(f"v{i}")
+        assert len(service._seen) == 32
+        assert sorted(service._slots.values()) == list(range(20))
+
+    def test_connected_user_waits_for_its_first_tick(self):
+        """A connected user reaches no monitor until it ticks, and its
+        first tick carries no rate however long it waited."""
+        service, seen = _recording_service()
+        service.connect("a")
+        service.process(_tick(0.0, ("b",), [130.0]))
+        np.testing.assert_array_equal(seen.batches[-1].bg, [[130.0]])
+        service.process(_tick(5.0, ("a", "b"), [120.0, 140.0]))
+        np.testing.assert_array_equal(seen.batches[-1].bg_rate[0],
+                                      [0.0, (140.0 - 130.0) / 5.0])
 
     def test_first_tick_rate_is_zero(self):
         service, seen = _recording_service()
@@ -236,6 +288,63 @@ class TestPerUserState:
                 np.testing.assert_array_equal(recycled.hazards[name],
                                               expected.hazards[name], name)
 
+    def test_growth_keeps_connected_users_state(self, all_monitor_kinds):
+        """Growing the slot arrays (8 to 64 here) carries every connected
+        user's BG memory and monitor state along: the first eight users
+        see the contexts and get the verdicts of a service that never
+        grew, and the newcomers those of users served from scratch."""
+        ticks = ramp_ticks(40, 14, seed=3)
+        grown, grown_seen = _recording_service(all_monitor_kinds)
+        first, first_seen = _recording_service(all_monitor_kinds)
+        newcomers, newcomers_seen = _recording_service(all_monitor_kinds)
+        alerted = set()
+        for step, tick in enumerate(ticks):
+            if step < 4:
+                grown.process(_users(tick, range(8)))
+                first.process(_users(tick, range(8)))
+                assert len(grown._seen) == 8
+                continue
+            result = grown.process(tick)
+            assert len(grown._seen) == 64
+            _assert_same_verdicts(result, first.process(
+                _users(tick, range(8))), slice(0, 8), all_monitor_kinds,
+                alerted)
+            _assert_same_verdicts(result, newcomers.process(
+                _users(tick, range(8, 40))), slice(8, 40),
+                all_monitor_kinds, alerted)
+        assert alerted == set(all_monitor_kinds)
+        for step, batch in enumerate(grown_seen.batches):
+            np.testing.assert_array_equal(
+                batch.features[..., :8], first_seen.batches[step].features)
+            if step >= 4:
+                np.testing.assert_array_equal(
+                    batch.features[..., 8:],
+                    newcomers_seen.batches[step - 4].features)
+
+    def test_disconnect_leaves_other_users_untouched(
+            self, all_monitor_kinds):
+        """Scrubbing a departing user's slot, and recycling it for a new
+        user, touches no other slot: b is served as if alone throughout."""
+        ticks = ramp_ticks(2, 12, seed=1)
+        shared, seen = _recording_service(all_monitor_kinds)
+        alone = MonitorService(all_monitor_kinds)
+        a, b = ticks[0].user_ids
+        alerted = set()
+        for step, tick in enumerate(ticks):
+            if step == 4:
+                shared.disconnect(a)
+            if step >= 4:  # a's slot goes to c
+                tick = dataclasses.replace(tick, user_ids=("c", b))
+            result = shared.process(tick)
+            _assert_same_verdicts(result, alone.process(_users(tick, [1])),
+                                  slice(1, 2), all_monitor_kinds, alerted)
+        assert alerted == set(all_monitor_kinds)
+        assert shared._slots == {"c": 0, b: 1}
+        rates = [batch.bg_rate[0, 1] for batch in seen.batches]
+        cgm = [tick.cgm[1] for tick in ticks]
+        assert rates[0] == 0.0
+        np.testing.assert_array_equal(rates[1:], np.diff(cgm) / 5.0)
+
     def test_registry_monitors_stay_unmutated(self):
         registry = MonitorRegistry({"Guideline": GuidelineMonitor()})
         service = MonitorService(registry)
@@ -277,6 +386,30 @@ class TestWhatMonitorsSee:
             np.testing.assert_array_equal(batch.action[0],
                                           offline.action[step])
             np.testing.assert_array_equal(batch.dt, offline.dt)
+
+
+    def test_fleet_tick_matches_users_served_alone(self, all_monitor_kinds):
+        """One vectorised tick over a fleet gives every user exactly what
+        serving it alone gives: the same context rows and verdicts."""
+        ticks = ramp_ticks(5, 12, seed=2)
+        fleet, seen = _recording_service(all_monitor_kinds)
+        alone = [_recording_service(all_monitor_kinds) for _ in range(5)]
+        alerted = set()
+        for tick in ticks:
+            result = fleet.process(tick)
+            for j, (service, _) in enumerate(alone):
+                _assert_same_verdicts(result, service.process(
+                    _users(tick, [j])), slice(j, j + 1), all_monitor_kinds,
+                    alerted)
+        assert alerted == set(all_monitor_kinds)
+        for j, (_, alone_seen) in enumerate(alone):
+            assert len(alone_seen.batches) == len(seen.batches)
+            for batch, own in zip(seen.batches, alone_seen.batches):
+                np.testing.assert_array_equal(batch.features[..., j],
+                                              own.features[..., 0])
+                np.testing.assert_array_equal(batch.t[..., j], own.t[..., 0])
+                np.testing.assert_array_equal(batch.action[..., j],
+                                              own.action[..., 0])
 
 
 class TestValidation:

@@ -27,15 +27,21 @@ class TestScenario:
             CampaignPlan(platform="glucosym", runs=(), n_steps=0)
         with pytest.raises(ValueError):
             CampaignPlan(platform="glucosym", runs=(), dt=0)
-        # a direct engine call skips the plan's check
-        for dt in (0.0, -5.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="dt"):
-                run_batch("glucosym", [SimRun("B", 120.0, "x")], n_steps=5,
-                          dt=dt)
-        for time, carbs in ((10.0, -1.0), (10.0, math.nan), (10.0, math.inf),
-                            (math.nan, 40.0), (-math.inf, 40.0)):
-            with pytest.raises(ValueError, match="meal"):
-                Meal(time, carbs)
+
+    @pytest.mark.parametrize("dt", [0.0, -5.0, math.nan, math.inf])
+    def test_run_batch_refuses_bad_dt(self, dt):
+        """A direct engine call skips the plan's check, so the engine
+        refuses a period that would stall, reverse or poison the clock."""
+        with pytest.raises(ValueError, match="dt"):
+            run_batch("glucosym", [SimRun("B", 120.0, "x")], n_steps=5,
+                      dt=dt)
+
+    @pytest.mark.parametrize("time,carbs", [
+        (10.0, -1.0), (10.0, math.nan), (10.0, math.inf),
+        (math.nan, 40.0), (-math.inf, 40.0)])
+    def test_impossible_meal_refused(self, time, carbs):
+        with pytest.raises(ValueError, match="meal"):
+            Meal(time, carbs)
 
     def test_meals_carried(self):
         run = SimRun("A", 120.0, "x", meals=(Meal(60.0, 40.0),))
