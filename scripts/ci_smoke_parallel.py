@@ -17,10 +17,11 @@ The DT/MLP/LSTM :class:`TrainingJob` grid is trained serially and
 through the worker pool and the resulting monitors are compared parameter
 by parameter — the training-parity contract of ``repro.ml.training``.
 Every monitor kind (CAWT, CAWOT, Guideline, MPC and the trained
-DT/MLP/LSTM) is then replayed over the campaign through the per-cycle
-``replay_monitor`` reference and through the batched ``observe_batch``
-path at workers {1, 2}, asserting element-wise identical alert streams —
-the exact-parity contract of ``repro.simulation.replay``.  The same
+DT/MLP/LSTM) is then replayed over the campaign with each trace stepped
+one cycle at a time through ``observe`` (a one-column state resumed every
+cycle) and through the batched lock-step replay at workers {1, 2},
+asserting element-wise identical alert streams — the width-invariance
+and resume contracts of ``repro.simulation.replay``.  The same
 campaign is then pushed through one online :class:`MonitorService`
 holding every kind as a live tick stream (``repro.serve.replay_log``)
 twice, and both served runs must reproduce the batched offline replay
@@ -66,9 +67,15 @@ from repro.serve import MonitorService, replay_log
 from repro.serve.chaos import (crash_recovery_run, drive, fleet_ticks,
                                results_equal)
 from repro.simulation import (CampaignStoreWriter, TraceDataset,
-                              plan_campaign, plan_fingerprint,
-                              replay_campaign, replay_monitor, run_campaign,
-                              trace_to_arrays)
+                              iter_contexts, plan_campaign, plan_fingerprint,
+                              replay_campaign, run_campaign, trace_to_arrays)
+
+
+def stepped_alerts(monitor, trace) -> np.ndarray:
+    """*trace*'s alert flags, fed one context at a time to ``observe``."""
+    monitor.reset()
+    return np.array([monitor.observe(ctx).alert
+                     for ctx in iter_contexts(trace)])
 
 
 def traces_identical(a, b) -> bool:
@@ -206,10 +213,9 @@ def main() -> int:
           f"({', '.join(t.name for t in trained_serial)}) element-wise "
           "identical at any worker count")
 
-    # batched replay parity: every monitor kind, the per-cycle reference
-    # vs observe_batch, across worker counts (the LSTM classifies every
-    # sliding window in stacked row-exact forwards; a trace subset keeps
-    # its per-cycle reference bounded)
+    # batched replay parity: every monitor kind, each trace stepped one
+    # cycle at a time vs the lock-step replay, across worker counts (one
+    # lock-step chunk of traces keeps the per-cycle reference bounded)
     monitors = {
         "CAWT": cawt_monitor(learn_thresholds(serial).thresholds),
         "CAWOT": cawot_monitor(),
@@ -218,8 +224,8 @@ def main() -> int:
     }
     monitors.update({t.name: t.monitor for t in trained_serial})
     start = time.perf_counter()
-    ref = {name: [replay_monitor(monitor, trace)[0] for trace
-                  in (serial[:12] if name == "LSTM" else serial)]
+    ref = {name: [stepped_alerts(monitor, trace)
+                  for trace in serial[:repro.parallel.LOCKSTEP_WIDTH]]
            for name, monitor in monitors.items()}
     t_reference = time.perf_counter() - start
     start = time.perf_counter()
@@ -228,8 +234,8 @@ def main() -> int:
         for name, monitor in monitors.items():
             batched = replay_campaign({name: monitor}, serial,
                                       workers=replay_workers)[name]
-            # the per-cycle reference where there is one, else the
-            # first sweep
+            # the stepped reference where there is one, else the first
+            # sweep
             expected = (ref[name] + offline.setdefault(name, batched)[
                 len(ref[name]):])
             bad = [i for i, (a, b) in enumerate(zip(expected, batched))
@@ -242,15 +248,15 @@ def main() -> int:
                 return 1
     t_batched = time.perf_counter() - start
     print(f"OK: batched replay of {len(monitors)} monitor kinds "
-          f"({', '.join(monitors)}) element-wise identical to the "
-          f"per-cycle reference at workers 1/{workers} "
+          f"({', '.join(monitors)}) element-wise identical to each "
+          f"trace stepped through observe at workers 1/{workers} "
           f"(reference {t_reference:.2f}s, 2 batched sweeps "
           f"{t_batched:.2f}s)")
 
     # serving parity: replay the recorded campaign through one online
     # MonitorService holding every monitor kind as a live tick stream,
     # twice, and compare against the batched offline replay just checked
-    # against the per-cycle reference
+    # against the stepped reference
     start = time.perf_counter()
     for service_run in (1, 2):
         served = replay_log(monitors, serial)

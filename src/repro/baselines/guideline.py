@@ -9,13 +9,13 @@ with no knowledge of the controller or patient:
   must bring it back within ``alpha`` minutes;
 - phi4: symmetric for the 90th percentile ``lambda_90``.
 
-Violations on the low side predict H1, on the high side H2.
+Violations on the low side predict H1, on the high side H2; where several
+fire, the first of phi1, phi2, phi3, phi4 names the hazard.
 
-The batched path (:meth:`GuidelineMonitor.observe_batch`) advances one
-time loop with the phi3/phi4 excursion timers held as per-column vectors,
-so a whole replay batch is evaluated in ``n_steps`` numpy steps instead of
-``n_steps x B`` Python cycles — with verdicts element-wise identical to
-the scalar loop (comparisons and exact float arithmetic only).
+:meth:`GuidelineMonitor.observe_batch` advances one time loop with the
+phi3/phi4 excursion timers held as per-column vectors, so a whole replay
+batch is evaluated in ``n_steps`` numpy steps (comparisons and exact
+float arithmetic only).
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..core.context import ContextVector
-from ..core.monitor import (MonitorState, MonitorVerdict, NO_ALERT,
-                            SafetyMonitor)
+from ..core.monitor import MonitorState, SafetyMonitor
 from ..hazards import HazardType
 
 __all__ = ["GuidelineMonitor"]
@@ -67,8 +65,6 @@ class GuidelineMonitor(SafetyMonitor):
         self.lambda_10 = float(lambda_10)
         self.lambda_90 = float(lambda_90)
         self.alpha = float(alpha)
-        self._below_since: Optional[float] = None
-        self._above_since: Optional[float] = None
 
     def fit(self, traces: Iterable) -> "GuidelineMonitor":
         """Set lambda_10/lambda_90 from the BG distribution of *traces*."""
@@ -79,71 +75,21 @@ class GuidelineMonitor(SafetyMonitor):
         self.lambda_90 = float(np.percentile(values, 90))
         return self
 
-    def reset(self) -> None:
-        self._below_since = None
-        self._above_since = None
-
-    def observe(self, ctx: ContextVector) -> MonitorVerdict:
-        triggered = []
-        hazard: Optional[HazardType] = None
-
-        # phi1: normal range
-        if ctx.bg < self.bg_low:
-            triggered.append("phi1-low")
-            hazard = HazardType.H1
-        elif ctx.bg > self.bg_high:
-            triggered.append("phi1-high")
-            hazard = HazardType.H2
-
-        # phi2: rate of change per cycle (bg_rate is per minute)
-        delta = ctx.bg_rate * 5.0
-        if delta < self.delta_low:
-            triggered.append("phi2-fall")
-            hazard = hazard or HazardType.H1
-        elif delta > self.delta_high:
-            triggered.append("phi2-rise")
-            hazard = hazard or HazardType.H2
-
-        # phi3: recovery deadline below the 10th percentile
-        if ctx.bg < self.lambda_10:
-            if self._below_since is None:
-                self._below_since = ctx.t
-            elif ctx.t - self._below_since > self.alpha:
-                triggered.append("phi3")
-                hazard = hazard or HazardType.H1
-        else:
-            self._below_since = None
-
-        # phi4: recovery deadline above the 90th percentile
-        if ctx.bg > self.lambda_90:
-            if self._above_since is None:
-                self._above_since = ctx.t
-            elif ctx.t - self._above_since > self.alpha:
-                triggered.append("phi4")
-                hazard = hazard or HazardType.H2
-        else:
-            self._above_since = None
-
-        if triggered:
-            return MonitorVerdict(alert=True, hazard=hazard,
-                                  triggered=tuple(triggered))
-        return NO_ALERT
-
     def init_state(self, n_cols: int) -> MonitorState:
-        """The phi3/phi4 excursion start times per column (NaN = unset,
-        the scalar ``None``)."""
+        """The phi3/phi4 excursion start times per column (NaN: not in
+        an excursion)."""
         return {"below_since": np.full(n_cols, np.nan),
                 "above_since": np.full(n_cols, np.nan)}
 
     def observe_batch(self, batch, state: Optional[MonitorState] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`observe` over a context batch.
+        """The Table III rules over a context batch.
 
-        One time loop over the ``(B,)`` excursion timers of *state*.  The
-        hazard precedence replays the scalar ``hazard or ...`` chain:
-        phi1 first, then phi2/phi3/phi4 only where no earlier rule
-        already set a type.  The monitor's own scalar timers are not
-        touched.
+        One time loop over the ``(B,)`` excursion timers of *state*.  An
+        excursion's timer starts at its first cycle, and phi3/phi4 fire
+        once it has lasted more than ``alpha`` minutes.  Hazard
+        precedence: phi1 first, then phi2/phi3/phi4 only where no
+        earlier rule already set a type.
         """
         n_steps, n_cols = batch.shape
         alerts = np.zeros((n_steps, n_cols), dtype=bool)

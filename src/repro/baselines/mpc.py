@@ -19,12 +19,12 @@ Each cycle rolls the model forward ``horizon_steps * dt`` minutes at
 advance is exactly the first ``dt`` steps of the cycle's own rollout (the
 *prefix identity*; ``dt`` is a whole number of minutes and the horizon a
 whole number of cycles): one integration per column per cycle yields both.
-The arithmetic takes three call shapes, all bit-identical:
+The arithmetic takes two call shapes, bit-identical to each other:
 
-* the scalar :meth:`MPCMonitor.observe` and any batch of at most
-  :data:`SCALAR_ROLLOUTS` column-cycles (a live tick of the lock-step
-  engine or of ``MonitorService``) run the one Python-float kernel,
-  :meth:`MPCMonitor._integrate`, cycle by cycle;
+* a batch of at most :data:`SCALAR_ROLLOUTS` column-cycles (a live tick
+  of the lock-step engine or of ``MonitorService``, a single-stream
+  :meth:`~repro.core.monitor.SafetyMonitor.observe`) runs the one
+  Python-float kernel, :meth:`MPCMonitor._integrate`, cycle by cycle;
 * wider batches (offline replay) run in two numpy passes: pass one
   advances only the insulin chain cycle by cycle, recording the chain
   each cycle predicts from; pass two rolls every ``(cycle, column)``
@@ -35,15 +35,12 @@ The arithmetic takes three call shapes, all bit-identical:
 
 from __future__ import annotations
 
-import math
 import numbers
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.context import ContextVector
-from ..core.monitor import (MonitorState, MonitorVerdict, NO_ALERT,
-                            SafetyMonitor)
+from ..core.monitor import MonitorState, SafetyMonitor
 from ..hazards import HazardType
 from ..patients.base import UU_PER_UNIT
 
@@ -110,15 +107,6 @@ class MPCMonitor(SafetyMonitor):
         self.bg_low = float(bg_low)
         self.bg_high = float(bg_high)
         self.dt = float(dt)
-        # internal insulin-effect state (population model, commanded insulin)
-        self._isc = 0.0
-        self._ip = 0.0
-        self._ieff: Optional[float] = None
-
-    def reset(self) -> None:
-        self._isc = 0.0
-        self._ip = 0.0
-        self._ieff = None
 
     def _steps(self) -> Tuple[int, int]:
         """The 1-minute Euler steps of one cycle's chain advance and of
@@ -152,31 +140,6 @@ class MPCMonitor(SafetyMonitor):
             chain = chain or (isc, ip, ieff)
         return bg, chain
 
-    def observe(self, ctx: ContextVector) -> MonitorVerdict:
-        if not (math.isfinite(ctx.bg) and math.isfinite(ctx.rate)
-                and math.isfinite(ctx.bolus)):
-            raise ValueError(_NON_FINITE)
-        if self._ieff is None:
-            # initialise the insulin chain at the steady state that holds the
-            # first observed BG (the monitor's best population-level guess)
-            ieff0 = max(self.egp / max(ctx.bg, 1.0) - self.gezi, 0.0)
-            ip0 = ieff0 / self.si
-            self._isc, self._ip, self._ieff = ip0, ip0, ieff0
-
-        insulin_uu_min = (ctx.rate / 60.0 + ctx.bolus / self.dt) * UU_PER_UNIT
-        # roll the model forward under the commanded insulin; dt minutes
-        # in, the rollout's chain is the cycle's advance
-        predicted, (self._isc, self._ip, self._ieff) = self._integrate(
-            self._isc, self._ip, self._ieff, ctx.bg, insulin_uu_min)
-
-        if predicted < self.bg_low:
-            return MonitorVerdict(alert=True, hazard=HazardType.H1,
-                                  triggered=("mpc-low",))
-        if predicted > self.bg_high:
-            return MonitorVerdict(alert=True, hazard=HazardType.H2,
-                                  triggered=("mpc-high",))
-        return NO_ALERT
-
     def _advance_chain(self, isc, ip, ieff, infusion, steps):
         """The kernel's insulin-chain update over column vectors, for
         *steps* minutes at the hoisted ``insulin / (tau1 * ci)``."""
@@ -201,19 +164,20 @@ class MPCMonitor(SafetyMonitor):
         return bg
 
     def init_state(self, n_cols: int) -> MonitorState:
-        """The insulin chain per column, NaN until the column's first
-        cycle (the scalar ``_ieff is None``)."""
+        """The insulin chain per column (population model, driven by the
+        commanded insulin), NaN until the column's first cycle."""
         return {name: np.full(n_cols, np.nan)
                 for name in ("isc", "ip", "ieff")}
 
     def observe_batch(self, batch, state: Optional[MonitorState] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`observe`, leaving the advanced chain in
+        """Predict every cycle's BG, leaving the advanced chain in
         *state*.
 
         Columns whose chain is still unset (NaN) start at the steady
-        state of the batch's first BG reading, as the scalar
-        :meth:`observe` does on its first cycle.  Up to
+        state that holds the batch's first BG reading (the monitor's
+        best population-level guess); a batch without such columns
+        skips that initialisation.  Up to
         :data:`SCALAR_ROLLOUTS` column-cycles run :meth:`_integrate`
         cycle by cycle.  Wider batches take two passes: the chain advance
         is inherently sequential, so pass one walks the time axis
@@ -221,8 +185,7 @@ class MPCMonitor(SafetyMonitor):
         predicts from; the horizon *predictions* are independent across
         cycles, so pass two rolls them all forward at once over flattened
         ``(n_steps * B,)`` vectors — elementwise arithmetic, hence
-        bit-identical to predicting cycle by cycle.  The monitor's own
-        scalar state is not touched.
+        bit-identical to predicting cycle by cycle.
         """
         n_steps, n_cols = batch.shape
         alerts = np.zeros((n_steps, n_cols), dtype=bool)
@@ -234,17 +197,19 @@ class MPCMonitor(SafetyMonitor):
             raise ValueError(_NON_FINITE)
         if state is None:
             state = self.init_state(n_cols)
-        # steady-state initialisation at the first reading, for the
-        # columns on their first cycle
-        bg0 = batch.bg[0]
-        bg0_floor = np.where(bg0 < 1.0, 1.0, bg0)
-        ieff0 = self.egp / bg0_floor - self.gezi
-        ieff0 = np.where(ieff0 < 0.0, 0.0, ieff0)
-        ip0 = ieff0 / self.si
-        fresh = np.isnan(state["ieff"])
-        isc = np.where(fresh, ip0, state["isc"])
-        ip = np.where(fresh, ip0, state["ip"])
-        ieff = np.where(fresh, ieff0, state["ieff"])
+        isc, ip, ieff = state["isc"], state["ip"], state["ieff"]
+        fresh = np.isnan(ieff)
+        if fresh.any():
+            # steady-state initialisation at the first reading, for the
+            # columns on their first cycle
+            bg0 = batch.bg[0]
+            bg0_floor = np.where(bg0 < 1.0, 1.0, bg0)
+            ieff0 = self.egp / bg0_floor - self.gezi
+            ieff0 = np.where(ieff0 < 0.0, 0.0, ieff0)
+            ip0 = ieff0 / self.si
+            isc = np.where(fresh, ip0, isc)
+            ip = np.where(fresh, ip0, ip)
+            ieff = np.where(fresh, ieff0, ieff)
         insulin_uu_min = (batch.rate / 60.0
                           + batch.bolus / self.dt) * UU_PER_UNIT
         if n_steps * n_cols <= SCALAR_ROLLOUTS:

@@ -16,53 +16,34 @@ family in the KnowSafe style (see PAPERS.md): a short-horizon glucose
 prediction feeds the corrective dose, and a knowledge rule (predicted
 glucose below a suspend threshold) can veto insulin even on a predicted H2.
 
-Mitigators additionally expose a *columnar* evaluation path
-(:meth:`Mitigator.correct_mask`) used by the lock-step simulation engine
-(:mod:`repro.simulation.vector`): all alerted rows of a live tick are
-corrected in one vectorized call.  The base class returns ``None`` —
-"no columnar form" — which makes the engine fall back to a per-row scalar
-loop over cloned mitigators, so custom (including stateful) strategies stay
-correct with zero work.  See ``docs/mitigation.md`` for the exact-parity
-contract an override must honour.
+A mitigator is one columnar call, :meth:`Mitigator.correct_mask`, that
+the lock-step simulation engine (:mod:`repro.simulation.vector`) makes
+once per live tick over every row of the batch.  Mitigators are
+stateless: a pure function of the tick.  See ``docs/mitigation.md`` for
+the contract.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..hazards import HazardType
-from .context import ContextVector
-from .monitor import MonitorVerdict
 
 __all__ = ["Mitigator", "FixedMitigator", "ProportionalMitigator",
            "PredictiveMitigator"]
 
 
 class Mitigator(abc.ABC):
-    """Maps (verdict, context, command) to a corrected command."""
+    """Maps (alerts, hazards, context) to corrected commands."""
 
     @abc.abstractmethod
-    def correct(self, verdict: MonitorVerdict, ctx: ContextVector) -> Tuple[float, float]:
-        """Return the corrected ``(basal_u_h, bolus_u)`` command."""
-
-    def reset(self) -> None:
-        """Clear per-simulation state (default: stateless).
-
-        Campaigns reuse one mitigator across every scenario of a patient;
-        the closed loop calls this at the start of each run so a stateful
-        strategy can never leak decisions from one scenario into the next.
-        The lock-step engine relies on the same contract: a batched run's
-        per-row mitigator clones are ``reset`` before their run, so a
-        ``reset`` that fully clears state makes batching invisible.
-        """
-
     def correct_mask(self, alerts: np.ndarray, hazards: np.ndarray,
-                     tick) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Columnar :meth:`correct` over one live control cycle.
+                     tick) -> Tuple[np.ndarray, np.ndarray]:
+        """Corrected commands for one live control cycle.
 
         Parameters
         ----------
@@ -78,21 +59,13 @@ class Mitigator(abc.ABC):
 
         Returns
         -------
-        ``(rate, bolus)`` full-width ``(B,)`` corrected command vectors,
-        or ``None`` (the default) when the strategy has no columnar form —
-        the engine then falls back to a per-row scalar loop: one
-        ``deepcopy`` of this mitigator per batch row, each ``reset`` at
-        run start and driven through :meth:`correct` for its own alerts,
-        which *is* the scalar definition.
+        ``(rate, bolus)``: full-width ``(B,)`` corrected command vectors.
 
-        **Contract**: an override must be stateless (a pure function of
-        the tick) and must transcribe the scalar :meth:`correct`
-        arithmetic with identical operation order, selecting branches via
-        ``np.where`` — so batched and scalar mitigation are element-wise
-        identical for any batch composition.  Stateful strategies must
-        keep the ``None`` default.
+        **Contract**: a pure function of its arguments (no state carried
+        from tick to tick), computed with elementwise arithmetic and
+        ``np.where`` branch selection — so a row's correction never
+        depends on the batch it shares.
         """
-        return None
 
 
 @dataclass
@@ -110,13 +83,6 @@ class FixedMitigator(Mitigator):
     def __post_init__(self):
         if self.max_rate <= 0:
             raise ValueError(f"max_rate must be positive, got {self.max_rate}")
-
-    def correct(self, verdict: MonitorVerdict, ctx: ContextVector) -> Tuple[float, float]:
-        if not verdict.alert:
-            return ctx.rate, ctx.bolus
-        if verdict.hazard == HazardType.H1:
-            return 0.0, 0.0
-        return self.max_rate, 0.0
 
     def correct_mask(self, alerts: np.ndarray, hazards: np.ndarray,
                      tick) -> Tuple[np.ndarray, np.ndarray]:
@@ -145,20 +111,10 @@ class ProportionalMitigator(Mitigator):
         if self.isf <= 0 or self.max_rate <= 0 or self.horizon_h <= 0:
             raise ValueError("isf, max_rate and horizon_h must be positive")
 
-    def correct(self, verdict: MonitorVerdict, ctx: ContextVector) -> Tuple[float, float]:
-        if not verdict.alert:
-            return ctx.rate, ctx.bolus
-        if verdict.hazard == HazardType.H1:
-            return 0.0, 0.0
-        needed_units = max((ctx.bg - self.bg_target) / self.isf - ctx.iob, 0.0)
-        rate = min(needed_units / self.horizon_h, self.max_rate)
-        return rate, 0.0
-
     def correct_mask(self, alerts: np.ndarray, hazards: np.ndarray,
                      tick) -> Tuple[np.ndarray, np.ndarray]:
-        # the scalar correct, transcribed: same expressions in the same
-        # order, branch selection via np.where (elementwise maximum /
-        # minimum round identically at any batch width)
+        # branch selection via np.where (elementwise maximum / minimum
+        # round identically at any batch width)
         needed_units = np.maximum(
             (tick.bg[0] - self.bg_target) / self.isf - tick.iob[0], 0.0)
         corrective = np.minimum(needed_units / self.horizon_h, self.max_rate)
@@ -205,17 +161,6 @@ class PredictiveMitigator(Mitigator):
     def __post_init__(self):
         if self.isf <= 0 or self.max_rate <= 0 or self.horizon_min <= 0:
             raise ValueError("isf, max_rate and horizon_min must be positive")
-
-    def correct(self, verdict: MonitorVerdict, ctx: ContextVector) -> Tuple[float, float]:
-        if not verdict.alert:
-            return ctx.rate, ctx.bolus
-        predicted = ctx.bg + ctx.bg_rate * self.horizon_min
-        if verdict.hazard == HazardType.H1 or predicted < self.suspend_bg:
-            return 0.0, 0.0
-        needed_units = max((predicted - self.bg_target) / self.isf - ctx.iob,
-                           0.0)
-        rate = min(needed_units * (60.0 / self.horizon_min), self.max_rate)
-        return rate, 0.0
 
     def correct_mask(self, alerts: np.ndarray, hazards: np.ndarray,
                      tick) -> Tuple[np.ndarray, np.ndarray]:

@@ -3,29 +3,24 @@
 Monitors are wrappers around the controller's input-output interface
 (Fig. 1a): each control cycle they receive the inferred system context
 (:class:`~repro.core.context.ContextVector`, built by the closed loop from
-the fault-free sensor stream and the commanded insulin) and return a
-:class:`MonitorVerdict` — whether the command is an unsafe control action and
-which hazard it predicts.
+the fault-free sensor stream and the commanded insulin) and decide whether
+the command is an unsafe control action and which hazard it predicts.
 
-The context-aware monitor evaluates the 12 Table I rules each cycle.  With
-thresholds learned from data (:mod:`repro.core.learning`) it is the paper's
-**CAWT** monitor; with the clinical defaults it is the **CAWOT** baseline.
-Its per-cycle :meth:`ContextAwareMonitor.observe` walks the scalar rule
-reference (:meth:`repro.core.rules.APSRule.violated`); its batched path
-evaluates the rules' STL formulas
-(:meth:`repro.core.rules.APSRule.violation_body`).
+The context-aware monitor evaluates the 12 Table I rules each cycle,
+through the rules' STL formulas
+(:meth:`repro.core.rules.APSRule.violation_body`).  With thresholds
+learned from data (:mod:`repro.core.learning`) it is the paper's **CAWT**
+monitor; with the clinical defaults it is the **CAWOT** baseline.
 
-Monitors additionally expose one resumable *batched* step
+Every monitor has one evaluation path, the resumable *batched* step
 (:meth:`SafetyMonitor.observe_batch`): a stack of context streams is
 evaluated column-wise in lock step, each column continuing from its
-column of an explicit state (:meth:`SafetyMonitor.init_state`), with
-verdicts element-wise identical to calling
-:meth:`~SafetyMonitor.observe` cycle by cycle.  Offline replay
-(:mod:`repro.simulation.replay`) calls it once per batch from a fresh
-state; the lock-step engine (:mod:`repro.simulation.vector`) and the
+column of an explicit state (:meth:`SafetyMonitor.init_state`).  Offline
+replay (:mod:`repro.simulation.replay`) calls it once per batch from a
+fresh state; the lock-step engine (:mod:`repro.simulation.vector`) and the
 online service (:mod:`repro.serve`) once per tick, carrying the state.
-The base class falls back to a column loop over per-column clones, so
-every custom monitor keeps working unchanged.
+:meth:`SafetyMonitor.observe` is its one-stream form: a ``(1, 1)`` batch
+that continues the instance's own one-column state.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ MonitorState = Dict[str, np.ndarray]
 
 @dataclass(frozen=True)
 class MonitorVerdict:
-    """Outcome of one monitor evaluation.
+    """Outcome of one :meth:`SafetyMonitor.observe` call.
 
     Attributes
     ----------
@@ -60,13 +55,10 @@ class MonitorVerdict:
         True when the monitor flags the commanded action as unsafe.
     hazard:
         Predicted hazard type (None when no alert).
-    triggered:
-        Names of the triggered rules (empty for non-rule monitors).
     """
 
     alert: bool
     hazard: Optional[HazardType] = None
-    triggered: Tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.alert and self.hazard is None:
@@ -76,26 +68,51 @@ class MonitorVerdict:
 #: the quiescent verdict
 NO_ALERT = MonitorVerdict(alert=False)
 
+#: the period of the one-cycle batch :meth:`SafetyMonitor.observe` builds
+#: (a lone context has none; only temporal STL windows would read it)
+_OBSERVE_DT = 5.0
+
 
 class SafetyMonitor(abc.ABC):
-    """Base class of all safety monitors (context-aware, baselines, ML)."""
+    """Base class of all safety monitors (context-aware, baselines, ML).
+
+    A monitor implements :meth:`init_state` and :meth:`observe_batch`;
+    everything else (:meth:`observe`, :meth:`reset`, :meth:`clone`) is
+    built on them.
+    """
 
     name: str = "monitor"
 
-    @abc.abstractmethod
+    #: the one-column state :meth:`observe` continues (None: fresh)
+    _stream: Optional[MonitorState] = None
+
     def observe(self, ctx: ContextVector) -> MonitorVerdict:
-        """Evaluate one control cycle."""
+        """Evaluate one control cycle of this instance's own stream.
+
+        One ``(1, 1)`` :meth:`observe_batch` call that continues the
+        instance's one-column state, so a stream fed cycle by cycle gets
+        the verdicts of one batched call over it; :meth:`reset` starts a
+        new stream.  For single-stream callers and per-decision timing.
+        """
+        # the batch type lives in the simulation layer, above this module
+        from ..simulation.features import ContextBatch
+        if self._stream is None:
+            self._stream = self.init_state(1)
+        tick = ContextBatch.from_tick(
+            ctx.t, [ctx.bg], [ctx.bg_rate], [ctx.iob], [ctx.iob_rate],
+            [ctx.rate], [ctx.bolus], [int(ctx.action)], _OBSERVE_DT)
+        alerts, hazards = self.observe_batch(tick, state=self._stream)
+        if not alerts[0, 0]:
+            return NO_ALERT
+        return MonitorVerdict(alert=True,
+                              hazard=HazardType(int(hazards[0, 0])))
 
     def reset(self) -> None:
-        """Clear per-simulation state (default: stateless)."""
+        """Start :meth:`observe`'s stream afresh."""
+        self._stream = None
 
     def clone(self) -> "SafetyMonitor":
-        """An independent reset copy of this monitor.
-
-        The default — a :func:`copy.deepcopy` followed by :meth:`reset` —
-        is a fresh run's starting state; the default :meth:`init_state`
-        holds one clone per column.
-        """
+        """An independent copy of this monitor with a fresh stream."""
         clone = copy.deepcopy(self)
         clone.reset()
         return clone
@@ -112,22 +129,17 @@ class SafetyMonitor(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support registry state export")
 
+    @abc.abstractmethod
     def init_state(self, n_cols: int) -> MonitorState:
         """Fresh cross-cycle state for *n_cols* independent columns.
 
         Arrays whose last axis is the column, so callers can gather and
         scatter any column subset (``value[..., cols]``) and snapshot
         them; ``{}`` without cross-cycle state.  The model is never part
-        of it: one monitor instance serves every column.  This default
-        holds one :meth:`clone` per column, correct for any monitor whose
-        state lives in instance attributes; vectorized monitors override
-        it together with :meth:`observe_batch`.
+        of it: one monitor instance serves every column.
         """
-        clones = np.empty(n_cols, dtype=object)
-        for b in range(n_cols):
-            clones[b] = self.clone()
-        return {"clones": clones}
 
+    @abc.abstractmethod
     def observe_batch(self, batch, state: Optional[MonitorState] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate a lock-step stack of context streams.
@@ -139,9 +151,9 @@ class SafetyMonitor(abc.ABC):
             equal-length context streams stacked time-major, exposing
             ``shape == (n_steps, B)``, the ``(n_steps, B)`` channel
             matrices ``bg``/``bg_rate``/``iob``/``iob_rate``/``rate``/
-            ``bolus``/``action``/``t``, the whole batch as one STL trace
-            (``to_stl_trace``), and per-column access (``iter_column``,
-            ``column_features``).
+            ``bolus``/``action``/``t``, the ``(n_steps, D, B)``
+            ``features`` stack and the whole batch as one STL trace
+            (``to_stl_trace``).
         state:
             The columns' cross-cycle state from :meth:`init_state`
             (``B`` columns), advanced in place past the batch's cycles.
@@ -150,38 +162,16 @@ class SafetyMonitor(abc.ABC):
         Returns
         -------
         ``(alerts, hazards)``: an ``(n_steps, B)`` boolean alert matrix
-        and the matching integer hazard-type codes (0 when silent) — the
-        batched form of :class:`MonitorVerdict` (per-rule ``triggered``
-        names are not materialised on this path).
+        and the matching integer hazard-type codes (0 when silent).
 
-        **Contract**: every column is evaluated as if the monitor had
-        been :meth:`reset`, fed the cycles that built the column's state
-        through :meth:`observe`, and then this batch's cycles one by
-        one — so batched and scalar replay are element-wise identical for
-        any batch composition, and a stream split at any cycle and
-        resumed through one state gives the one-shot verdicts.  This
-        default implementation *is* that definition (a per-column scalar
-        loop), which keeps user-defined monitors correct with zero work;
-        vectorized overrides (context-aware rules, DT/MLP/LSTM,
-        Guideline, MPC) must preserve it bit for bit, keeping each
-        column's state in its own column.  The monitor's own scalar
-        state is never read; without a *state* it is left reset.
+        **Contract**: columns are independent, and a column's verdicts
+        depend only on its own cycles and state — so any batch
+        composition gives the same verdicts, and a stream split at any
+        cycle and resumed through one state gives the one-shot verdicts.
+        Implementations use elementwise arithmetic and comparisons only
+        (no reductions across columns, no batch-shape-dependent BLAS
+        calls) and keep each column's state in its own column.
         """
-        n_steps, n_cols = batch.shape
-        alerts = np.zeros((n_steps, n_cols), dtype=bool)
-        hazards = np.zeros((n_steps, n_cols), dtype=int)
-        for b in range(n_cols):
-            monitor = self if state is None else state["clones"][b]
-            if state is None:
-                self.reset()
-            for t, ctx in enumerate(batch.iter_column(b)):
-                verdict = monitor.observe(ctx)
-                alerts[t, b] = verdict.alert
-                hazards[t, b] = (0 if verdict.hazard is None
-                                 else int(verdict.hazard))
-        if state is None:
-            self.reset()
-        return alerts, hazards
 
 
 class ContextAwareMonitor(SafetyMonitor):
@@ -214,21 +204,6 @@ class ContextAwareMonitor(SafetyMonitor):
         self.thresholds = merged
         self.name = name
 
-    def observe(self, ctx: ContextVector) -> MonitorVerdict:
-        triggered = []
-        hazard: Optional[HazardType] = None
-        for rule in self.rules:
-            if rule.violated(ctx, self.thresholds[rule.param], self.bg_target):
-                triggered.append(f"rule{rule.index}")
-                # first triggered rule determines the predicted hazard; all
-                # rules constraining the same action agree on the hazard type
-                if hazard is None:
-                    hazard = rule.hazard
-        if triggered:
-            return MonitorVerdict(alert=True, hazard=hazard,
-                                  triggered=tuple(triggered))
-        return NO_ALERT
-
     def init_state(self, n_cols: int) -> MonitorState:
         """Pure rule comparisons per cycle: no cross-cycle state."""
         return {}
@@ -242,8 +217,8 @@ class ContextAwareMonitor(SafetyMonitor):
         :mod:`repro.stl.semantics` over the batch's ``(n_steps, B)``
         trace, with the monitor's thresholds as the environment; the
         predicted hazard comes from the first triggered rule in rule
-        order, exactly like :meth:`observe`.  Pure comparisons — no
-        rounding — so the verdicts match the scalar loop bit for bit.
+        order (all rules constraining the same action agree on the
+        hazard).  Pure comparisons, so no rounding.
         """
         trace = batch.to_stl_trace()
         alerts = np.zeros(batch.shape, dtype=bool)
@@ -251,8 +226,7 @@ class ContextAwareMonitor(SafetyMonitor):
         for rule in self.rules:
             mask = satisfaction(rule.violation_body(self.bg_target), trace,
                                 self.thresholds)
-            # first triggered rule determines the predicted hazard (the
-            # scalar loop's `if hazard is None` in rule order)
+            # the first triggered rule determines the predicted hazard
             hazards = np.where(mask & ~alerts, int(rule.hazard), hazards)
             alerts |= mask
         return alerts, hazards

@@ -21,18 +21,15 @@ rule  context  =>  consequence                                       hazard
 12    BG<BGT & BG'<0 & IOB'>=0 & IOB>b11 => !u4                       H1
 ====  =============================================================  ======
 
-Each rule has two encodings, kept equivalent by tests:
-
-- :meth:`repro.core.rules.APSRule.violated` — the scalar per-cycle check on
-  a :class:`~repro.core.context.ContextVector`, the reference
-  :func:`~repro.simulation.replay.replay_monitor` uses;
-- :meth:`repro.core.rules.APSRule.formula` and its pointwise
-  :meth:`repro.core.rules.APSRule.violation_body` — the rule as STL, the
-  only columnar encoding: the batched CAWT/CAWOT monitor
-  (:meth:`repro.core.monitor.ContextAwareMonitor.observe_batch`) and
-  threshold mining (:func:`repro.core.learning.mine_rule_samples`)
-  evaluate it over ``(n_steps, B)`` traces through
-  :mod:`repro.stl.semantics`.
+Each rule has one encoding, as STL: :meth:`repro.core.rules.APSRule.formula`
+(Eq. 1) and its pointwise :meth:`repro.core.rules.APSRule.violation_body`.
+The batched CAWT/CAWOT monitor
+(:meth:`repro.core.monitor.ContextAwareMonitor.observe_batch`) and
+threshold mining (:func:`repro.core.learning.mine_rule_samples`) evaluate
+it over ``(n_steps, B)`` traces through :mod:`repro.stl.semantics`.  The
+rules' verdicts on every Table I boundary are pinned by a golden fixture
+(``tests/simulation/data/golden_replay.json``) recorded through an
+earlier hand-written scalar check.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from typing import Dict, Optional, Tuple
 from ..controllers import ControlAction
 from ..hazards import HazardType
 from ..stl import And, Formula, Param, Predicate
-from .context import ContextVector
 from .scs import SafetyContextSpec, UCASEntry
 
 __all__ = ["APSRule", "aps_rules", "aps_scs", "default_thresholds",
@@ -105,38 +101,6 @@ class APSRule:
     iob_rate: Optional[str]
     default: float
 
-    # ------------------------------------------------------------------
-    # scalar per-cycle reference
-    # ------------------------------------------------------------------
-    def context_holds(self, ctx: ContextVector, threshold: float,
-                      bg_target: float = BG_TARGET) -> bool:
-        """Does ``rho(mu(x))`` (including the threshold predicate) hold?"""
-        if self.bg_side == "above" and not ctx.bg > bg_target:
-            return False
-        if self.bg_side == "below" and not ctx.bg < bg_target:
-            return False
-        if not _rate_ok(ctx.bg_rate, self.bg_rate, 0.0):
-            return False
-        if not _rate_ok(ctx.iob_rate, self.iob_rate, IOB_RATE_EPS):
-            return False
-        mu = ctx.iob if self.mu_channel == "IOB" else ctx.bg
-        if self.direction == "lt":
-            return mu < threshold
-        return mu > threshold
-
-    def violated(self, ctx: ContextVector, threshold: float,
-                 bg_target: float = BG_TARGET) -> bool:
-        """Rule violation at this cycle: context holds and the action is
-        forbidden (or a required action was not taken)."""
-        if not self.context_holds(ctx, threshold, bg_target):
-            return False
-        if self.required:
-            return ctx.action != self.action
-        return ctx.action == self.action
-
-    # ------------------------------------------------------------------
-    # STL view
-    # ------------------------------------------------------------------
     def context_formula(self, bg_target: float = BG_TARGET) -> Formula:
         """The rule context as an STL conjunction with a Param threshold."""
         parts = []
@@ -164,27 +128,11 @@ class APSRule:
     @functools.lru_cache(maxsize=256)
     def violation_body(self, bg_target: float = BG_TARGET) -> Formula:
         """The pointwise violation condition ``context & u`` (``& !u`` for
-        rule 10): true exactly where :meth:`violated` is, with the
+        rule 10): true exactly where the rule is violated, with the
         threshold bound through the evaluation environment under
         :attr:`param`.  Built once per ``(rule, bg_target)`` and shared —
         the batched monitor evaluates it every control cycle."""
         return self.ucas_entry(bg_target).violation_body()
-
-
-def _rate_ok(value: float, constraint: Optional[str], eps: float) -> bool:
-    if constraint is None:
-        return True
-    if constraint == "pos":
-        return value > eps
-    if constraint == "neg":
-        return value < -eps
-    if constraint == "zero":
-        return -eps <= value <= eps
-    if constraint == "nonpos":
-        return value <= eps
-    if constraint == "nonneg":
-        return value >= -eps
-    raise ValueError(f"unknown rate constraint {constraint!r}")
 
 
 def _rate_predicates(channel: str, constraint: Optional[str], eps: float):

@@ -2,7 +2,13 @@
 
 The paper reports average per-cycle overheads of 252.7 us (CAWT), 664.1 us
 (Guideline), 1.3 ms (DT), 30.7 ms (MLP), 32.6 ms (LSTM) and 123.9 ms (MPC).
-This experiment times each monitor's ``observe`` call over replayed contexts.
+This experiment times each monitor's single-stream
+:meth:`~repro.core.monitor.SafetyMonitor.observe` over the contexts of one
+replayed trace: a ``(1, 1)`` ``observe_batch`` per decision that carries
+the stream's state, the one evaluation path every monitor has.  The
+lock-step engine and the online service make the same call per tick with
+one column per run or user, so this is the cost of one decision at batch
+width one.
 """
 
 from __future__ import annotations

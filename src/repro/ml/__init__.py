@@ -5,7 +5,6 @@ from .datasets import (
     FEATURE_NAMES,
     build_point_dataset,
     build_window_dataset,
-    context_features,
     point_labels,
     trace_features,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "FEATURE_NAMES",
     "build_point_dataset",
     "build_window_dataset",
-    "context_features",
     "point_labels",
     "trace_features",
     "DTMonitor",

@@ -32,12 +32,12 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..parallel import lockstep_width, map_chunks
-from ..simulation.features import FEATURE_NAMES, context_matrix, context_row
+from ..simulation.features import FEATURE_NAMES, context_matrix
 from .memmap import (MemmapDatasetError, NpyStreamWriter, open_memmap_array,
                      meta_path, read_meta, write_meta)
 
 __all__ = ["FEATURE_NAMES", "trace_features", "point_labels",
-           "build_point_dataset", "build_window_dataset", "context_features"]
+           "build_point_dataset", "build_window_dataset"]
 
 
 def trace_features(trace) -> np.ndarray:
@@ -49,11 +49,6 @@ def trace_features(trace) -> np.ndarray:
     loop) feeds the monitors.
     """
     return context_matrix(trace)
-
-
-def context_features(ctx) -> np.ndarray:
-    """The same feature layout computed from a runtime ContextVector."""
-    return context_row(ctx)
 
 
 def point_labels(trace, multiclass: bool = False) -> np.ndarray:

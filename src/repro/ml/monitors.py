@@ -9,31 +9,27 @@ needed by the mitigation algorithm is then inferred from the glucose context
 (below target -> H1, above -> H2).  The multi-class variants predict the
 type directly (the Section VI-1 comparison).
 
-Batched evaluation: every monitor here overrides
-:meth:`~repro.core.monitor.SafetyMonitor.observe_batch` to classify a
-whole context batch at once, with hazard inference as array arithmetic.
-The DT runs its vectorized flat-tree ``predict`` (exact comparisons,
-batch-size invariant).  The MLP classifies every cycle, and the LSTM
-every k-cycle sliding window, through the row-exact
+Each monitor's :meth:`~repro.core.monitor.SafetyMonitor.observe_batch`
+classifies a whole context batch at once, with hazard inference as array
+arithmetic.  The DT runs its vectorized flat-tree ``predict`` (exact
+comparisons, batch-size invariant).  The MLP classifies every cycle, and
+the LSTM every k-cycle sliding window, through the row-exact
 :meth:`~repro.ml.nn.model._BaseClassifier.predict_rows`, whose logits
-are bit-identical to the one-row ``predict`` that ``observe`` makes.
-The LSTM's only per-column state is its last ``k - 1`` feature rows.
+are bit-identical to the model's one-row ``predict``.  The LSTM's only
+per-column state is its last ``k - 1`` feature rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..core.context import ContextVector
-from ..core.monitor import (MonitorState, MonitorVerdict, NO_ALERT,
-                            SafetyMonitor)
+from ..core.monitor import MonitorState, SafetyMonitor
 from ..hazards import HazardType
 from .datasets import (FEATURE_NAMES, build_point_dataset,
-                       build_window_dataset, context_features)
+                       build_window_dataset)
 from .nn import LSTMClassifier, MLPClassifier
 from .tree import DecisionTreeClassifier
 
@@ -41,17 +37,12 @@ __all__ = ["DTMonitor", "MLPMonitor", "LSTMMonitor",
            "train_dt_monitor", "train_mlp_monitor", "train_lstm_monitor"]
 
 
-def _infer_hazard(prediction: int, bg: float, bg_target: float,
-                  multiclass: bool) -> HazardType:
-    if multiclass:
-        return HazardType(prediction)
-    return HazardType.H1 if bg < bg_target else HazardType.H2
-
-
 def _verdicts(prediction: np.ndarray, bg: np.ndarray, bg_target: float,
               multiclass: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_infer_hazard` over a prediction matrix: ``(alerts,
-    hazards)`` with hazard code 0 where the prediction is safe."""
+    """Verdicts of a prediction matrix: ``(alerts, hazards)`` with hazard
+    code 0 where the prediction is safe.  A multi-class prediction is the
+    hazard type; a binary one takes it from the glucose context (below
+    target: H1, otherwise H2)."""
     alerts = prediction != 0
     if multiclass:
         return alerts, np.where(alerts, prediction, 0)
@@ -69,19 +60,9 @@ class _PointMonitor(SafetyMonitor):
         self.multiclass = multiclass
         self.bg_target = bg_target
 
-    def observe(self, ctx: ContextVector) -> MonitorVerdict:
-        features = context_features(ctx).reshape(1, -1)
-        prediction = int(self.model.predict(features)[0])
-        if prediction == 0:
-            return NO_ALERT
-        hazard = _infer_hazard(prediction, ctx.bg, self.bg_target,
-                               self.multiclass)
-        return MonitorVerdict(alert=True, hazard=hazard,
-                              triggered=(self.name.lower(),))
-
     def _predict_rows(self, features: np.ndarray) -> np.ndarray:
         """Per-row class predictions for an ``(n_rows, D)`` feature stack,
-        each bit-identical to the one-row ``predict`` of :meth:`observe`.
+        each bit-identical to the model's one-row ``predict``.
 
         Default: the model's row-exact ``predict_rows`` (see
         :meth:`~repro.ml.nn.model._BaseClassifier.predict_rows` for why a
@@ -97,7 +78,7 @@ class _PointMonitor(SafetyMonitor):
 
     def observe_batch(self, batch, state: Optional[MonitorState] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`observe` over a context batch: every column's
+        """Classify every cycle of a context batch: every column's
         feature matrix stacked into one row-major call to
         :meth:`_predict_rows` (column b occupies row block b; rows are
         independent, so wide live batches like the online service's
@@ -140,44 +121,24 @@ class LSTMMonitor(SafetyMonitor):
         self.multiclass = multiclass
         self.bg_target = bg_target
         self.name = "LSTM"
-        self._buffer: deque = deque(maxlen=k)
-
-    def reset(self) -> None:
-        self._buffer.clear()
-
-    def observe(self, ctx: ContextVector) -> MonitorVerdict:
-        self._buffer.append(context_features(ctx))
-        if len(self._buffer) < self.k:
-            return NO_ALERT  # not enough history yet
-        window = np.stack(self._buffer)[None, :, :]
-        prediction = int(self.model.predict(window)[0])
-        if prediction == 0:
-            return NO_ALERT
-        hazard = _infer_hazard(prediction, ctx.bg, self.bg_target,
-                               self.multiclass)
-        return MonitorVerdict(alert=True, hazard=hazard, triggered=("lstm",))
 
     def init_state(self, n_cols: int) -> MonitorState:
         """Each column's last ``k - 1`` feature rows, time-major like
-        ``ContextBatch.features``, and how many of them are filled (the
-        scalar ``_buffer`` minus the cycle that completes a window)."""
+        ``ContextBatch.features``, and how many of them are filled."""
         return {"window": np.zeros((self.k - 1, len(FEATURE_NAMES), n_cols)),
                 "filled": np.zeros(n_cols, dtype=np.intp)}
 
     def observe_batch(self, batch, state: Optional[MonitorState] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`observe` over a context batch.
+        """Classify the k-cycle window ending at every cycle of a batch.
 
         Every k-cycle window of each column's history (its *state* rows,
-        then the batch) that ends in the batch and is full (the window
-        ending at cycle ``t`` is what :meth:`observe` classifies at
-        ``t``) is gathered with ``sliding_window_view`` and classified
-        in one row-exact
+        then the batch) that ends in the batch and is full is gathered
+        with ``sliding_window_view`` and classified in one row-exact
         :meth:`~repro.ml.nn.model._BaseClassifier.predict_rows` call.
-        Cycles before a column has seen ``k`` stay silent, as in
-        :meth:`observe`, and the scalar buffer is left reset.
+        Cycles before a column has seen ``k`` stay silent (not enough
+        history yet).
         """
-        self.reset()
         n_steps, n_cols = batch.shape
         if state is None:
             state = self.init_state(n_cols)
@@ -185,7 +146,7 @@ class LSTMMonitor(SafetyMonitor):
         if n_steps:
             history = np.concatenate([state["window"], batch.features])
             # (n_steps, D, B, k) -> (n_steps, B, k, D): each window
-            # time-ordered like the scalar buffer
+            # time-ordered
             windows = sliding_window_view(history, self.k, axis=0).transpose(
                 0, 2, 3, 1)
             full = (state["filled"]

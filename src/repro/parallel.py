@@ -50,12 +50,11 @@ def resolve_workers(workers: Optional[int]) -> int:
 #: traces advance together as one ``(n_steps, B)`` batch.  Every batched
 #: path reads it at call time, so tests can monkeypatch it; no public
 #: function, config field, CLI flag or environment variable sets it.  The
-#: paths give byte-identical results at any width (a simulated run does
-#: not depend on its batch, replay matches the per-cycle
-#: ``replay_monitor``), so it trades only speed against the memory one
-#: batch holds: 24 keeps a streamed campaign's resident batch to a few MB
-#: while taking most of the per-call speedup (wider batches grow both
-#: together).
+#: paths give byte-identical results at any width (a simulated run or a
+#: replayed trace does not depend on its batch), so it trades only speed
+#: against the memory one batch holds: 24 keeps a streamed campaign's
+#: resident batch to a few MB while taking most of the per-call speedup
+#: (wider batches grow both together).
 LOCKSTEP_WIDTH = 24
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .loadgen import LoadGenerator
 from .persist import list_segments, list_snapshots, snapshot_path
-from .service import MonitorService, TickBatch, TickResult
+from .service import MonitorService, RejectedTick, TickBatch, TickResult
 
 __all__ = [
     "fleet_ticks", "drive", "results_equal", "crash_recovery_run",
@@ -111,11 +111,22 @@ def results_equal(a: Sequence[TickResult], b: Sequence[TickResult],
                 return False, f"tick {i}: alerts[{name!r}] differ"
             if not np.array_equal(ra.hazards[name], rb.hazards[name]):
                 return False, f"tick {i}: hazards[{name!r}] differ"
-        if list(ra.rejected) != list(rb.rejected):
+        if not _same_rejections(ra.rejected, rb.rejected):
             return False, f"tick {i}: rejected rows differ"
         if check_events and list(ra.events) != list(rb.events):
             return False, f"tick {i}: emitted events differ"
     return True, ""
+
+
+def _same_rejections(a: Sequence[RejectedTick],
+                     b: Sequence[RejectedTick]) -> bool:
+    """Quarantined rows equal field by field, where a NaN ``value`` (a
+    ``bad-glucose`` row's reading) equals NaN."""
+    def same_value(x, y):
+        return x == y or (x != x and y != y)  # NaN is the only x != x
+    return len(a) == len(b) and all(
+        (x.t, x.user_id, x.reason) == (y.t, y.user_id, y.reason)
+        and same_value(x.value, y.value) for x, y in zip(a, b))
 
 
 # ----------------------------------------------------------------------

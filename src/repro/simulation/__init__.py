@@ -22,9 +22,9 @@ from .executor import (
     plan_campaign,
     plan_fault_free,
 )
-from .features import ContextBatch, FEATURE_NAMES, context_matrix, context_row
+from .features import ContextBatch, FEATURE_NAMES, context_matrix
 from .replay import (iter_contexts, replay_campaign, replay_chunk_batched,
-                     replay_many, replay_monitor)
+                     replay_many)
 from .vector import run_batch, titrate_isf_batch, warm_profiles
 from .store import (
     SCHEMA_VERSION,
@@ -71,11 +71,9 @@ __all__ = [
     "ContextBatch",
     "FEATURE_NAMES",
     "context_matrix",
-    "context_row",
     "iter_contexts",
     "replay_campaign",
     "replay_many",
-    "replay_monitor",
     "SCHEMA_VERSION",
     "CampaignStoreError",
     "CampaignStoreWriter",

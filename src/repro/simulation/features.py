@@ -10,7 +10,8 @@ since a silent disagreement would make the ML monitors train on features
 that differ from what replay (and the live loop) feeds them.  This module
 is the single shared implementation every consumer delegates to:
 :func:`context_matrix` for one trace, :class:`ContextBatch` for a
-lock-step stack of traces, with the scalar context stream
+lock-step stack of traces, with a trace's per-cycle
+:class:`~repro.core.context.ContextVector` stream
 (:func:`~repro.simulation.replay.iter_contexts`) defined as the ``B=1``
 column view of the same stack.
 """
@@ -26,12 +27,16 @@ from ..controllers import ControlAction
 from ..core.context import ContextVector
 from ..stl import Trace
 
-__all__ = ["FEATURE_NAMES", "context_matrix", "context_row", "ContextBatch"]
+__all__ = ["FEATURE_NAMES", "context_matrix", "ContextBatch"]
 
 #: feature layout shared by replay, training data and runtime monitors;
 #: the names are the STL channel names the Table I rule formulas read
 FEATURE_NAMES: Tuple[str, ...] = ("BG", "BG'", "IOB", "IOB'", "rate", "bolus",
                                   "u1", "u2", "u3", "u4")
+
+
+#: the ``u1..u4`` one-hot columns' action codes, as a column vector
+_ACTION_CODES = np.array([[int(act)] for act in ControlAction])
 
 
 def context_matrix(trace) -> np.ndarray:
@@ -53,13 +58,6 @@ def context_matrix(trace) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def context_row(ctx) -> np.ndarray:
-    """The same feature layout computed from one runtime ContextVector."""
-    row = [ctx.bg, ctx.bg_rate, ctx.iob, ctx.iob_rate, ctx.rate, ctx.bolus]
-    row.extend(1.0 if ctx.action == act else 0.0 for act in ControlAction)
-    return np.asarray(row, dtype=float)
-
-
 @dataclass(frozen=True)
 class ContextBatch:
     """A lock-step stack of per-cycle context streams.
@@ -68,11 +66,11 @@ class ContextBatch:
     exactly the :func:`context_matrix` row the closed loop fed the monitor
     at cycle ``t`` of trace ``b``, with the time stamps and the discrete
     action codes riding along.  This is the input of
-    :meth:`repro.core.monitor.SafetyMonitor.observe_batch`; the scalar
-    context stream (:func:`~repro.simulation.replay.iter_contexts`) is the
-    ``B=1`` special case via :meth:`iter_column`, so the batched and
-    scalar replay paths consume the identical floating-point values by
-    construction.
+    :meth:`repro.core.monitor.SafetyMonitor.observe_batch`; a trace's
+    :class:`~repro.core.context.ContextVector` stream
+    (:func:`~repro.simulation.replay.iter_contexts`) is the ``B=1``
+    special case via :meth:`iter_column`, holding the identical
+    floating-point values.
 
     Attributes
     ----------
@@ -130,14 +128,11 @@ class ContextBatch:
         :meth:`iter_column` recovers those vectors bit for bit.
         """
         action = np.asarray(action)
-        rows = [np.asarray(bg, dtype=float), np.asarray(bg_rate, dtype=float),
-                np.asarray(iob, dtype=float), np.asarray(iob_rate, dtype=float),
-                np.asarray(rate, dtype=float), np.asarray(bolus, dtype=float)]
-        for act in ControlAction:
-            rows.append((action == int(act)).astype(float))
         n_cols = len(action)
-        return cls(t=np.full((1, n_cols), float(t)),
-                   features=np.stack(rows, axis=0)[np.newaxis, :, :],
+        features = np.empty((1, len(FEATURE_NAMES), n_cols))
+        features[0, :6] = (bg, bg_rate, iob, iob_rate, rate, bolus)
+        features[0, 6:] = action == _ACTION_CODES
+        return cls(t=np.full((1, n_cols), float(t)), features=features,
                    action=action.reshape(1, n_cols),
                    dt=np.full(n_cols, float(dt)))
 
@@ -193,14 +188,12 @@ class ContextBatch:
 
     def column_features(self, b: int) -> np.ndarray:
         """Contiguous ``(n_steps, len(FEATURE_NAMES))`` feature matrix of
-        column *b* — row ``t`` equals the scalar
-        :func:`~repro.ml.datasets.context_features` of that cycle."""
+        column *b* — the trace's :func:`context_matrix`."""
         return np.ascontiguousarray(self.features[:, :, b])
 
     def iter_column(self, b: int) -> Iterator[ContextVector]:
-        """Yield column *b* as the scalar per-cycle ContextVector stream —
-        the exact values :meth:`~repro.core.monitor.SafetyMonitor.observe`
-        sees when the trace is replayed serially."""
+        """Yield column *b* as its per-cycle ContextVector stream, the
+        exact values of the batch."""
         features = self.features
         for step in range(features.shape[0]):
             bg, bg_rate, iob, iob_rate, rate, bolus = features[step, :6, b]

@@ -17,35 +17,32 @@ evaluated column-wise through
 :func:`~repro.parallel.map_chunks`, the same chunks in-process and on a
 forked pool (``workers=``).
 
-The contract is **exact parity** with the single-trace reference
-:func:`replay_monitor`: for any worker count and width, the alert streams
-are element-wise identical to feeding each trace's context stream through
-``observe`` cycle by cycle.  Three rules deliver it:
+The contract is **width invariance**: for any worker count and
+:data:`~repro.parallel.LOCKSTEP_WIDTH`, a trace's alert stream is
+element-wise the same, and a golden fixture
+(``tests/simulation/data/golden_replay.json``) pins the deterministic
+kinds' verdicts themselves.  Two rules deliver it:
 
-- the context values come from the *same*
-  :func:`~repro.simulation.features.context_matrix` rows the reference
-  stream yields (there is one context builder; :func:`iter_contexts` is
-  its ``B=1`` column view);
-- vectorized ``observe_batch`` implementations (context-aware rules,
-  DT/MLP/LSTM, Guideline, MPC) transcribe the scalar arithmetic with
-  identical operation order — comparisons and size-invariant ufuncs
-  only — while whole-matrix BLAS calls, whose rounding depends on batch
-  shape, are deliberately avoided (the MLP classifies every cycle, and
-  the LSTM every sliding window, in stacked single-row forwards that
-  make the same BLAS gemv call per row as the scalar ``predict``);
-- any other monitor (user-defined ones) runs the base class's
-  per-column loop over ``observe``, which *is* the reference
-  definition.
+- the context values come from the *one* context builder,
+  :func:`~repro.simulation.features.context_matrix` (a trace's
+  :class:`~repro.core.context.ContextVector` stream,
+  :func:`iter_contexts`, is its ``B=1`` column view);
+- ``observe_batch`` implementations use comparisons and size-invariant
+  ufuncs only, while whole-matrix BLAS calls, whose rounding depends on
+  batch shape, are deliberately avoided (the MLP classifies every cycle,
+  and the LSTM every sliding window, in stacked single-row forwards that
+  make the same BLAS gemv call per row as the model's one-row
+  ``predict``).
 
 Within a chunk, batches are greedy groups of consecutive equal-length
 traces, so a heterogeneous stream (campaign plus fault-free runs of a
 different ``n_steps``) batches as far as its layout allows; batch
 boundaries cannot affect the verdicts (columns are independent, every
-monitor is reset per trace).  Memory stays bounded by the chunk: one
-chunk of traces and its :class:`ContextBatch` are resident at a time, so
-lazy :class:`~repro.simulation.store.TraceDataset` streams keep their
-bounded-memory guarantee, and with ``workers > 1`` each worker loads
-only its own chunks' shards.
+trace starts from a fresh state).  Memory stays bounded by the chunk:
+one chunk of traces and its :class:`ContextBatch` are resident at a
+time, so lazy :class:`~repro.simulation.store.TraceDataset` streams keep
+their bounded-memory guarantee, and with ``workers > 1`` each worker
+loads only its own chunks' shards.
 """
 
 from __future__ import annotations
@@ -59,8 +56,8 @@ from ..parallel import iter_equal_length_groups, lockstep_width, map_chunks
 from .features import ContextBatch
 from .trace import SimulationTrace
 
-__all__ = ["replay_monitor", "replay_many", "replay_campaign",
-           "replay_chunk_batched", "iter_contexts"]
+__all__ = ["replay_many", "replay_campaign", "replay_chunk_batched",
+           "iter_contexts"]
 
 
 def iter_contexts(trace: SimulationTrace):
@@ -68,30 +65,11 @@ def iter_contexts(trace: SimulationTrace):
 
     Reconstructs exactly what the closed loop fed the monitor: the ``B=1``
     column of the shared
-    :class:`~repro.simulation.features.ContextBatch` — replay, the
-    single-trace reference and ML dataset construction therefore agree
-    cycle-for-cycle by construction.
+    :class:`~repro.simulation.features.ContextBatch`, so replay, a
+    cycle-by-cycle :meth:`~repro.core.monitor.SafetyMonitor.observe` and
+    ML dataset construction see the same values.
     """
     yield from ContextBatch.from_traces([trace]).iter_column(0)
-
-
-def replay_monitor(monitor: SafetyMonitor,
-                   trace: SimulationTrace) -> Tuple[np.ndarray, np.ndarray]:
-    """Replay one trace through *monitor*, one ``observe`` call per cycle.
-
-    The single-trace reference every batched replay path is held to.
-    Returns ``(alerts, hazards)``: boolean alert flags and the predicted
-    hazard-type codes (0 when silent) per cycle.  The monitor is reset first.
-    """
-    monitor.reset()
-    n = len(trace)
-    alerts = np.zeros(n, dtype=bool)
-    hazards = np.zeros(n, dtype=int)
-    for t, ctx in enumerate(iter_contexts(trace)):
-        verdict = monitor.observe(ctx)
-        alerts[t] = verdict.alert
-        hazards[t] = 0 if verdict.hazard is None else int(verdict.hazard)
-    return alerts, hazards
 
 
 def _observe_checked(monitor: SafetyMonitor, name: str,
@@ -141,10 +119,9 @@ def replay_campaign(monitors: Mapping[str, SafetyMonitor],
     Parameters
     ----------
     monitors:
-        ``name -> monitor`` mapping; every monitor sees every trace (reset
-        before each one, exactly like :func:`replay_monitor`).  The
-        context batch of each trace group is built once and shared by all
-        monitors.
+        ``name -> monitor`` mapping; every monitor sees every trace, each
+        from a fresh state.  The context batch of each trace group is
+        built once and shared by all monitors.
     traces:
         Any iterable of traces.  In-process, plain iterables (generators
         included) are streamed one chunk at a time; with ``workers > 1``

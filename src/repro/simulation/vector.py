@@ -42,18 +42,16 @@ Algorithm 1) batch too: each tick the engine assembles the live cycle as a
 single-cycle ``(1, B)`` context batch, evaluates each monitor through one
 ``observe_batch`` call per tick that continues its rows' per-column
 state — and lets the mitigator rewrite the commanded ``(rate, bolus)``
-vectors on the alerted rows through its columnar
-:meth:`~repro.core.mitigation.Mitigator.correct_mask` path (with a per-row
-``correct`` fallback for custom strategies).  The correction lands
-*before* the pump/plant stage of the same tick, so alerts feed back into
-the delivered insulin; the divergence this creates between rows is
-ordinary per-row data, just like the fault-mask HOLD registers.  See
-``docs/mitigation.md`` for the full contract.
+vectors on the alerted rows through one columnar
+:meth:`~repro.core.mitigation.Mitigator.correct_mask` call.  The
+correction lands *before* the pump/plant stage of the same tick, so
+alerts feed back into the delivered insulin; the divergence this creates
+between rows is ordinary per-row data, just like the fault-mask HOLD
+registers.  See ``docs/mitigation.md`` for the full contract.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,9 +60,8 @@ import numpy as np
 from ..controllers.base import ACTION_TOLERANCE
 from ..controllers.iob import InsulinActivityCurve
 from ..core.mitigation import Mitigator
-from ..core.monitor import MonitorState, MonitorVerdict, SafetyMonitor
+from ..core.monitor import MonitorState, SafetyMonitor
 from ..fi.faults import FaultKind, FaultTarget, VARIABLE_RANGES
-from ..hazards import HazardType
 from ..patients import IVPPatient, Meal, make_patient
 from ..patients.base import UU_PER_UNIT
 from ..patients.ivp import meal_ra
@@ -407,7 +404,7 @@ class _MonitorBatch:
              monitor.init_state(len(rows)))
             for monitor, rows in grouped.values()]
 
-    def observe(self, tick: ContextBatch) -> Tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, tick: ContextBatch) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate one cycle; returns the ``(B,)`` alert flags and
         hazard codes."""
         n_rows = tick.shape[1]
@@ -422,57 +419,17 @@ class _MonitorBatch:
         return alerts, hazards
 
 
-class _MitigatorBatch:
-    """Row-wise command correction (Algorithm 1) for one live cycle.
-
-    Strategies that override
-    :meth:`~repro.core.mitigation.Mitigator.correct_mask` (the built-in
-    families) correct all alerted rows in one vectorized call.  Everything
-    else gets the column-loop fallback: one ``reset`` deep copy of the
-    mitigator per batch row — reset per run, since a fully-resetting
-    mitigator is indistinguishable from a fresh one — each driven through
-    the per-cycle ``correct`` for its own row's alerts only.
-    """
-
-    def __init__(self, mitigator: Mitigator, n_rows: int):
-        self.columnar = (type(mitigator).correct_mask
-                         is not Mitigator.correct_mask)
-        if self.columnar:
-            mitigator.reset()
-            self.mitigator: Optional[Mitigator] = mitigator
-            self.rows: Optional[List[Mitigator]] = None
-        else:
-            self.mitigator = None
-            self.rows = []
-            for _ in range(n_rows):
-                clone = copy.deepcopy(mitigator)
-                clone.reset()  # the run-start reset
-                self.rows.append(clone)
-
-    def correct(self, alerts: np.ndarray, hazards: np.ndarray,
-                tick: ContextBatch, cmd_rate: np.ndarray,
-                cmd_bolus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.columnar:
-            corrected = self.mitigator.correct_mask(alerts, hazards, tick)
-            if corrected is None:
-                raise ValueError(
-                    f"{type(self.mitigator).__name__}.correct_mask returned "
-                    "None; a columnar override must return the corrected "
-                    "(rate, bolus) vectors")
-            rate, bolus = corrected
-            return (np.asarray(rate, dtype=float),
-                    np.asarray(bolus, dtype=float))
-        rate = cmd_rate.copy()
-        bolus = cmd_bolus.copy()
-        for b in np.flatnonzero(alerts):
-            # the verdict is rebuilt from the codes: per-rule `triggered`
-            # names are not materialised by observe_batch, so custom
-            # mitigators must not depend on them under batching
-            verdict = MonitorVerdict(alert=True,
-                                     hazard=HazardType(int(hazards[b])))
-            ctx = next(tick.iter_column(b))
-            rate[b], bolus[b] = self.rows[b].correct(verdict, ctx)
-        return rate, bolus
+def _mitigate(mitigator: Mitigator, alerts: np.ndarray, hazards: np.ndarray,
+              tick: ContextBatch) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1 over one live cycle: the mitigator's corrected
+    ``(rate, bolus)`` command vectors for every row of the tick."""
+    corrected = mitigator.correct_mask(alerts, hazards, tick)
+    if corrected is None:
+        raise ValueError(
+            f"{type(mitigator).__name__}.correct_mask returned None; it "
+            "must return the corrected (rate, bolus) vectors")
+    rate, bolus = corrected
+    return np.asarray(rate, dtype=float), np.asarray(bolus, dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -773,8 +730,7 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
     monitors = (_MonitorBatch(runs, monitor_factory)
                 if monitor_factory is not None else None)
     # a mitigator only ever acts on a monitor verdict (Algorithm 1)
-    mitigators = (_MitigatorBatch(mitigator, B)
-                  if mitigator is not None and monitors is not None else None)
+    mitigate = mitigator is not None and monitors is not None
 
     init_glucose = np.array([float(r.init_glucose) for r in runs])
     state = plant.reset(init_glucose, target)
@@ -830,10 +786,10 @@ def run_batch(platform: str, runs: Sequence[SimRun], n_steps: int,
                        else (cgm - prev_cgm) / dt)
             tick = ContextBatch.from_tick(t, cgm, bg_rate, iob, iob_rate,
                                           cmd_rate, cmd_bolus, action, dt)
-            alerts, hazards = monitors.observe(tick)
-            if mitigators is not None and alerts.any():
-                final_rate, final_bolus = mitigators.correct(
-                    alerts, hazards, tick, cmd_rate, cmd_bolus)
+            alerts, hazards = monitors.evaluate(tick)
+            if mitigate and alerts.any():
+                final_rate, final_bolus = _mitigate(mitigator, alerts,
+                                                    hazards, tick)
                 mitigated = alerts & ((final_rate != cmd_rate)
                                       | (final_bolus != cmd_bolus))
         clamped = np.minimum(np.maximum(final_rate, 0.0), pump.max_basal)

@@ -43,11 +43,14 @@ class TestPrediction:
         assert verdict.hazard == HazardType.H2
 
     def test_reset_clears_state(self):
-        monitor = MPCMonitor()
-        for _ in range(5):
+        monitor = MPCMonitor(horizon_steps=24)
+        for _ in range(12):
             monitor.observe(ctx(bg=120.0, rate=10.0))
+        fresh = MPCMonitor(horizon_steps=24).observe(ctx(bg=120.0))
+        assert monitor.clone().observe(ctx(bg=120.0)) == fresh
+        assert monitor.observe(ctx(bg=120.0)) != fresh  # the overdose
         monitor.reset()
-        assert monitor._ieff is None
+        assert monitor.observe(ctx(bg=120.0)) == fresh
 
     def test_population_model_not_patient_specific(self):
         """Same verdicts regardless of which patient produced the context."""
@@ -99,7 +102,16 @@ class TestClosedLoop:
 class ReferenceMPC(MPCMonitor):
     """The monitor's arithmetic as first written: an Euler loop over
     ``round(minutes)`` one-minute steps, run once for the horizon
-    prediction and once more for the cycle's chain advance."""
+    prediction and once more for the cycle's chain advance, on a scalar
+    chain of its own."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.reset()
+
+    def reset(self):
+        self._isc = self._ip = 0.0
+        self._ieff = None
 
     def reference_integrate(self, isc, ip, ieff, bg, insulin_uu_min, minutes):
         """Euler-integrate the population model for *minutes* at 1-min steps."""
@@ -131,11 +143,9 @@ class ReferenceMPC(MPCMonitor):
             self._isc, self._ip, self._ieff, ctx.bg, insulin_uu_min, self.dt)
 
         if predicted < self.bg_low:
-            return MonitorVerdict(alert=True, hazard=HazardType.H1,
-                                  triggered=("mpc-low",))
+            return MonitorVerdict(alert=True, hazard=HazardType.H1)
         if predicted > self.bg_high:
-            return MonitorVerdict(alert=True, hazard=HazardType.H2,
-                                  triggered=("mpc-high",))
+            return MonitorVerdict(alert=True, hazard=HazardType.H2)
         return NO_ALERT
 
 
@@ -208,14 +218,27 @@ def seeded_contexts(seed, n):
 def test_observe_stream_matches_two_call_observe(horizon_steps, dt):
     monitor = MPCMonitor(horizon_steps=horizon_steps, dt=dt)
     reference = ReferenceMPC(horizon_steps=horizon_steps, dt=dt)
+    state = monitor.init_state(1)
     verdicts = set()
     for cycle, context in enumerate(seeded_contexts(horizon_steps, 200)):
-        verdict = monitor.observe(context)
-        assert verdict == reference.observe(context), cycle
-        assert (raw(monitor._isc, monitor._ip, monitor._ieff)
+        alerts, hazards = monitor.observe_batch(one_cycle(context, dt),
+                                                state=state)
+        expected = reference.observe(context)
+        assert (alerts[0, 0], hazards[0, 0]) == (
+            expected.alert, 0 if expected.hazard is None
+            else int(expected.hazard)), cycle
+        assert (raw(state["isc"][0], state["ip"][0], state["ieff"][0])
                 == raw(reference._isc, reference._ip, reference._ieff)), cycle
-        verdicts.add(verdict.hazard)
+        verdicts.add(expected.hazard)
     assert len(verdicts) > 1
+
+
+def one_cycle(context, dt):
+    """*context* as a ``(1, 1)`` batch."""
+    return ContextBatch.from_tick(
+        t=context.t, bg=[context.bg], bg_rate=[context.bg_rate],
+        iob=[context.iob], iob_rate=[context.iob_rate], rate=[context.rate],
+        bolus=[context.bolus], action=[int(context.action)], dt=dt)
 
 
 def stack_ticks(ticks):

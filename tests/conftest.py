@@ -19,8 +19,7 @@ import pytest
 
 import repro.parallel
 from repro.baselines import GuidelineMonitor, MPCMonitor
-from repro.core import (Mitigator, MonitorVerdict, SafetyMonitor,
-                        cawot_monitor, cawt_monitor)
+from repro.core import Mitigator, SafetyMonitor, cawot_monitor, cawt_monitor
 from repro.hazards import HazardType
 from repro.ml import (build_window_dataset, train_dt_monitor,
                       train_mlp_monitor)
@@ -28,8 +27,8 @@ from repro.ml.monitors import LSTMMonitor
 from repro.ml.nn import LSTMClassifier
 from repro.fi import FaultTarget
 from repro.serve.chaos import fleet_ticks
-from repro.simulation import (CampaignExecutor, SimRun, run_batch,
-                              run_campaign, run_fault_free)
+from repro.simulation import (CampaignExecutor, ContextBatch, SimRun,
+                              run_batch, run_campaign, run_fault_free)
 from repro.simulation.vector import _FaultBatch
 
 # grid constants live in tests/tiny_grid.py (a uniquely-named module —
@@ -52,6 +51,13 @@ def ramp_ticks(n_users, n_ticks, seed):
     return [dataclasses.replace(tick, cgm=60.0 + 30.0 * step + offsets)
             for step, tick in enumerate(fleet_ticks(n_users, n_ticks,
                                                     seed=seed))]
+
+
+def replay_alone(monitor, trace):
+    """``(alerts, hazards)`` of *trace* replayed alone: one fresh-state
+    ``observe_batch`` over its one-column batch (width 1)."""
+    alerts, hazards = monitor.observe_batch(ContextBatch.from_traces([trace]))
+    return alerts[:, 0], hazards[:, 0]
 
 
 @pytest.fixture(scope="session")
@@ -153,8 +159,12 @@ class _AlwaysAlert(SafetyMonitor):
 
     name = "always"
 
-    def observe(self, ctx):
-        return MonitorVerdict(alert=True, hazard=HazardType.H2)
+    def init_state(self, n_cols):
+        return {}
+
+    def observe_batch(self, batch, state=None):
+        return (np.ones(batch.shape, dtype=bool),
+                np.full(batch.shape, int(HazardType.H2)))
 
 
 class _Schedule(Mitigator):
@@ -163,9 +173,10 @@ class _Schedule(Mitigator):
     def __init__(self, rates, boluses, dt):
         self.rates, self.boluses, self.dt = rates, boluses, dt
 
-    def correct(self, verdict, ctx):
-        k = int(round(ctx.t / self.dt))
-        return self.rates[k], self.boluses[k]
+    def correct_mask(self, alerts, hazards, tick):
+        k = int(round(tick.t[0, 0] / self.dt))
+        return (np.full(len(alerts), self.rates[k]),
+                np.full(len(alerts), self.boluses[k]))
 
 
 def commanded_run(platform, pid, rates, boluses=None, init_glucose=120.0,

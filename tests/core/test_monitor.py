@@ -4,9 +4,11 @@ import pytest
 
 from repro.controllers import ControlAction
 from repro.core import (
+    ContextAwareMonitor,
     ContextVector,
     MonitorVerdict,
     NO_ALERT,
+    aps_rules,
     cawot_monitor,
     cawt_monitor,
 )
@@ -20,6 +22,13 @@ def ctx(bg=150.0, bg_rate=1.0, iob=1.0, iob_rate=-0.01,
                          action=action)
 
 
+def without_rule(index):
+    """CAWOT over every Table I rule but rule *index*: silent on a context
+    where only that rule fires."""
+    return ContextAwareMonitor(rules=[rule for rule in aps_rules()
+                                      if rule.index != index])
+
+
 class TestVerdict:
     def test_no_alert_constant(self):
         assert not NO_ALERT.alert
@@ -30,7 +39,7 @@ class TestVerdict:
             MonitorVerdict(alert=True)
 
     def test_alert_with_hazard(self):
-        v = MonitorVerdict(alert=True, hazard=HazardType.H1, triggered=("rule6",))
+        v = MonitorVerdict(alert=True, hazard=HazardType.H1)
         assert v.alert and v.hazard == HazardType.H1
 
 
@@ -40,7 +49,7 @@ class TestCAWOT:
         verdict = monitor.observe(ctx())
         assert verdict.alert
         assert verdict.hazard == HazardType.H2
-        assert "rule1" in verdict.triggered
+        assert not without_rule(1).observe(ctx()).alert
 
     def test_silent_in_safe_context(self):
         monitor = cawot_monitor()
@@ -91,15 +100,13 @@ class TestCAWT:
     def test_multiple_rules_can_trigger(self):
         monitor = cawot_monitor()
         # hyper + stop: rule 9 triggers; keep-insulin rules don't
-        verdict = monitor.observe(ctx(bg=200.0, bg_rate=1.0, iob=0.1,
-                                      iob_rate=-0.01, rate=0.0,
-                                      action=ControlAction.STOP))
-        assert "rule9" in verdict.triggered
+        context = ctx(bg=200.0, bg_rate=1.0, iob=0.1, iob_rate=-0.01,
+                      rate=0.0, action=ControlAction.STOP)
+        assert monitor.observe(context).hazard == HazardType.H2
+        assert not without_rule(9).observe(context).alert
 
     def test_rule_subset_monitor(self):
-        from repro.core import aps_rules
         only_rule10 = [r for r in aps_rules() if r.index == 10]
-        from repro.core import ContextAwareMonitor
         monitor = ContextAwareMonitor(rules=only_rule10)
         assert not monitor.observe(ctx()).alert  # rule1 context, not rule10
         assert monitor.observe(ctx(bg=60.0, action=ControlAction.KEEP)).alert

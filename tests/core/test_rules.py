@@ -1,4 +1,15 @@
-"""Tests for the Table I APS rules and their STL equivalence."""
+"""Tests for the Table I APS rules and their STL encoding.
+
+The hand-written expectations check each rule's pointwise
+``violation_body`` on one-cycle traces.  The boundary grid below is the
+rules' half of ``tests/simulation/data/golden_replay.json``: each rule's
+violation flags on it were recorded through an earlier scalar
+implementation of Table I, and both the STL formula and the batched
+monitor are held to them.
+"""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +22,24 @@ from repro.hazards import HazardType
 from repro.simulation import ContextBatch
 from repro.stl import Trace, satisfaction
 
+GOLDEN = json.loads((Path(__file__).parents[1] / "simulation" / "data"
+                     / "golden_replay.json").read_text())
+
 
 def ctx(bg=150.0, bg_rate=1.0, iob=1.0, iob_rate=-0.01,
         action=ControlAction.DECREASE, rate=0.5, bolus=0.0, t=0.0):
     return ContextVector(t=t, bg=bg, bg_rate=bg_rate, iob=iob,
                          iob_rate=iob_rate, rate=rate, bolus=bolus,
                          action=action)
+
+
+def violated(rule, context, threshold, bg_target=BG_TARGET):
+    """*rule*'s ``violation_body`` on the one-cycle trace of *context*,
+    with the rule's threshold at *threshold*."""
+    trace = Trace({name: [value] for name, value
+                   in context.channels().items()}, dt=5.0)
+    return bool(satisfaction(rule.violation_body(bg_target), trace,
+                             {rule.param: threshold})[0])
 
 
 RULES = {rule.index: rule for rule in aps_rules()}
@@ -54,25 +77,29 @@ class TestRule1:
     """Rule 1: BG>BGT & BG'>0 & IOB'<0 & IOB<b1 => !u1."""
 
     def test_violation(self):
-        assert RULES[1].violated(ctx(), threshold=2.0)
+        assert violated(RULES[1], ctx(), threshold=2.0)
 
     def test_no_violation_when_action_differs(self):
-        assert not RULES[1].violated(ctx(action=ControlAction.KEEP), 2.0)
+        assert not violated(RULES[1], ctx(action=ControlAction.KEEP), 2.0)
 
     def test_no_violation_below_target(self):
-        assert not RULES[1].violated(ctx(bg=100.0), 2.0)
+        assert not violated(RULES[1], ctx(bg=100.0), 2.0)
 
     def test_no_violation_when_bg_falling(self):
-        assert not RULES[1].violated(ctx(bg_rate=-1.0), 2.0)
+        assert not violated(RULES[1], ctx(bg_rate=-1.0), 2.0)
 
     def test_no_violation_when_iob_rising(self):
-        assert not RULES[1].violated(ctx(iob_rate=0.02), 2.0)
+        assert not violated(RULES[1], ctx(iob_rate=0.02), 2.0)
 
     def test_no_violation_when_iob_above_threshold(self):
-        assert not RULES[1].violated(ctx(iob=3.0), threshold=2.0)
+        assert not violated(RULES[1], ctx(iob=3.0), threshold=2.0)
 
     def test_threshold_boundary(self):
-        assert not RULES[1].violated(ctx(iob=2.0), threshold=2.0)  # strict <
+        assert not violated(RULES[1], ctx(iob=2.0), threshold=2.0)  # strict <
+
+    def test_bg_target_moves_the_boundary(self):
+        assert violated(RULES[1], ctx(bg=130.0), 2.0)
+        assert not violated(RULES[1], ctx(bg=130.0), 2.0, bg_target=140.0)
 
 
 class TestRule6:
@@ -81,12 +108,12 @@ class TestRule6:
     def test_violation(self):
         c = ctx(bg=90.0, bg_rate=-1.0, iob=3.0, iob_rate=0.02,
                 action=ControlAction.INCREASE)
-        assert RULES[6].violated(c, threshold=2.0)
+        assert violated(RULES[6], c, threshold=2.0)
 
     def test_no_violation_low_iob(self):
         c = ctx(bg=90.0, bg_rate=-1.0, iob=1.0, iob_rate=0.02,
                 action=ControlAction.INCREASE)
-        assert not RULES[6].violated(c, threshold=2.0)
+        assert not violated(RULES[6], c, threshold=2.0)
 
 
 class TestRule9:
@@ -95,7 +122,7 @@ class TestRule9:
     def test_violation_any_rates(self):
         c = ctx(bg=200.0, bg_rate=-5.0, iob=0.1, iob_rate=0.5,
                 action=ControlAction.STOP)
-        assert RULES[9].violated(c, threshold=1.0)
+        assert violated(RULES[9], c, threshold=1.0)
 
 
 class TestRule10:
@@ -103,105 +130,89 @@ class TestRule10:
 
     def test_violation_when_not_stopping(self):
         c = ctx(bg=60.0, action=ControlAction.KEEP)
-        assert RULES[10].violated(c, threshold=70.0)
+        assert violated(RULES[10], c, threshold=70.0)
 
     def test_satisfied_when_stopping(self):
         c = ctx(bg=60.0, action=ControlAction.STOP)
-        assert not RULES[10].violated(c, threshold=70.0)
+        assert not violated(RULES[10], c, threshold=70.0)
 
     def test_not_applicable_above_threshold(self):
         c = ctx(bg=90.0, action=ControlAction.KEEP)
-        assert not RULES[10].violated(c, threshold=70.0)
+        assert not violated(RULES[10], c, threshold=70.0)
 
 
 class TestIOBRateEquality:
     def test_zero_band(self):
         rule = RULES[2]  # IOB'=0 case
         base = dict(bg=150.0, bg_rate=1.0, iob=1.0, action=ControlAction.DECREASE)
-        assert rule.violated(ctx(iob_rate=0.0, **base), 2.0)
-        assert rule.violated(ctx(iob_rate=IOB_RATE_EPS / 2, **base), 2.0)
-        assert not rule.violated(ctx(iob_rate=IOB_RATE_EPS * 2, **base), 2.0)
+        assert violated(rule, ctx(iob_rate=0.0, **base), 2.0)
+        assert violated(rule, ctx(iob_rate=IOB_RATE_EPS / 2, **base), 2.0)
+        assert not violated(rule, ctx(iob_rate=IOB_RATE_EPS * 2, **base), 2.0)
 
     def test_nonpos_nonneg_bands(self):
         rule11, rule12 = RULES[11], RULES[12]
         c = ctx(bg=150.0, bg_rate=1.0, iob=1.0, iob_rate=0.0,
                 action=ControlAction.KEEP)
-        assert rule11.violated(c, 2.0)  # IOB'<=0 includes 0
+        assert violated(rule11, c, 2.0)  # IOB'<=0 includes 0
         c = ctx(bg=90.0, bg_rate=-1.0, iob=3.0, iob_rate=0.0,
                 action=ControlAction.KEEP)
-        assert rule12.violated(c, 2.0)  # IOB'>=0 includes 0
+        assert violated(rule12, c, 2.0)  # IOB'>=0 includes 0
+
+
+def boundary_grid():
+    """The 1,080 contexts on every Table I boundary (BG = BGT, BG' = 0,
+    IOB' at and around the +-IOB_RATE_EPS band edges, mu = threshold),
+    as the channel vectors of one live tick."""
+    eps = IOB_RATE_EPS
+    axes = np.meshgrid(
+        [BG_TARGET - 1.0, BG_TARGET, BG_TARGET + 1.0, 69.0, 70.0, 71.0],
+        [-1.0, 0.0, 1.0],
+        [1.5, 2.0, 2.5],
+        [0.0, eps, -eps, 2 * eps, -2 * eps],
+        [int(act) for act in ControlAction], indexing="ij")
+    bg, bg_rate, iob, iob_rate, action = [axis.ravel() for axis in axes]
+    return ContextBatch.from_tick(
+        t=0.0, bg=bg, bg_rate=bg_rate, iob=iob, iob_rate=iob_rate,
+        rate=np.ones_like(bg), bolus=np.zeros_like(bg), action=action,
+        dt=5.0)
+
+
+def golden_violations(rule):
+    """The recorded violation flags of *rule* on :func:`boundary_grid`."""
+    n = GOLDEN["n_contexts"]
+    bits = np.unpackbits(np.frombuffer(
+        bytes.fromhex(GOLDEN["rules"][str(rule.index)]), dtype=np.uint8))
+    return bits[:n].astype(bool)
 
 
 class TestSTLEquivalence:
-    """The fast pointwise path must agree with the STL semantics."""
+    """The full Eq. 1 formula holds exactly where the recorded scalar
+    check found no violation."""
 
     @pytest.mark.parametrize("index", sorted(RULES))
     def test_violation_matches_stl(self, index):
         rule = RULES[index]
-        rng = np.random.default_rng(index)
-        n = 40
-        actions = rng.integers(1, 5, size=n)
-        channels = {
-            "BG": rng.uniform(60, 200, size=n),
-            "BG'": rng.uniform(-2, 2, size=n),
-            "IOB": rng.uniform(-1, 5, size=n),
-            "IOB'": rng.uniform(-0.05, 0.05, size=n),
-        }
-        for act in ControlAction:
-            channels[act.channel] = (actions == int(act)).astype(float)
-        trace = Trace(channels, dt=5.0)
-        threshold = 2.0 if rule.mu_channel == "IOB" else 80.0
-        env = {rule.param: threshold}
+        trace = boundary_grid().to_stl_trace()
         body = rule.ucas_entry().to_stl().child  # the implication, pointwise
-        stl_ok = satisfaction(body, trace, env=env)
-        for t in range(n):
-            c = ContextVector(t=t * 5.0, bg=channels["BG"][t],
-                              bg_rate=channels["BG'"][t],
-                              iob=channels["IOB"][t],
-                              iob_rate=channels["IOB'"][t], rate=1.0,
-                              bolus=0.0, action=ControlAction(actions[t]))
-            assert rule.violated(c, threshold) == (not stl_ok[t]), (
-                f"rule {index} mismatch at sample {t}")
+        stl_ok = satisfaction(body, trace, env=GOLDEN["rule_thresholds"])
+        np.testing.assert_array_equal(~stl_ok[0], golden_violations(rule))
 
 
 class TestBatchedBoundaryParity:
-    """The batched monitor evaluates the rules' STL bodies; on every
-    boundary of Table I (BG = BGT, BG' = 0, IOB' at and around the
-    +-IOB_RATE_EPS band edges, mu = threshold) its verdicts must equal
-    the scalar :meth:`APSRule.violated` for each rule alone."""
-
-    THRESHOLDS = {rule.param: 70.0 if rule.mu_channel == "BG" else 2.0
-                  for rule in aps_rules()}
-
-    @staticmethod
-    def grid():
-        eps = IOB_RATE_EPS
-        axes = np.meshgrid(
-            [BG_TARGET - 1.0, BG_TARGET, BG_TARGET + 1.0, 69.0, 70.0, 71.0],
-            [-1.0, 0.0, 1.0],
-            [1.5, 2.0, 2.5],
-            [0.0, eps, -eps, 2 * eps, -2 * eps],
-            [int(act) for act in ControlAction], indexing="ij")
-        return [axis.ravel() for axis in axes]
+    """The batched monitor over each rule alone gives the recorded
+    verdicts on every boundary of Table I."""
 
     @pytest.mark.parametrize("index", sorted(RULES))
-    def test_observe_batch_matches_scalar_on_boundaries(self, index):
+    def test_observe_batch_matches_golden_on_boundaries(self, index):
         rule = RULES[index]
-        bg, bg_rate, iob, iob_rate, action = self.grid()
-        batch = ContextBatch.from_tick(
-            t=0.0, bg=bg, bg_rate=bg_rate, iob=iob, iob_rate=iob_rate,
-            rate=np.ones_like(bg), bolus=np.zeros_like(bg), action=action,
-            dt=5.0)
-        monitor = ContextAwareMonitor(thresholds=self.THRESHOLDS,
+        monitor = ContextAwareMonitor(thresholds=GOLDEN["rule_thresholds"],
                                       rules=(rule,))
-        alerts, hazards = monitor.observe_batch(batch)
-        threshold = self.THRESHOLDS[rule.param]
-        scalar = [rule.violated(next(batch.iter_column(b)), threshold)
-                  for b in range(len(bg))]
-        assert any(scalar) and not all(scalar)
-        np.testing.assert_array_equal(alerts[0], scalar)
+        alerts, hazards = monitor.observe_batch(boundary_grid())
+        expected = golden_violations(rule)
+        assert expected.any() and not expected.all()
+        np.testing.assert_array_equal(alerts[0], expected)
         np.testing.assert_array_equal(hazards[0],
-                                      np.where(scalar, int(rule.hazard), 0))
+                                      np.where(expected, int(rule.hazard), 0))
 
 
 class TestSCS:

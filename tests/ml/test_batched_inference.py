@@ -1,12 +1,11 @@
 """Row-exact batched NN inference.
 
 ``predict_rows`` runs stacked single-row forwards (``X[block, None]``),
-which must be bit-identical to one forward per row -- the call the scalar
-``observe`` path makes -- for any row count and input alignment, on this
-BLAS build and, through the guard, on any other.  The batched LSTM
-monitor built on it must match the base-class column loop (the reference
-definition of ``observe_batch``) on every window edge case, and resume
-its k-window from a crash-recovery snapshot.
+which must be bit-identical to one forward per row -- the model's one-row
+``predict`` -- for any row count and input alignment, on this BLAS build
+and, through the guard, on any other.  The batched LSTM monitor built on
+it must match the one-row ``predict`` of each k-cycle window on every
+window edge case, and resume its k-window from a crash-recovery snapshot.
 """
 
 import pickle
@@ -15,13 +14,12 @@ import numpy as np
 import pytest
 
 import repro.ml.nn.model as nn_model
-from repro.core.monitor import SafetyMonitor
 from repro.ml import train_lstm_monitor
 from repro.ml.monitors import LSTMMonitor
 from repro.ml.nn import LSTMClassifier, MLPClassifier
 from repro.serve import MonitorService, TickBatch
-from repro.simulation import (ContextBatch, iter_contexts, iter_trace_ticks,
-                              replay_monitor)
+from repro.simulation import ContextBatch, iter_contexts, iter_trace_ticks
+from tests.conftest import replay_alone
 
 ROW_COUNTS = (1, 2, 7, 31, 32, 33, 70)
 #: element offsets into a flat buffer: rows start off the allocation's
@@ -60,6 +58,24 @@ def _misaligned(n, row_shape, offset, seed=0):
     size = int(np.prod(row_shape))
     flat = np.random.default_rng(seed).standard_normal(n * size + 8)
     return flat[offset:offset + n * size].reshape(n, *row_shape)
+
+
+def _one_row_windows(monitor, batch):
+    """``(alerts, hazards)`` from the model's one-row ``predict`` of each
+    column's k-cycle window, in a fresh buffer, silent until a column has
+    seen ``k`` cycles; a binary alert's hazard follows the glucose."""
+    alerts = np.zeros(batch.shape, dtype=bool)
+    hazards = np.zeros(batch.shape, dtype=int)
+    n_steps, n_cols = batch.shape
+    for b in range(n_cols):
+        for t in range(monitor.k - 1, n_steps):
+            window = np.ascontiguousarray(
+                batch.features[t - monitor.k + 1:t + 1, :, b])
+            if int(monitor.model.predict(window[None])[0]):
+                alerts[t, b] = True
+                hazards[t, b] = 1 if batch.bg[t, b] < monitor.bg_target \
+                    else 2
+    return alerts, hazards
 
 
 def _truncated(batch, n_steps):
@@ -164,7 +180,7 @@ class TestBlasGuard:
 
 
 class TestBatchedLSTMWindows:
-    """Window edge cases against the base-class column loop."""
+    """Window edge cases against each window's one-row ``predict``."""
 
     @pytest.mark.parametrize("k, n_steps", [
         (6, 4),    # shorter than the window: all silent
@@ -173,27 +189,26 @@ class TestBatchedLSTMWindows:
         (1, 20),   # every cycle is a window
         (6, 40),
     ])
-    def test_matches_column_loop(self, lstm_monitor, tiny_campaign_traces,
-                                 k, n_steps):
+    def test_matches_one_row_predict(self, lstm_monitor,
+                                     tiny_campaign_traces, k, n_steps):
         monitor = LSTMMonitor(lstm_monitor.model, k=k)
         batch = _truncated(ContextBatch.from_traces(
             tiny_campaign_traces[:5]), n_steps)
         alerts, hazards = monitor.observe_batch(batch)
-        ref_alerts, ref_hazards = SafetyMonitor.observe_batch(monitor, batch)
+        ref_alerts, ref_hazards = _one_row_windows(monitor, batch)
         assert np.array_equal(alerts, ref_alerts)
         assert np.array_equal(hazards, ref_hazards)
         assert not alerts[:k - 1].any()
 
-    def test_alerting_batch_and_buffer_left_reset(self, lstm_monitor,
-                                                  tiny_campaign_traces):
+    def test_alerting_batch_ignores_the_observe_stream(
+            self, lstm_monitor, tiny_campaign_traces):
         monitor = lstm_monitor.clone()
         for ctx in list(iter_contexts(tiny_campaign_traces[0]))[:3]:
             monitor.observe(ctx)
         batch = ContextBatch.from_traces(tiny_campaign_traces[:8])
         alerts, hazards = monitor.observe_batch(batch)
         assert alerts.any()
-        assert len(monitor._buffer) == 0
-        ref_alerts, ref_hazards = SafetyMonitor.observe_batch(monitor, batch)
+        ref_alerts, ref_hazards = _one_row_windows(monitor, batch)
         assert np.array_equal(alerts, ref_alerts)
         assert np.array_equal(hazards, ref_hazards)
 
@@ -203,8 +218,8 @@ class TestLSTMRuntimeState:
     def test_snapshot_recover_resumes_the_window(
             self, lstm_monitor, tiny_campaign_traces, tmp_path, cut):
         trace = next(trace for trace in tiny_campaign_traces
-                     if replay_monitor(lstm_monitor, trace)[0].any())
-        expected, _ = replay_monitor(lstm_monitor, trace)
+                     if replay_alone(lstm_monitor, trace)[0].any())
+        expected, _ = replay_alone(lstm_monitor, trace)
         ticks = [TickBatch(t=tick.t, user_ids=("u",), cgm=tick.cgm,
                            iob=tick.iob, iob_rate=tick.iob_rate,
                            rate=tick.rate, bolus=tick.bolus,

@@ -12,13 +12,12 @@ from repro.ml import (
     FEATURE_NAMES,
     build_point_dataset,
     build_window_dataset,
-    context_features,
     point_labels,
     trace_features,
     train_dt_monitor,
     train_lstm_monitor,
 )
-from repro.simulation import replay_monitor
+from repro.simulation import ContextBatch
 
 
 @pytest.fixture(scope="module")
@@ -37,16 +36,17 @@ class TestFeatures:
         one_hot = features[:, 6:10]
         np.testing.assert_allclose(one_hot.sum(axis=1), 1.0)
 
-    def test_context_features_match_trace_layout(self, small_traces):
+    def test_live_tick_matches_trace_layout(self, small_traces):
         trace = small_traces[0]
         features = trace_features(trace)
         t = 10
         bg_rate = (trace.cgm[t] - trace.cgm[t - 1]) / trace.dt
-        ctx = ContextVector(t=trace.t[t], bg=trace.cgm[t], bg_rate=bg_rate,
-                            iob=trace.iob[t], iob_rate=trace.iob_rate[t],
-                            rate=trace.cmd_rate[t], bolus=trace.cmd_bolus[t],
-                            action=ControlAction(int(trace.action[t])))
-        np.testing.assert_allclose(context_features(ctx), features[t])
+        tick = ContextBatch.from_tick(
+            t=trace.t[t], bg=[trace.cgm[t]], bg_rate=[bg_rate],
+            iob=[trace.iob[t]], iob_rate=[trace.iob_rate[t]],
+            rate=[trace.cmd_rate[t]], bolus=[trace.cmd_bolus[t]],
+            action=[trace.action[t]], dt=trace.dt)
+        np.testing.assert_allclose(tick.features[0, :, 0], features[t])
 
 
 class TestLabels:
@@ -146,16 +146,15 @@ class TestMonitors:
         y = (X[:, -1, 0] > 0).astype(int)
         model = LSTMClassifier(hidden=(4,), max_epochs=2, seed=0).fit(X, y)
         monitor = LSTMMonitor(model, k=6)
-        ctx = ContextVector(t=0.0, bg=120.0, bg_rate=0.0, iob=0.0,
-                            iob_rate=0.0, rate=1.5, bolus=0.0,
+        ctx = ContextVector(t=0.0, bg=2.0, bg_rate=0.0, iob=0.0,
+                            iob_rate=0.0, rate=0.0, bolus=0.0,
                             action=ControlAction.KEEP)
+        first = [monitor.observe(ctx).alert for _ in range(8)]
         # fewer than k observations: silent by construction
-        for _ in range(5):
-            assert not monitor.observe(ctx).alert
-        # reset clears the buffer
-        monitor.observe(ctx)
+        assert not any(first[:5]) and any(first)
+        # reset clears the history: the warm-up repeats
         monitor.reset()
-        assert len(monitor._buffer) == 0
+        assert [monitor.observe(ctx).alert for _ in range(8)] == first
 
 
 class TestInferenceMemory:
@@ -169,12 +168,12 @@ class TestInferenceMemory:
         payload = pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(payload) < 4 * 1024 * 1024
         restored = pickle.loads(payload)
-        for trace in small_traces[:4]:
-            alerts, hazards = replay_monitor(monitor, trace)
-            for copy in (clone, restored):
-                copy_alerts, copy_hazards = replay_monitor(copy, trace)
-                assert np.array_equal(copy_alerts, alerts)
-                assert np.array_equal(copy_hazards, hazards)
+        batch = ContextBatch.from_traces(small_traces[:4])
+        alerts, hazards = monitor.observe_batch(batch)
+        for copy in (clone, restored):
+            copy_alerts, copy_hazards = copy.observe_batch(batch)
+            assert np.array_equal(copy_alerts, alerts)
+            assert np.array_equal(copy_hazards, hazards)
         # inference leaves nothing behind either
         assert len(pickle.dumps(monitor.clone(),
                                 protocol=pickle.HIGHEST_PROTOCOL)) \

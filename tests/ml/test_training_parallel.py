@@ -153,12 +153,11 @@ class TestRunTrainingJobs:
 
     def test_monitors_replay_cleanly(self, serial_results,
                                      tiny_campaign_traces):
-        from repro.simulation import replay_monitor
-        trace = tiny_campaign_traces[0]
+        from repro.simulation import ContextBatch
+        batch = ContextBatch.from_traces(tiny_campaign_traces[:1])
         for result in serial_results:
-            alerts, hazards = replay_monitor(result.monitor, trace)
-            assert alerts.shape == (len(trace),)
-            assert hazards.shape == (len(trace),)
+            alerts, hazards = result.monitor.observe_batch(batch)
+            assert alerts.shape == hazards.shape == batch.shape
 
     def test_lazy_dataset_jobs(self, tiny_campaign_traces, tmp_path,
                                assert_traces_equal):

@@ -1,5 +1,7 @@
 """Fault injection: every crash point recovers bit-exact or fails loud."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,10 +202,16 @@ class TestClockSkew:
 
     def test_skew_survives_crash_recovery(self, fleet, tmp_path):
         """Quarantine decisions are deterministic, so a skewed stream
-        recovers bit-exact like any other."""
+        recovers bit-exact like any other -- a quarantined NaN reading
+        included."""
         base = fleet_ticks(20, N_TICKS, seed=7)
+        cgm = base[2].cgm.copy()
+        cgm[3] = np.nan
+        base[2] = dataclasses.replace(base[2], cgm=cgm)
         skewed = skewed_ticks(base, skew_at=5, skew_minutes=20.0)
         reference = drive(MonitorService(fleet()), skewed)
+        bad, = reference[2].rejected
+        assert bad.reason == "bad-glucose" and np.isnan(bad.value)
         results, _ = crash_recovery_run(
             fleet(), skewed, str(tmp_path / "state"), kill_after=7,
             snapshot_every=3)

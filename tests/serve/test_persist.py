@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines import GuidelineMonitor
 from repro.core import ContextAwareMonitor, cawot_monitor, cawt_monitor
-from repro.core.monitor import NO_ALERT, SafetyMonitor
+from repro.core.monitor import SafetyMonitor
 from repro.core.rules import aps_rules
 from repro.ml.monitors import LSTMMonitor
 from repro.serve import (JournalCorruptError, MonitorService,
@@ -26,8 +26,13 @@ from tests.conftest import ramp_ticks
 
 
 class CustomMonitor(SafetyMonitor):
-    def observe(self, ctx):
-        return NO_ALERT
+    """A kind the registry cannot persist: never alerts."""
+
+    def init_state(self, n_cols):
+        return {}
+
+    def observe_batch(self, batch, state=None):
+        return np.zeros(batch.shape, dtype=bool), np.zeros(batch.shape, int)
 
 
 def _monitors():

@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines import GuidelineMonitor, MPCMonitor
 from repro.core import ContextAwareMonitor, cawot_monitor, cawt_monitor
-from repro.core.monitor import SafetyMonitor, NO_ALERT
+from repro.core.monitor import SafetyMonitor
 from repro.core.rules import aps_rules
 from repro.ml import train_dt_monitor, train_lstm_monitor, train_mlp_monitor
 from repro.ml.training import monitor_state
@@ -99,8 +99,11 @@ class TestErrors:
 
     def test_unsupported_monitor_refused(self, tmp_path):
         class Custom(SafetyMonitor):
-            def observe(self, ctx):
-                return NO_ALERT
+            def init_state(self, n_cols):
+                return {}
+
+            def observe_batch(self, batch, state=None):
+                raise AssertionError("never evaluated")
 
         with pytest.raises(RegistryError, match="Custom"):
             MonitorRegistry({"custom": Custom()}).save(str(tmp_path))

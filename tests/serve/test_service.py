@@ -347,9 +347,10 @@ class TestPerUserState:
 
     def test_registry_monitors_stay_unmutated(self):
         registry = MonitorRegistry({"Guideline": GuidelineMonitor()})
+        before = dict(vars(registry["Guideline"]))
         service = MonitorService(registry)
         service.process(_tick(0.0, ("a",), [40.0]))  # deep hypo alert
-        assert registry["Guideline"]._below_since is None
+        assert vars(registry["Guideline"]) == before
 
     def test_events_ride_on_results(self):
         service = MonitorService({"CAWOT": cawot_monitor()},

@@ -9,8 +9,8 @@ import pytest
 
 from repro.controllers import ControlAction
 from repro.core.context import ContextVector
-from repro.core.mitigation import Mitigator
-from repro.core.monitor import MonitorVerdict, NO_ALERT, SafetyMonitor
+from repro.core.mitigation import FixedMitigator
+from repro.core.monitor import SafetyMonitor
 from repro.fi import CampaignConfig, generate_campaign
 from repro.hazards import HazardType
 from repro.parallel import map_chunks
@@ -351,50 +351,35 @@ class TestCaches:
 
 
 class StickyMonitor(SafetyMonitor):
-    """Latches permanently after the first high reading — until reset."""
+    """Latches permanently after the first high reading of a stream."""
 
     name = "sticky"
 
     def __init__(self, threshold=180.0):
         self.threshold = threshold
-        self.latched = False
 
-    def reset(self):
-        self.latched = False
+    def init_state(self, n_cols):
+        return {"latched": np.zeros(n_cols, dtype=bool)}
 
-    def observe(self, ctx: ContextVector) -> MonitorVerdict:
-        if ctx.bg > self.threshold:
-            self.latched = True
-        if self.latched:
-            return MonitorVerdict(alert=True, hazard=HazardType.H2,
-                                  triggered=("sticky",))
-        return NO_ALERT
-
-
-class EscalatingMitigator(Mitigator):
-    """Stateful strategy: each correction in a run doses harder."""
-
-    def __init__(self):
-        self.n_corrections = 0
-
-    def reset(self):
-        self.n_corrections = 0
-
-    def correct(self, verdict, ctx):
-        if not verdict.alert:
-            return ctx.rate, ctx.bolus
-        self.n_corrections += 1
-        return min(0.5 * self.n_corrections, 5.0), 0.0
+    def observe_batch(self, batch, state=None):
+        if state is None:
+            state = self.init_state(batch.shape[1])
+        latched = state["latched"]
+        alerts = np.zeros(batch.shape, dtype=bool)
+        for step in range(batch.shape[0]):
+            latched |= batch.bg[step] > self.threshold
+            alerts[step] = latched
+        return alerts, np.where(alerts, int(HazardType.H2), 0)
 
 
 class TestScenarioOrderIndependence:
-    """Regression: a late scenario must not inherit monitor/mitigator state
-    from an earlier injection in the same campaign (the closed loop resets
-    both at the start of every run)."""
+    """Regression: a late scenario must not inherit monitor state from an
+    earlier injection in the same campaign (every run starts from a fresh
+    monitor state)."""
 
     def scenarios(self):
         # a scenario that drives BG high (latches the sticky monitor and
-        # triggers escalating mitigation) followed by a benign one
+        # triggers mitigation) followed by a benign one
         all_scenarios = generate_campaign(CampaignConfig(
             init_glucose_values=(120.0,), timing_choices=((0, 30),)))
         harsh = next(s for s in all_scenarios
@@ -406,32 +391,37 @@ class TestScenarioOrderIndependence:
     def run_one(self, scenario_list, mitigator):
         return run_campaign(
             "glucosym", ["A"], scenario_list,
-            monitor_factory=lambda pid: StickyMonitor(),
+            monitor_factory=lambda pid: StickyMonitor(threshold=140.0),
             mitigator=mitigator, n_steps=40)
 
     def test_monitor_and_mitigator_state_reset_between_scenarios(
             self, assert_traces_equal):
         first, second = self.scenarios()
-        alone = self.run_one([second], EscalatingMitigator())[0]
-        after_first = self.run_one([first, second], EscalatingMitigator())[1]
+        alone = self.run_one([second], FixedMitigator())[0]
+        after_first = self.run_one([first, second], FixedMitigator())[1]
         assert_traces_equal(alone, after_first)
 
     def test_order_permutation_gives_same_traces(self, assert_traces_equal):
         first, second = self.scenarios()
-        forward = self.run_one([first, second], EscalatingMitigator())
-        backward = self.run_one([second, first], EscalatingMitigator())
+        forward = self.run_one([first, second], FixedMitigator())
+        backward = self.run_one([second, first], FixedMitigator())
+        assert forward[0].mitigated.any()
         assert_traces_equal(forward[0], backward[1])
         assert_traces_equal(forward[1], backward[0])
 
-    def test_unreset_mitigator_would_diverge(self):
-        """The escalating mitigator really is stateful: without the loop's
-        reset call its dosing depends on history, which is what this
-        regression guards against."""
-        mit = EscalatingMitigator()
-        verdict = MonitorVerdict(alert=True, hazard=HazardType.H2)
-        ctx = ContextVector(t=0.0, bg=200.0, bg_rate=0.0, iob=0.0,
-                            iob_rate=0.0, rate=1.0, bolus=0.0,
-                            action=ControlAction.KEEP)
-        assert mit.correct(verdict, ctx) != mit.correct(verdict, ctx)
-        mit.reset()
-        assert mit.n_corrections == 0
+    def test_unreset_monitor_would_diverge(self):
+        """The sticky monitor really is stateful: a stream that saw a high
+        reading keeps alerting, which is what this regression guards
+        against."""
+        monitor = StickyMonitor()
+
+        def ctx(bg):
+            return ContextVector(t=0.0, bg=bg, bg_rate=0.0, iob=0.0,
+                                 iob_rate=0.0, rate=1.0, bolus=0.0,
+                                 action=ControlAction.KEEP)
+
+        assert not monitor.observe(ctx(120.0)).alert
+        assert monitor.observe(ctx(200.0)).alert
+        assert monitor.observe(ctx(120.0)).alert
+        monitor.reset()
+        assert not monitor.observe(ctx(120.0)).alert

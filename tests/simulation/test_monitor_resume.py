@@ -2,10 +2,11 @@
 
 Every monitor kind steps column batches from an explicit per-column state
 (``init_state``).  Splitting a stream at any cycle and feeding both parts
-through one state must reproduce the one-shot ``observe_batch`` and the
-per-cycle ``replay_monitor`` reference element for element, and leave
-the same state bytes -- the property the live engine and the online
-service rely on when they step one cycle per call.
+through one state must reproduce the one-shot ``observe_batch`` (whose
+columns each equal their stream replayed alone) element for element, and
+leave the same state bytes -- the property the live engine, the online
+service and the single-stream ``observe`` rely on when they step one
+cycle per call.
 """
 
 import dataclasses
@@ -14,11 +15,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import GuidelineMonitor
-from repro.core import SafetyMonitor
 from repro.serve import replay_log
-from repro.simulation import (ContextBatch, replay_campaign, replay_monitor,
+from repro.simulation import (ContextBatch, iter_contexts, replay_campaign,
                               run_batch)
 from repro.simulation.executor import SimRun
+from tests.conftest import replay_alone
 from tests.simulation.test_vector_mitigation import RisingStreakMonitor
 
 KINDS = ("CAWT", "CAWOT", "Guideline", "MPC", "DT", "MLP", "LSTM",
@@ -53,10 +54,10 @@ def _cycles(batch, lo, hi):
 
 
 def _one_shot(monitor, traces, batch):
-    """The fresh-state batch, checked against the per-cycle reference."""
+    """The fresh-state batch, checked against each stream alone."""
     alerts, hazards = monitor.observe_batch(batch)
     for b, trace in enumerate(traces):
-        ref_alerts, ref_hazards = replay_monitor(monitor, trace)
+        ref_alerts, ref_hazards = replay_alone(monitor, trace)
         np.testing.assert_array_equal(alerts[:, b], ref_alerts)
         np.testing.assert_array_equal(hazards[:, b], ref_hazards)
     assert alerts.any()
@@ -71,14 +72,12 @@ def _one_shot_state(monitor, batch):
 
 
 def _assert_same_state(state, expected, where):
-    """Every numeric state entry holds *expected*'s bytes (the base
-    class's object array of clones is covered by the verdicts)."""
+    """Every state entry holds *expected*'s bytes."""
     assert state.keys() == expected.keys(), where
     for key, value in expected.items():
-        if value.dtype.kind in "biufc":
-            assert state[key].dtype == value.dtype, (where, key)
-            assert state[key].shape == value.shape, (where, key)
-            assert state[key].tobytes() == value.tobytes(), (where, key)
+        assert state[key].dtype == value.dtype, (where, key)
+        assert state[key].shape == value.shape, (where, key)
+        assert state[key].tobytes() == value.tobytes(), (where, key)
 
 
 def _mid_state(kind, monitor, state):
@@ -137,6 +136,23 @@ def test_cycle_by_cycle_resumes_exactly(monitors, streams, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_observe_steps_one_stream(monitors, streams, kind):
+    """``observe`` steps the instance's own one-column stream: a trace fed
+    one context at a time gets its one-shot verdicts, and ``reset``
+    starts it over."""
+    traces, batch = streams
+    alerts, hazards = _one_shot(monitors[kind], traces, batch)
+    b = int(np.flatnonzero(alerts.any(axis=0))[0])
+    monitor = monitors[kind].clone()
+    for _ in range(2):
+        verdicts = [monitor.observe(ctx) for ctx in iter_contexts(traces[b])]
+        assert [v.alert for v in verdicts] == alerts[:, b].tolist()
+        assert [0 if v.hazard is None else int(v.hazard)
+                for v in verdicts] == hazards[:, b].tolist()
+        monitor.reset()
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_columns_resume_independently(monitors, streams, kind):
     """A state column belongs to its stream alone: a gathered column
     subset (the service's ticking users) resumes exactly."""
@@ -158,7 +174,7 @@ class StatelessSignatureMonitor(RisingStreakMonitor):
     parameter."""
 
     def observe_batch(self, batch):
-        return SafetyMonitor.observe_batch(self, batch)
+        return RisingStreakMonitor.observe_batch(self, batch)
 
 
 def test_override_without_state_replays_but_cannot_step(tiny_campaign_traces):
@@ -166,8 +182,8 @@ def test_override_without_state_replays_but_cannot_step(tiny_campaign_traces):
     monitor = StatelessSignatureMonitor()
     offline = replay_campaign({"m": monitor}, traces)["m"]
     for alerts, trace in zip(offline, traces):
-        np.testing.assert_array_equal(alerts,
-                                      replay_monitor(monitor, trace)[0])
+        np.testing.assert_array_equal(
+            alerts, replay_alone(RisingStreakMonitor(), trace)[0])
     with pytest.raises(TypeError, match="state"):
         run_batch("glucosym", [SimRun(patient_id="A", init_glucose=150.0,
                                       label="x")],

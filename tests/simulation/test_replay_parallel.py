@@ -12,11 +12,12 @@ import pytest
 from repro.baselines import GuidelineMonitor
 from repro.core import (cawot_monitor, cawt_monitor, learn_thresholds,
                         mine_rule_samples)
-from repro.ml import context_features, trace_features
+from repro.ml import FEATURE_NAMES, trace_features
 from repro.parallel import map_chunks, resolve_workers
 from repro.simulation import (CampaignStoreWriter, TraceDataset,
                               iter_contexts, replay_campaign, replay_many,
-                              replay_monitor, run_fault_free)
+                              run_fault_free)
+from tests.conftest import replay_alone
 
 WORKER_COUNTS = (2, 4)
 
@@ -43,8 +44,7 @@ class TestReplayCampaignParity:
         campaign = replay_campaign(monitors, tiny_campaign_traces, workers=2)
         for name, monitor in monitors.items():
             for trace, alerts in zip(tiny_campaign_traces, campaign[name]):
-                assert np.array_equal(alerts,
-                                      replay_monitor(monitor, trace)[0])
+                assert np.array_equal(alerts, replay_alone(monitor, trace)[0])
 
     def test_replay_many_workers_kwarg(self, tiny_campaign_traces):
         monitor = cawot_monitor()
@@ -99,8 +99,8 @@ class TestLearnThresholdsParity:
         parallel = cawt_monitor(
             learn_thresholds(tiny_campaign_traces, workers=4).thresholds)
         trace = tiny_campaign_traces[0]
-        assert np.array_equal(replay_monitor(serial, trace)[0],
-                              replay_monitor(parallel, trace)[0])
+        assert np.array_equal(replay_alone(serial, trace)[0],
+                              replay_alone(parallel, trace)[0])
 
 
 class TestForkMapChunks:
@@ -171,7 +171,7 @@ class TestSharedContextReconstruction:
             self, tiny_campaign_traces):
         for trace in tiny_campaign_traces[:8]:
             matrix = trace_features(trace)
-            replayed = np.array([context_features(ctx)
+            replayed = np.array([[ctx.channels()[name] for name in FEATURE_NAMES]
                                  for ctx in iter_contexts(trace)])
             assert matrix.shape == replayed.shape
             np.testing.assert_array_equal(matrix, replayed)

@@ -13,9 +13,8 @@ import pytest
 
 from repro.baselines import GuidelineMonitor
 from repro.controllers import ControlAction
-from repro.core import (FixedMitigator, Mitigator, MonitorVerdict, NO_ALERT,
-                        PredictiveMitigator, ProportionalMitigator,
-                        SafetyMonitor, cawot_monitor)
+from repro.core import (FixedMitigator, PredictiveMitigator,
+                        ProportionalMitigator, SafetyMonitor, cawot_monitor)
 from repro.fi import (CampaignConfig, FaultKind, FaultSpec, FaultTarget,
                       generate_campaign)
 from repro.hazards import HazardType
@@ -62,44 +61,24 @@ def parity(production_traces, set_lockstep_width, assert_traces_equal):
     return check
 
 
-class CountingMitigator(Mitigator):
-    """Stateful custom strategy without a columnar override: suspends
-    insulin on the first ``budget`` alerts of a run, then gives up.
-    Exercises the column-loop fallback *and* per-row reset isolation —
-    if rows shared state, the budget would drain across the batch."""
-
-    def __init__(self, budget=3):
-        self.budget = budget
-        self.used = 0
-
-    def reset(self):
-        self.used = 0
-
-    def correct(self, verdict, ctx):
-        if self.used >= self.budget:
-            return ctx.rate, ctx.bolus
-        self.used += 1
-        return 0.0, 0.0
-
-
 class RisingStreakMonitor(SafetyMonitor):
-    """Stateful custom monitor (no vectorized observe_batch, stateless
-    stays False): alerts after three consecutive rising-BG cycles."""
+    """Stateful custom monitor: alerts (H1) after three consecutive
+    rising-BG cycles, its streak carried per column."""
 
     name = "rising-streak"
 
-    def __init__(self):
-        self._streak = 0
+    def init_state(self, n_cols):
+        return {"streak": np.zeros(n_cols, dtype=np.intp)}
 
-    def reset(self):
-        self._streak = 0
-
-    def observe(self, ctx):
-        self._streak = self._streak + 1 if ctx.bg_rate > 0.0 else 0
-        if self._streak >= 3:
-            return MonitorVerdict(alert=True, hazard=HazardType.H1,
-                                  triggered=("rising",))
-        return NO_ALERT
+    def observe_batch(self, batch, state=None):
+        if state is None:
+            state = self.init_state(batch.shape[1])
+        streak = state["streak"]
+        alerts = np.zeros(batch.shape, dtype=bool)
+        for step in range(batch.shape[0]):
+            streak[:] = np.where(batch.bg_rate[step] > 0.0, streak + 1, 0)
+            alerts[step] = streak >= 3
+        return alerts, np.where(alerts, int(HazardType.H1), 0)
 
 
 class TestMitigatedCampaignParity:
@@ -165,9 +144,9 @@ class TestMitigatedCampaignParity:
                monitor_factory=lambda pid: cawot_monitor(),
                mitigator=FixedMitigator(), n_steps=25)
 
-    def test_stateful_monitor_rows_clone_exactly(self, parity):
-        """Stateful monitors (no vectorized tick path) drive per-row
-        clones; excursion timers must not leak across rows."""
+    def test_stateful_monitor_rows_stay_apart(self, parity):
+        """Guideline's per-column excursion timers must not leak across
+        rows."""
         reference = parity("glucosym", ["A", "B"], small_campaign(5),
                            monitor_factory=lambda pid: GuidelineMonitor(),
                            mitigator=FixedMitigator(), n_steps=35)
@@ -213,30 +192,9 @@ class TestMitigatedCampaignParity:
 
 
 class TestMitigatorEdgeCases:
-    def test_custom_mitigator_column_loop_fallback(self, parity):
-        """A strategy without correct_mask runs per-row clones through
-        ``correct`` — identical at every width (mirrors the custom-monitor
-        fallback test of the replay suite)."""
-        reference = parity("glucosym", ["A", "B"], small_campaign(6),
-                           monitor_factory=lambda pid: cawot_monitor(),
-                           mitigator=CountingMitigator(budget=3), n_steps=30)
-        assert any(t.mitigated.any() for t in reference)
-
-    def test_stateful_reset_isolation_across_batched_scenarios(self):
-        """Identical scenarios batched together must mitigate identically:
-        the budget is per run (per row), never shared across the batch."""
-        runs = [SimRun(patient_id="A", init_glucose=170.0, label=f"r{i}")
-                for i in range(5)]
-        traces = run_batch("glucosym", runs, n_steps=30,
-                           monitor_factory=lambda pid: cawot_monitor(),
-                           mitigator=CountingMitigator(budget=2))
-        counts = [int(t.mitigated.sum()) for t in traces]
-        assert counts == [counts[0]] * 5  # no cross-row leakage
-        assert 0 < counts[0] <= 2  # the budget held per row
-
     def test_custom_stateful_monitor_with_mitigation(self, parity):
-        """Custom monitor (column clones) + built-in mitigator (columnar
-        correct_mask) compose exactly."""
+        """Custom monitor (per-column state) + built-in mitigator compose
+        exactly."""
         reference = parity("glucosym", ["A"], small_campaign(4),
                            monitor_factory=lambda pid: RisingStreakMonitor(),
                            mitigator=FixedMitigator(), n_steps=35)
@@ -265,14 +223,6 @@ class TestMitigatorEdgeCases:
         assert out_rate[5] == rate[5]      # non-alert passes through
         assert np.all(out_bolus[alerts] == 0.0)
         assert out_bolus[5] == bolus[5]
-        # the columnar path is the scalar correct, row for row
-        for b in range(n):
-            ctx = list(tick.iter_column(b))[0]
-            verdict = (MonitorVerdict(alert=True,
-                                      hazard=HazardType(int(hazards[b])))
-                       if alerts[b] else NO_ALERT)
-            s_rate, s_bolus = mit.correct(verdict, ctx)
-            assert s_rate == out_rate[b] and s_bolus == out_bolus[b]
 
     def test_predictive_suspend_rule(self):
         """The knowledge rule vetoes insulin on a predicted drop, even
@@ -293,12 +243,7 @@ class TestMitigatorEdgeCases:
         assert 0.0 < rate[1] <= 5.0
         assert rate[2] == 5.0              # large excess clips at max_rate
         assert rate[3] == 1.0              # non-alert passes through
-        for b in range(n):
-            ctx = list(tick.iter_column(b))[0]
-            verdict = (MonitorVerdict(alert=True,
-                                      hazard=HazardType(int(hazards[b])))
-                       if alerts[b] else NO_ALERT)
-            assert mit.correct(verdict, ctx) == (rate[b], bolus[b])
+        assert np.all(bolus == 0.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -318,7 +263,3 @@ class TestMitigatorEdgeCases:
             run_batch("glucosym", runs, n_steps=30,
                       monitor_factory=lambda pid: cawot_monitor(),
                       mitigator=Broken())
-
-    def test_base_correct_mask_returns_none(self):
-        assert CountingMitigator().correct_mask(
-            np.array([True]), np.array([1]), None) is None

@@ -2,13 +2,13 @@
 
 The contract under test is the one the lock-step simulation engine set:
 ``LOCKSTEP_WIDTH`` (like ``workers``) changes wall-clock time, never
-semantics.  Replay must be element-wise identical to the single-trace
-reference ``replay_monitor`` for every monitor kind — the vectorized
-overrides (CAWT/CAWOT rules, DT, MLP, LSTM, Guideline, MPC) and the
-base-class column loop (user-defined monitors) alike — across widths and
-worker counts; mined robustness samples must equal the per-trace miner below;
-and the batched fault-free titration of a cohort must equal titrating each
-patient alone (``empirical_isf``) bit for bit.
+semantics.  Replay must be element-wise identical to replaying each trace
+alone (a one-column batch, width 1) for every monitor kind — CAWT/CAWOT
+rules, DT, MLP, LSTM, Guideline, MPC and a user-defined monitor alike —
+across widths and worker counts; the verdicts themselves are pinned by
+``test_golden_replay.py``.  Mined robustness samples must equal the
+per-trace miner below, and the batched fault-free titration of a cohort
+must equal titrating each patient alone (``empirical_isf``) bit for bit.
 """
 
 import math
@@ -21,25 +21,26 @@ from repro.baselines import GuidelineMonitor, MPCMonitor
 from repro.core import (ContextAwareMonitor, aps_rules, cawot_monitor,
                         cawt_monitor, learn_thresholds, mine_rule_samples)
 from repro.core.learning import MINING_WINDOW, _trace_spans
-from repro.core.monitor import MonitorVerdict, NO_ALERT, SafetyMonitor
+from repro.core.monitor import SafetyMonitor
 from repro.core.rules import BG_TARGET
 from repro.hazards import HazardType
 from repro.ml import train_dt_monitor, train_lstm_monitor, train_mlp_monitor
 from repro.ml.datasets import trace_features
 from repro.parallel import iter_equal_length_groups
 from repro.simulation import (ContextBatch, PROFILE_CACHE, controller_profile,
-                              iter_contexts, replay_campaign, replay_monitor,
+                              iter_contexts, replay_campaign,
                               titrate_isf_batch, warm_profiles)
 from repro.simulation.batch import empirical_isf
 from repro.patients import make_patient, patient_ids
-from tests.conftest import LOCKSTEP_WIDTHS
+from repro.stl import satisfaction
+from tests.conftest import LOCKSTEP_WIDTHS, replay_alone
 
 WORKER_COUNTS = (1, 2)
 
 
 def reference_alerts(monitor, traces):
-    """Per-trace alert flags from the single-trace reference replay."""
-    return [replay_monitor(monitor, trace)[0] for trace in traces]
+    """Per-trace alert flags, each trace replayed alone."""
+    return [replay_alone(monitor, trace)[0] for trace in traces]
 
 
 def observe_groups(monitor, traces):
@@ -57,22 +58,21 @@ def per_trace_mine(traces, rules=None, bg_target=BG_TARGET,
                    window=MINING_WINDOW):
     """The per-trace miner: the oracle for lock-step mining.
 
-    Walks each trace's context stream cycle by cycle through the scalar
-    Table I semantics (:meth:`APSRule.violated` with the learnable
-    predicate switched off by an infinite threshold) and reduces the
-    eligible ``mu`` values over the trace's mining windows.  Returns
-    ``rule index -> (hazard stats, safe stats)``.
+    Evaluates each trace alone through the Table I violation bodies
+    (with the learnable predicate switched off by an infinite threshold)
+    and reduces the eligible ``mu`` values over the trace's mining
+    windows.  Returns ``rule index -> (hazard stats, safe stats)``.
     """
     rules = list(rules) if rules is not None else list(aps_rules())
     out = {rule.index: ([], []) for rule in rules}
     for trace in traces:
-        contexts = list(iter_contexts(trace))
+        stl_trace = ContextBatch.from_traces([trace]).to_stl_trace()
         hazard_span, safe_stop = _trace_spans(trace, window)
         for rule in rules:
             open_threshold = math.inf if rule.direction == "lt" \
                 else -math.inf
-            mask = np.array([rule.violated(ctx, open_threshold, bg_target)
-                             for ctx in contexts])
+            mask = satisfaction(rule.violation_body(bg_target), stl_trace,
+                                {rule.param: open_threshold})[:, 0]
             mu = trace.iob if rule.mu_channel == "IOB" else trace.cgm
             spans = []
             if hazard_span is not None and hazard_span[2] == rule.hazard:
@@ -89,24 +89,32 @@ def per_trace_mine(traces, rules=None, bg_target=BG_TARGET,
 
 
 class RisingStreakMonitor(SafetyMonitor):
-    """Stateful user-defined monitor that does NOT override observe_batch:
-    alerts after three consecutive rising-BG cycles.  Exercises the
-    base-class column-loop fallback."""
+    """Stateful user-defined monitor: alerts (H2) after three consecutive
+    rising-BG cycles, its streak carried per column."""
 
     name = "rising-streak"
 
-    def __init__(self):
-        self._streak = 0
+    def init_state(self, n_cols):
+        return {"streak": np.zeros(n_cols, dtype=np.intp)}
 
-    def reset(self) -> None:
-        self._streak = 0
+    def observe_batch(self, batch, state=None):
+        if state is None:
+            state = self.init_state(batch.shape[1])
+        streak = state["streak"]
+        alerts = np.zeros(batch.shape, dtype=bool)
+        for step in range(batch.shape[0]):
+            streak[:] = np.where(batch.bg_rate[step] > 0.0, streak + 1, 0)
+            alerts[step] = streak >= 3
+        return alerts, np.where(alerts, int(HazardType.H2), 0)
 
-    def observe(self, ctx) -> MonitorVerdict:
-        self._streak = self._streak + 1 if ctx.bg_rate > 0.0 else 0
-        if self._streak >= 3:
-            return MonitorVerdict(alert=True, hazard=HazardType.H2,
-                                  triggered=("rising",))
-        return NO_ALERT
+
+def rising_streak_alerts(trace):
+    """:class:`RisingStreakMonitor`'s alerts, one context at a time."""
+    alerts, streak = [], 0
+    for ctx in iter_contexts(trace):
+        streak = streak + 1 if ctx.bg_rate > 0.0 else 0
+        alerts.append(streak >= 3)
+    return np.array(alerts)
 
 
 @pytest.fixture(scope="module")
@@ -155,11 +163,11 @@ class TestBatchedReplayParity:
     def test_batched_lstm_parity(self, nn_monitors, tiny_campaign_traces,
                                  set_lockstep_width):
         # every sliding window of a batch classified in stacked row-exact
-        # forwards, against the per-cycle observe reference: alerts at
-        # every width x workers, hazard codes at every width, binary and
+        # forwards, against each trace replayed alone: alerts at every
+        # width x workers, hazard codes at every width, binary and
         # multi-class heads; a trace subset keeps this fast
         traces = list(tiny_campaign_traces[:10])
-        reference = {name: [replay_monitor(monitor, trace)
+        reference = {name: [replay_alone(monitor, trace)
                             for trace in traces]
                      for name, monitor in nn_monitors.items()}
         assert any(alerts.any() for alerts, _ in reference["LSTM"])
@@ -184,16 +192,16 @@ class TestBatchedReplayParity:
                     assert np.array_equal(hazards, got_hazards), (name,
                                                                   width)
 
-    def test_hazard_codes_match_scalar_replay(self, fast_monitors,
-                                              tiny_campaign_traces,
-                                              set_lockstep_width):
+    def test_hazard_codes_match_replay_alone(self, fast_monitors,
+                                             tiny_campaign_traces,
+                                             set_lockstep_width):
         traces = list(tiny_campaign_traces[:12])
         set_lockstep_width(7)
         for name, monitor in fast_monitors.items():
             batched = observe_groups(monitor, traces)
             assert len(batched) == len(traces)
             for trace, (alerts, hazards) in zip(traces, batched):
-                ref_alerts, ref_hazards = replay_monitor(monitor, trace)
+                ref_alerts, ref_hazards = replay_alone(monitor, trace)
                 assert np.array_equal(alerts, ref_alerts), name
                 assert np.array_equal(hazards, ref_hazards), name
 
@@ -209,7 +217,7 @@ class TestBatchedReplayParity:
             assert any(alerts.any() for alerts, _ in batched), name
             for trace, (alerts, hazards) in zip(tiny_campaign_traces,
                                                 batched, strict=True):
-                ref_alerts, ref_hazards = replay_monitor(monitor, trace)
+                ref_alerts, ref_hazards = replay_alone(monitor, trace)
                 assert np.array_equal(alerts, ref_alerts), name
                 assert np.array_equal(hazards, ref_hazards), name
 
@@ -227,10 +235,11 @@ class TestBatchedReplayParity:
             for a, b in zip(reference_alerts(monitor, mixed), batched[name]):
                 assert np.array_equal(a, b), name
 
-    def test_custom_monitor_fallback(self, tiny_campaign_traces,
-                                     set_lockstep_width):
+    def test_custom_monitor(self, tiny_campaign_traces, set_lockstep_width):
         monitor = RisingStreakMonitor()
-        reference = reference_alerts(monitor, tiny_campaign_traces)
+        reference = [rising_streak_alerts(trace)
+                     for trace in tiny_campaign_traces]
+        assert any(alerts.any() for alerts in reference)
         for width in LOCKSTEP_WIDTHS:
             set_lockstep_width(width)
             batched = replay_campaign({"custom": monitor},
@@ -273,9 +282,13 @@ class TestEdgeCases:
         batch = ContextBatch.from_traces([trace])
         assert batch.shape == (len(trace), 1)
         alerts, hazards = cawot_monitor().observe_batch(batch)
-        ref_alerts, ref_hazards = replay_monitor(cawot_monitor(), trace)
-        assert np.array_equal(alerts[:, 0], ref_alerts)
-        assert np.array_equal(hazards[:, 0], ref_hazards)
+        # the same stream one cycle at a time through observe
+        monitor = cawot_monitor()
+        verdicts = [monitor.observe(ctx) for ctx in iter_contexts(trace)]
+        assert alerts.any()
+        assert alerts[:, 0].tolist() == [v.alert for v in verdicts]
+        assert hazards[:, 0].tolist() == [
+            0 if v.hazard is None else int(v.hazard) for v in verdicts]
 
     def test_context_batch_rejects_empty_and_ragged(self,
                                                     tiny_campaign_traces,
@@ -299,8 +312,8 @@ class TestEdgeCases:
     def test_misshapen_observe_batch_fails_loudly(self,
                                                   tiny_campaign_traces):
         class Broken(SafetyMonitor):
-            def observe(self, ctx):
-                return NO_ALERT
+            def init_state(self, n_cols):
+                return {}
 
             def observe_batch(self, batch):
                 return np.zeros((1, 1), dtype=bool), np.zeros((1, 1), int)
