@@ -85,24 +85,13 @@ class ConfusionCounts:
         return (self.fpr, self.fnr, self.accuracy, self.f1)
 
 
-def _episodes(truth: np.ndarray):
-    """Maximal runs of positive ground truth as (start, end) inclusive."""
-    episodes = []
-    n = len(truth)
-    t = 0
-    while t < n:
-        if truth[t]:
-            start = t
-            while t + 1 < n and truth[t + 1]:
-                t += 1
-            episodes.append((start, t))
-        t += 1
-    return episodes
-
-
 def tolerance_confusion(pred, truth, delta: int = DEFAULT_TOLERANCE,
                         lookback: Optional[int] = None) -> ConfusionCounts:
     """Tolerance-window confusion counts for one trace (see module docs).
+
+    Every window test is a difference of prefix sums, and the credited
+    samples are the union of the detected episodes' windows, so no step
+    loops in Python.
 
     Parameters
     ----------
@@ -121,34 +110,36 @@ def tolerance_confusion(pred, truth, delta: int = DEFAULT_TOLERANCE,
     truth = np.asarray(truth).astype(bool)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
+    if pred.ndim != 1:
+        raise ValueError(f"expected 1-D sequences, got shape {pred.shape}")
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     lookback = delta if lookback is None else lookback
     n = len(pred)
-    counts = ConfusionCounts()
+    # prefix sums: hazards[t] / alerts[t] count the positives before t
+    hazards = np.zeros(n + 1, dtype=np.intp)
+    alerts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(truth, out=hazards[1:])
+    np.cumsum(pred, out=alerts[1:])
     # hazard within [t, t+delta] for each t (forward window any)
-    ground_pos = np.zeros(n, dtype=bool)
-    for t in range(n):
-        ground_pos[t] = truth[t:min(t + delta + 1, n)].any()
+    ground_pos = hazards[np.minimum(np.arange(delta + 1, n + delta + 1),
+                                    n)] > hazards[:-1]
+    # episodes: maximal runs of positive ground truth, [start, end]
+    edges = np.diff(np.concatenate(([0], truth.view(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
     # per-episode detection: any alert within the anchored window
-    detected = np.zeros(n, dtype=bool)  # per-sample: owning episode detected
-    for start, end in _episodes(truth):
-        hit = pred[max(start - lookback, 0):end + 1].any()
-        if hit:
-            # every positive sample announcing this episode is credited
-            detected[max(start - delta, 0):end + 1] = True
-    for t in range(n):
-        if ground_pos[t]:
-            if detected[t]:
-                counts.tp += 1
-            else:
-                counts.fn += 1
-        else:
-            if pred[t]:
-                counts.fp += 1
-            else:
-                counts.tn += 1
-    return counts
+    hit = alerts[ends + 1] > alerts[np.minimum(np.maximum(
+        starts - lookback, 0), n)]
+    # every positive sample announcing a detected episode is credited
+    opened = np.bincount(np.maximum(starts[hit] - delta, 0), minlength=n + 1)
+    closed = np.bincount(ends[hit] + 1, minlength=n + 1)
+    detected = np.cumsum(opened - closed)[:n] > 0
+    tp = int(np.count_nonzero(ground_pos & detected))
+    fp = int(np.count_nonzero(pred & ~ground_pos))
+    positives = int(np.count_nonzero(ground_pos))
+    return ConfusionCounts(tp=tp, fp=fp, fn=positives - tp,
+                           tn=n - positives - fp)
 
 
 def traces_confusion(traces: Iterable, alerts: Iterable[np.ndarray],

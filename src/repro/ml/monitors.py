@@ -13,10 +13,13 @@ Each monitor's :meth:`~repro.core.monitor.SafetyMonitor.observe_batch`
 classifies a whole context batch at once, with hazard inference as array
 arithmetic.  The DT runs its vectorized flat-tree ``predict`` (exact
 comparisons, batch-size invariant).  The MLP classifies every cycle, and
-the LSTM every k-cycle sliding window, through the row-exact
-:meth:`~repro.ml.nn.model._BaseClassifier.predict_rows`, whose logits
-are bit-identical to the model's one-row ``predict``.  The LSTM's only
-per-column state is its last ``k - 1`` feature rows.
+the LSTM every k-cycle sliding window, through
+:meth:`~repro.ml.nn.model._BaseClassifier.predict_rows`, whose class for
+every row is the model's one-row ``predict`` class: the MLP's certified
+whole-block forwards keep only classes a forward-error bound proves, and
+row-exact forwards, bit-identical to the one-row call, settle the other
+rows and every LSTM window.  The LSTM's only per-column state is its
+last ``k - 1`` feature rows.
 """
 
 from __future__ import annotations
@@ -62,13 +65,13 @@ class _PointMonitor(SafetyMonitor):
 
     def _predict_rows(self, features: np.ndarray) -> np.ndarray:
         """Per-row class predictions for an ``(n_rows, D)`` feature stack,
-        each bit-identical to the model's one-row ``predict``.
+        each equal to the model's one-row ``predict``.
 
-        Default: the model's row-exact ``predict_rows`` (see
-        :meth:`~repro.ml.nn.model._BaseClassifier.predict_rows` for why a
-        whole-matrix forward would not be bit-stable).  Rows are
-        independent, so callers may stack any number of columns into one
-        matrix without changing a single prediction.
+        Default: the model's ``predict_rows`` (see
+        :meth:`~repro.ml.nn.model._BaseClassifier.predict_rows` for how
+        whole-block forwards keep that equality).  Rows are independent,
+        so callers may stack any number of columns into one matrix
+        without changing a single prediction.
         """
         return self.model.predict_rows(features).astype(int, copy=False)
 

@@ -9,9 +9,61 @@
 - :class:`Standardizer`: per-feature z-scoring shared by both.
 
 Training and validation forwards run whole minibatches (BLAS gemm).
-Offline evaluation goes through :meth:`_BaseClassifier.predict_rows`,
-which is row-exact: every row's logits are bit-identical to a one-row
-:meth:`~_BaseClassifier.predict` call, whatever the number of rows.
+Offline evaluation and serving go through
+:meth:`_BaseClassifier.predict_rows`, whose class for every row equals a
+one-row :meth:`~_BaseClassifier.predict` call, whatever the number of
+rows.  Two paths give it:
+
+- **Row-exact forwards.**  The rows pass through the layer forwards with
+  a singleton row axis, ``X[block, None]``; NumPy makes one BLAS gemv per
+  row for that shape, the call a one-row ``predict`` makes, so every
+  logit is bit-identical.  This is the LSTM's only path, and the
+  reference that settles every row the certificate below leaves open.
+- **Certified whole-block forwards** (pure feed-forward stacks: only
+  ``Dense``, ``ReLU`` and ``Dropout``, i.e. the MLP).  Each block of rows
+  runs one gemm per layer.  A gemm rounds differently from a gemv, so
+  its logits are not bit-identical; its *class* is kept only where an
+  a-priori forward-error bound proves it equals the gemv class.
+
+The certificate.  Let u = 2^-53 and γ(m) = m·u / (1 − m·u).  For any
+summation order, with or without FMA, a computed dot product of m terms
+lies within γ(m)·Σ|terms| of the exact one (Higham, *Accuracy and
+Stability of Numerical Algorithms*, Thm 3.1 and Lemma 3.4); underflow
+adds at most an absolute η.  A Dense output ``x @ W + b`` is such a sum
+of n + 1 terms for fan-in n, in both paths.  Both paths start from the
+same standardised row x.  Per row, let A bound every activation either
+path computes and δ bound how far the two paths' activations differ;
+start from A = A0 = ‖x‖∞ and δ = 0.  With C the largest column 1-norm
+of W, β = max|b|, g = γ(n + 1) and η = 2^-1022·(C + n + 2) (what
+underflow can lose, also with flush-to-zero or denormals-are-zero), a
+Dense layer gives::
+
+    |each path's z − (its own input) @ W − b| <= g·(A·C + β) + η
+    A <- (1 + g)·(A·C + β) + η
+    δ <- 2·g·(A·C + β) + (1 + g)·δ·C + 2·η
+
+(the input difference moves an output by at most δ·C; the factor
+1 + g is slack).  ReLU is 1-Lipschitz and never grows a magnitude, and
+inference Dropout is the identity, so both leave (A, δ) as they are,
+whatever sign a zero takes.  If the whole-block logits put class p more
+than 2·δ above every other class, the gemv logits put p strictly on
+top, so both paths return p.  :func:`_certificate` folds the recurrence
+into δ = D1·A0 + D0 per model, once, when the weights arrive;
+:meth:`_BaseClassifier.predict_rows` demands a margin of
+2·:data:`_SAFETY`·δ, which absorbs the rounding of the bound itself and
+of the logit subtraction.  It also demands A0 <= T, a limit under which
+no activation of either path can overflow.  A row whose margin is
+inside the bound, or whose logits or bound are not finite, takes the
+row-exact forwards.
+
+The class is the argmax of the logits.  ``softmax`` is monotone, but in
+floating point it can round two close logits to one probability, so
+:meth:`_BaseClassifier.predict` reads the class off the logits too.
+
+The LSTM stays row-exact.  A bound through its recurrent layers would
+also have to assume an accuracy for NumPy's ``exp`` and ``tanh``, which
+IEEE 754 leaves open and which changes with NumPy's SIMD dispatch; the
+certificate above needs nothing but correctly rounded ``+`` and ``*``.
 """
 
 from __future__ import annotations
@@ -29,10 +81,54 @@ from .optim import Adam
 __all__ = ["Standardizer", "MLPClassifier", "LSTMClassifier", "ROW_BLOCK",
            "stacked_rows_exact"]
 
-#: rows per stacked forward in :meth:`_BaseClassifier.predict_rows`; bounds
-#: the transient activations (an LSTM block holds ``ROW_BLOCK * T * 4H``
-#: gate values per step) at no measurable cost in speed
+#: rows per forward in :meth:`_BaseClassifier.predict_rows`, stacked or
+#: whole-block; bounds the transient activations (an LSTM block holds
+#: ``ROW_BLOCK * T * 4H`` gate values per step; 64-row gemm blocks were
+#: no faster)
 ROW_BLOCK = 32
+
+#: factor on the certificate's margin, for the rounding of the bound
+#: itself and of the logit subtraction
+_SAFETY = 2.0
+#: no activation bound may pass this, so neither path can overflow
+_HEADROOM = float(np.finfo(float).max) / 4
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1022
+
+
+def _certificate(layers: Sequence[Layer]
+                 ) -> Optional[Tuple[float, float, float]]:
+    """``(T, D1, D0)`` of the module docstring's certificate for a pure
+    feed-forward stack: rows with ``A0 = ‖x‖∞ <= T`` cannot overflow, and
+    the whole-block and row-exact logits differ by at most
+    ``D1 * A0 + D0``.  ``None`` for any other stack (an LSTM), or when a
+    weight is not finite.
+
+    The per-layer recurrence is affine in A0, so it folds into scalars
+    here: ``A = a * A0 + c`` and ``δ = d * A0 + e``, with the running
+    maxima of ``a`` and ``c`` bounding A at every layer.
+    """
+    if not any(type(layer) is Dense for layer in layers) or any(
+            type(layer) not in (Dense, ReLU, Dropout) for layer in layers):
+        return None
+    a, c, d, e = 1.0, 0.0, 0.0, 0.0
+    a_max, c_max = a, c
+    for layer in layers:
+        if type(layer) is not Dense:
+            continue  # ReLU and inference Dropout keep (A, δ)
+        n = layer.W.shape[0]
+        col_norm = float(np.abs(layer.W).sum(axis=0).max())
+        beta = float(np.abs(layer.b).max())
+        if not (np.isfinite(col_norm) and np.isfinite(beta)):
+            return None
+        g = (n + 1) * _U / (1.0 - (n + 1) * _U)
+        eta = _TINY * (col_norm + n + 2)
+        a_in, c_in = a * col_norm, c * col_norm + beta
+        a, c = (1.0 + g) * a_in, (1.0 + g) * c_in + eta
+        d, e = (2.0 * g * a_in + (1.0 + g) * d * col_norm,
+                2.0 * g * c_in + (1.0 + g) * e * col_norm + 2.0 * eta)
+        a_max, c_max = max(a_max, a), max(c_max, c)
+    return (_HEADROOM - c_max) / a_max, d, e
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,7 +169,11 @@ class Standardizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         if self.mean is None:
             raise RuntimeError("standardizer is not fitted")
-        return (X - self.mean) / self.std
+        # in place: each step is correctly rounded, so the values are
+        # those of ``(X - mean) / std`` without its second temporary
+        out = X - self.mean
+        out /= self.std
+        return out
 
 
 class _BaseClassifier:
@@ -94,6 +194,9 @@ class _BaseClassifier:
         self.scaler = Standardizer()
         self.layers: List[Layer] = []
         self.history: List[Tuple[float, float]] = []  # (train, val) loss
+        #: :func:`_certificate` of the fitted weights, set where they
+        #: arrive (:meth:`_probe_blas`) and never pickled
+        self._certificate: Optional[Tuple[float, float, float]] = None
 
     # subclass hooks -----------------------------------------------------
     def _build(self, in_shape: Tuple[int, ...]) -> None:
@@ -215,55 +318,120 @@ class _BaseClassifier:
         self._probe_blas()
         return self
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        # derived from the weights, and rebuilt from them on arrival
+        state.pop("_certificate", None)
+        return state
+
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._probe_blas()
 
     def _probe_blas(self) -> None:
-        """Run :func:`stacked_rows_exact` for every weight shape now.
+        """Run :func:`stacked_rows_exact` for every weight shape now, and
+        derive the weights' :func:`_certificate`.
 
         Called wherever fitted weights enter a process (:meth:`fit`,
         :meth:`load_params`, unpickling), so the probe's transient
         arrays -- about 1 MB for the LSTM -- are paid while the model
         loads, not inside the first :meth:`predict_rows` call, which in
-        a serving process is the first tick.
+        a serving process is the first tick.  A certified stack also
+        classifies a block of zeros, so BLAS sets up its gemm buffers and
+        the certificate's NumPy loops are paged in now too.
         """
         for layer in self.layers:
             for p in layer.params:
                 if p.ndim == 2:
                     stacked_rows_exact(p.shape)
+        self._certificate = _certificate(self.layers)
+        if self._certificate is not None:
+            first = next(layer for layer in self.layers
+                         if type(layer) is Dense)
+            self._classify(np.zeros((ROW_BLOCK, first.W.shape[0])))
 
     # inference ----------------------------------------------------------
-    def predict_proba(self, X) -> np.ndarray:
+    def _logits(self, X) -> np.ndarray:
         if not self.layers:
             raise RuntimeError("model is not fitted")
         X = self.scaler.transform(np.asarray(X, dtype=float))
-        return softmax(self._forward(X, training=False))
+        return self._forward(X, training=False)
+
+    def predict_proba(self, X) -> np.ndarray:
+        return softmax(self._logits(X))
 
     def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
+        """Class per row: the argmax of the logits (see the module
+        docstring for why not of :meth:`predict_proba`)."""
+        return np.argmax(self._logits(X), axis=1)
 
     def predict_rows(self, X) -> np.ndarray:
-        """Per-row class predictions, bit-identical to calling
-        :meth:`predict` on each row separately.
+        """Per-row class predictions, each equal to calling
+        :meth:`predict` on that row alone.
 
-        A whole-matrix forward is not: BLAS gemm rounds differently per
-        batch shape.  Instead the rows pass through the layer forwards in
-        blocks with a singleton row axis, ``X[block, None]``; NumPy runs
-        that stack of single-row products as one BLAS gemv per row, the
-        very call a one-row :meth:`predict` makes.  Standardisation is
-        elementwise and runs once, and the class is read straight off the
-        logits: ``softmax`` is strictly monotone and tie-preserving, so
-        ``argmax(logits)`` equals ``argmax(predict_proba)`` exactly.
-
-        Blocks hold :data:`ROW_BLOCK` rows, which bounds the transient
-        activations.  If any weight shape fails
-        :func:`stacked_rows_exact` on the running BLAS, every block holds
-        one row, which is exactly the scalar call.
+        A certified stack (the MLP) runs whole-block forwards and keeps
+        every row whose class the forward-error certificate proves; the
+        rest, and every LSTM row, take the row-exact forwards (see the
+        module docstring).  Standardisation runs once, in place, and both
+        paths read the same standardised rows.
         """
         if not self.layers:
             raise RuntimeError("model is not fitted")
-        X = self.scaler.transform(np.asarray(X, dtype=float))
+        return self._classify(self.scaler.transform(
+            np.asarray(X, dtype=float)))
+
+    def _classify(self, X: np.ndarray) -> np.ndarray:
+        """Classes of standardised rows: certified whole-block forwards
+        where the model has a certificate, row-exact forwards for every
+        other row.  A single row is cheapest through its own one-row
+        forward, so it takes that directly."""
+        if self._certificate is None or len(X) == 1:
+            return self._rows_exact(X)
+        limit, d1, d0 = self._certificate
+        logits = np.empty((len(X), self.n_classes))
+        # the discarded logits of non-finite rows may overflow or be NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(X), ROW_BLOCK):
+                logits[start:start + ROW_BLOCK] = self._block_logits(
+                    X[start:start + ROW_BLOCK])
+            norms = np.maximum(X.max(axis=1), -X.min(axis=1))  # ‖x‖∞
+            # certified: the top class is the only one within the
+            # margin of it (a NaN logit or bound leaves none within)
+            margin = 2.0 * _SAFETY * (d1 * norms + d0)
+            near = logits.max(axis=1, keepdims=True) - logits \
+                <= margin[:, None]
+            certified = ((near.sum(axis=1) == 1) & (norms <= limit)
+                         & np.isfinite(logits).all(axis=1))
+        out = np.argmax(logits, axis=1)
+        if not certified.all():
+            open_rows = ~certified
+            out[open_rows] = self._rows_exact(X[open_rows])
+        return out
+
+    def _block_logits(self, block: np.ndarray) -> np.ndarray:
+        """Logits of a feed-forward stack for a block of standardised
+        rows: one gemm per Dense layer, bias add and ReLU in place."""
+        h = block
+        for layer in self.layers:
+            if type(layer) is Dense:
+                h = h @ layer.W
+                h += layer.b
+            elif type(layer) is ReLU:
+                h = np.maximum(h, 0.0, out=None if h is block else h)
+        return h
+
+    def _rows_exact(self, X: np.ndarray) -> np.ndarray:
+        """Classes of standardised rows through the row-exact forwards.
+
+        The rows pass through the layer forwards in blocks with a
+        singleton row axis, ``X[block, None]``; NumPy runs that stack of
+        single-row products as one BLAS gemv per row, the very call a
+        one-row :meth:`predict` makes, so every logit is bit-identical.
+        Blocks hold :data:`ROW_BLOCK` rows, which bounds the transient
+        activations.  If any weight shape fails
+        :func:`stacked_rows_exact` on the running BLAS, every block holds
+        one row, which is exactly the one-row call.
+        """
         exact = all(stacked_rows_exact(p.shape) for layer in self.layers
                     for p in layer.params if p.ndim == 2)
         step = ROW_BLOCK if exact else 1

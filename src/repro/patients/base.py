@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import abc
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = ["Meal", "PatientModel", "UU_PER_UNIT", "PMOL_PER_UNIT"]
@@ -42,7 +43,9 @@ class Meal:
     time:
         Minutes from simulation start at which the meal begins.
     carbs:
-        Carbohydrate content in grams.
+        Carbohydrate content in grams: 0, or at least the smallest normal
+        float (a subnormal load overflows the S2013 gastric-emptying
+        terms, which divide by it).
     """
 
     time: float
@@ -54,6 +57,10 @@ class Meal:
         if not (math.isfinite(self.carbs) and self.carbs >= 0):
             raise ValueError(
                 f"meal carbs must be finite and >= 0, got {self.carbs}")
+        if 0 < self.carbs < sys.float_info.min:
+            raise ValueError(
+                f"meal carbs must be 0 or at least {sys.float_info.min}, "
+                f"got the subnormal {self.carbs}")
 
 
 class PatientModel(abc.ABC):

@@ -117,3 +117,80 @@ class TestToleranceWindow:
             assert cm.fn == 0
         else:
             assert cm.fn > 0
+
+
+def _loop_confusion(pred, truth, delta, lookback):
+    """The per-sample loops ``tolerance_confusion`` ran before it was
+    vectorised, kept as the reference its counts must equal."""
+    pred = np.asarray(pred).astype(bool)
+    truth = np.asarray(truth).astype(bool)
+    n = len(pred)
+    counts = ConfusionCounts()
+    ground_pos = np.zeros(n, dtype=bool)
+    for t in range(n):
+        ground_pos[t] = truth[t:min(t + delta + 1, n)].any()
+    episodes = []
+    t = 0
+    while t < n:
+        if truth[t]:
+            start = t
+            while t + 1 < n and truth[t + 1]:
+                t += 1
+            episodes.append((start, t))
+        t += 1
+    detected = np.zeros(n, dtype=bool)
+    for start, end in episodes:
+        if pred[max(start - lookback, 0):end + 1].any():
+            detected[max(start - delta, 0):end + 1] = True
+    for t in range(n):
+        if ground_pos[t]:
+            if detected[t]:
+                counts.tp += 1
+            else:
+                counts.fn += 1
+        elif pred[t]:
+            counts.fp += 1
+        else:
+            counts.tn += 1
+    return counts
+
+
+@st.composite
+def labelled_sequences(draw):
+    n = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(("random", "runs", "all", "none")))
+    if kind == "random":
+        pred = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        truth = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    elif kind == "runs":  # a few hazard episodes and sparse alerts
+        truth = [False] * n
+        for start, length in draw(st.lists(st.tuples(
+                st.integers(0, n), st.integers(1, 40)), max_size=6)):
+            truth[start:start + length] = [True] * len(
+                truth[start:start + length])
+        pred = [False] * n
+        for t in draw(st.lists(st.integers(0, max(n - 1, 0)),
+                               max_size=8)) if n else ():
+            pred[t] = True
+    else:
+        pred = [kind == "all"] * n
+        truth = draw(st.sampled_from(([True] * n, [False] * n)))
+    delta = draw(st.integers(0, n + 5))
+    lookback = draw(st.integers(0, n + 5).filter(lambda k: k != delta))
+    return np.array(pred, dtype=bool), np.array(truth, dtype=bool), \
+        delta, draw(st.sampled_from((None, lookback)))
+
+
+class TestVectorisedCounts:
+    @given(labelled_sequences())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_the_per_sample_loops(self, drawn):
+        pred, truth, delta, lookback = drawn
+        expected = _loop_confusion(pred, truth, delta,
+                                   delta if lookback is None else lookback)
+        assert tolerance_confusion(pred, truth, delta=delta,
+                                   lookback=lookback) == expected
+
+    def test_refuses_a_matrix(self):
+        with pytest.raises(ValueError, match="1-D"):
+            tolerance_confusion(np.zeros((3, 4)), np.zeros((3, 4)))

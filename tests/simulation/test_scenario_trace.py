@@ -1,6 +1,7 @@
 """Tests for run-spec validation and SimulationTrace accessors."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -38,10 +39,23 @@ class TestScenario:
 
     @pytest.mark.parametrize("time,carbs", [
         (10.0, -1.0), (10.0, math.nan), (10.0, math.inf),
-        (math.nan, 40.0), (-math.inf, 40.0)])
+        (math.nan, 40.0), (-math.inf, 40.0),
+        (10.0, 1e-320), (10.0, 5e-324), (10.0, sys.float_info.min / 2)])
     def test_impossible_meal_refused(self, time, carbs):
         with pytest.raises(ValueError, match="meal"):
             Meal(time, carbs)
+
+    @pytest.mark.parametrize("platform,pid", [("glucosym", "B"),
+                                              ("t1ds2013", "P01")])
+    def test_smallest_normal_meal_runs_clean(self, platform, pid):
+        """The smallest load a meal accepts raises no floating-point
+        error in either patient model (a subnormal one overflowed the
+        S2013 gastric-emptying terms)."""
+        run = SimRun(pid, 120.0, "x",
+                     meals=(Meal(10.0, sys.float_info.min),))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            trace, = run_batch(platform, [run], n_steps=30)
+        assert np.isfinite(trace.true_bg).all()
 
     def test_meals_carried(self):
         run = SimRun("A", 120.0, "x", meals=(Meal(60.0, 40.0),))

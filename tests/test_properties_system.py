@@ -142,8 +142,9 @@ def sim_runs(draw, patients):
     fault = draw(st.none() | st.builds(
         FaultSpec, st.just(kind), st.just(target),
         st.integers(0, N_STEPS - 1), st.integers(1, 40), st.just(value)))
-    meals = draw(st.lists(st.builds(Meal, st.floats(0.0, 5.0 * N_STEPS),
-                                    st.floats(0.0, 80.0)), max_size=2))
+    meals = draw(st.lists(st.builds(
+        Meal, st.floats(0.0, 5.0 * N_STEPS),
+        st.floats(0.0, 80.0, allow_subnormal=False)), max_size=2))
     return SimRun(draw(st.sampled_from(patients)),
                   draw(st.floats(40.0, 400.0)), "drawn", fault, tuple(meals))
 
