@@ -22,7 +22,7 @@ import pytest
 from repro.core import cawot_monitor, cawt_monitor, learn_thresholds
 from repro.experiments import ExperimentConfig
 from repro.fi import CampaignConfig, generate_campaign
-from repro.ml import train_dt_monitor
+from repro.ml import TrainingJob, run_training_jobs
 from repro.serve import MonitorService, replay_log, run_load
 from repro.simulation import replay_campaign, run_campaign
 
@@ -46,7 +46,8 @@ def _traces_and_monitors():
         _CACHE["monitors"] = {
             "CAWT": cawt_monitor(learn_thresholds(traces).thresholds),
             "CAWOT": cawot_monitor(),
-            "DT": train_dt_monitor(traces),
+            "DT": run_training_jobs([TrainingJob.make("dt")],
+                                    traces)[0].monitor,
         }
     return _CACHE["traces"], _CACHE["monitors"]
 

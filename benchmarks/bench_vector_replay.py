@@ -22,7 +22,7 @@ from repro.baselines import GuidelineMonitor, MPCMonitor
 from repro.core import cawot_monitor, cawt_monitor, learn_thresholds
 from repro.experiments import ExperimentConfig
 from repro.fi import CampaignConfig, generate_campaign
-from repro.ml import train_dt_monitor
+from repro.ml import TrainingJob, run_training_jobs
 from repro.simulation import replay_campaign, run_campaign
 
 CONFIG = ExperimentConfig.preset("ci")
@@ -42,7 +42,8 @@ def _traces_and_monitors():
             "CAWOT": cawot_monitor(),
             "Guideline": GuidelineMonitor(),
             "MPC": MPCMonitor(horizon_steps=CONFIG.mpc_horizon),
-            "DT": train_dt_monitor(traces),
+            "DT": run_training_jobs([TrainingJob.make("dt")],
+                                    traces)[0].monitor,
         }
     return _CACHE["traces"], _CACHE["monitors"]
 

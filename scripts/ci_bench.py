@@ -64,7 +64,7 @@ from repro.experiments import ExperimentConfig
 from repro.experiments.data import ml_monitors, platform_data
 from repro.experiments.table6 import run_table6
 from repro.fi import CampaignConfig, generate_campaign
-from repro.ml import train_dt_monitor
+from repro.ml import TrainingJob, run_training_jobs
 from repro.search import CrossEntropySearch
 from repro.serve import MonitorService, run_load
 from repro.simulation import replay_campaign, run_campaign, warm_profiles
@@ -219,7 +219,8 @@ def run_benchmarks() -> dict:
         "CAWOT": cawot_monitor(),
         "Guideline": GuidelineMonitor(),
         "MPC": MPCMonitor(horizon_steps=config.mpc_horizon),
-        "DT": train_dt_monitor(traces),
+        "DT": run_training_jobs([TrainingJob.make("dt")],
+                                traces)[0].monitor,
     }
     timed("replay_reference",
           lambda: at_width_one(lambda: replay_campaign(monitors, traces)))

@@ -7,9 +7,8 @@ code path with the same structure.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..patients import patient_ids
 
@@ -25,7 +24,7 @@ class ExperimentConfig:
     platform:
         ``"glucosym"`` (OpenAPS) or ``"t1ds2013"`` (Basal-Bolus).
     patients:
-        Cohort subset to run.
+        Cohort subset to run: at least one patient, none repeated.
     stride:
         Campaign subsampling stride (1 = the paper's 882 per patient).
     n_steps:
@@ -51,17 +50,9 @@ class ExperimentConfig:
         training jobs (:func:`~repro.ml.run_training_jobs`); 1 = serial.
         Results are element-wise identical for every worker count, so
         this is excluded from :meth:`cache_key`.
-    dataset_dir:
-        When set, campaign and fault-free traces are streamed into an
-        on-disk dataset under this root (one subdirectory per
-        :meth:`dataset_slug`) on the first run and lazily reopened —
-        without resimulating — by every later experiment invocation, in
-        this process or the next ("run once, replay many").  The ML
-        feature matrices are likewise materialised memory-mapped under
-        ``<slug>/ml/`` so training workers share pages instead of
-        holding private copies.  Traces and matrices are identical to
-        the in-memory path, so this too is excluded from
-        :meth:`cache_key`.
+
+    Traces, training matrices and fitted models live in memory for the
+    process lifetime (see :mod:`repro.experiments.data`).
     """
 
     platform: str = "glucosym"
@@ -76,13 +67,16 @@ class ExperimentConfig:
     ml_epochs: int = 12
     seed: int = 0
     workers: int = 1
-    dataset_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.stride < 1 or self.folds < 2 or self.n_steps < 20:
             raise ValueError("invalid experiment configuration")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self.patients:
+            raise ValueError("patients must name at least one patient")
+        if len(set(self.patients)) != len(self.patients):
+            raise ValueError(f"patients repeats a patient: {self.patients}")
 
     @property
     def scenarios_per_patient(self) -> int:
@@ -91,16 +85,6 @@ class ExperimentConfig:
     def cache_key(self) -> tuple:
         """Key identifying the simulation data this config needs."""
         return (self.platform, self.patients, self.stride, self.n_steps)
-
-    def dataset_slug(self) -> str:
-        """Directory name for this config's on-disk dataset (one per
-        simulation grid, shared by every worker count).  The cohort digest
-        keeps two different patient subsets of the same size from
-        colliding on one directory."""
-        cohort = hashlib.sha256(
-            "/".join(self.patients).encode("utf-8")).hexdigest()[:8]
-        return (f"{self.platform}-p{len(self.patients)}-{cohort}"
-                f"-s{self.stride}-n{self.n_steps}")
 
     @classmethod
     def preset(cls, name: str, platform: str = "glucosym",

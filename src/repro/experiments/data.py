@@ -10,31 +10,24 @@ shared monitor set: the CAWOT/Guideline/MPC alerts over the campaign
 (Table V, Fig. 9) and the DT/MLP/LSTM alerts over the fold-0 test split
 (Table VI, Fig. 9, the multi-class ablation).
 
-Each memo keys on every :class:`ExperimentConfig` field its value reads.
-``workers`` is in no key and ``dataset_dir`` only in the traces' key:
-results are identical across both.  The replay memos hold read-only
-alert arrays and never materialised traces, so a store-backed campaign
-stays lazy; the ML alerts live and die with their models.
-:func:`clear_cache` drops every memo.
+Each memo keys on every :class:`ExperimentConfig` field its value reads;
+``workers`` is in no key, since results are identical for every worker
+count.  Traces live in lists for the process lifetime, and the replay
+memos hold read-only alert arrays; the ML alerts live and die with their
+models.  :func:`clear_cache` drops every memo.
 
-Two backing modes, selected by ``ExperimentConfig.dataset_dir``:
-
-- **in-memory** (default): traces live in lists for the process lifetime;
-- **on-disk**: the campaign is streamed through a
-  :class:`~repro.simulation.store.CampaignStoreWriter` on first run and
-  lazily reopened as a :class:`~repro.simulation.store.TraceDataset` by
-  every later invocation — including in *other* processes — so a grid is
-  simulated once and replayed many times ("run once, replay many").  A
-  fingerprint check guarantees the directory actually holds the campaign
-  the config describes.
+A campaign stored on disk is not an input here: reopen it as a
+:class:`~repro.simulation.store.TraceDataset` and hand that to
+:func:`~repro.simulation.replay_campaign`,
+:func:`~repro.core.learn_thresholds` or
+:func:`~repro.ml.run_training_jobs`, which read it lazily.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -44,12 +37,8 @@ from ..core import (cawot_monitor, cawt_monitor, learn_fold_thresholds,
 from ..core.monitor import SafetyMonitor
 from ..fi import CampaignConfig, INITIAL_GLUCOSE_VALUES, generate_campaign
 from ..ml import TrainingJob, run_training_jobs
-from ..simulation import (BASELINE_CACHE, CampaignStoreError,
-                          CampaignStoreWriter, TraceDataset, kfold_split,
-                          plan_campaign, plan_fault_free, plan_fingerprint,
-                          replay_campaign, replay_many, run_campaign,
-                          run_fault_free)
-from ..simulation.store import manifest_path
+from ..simulation import (BASELINE_CACHE, kfold_split, replay_campaign,
+                          replay_many, run_campaign, run_fault_free)
 from .config import ExperimentConfig
 
 __all__ = ["PlatformData", "platform_data", "clear_cache",
@@ -60,8 +49,7 @@ __all__ = ["PlatformData", "platform_data", "clear_cache",
 #: name -> one read-only alert array per replayed trace
 Alerts = Dict[str, Tuple[np.ndarray, ...]]
 
-#: (grid, dataset_dir) -> {config: its PlatformData}; one grid's configs
-#: share the traces
+#: grid -> {config: its PlatformData}; one grid's configs share the traces
 _DATA_CACHE: Dict[tuple, Dict[ExperimentConfig, "PlatformData"]] = {}
 #: ML key (see :func:`_ml_key`) -> (trained monitors, their fold-0 test
 #: alerts once replayed): dropped together, so retrained models are never
@@ -75,18 +63,16 @@ _BASELINE_ALERTS: Dict[tuple, Alerts] = {}
 class PlatformData:
     """Campaign + fault-free traces for one (platform, scale) choice.
 
-    ``traces`` / ``fault_free`` are in-memory lists by default, or lazy
-    :class:`~repro.simulation.store.TraceDataset` sequences when the config
-    carries a ``dataset_dir`` — every consumer treats them uniformly as
-    sequences in (patient, scenario) plan order.  ``config`` is the
-    config it was requested with; configs of one grid share the traces.
+    ``traces`` / ``fault_free`` are lists in (patient, scenario) plan
+    order.  ``config`` is the config it was requested with; configs of one
+    grid share the traces.
     """
 
     config: ExperimentConfig
-    traces: Sequence            # faulty campaign traces, patient-major order
-    fault_free: Sequence        # fault-free runs over the init-BG grid
-    by_patient: Dict[str, Sequence]
-    fault_free_by_patient: Dict[str, Sequence]
+    traces: List                # faulty campaign traces, patient-major order
+    fault_free: List            # fault-free runs over the init-BG grid
+    by_patient: Dict[str, List]
+    fault_free_by_patient: Dict[str, List]
 
     @property
     def hazard_fraction(self) -> float:
@@ -101,67 +87,7 @@ def _group_by_patient(traces: Sequence,
     return grouped
 
 
-def _ensure_store(directory: str, plan, folds: int,
-                  simulate: Callable[[CampaignStoreWriter], None]
-                  ) -> TraceDataset:
-    """Open the dataset at *directory*, writing it first if absent.
-
-    The reopened dataset's fingerprint must match the plan's — a mismatch
-    means the directory holds some *other* campaign and is an error, not
-    something to silently overwrite.
-    """
-    expected = plan_fingerprint(plan)
-    if not os.path.exists(manifest_path(directory)):
-        with CampaignStoreWriter(directory, plan.platform, plan.n_steps,
-                                 folds=folds) as sink:
-            simulate(sink)
-    dataset = TraceDataset.open(directory)
-    if dataset.fingerprint != expected:
-        raise CampaignStoreError(
-            f"dataset at {directory} holds a different campaign "
-            f"(fingerprint {dataset.fingerprint[:12]}..., expected "
-            f"{expected[:12]}...); point dataset_dir elsewhere or remove "
-            "the stale directory")
-    _check_folds(dataset, folds)
-    return dataset
-
-
-def _check_folds(dataset: TraceDataset, folds: int) -> None:
-    if dataset.folds != folds:
-        raise CampaignStoreError(
-            f"dataset at {dataset.directory} was written with "
-            f"folds={dataset.folds} but the config expects folds={folds}; "
-            "its recorded fold keys would describe the wrong split — use "
-            "a different dataset_dir or remove the stale directory")
-
-
-def _store_backed_data(config: ExperimentConfig) -> PlatformData:
-    """Run-once/replay-many: stream the grid to disk, reopen lazily."""
-    root = os.path.join(config.dataset_dir, config.dataset_slug())
-    scenarios = generate_campaign(CampaignConfig(stride=config.stride))
-    campaign_plan = plan_campaign(config.platform, config.patients,
-                                  scenarios, n_steps=config.n_steps)
-    ff_plan = plan_fault_free(config.platform, config.patients,
-                              INITIAL_GLUCOSE_VALUES, n_steps=config.n_steps)
-    traces = _ensure_store(
-        os.path.join(root, "campaign"), campaign_plan, config.folds,
-        lambda sink: run_campaign(config.platform, config.patients,
-                                  scenarios, n_steps=config.n_steps,
-                                  workers=config.workers, sink=sink))
-    fault_free = _ensure_store(
-        os.path.join(root, "fault_free"), ff_plan, config.folds,
-        lambda sink: run_fault_free(config.platform, config.patients,
-                                    INITIAL_GLUCOSE_VALUES,
-                                    n_steps=config.n_steps,
-                                    workers=config.workers, sink=sink))
-    return PlatformData(
-        config=config, traces=traces, fault_free=fault_free,
-        by_patient={pid: traces.by_patient(pid) for pid in config.patients},
-        fault_free_by_patient={pid: fault_free.by_patient(pid)
-                               for pid in config.patients})
-
-
-def _in_memory_data(config: ExperimentConfig) -> PlatformData:
+def _simulate(config: ExperimentConfig) -> PlatformData:
     campaign = generate_campaign(CampaignConfig(stride=config.stride))
     traces = run_campaign(config.platform, config.patients, campaign,
                           n_steps=config.n_steps, workers=config.workers)
@@ -175,25 +101,20 @@ def _in_memory_data(config: ExperimentConfig) -> PlatformData:
 
 
 def platform_data(config: ExperimentConfig) -> PlatformData:
-    """Simulate (or fetch cached / stored) campaign data for *config*.
+    """Simulate (or fetch cached) campaign data for *config*.
 
-    The traces are memoised per grid (:meth:`ExperimentConfig.cache_key`
-    and ``dataset_dir``).  The returned data carries *config* itself, so
-    the ``folds``, ``mining_window`` and ``workers`` read downstream are
-    the caller's; an equal config gets the same object back.
+    The traces are memoised per grid (:meth:`ExperimentConfig.cache_key`).
+    The returned data carries *config* itself, so the ``folds``,
+    ``mining_window`` and ``workers`` read downstream are the caller's; an
+    equal config gets the same object back.
     """
-    grid = config.cache_key() + (config.dataset_dir,)
-    views = _DATA_CACHE.setdefault(grid, {})
+    views = _DATA_CACHE.setdefault(config.cache_key(), {})
     if config not in views:
         if views:
             data = dataclasses.replace(next(iter(views.values())),
                                        config=config)
-            if config.dataset_dir:
-                _check_folds(data.traces, config.folds)
-        elif config.dataset_dir:
-            data = _store_backed_data(config)
         else:
-            data = _in_memory_data(config)
+            data = _simulate(config)
         views[config] = data
     return views[config]
 
@@ -284,21 +205,9 @@ def baseline_alerts(data: PlatformData) -> Alerts:
     return dict(_BASELINE_ALERTS[key])
 
 
-def train_test_split(data: PlatformData) -> Tuple[Sequence, Sequence]:
-    """The fold-0 split of the campaign (used for ML training).
-
-    On store-backed data the split comes back as lazy index views — the
-    same membership and order :func:`kfold_split` produces, but without
-    materialising the campaign, so the reader's bounded-memory guarantee
-    survives the ML paths too.
-    """
-    traces = data.traces
-    k = data.config.folds
-    if isinstance(traces, TraceDataset):
-        indices = range(len(traces))
-        return (traces.subset(i for i in indices if i % k != 0),
-                traces.subset(i for i in indices if i % k == 0))
-    return kfold_split(traces, k, 0)
+def train_test_split(data: PlatformData) -> Tuple[List, List]:
+    """The fold-0 split of the campaign (used for ML training)."""
+    return kfold_split(data.traces, data.config.folds, 0)
 
 
 def ml_baseline_jobs(config: ExperimentConfig,
@@ -329,22 +238,14 @@ def ml_monitors(data: PlatformData,
 
     The three fits run as a :func:`~repro.ml.run_training_jobs` fan-out:
     ``config.workers`` processes train concurrently with element-wise
-    identical results to the serial loop.  When the config is
-    store-backed (``dataset_dir``), the feature matrices are materialised
-    memory-mapped next to the campaign shards (``.../ml/``) — built once,
-    page-shared by every worker and every later invocation.
+    identical results to the serial loop.
     """
     key = _ml_key(data.config, multiclass)
     if key in _ML_CACHE:
         return _ML_CACHE[key][0]
     config = data.config
-    mmap_root = None
-    if config.dataset_dir:
-        mmap_root = os.path.join(config.dataset_dir, config.dataset_slug(),
-                                 "ml")
     trained = run_training_jobs(ml_baseline_jobs(config, multiclass),
-                                data.traces, workers=config.workers,
-                                mmap_root=mmap_root)
+                                data.traces, workers=config.workers)
     monitors = {t.name: t.monitor for t in trained}
     _ML_CACHE[key] = (monitors, {})
     return monitors

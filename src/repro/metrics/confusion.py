@@ -22,7 +22,7 @@ charging every alert that is never followed by a hazard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -85,8 +85,8 @@ class ConfusionCounts:
         return (self.fpr, self.fnr, self.accuracy, self.f1)
 
 
-def tolerance_confusion(pred, truth, delta: int = DEFAULT_TOLERANCE,
-                        lookback: Optional[int] = None) -> ConfusionCounts:
+def tolerance_confusion(pred, truth, delta: int = DEFAULT_TOLERANCE
+                        ) -> ConfusionCounts:
     """Tolerance-window confusion counts for one trace (see module docs).
 
     Every window test is a difference of prefix sums, and the credited
@@ -102,9 +102,6 @@ def tolerance_confusion(pred, truth, delta: int = DEFAULT_TOLERANCE,
     delta:
         Tolerance window (cycles): forward for positives, anchored look-back
         for detection credit.
-    lookback:
-        Width of the episode-anchored detection window (defaults to
-        ``delta``).
     """
     pred = np.asarray(pred).astype(bool)
     truth = np.asarray(truth).astype(bool)
@@ -114,7 +111,6 @@ def tolerance_confusion(pred, truth, delta: int = DEFAULT_TOLERANCE,
         raise ValueError(f"expected 1-D sequences, got shape {pred.shape}")
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    lookback = delta if lookback is None else lookback
     n = len(pred)
     # prefix sums: hazards[t] / alerts[t] count the positives before t
     hazards = np.zeros(n + 1, dtype=np.intp)
@@ -130,7 +126,7 @@ def tolerance_confusion(pred, truth, delta: int = DEFAULT_TOLERANCE,
     ends = np.flatnonzero(edges == -1) - 1
     # per-episode detection: any alert within the anchored window
     hit = alerts[ends + 1] > alerts[np.minimum(np.maximum(
-        starts - lookback, 0), n)]
+        starts - delta, 0), n)]
     # every positive sample announcing a detected episode is credited
     opened = np.bincount(np.maximum(starts[hit] - delta, 0), minlength=n + 1)
     closed = np.bincount(ends[hit] + 1, minlength=n + 1)
@@ -143,8 +139,7 @@ def tolerance_confusion(pred, truth, delta: int = DEFAULT_TOLERANCE,
 
 
 def traces_confusion(traces: Iterable, alerts: Iterable[np.ndarray],
-                     delta: int = DEFAULT_TOLERANCE,
-                     lookback: Optional[int] = None) -> ConfusionCounts:
+                     delta: int = DEFAULT_TOLERANCE) -> ConfusionCounts:
     """Aggregate tolerance-window counts over (trace, alert-sequence) pairs.
 
     Raises ``ValueError`` when *traces* and *alerts* differ in count.
@@ -152,5 +147,5 @@ def traces_confusion(traces: Iterable, alerts: Iterable[np.ndarray],
     total = ConfusionCounts()
     for trace, pred in zip(traces, alerts, strict=True):
         total = total + tolerance_confusion(pred, trace.hazard_label.hazardous,
-                                            delta=delta, lookback=lookback)
+                                            delta=delta)
     return total

@@ -1,5 +1,5 @@
 """ML substrate for the baseline monitors: CART tree, numpy MLP and LSTM,
-memory-mapped dataset materialisation and the parallel training-job layer."""
+the Eq. 7/8 dataset builders and the parallel training-job layer."""
 
 from .datasets import (
     FEATURE_NAMES,
@@ -8,15 +8,7 @@ from .datasets import (
     point_labels,
     trace_features,
 )
-from .memmap import MemmapDatasetError, NpyStreamWriter, open_memmap_array
-from .monitors import (
-    DTMonitor,
-    LSTMMonitor,
-    MLPMonitor,
-    train_dt_monitor,
-    train_lstm_monitor,
-    train_mlp_monitor,
-)
+from .monitors import DTMonitor, LSTMMonitor, MLPMonitor
 from .nn import Adam, LSTMClassifier, LSTMLayer, MLPClassifier, Standardizer
 from .training import (
     TrainedMonitor,
@@ -30,9 +22,6 @@ from .training import (
 from .tree import DecisionTreeClassifier
 
 __all__ = [
-    "MemmapDatasetError",
-    "NpyStreamWriter",
-    "open_memmap_array",
     "TrainedMonitor",
     "TrainingJob",
     "job_dataset",
@@ -48,9 +37,6 @@ __all__ = [
     "DTMonitor",
     "LSTMMonitor",
     "MLPMonitor",
-    "train_dt_monitor",
-    "train_lstm_monitor",
-    "train_mlp_monitor",
     "Adam",
     "LSTMClassifier",
     "LSTMLayer",

@@ -24,20 +24,18 @@ last ``k - 1`` feature rows.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.monitor import MonitorState, SafetyMonitor
 from ..hazards import HazardType
-from .datasets import (FEATURE_NAMES, build_point_dataset,
-                       build_window_dataset)
+from .datasets import FEATURE_NAMES
 from .nn import LSTMClassifier, MLPClassifier
 from .tree import DecisionTreeClassifier
 
-__all__ = ["DTMonitor", "MLPMonitor", "LSTMMonitor",
-           "train_dt_monitor", "train_mlp_monitor", "train_lstm_monitor"]
+__all__ = ["DTMonitor", "MLPMonitor", "LSTMMonitor"]
 
 
 def _verdicts(prediction: np.ndarray, bg: np.ndarray, bg_target: float,
@@ -160,54 +158,3 @@ class LSTMMonitor(SafetyMonitor):
                                             self.k - 1)
         return _verdicts(prediction, batch.bg, self.bg_target,
                          self.multiclass)
-
-
-# ----------------------------------------------------------------------
-# training helpers
-# ----------------------------------------------------------------------
-
-def train_dt_monitor(traces: Iterable, multiclass: bool = False,
-                     bg_target: float = 120.0,
-                     workers: Optional[int] = None,
-                     mmap_dir: Optional[str] = None,
-                     **tree_kwargs) -> DTMonitor:
-    """Fit a decision tree on the campaign traces (Eq. 7 dataset).
-
-    ``workers`` fans dataset extraction out over the forked pool and
-    ``mmap_dir`` materialises the matrices memory-mapped on disk (see
-    :func:`~repro.ml.datasets.build_point_dataset`); both leave the fitted
-    model element-wise unchanged.  To train *many* monitors in parallel,
-    use :func:`repro.ml.training.run_training_jobs` instead.
-    """
-    X, y = build_point_dataset(traces, multiclass=multiclass,
-                               workers=workers, mmap_dir=mmap_dir)
-    model = DecisionTreeClassifier(**tree_kwargs).fit(X, y)
-    return DTMonitor(model, multiclass=multiclass, bg_target=bg_target)
-
-
-def train_mlp_monitor(traces: Iterable, multiclass: bool = False,
-                      bg_target: float = 120.0, seed: Optional[int] = 0,
-                      workers: Optional[int] = None,
-                      mmap_dir: Optional[str] = None,
-                      **mlp_kwargs) -> MLPMonitor:
-    """Fit the paper's 256-128 MLP (``workers``/``mmap_dir`` as for
-    :func:`train_dt_monitor`)."""
-    X, y = build_point_dataset(traces, multiclass=multiclass,
-                               workers=workers, mmap_dir=mmap_dir)
-    n_classes = 3 if multiclass else 2
-    model = MLPClassifier(n_classes=n_classes, seed=seed, **mlp_kwargs).fit(X, y)
-    return MLPMonitor(model, multiclass=multiclass, bg_target=bg_target)
-
-
-def train_lstm_monitor(traces: Iterable, k: int = 6, multiclass: bool = False,
-                       bg_target: float = 120.0, seed: Optional[int] = 0,
-                       workers: Optional[int] = None,
-                       mmap_dir: Optional[str] = None,
-                       **lstm_kwargs) -> LSTMMonitor:
-    """Fit the paper's stacked LSTM(128, 64) on k-cycle windows
-    (``workers``/``mmap_dir`` as for :func:`train_dt_monitor`)."""
-    X, y = build_window_dataset(traces, k=k, multiclass=multiclass,
-                                workers=workers, mmap_dir=mmap_dir)
-    n_classes = 3 if multiclass else 2
-    model = LSTMClassifier(n_classes=n_classes, seed=seed, **lstm_kwargs).fit(X, y)
-    return LSTMMonitor(model, k=k, multiclass=multiclass, bg_target=bg_target)

@@ -14,12 +14,10 @@ same way, one fit per chunk:
   queue) depend only on the job itself, which is what makes the fan-out
   deterministic: ``workers=N`` produces element-wise identical monitors to
   the serial loop, for every N.
-- :func:`run_training_jobs` materialises each job's dataset once in the
-  parent — optionally memory-mapped under ``mmap_root`` (see
-  :mod:`repro.ml.memmap`), in which case forked workers share the physical
-  pages — and fans the fits out one job per chunk.  Jobs that need the
-  same dataset (DT and MLP over the same split) share one
-  materialisation.
+- :func:`run_training_jobs` builds each job's dataset once in the parent,
+  before the pool forks, so workers share the matrices copy-on-write, and
+  fans the fits out one job per chunk.  Jobs that need the same dataset
+  (DT and MLP over the same split) share one matrix.
 - :func:`monitor_state` flattens any trained monitor into a canonical list
   of arrays, so "these two training runs produced the same monitor" is an
   exact ``np.array_equal`` check — the contract the parity suite and the
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -137,16 +134,6 @@ class TrainingJob:
         return (kind, k, self.multiclass, self.patient_id, self.fold,
                 self.folds)
 
-    def dataset_slug(self) -> str:
-        """Filesystem-safe directory name for the job's mmap dataset."""
-        kind, k, multiclass, patient, fold, folds = self.dataset_key()
-        return "-".join([
-            kind if k is None else f"{kind}{k}",
-            "mc" if multiclass else "bin",
-            f"p{patient}" if patient is not None else "pall",
-            "full" if fold is None else f"f{fold}of{folds}",
-        ])
-
 
 @dataclass
 class TrainedMonitor:
@@ -186,24 +173,16 @@ def select_job_traces(job: TrainingJob, traces: Sequence) -> Sequence:
 
 
 def job_dataset(job: TrainingJob, traces: Sequence,
-                mmap_root: Optional[str] = None,
                 workers: Optional[int] = None
                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Build (or reopen) the training matrix of one job.
-
-    With *mmap_root*, the matrix lives under
-    ``<mmap_root>/<job.dataset_slug()>/`` and comes back memory-mapped;
-    an existing finished directory is reused without re-extracting.
-    """
+    """Build the training matrix of one job."""
     selected = select_job_traces(job, traces)
-    mmap_dir = (os.path.join(mmap_root, job.dataset_slug())
-                if mmap_root is not None else None)
     if job.needs_window:
         return build_window_dataset(selected, k=job.window,
                                     multiclass=job.multiclass,
-                                    workers=workers, mmap_dir=mmap_dir)
+                                    workers=workers)
     return build_point_dataset(selected, multiclass=job.multiclass,
-                               workers=workers, mmap_dir=mmap_dir)
+                               workers=workers)
 
 
 def train_job(job: TrainingJob, X: np.ndarray, y: np.ndarray
@@ -235,8 +214,7 @@ def train_job(job: TrainingJob, X: np.ndarray, y: np.ndarray
 
 
 def run_training_jobs(jobs: Sequence[TrainingJob], traces: Sequence,
-                      workers: Optional[int] = None,
-                      mmap_root: Optional[str] = None
+                      workers: Optional[int] = None
                       ) -> List[TrainedMonitor]:
     """Train every job, one job per :func:`~repro.parallel.map_chunks` chunk.
 
@@ -250,17 +228,9 @@ def run_training_jobs(jobs: Sequence[TrainingJob], traces: Sequence,
         and preferred at scale).
     workers:
         Process count (None: ``REPRO_WORKERS`` env, or 1).  Datasets are
-        materialised once in the parent before the pool forks, so workers
-        inherit the matrices — memory-mapped pages when *mmap_root* is
-        set — instead of being sent pickled copies; only the (small)
-        trained monitors travel back.
-    mmap_root:
-        Directory for memory-mapped dataset materialisation; None keeps
-        the matrices in (shared, copy-on-write) memory.  The backing
-        store never changes a matrix element (see
-        :func:`~repro.ml.datasets.build_point_dataset`), so trained
-        monitors are identical with or without it; a finished directory
-        is reused as-is on the next call.
+        built once in the parent before the pool forks, so workers
+        inherit the matrices copy-on-write instead of being sent pickled
+        copies; only the (small) trained monitors travel back.
 
     The result is element-wise identical — every weight, every split
     threshold — for every worker count, because each job's data selection
@@ -271,8 +241,7 @@ def run_training_jobs(jobs: Sequence[TrainingJob], traces: Sequence,
     for job in jobs:
         key = job.dataset_key()
         if key not in datasets:
-            datasets[key] = job_dataset(job, traces, mmap_root=mmap_root,
-                                        workers=workers)
+            datasets[key] = job_dataset(job, traces, workers=workers)
 
     def train_one(chunk) -> TrainedMonitor:
         (job,) = chunk

@@ -37,7 +37,6 @@ from .store import (
     TraceTick,
     campaign_fingerprint,
     iter_trace_ticks,
-    open_dataset,
     plan_fingerprint,
 )
 from .trace import (
@@ -84,7 +83,6 @@ __all__ = [
     "TraceTick",
     "campaign_fingerprint",
     "iter_trace_ticks",
-    "open_dataset",
     "plan_fingerprint",
     "TRACE_ARRAY_FIELDS",
     "TRACE_COLUMN_DTYPES",

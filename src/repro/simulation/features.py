@@ -186,11 +186,6 @@ class ContextBatch:
                               self.features.transpose(1, 0, 2))),
                      dt=float(self.dt[0]))
 
-    def column_features(self, b: int) -> np.ndarray:
-        """Contiguous ``(n_steps, len(FEATURE_NAMES))`` feature matrix of
-        column *b* — the trace's :func:`context_matrix`."""
-        return np.ascontiguousarray(self.features[:, :, b])
-
     def iter_column(self, b: int) -> Iterator[ContextVector]:
         """Yield column *b* as its per-cycle ContextVector stream, the
         exact values of the batch."""

@@ -53,7 +53,7 @@ __all__ = [
     "SCHEMA_VERSION", "MANIFEST_NAME", "SHARD_FORMAT", "CampaignStoreError",
     "campaign_fingerprint", "plan_fingerprint", "NpzDirectorySink",
     "CampaignStoreWriter",
-    "DatasetStats", "TraceDataset", "TraceDatasetView", "open_dataset",
+    "DatasetStats", "TraceDataset", "TraceDatasetView",
     "manifest_path", "TraceTick", "iter_trace_ticks",
 ]
 
@@ -723,12 +723,6 @@ class TraceDatasetView(SequenceABC):
     def __repr__(self) -> str:
         return (f"TraceDatasetView({len(self)} of "
                 f"{len(self._dataset)} traces)")
-
-
-def open_dataset(directory: str,
-                 cache_size: int = DEFAULT_CACHE_SIZE) -> TraceDataset:
-    """Convenience alias for :meth:`TraceDataset.open`."""
-    return TraceDataset.open(directory, cache_size=cache_size)
 
 
 # ----------------------------------------------------------------------

@@ -21,10 +21,10 @@ import repro.parallel
 from repro.baselines import GuidelineMonitor, MPCMonitor
 from repro.core import Mitigator, SafetyMonitor, cawot_monitor, cawt_monitor
 from repro.hazards import HazardType
-from repro.ml import (build_window_dataset, train_dt_monitor,
-                      train_mlp_monitor)
-from repro.ml.monitors import LSTMMonitor
-from repro.ml.nn import LSTMClassifier
+from repro.ml import (TrainingJob, build_point_dataset, build_window_dataset,
+                      run_training_jobs)
+from repro.ml.monitors import LSTMMonitor, MLPMonitor
+from repro.ml.nn import LSTMClassifier, MLPClassifier
 from repro.fi import FaultTarget
 from repro.serve.chaos import fleet_ticks
 from repro.simulation import (CampaignExecutor, ContextBatch, SimRun,
@@ -86,13 +86,15 @@ def all_monitor_kinds(tiny_campaign_traces):
     X, _ = build_window_dataset(traces, k=6)
     lstm = LSTMClassifier(hidden=(16, 8), lr=1e-2, max_epochs=10,
                           seed=0).fit(X, (X[:, -1, 0] > 130.0).astype(int))
+    mlp = MLPClassifier(hidden=(16, 8), max_epochs=2, seed=0).fit(
+        *build_point_dataset(traces))
+    (dt,) = run_training_jobs([TrainingJob.make("dt", max_depth=4)], traces)
     return {"CAWT": cawt_monitor({"beta1": 75.0}),
             "CAWOT": cawot_monitor(),
             "Guideline": GuidelineMonitor(),
             "MPC": MPCMonitor(),
-            "DT": train_dt_monitor(traces, max_depth=4),
-            "MLP": train_mlp_monitor(traces, seed=0, max_epochs=2,
-                                     hidden=(16, 8)),
+            "DT": dt.monitor,
+            "MLP": MLPMonitor(mlp),
             "LSTM": LSTMMonitor(lstm, k=6)}
 
 

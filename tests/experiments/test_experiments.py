@@ -78,6 +78,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(stride=0)
 
+    def test_empty_cohort_refused(self):
+        """An empty cohort simulates nothing, and the hazard fraction and
+        Table V then divided by zero."""
+        with pytest.raises(ValueError, match="patients"):
+            ExperimentConfig(patients=())
+
+    @pytest.mark.parametrize("patients", [("A", "A"), ("A", "B", "A")])
+    def test_repeated_patient_refused(self, patients):
+        """A repeated patient made the CAWT cross-validation score each of
+        its traces once per repeat."""
+        with pytest.raises(ValueError, match="patients"):
+            ExperimentConfig(patients=patients)
+
 
 class TestData:
     def test_platform_data_cached(self, cfg):
@@ -101,133 +114,6 @@ class TestData:
     def test_fault_free_has_seven_initials(self, cfg):
         data = platform_data(cfg)
         assert len(data.fault_free) == 7 * len(cfg.patients)
-
-
-class TestDatasetStore:
-    """The run-once / replay-many workflow behind ``dataset_dir``."""
-
-    def test_store_backed_data_matches_in_memory(self, cfg, tmp_path,
-                                                 assert_traces_equal):
-        from repro.simulation import TraceDataset
-        mem = platform_data(cfg)
-        disk_cfg = dataclasses.replace(cfg, dataset_dir=str(tmp_path))
-        disk = platform_data(disk_cfg)
-        assert isinstance(disk.traces, TraceDataset)
-        assert len(disk.traces) == len(mem.traces)
-        for a, b in zip(mem.traces, disk.traces):
-            assert_traces_equal(a, b)
-        for a, b in zip(mem.fault_free, disk.fault_free):
-            assert_traces_equal(a, b)
-        root = tmp_path / disk_cfg.dataset_slug()
-        assert (root / "campaign" / "manifest.json").exists()
-        assert (root / "fault_free" / "manifest.json").exists()
-
-    def test_replay_many_does_not_resimulate(self, cfg, tmp_path,
-                                             monkeypatch):
-        import repro.experiments.data as data_module
-        disk_cfg = dataclasses.replace(cfg, dataset_dir=str(tmp_path))
-        first = platform_data(disk_cfg)
-        # a fresh invocation (cache dropped) must reopen, not resimulate
-        data_module._DATA_CACHE.clear()
-
-        def boom(*args, **kwargs):
-            raise AssertionError("resimulated an already-stored campaign")
-
-        monkeypatch.setattr(data_module, "run_campaign", boom)
-        monkeypatch.setattr(data_module, "run_fault_free", boom)
-        second = platform_data(disk_cfg)
-        assert len(second.traces) == len(first.traces)
-
-    def test_mismatched_directory_is_an_error(self, cfg, tmp_path):
-        """A directory holding a *valid* store of some other campaign must
-        be refused, not silently served or overwritten."""
-        import json
-
-        import repro.experiments.data as data_module
-        from repro.simulation import CampaignStoreError, campaign_fingerprint
-        disk_cfg = dataclasses.replace(cfg, dataset_dir=str(tmp_path))
-        platform_data(disk_cfg)
-        data_module._DATA_CACHE.clear()
-        # rewrite one scenario label, keeping the manifest self-consistent:
-        # the store is intact, it just describes a different campaign
-        manifest = (tmp_path / disk_cfg.dataset_slug() / "campaign"
-                    / "manifest.json")
-        doc = json.loads(manifest.read_text())
-        doc["traces"][0]["label"] = "not-the-campaign-you-want"
-        cells = [(e["patient_id"], e["label"], e["dt"],
-                  None if e["fault"] is None else
-                  (e["fault"]["kind"], e["fault"]["target"],
-                   e["fault"]["start_step"], e["fault"]["duration_steps"],
-                   e["fault"]["value"]))
-                 for e in doc["traces"]]
-        doc["fingerprint"] = campaign_fingerprint(doc["platform"],
-                                                  doc["n_steps"], cells)
-        manifest.write_text(json.dumps(doc))
-        with pytest.raises(CampaignStoreError, match="different campaign"):
-            platform_data(disk_cfg)
-
-    def test_store_identical_at_any_worker_count(self, cfg, tmp_path,
-                                                 set_lockstep_width):
-        """The one-box route for a big campaign, ``dataset_dir`` with
-        ``workers=N``, writes the same files at any worker count."""
-        set_lockstep_width(2)  # several chunks, so the pool forks
-        stores = {}
-        for workers in (1, 2):
-            root = tmp_path / f"workers{workers}"
-            platform_data(dataclasses.replace(cfg, dataset_dir=str(root),
-                                              workers=workers))
-            stores[workers] = {
-                path.relative_to(root): path.read_bytes()
-                for path in sorted(root.rglob("*")) if path.is_file()}
-        assert len(stores[1]) == 2 + len(platform_data(cfg).traces) \
-            + len(platform_data(cfg).fault_free)
-        assert stores[2] == stores[1]
-
-    def test_dataset_slug_distinguishes_grids(self, cfg):
-        other = dataclasses.replace(cfg, stride=cfg.stride + 1)
-        assert cfg.dataset_slug() != other.dataset_slug()
-
-    def test_train_test_split_stays_lazy_on_store(self, cfg, tmp_path,
-                                                  assert_traces_equal):
-        from repro.experiments.data import train_test_split
-        from repro.simulation import TraceDatasetView
-        disk_cfg = dataclasses.replace(cfg, dataset_dir=str(tmp_path))
-        mem = platform_data(cfg)
-        disk = platform_data(disk_cfg)
-        train_mem, test_mem = train_test_split(mem)
-        train_disk, test_disk = train_test_split(disk)
-        assert isinstance(train_disk, TraceDatasetView)
-        assert isinstance(test_disk, TraceDatasetView)
-        assert len(train_disk) == len(train_mem)
-        for a, b in zip(train_mem, train_disk):
-            assert_traces_equal(a, b)
-        for a, b in zip(test_mem, test_disk):
-            assert_traces_equal(a, b)
-
-    def test_folds_mismatch_is_an_error(self, cfg, tmp_path):
-        import repro.experiments.data as data_module
-        from repro.simulation import CampaignStoreError
-        disk_cfg = dataclasses.replace(cfg, dataset_dir=str(tmp_path))
-        platform_data(disk_cfg)
-        data_module._DATA_CACHE.clear()
-        stale = dataclasses.replace(disk_cfg, folds=disk_cfg.folds + 1)
-        with pytest.raises(CampaignStoreError, match="folds"):
-            platform_data(stale)
-
-    def test_folds_mismatch_on_cache_hit_is_an_error(self, cfg, tmp_path):
-        from repro.simulation import CampaignStoreError
-        disk_cfg = dataclasses.replace(cfg, dataset_dir=str(tmp_path))
-        platform_data(disk_cfg)
-        stale = dataclasses.replace(disk_cfg, folds=disk_cfg.folds + 1)
-        with pytest.raises(CampaignStoreError, match="folds"):
-            platform_data(stale)
-
-    def test_dataset_slug_distinguishes_patient_sets(self):
-        a = ExperimentConfig(patients=("A", "B"))
-        b = ExperimentConfig(patients=("C", "D"))
-        assert a.dataset_slug() != b.dataset_slug()
-        assert a.dataset_slug() == ExperimentConfig(
-            patients=("A", "B")).dataset_slug()
 
 
 class TestFig3:

@@ -176,20 +176,16 @@ def labelled_sequences(draw):
         pred = [kind == "all"] * n
         truth = draw(st.sampled_from(([True] * n, [False] * n)))
     delta = draw(st.integers(0, n + 5))
-    lookback = draw(st.integers(0, n + 5).filter(lambda k: k != delta))
-    return np.array(pred, dtype=bool), np.array(truth, dtype=bool), \
-        delta, draw(st.sampled_from((None, lookback)))
+    return np.array(pred, dtype=bool), np.array(truth, dtype=bool), delta
 
 
 class TestVectorisedCounts:
     @given(labelled_sequences())
     @settings(max_examples=300, deadline=None)
     def test_counts_equal_the_per_sample_loops(self, drawn):
-        pred, truth, delta, lookback = drawn
-        expected = _loop_confusion(pred, truth, delta,
-                                   delta if lookback is None else lookback)
-        assert tolerance_confusion(pred, truth, delta=delta,
-                                   lookback=lookback) == expected
+        pred, truth, delta = drawn
+        expected = _loop_confusion(pred, truth, delta, lookback=delta)
+        assert tolerance_confusion(pred, truth, delta=delta) == expected
 
     def test_refuses_a_matrix(self):
         with pytest.raises(ValueError, match="1-D"):

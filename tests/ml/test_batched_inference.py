@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.ml.nn.model as nn_model
-from repro.ml import train_lstm_monitor
+from repro.ml import build_window_dataset
 from repro.ml.monitors import LSTMMonitor
 from repro.ml.nn import LSTMClassifier, MLPClassifier
 from repro.serve import MonitorService, TickBatch
@@ -54,8 +54,9 @@ def lstm():
 @pytest.fixture(scope="module")
 def lstm_monitor(tiny_campaign_traces):
     # a small stack: the window logic, not the model size, is under test
-    return train_lstm_monitor(tiny_campaign_traces, hidden=(16, 8),
-                              max_epochs=2)
+    model = LSTMClassifier(hidden=(16, 8), max_epochs=2, seed=0).fit(
+        *build_window_dataset(tiny_campaign_traces, k=6))
+    return LSTMMonitor(model, k=6)
 
 
 def _misaligned(n, row_shape, offset, seed=0):

@@ -10,12 +10,14 @@ from repro.core import ContextVector
 from repro.hazards import HazardType
 from repro.ml import (
     FEATURE_NAMES,
+    LSTMClassifier,
+    LSTMMonitor,
+    TrainingJob,
     build_point_dataset,
     build_window_dataset,
     point_labels,
+    run_training_jobs,
     trace_features,
-    train_dt_monitor,
-    train_lstm_monitor,
 )
 from repro.simulation import ContextBatch
 
@@ -24,6 +26,14 @@ from repro.simulation import ContextBatch
 def small_traces(tiny_campaign_traces):
     # the session-scoped shared campaign (simulated once, see conftest)
     return tiny_campaign_traces
+
+
+@pytest.fixture
+def dt_monitor(small_traces):
+    """A freshly trained depth-6 tree over the shared campaign."""
+    (trained,) = run_training_jobs([TrainingJob.make("dt", max_depth=6)],
+                                   small_traces)
+    return trained.monitor
 
 
 class TestFeatures:
@@ -105,42 +115,57 @@ class TestDatasets:
         with pytest.raises(ValueError):
             build_window_dataset(small_traces, k=0)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_build_identical(self, small_traces, workers):
+        X, y = build_point_dataset(small_traces, workers=1)
+        Xp, yp = build_point_dataset(small_traces, workers=workers)
+        assert np.array_equal(X, Xp)
+        assert np.array_equal(y, yp)
+
+    def test_window_longer_than_every_trace(self, small_traces):
+        k = max(len(trace) for trace in small_traces) + 1
+        with pytest.raises(ValueError, match="long enough"):
+            build_window_dataset(small_traces, k=k)
+
+    def test_window_equal_to_trace_length(self, small_traces):
+        trace = small_traces[0]
+        X, y = build_window_dataset([trace], k=len(trace))
+        assert X.shape == (1, len(trace), len(FEATURE_NAMES))
+        np.testing.assert_array_equal(X[0], trace_features(trace))
+        assert y.tolist() == [point_labels(trace)[-1]]
+
 
 class TestMonitors:
-    def test_dt_monitor_detects_trained_hazards(self, small_traces):
-        monitor = train_dt_monitor(small_traces, max_depth=6)
+    def test_dt_monitor_detects_trained_hazards(self, small_traces,
+                                                dt_monitor):
         hazardous = next(t for t in small_traces if t.hazardous)
         alerts = 0
         features = trace_features(hazardous)
         labels = point_labels(hazardous)
-        predictions = monitor.model.predict(features)
+        predictions = dt_monitor.model.predict(features)
         # in-sample: the tree should recover most positive labels
         recall = (predictions[labels == 1] == 1).mean()
         assert recall > 0.6
 
-    def test_dt_monitor_verdict_interface(self, small_traces):
-        monitor = train_dt_monitor(small_traces, max_depth=6)
+    def test_dt_monitor_verdict_interface(self, dt_monitor):
         ctx = ContextVector(t=0.0, bg=120.0, bg_rate=0.0, iob=0.0,
                             iob_rate=0.0, rate=1.5, bolus=0.0,
                             action=ControlAction.KEEP)
-        verdict = monitor.observe(ctx)
+        verdict = dt_monitor.observe(ctx)
         assert verdict.alert in (True, False)
         if verdict.alert:
             assert verdict.hazard in (HazardType.H1, HazardType.H2)
 
-    def test_binary_monitor_infers_hazard_from_bg(self, small_traces):
-        monitor = train_dt_monitor(small_traces, max_depth=6)
+    def test_binary_monitor_infers_hazard_from_bg(self, dt_monitor):
         # force an alert-ish context: extreme overdose pattern
         ctx = ContextVector(t=0.0, bg=70.0, bg_rate=-2.0, iob=8.0,
                             iob_rate=0.05, rate=10.0, bolus=0.0,
                             action=ControlAction.INCREASE)
-        verdict = monitor.observe(ctx)
+        verdict = dt_monitor.observe(ctx)
         if verdict.alert:
             assert verdict.hazard == HazardType.H1  # BG below target
 
     def test_lstm_monitor_warmup(self):
-        from repro.ml import LSTMMonitor
-        from repro.ml.nn import LSTMClassifier
         rng = np.random.default_rng(0)
         X = rng.normal(size=(100, 6, len(FEATURE_NAMES)))
         y = (X[:, -1, 0] > 0).astype(int)
@@ -163,7 +188,9 @@ class TestInferenceMemory:
         """A fitted model keeps no training activations, so a per-user
         clone pickles to its parameters (a few hundred KB per LSTM layer)
         and still replays exactly like the trained original."""
-        monitor = train_lstm_monitor(small_traces, max_epochs=2)
+        model = LSTMClassifier(max_epochs=2, seed=0).fit(
+            *build_window_dataset(small_traces, k=6))
+        monitor = LSTMMonitor(model, k=6)
         clone = monitor.clone()
         payload = pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(payload) < 4 * 1024 * 1024

@@ -2,7 +2,7 @@
 
 The acceptance contract of the job API: training with ``workers=N`` must
 produce element-wise identical monitors — every tree node, every weight —
-to the serial loop, for every N, with or without memory-mapped datasets.
+to the serial loop, for every N.
 """
 
 import numpy as np
@@ -10,11 +10,9 @@ import pytest
 
 from repro.ml import (
     TrainingJob,
-    job_dataset,
     monitor_state,
     run_training_jobs,
     select_job_traces,
-    train_job,
 )
 from repro.simulation import kfold_split
 
@@ -116,29 +114,6 @@ class TestRunTrainingJobs:
         parallel = run_training_jobs(small_jobs, tiny_campaign_traces,
                                      workers=workers)
         assert_same_monitors(serial_results, parallel)
-
-    def test_mmap_root_identical_to_in_memory(self, small_jobs,
-                                              serial_results,
-                                              tiny_campaign_traces,
-                                              tmp_path):
-        mapped = run_training_jobs(small_jobs, tiny_campaign_traces,
-                                   workers=2, mmap_root=str(tmp_path))
-        assert_same_monitors(serial_results, mapped)
-        # dt+mlp share one point dataset per fold, lstm adds a window one
-        slugs = {job.dataset_slug() for job in small_jobs}
-        assert len(slugs) == 4
-        for slug in slugs:
-            assert (tmp_path / slug / "X.npy").exists()
-
-    def test_training_from_mmap_dataset_directly(self, tiny_campaign_traces,
-                                                 tmp_path):
-        job = TrainingJob.make("dt", max_depth=4)
-        X, y = job_dataset(job, tiny_campaign_traces,
-                           mmap_root=str(tmp_path))
-        assert isinstance(X, np.memmap)
-        trained = train_job(job, X, y)
-        in_memory = train_job(job, *job_dataset(job, tiny_campaign_traces))
-        assert_same_monitors([trained], [in_memory])
 
     def test_different_folds_train_different_monitors(self, serial_results):
         by_job = {r.job: r for r in serial_results}

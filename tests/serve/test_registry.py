@@ -10,7 +10,9 @@ from repro.baselines import GuidelineMonitor, MPCMonitor
 from repro.core import ContextAwareMonitor, cawot_monitor, cawt_monitor
 from repro.core.monitor import SafetyMonitor
 from repro.core.rules import aps_rules
-from repro.ml import train_dt_monitor, train_lstm_monitor, train_mlp_monitor
+from repro.ml import (LSTMClassifier, LSTMMonitor, MLPClassifier, MLPMonitor,
+                      TrainingJob, build_point_dataset, build_window_dataset,
+                      run_training_jobs)
 from repro.ml.training import monitor_state
 from repro.serve import MonitorRegistry, RegistryError
 from repro.simulation import replay_campaign
@@ -20,13 +22,13 @@ from repro.simulation import replay_campaign
 def trained(tiny_campaign_traces):
     """Small but genuinely trained ML monitors over the shared campaign."""
     traces = tiny_campaign_traces[:16]
-    return {
-        "DT": train_dt_monitor(traces, max_depth=4),
-        "MLP": train_mlp_monitor(traces, seed=0, max_epochs=2,
-                                 hidden=(16, 8)),
-        "LSTM": train_lstm_monitor(traces, seed=0, max_epochs=2,
-                                   hidden=(8,), k=4),
-    }
+    (dt,) = run_training_jobs([TrainingJob.make("dt", max_depth=4)], traces)
+    mlp = MLPClassifier(hidden=(16, 8), max_epochs=2, seed=0).fit(
+        *build_point_dataset(traces))
+    lstm = LSTMClassifier(hidden=(8,), max_epochs=2, seed=0).fit(
+        *build_window_dataset(traces, k=4))
+    return {"DT": dt.monitor, "MLP": MLPMonitor(mlp),
+            "LSTM": LSTMMonitor(lstm, k=4)}
 
 
 @pytest.fixture(scope="module")

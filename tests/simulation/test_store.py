@@ -39,7 +39,6 @@ from repro.simulation import (
     TraceDataset,
     TraceDatasetView,
     kfold_split,
-    open_dataset,
     plan_campaign,
     plan_fingerprint,
     replay_campaign,
@@ -379,9 +378,6 @@ class TestRoundtrip:
         assert len(test) == len(dataset.indices(fold=0))
         with pytest.raises(ValueError):
             dataset.fold_split(99)
-
-    def test_open_dataset_alias(self, store_dir):
-        assert len(open_dataset(store_dir)) > 0
 
     def test_entry_is_a_copy(self, store_dir):
         """Editing a returned entry cannot alter the dataset's index."""

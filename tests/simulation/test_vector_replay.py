@@ -24,7 +24,9 @@ from repro.core.learning import MINING_WINDOW, _trace_spans
 from repro.core.monitor import SafetyMonitor
 from repro.core.rules import BG_TARGET
 from repro.hazards import HazardType
-from repro.ml import train_dt_monitor, train_lstm_monitor, train_mlp_monitor
+from repro.ml import (LSTMClassifier, LSTMMonitor, MLPClassifier, MLPMonitor,
+                      TrainingJob, build_point_dataset, build_window_dataset,
+                      run_training_jobs)
 from repro.ml.datasets import trace_features
 from repro.parallel import iter_equal_length_groups
 from repro.simulation import (ContextBatch, PROFILE_CACHE, controller_profile,
@@ -121,14 +123,19 @@ def rising_streak_alerts(trace):
 def fast_monitors(tiny_campaign_traces):
     """Every monitor kind with a vectorized observe_batch, plus CAWT."""
     thresholds = learn_thresholds(tiny_campaign_traces).thresholds
+    dt, dt_mc = run_training_jobs(
+        [TrainingJob.make("dt"), TrainingJob.make("dt", multiclass=True)],
+        tiny_campaign_traces)
+    mlp = MLPClassifier(max_epochs=3, seed=0).fit(
+        *build_point_dataset(tiny_campaign_traces))
     return {
         "CAWT": cawt_monitor(thresholds),
         "CAWOT": cawot_monitor(),
         "Guideline": GuidelineMonitor(),
         "MPC": MPCMonitor(),
-        "DT": train_dt_monitor(tiny_campaign_traces),
-        "DTmc": train_dt_monitor(tiny_campaign_traces, multiclass=True),
-        "MLP": train_mlp_monitor(tiny_campaign_traces, max_epochs=3),
+        "DT": dt.monitor,
+        "DTmc": dt_mc.monitor,
+        "MLP": MLPMonitor(mlp),
     }
 
 
@@ -136,12 +143,18 @@ def fast_monitors(tiny_campaign_traces):
 def nn_monitors(tiny_campaign_traces):
     """The batched-NN kinds: binary and multi-class LSTM, and the
     multi-class MLP (the binary MLP is in ``fast_monitors``)."""
+    windows = build_window_dataset(tiny_campaign_traces, k=6)
+    windows_mc = build_window_dataset(tiny_campaign_traces, k=6,
+                                      multiclass=True)
+    lstm = LSTMClassifier(max_epochs=2, seed=0).fit(*windows)
+    lstm_mc = LSTMClassifier(n_classes=3, max_epochs=2, seed=0).fit(
+        *windows_mc)
+    mlp_mc = MLPClassifier(n_classes=3, max_epochs=3, seed=0).fit(
+        *build_point_dataset(tiny_campaign_traces, multiclass=True))
     return {
-        "LSTM": train_lstm_monitor(tiny_campaign_traces, max_epochs=2),
-        "LSTMmc": train_lstm_monitor(tiny_campaign_traces, max_epochs=2,
-                                     multiclass=True),
-        "MLPmc": train_mlp_monitor(tiny_campaign_traces, max_epochs=3,
-                                   multiclass=True),
+        "LSTM": LSTMMonitor(lstm, k=6),
+        "LSTMmc": LSTMMonitor(lstm_mc, k=6, multiclass=True),
+        "MLPmc": MLPMonitor(mlp_mc, multiclass=True),
     }
 
 
@@ -343,7 +356,7 @@ class TestContextBatch:
             for ctx_col, ctx_ref in zip(batch.iter_column(b),
                                         iter_contexts(trace)):
                 assert ctx_col == ctx_ref
-            np.testing.assert_array_equal(batch.column_features(b),
+            np.testing.assert_array_equal(batch.features[:, :, b],
                                           trace_features(trace))
 
     def test_channel_views(self, tiny_campaign_traces):
