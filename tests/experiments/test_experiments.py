@@ -25,7 +25,11 @@ from repro.experiments import (
     run_table7,
     run_table8,
 )
-from repro.experiments.data import baseline_alerts, ml_monitors, ml_test_alerts
+from repro.experiments.data import (baseline_alerts, baseline_monitors,
+                                    cawt_cv_replay, cawt_full_thresholds,
+                                    ml_baseline_jobs, ml_monitors,
+                                    ml_test_alerts, train_test_split)
+from repro.simulation import kfold_split
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +95,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="patients"):
             ExperimentConfig(patients=patients)
 
+    @pytest.mark.parametrize("change", [
+        {"stride": 8}, {"n_steps": 100}, {"patients": ("A", "B")},
+        {"patients": ("C", "B", "A")},
+        {"platform": "t1ds2013", "patients": ("P01", "P02", "P03")}])
+    def test_cache_key_follows_the_simulated_grid(self, change):
+        """Configs that simulate different traces, or the same traces in
+        another order, never share a memo entry."""
+        base = ExperimentConfig()
+        assert dataclasses.replace(base, **change).cache_key() \
+            != base.cache_key()
+
+    @pytest.mark.parametrize("change", [
+        {"folds": 3}, {"workers": 2}, {"mining_window": 6}, {"seed": 1},
+        {"ml_epochs": 2}, {"tolerance": 12}])
+    def test_cache_key_ignores_what_simulation_never_reads(self, change):
+        base = ExperimentConfig()
+        assert dataclasses.replace(base, **change).cache_key() \
+            == base.cache_key()
+
 
 class TestData:
     def test_platform_data_cached(self, cfg):
@@ -114,6 +137,80 @@ class TestData:
     def test_fault_free_has_seven_initials(self, cfg):
         data = platform_data(cfg)
         assert len(data.fault_free) == 7 * len(cfg.patients)
+
+    @pytest.mark.parametrize("folds", [2, 3])
+    def test_train_test_split_is_fold_zero_of_the_callers_folds(self, cfg,
+                                                                folds):
+        """Configs of one grid share the traces, and each splits them
+        with its own ``folds``."""
+        data = platform_data(dataclasses.replace(cfg, folds=folds))
+        split = train_test_split(data)
+        for got, want in zip(split, kfold_split(data.traces, folds, 0)):
+            assert isinstance(got, list)
+            assert len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want))
+        assert len(split[0]) + len(split[1]) == len(data.traces)
+
+    def test_cawt_cv_replay_covers_every_trace_once(self, cfg):
+        data = platform_data(cfg)
+        traces, alerts = cawt_cv_replay(data)
+        assert sorted(map(id, traces)) == sorted(map(id, data.traces))
+        assert [len(a) for a in alerts] == [len(t) for t in traces]
+
+
+class TestStoredCampaign:
+    """A campaign stored on disk is read lazily by the replay, threshold
+    learning and training entry points, which reproduce what the
+    experiments compute from the in-memory traces."""
+
+    @pytest.fixture
+    def stores(self, cfg, tmp_path):
+        from repro.simulation import CampaignStoreWriter, TraceDataset
+        data = platform_data(cfg)
+        opened = {}
+        for kind, traces in (("campaign", data.traces),
+                             ("fault_free", data.fault_free)):
+            root = str(tmp_path / kind)
+            with CampaignStoreWriter(root, cfg.platform, cfg.n_steps,
+                                     folds=cfg.folds) as sink:
+                for trace in traces:
+                    sink.write(trace)
+            opened[kind] = TraceDataset.open(root, cache_size=4)
+        return opened
+
+    def test_replay_matches_the_baseline_alerts(self, cfg, stores):
+        from repro.simulation import replay_campaign
+        want = baseline_alerts(platform_data(cfg))
+        got = replay_campaign(baseline_monitors(cfg), stores["campaign"])
+        assert set(got) == set(want)
+        for name, alerts in want.items():
+            assert len(got[name]) == len(alerts)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(alerts, got[name])), name
+
+    def test_thresholds_match_the_full_data_thresholds(self, cfg, stores):
+        import itertools
+
+        from repro.core import learn_thresholds
+        data = platform_data(cfg)
+        for pid in cfg.patients:
+            traces = itertools.chain(stores["campaign"].by_patient(pid),
+                                     stores["fault_free"].by_patient(pid))
+            learned = learn_thresholds(traces, window=cfg.mining_window)
+            assert learned.thresholds == cawt_full_thresholds(data, pid)
+
+    def test_training_matches_the_ml_monitors(self, cfg, stores):
+        from repro.ml import monitor_state, run_training_jobs
+        want = ml_monitors(platform_data(cfg))
+        trained = run_training_jobs(ml_baseline_jobs(cfg),
+                                    stores["campaign"])
+        assert [t.name for t in trained] == list(want)
+        for result in trained:
+            state = monitor_state(want[result.name])
+            got = monitor_state(result.monitor)
+            assert len(got) == len(state)
+            assert all(np.array_equal(a, b) for a, b in zip(state, got)), \
+                result.name
 
 
 class TestFig3:

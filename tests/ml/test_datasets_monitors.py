@@ -20,6 +20,7 @@ from repro.ml import (
     trace_features,
 )
 from repro.simulation import ContextBatch
+from tests.conftest import LOCKSTEP_WIDTHS
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,77 @@ class TestDatasets:
         assert X.shape == (1, len(trace), len(FEATURE_NAMES))
         np.testing.assert_array_equal(X[0], trace_features(trace))
         assert y.tolist() == [point_labels(trace)[-1]]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_window_build_identical(self, small_traces, workers):
+        X, y = build_window_dataset(small_traces, k=6, workers=1)
+        Xp, yp = build_window_dataset(small_traces, k=6, workers=workers)
+        assert np.array_equal(X, Xp)
+        assert np.array_equal(y, yp)
+
+    @pytest.mark.parametrize("width", LOCKSTEP_WIDTHS)
+    def test_chunk_width_moves_no_element(self, small_traces,
+                                          set_lockstep_width, width):
+        """The builders cut the traces into lock-step-width chunks; any
+        width, on the forked pool, stacks the same matrices."""
+        point = build_point_dataset(small_traces)
+        window = build_window_dataset(small_traces, k=6, multiclass=True)
+        set_lockstep_width(width)
+        rebuilt = (build_point_dataset(small_traces, workers=2),
+                   build_window_dataset(small_traces, k=6, multiclass=True,
+                                        workers=2))
+        for want, got in zip((point, window), rebuilt):
+            assert np.array_equal(want[0], got[0])
+            assert np.array_equal(want[1], got[1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_traces_skipped(self, small_traces, tiny_fault_free_traces,
+                                  set_lockstep_width, workers):
+        """A trace shorter than k yields no window, whether it shares a
+        chunk or makes one on its own."""
+        set_lockstep_width(1)  # every trace is a chunk of its own
+        (short,) = tiny_fault_free_traces
+        long = list(small_traces[:2])
+        k = len(short) + 1
+        X, y = build_window_dataset([short] + long + [short], k=k,
+                                    workers=workers)
+        assert X.shape == (2 * (len(long[0]) - k + 1), k, len(FEATURE_NAMES))
+        X_long, y_long = build_window_dataset(long, k=k)
+        assert np.array_equal(X, X_long)
+        assert np.array_equal(y, y_long)
+
+    def test_binary_point_labels_are_nonzero_multiclass_labels(
+            self, small_traces):
+        X, y = build_point_dataset(small_traces)
+        X_mc, y_mc = build_point_dataset(small_traces, multiclass=True)
+        assert np.array_equal(X, X_mc)
+        assert np.array_equal(y_mc, np.concatenate(
+            [point_labels(trace, multiclass=True) for trace in small_traces]))
+        assert np.array_equal(y, (y_mc > 0).astype(y.dtype))
+        assert set(np.unique(y_mc)) <= {0, 1, 2}
+
+    def test_multiclass_window_labels_are_last_cycle_labels(
+            self, small_traces):
+        k = 6
+        _, y = build_window_dataset(small_traces, k=k, multiclass=True)
+        assert np.array_equal(y, np.concatenate(
+            [point_labels(trace, multiclass=True)[k - 1:]
+             for trace in small_traces]))
+
+    def test_matrices_are_owned_in_memory_arrays(self, small_traces):
+        """Windows are copied out of the per-trace features: the stacked
+        matrices own their data, backed by no file and no trace."""
+        for X, y in (build_point_dataset(small_traces[:3]),
+                     build_window_dataset(small_traces[:3], k=6)):
+            for array in (X, y):
+                assert type(array) is np.ndarray
+                assert array.flags.owndata and array.flags.writeable
+
+    def test_accepts_a_one_pass_iterable(self, small_traces):
+        X, y = build_point_dataset(iter(small_traces))
+        X_list, y_list = build_point_dataset(small_traces)
+        assert np.array_equal(X, X_list)
+        assert np.array_equal(y, y_list)
 
 
 class TestMonitors:

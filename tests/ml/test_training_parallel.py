@@ -10,11 +10,25 @@ import pytest
 
 from repro.ml import (
     TrainingJob,
+    build_point_dataset,
+    build_window_dataset,
     monitor_state,
     run_training_jobs,
     select_job_traces,
+    train_job,
 )
-from repro.simulation import kfold_split
+from repro.ml.monitors import DTMonitor, LSTMMonitor, MLPMonitor
+from repro.ml.nn import LSTMClassifier, MLPClassifier
+from repro.ml.tree import DecisionTreeClassifier
+from repro.simulation import (CampaignStoreWriter, TraceDataset,
+                              TraceDatasetView, kfold_split)
+
+
+def assert_states_equal(monitor_a, monitor_b):
+    state_a, state_b = monitor_state(monitor_a), monitor_state(monitor_b)
+    assert len(state_a) == len(state_b)
+    for arr_a, arr_b in zip(state_a, state_b):
+        assert np.array_equal(arr_a, arr_b)
 
 
 def assert_same_monitors(results_a, results_b):
@@ -22,10 +36,7 @@ def assert_same_monitors(results_a, results_b):
     for a, b in zip(results_a, results_b):
         assert a.job == b.job
         assert (a.n_samples, a.n_features) == (b.n_samples, b.n_features)
-        state_a, state_b = monitor_state(a.monitor), monitor_state(b.monitor)
-        assert len(state_a) == len(state_b)
-        for arr_a, arr_b in zip(state_a, state_b):
-            assert np.array_equal(arr_a, arr_b), a.name
+        assert_states_equal(a.monitor, b.monitor)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +57,21 @@ def small_jobs():
 @pytest.fixture(scope="module")
 def serial_results(small_jobs, tiny_campaign_traces):
     return run_training_jobs(small_jobs, tiny_campaign_traces, workers=1)
+
+
+@pytest.fixture(scope="module")
+def campaign_store(tmp_path_factory, tiny_campaign_traces):
+    """The shared campaign written once to an on-disk store."""
+    root = str(tmp_path_factory.mktemp("training") / "campaign")
+    with CampaignStoreWriter(root, "glucosym", len(tiny_campaign_traces[0]),
+                             folds=2) as sink:
+        for trace in tiny_campaign_traces:
+            sink.write(trace)
+    return root
+
+
+def labels(traces):
+    return [trace.label for trace in traces]
 
 
 class TestTrainingJob:
@@ -104,6 +130,46 @@ class TestTraceSelection:
             list(tiny_campaign_traces)
 
 
+class TestStoreSelection:
+    """On a stored campaign the selection stays lazy: an index view that
+    loads no shard, with the membership of the in-memory selection."""
+
+    @pytest.mark.parametrize("fold", [0, 1, 2])
+    def test_fold_selection_stays_lazy(self, campaign_store,
+                                       tiny_campaign_traces, fold):
+        dataset = TraceDataset.open(campaign_store)
+        job = TrainingJob.make("mlp", fold=fold, folds=3)
+        selected = select_job_traces(job, dataset)
+        assert isinstance(selected, TraceDatasetView)
+        assert dataset.stats.n_loads == 0
+        train, _ = kfold_split(tiny_campaign_traces, 3, fold)
+        assert labels(selected) == labels(train)
+
+    def test_patient_filter_stays_lazy(self, campaign_store):
+        dataset = TraceDataset.open(campaign_store)
+        patient = select_job_traces(TrainingJob.make("dt", patient_id="B"),
+                                    dataset)
+        nobody = select_job_traces(TrainingJob.make("dt", patient_id="Z"),
+                                   dataset)
+        assert isinstance(patient, TraceDatasetView)
+        assert (len(patient), len(nobody)) == (len(dataset), 0)
+        assert dataset.stats.n_loads == 0
+
+    def test_patient_and_fold_selection(self, campaign_store,
+                                        tiny_campaign_traces):
+        dataset = TraceDataset.open(campaign_store)
+        job = TrainingJob.make("lstm", patient_id="B", fold=1, folds=4)
+        selected = select_job_traces(job, dataset)
+        assert isinstance(selected, TraceDatasetView)
+        assert dataset.stats.n_loads == 0
+        assert labels(selected) == labels(
+            select_job_traces(job, tiny_campaign_traces))
+
+    def test_no_selection_is_the_store_itself(self, campaign_store):
+        dataset = TraceDataset.open(campaign_store)
+        assert select_job_traces(TrainingJob.make("dt"), dataset) is dataset
+
+
 class TestRunTrainingJobs:
     def test_results_in_job_order(self, small_jobs, serial_results):
         assert [r.job for r in serial_results] == small_jobs
@@ -114,6 +180,16 @@ class TestRunTrainingJobs:
         parallel = run_training_jobs(small_jobs, tiny_campaign_traces,
                                      workers=workers)
         assert_same_monitors(serial_results, parallel)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_store_backed_identical_to_in_memory(self, small_jobs,
+                                                 serial_results,
+                                                 campaign_store, workers):
+        """A stored campaign trains every job of the grid to the monitors
+        the in-memory list trains, serial or forked."""
+        dataset = TraceDataset.open(campaign_store, cache_size=4)
+        from_store = run_training_jobs(small_jobs, dataset, workers=workers)
+        assert_same_monitors(serial_results, from_store)
 
     def test_different_folds_train_different_monitors(self, serial_results):
         by_job = {r.job: r for r in serial_results}
@@ -153,3 +229,41 @@ class TestRunTrainingJobs:
         from_store = run_training_jobs([job], dataset)
         from_memory = run_training_jobs([job], list(tiny_campaign_traces))
         assert_same_monitors(from_store, from_memory)
+
+
+class TestTrainJob:
+    """``train_job`` builds each kind's classifier as a caller constructing
+    it directly would: the DT from its hyperparameters alone, the neural
+    models seeded with :meth:`TrainingJob.job_seed`."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tiny_campaign_traces):
+        return tiny_campaign_traces[:12]
+
+    def test_dt(self, traces):
+        job = TrainingJob.make("dt", max_depth=5)
+        X, y = build_point_dataset(traces)
+        direct = DTMonitor(DecisionTreeClassifier(max_depth=5).fit(X, y))
+        trained = train_job(job, X, y)
+        assert (trained.n_samples, trained.n_features) == X.shape
+        assert_states_equal(trained.monitor, direct)
+
+    def test_mlp(self, traces):
+        job = TrainingJob.make("mlp", multiclass=True, hidden=(12,),
+                               max_epochs=2)
+        X, y = build_point_dataset(traces, multiclass=True)
+        direct = MLPMonitor(MLPClassifier(n_classes=3, seed=job.job_seed(),
+                                          hidden=(12,), max_epochs=2
+                                          ).fit(X, y), multiclass=True)
+        assert_states_equal(train_job(job, X, y).monitor, direct)
+
+    def test_lstm(self, traces):
+        job = TrainingJob.make("lstm", window=4, hidden=(6,), max_epochs=1)
+        X, y = build_window_dataset(traces, k=4)
+        direct = LSTMMonitor(LSTMClassifier(n_classes=2, seed=job.job_seed(),
+                                            hidden=(6,), max_epochs=1
+                                            ).fit(X, y), k=4)
+        trained = train_job(job, X, y)
+        assert trained.monitor.k == 4
+        assert_states_equal(trained.monitor, direct)
+
